@@ -28,6 +28,7 @@ import pytest
 
 from conftest import once, paper_claim, scaled, write_result
 from repro.experiments import NodeSweepConfig, run_node_energy_sweep
+from repro.runtime.config import ExecutionConfig
 
 HORIZON_S = scaled(60.0, 4.0)
 CI_TARGET = scaled(0.10, 0.5)
@@ -43,13 +44,18 @@ def _timed(fn):
 @pytest.mark.benchmark(group="adaptive-replication")
 def test_adaptive_vs_fixed_replication_budget(benchmark):
     fixed, fixed_s = _timed(
-        lambda: run_node_energy_sweep(CONFIG, replications=MAX_R)
+        lambda: run_node_energy_sweep(
+            CONFIG, exec_cfg=ExecutionConfig(replications=MAX_R)
+        )
     )
     adaptive, adaptive_s = once(
         benchmark,
         lambda: _timed(
             lambda: run_node_energy_sweep(
-                CONFIG, ci_target=CI_TARGET, max_replications=MAX_R
+                CONFIG,
+                exec_cfg=ExecutionConfig(
+                    ci_target=CI_TARGET, max_replications=MAX_R
+                ),
             )
         ),
     )

@@ -15,6 +15,7 @@ import pytest
 from conftest import once, paper_claim, scaled, write_result
 from repro.energy import IMOTE2_3xAAA, format_table
 from repro.models import LineTopology, NodeParameters, SensorNetworkModel
+from repro.runtime.config import ExecutionConfig
 
 THRESHOLDS = (1e-9, 0.00178, 0.01, 0.1, 1.0, 100.0)
 
@@ -34,7 +35,7 @@ def test_network_lifetime_sweep(benchmark):
             horizon=scaled(300.0, 20.0),
             seed=2010,
             base_rate=0.5,
-            shards=2,
+            exec_cfg=ExecutionConfig(shards=2),
         ),
     )
 

@@ -30,6 +30,7 @@ import pytest
 from conftest import once, scaled, write_result
 from repro.experiments import NodeSweepConfig, run_node_energy_sweep
 from repro.models import GridTopology, NodeParameters, SensorNetworkModel
+from repro.runtime.config import ExecutionConfig
 
 HORIZON_S = scaled(60.0, 4.0)
 WORKERS = scaled(4, 2)
@@ -43,7 +44,7 @@ GRID_BASE_RATE = 0.004  # hotspot at 0.4 events/s stays unsaturated
 
 def _timed_sweep(workers):
     start = time.perf_counter()
-    sweep = run_node_energy_sweep(CONFIG, workers=workers)
+    sweep = run_node_energy_sweep(CONFIG, exec_cfg=ExecutionConfig(workers=workers))
     return sweep, time.perf_counter() - start
 
 
@@ -56,8 +57,7 @@ def _timed_grid(shards, workers):
         GRID_HORIZON_S,
         seed=2010,
         base_rate=GRID_BASE_RATE,
-        workers=workers,
-        shards=shards,
+        exec_cfg=ExecutionConfig(workers=workers, shards=shards),
     )
     return result, time.perf_counter() - start
 

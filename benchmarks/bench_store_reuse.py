@@ -28,6 +28,7 @@ import pytest
 from conftest import once, paper_claim, scaled, write_result
 from repro.experiments import NodeSweepConfig, run_node_energy_sweep
 from repro.runtime import ResultStore
+from repro.runtime.config import ExecutionConfig, ResolvedExecution
 
 HORIZON_S = scaled(60.0, 2.0)
 REPLICATIONS = scaled(8, 2)
@@ -48,7 +49,7 @@ def test_store_reuse_cold_warm_topup(benchmark):
     with tempfile.TemporaryDirectory() as d:
         store = ResultStore(d)
         run = lambda reps: run_node_energy_sweep(  # noqa: E731
-            CONFIG, replications=reps, store=store
+            CONFIG, exec_cfg=ResolvedExecution(replications=reps, store=store)
         )
 
         cold, cold_s = _timed(lambda: run(REPLICATIONS))
@@ -67,7 +68,7 @@ def test_store_reuse_cold_warm_topup(benchmark):
         assert store.misses == n_points * REPLICATIONS
         scratch, scratch_s = _timed(
             lambda: run_node_energy_sweep(
-                CONFIG, replications=2 * REPLICATIONS
+                CONFIG, exec_cfg=ExecutionConfig(replications=2 * REPLICATIONS)
             )
         )
         assert _fingerprint(topped) == _fingerprint(scratch)

@@ -19,6 +19,7 @@ import pytest
 from conftest import once, paper_claim, scaled, write_result
 from repro.energy import format_table
 from repro.models import NodeParameters, SensorNetworkModel
+from repro.runtime.config import ExecutionConfig
 from repro.topology import ChurnModel, MMPPTraffic, RandomGeometricTopology
 
 SIZES = (100, 400, 1000)
@@ -41,8 +42,7 @@ def run_one(n_nodes, horizon):
         horizon=horizon,
         seed=SEED,
         base_rate=BASE_RATE,
-        shards=8,
-        workers=4,
+        exec_cfg=ExecutionConfig(shards=8, workers=4),
     )
     wall_s = time.perf_counter() - start
     events = sum(node.events_completed for node in result.nodes)

@@ -23,6 +23,7 @@ from repro.models import (
     NodeParameters,
     SensorNetworkModel,
 )
+from repro.runtime.config import ExecutionConfig
 
 HORIZON = 200.0
 BASE_RATE = 0.5  # events/s sensed by each node
@@ -85,7 +86,7 @@ def main() -> None:
         IMOTE2_3xAAA,
     )
     grid = grid_net.simulate(
-        horizon=40.0, seed=1, base_rate=0.004, shards=8
+        horizon=40.0, seed=1, base_rate=0.004, exec_cfg=ExecutionConfig(shards=8)
     )
     print(
         f"\n{grid.topology}, simulated as 8 shards: "

@@ -20,6 +20,7 @@ Run:  PYTHONPATH=src python examples/parallel_sweep.py
 from repro.experiments import NodeSweepConfig, run_node_energy_sweep
 from repro.models.wsn_node import NodeParameters, WSNNodeModel
 from repro.runtime import map_sweep
+from repro.runtime.config import ExecutionConfig
 
 GRID = (1e-9, 0.0017, 0.00178, 0.01, 0.1, 1.0)
 HORIZON_S = 30.0
@@ -33,13 +34,13 @@ def node_energy(threshold: float, seed: int) -> float:
 
 def main() -> None:
     print(f"== 1. grid sweep over {len(GRID)} points, workers=4 ==")
-    for point in map_sweep(node_energy, GRID, seed=2010, workers=4):
+    parallel = ExecutionConfig(workers=4)
+    for point in map_sweep(node_energy, GRID, seed=2010, exec_cfg=parallel):
         print(f"  PDT {point.threshold:<10g} {point.value:8.3f} J")
 
     print("\n== 2. same grid, 8 replications per point ==")
-    for point in map_sweep(
-        node_energy, GRID, seed=2010, workers=4, replications=8
-    ):
+    replicated = parallel.with_overrides(replications=8)
+    for point in map_sweep(node_energy, GRID, seed=2010, exec_cfg=replicated):
         ci = point.value.interval()
         print(
             f"  PDT {point.threshold:<10g} {ci.mean:8.3f} J "
@@ -49,8 +50,7 @@ def main() -> None:
     print("\n== 3. the Fig. 14 driver with the same knobs ==")
     sweep = run_node_energy_sweep(
         NodeSweepConfig(horizon=HORIZON_S, thresholds=GRID),
-        workers=4,
-        replications=8,
+        exec_cfg=replicated,
     )
     t_opt, e_opt = sweep.optimum()
     print(f"  optimum threshold {t_opt:g} s at {e_opt:.3f} J (mean of 8 reps)")

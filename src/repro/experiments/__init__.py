@@ -47,7 +47,6 @@ from .sweep import (
     NETWORK_THRESHOLDS,
     SweepPoint,
     linear_thresholds,
-    run_sweep,
 )
 from .tables import (
     format_delta_table,
@@ -93,7 +92,6 @@ __all__ = [
     "FIG4_TO_9_THRESHOLDS",
     "FIG14_15_THRESHOLDS",
     "SweepPoint",
-    "run_sweep",
     "linear_thresholds",
     "format_delta_table",
     "format_validation_table",

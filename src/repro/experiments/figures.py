@@ -225,14 +225,6 @@ def run_cpu_comparison(
     power_up_delay: float,
     config: CPUComparisonConfig | None = None,
     power_table: PowerStateTable | None = None,
-    workers: int = 1,
-    replications: int = 1,
-    ci_target: float | None = None,
-    max_replications: int = 64,
-    min_replications: int = 2,
-    backend=None,
-    engine: str = "interpreted",
-    store=None,
     *,
     exec_cfg=None,
 ) -> CPUComparisonResult:
@@ -242,26 +234,26 @@ def run_cpu_comparison(
     (common random numbers), mirroring how the paper plots both against
     the same workload realisations.
 
-    Grid points (and, when ``replications > 1``, replications) are
-    submitted through the :mod:`repro.runtime` executor; ``workers=1``
-    evaluates serially and reproduces the pre-runtime results bit for
-    bit.  Replication 0 keeps the legacy per-point seed ``seed + i``;
-    further replications use seeds spawned from it, and the reported
-    fractions/energies become across-replication means with
+    ``exec_cfg`` — an :class:`~repro.runtime.config.ExecutionConfig`
+    (or resolved :class:`~repro.runtime.config.ResolvedExecution`) —
+    says how to run; none of its fields changes the numbers beyond the
+    replication policy.  Grid points (and, when ``replications > 1``,
+    replications) are submitted through
+    :func:`~repro.runtime.adaptive.run_replications`; the serial
+    single-replication default reproduces the pre-runtime results bit
+    for bit.  Replication 0 keeps the legacy per-point seed ``seed +
+    i``; further replications use seeds spawned from it, and the
+    reported fractions/energies become across-replication means with
     ``energy_ci`` t-intervals.
 
     With ``ci_target`` set, each threshold point replicates adaptively
-    (:mod:`repro.runtime.adaptive`) until *both* stochastic estimators'
-    energy intervals meet the relative half-width target (the analytic
-    Markov solve is deterministic and exempt), or ``max_replications``
-    is hit.  The seed plan per point is prefix-stable, so the executed
-    replications are a bit-identical prefix of the fixed
+    until *both* stochastic estimators' energy intervals meet the
+    relative half-width target (the analytic Markov solve is
+    deterministic and exempt), or ``max_replications`` is hit.  The
+    seed plan per point is prefix-stable, so the executed replications
+    are a bit-identical prefix of the fixed
     ``replications=max_replications`` run; ``replications`` acts as a
     floor on ``min_replications``.
-
-    ``backend`` routes the point evaluations through an explicit
-    execution :class:`~repro.runtime.backend.Backend` (e.g. socket
-    workers on remote hosts); it never changes the numbers.
 
     ``engine="vectorized"`` runs each point's Petri-net replications in
     lockstep through :mod:`repro.core.fast` (one ensemble task per
@@ -269,136 +261,46 @@ def run_cpu_comparison(
     Petri nets and evaluate exactly as before, so the result is
     bit-identical to the interpreted engine at every seed plan.
 
-    ``store`` memoizes per-replication estimator outputs in a
-    :class:`~repro.runtime.store.ResultStore` keyed by the full task
-    spec (threshold, seed, delay, config, power table, markov flag) —
-    shared across engines, backends and the fixed/adaptive paths.
-
-    ``exec_cfg`` — an :class:`~repro.runtime.config.ExecutionConfig`
-    (or resolved :class:`~repro.runtime.config.ResolvedExecution`) —
-    supplies all of the execution keywords above in one object and is
-    mutually exclusive with passing them individually; the loose
-    keywords remain as a deprecation shim.
+    A ``store`` memoizes per-replication estimator outputs keyed by the
+    full task spec (threshold, seed, delay, config, power table, markov
+    flag) — shared across engines, backends and replication policies.
     """
-    from ..runtime.adaptive import AdaptiveSettings, run_adaptive_rounds
-    from ..runtime.config import resolve_execution
-    from ..runtime.executor import ParallelExecutor
+    from ..runtime.adaptive import run_replications
+    from ..runtime.config import as_resolved
     from ..runtime.seeding import replication_seeds
-    from ..runtime.store import cached_ensemble_map, cached_map
 
-    rx = resolve_execution(
-        exec_cfg,
-        workers=workers,
-        replications=replications,
-        ci_target=ci_target,
-        max_replications=max_replications,
-        min_replications=min_replications,
-        backend=backend,
-        engine=engine,
-        store=store,
-    )
-    workers, replications, backend = rx.workers, rx.replications, rx.backend
-    ci_target, max_replications = rx.ci_target, rx.max_replications
-    min_replications, engine, store = rx.min_replications, rx.engine, rx.store
-    if engine not in ("interpreted", "vectorized"):
-        raise ValueError(
-            f"engine must be 'interpreted' or 'vectorized', got {engine!r}"
-        )
+    rx = as_resolved(exec_cfg)
     cfg = config if config is not None else CPUComparisonConfig()
     table = power_table if power_table is not None else cpu_power_table()
-
-    converged: list[bool] | None = None
-    if ci_target is not None:
-        seed_plans = [
-            replication_seeds(cfg.seed + i, max_replications)
-            for i in range(len(cfg.thresholds))
-        ]
-        ensemble_kwargs = {}
-        if engine == "vectorized":
-            ensemble_kwargs = {
-                "ensemble_fn": _evaluate_cpu_point_ensemble,
-                "ensemble_task_for": lambda i, start, n: (
-                    cfg.thresholds[i],
-                    tuple(seed_plans[i][start : start + n]),
-                    start,
-                    power_up_delay,
-                    cfg,
-                    table,
-                ),
-            }
-        runs = run_adaptive_rounds(
-            _evaluate_cpu_point,
-            lambda i, r: (
-                cfg.thresholds[i],
-                seed_plans[i][r],
-                power_up_delay,
-                cfg,
-                table,
-                r == 0,
-            ),
-            len(cfg.thresholds),
-            AdaptiveSettings(
-                ci_target=ci_target,
-                min_replications=max(min_replications, replications),
-                max_replications=max_replications,
-            ),
-            metrics=lambda out: (out["simulation"][1], out["petri"][1]),
-            executor=ParallelExecutor(workers=workers, backend=backend),
-            store=store,
-            **ensemble_kwargs,
-        )
-        per_point = [run.values for run in runs]
-        converged = [run.converged for run in runs]
-    elif engine == "vectorized":
-        seed_plans = [
-            replication_seeds(cfg.seed + i, replications)
-            for i in range(len(cfg.thresholds))
-        ]
-        point_tasks = [
-            (threshold, tuple(seed_plans[i]), 0, power_up_delay, cfg, table)
-            for i, threshold in enumerate(cfg.thresholds)
-        ]
-        per_point = cached_ensemble_map(
-            ParallelExecutor(workers=workers, backend=backend),
-            _evaluate_cpu_point_ensemble,
-            point_tasks,
-            store,
-            key_fn=_evaluate_cpu_point,
-            rep_items=[
-                [
-                    (t, seed, power_up_delay, cfg, table, rep == 0)
-                    for rep, seed in enumerate(seed_plans[i])
-                ]
-                for i, t in enumerate(cfg.thresholds)
-            ],
-            rebuild_tail=lambda i, start: (
-                cfg.thresholds[i],
-                tuple(seed_plans[i][start:]),
-                start,
-                power_up_delay,
-                cfg,
-                table,
-            ),
-        )
-    else:
-        tasks = []
-        for i, threshold in enumerate(cfg.thresholds):
-            for rep, rep_seed in enumerate(
-                replication_seeds(cfg.seed + i, replications)
-            ):
-                tasks.append(
-                    (threshold, rep_seed, power_up_delay, cfg, table, rep == 0)
-                )
-        flat = cached_map(
-            ParallelExecutor(workers=workers, backend=backend),
-            _evaluate_cpu_point,
-            tasks,
-            store,
-        )
-        per_point = [
-            flat[i * replications : (i + 1) * replications]
-            for i in range(len(cfg.thresholds))
-        ]
+    seed_plans = [
+        replication_seeds(cfg.seed + i, rx.seed_plan_size)
+        for i in range(len(cfg.thresholds))
+    ]
+    runs = run_replications(
+        _evaluate_cpu_point,
+        lambda i, r: (
+            cfg.thresholds[i],
+            seed_plans[i][r],
+            power_up_delay,
+            cfg,
+            table,
+            r == 0,
+        ),
+        len(cfg.thresholds),
+        rx,
+        ensemble_fn=_evaluate_cpu_point_ensemble,
+        ensemble_task_for=lambda i, start, n: (
+            cfg.thresholds[i],
+            tuple(seed_plans[i][start : start + n]),
+            start,
+            power_up_delay,
+            cfg,
+            table,
+        ),
+        metrics=lambda out: (out["simulation"][1], out["petri"][1]),
+    )
+    per_point = [run.values for run in runs]
+    adaptive = rx.ci_target is not None
 
     fractions: dict[str, dict[str, list[float]]] = {
         est: {state: [] for state in CPUStates.ALL} for est in ESTIMATORS
@@ -440,11 +342,9 @@ def run_cpu_comparison(
         fractions=fractions,
         energy_j=energy,
         config=cfg,
-        replications=max((len(r) for r in per_point), default=replications),
+        replications=max((len(r) for r in per_point), default=rx.replications),
         energy_ci=energy_ci if multi_replicated else None,
-        replication_counts=(
-            [len(r) for r in per_point] if ci_target is not None else None
-        ),
-        converged=converged,
-        ci_target=ci_target,
+        replication_counts=[len(r) for r in per_point] if adaptive else None,
+        converged=[run.converged for run in runs] if adaptive else None,
+        ci_target=rx.ci_target,
     )

@@ -15,8 +15,8 @@ Two entry points:
   over a threshold grid (default :data:`~repro.experiments.sweep.NETWORK_THRESHOLDS`),
   answering "which ``Power_Down_Threshold`` maximises *network* lifetime?".
 
-Both accept ``workers`` (process-pool size) and ``shards``
-(worker-group count); neither knob ever changes the numbers.
+Both take an ``exec_cfg`` whose ``workers`` (process-pool size) and
+``shards`` (worker-group count) never change the numbers.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from ..models.wsn_node import NodeParameters
 from .sweep import NETWORK_THRESHOLDS
 
 if TYPE_CHECKING:
+    from ..runtime.adaptive import AdaptivePointRun
+    from ..runtime.config import ResolvedExecution
     from ..topology.dynamics import ChurnModel
     from ..topology.traffic import MMPPTraffic
 
@@ -53,7 +55,7 @@ __all__ = [
 
 
 def _check_engine(engine: str) -> None:
-    """Reject unsupported engine choices, explicitly and loudly.
+    """Refuse the vectorized engine, explicitly and loudly.
 
     The vectorized engine batches *replications of one model config*;
     a network scenario parallelises across nodes, each with a distinct
@@ -70,10 +72,6 @@ def _check_engine(engine: str) -> None:
             "ensemble of one with nothing to batch; run with "
             "engine='interpreted' (the default) and parallelise with "
             "workers/shards instead"
-        )
-    if engine != "interpreted":
-        raise ValueError(
-            f"engine must be 'interpreted' or 'vectorized', got {engine!r}"
         )
 
 
@@ -255,38 +253,40 @@ class NetworkSweepResult:
         ]
 
 
-def _adaptive_network_runs(
+def _network_runs(
     cfg: NetworkScenarioConfig,
     thresholds: tuple[float, ...],
-    ci_target: float,
-    max_replications: int,
-    min_replications: int,
-    workers: int,
-    shards: int,
-    shard_strategy: str,
-    backend=None,
-    store=None,
-):
-    """Adaptively replicate whole network runs, one point per threshold.
+    rx: ResolvedExecution,
+) -> list[AdaptivePointRun]:
+    """Replicate whole network runs, one point per threshold.
 
-    Each replication is a full (possibly sharded) network simulation;
-    the controller runs replications in-process so ``workers`` and
-    ``shards`` keep parallelising *inside* each network run, exactly as
-    on the unreplicated path.  The per-replication seed plan
-    (``replication_seeds``) is prefix-stable, so replication 0 is
-    bit-identical to the single-run scenario and an adaptive run is a
-    prefix of the fixed ``max_replications`` run.  The stopping metric
-    is total network energy (network lifetime quantises to the hotspot
-    node's battery and is reported with its own CI instead).
-
-    ``store`` memoizes at *node* granularity inside each
+    Each replication is a full (possibly sharded) network simulation.
+    The replication loop runs in-process and store-less, so ``workers``
+    and ``shards`` keep parallelising *inside* each network run and the
+    store memoizes at *node* granularity inside each
     :meth:`~repro.models.network.SensorNetworkModel.simulate` call (the
-    controller's own ``(point, rep)`` tasks are index placeholders with
-    no content to key on), so warm top-ups reuse every node run.
+    loop's own ``(point, rep)`` tasks are index placeholders with no
+    content to key on).
+
+    Without ``ci_target`` every point is one run at ``cfg.seed``.  With
+    it, points replicate on total network energy (network lifetime
+    quantises to the hotspot node's battery and is reported with its
+    own CI instead) under a ``min_replications`` floor; the seed plan
+    (``replication_seeds``) is prefix-stable, so replication 0 is
+    bit-identical to the single run and an adaptive run is a prefix of
+    the fixed ``max_replications`` run.
     """
-    from ..runtime.adaptive import AdaptiveSettings, run_adaptive_rounds
+    from ..runtime.adaptive import run_replications
+    from ..runtime.config import ResolvedExecution
+    from ..runtime.executor import TaskError
     from ..runtime.seeding import replication_seeds
 
+    _check_engine(rx.engine)
+    outer = ResolvedExecution(
+        ci_target=rx.ci_target,
+        max_replications=rx.max_replications,
+        min_replications=rx.min_replications,
+    )
     models = [
         SensorNetworkModel(
             cfg.topology,
@@ -298,214 +298,118 @@ def _adaptive_network_runs(
         )
         for t in thresholds
     ]
-    rep_seeds = replication_seeds(cfg.seed, max_replications)
+    rep_seeds = replication_seeds(cfg.seed, outer.seed_plan_size)
+
+    raised: list[Exception] = []
 
     def _simulate(task: tuple[int, int]) -> NetworkResult:
         point, rep = task
-        return models[point].simulate(
-            cfg.horizon,
-            seed=rep_seeds[rep],
-            base_rate=cfg.base_rate,
-            workers=workers,
-            shards=shards,
-            shard_strategy=shard_strategy,
-            backend=backend,
-            store=store,
-        )
+        try:
+            return models[point].simulate(
+                cfg.horizon,
+                seed=rep_seeds[rep],
+                base_rate=cfg.base_rate,
+                exec_cfg=rx,
+            )
+        except Exception as exc:
+            raised.append(exc)
+            raise
 
-    return run_adaptive_rounds(
-        _simulate,
-        lambda i, r: (i, r),
-        len(thresholds),
-        AdaptiveSettings(
-            ci_target=ci_target,
-            min_replications=min_replications,
-            max_replications=max_replications,
-        ),
-        metrics=lambda result: result.total_energy_j,
-    )
+    try:
+        return run_replications(
+            _simulate,
+            lambda i, r: (i, r),
+            len(thresholds),
+            outer,
+            metrics=lambda result: result.total_energy_j,
+        )
+    except TaskError:
+        if not raised:
+            raise
+        # The loop is in-process: surface what the network run raised
+        # (a worker's TaskError, a job cancellation, ...) as raised,
+        # not wrapped in the loop's own TaskError.
+        original = raised[0]
+        raise original from original.__cause__
 
 
 def run_network_scenario(
     config: NetworkScenarioConfig | None = None,
     threshold: float | None = None,
-    workers: int = 1,
-    shards: int = 1,
-    shard_strategy: str = "contiguous",
-    ci_target: float | None = None,
-    max_replications: int = 64,
-    min_replications: int = 2,
-    backend=None,
-    engine: str = "interpreted",
-    store=None,
     *,
     exec_cfg=None,
 ) -> NetworkResult | ReplicatedNetworkResult:
     """Simulate one network at one ``Power_Down_Threshold``.
 
     ``threshold`` overrides ``config.params.power_down_threshold`` when
-    given.  ``shards`` partitions the node set into worker-group tasks
-    (see :mod:`repro.runtime.sharding`); results are identical for any
-    ``(workers, shards, shard_strategy)``.
+    given.  ``exec_cfg`` — an
+    :class:`~repro.runtime.config.ExecutionConfig` (or resolved
+    :class:`~repro.runtime.config.ResolvedExecution`) — says how to
+    run: its ``shards`` partition the node set into worker-group tasks
+    (see :mod:`repro.runtime.sharding`), and results are identical for
+    any ``(workers, shards, shard_strategy)``.
 
     With ``ci_target`` set, the whole scenario replicates with spawned
     seeds until the total-energy interval's relative half-width meets
     the target (or ``max_replications``), returning a
     :class:`ReplicatedNetworkResult` whose ``result`` (replication 0)
-    is bit-identical to the unreplicated scenario.
+    is bit-identical to the unreplicated scenario.  The
+    ``replications`` field is not used here: replication counts are
+    adaptive (``ci_target``-driven) for network scenarios.
 
     Only ``engine="interpreted"`` is supported here (see
     :func:`_check_engine` for why the vectorized engine does not apply
     to per-node network fan-outs).
-
-    ``exec_cfg`` — an :class:`~repro.runtime.config.ExecutionConfig`
-    (or resolved :class:`~repro.runtime.config.ResolvedExecution`) —
-    supplies all of the execution keywords above in one object and is
-    mutually exclusive with passing them individually; the loose
-    keywords remain as a deprecation shim.  Its ``replications`` field
-    is not used here: replication counts are adaptive
-    (``ci_target``-driven) for network scenarios.
     """
-    from ..runtime.config import resolve_execution
+    from ..runtime.config import as_resolved
 
-    rx = resolve_execution(
-        exec_cfg,
-        workers=workers,
-        shards=shards,
-        shard_strategy=shard_strategy,
-        ci_target=ci_target,
-        max_replications=max_replications,
-        min_replications=min_replications,
-        backend=backend,
-        engine=engine,
-        store=store,
-    )
-    workers, shards, shard_strategy = rx.workers, rx.shards, rx.shard_strategy
-    ci_target, max_replications = rx.ci_target, rx.max_replications
-    min_replications, backend = rx.min_replications, rx.backend
-    engine, store = rx.engine, rx.store
-    _check_engine(engine)
+    rx = as_resolved(exec_cfg)
     cfg = config if config is not None else NetworkScenarioConfig()
     if threshold is not None:
         cfg = replace(cfg, params=cfg.params.with_threshold(threshold))
-    if ci_target is not None:
-        [run] = _adaptive_network_runs(
-            cfg,
-            (cfg.params.power_down_threshold,),
-            ci_target,
-            max_replications,
-            min_replications,
-            workers,
-            shards,
-            shard_strategy,
-            backend=backend,
-            store=store,
-        )
-        return ReplicatedNetworkResult(
-            result=run.values[0],
-            replicates=run.values,
-            converged=run.converged,
-            ci_target=ci_target,
-        )
-    return cfg.model().simulate(
-        cfg.horizon,
-        seed=cfg.seed,
-        base_rate=cfg.base_rate,
-        workers=workers,
-        shards=shards,
-        shard_strategy=shard_strategy,
-        backend=backend,
-        store=store,
+    [run] = _network_runs(cfg, (cfg.params.power_down_threshold,), rx)
+    if rx.ci_target is None:
+        return run.values[0]
+    return ReplicatedNetworkResult(
+        result=run.values[0],
+        replicates=run.values,
+        converged=run.converged,
+        ci_target=rx.ci_target,
     )
 
 
 def run_network_lifetime_sweep(
     config: NetworkScenarioConfig | None = None,
-    workers: int = 1,
-    shards: int = 1,
-    shard_strategy: str = "contiguous",
-    ci_target: float | None = None,
-    max_replications: int = 64,
-    min_replications: int = 2,
-    backend=None,
-    engine: str = "interpreted",
-    store=None,
     *,
     exec_cfg=None,
 ) -> NetworkSweepResult:
     """Sweep ``config.thresholds`` on the network-lifetime metric.
 
-    With ``ci_target`` set, every threshold point replicates adaptively
-    on its total-energy interval and stops independently; ``results``
-    still holds the replication-0 series (bit-identical to the
-    single-run sweep), with per-point counts, ``converged`` flags and
-    :meth:`NetworkSweepResult.energy_ci` uncertainty on top.
+    ``exec_cfg`` is as in :func:`run_network_scenario`.  The threshold
+    points run in order, each a complete (possibly sharded) network
+    simulation.  With ``ci_target`` set, every threshold point
+    replicates adaptively on its total-energy interval and stops
+    independently; ``results`` still holds the replication-0 series
+    (bit-identical to the single-run sweep), with per-point counts,
+    ``converged`` flags and :meth:`NetworkSweepResult.energy_ci`
+    uncertainty on top.
 
     Only ``engine="interpreted"`` is supported here (see
     :func:`_check_engine`).
-
-    ``exec_cfg`` — an :class:`~repro.runtime.config.ExecutionConfig`
-    (or resolved :class:`~repro.runtime.config.ResolvedExecution`) —
-    supplies all of the execution keywords above in one object and is
-    mutually exclusive with passing them individually; the loose
-    keywords remain as a deprecation shim.
     """
-    from ..runtime.config import resolve_execution
+    from ..runtime.config import as_resolved
 
-    rx = resolve_execution(
-        exec_cfg,
-        workers=workers,
-        shards=shards,
-        shard_strategy=shard_strategy,
-        ci_target=ci_target,
-        max_replications=max_replications,
-        min_replications=min_replications,
-        backend=backend,
-        engine=engine,
-        store=store,
-    )
-    workers, shards, shard_strategy = rx.workers, rx.shards, rx.shard_strategy
-    ci_target, max_replications = rx.ci_target, rx.max_replications
-    min_replications, backend = rx.min_replications, rx.backend
-    engine, store = rx.engine, rx.store
-    _check_engine(engine)
+    rx = as_resolved(exec_cfg)
     cfg = config if config is not None else NetworkScenarioConfig()
-    if ci_target is not None:
-        runs = _adaptive_network_runs(
-            cfg,
-            tuple(cfg.thresholds),
-            ci_target,
-            max_replications,
-            min_replications,
-            workers,
-            shards,
-            shard_strategy,
-            backend=backend,
-            store=store,
-        )
-        return NetworkSweepResult(
-            topology=cfg.topology.describe(),
-            thresholds=tuple(cfg.thresholds),
-            results=[run.values[0] for run in runs],
-            replicates=[run.values for run in runs],
-            converged=[run.converged for run in runs],
-            ci_target=ci_target,
-        )
-    results = cfg.model().sweep_thresholds(
-        cfg.thresholds,
-        cfg.horizon,
-        seed=cfg.seed,
-        base_rate=cfg.base_rate,
-        workers=workers,
-        shards=shards,
-        shard_strategy=shard_strategy,
-        backend=backend,
-        store=store,
-    )
+    runs = _network_runs(cfg, tuple(cfg.thresholds), rx)
+    adaptive = rx.ci_target is not None
     return NetworkSweepResult(
         topology=cfg.topology.describe(),
         thresholds=tuple(cfg.thresholds),
-        results=results,
+        results=[run.values[0] for run in runs],
+        replicates=[run.values for run in runs] if adaptive else None,
+        converged=[run.converged for run in runs] if adaptive else None,
+        ci_target=rx.ci_target,
     )
 
 

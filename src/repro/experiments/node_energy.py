@@ -145,14 +145,6 @@ class NodeSweepResult:
 
 def run_node_energy_sweep(
     config: NodeSweepConfig | None = None,
-    workers: int = 1,
-    replications: int = 1,
-    ci_target: float | None = None,
-    max_replications: int = 64,
-    min_replications: int = 2,
-    backend=None,
-    engine: str = "interpreted",
-    store=None,
     *,
     exec_cfg=None,
 ) -> NodeSweepResult:
@@ -163,23 +155,22 @@ def run_node_energy_sweep(
     the threshold, not workload noise; further replications run with
     independent spawned seeds so :meth:`NodeSweepResult.energy_ci` can
     report the workload noise.  All (point × replication) simulations
-    are submitted through the :mod:`repro.runtime` executor;
-    ``workers=1`` with ``replications=1`` is bit-identical to the
-    pre-runtime serial sweep.
+    are submitted through
+    :func:`~repro.runtime.adaptive.run_replications`, configured by
+    ``exec_cfg`` (an :class:`~repro.runtime.config.ExecutionConfig` or
+    resolved :class:`~repro.runtime.config.ResolvedExecution`); the
+    serial single-replication default is bit-identical to the
+    pre-runtime serial sweep, and no placement setting changes the
+    numbers.
 
     With ``ci_target`` set, replication counts are chosen per point by
-    the :mod:`repro.runtime.adaptive` controller on the total-energy
-    metric: each point stops once its 95 % interval's relative
-    half-width crosses the target (or at ``max_replications``).  The
-    per-point seed plan is always sized at ``max_replications``
-    (``replication_seeds`` is prefix-stable), so an adaptive run's
-    replicates are a bit-identical prefix of the fixed
+    the adaptive controller on the total-energy metric: each point stops
+    once its 95 % interval's relative half-width crosses the target (or
+    at ``max_replications``).  The per-point seed plan is then sized at
+    ``max_replications`` (``replication_seeds`` is prefix-stable), so an
+    adaptive run's replicates are a bit-identical prefix of the fixed
     ``replications=max_replications`` run; ``replications`` acts as a
     floor on ``min_replications``.
-
-    ``backend`` routes the simulations through an explicit execution
-    :class:`~repro.runtime.backend.Backend` (e.g. socket workers on
-    remote hosts); like ``workers``, it never changes the numbers.
 
     ``engine="vectorized"`` runs each threshold point's replications in
     lockstep through :mod:`repro.core.fast` (one ensemble task per
@@ -187,122 +178,40 @@ def run_node_energy_sweep(
     bit-identical per replication, so the sweep result matches the
     interpreted engine exactly at every seed plan.
 
-    ``store`` memoizes per-replication node results in a
-    :class:`~repro.runtime.store.ResultStore` keyed by ``(params,
-    workload, horizon, seed)`` — shared across engines, backends and
-    the fixed/adaptive paths, so warm re-runs and ``max_replications``
-    top-ups recompute only unseen replications.
-
-    ``exec_cfg`` — an :class:`~repro.runtime.config.ExecutionConfig`
-    (or resolved :class:`~repro.runtime.config.ResolvedExecution`) —
-    supplies all of the execution keywords above in one object and is
-    mutually exclusive with passing them individually; the loose
-    keywords remain as a deprecation shim.
+    A ``store`` memoizes per-replication node results keyed by
+    ``(params, workload, horizon, seed)`` — shared across engines,
+    backends and replication policies, so warm re-runs and
+    ``max_replications`` top-ups recompute only unseen replications.
     """
-    from ..runtime.adaptive import AdaptiveSettings, run_adaptive_rounds
-    from ..runtime.config import resolve_execution
-    from ..runtime.executor import ParallelExecutor
+    from ..runtime.adaptive import run_replications
+    from ..runtime.config import as_resolved
     from ..runtime.seeding import replication_seeds
-    from ..runtime.store import cached_ensemble_map, cached_map
 
-    rx = resolve_execution(
-        exec_cfg,
-        workers=workers,
-        replications=replications,
-        ci_target=ci_target,
-        max_replications=max_replications,
-        min_replications=min_replications,
-        backend=backend,
-        engine=engine,
-        store=store,
-    )
-    workers, replications, backend = rx.workers, rx.replications, rx.backend
-    ci_target, max_replications = rx.ci_target, rx.max_replications
-    min_replications, engine, store = rx.min_replications, rx.engine, rx.store
-    if engine not in ("interpreted", "vectorized"):
-        raise ValueError(
-            f"engine must be 'interpreted' or 'vectorized', got {engine!r}"
-        )
+    rx = as_resolved(exec_cfg)
     cfg = config if config is not None else NodeSweepConfig()
-    converged: list[bool] | None = None
-    if ci_target is not None:
-        rep_seeds = replication_seeds(cfg.seed, max_replications)
-        point_params = [
-            cfg.params.with_threshold(t) for t in cfg.thresholds
-        ]
-        ensemble_kwargs = {}
-        if engine == "vectorized":
-            ensemble_kwargs = {
-                "ensemble_fn": simulate_node_ensemble_task,
-                "ensemble_task_for": lambda i, start, n: (
-                    point_params[i],
-                    cfg.workload,
-                    cfg.horizon,
-                    tuple(rep_seeds[start : start + n]),
-                ),
-            }
-        runs = run_adaptive_rounds(
-            simulate_node_task,
-            lambda i, r: (point_params[i], cfg.workload, cfg.horizon, rep_seeds[r]),
-            len(cfg.thresholds),
-            AdaptiveSettings(
-                ci_target=ci_target,
-                min_replications=max(min_replications, replications),
-                max_replications=max_replications,
-            ),
-            metrics=lambda result: result.total_energy_j,
-            executor=ParallelExecutor(workers=workers, backend=backend),
-            store=store,
-            **ensemble_kwargs,
-        )
-        replicates = [run.values for run in runs]
-        converged = [run.converged for run in runs]
-    elif engine == "vectorized":
-        rep_seeds = replication_seeds(cfg.seed, replications)
-        point_params = [cfg.params.with_threshold(t) for t in cfg.thresholds]
-        point_tasks = [
-            (params, cfg.workload, cfg.horizon, tuple(rep_seeds))
-            for params in point_params
-        ]
-        replicates = cached_ensemble_map(
-            ParallelExecutor(workers=workers, backend=backend),
-            simulate_node_ensemble_task,
-            point_tasks,
-            store,
-            key_fn=simulate_node_task,
-            rep_items=[
-                [(params, cfg.workload, cfg.horizon, seed) for seed in rep_seeds]
-                for params in point_params
-            ],
-            rebuild_tail=lambda i, start: (
-                point_params[i],
-                cfg.workload,
-                cfg.horizon,
-                tuple(rep_seeds[start:]),
-            ),
-        )
-    else:
-        rep_seeds = replication_seeds(cfg.seed, replications)
-        tasks = [
-            (cfg.params.with_threshold(threshold), cfg.workload, cfg.horizon, seed)
-            for threshold in cfg.thresholds
-            for seed in rep_seeds
-        ]
-        flat = cached_map(
-            ParallelExecutor(workers=workers, backend=backend),
-            simulate_node_task,
-            tasks,
-            store,
-        )
-        replicates = [
-            flat[i * replications : (i + 1) * replications]
-            for i in range(len(cfg.thresholds))
-        ]
+    rep_seeds = replication_seeds(cfg.seed, rx.seed_plan_size)
+    point_params = [cfg.params.with_threshold(t) for t in cfg.thresholds]
+    runs = run_replications(
+        simulate_node_task,
+        lambda i, r: (point_params[i], cfg.workload, cfg.horizon, rep_seeds[r]),
+        len(cfg.thresholds),
+        rx,
+        ensemble_fn=simulate_node_ensemble_task,
+        ensemble_task_for=lambda i, start, n: (
+            point_params[i],
+            cfg.workload,
+            cfg.horizon,
+            tuple(rep_seeds[start : start + n]),
+        ),
+        metrics=lambda result: result.total_energy_j,
+    )
+    replicates = [run.values for run in runs]
+    adaptive = rx.ci_target is not None
     return NodeSweepResult(
         workload=cfg.workload,
         thresholds=tuple(cfg.thresholds),
         results=[reps[0] for reps in replicates],
         replicates=replicates,
-        converged=converged,
-        ci_target=ci_target,
+        converged=[run.converged for run in runs] if adaptive else None,
+        ci_target=rx.ci_target,
     )

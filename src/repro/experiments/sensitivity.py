@@ -97,106 +97,60 @@ def node_optimum_vs_rate(
     workload: str = "closed",
     horizon: float = 300.0,
     seed: int = 2010,
-    workers: int = 1,
-    ci_target: float | None = None,
-    max_replications: int = 64,
-    min_replications: int = 2,
-    backend=None,
-    engine: str = "interpreted",
-    store=None,
     *,
     exec_cfg=None,
 ) -> RateSensitivityResult:
     """Sweep the event rate; find the optimum threshold at each rate.
 
     The full ``len(rates) × len(thresholds)`` grid is flattened and
-    submitted through the :mod:`repro.runtime` executor; every cell
-    keeps the same fixed seed (common random numbers), so results are
-    identical for any ``workers``.
+    submitted through :func:`~repro.runtime.adaptive.run_replications`
+    as ``exec_cfg`` (an :class:`~repro.runtime.config.ExecutionConfig`
+    or resolved :class:`~repro.runtime.config.ResolvedExecution`)
+    directs.  Replication 0 of every cell keeps the base seed (common
+    random numbers) and further replications use spawned seeds; each
+    cell's energy is the across-replication mean.  No placement setting
+    changes the numbers.
 
-    With ``ci_target`` set, each cell is replicated adaptively
-    (:mod:`repro.runtime.adaptive`) on its energy until the interval's
-    relative half-width crosses the target (replication 0 keeps the
-    common-random-numbers base seed; spawned seeds follow, and the cell
-    energies become across-replication means).  Cells stop
-    independently, so cheap low-variance cells don't pay for noisy
+    With ``ci_target`` set, each cell is replicated adaptively on its
+    energy until the interval's relative half-width crosses the target,
+    with ``max(min_replications, replications)`` as the floor.  Cells
+    stop independently, so cheap low-variance cells don't pay for noisy
     ones.
-
-    ``backend`` routes the grid through an explicit execution
-    :class:`~repro.runtime.backend.Backend` (e.g. socket workers on
-    remote hosts); it never changes the numbers.
 
     ``engine="vectorized"`` runs each cell's replications in lockstep
     through :mod:`repro.core.fast` (one ensemble task per cell);
-    bit-identical per replication, so the surface is unchanged.  On the
-    fixed path every cell is a single run (an ensemble of one), so the
-    interpreted engine is usually faster there; the vectorized engine
-    pays off under ``ci_target``.
+    bit-identical per replication, so the surface is unchanged.  With a
+    single replication every cell is an ensemble of one, so the
+    interpreted engine is usually faster there.
 
-    ``store`` memoizes per-replication cell energies in a
-    :class:`~repro.runtime.store.ResultStore` keyed by ``(rate,
-    threshold, workload, horizon, seed)``.
-
-    ``exec_cfg`` — an :class:`~repro.runtime.config.ExecutionConfig`
-    (or resolved :class:`~repro.runtime.config.ResolvedExecution`) —
-    supplies all of the execution keywords above in one object and is
-    mutually exclusive with passing them individually; the loose
-    keywords remain as a deprecation shim.
+    A ``store`` memoizes per-replication cell energies keyed by
+    ``(rate, threshold, workload, horizon, seed)``.
     """
-    from ..runtime.adaptive import AdaptiveSettings, run_adaptive_rounds
-    from ..runtime.config import resolve_execution
-    from ..runtime.executor import ParallelExecutor
+    from ..runtime.adaptive import run_replications
+    from ..runtime.config import as_resolved
     from ..runtime.seeding import replication_seeds
-    from ..runtime.store import cached_ensemble_map, cached_map
 
-    rx = resolve_execution(
-        exec_cfg,
-        workers=workers,
-        ci_target=ci_target,
-        max_replications=max_replications,
-        min_replications=min_replications,
-        backend=backend,
-        engine=engine,
-        store=store,
-    )
-    workers, backend, engine, store = rx.workers, rx.backend, rx.engine, rx.store
-    ci_target, max_replications = rx.ci_target, rx.max_replications
-    min_replications = rx.min_replications
-    if engine not in ("interpreted", "vectorized"):
-        raise ValueError(
-            f"engine must be 'interpreted' or 'vectorized', got {engine!r}"
-        )
+    rx = as_resolved(exec_cfg)
     cells = [(rate, t) for rate in rates for t in thresholds]
+    n_t = len(thresholds)
+    rep_seeds = replication_seeds(seed, rx.seed_plan_size)
+    runs = run_replications(
+        _node_energy_task,
+        lambda i, r: (*cells[i], workload, horizon, rep_seeds[r]),
+        len(cells),
+        rx,
+        ensemble_fn=_node_energy_ensemble_task,
+        ensemble_task_for=lambda i, start, n: (
+            *cells[i],
+            workload,
+            horizon,
+            tuple(rep_seeds[start : start + n]),
+        ),
+    )
+    flat = [float(np.mean(run.values)) for run in runs]
     cell_replications: list[list[int]] | None = None
     cell_converged: list[list[bool]] | None = None
-    n_t = len(thresholds)
-    if ci_target is not None:
-        rep_seeds = replication_seeds(seed, max_replications)
-        ensemble_kwargs = {}
-        if engine == "vectorized":
-            ensemble_kwargs = {
-                "ensemble_fn": _node_energy_ensemble_task,
-                "ensemble_task_for": lambda i, start, n: (
-                    *cells[i],
-                    workload,
-                    horizon,
-                    tuple(rep_seeds[start : start + n]),
-                ),
-            }
-        runs = run_adaptive_rounds(
-            _node_energy_task,
-            lambda i, r: (*cells[i], workload, horizon, rep_seeds[r]),
-            len(cells),
-            AdaptiveSettings(
-                ci_target=ci_target,
-                min_replications=min_replications,
-                max_replications=max_replications,
-            ),
-            executor=ParallelExecutor(workers=workers, backend=backend),
-            store=store,
-            **ensemble_kwargs,
-        )
-        flat = [float(np.mean(run.values)) for run in runs]
+    if rx.ci_target is not None:
         cell_replications = [
             [runs[i * n_t + j].replications for j in range(n_t)]
             for i in range(len(rates))
@@ -205,34 +159,6 @@ def node_optimum_vs_rate(
             [runs[i * n_t + j].converged for j in range(n_t)]
             for i in range(len(rates))
         ]
-    elif engine == "vectorized":
-        grid = [
-            (rate, t, workload, horizon, (seed,)) for rate, t in cells
-        ]
-        flat = [
-            values[0]
-            for values in cached_ensemble_map(
-                ParallelExecutor(workers=workers, backend=backend),
-                _node_energy_ensemble_task,
-                grid,
-                store,
-                key_fn=_node_energy_task,
-                rep_items=[
-                    [(rate, t, workload, horizon, seed)] for rate, t in cells
-                ],
-                rebuild_tail=lambda i, _start: grid[i],
-            )
-        ]
-    else:
-        grid = [
-            (rate, t, workload, horizon, seed) for rate, t in cells
-        ]
-        flat = cached_map(
-            ParallelExecutor(workers=workers, backend=backend),
-            _node_energy_task,
-            grid,
-            store,
-        )
 
     optima: list[float] = []
     energies: list[float] = []
@@ -251,7 +177,7 @@ def node_optimum_vs_rate(
         savings_vs_never=savings,
         cell_replications=cell_replications,
         cell_converged=cell_converged,
-        ci_target=ci_target,
+        ci_target=rx.ci_target,
     )
 
 

@@ -11,9 +11,8 @@ The two threshold grids the paper uses:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Any, TypeVar
+from typing import Any
 
 import numpy as np
 
@@ -22,7 +21,6 @@ __all__ = [
     "FIG14_15_THRESHOLDS",
     "NETWORK_THRESHOLDS",
     "SweepPoint",
-    "run_sweep",
     "linear_thresholds",
 ]
 
@@ -81,9 +79,6 @@ NETWORK_THRESHOLDS: tuple[float, ...] = (
     100.0,
 )
 
-T = TypeVar("T")
-
-
 def linear_thresholds(
     low: float = 0.001, high: float = 1.0, n: int = 11
 ) -> tuple[float, ...]:
@@ -99,32 +94,3 @@ class SweepPoint:
 
     threshold: float
     value: Any
-
-
-def run_sweep(
-    thresholds: Sequence[float],
-    evaluate: Callable[[float], T],
-    workers: int = 1,
-) -> list[SweepPoint]:
-    """Evaluate ``evaluate(threshold)`` over the grid, preserving order.
-
-    With ``workers > 1`` the grid points are evaluated by a
-    :class:`~repro.runtime.ParallelExecutor` process pool (``evaluate``
-    must then be picklable); ``workers=1`` evaluates in-process, in
-    order.  Exceptions propagate with the offending threshold attached
-    so a single bad grid point is diagnosable.
-
-    For seeded multi-replication sweeps use the richer
-    :func:`repro.runtime.map_sweep` API instead.
-    """
-    from ..runtime.executor import ParallelExecutor, TaskError
-
-    grid = [float(t) for t in thresholds]
-    try:
-        values = ParallelExecutor(workers=workers).map(evaluate, grid)
-    except TaskError as exc:
-        raise RuntimeError(
-            f"sweep evaluation failed at threshold {exc.item!r}: "
-            f"{exc.__cause__ or exc}"
-        ) from exc
-    return [SweepPoint(t, v) for t, v in zip(grid, values)]

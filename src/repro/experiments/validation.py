@@ -171,14 +171,6 @@ def _run_validation_ensemble(
 
 def run_simple_node_validation(
     config: ValidationConfig | None = None,
-    workers: int = 1,
-    replications: int = 1,
-    ci_target: float | None = None,
-    max_replications: int = 64,
-    min_replications: int = 2,
-    backend=None,
-    engine: str = "interpreted",
-    store=None,
     *,
     exec_cfg=None,
 ) -> ValidationResult:
@@ -186,21 +178,20 @@ def run_simple_node_validation(
 
     Replication 0 runs with the configured seed (the paper's single
     measurement run); further replications re-run the whole protocol
-    with independent spawned seeds, submitted through the
-    :mod:`repro.runtime` executor, so the headline percent difference
-    gets an across-replication confidence interval.
+    with independent spawned seeds, submitted through
+    :func:`~repro.runtime.adaptive.run_replications` as ``exec_cfg``
+    (an :class:`~repro.runtime.config.ExecutionConfig` or resolved
+    :class:`~repro.runtime.config.ResolvedExecution`) directs, so the
+    headline percent difference gets an across-replication confidence
+    interval.  No placement setting changes the numbers.
 
     With ``ci_target`` set, the replication count is chosen adaptively
-    (:mod:`repro.runtime.adaptive`) on the percent-difference metric:
-    the protocol re-runs in rounds until the interval's relative
-    half-width crosses the target or ``max_replications`` is reached.
-    The seed plan is prefix-stable, so the executed replications are a
-    bit-identical prefix of the fixed ``replications=max_replications``
-    run; ``replications`` acts as a floor on ``min_replications``.
-
-    ``backend`` routes the protocol replications through an explicit
-    execution :class:`~repro.runtime.backend.Backend` (e.g. socket
-    workers on remote hosts); it never changes the numbers.
+    on the percent-difference metric: the protocol re-runs in rounds
+    until the interval's relative half-width crosses the target or
+    ``max_replications`` is reached.  The seed plan is prefix-stable,
+    so the executed replications are a bit-identical prefix of the
+    fixed ``replications=max_replications`` run; ``replications`` acts
+    as a floor on ``min_replications``.
 
     ``engine="vectorized"`` runs the Petri-net half of every
     replication in lockstep through :mod:`repro.core.fast`
@@ -208,92 +199,30 @@ def run_simple_node_validation(
     from the interpreted engine); the IMote2 hardware DES half is
     unaffected.
 
-    ``store`` memoizes per-replication (hardware, Petri) pairs in a
-    :class:`~repro.runtime.store.ResultStore` keyed by ``(config,
-    seed)`` — shared across engines, backends and the fixed/adaptive
-    paths.
-
-    ``exec_cfg`` — an :class:`~repro.runtime.config.ExecutionConfig`
-    (or resolved :class:`~repro.runtime.config.ResolvedExecution`) —
-    supplies all of the execution keywords above in one object and is
-    mutually exclusive with passing them individually; the loose
-    keywords remain as a deprecation shim.
+    A ``store`` memoizes per-replication (hardware, Petri) pairs keyed
+    by ``(config, seed)`` — shared across engines, backends and
+    replication policies.
     """
-    from ..runtime.adaptive import AdaptiveSettings, run_adaptive_rounds
-    from ..runtime.config import resolve_execution
-    from ..runtime.executor import ParallelExecutor
+    from ..runtime.adaptive import run_replications
+    from ..runtime.config import as_resolved
     from ..runtime.seeding import replication_seeds
-    from ..runtime.store import cached_ensemble_map, cached_map
 
-    rx = resolve_execution(
-        exec_cfg,
-        workers=workers,
-        replications=replications,
-        ci_target=ci_target,
-        max_replications=max_replications,
-        min_replications=min_replications,
-        backend=backend,
-        engine=engine,
-        store=store,
-    )
-    workers, replications, backend = rx.workers, rx.replications, rx.backend
-    ci_target, max_replications = rx.ci_target, rx.max_replications
-    min_replications, engine, store = rx.min_replications, rx.engine, rx.store
-    if engine not in ("interpreted", "vectorized"):
-        raise ValueError(
-            f"engine must be 'interpreted' or 'vectorized', got {engine!r}"
-        )
+    rx = as_resolved(exec_cfg)
     cfg = config if config is not None else ValidationConfig()
-    converged: bool | None = None
-    if ci_target is not None:
-        seeds = replication_seeds(cfg.seed, max_replications)
-        ensemble_kwargs = {}
-        if engine == "vectorized":
-            ensemble_kwargs = {
-                "ensemble_fn": _run_validation_ensemble,
-                "ensemble_task_for": lambda _i, start, n: (
-                    cfg,
-                    tuple(seeds[start : start + n]),
-                ),
-            }
-        [run] = run_adaptive_rounds(
-            _run_validation_rep,
-            lambda _i, r: (cfg, seeds[r]),
-            1,
-            AdaptiveSettings(
-                ci_target=ci_target,
-                min_replications=max(min_replications, replications),
-                max_replications=max_replications,
-            ),
-            metrics=_percent_difference,
-            executor=ParallelExecutor(workers=workers, backend=backend),
-            store=store,
-            **ensemble_kwargs,
-        )
-        reps = run.values
-        converged = run.converged
-    elif engine == "vectorized":
-        seeds = replication_seeds(cfg.seed, replications)
-        [reps] = cached_ensemble_map(
-            ParallelExecutor(workers=workers, backend=backend),
-            _run_validation_ensemble,
-            [(cfg, tuple(seeds))],
-            store,
-            key_fn=_run_validation_rep,
-            rep_items=[[(cfg, seed) for seed in seeds]],
-            rebuild_tail=lambda _i, start: (cfg, tuple(seeds[start:])),
-        )
-    else:
-        tasks = [
-            (cfg, seed) for seed in replication_seeds(cfg.seed, replications)
-        ]
-        reps = cached_map(
-            ParallelExecutor(workers=workers, backend=backend),
-            _run_validation_rep,
-            tasks,
-            store,
-        )
-
+    seeds = replication_seeds(cfg.seed, rx.seed_plan_size)
+    [run] = run_replications(
+        _run_validation_rep,
+        lambda _i, r: (cfg, seeds[r]),
+        1,
+        rx,
+        ensemble_fn=_run_validation_ensemble,
+        ensemble_task_for=lambda _i, start, n: (
+            cfg,
+            tuple(seeds[start : start + n]),
+        ),
+        metrics=_percent_difference,
+    )
+    reps = run.values
     differences = [_percent_difference(rep) for rep in reps]
     hardware, petri, petri_energy_j = reps[0]
     return ValidationResult(
@@ -301,6 +230,6 @@ def run_simple_node_validation(
         petri=petri,
         petri_energy_j=petri_energy_j,
         replicate_percent_differences=differences,
-        converged=converged,
-        ci_target=ci_target,
+        converged=run.converged,
+        ci_target=rx.ci_target,
     )

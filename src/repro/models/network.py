@@ -411,7 +411,11 @@ class SensorNetworkModel:
     >>> net = SensorNetworkModel(
     ...     GridTopology(5, 4), NodeParameters(power_down_threshold=0.01)
     ... )
-    >>> result = net.simulate(horizon=5.0, seed=7, base_rate=0.2, shards=4)
+    >>> from repro.runtime import ExecutionConfig
+    >>> result = net.simulate(
+    ...     horizon=5.0, seed=7, base_rate=0.2,
+    ...     exec_cfg=ExecutionConfig(shards=4),
+    ... )
     >>> len(result.nodes)
     20
     >>> result.nodes[0].event_rate  # the sink-adjacent corner relays all 20
@@ -517,22 +521,21 @@ class SensorNetworkModel:
         horizon: float,
         seed: int = 0,
         base_rate: float = 1.0,
-        workers: int = 1,
-        shards: int = 1,
-        shard_strategy: str = "contiguous",
-        seed_mode: str = "legacy",
-        backend=None,
-        store=None,
         *,
         exec_cfg=None,
     ) -> NetworkResult:
         """Simulate every node at its effective rate.
 
-        Nodes are independent, so with ``workers > 1`` their
-        simulations are submitted through the :mod:`repro.runtime`
-        process pool.  With ``shards > 1`` the node set is partitioned
-        by :func:`repro.runtime.sharding.partition_indices` and each
-        shard runs as one coarse worker-group task whose
+        ``exec_cfg`` — an :class:`~repro.runtime.config.ExecutionConfig`
+        (or resolved :class:`~repro.runtime.config.ResolvedExecution`)
+        — places the work; only its ``workers`` / ``backend`` /
+        ``store`` / ``shards`` / ``shard_strategy`` / ``seed_mode``
+        fields apply.  Nodes are independent, so with ``workers > 1``
+        their simulations are submitted through the
+        :mod:`repro.runtime` process pool.  With ``shards > 1`` the node
+        set is partitioned by
+        :func:`repro.runtime.sharding.partition_indices` and each shard
+        runs as one coarse worker-group task whose
         :class:`NetworkResult` is folded in via
         :meth:`NetworkResult.merge` — the scaling path for
         hundreds-of-node topologies, where per-node task dispatch
@@ -542,58 +545,28 @@ class SensorNetworkModel:
         node index (``seed + node_index`` in the default ``"legacy"``
         mode, :meth:`~numpy.random.SeedSequence.spawn` children with
         ``seed_mode="spawn"``), so results are identical for any
-        ``workers``, ``shards`` and ``shard_strategy``; ``shards=1``
-        is bit-identical to the historical serial path.
+        ``workers``, ``shards``, ``shard_strategy`` and backend;
+        ``shards=1`` is bit-identical to the historical serial path.
 
-        ``backend`` selects *where* node/shard tasks run — an explicit
-        :class:`~repro.runtime.backend.Backend`, e.g. a
-        :class:`~repro.runtime.remote.SocketBackend` over remote
-        worker hosts.  Tasks are picklable data with their seeds
-        inside, so the backend can never change the numbers either.
-
-        ``store`` memoizes *per-node* results in a
-        :class:`~repro.runtime.store.ResultStore` keyed by ``(node
-        params incl. effective rate, workload, horizon, node seed)`` —
-        node granularity means any topology, shard count or threshold
-        sweep reuses every node simulation it shares with an earlier
-        run.
-
-        ``exec_cfg`` — an
-        :class:`~repro.runtime.config.ExecutionConfig` (or resolved
-        :class:`~repro.runtime.config.ResolvedExecution`) — supplies
-        ``workers`` / ``shards`` / ``shard_strategy`` / ``seed_mode`` /
-        ``backend`` / ``store`` in one object; mutually exclusive with
-        passing them individually.
+        A ``store`` memoizes *per-node* results keyed by ``(node params
+        incl. effective rate, workload, horizon, node seed)`` — node
+        granularity means any topology, shard count or threshold sweep
+        reuses every node simulation it shares with an earlier run.
         """
-        from ..runtime.config import resolve_execution
-        from ..runtime.executor import ParallelExecutor
+        from ..runtime.adaptive import run_replications
+        from ..runtime.config import as_resolved
         from ..runtime.sharding import (
             map_shards,
             partition_indices,
             shard_node_seeds,
         )
-        from ..runtime.store import cached_map
 
-        rx = resolve_execution(
-            exec_cfg,
-            workers=workers,
-            shards=shards,
-            shard_strategy=shard_strategy,
-            seed_mode=seed_mode,
-            backend=backend,
-            store=store,
-        )
-        workers, shards, backend = rx.workers, rx.shards, rx.backend
-        shard_strategy, seed_mode, store = (
-            rx.shard_strategy,
-            rx.seed_mode,
-            rx.store,
-        )
+        rx = as_resolved(exec_cfg)
         if horizon <= 0:
             raise ValueError("horizon must be > 0")
         rates = self.topology.effective_rates(base_rate)
         estimator = NodeLifetimeEstimator(self.battery)
-        seeds = shard_node_seeds(seed, len(rates), mode=seed_mode)
+        seeds = shard_node_seeds(seed, len(rates), mode=rx.seed_mode)
         if self.dynamics is not None:
             # Churn: the whole schedule — failures, rewired trees,
             # per-epoch rates, per-segment seeds — is fixed here in
@@ -634,13 +607,14 @@ class SensorNetworkModel:
                 i, tasks[i][3], result, estimator, schedule.failure_time(i)
             )
 
-        if shards == 1:
-            results = cached_map(
-                ParallelExecutor(workers=workers, backend=backend),
-                task_fn,
-                tasks,
-                store,
+        if rx.shards == 1:
+            # One replication per node, whatever replication policy or
+            # engine the caller's run uses.
+            node_rx = replace(rx, replications=1, ci_target=None, engine="interpreted")
+            runs = run_replications(
+                task_fn, lambda i, _r: tasks[i], len(tasks), node_rx
             )
+            results = [run.values[0] for run in runs]
             out = NetworkResult(
                 topology=self.topology.describe(),
                 power_down_threshold=self.params.power_down_threshold,
@@ -648,15 +622,8 @@ class SensorNetworkModel:
                 nodes=[summarise(i, result) for i, result in enumerate(results)],
             )
         else:
-            plan = partition_indices(len(tasks), shards, shard_strategy)
-            per_shard = map_shards(
-                task_fn,
-                tasks,
-                plan,
-                workers=workers,
-                backend=backend,
-                store=store,
-            )
+            plan = partition_indices(len(tasks), rx.shards, rx.shard_strategy)
+            per_shard = map_shards(task_fn, tasks, plan, exec_cfg=rx)
             shard_results = [
                 NetworkResult(
                     topology=self.topology.describe(),
@@ -680,62 +647,27 @@ class SensorNetworkModel:
         horizon: float,
         seed: int = 0,
         base_rate: float = 1.0,
-        workers: int = 1,
-        shards: int = 1,
-        shard_strategy: str = "contiguous",
-        seed_mode: str = "legacy",
-        backend=None,
-        store=None,
         *,
         exec_cfg=None,
     ) -> list[NetworkResult]:
         """Network result per threshold (network-lifetime optimisation).
 
-        ``workers`` parallelises across the nodes (or, with
-        ``shards > 1``, the shards) of each network run; the threshold
-        points themselves are processed in order so each
+        ``exec_cfg`` places the work as in :meth:`simulate`: it
+        parallelises across the nodes (or shards) of each network run;
+        the threshold points themselves are processed in order so each
         :class:`NetworkResult` is complete before the next starts.
-        ``exec_cfg`` bundles the execution keywords as in
-        :meth:`simulate`.
         """
-        from ..runtime.config import resolve_execution
+        from ..runtime.config import as_resolved
 
-        rx = resolve_execution(
-            exec_cfg,
-            workers=workers,
-            shards=shards,
-            shard_strategy=shard_strategy,
-            seed_mode=seed_mode,
-            backend=backend,
-            store=store,
-        )
-        workers, shards, backend = rx.workers, rx.shards, rx.backend
-        shard_strategy, seed_mode, store = (
-            rx.shard_strategy,
-            rx.seed_mode,
-            rx.store,
-        )
-        out: list[NetworkResult] = []
-        for t in thresholds:
-            model = SensorNetworkModel(
+        rx = as_resolved(exec_cfg)
+        return [
+            SensorNetworkModel(
                 self.topology,
                 replace(self.params, power_down_threshold=t),
                 self.battery,
                 self.workload,
                 dynamics=self.dynamics,
                 traffic=self.traffic,
-            )
-            out.append(
-                model.simulate(
-                    horizon,
-                    seed=seed,
-                    base_rate=base_rate,
-                    workers=workers,
-                    shards=shards,
-                    shard_strategy=shard_strategy,
-                    seed_mode=seed_mode,
-                    backend=backend,
-                    store=store,
-                )
-            )
-        return out
+            ).simulate(horizon, seed=seed, base_rate=base_rate, exec_cfg=rx)
+            for t in thresholds
+        ]

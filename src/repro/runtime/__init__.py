@@ -21,15 +21,26 @@ time:
   chunks of dropped workers;
 * :mod:`repro.runtime.seeding` — spawn-safe, collision-free seed plans
   via :meth:`numpy.random.SeedSequence.spawn`;
-* :func:`map_sweep` — the public grid × replications API, returning
-  :class:`~repro.experiments.sweep.SweepPoint` rows whose values carry
-  across-replication confidence intervals when ``replications > 1``;
-* :mod:`repro.runtime.adaptive` — sequential replication control:
-  :func:`run_adaptive_rounds` evaluates every open point in rounds and
+* :mod:`repro.runtime.config` — the one way to pass execution
+  settings: :class:`ExecutionConfig` bundles workers / backend spec /
+  engine / store dir / seed mode / shards / replication policy into one
+  frozen, serialisable value whose :meth:`~ExecutionConfig.resolve`
+  builds the live backend/store; every driver takes it (or the
+  resolved view) as ``exec_cfg=`` and nothing else;
+* :mod:`repro.runtime.adaptive` — the one dispatch from a driver to a
+  backend: :func:`run_replications` takes a per-replication task, an
+  optional ensemble task for the vectorized engine, a point count and
+  the resolved config, and reads the replication policy and engine
+  from it.  A fixed count is one round of ``replications`` per point;
+  under ``ci_target`` it evaluates every open point in rounds and
   stops each one independently once its interval's relative half-width
-  crosses an :class:`AdaptiveSettings` target, consuming a prefix of
-  the fixed-count seed plan so converged runs stay bit-reproducible
-  (``map_sweep(..., ci_target=...)`` is the sweep-level entry point);
+  crosses the target, consuming a prefix of the fixed-count seed plan
+  so converged runs stay bit-reproducible (:func:`run_adaptive_rounds`
+  is the explicit-:class:`AdaptiveSettings` form);
+* :func:`map_sweep` — the public grid × replications API on top of it,
+  returning :class:`~repro.experiments.sweep.SweepPoint` rows whose
+  values carry across-replication confidence intervals when
+  ``replications > 1``;
 * :mod:`repro.runtime.sharding` — coarse-grained worker groups for
   hundreds-of-item task sets: :func:`partition_indices` plans
   contiguous or round-robin :class:`ShardPlan` partitions,
@@ -42,30 +53,25 @@ time:
   seed entry, horizon — never execution knobs), written atomically and
   checksummed on read, so re-runs, figure regeneration and adaptive
   top-ups recompute only what the cache has never seen.
-  :func:`cached_map` / :func:`cached_ensemble_map` are the
-  store-through-executor primitives the sweep/adaptive/shard layers
-  build on;
-* :mod:`repro.runtime.config` — the declarative seam over all of the
-  above: :class:`ExecutionConfig` bundles workers / backend spec /
-  engine / store dir / seed mode / shards / adaptive settings into one
-  frozen, serialisable value whose :meth:`~ExecutionConfig.resolve`
-  builds the live backend/store, and every driver accepts it as
-  ``exec_cfg=`` (the loose keyword bundle remains as a deprecation
-  shim through :func:`resolve_execution`).
 
 Every experiment driver (``repro.experiments.figures``,
-``node_energy``, ``sensitivity``, ``validation``) and the network
-lifetime model accept ``workers=`` (and where meaningful
-``replications=``) and route their grids through this runtime; the CLI
-exposes the same knobs as ``--workers`` / ``--replications``.
+``node_energy``, ``sensitivity``, ``validation``, ``network``) and the
+network model route their grids through :func:`run_replications`; the
+CLI builds the one ``exec_cfg`` from ``--workers`` /
+``--replications`` / ``--engine`` / ``--store`` and friends.
 """
 
-from .adaptive import AdaptivePointRun, AdaptiveSettings, run_adaptive_rounds
+from .adaptive import (
+    AdaptivePointRun,
+    AdaptiveSettings,
+    run_adaptive_rounds,
+    run_replications,
+)
 from .config import (
     ENGINE_NAMES,
     ExecutionConfig,
     ResolvedExecution,
-    resolve_execution,
+    as_resolved,
 )
 from .backend import (
     BACKEND_NAMES,
@@ -96,8 +102,6 @@ from .store import (
     ResultStore,
     StoreStats,
     StoreWarning,
-    cached_ensemble_map,
-    cached_map,
     canonical_json,
     canonicalize,
     request_key,
@@ -108,7 +112,7 @@ from .sweep import ReplicatedValue, map_sweep
 __all__ = [
     "ExecutionConfig",
     "ResolvedExecution",
-    "resolve_execution",
+    "as_resolved",
     "ENGINE_NAMES",
     "ParallelExecutor",
     "TaskError",
@@ -122,6 +126,7 @@ __all__ = [
     "AdaptiveSettings",
     "AdaptivePointRun",
     "run_adaptive_rounds",
+    "run_replications",
     "replication_seeds",
     "sequence_to_seed",
     "spawn_seeds",
@@ -142,6 +147,4 @@ __all__ = [
     "request_key",
     "canonicalize",
     "canonical_json",
-    "cached_map",
-    "cached_ensemble_map",
 ]

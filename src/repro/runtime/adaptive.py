@@ -12,6 +12,11 @@ hits ``max_replications``).  Points stop independently, so
 heterogeneous sweeps finish in the time of their noisiest point's need,
 not ``n_points × max_replications``.
 
+The same round loop is the one dispatch every driver uses:
+:func:`run_replications` reads the replication policy and engine from
+a :class:`~repro.runtime.config.ResolvedExecution`, and a fixed count
+is simply the first round with no stopping rule.
+
 Reproducibility contract
 ------------------------
 Per-point seed plans are fixed *before* any work runs and always cover
@@ -32,10 +37,15 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..core.statistics import replication_interval
-from .executor import ParallelExecutor
+from .config import ExecutionConfig, ResolvedExecution, as_resolved
 from .store import ResultStore, task_key
 
-__all__ = ["AdaptiveSettings", "AdaptivePointRun", "run_adaptive_rounds"]
+__all__ = [
+    "AdaptiveSettings",
+    "AdaptivePointRun",
+    "run_adaptive_rounds",
+    "run_replications",
+]
 
 
 @dataclass(frozen=True)
@@ -94,15 +104,16 @@ class AdaptiveSettings:
 
 @dataclass
 class AdaptivePointRun:
-    """One point's outcome under the adaptive controller.
+    """One point's outcome under the replication controller.
 
     ``values`` holds the raw evaluation results in replication order —
     by the seed-plan contract, a bit-identical prefix of the fixed
-    ``max_replications`` run.
+    ``max_replications`` run.  ``converged`` is ``None`` for a
+    fixed-count run, which has no stopping rule.
     """
 
     values: list[Any]
-    converged: bool
+    converged: bool | None = None
 
     @property
     def replications(self) -> int:
@@ -119,20 +130,77 @@ def _metric_values(
     return (float(out),)
 
 
+def run_replications(
+    fn: Callable[[Any], Any],
+    task_for: Callable[[int, int], Any],
+    n_points: int,
+    rx: ResolvedExecution,
+    *,
+    ensemble_fn: Callable[[Any], list[Any]] | None = None,
+    ensemble_task_for: Callable[[int, int, int], Any] | None = None,
+    metrics: Callable[[Any], float | Sequence[float]] = float,
+    confidence: float = 0.95,
+) -> list[AdaptivePointRun]:
+    """Replicate ``n_points`` design points the way ``rx`` asks.
+
+    The one dispatch from a driver to a backend.  The replication
+    policy and the engine both come from ``rx``:
+
+    * **fixed count** (``rx.ci_target is None``) — the controller's
+      first round of ``rx.replications`` per point, with no stopping
+      rule: one :meth:`ParallelExecutor.map` call over every miss;
+    * **adaptive** — rounds under
+      ``AdaptiveSettings(rx.ci_target, max(rx.min_replications,
+      rx.replications), rx.max_replications, confidence)``, stopping
+      each point on ``metrics`` (see :func:`run_adaptive_rounds`);
+    * ``rx.engine == "vectorized"`` submits the ensemble shape
+      (``ensemble_fn`` / ``ensemble_task_for``, required then), one task
+      per point per round; otherwise one ``fn`` task per replication.
+
+    Store keys are always ``task_key(fn, task_for(i, r))``, so every
+    engine, backend and replication policy shares one cache.  Size the
+    seed plans ``task_for`` reads from at ``rx.seed_plan_size``.
+    """
+    if rx.engine == "vectorized":
+        if ensemble_fn is None or ensemble_task_for is None:
+            raise ValueError("engine='vectorized' requires an ensemble evaluator")
+    else:
+        ensemble_fn = ensemble_task_for = None
+    settings = None
+    if rx.ci_target is not None:
+        settings = AdaptiveSettings(
+            ci_target=rx.ci_target,
+            min_replications=max(rx.min_replications, rx.replications),
+            max_replications=rx.max_replications,
+            confidence=confidence,
+        )
+    return _run_rounds(
+        fn,
+        task_for,
+        n_points,
+        rx.replications if settings is None else settings.min_replications,
+        settings,
+        metrics,
+        rx,
+        ensemble_fn,
+        ensemble_task_for,
+    )
+
+
 def run_adaptive_rounds(
     fn: Callable[[Any], Any],
     task_for: Callable[[int, int], Any],
     n_points: int,
     settings: AdaptiveSettings,
     metrics: Callable[[Any], float | Sequence[float]] = float,
-    executor: ParallelExecutor | None = None,
-    backend: Any | None = None,
     ensemble_fn: Callable[[Any], list[Any]] | None = None,
     ensemble_task_for: Callable[[int, int, int], Any] | None = None,
-    store: ResultStore | None = None,
-    exec_cfg: Any | None = None,
+    exec_cfg: ExecutionConfig | ResolvedExecution | None = None,
 ) -> list[AdaptivePointRun]:
     """Drive ``fn`` over ``(point, replication)`` tasks until CIs close.
+
+    The explicit-settings form of :func:`run_replications`, for callers
+    that need a custom ``batch_size`` or ``confidence``.
 
     Parameters
     ----------
@@ -154,14 +222,6 @@ def run_adaptive_rounds(
         Maps one evaluation result to the float (or several floats)
         whose interval must tighten; a point converges only when
         *every* metric meets ``ci_target``.  Applied in the parent.
-    executor:
-        The :class:`ParallelExecutor` each round's batch is submitted
-        through (default: serial).
-    backend:
-        Shorthand for ``executor=ParallelExecutor(backend=...)`` — an
-        explicit :class:`~repro.runtime.backend.Backend` the rounds run
-        on (e.g. a socket backend over remote workers).  Ignored when
-        ``executor`` is given; pass the backend on the executor then.
     ensemble_fn / ensemble_task_for:
         The ``engine="vectorized"`` round shape: when both are given,
         each round submits **one task per open point** covering all of
@@ -172,56 +232,68 @@ def run_adaptive_rounds(
         not replications; the stopping rule, seed-plan prefix contract
         and returned values are unchanged (the vectorized engine is
         bit-identical per replication).
-    store:
-        Optional :class:`~repro.runtime.store.ResultStore`.  Each
-        round's new replications are keyed by
-        ``task_key(fn, task_for(i, r))`` — always the *interpreted*
-        task shape, so both engines share entries.  Cached values are
-        served without submitting work (for the ensemble shape, the
-        cached prefix is served and one smaller task covers only the
-        tail) and computed values are written back.  Raising
-        ``max_replications`` on a warmed store therefore schedules
-        only the delta replications.
     exec_cfg:
         An :class:`~repro.runtime.config.ExecutionConfig` (or resolved
         :class:`~repro.runtime.config.ResolvedExecution`) supplying the
-        executor (``workers``/``backend``) and ``store`` in one object.
-        Mutually exclusive with ``executor``, ``backend`` and
-        ``store``.
+        executor (``workers``/``backend``) and ``store``; default
+        serial and store-less.  With a store, each round's new
+        replications are keyed by ``task_key(fn, task_for(i, r))`` —
+        always the *interpreted* task shape, so both engines share
+        entries.  Cached values are served without submitting work (for
+        the ensemble shape, the cached prefix is served and one smaller
+        task covers only the tail) and computed values are written
+        back, so raising ``max_replications`` on a warmed store
+        schedules only the delta replications.  Its replication and
+        engine fields are not read: ``settings`` and the ensemble pair
+        decide those.
 
     Returns
     -------
     list[AdaptivePointRun]
         One entry per point, in point order.
     """
-    if exec_cfg is not None:
-        if executor is not None or backend is not None or store is not None:
-            raise TypeError(
-                "pass execution settings either via exec_cfg or via "
-                "executor/backend/store, not both"
-            )
-        from .config import ExecutionConfig, ResolvedExecution
-
-        if isinstance(exec_cfg, ExecutionConfig):
-            exec_cfg = exec_cfg.resolve()
-        if not isinstance(exec_cfg, ResolvedExecution):
-            raise TypeError(
-                "exec_cfg must be an ExecutionConfig or "
-                f"ResolvedExecution, got {type(exec_cfg).__name__}"
-            )
-        executor = exec_cfg.executor()
-        store = exec_cfg.store
-    if n_points < 0:
-        raise ValueError(f"n_points must be >= 0, got {n_points}")
     if (ensemble_fn is None) != (ensemble_task_for is None):
         raise ValueError(
             "ensemble_fn and ensemble_task_for must be given together"
         )
-    if executor is not None:
-        pool = executor
+    return _run_rounds(
+        fn,
+        task_for,
+        n_points,
+        settings.min_replications,
+        settings,
+        metrics,
+        as_resolved(exec_cfg),
+        ensemble_fn,
+        ensemble_task_for,
+    )
+
+
+def _run_rounds(
+    fn: Callable[[Any], Any],
+    task_for: Callable[[int, int], Any],
+    n_points: int,
+    first_round: int,
+    settings: AdaptiveSettings | None,
+    metrics: Callable[[Any], float | Sequence[float]],
+    rx: ResolvedExecution,
+    ensemble_fn: Callable[[Any], list[Any]] | None,
+    ensemble_task_for: Callable[[int, int, int], Any] | None,
+) -> list[AdaptivePointRun]:
+    """The round loop behind both entry points.
+
+    ``settings=None`` is a fixed-count run: one round of
+    ``first_round`` replications per point, then every point closes.
+    """
+    if n_points < 0:
+        raise ValueError(f"n_points must be >= 0, got {n_points}")
+    pool = rx.executor()
+    store: ResultStore | None = rx.store
+    if settings is None:
+        cap = round_size = first_round
     else:
-        pool = ParallelExecutor(backend=backend)
-    runs = [AdaptivePointRun(values=[], converged=False) for _ in range(n_points)]
+        cap, round_size = settings.max_replications, settings.round_size
+    runs = [AdaptivePointRun(values=[]) for _ in range(n_points)]
     open_points = list(range(n_points))
     while open_points:
         tasks: list[Any] = []
@@ -229,8 +301,7 @@ def run_adaptive_rounds(
         spans: list[tuple[int, int, list[Any], list[str]]] = []
         for i in open_points:
             done = len(runs[i].values)
-            want = settings.min_replications if done == 0 else settings.round_size
-            n_new = min(want, settings.max_replications - done)
+            n_new = min(first_round if done == 0 else round_size, cap - done)
             keys = (
                 [task_key(fn, task_for(i, done + r)) for r in range(n_new)]
                 if store is not None
@@ -262,7 +333,7 @@ def run_adaptive_rounds(
                     tasks.append(task_for(i, done + r))
                 spans.append((i, n_new, slots, keys))
         if ensemble_fn is not None:
-            batches = iter(pool.map(ensemble_fn, tasks))
+            batches = iter(pool.map(ensemble_fn, tasks) if tasks else [])
             for i, n_new, cached, keys in spans:
                 n_tail = n_new - len(cached)
                 tail = list(next(batches)) if n_tail else []
@@ -277,7 +348,7 @@ def run_adaptive_rounds(
                 runs[i].values.extend(cached)
                 runs[i].values.extend(tail)
         else:
-            flat = iter(pool.map(fn, tasks))
+            flat = iter(pool.map(fn, tasks) if tasks else [])
             for i, n_new, slots, keys in spans:
                 for r, (hit, value) in enumerate(slots):
                     if not hit:
@@ -285,6 +356,8 @@ def run_adaptive_rounds(
                         if store is not None:
                             store.put(keys[r], value)
                     runs[i].values.append(value)
+        if settings is None:
+            break
         still_open: list[int] = []
         for i in open_points:
             run = runs[i]

@@ -21,10 +21,11 @@ bit-identity invariant), so an ``ExecutionConfig`` is *how* to run,
 never *what* to run — it deliberately carries no model parameters and
 contributes nothing to :func:`~repro.runtime.store.task_key`.
 
-Drivers accept ``exec_cfg=`` (an :class:`ExecutionConfig` or an
-already-resolved :class:`ResolvedExecution`); the historical loose
-keywords (``workers=``, ``backend=``, ``store=``, ...) remain as a
-thin deprecation shim via :func:`resolve_execution` for one release.
+Drivers take execution settings only as ``exec_cfg=`` (an
+:class:`ExecutionConfig` or an already-resolved
+:class:`ResolvedExecution`, normalised by :func:`as_resolved`) and hand
+the resolved view to :func:`~repro.runtime.adaptive.run_replications`,
+the one dispatch from a driver to a backend.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ __all__ = [
     "ENGINE_NAMES",
     "ExecutionConfig",
     "ResolvedExecution",
-    "resolve_execution",
+    "as_resolved",
 ]
 
 #: Simulation engines understood by every driver (see repro.core.fast).
@@ -281,69 +282,41 @@ class ResolvedExecution:
     backend: Backend | None = None
     store: ResultStore | None = None
 
-    def executor(
-        self,
-        chunk_size: int | None = None,
-        mp_context: str | None = None,
-    ) -> ParallelExecutor:
+    def __post_init__(self) -> None:
+        # Built directly (tests, embedders) as well as by resolve(); the
+        # engine picks the task shape run_replications submits.
+        _check_choice("engine", self.engine, ENGINE_NAMES)
+
+    def executor(self, chunk_size: int | None = None) -> ParallelExecutor:
         """A :class:`ParallelExecutor` over this config's placement."""
         return ParallelExecutor(
-            workers=self.workers,
-            chunk_size=chunk_size,
-            mp_context=mp_context,
-            backend=self.backend,
+            workers=self.workers, chunk_size=chunk_size, backend=self.backend
         )
 
+    @property
+    def seed_plan_size(self) -> int:
+        """Replications each point's seed plan must cover.
 
-#: The historical loose-keyword bundle and its defaults — the shim
-#: contract :func:`resolve_execution` keeps alive for one release.
-_LEGACY_DEFAULTS: dict[str, Any] = {
-    "workers": 1,
-    "replications": 1,
-    "ci_target": None,
-    "max_replications": 64,
-    "min_replications": 2,
-    "backend": None,
-    "engine": "interpreted",
-    "store": None,
-    "shards": 1,
-    "shard_strategy": "contiguous",
-    "seed_mode": "legacy",
-}
+        ``replications`` for a fixed-count run; ``max_replications``
+        under ``ci_target``, of which the adaptive controller consumes a
+        prefix.
+        """
+        if self.ci_target is None:
+            return self.replications
+        return self.max_replications
 
 
-def resolve_execution(
-    exec_cfg: "ExecutionConfig | ResolvedExecution | None" = None,
-    **legacy: Any,
+def as_resolved(
+    exec_cfg: ExecutionConfig | ResolvedExecution | None,
 ) -> ResolvedExecution:
-    """Merge the ``exec_cfg`` seam with the legacy keyword bundle.
+    """The driver view of ``exec_cfg``; ``None`` means the defaults.
 
-    Drivers call this with their historical keywords passed through
-    verbatim: with ``exec_cfg=None`` the keywords behave exactly as
-    before (the deprecation-shim path); with an ``exec_cfg`` given, any
-    legacy keyword still at its default is ignored and any *non*-default
-    one is a :class:`TypeError` — mixing the two styles silently would
-    make it ambiguous which setting wins.
+    An :class:`ExecutionConfig` is resolved here (building its backend
+    and store); a :class:`ResolvedExecution` passes through unchanged,
+    so one resolve can serve every driver call of a run.
     """
-    unknown = sorted(set(legacy) - set(_LEGACY_DEFAULTS))
-    if unknown:
-        raise TypeError(f"unknown execution keyword {unknown[0]!r}")
     if exec_cfg is None:
-        merged = dict(_LEGACY_DEFAULTS)
-        merged.update(legacy)
-        backend = merged.pop("backend")
-        store = merged.pop("store")
-        return ResolvedExecution(backend=backend, store=store, **merged)
-    overridden = sorted(
-        name
-        for name, value in legacy.items()
-        if value != _LEGACY_DEFAULTS[name]
-    )
-    if overridden:
-        raise TypeError(
-            "pass execution settings either via exec_cfg or via the "
-            f"legacy keywords, not both (got exec_cfg plus {overridden})"
-        )
+        return ResolvedExecution()
     if isinstance(exec_cfg, ResolvedExecution):
         return exec_cfg
     if isinstance(exec_cfg, ExecutionConfig):

@@ -44,9 +44,9 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Any, TypeVar
 
-from .executor import ParallelExecutor, TaskError
+from .executor import TaskError
 from .seeding import spawn_seeds
-from .store import ResultStore, task_key
+from .store import task_key
 
 __all__ = [
     "Shard",
@@ -220,10 +220,7 @@ def map_shards(
     fn: Callable[[T], R],
     items: Sequence[T],
     plan: ShardPlan,
-    workers: int = 1,
-    mp_context: str | None = None,
-    backend: Any | None = None,
-    store: ResultStore | None = None,
+    *,
     exec_cfg: Any | None = None,
 ) -> list[list[R]]:
     """Evaluate ``fn`` over ``items``, one executor task per shard.
@@ -233,13 +230,14 @@ def map_shards(
     :meth:`repro.models.network.NetworkResult.merge` consumes.  Use
     :func:`run_sharded` when only the global order matters.
 
-    ``fn`` must be module-level (picklable) when ``workers > 1``; a
-    failing item re-raises as :class:`~repro.runtime.TaskError` with
-    its global index attached, exactly like a flat executor map.
-
-    ``backend`` routes the shard tasks through an explicit execution
-    :class:`~repro.runtime.backend.Backend` — shard tasks are pure
-    picklable data with their seeds inside, so a
+    ``exec_cfg`` — an :class:`~repro.runtime.config.ExecutionConfig`
+    (or resolved :class:`~repro.runtime.config.ResolvedExecution`) —
+    supplies the placement (``workers`` / ``backend``) and ``store``;
+    default serial and store-less.  ``fn`` must be module-level
+    (picklable) when ``workers > 1``; a failing item re-raises as
+    :class:`~repro.runtime.TaskError` with its global index attached,
+    exactly like a flat executor map.  Shard tasks are pure picklable
+    data with their seeds inside, so a
     :class:`~repro.runtime.remote.SocketBackend` dispatches them to
     remote hosts unchanged, and bit-identically.
 
@@ -249,27 +247,17 @@ def map_shards(
     items (fully-cached shards submit nothing), and computed values are
     written back.  Shard membership never enters the key, so any shard
     count and strategy warms and reads the same entries.
-
-    ``exec_cfg`` supplies ``workers`` / ``backend`` / ``store`` in one
-    :class:`~repro.runtime.config.ExecutionConfig` (or resolved
-    :class:`~repro.runtime.config.ResolvedExecution`); mutually
-    exclusive with passing those keywords individually.
     """
-    if exec_cfg is not None:
-        from .config import resolve_execution
+    from .config import as_resolved
 
-        rx = resolve_execution(
-            exec_cfg, workers=workers, backend=backend, store=store
-        )
-        workers, backend, store = rx.workers, rx.backend, rx.store
+    rx = as_resolved(exec_cfg)
+    store = rx.store
     items = list(items)
     if plan.n_items != len(items):
         raise ValueError(
             f"plan covers {plan.n_items} items, got {len(items)}"
         )
-    pool = ParallelExecutor(
-        workers=workers, chunk_size=1, mp_context=mp_context, backend=backend
-    )
+    pool = rx.executor(chunk_size=1)
     if store is None:
         tasks = [
             (fn, shard.node_indices, [items[i] for i in shard.node_indices])
@@ -305,17 +293,13 @@ def run_sharded(
     fn: Callable[[T], R],
     items: Sequence[T],
     plan: ShardPlan,
-    workers: int = 1,
-    mp_context: str | None = None,
-    backend: Any | None = None,
-    store: ResultStore | None = None,
+    *,
+    exec_cfg: Any | None = None,
 ) -> list[R]:
     """Sharded map returning results in global item order.
 
-    Equivalent to ``[fn(x) for x in items]`` for any plan, workers,
-    start method and backend — sharding is an execution detail, never
-    a semantic one.
+    Equivalent to ``[fn(x) for x in items]`` for any plan and any
+    ``exec_cfg`` placement — sharding is an execution detail, never a
+    semantic one.
     """
-    return plan.global_order(
-        map_shards(fn, items, plan, workers, mp_context, backend, store)
-    )
+    return plan.global_order(map_shards(fn, items, plan, exec_cfg=exec_cfg))

@@ -25,9 +25,10 @@ The three layers:
   ``manifest.json`` carrying schema/version stamps and persistent
   hit/miss counters.  A manifest from a different schema disables the
   store with a warning (every read misses, writes are skipped).
-* :func:`cached_map` / :func:`cached_ensemble_map` — executor-level
-  wrappers the sweep/adaptive/sharding layers use: consult the store in
-  the *parent* process, submit only the misses through the
+* the dispatch layers that consult it —
+  :func:`~repro.runtime.adaptive.run_replications` and
+  :func:`~repro.runtime.sharding.map_shards` — read the store in the
+  *parent* process, submit only the misses through the
   :class:`~repro.runtime.ParallelExecutor` (so remote socket workers
   never need the store directory), and write freshly computed values
   back.
@@ -52,7 +53,7 @@ import os
 import pickle
 import re
 import warnings
-from collections.abc import Callable, Mapping, Sequence, Set
+from collections.abc import Callable, Mapping, Set
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -67,8 +68,6 @@ __all__ = [
     "canonical_json",
     "task_key",
     "request_key",
-    "cached_map",
-    "cached_ensemble_map",
 ]
 
 #: Version stamp of the *key derivation* (canonicalization rules).  A
@@ -313,7 +312,8 @@ class ResultStore:
       :data:`STORE_SCHEMA` disables the store for this session with a
       warning: reads miss, writes are skipped, nothing crashes.
     * The store is consulted in the parent process only (see
-      :func:`cached_map`), so it is never pickled into worker tasks.
+      :func:`~repro.runtime.adaptive.run_replications`), so it is never
+      pickled into worker tasks.
 
     Example
     -------
@@ -573,100 +573,3 @@ def _validate_entry(blob: bytes) -> str | None:
     if hashlib.sha256(blob[header:]).digest() != digest:
         return "checksum mismatch (corrupt or truncated payload)"
     return None
-
-
-# ----------------------------------------------------------------------
-# Store-aware execution helpers
-# ----------------------------------------------------------------------
-
-
-def cached_map(
-    pool: Any,
-    fn: Callable[[Any], Any],
-    items: Sequence[Any],
-    store: ResultStore | None,
-) -> list[Any]:
-    """``pool.map(fn, items)`` with per-item memoization.
-
-    Keys are :func:`task_key(fn, item) <task_key>`; hits are served
-    from the store in the parent process, only misses are submitted
-    through ``pool``, and fresh results are written back.  With
-    ``store=None`` this is exactly ``pool.map(fn, items)``.
-    """
-    items = list(items)
-    if store is None:
-        return pool.map(fn, items)
-    keys = [task_key(fn, item) for item in items]
-    out: list[Any] = [None] * len(items)
-    missing: list[int] = []
-    for i, key in enumerate(keys):
-        hit, value = store.get(key)
-        if hit:
-            out[i] = value
-        else:
-            missing.append(i)
-    if missing:
-        computed = pool.map(fn, [items[i] for i in missing])
-        for i, value in zip(missing, computed):
-            store.put(keys[i], value)
-            out[i] = value
-    return out
-
-
-def cached_ensemble_map(
-    pool: Any,
-    ensemble_fn: Callable[[Any], list[Any]],
-    tasks: Sequence[Any],
-    store: ResultStore | None,
-    key_fn: Callable[..., Any],
-    rep_items: Sequence[Sequence[Any]],
-    rebuild_tail: Callable[[int, int], Any],
-) -> list[list[Any]]:
-    """One-ensemble-per-point map with per-replication memoization.
-
-    The vectorized-engine counterpart of :func:`cached_map`: each entry
-    of ``tasks`` evaluates all replications of one sweep point in
-    lockstep, but the store works at *replication* granularity so the
-    cache is shared with the interpreted engine (same keys: ``key_fn``
-    is the interpreted task evaluator and ``rep_items[i][r]`` its item
-    for point ``i``, replication ``r``).
-
-    For every point, the cached replication *prefix* is served from the
-    store and ``rebuild_tail(point, first_missing)`` builds the smaller
-    ensemble task covering only the remaining replications — the
-    incremental top-up path.  Points that are fully cached submit
-    nothing.
-    """
-    tasks = list(tasks)
-    if store is None:
-        return pool.map(ensemble_fn, tasks)
-    rep_keys = [[task_key(key_fn, item) for item in items] for items in rep_items]
-    if len(rep_keys) != len(tasks):
-        raise ValueError(
-            f"rep_items covers {len(rep_keys)} points, got {len(tasks)} tasks"
-        )
-    prefixes: list[list[Any]] = []
-    submit: list[tuple[int, int]] = []  # (point, first missing replication)
-    for i, keys in enumerate(rep_keys):
-        values: list[Any] = []
-        for key in keys:
-            hit, value = store.get(key)
-            if not hit:
-                break
-            values.append(value)
-        prefixes.append(values)
-        if len(values) < len(keys):
-            submit.append((i, len(values)))
-    tails = pool.map(ensemble_fn, [rebuild_tail(i, start) for i, start in submit])
-    out = [list(p) for p in prefixes]
-    for (i, start), tail in zip(submit, tails):
-        expected = len(rep_keys[i]) - start
-        if len(tail) != expected:
-            raise ValueError(
-                f"ensemble task for point {i} returned {len(tail)} "
-                f"values, expected {expected}"
-            )
-        for offset, value in enumerate(tail):
-            store.put(rep_keys[i][start + offset], value)
-        out[i].extend(tail)
-    return out

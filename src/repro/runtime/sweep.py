@@ -13,7 +13,11 @@ Example
 >>> def noisy_square(x, seed):
 ...     import numpy as np
 ...     return x * x + np.random.default_rng(seed).normal(0.0, 0.1)
->>> points = map_sweep(noisy_square, [1.0, 2.0], seed=7, replications=8)
+>>> from repro.runtime import ExecutionConfig
+>>> points = map_sweep(
+...     noisy_square, [1.0, 2.0], seed=7,
+...     exec_cfg=ExecutionConfig(replications=8),
+... )
 >>> points[0].value.interval().contains(1.0)
 True
 
@@ -31,10 +35,9 @@ import numpy as np
 
 from ..core.statistics import ConfidenceInterval, replication_interval
 from ..experiments.sweep import SweepPoint
-from .adaptive import AdaptiveSettings, run_adaptive_rounds
-from .executor import ParallelExecutor
+from .adaptive import run_replications
+from .config import ExecutionConfig, ResolvedExecution, as_resolved
 from .seeding import sequence_to_seed
-from .store import ResultStore, cached_ensemble_map, cached_map
 
 __all__ = ["ReplicatedValue", "map_sweep"]
 
@@ -91,27 +94,14 @@ def _evaluate_ensemble_task(
     return list(values)
 
 
-_ENGINES = ("interpreted", "vectorized")
-
-
 def map_sweep(
     evaluate: Callable[[float, int], T],
     thresholds: Sequence[float],
     *,
-    workers: int = 1,
-    replications: int = 1,
     seed: int | None = None,
-    chunk_size: int | None = None,
-    mp_context: str | None = None,
-    backend: Any | None = None,
-    ci_target: float | None = None,
-    max_replications: int = 64,
-    min_replications: int = 2,
     confidence: float = 0.95,
-    engine: str = "interpreted",
     ensemble_evaluate: Callable[[float, tuple[int, ...]], list[T]] | None = None,
-    store: ResultStore | None = None,
-    exec_cfg: Any | None = None,
+    exec_cfg: ExecutionConfig | ResolvedExecution | None = None,
 ) -> list[SweepPoint]:
     """Evaluate ``evaluate(threshold, seed)`` over a grid, in parallel.
 
@@ -122,200 +112,63 @@ def map_sweep(
         (picklable) when ``workers > 1``.
     thresholds:
         The design-point grid; result order matches it.
-    workers / chunk_size / mp_context:
-        Execution knobs (see :class:`~repro.runtime.ParallelExecutor`);
-        they never affect the returned values.
-    backend:
-        Explicit :class:`~repro.runtime.backend.Backend` the tasks are
-        submitted through (e.g. a
-        :class:`~repro.runtime.remote.SocketBackend` over remote
-        workers); ``None`` keeps the ``workers``-driven default.  Like
-        every execution knob, it never affects the returned values.
-    replications:
-        Independent evaluations per point.  With ``replications == 1``
-        each :class:`SweepPoint.value` is the bare evaluate result;
-        otherwise it is a :class:`ReplicatedValue`.
     seed:
         Root of the seed spawn tree.  ``None`` draws fresh OS entropy
         (still collision-free, not reproducible across calls).
-    ci_target:
-        When set, switches to *adaptive replication control*
-        (:mod:`repro.runtime.adaptive`): every point runs rounds of
-        replications until its across-replication interval satisfies
-        ``relative_half_width() <= ci_target`` or ``max_replications``
-        is reached.  ``replications`` then acts as a floor on
-        ``min_replications``, values must be float-convertible, and
-        every :class:`SweepPoint.value` is a :class:`ReplicatedValue`
-        whose ``converged`` flag and length report the outcome.  Seeds
-        still come from the same two-level spawn tree, always sized at
-        ``max_replications`` per point, so an adaptive run is a
-        bit-identical prefix of ``map_sweep(...,
-        replications=max_replications)`` at the same seed.
-    max_replications / min_replications / confidence:
-        Adaptive stopping-rule knobs; ignored unless ``ci_target`` is
-        set.
-    engine:
-        ``"interpreted"`` (default) evaluates one ``(point,
-        replication)`` task at a time through ``evaluate``;
-        ``"vectorized"`` submits **one task per sweep point** that runs
-        all the point's replications in lockstep through
-        ``ensemble_evaluate`` (chunking then batches sweep points, not
-        replications).  The seed plan is identical either way, so for a
-        bit-identical ``ensemble_evaluate`` (e.g. one built on
-        :func:`repro.core.fast.run_ensemble`) the returned points match
-        the interpreted engine exactly.
+    confidence:
+        Confidence level of the adaptive stopping intervals; ignored
+        unless ``exec_cfg.ci_target`` is set.
     ensemble_evaluate:
         ``(threshold, seeds) -> [value, ...]`` in seed order; required
         for (and only used by) ``engine="vectorized"``.  Must be
         module-level (picklable) when ``workers > 1``.
-    store:
-        Optional :class:`~repro.runtime.store.ResultStore` memoizing
-        per-replication values.  Keys are derived from the
-        *interpreted* per-replication task ``(evaluate, threshold,
-        seed)`` regardless of ``engine`` — the vectorized engine is
-        bit-identical per replication, so both engines (and every
-        backend; the store is consulted in the parent only) share one
-        cache.  Execution knobs never enter the key.
     exec_cfg:
         An :class:`~repro.runtime.config.ExecutionConfig` (or resolved
-        :class:`~repro.runtime.config.ResolvedExecution`) supplying
-        ``workers`` / ``replications`` / ``backend`` / ``engine`` /
-        ``store`` and the adaptive knobs in one object.  Mutually
-        exclusive with passing those keywords individually.
+        :class:`~repro.runtime.config.ResolvedExecution`); default
+        serial, one replication, no store.  Its fields act as follows:
+
+        * ``workers`` / ``backend`` place the work and never affect the
+          returned values.
+        * ``replications`` — independent evaluations per point.  With
+          one replication each :class:`SweepPoint.value` is the bare
+          evaluate result; otherwise it is a :class:`ReplicatedValue`.
+        * ``ci_target`` switches to *adaptive replication control*
+          (:mod:`repro.runtime.adaptive`): every point runs rounds of
+          replications until its across-replication interval satisfies
+          ``relative_half_width() <= ci_target`` or ``max_replications``
+          is reached.  ``replications`` then acts as a floor on
+          ``min_replications``, values must be float-convertible, and
+          every value is a :class:`ReplicatedValue` whose ``converged``
+          flag and length report the outcome.  Seeds come from the same
+          two-level spawn tree, sized at ``max_replications`` per
+          point, so an adaptive run is a bit-identical prefix of the
+          fixed ``replications=max_replications`` run at the same seed.
+        * ``engine="vectorized"`` submits **one task per sweep point**
+          that runs all the point's replications in lockstep through
+          ``ensemble_evaluate``.  The seed plan is identical either
+          way, so for a bit-identical ``ensemble_evaluate`` (e.g. one
+          built on :func:`repro.core.fast.run_ensemble`) the returned
+          points match the interpreted engine exactly.
+        * ``store`` memoizes per-replication values, keyed by the
+          *interpreted* per-replication task ``(evaluate, threshold,
+          seed)`` regardless of engine, so both engines and every
+          backend share one cache.
 
     Returns
     -------
     list[SweepPoint]
         One point per threshold, in grid order.
     """
-    if exec_cfg is not None:
-        from .config import resolve_execution
-
-        rx = resolve_execution(
-            exec_cfg,
-            workers=workers,
-            replications=replications,
-            backend=backend,
-            ci_target=ci_target,
-            max_replications=max_replications,
-            min_replications=min_replications,
-            engine=engine,
-            store=store,
-        )
-        workers, replications = rx.workers, rx.replications
-        backend, engine, store = rx.backend, rx.engine, rx.store
-        ci_target = rx.ci_target
-        max_replications = rx.max_replications
-        min_replications = rx.min_replications
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
-    if engine not in _ENGINES:
-        raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    if engine == "vectorized" and ensemble_evaluate is None:
-        raise ValueError("engine='vectorized' requires ensemble_evaluate")
+    rx = as_resolved(exec_cfg)
     grid = [float(t) for t in thresholds]
-    if ci_target is not None:
-        return _adaptive_sweep(
-            evaluate,
-            grid,
-            seed=seed,
-            settings=AdaptiveSettings(
-                ci_target=ci_target,
-                min_replications=max(min_replications, replications),
-                max_replications=max_replications,
-                confidence=confidence,
-            ),
-            executor=ParallelExecutor(
-                workers=workers,
-                chunk_size=chunk_size,
-                mp_context=mp_context,
-                backend=backend,
-            ),
-            engine=engine,
-            ensemble_evaluate=ensemble_evaluate,
-            store=store,
-        )
     point_seqs = np.random.SeedSequence(seed).spawn(len(grid))
     seeds = [
-        [sequence_to_seed(s) for s in ps.spawn(replications)]
+        [sequence_to_seed(s) for s in ps.spawn(rx.seed_plan_size)]
         for ps in point_seqs
     ]
-    pool = ParallelExecutor(
-        workers=workers,
-        chunk_size=chunk_size,
-        mp_context=mp_context,
-        backend=backend,
-    )
-    if engine == "vectorized":
-        point_tasks = [
-            (ensemble_evaluate, t, tuple(seeds[i])) for i, t in enumerate(grid)
-        ]
-        per_point = cached_ensemble_map(
-            pool,
-            _evaluate_ensemble_task,
-            point_tasks,
-            store,
-            key_fn=_evaluate_task,
-            rep_items=[
-                [(evaluate, t, s) for s in seeds[i]] for i, t in enumerate(grid)
-            ],
-            rebuild_tail=lambda i, start: (
-                ensemble_evaluate,
-                grid[i],
-                tuple(seeds[i][start:]),
-            ),
-        )
-        flat = [v for values in per_point for v in values]
-    else:
-        tasks = [
-            (evaluate, t, seeds[i][r])
-            for i, t in enumerate(grid)
-            for r in range(replications)
-        ]
-        flat = cached_map(pool, _evaluate_task, tasks, store)
-    out: list[SweepPoint] = []
-    for i, t in enumerate(grid):
-        reps = flat[i * replications : (i + 1) * replications]
-        if replications == 1:
-            out.append(SweepPoint(t, reps[0]))
-        else:
-            out.append(
-                SweepPoint(
-                    t,
-                    ReplicatedValue(tuple(reps), tuple(seeds[i])),
-                )
-            )
-    return out
-
-
-def _adaptive_sweep(
-    evaluate: Callable[[float, int], T],
-    grid: list[float],
-    seed: int | None,
-    settings: AdaptiveSettings,
-    executor: ParallelExecutor,
-    engine: str = "interpreted",
-    ensemble_evaluate: Callable[[float, tuple[int, ...]], list[T]] | None = None,
-    store: ResultStore | None = None,
-) -> list[SweepPoint]:
-    """The ``ci_target`` path of :func:`map_sweep`.
-
-    The seed plan is the *same* two-level spawn tree as the fixed-count
-    path, always spanning ``max_replications`` per point; the
-    controller consumes a prefix of it, which is what makes a converged
-    run a reproducible prefix of the fixed run.  Under
-    ``engine="vectorized"`` each round runs one lockstep ensemble per
-    open point over that round's slice of the plan — same seeds, same
-    prefix contract.
-    """
-    point_seqs = np.random.SeedSequence(seed).spawn(len(grid))
-    seeds = [
-        [sequence_to_seed(s) for s in ps.spawn(settings.max_replications)]
-        for ps in point_seqs
-    ]
-    ensemble_kwargs: dict[str, Any] = {}
-    if engine == "vectorized":
-        ensemble_kwargs = {
+    ensemble: dict[str, Any] = {}
+    if ensemble_evaluate is not None:
+        ensemble = {
             "ensemble_fn": _evaluate_ensemble_task,
             "ensemble_task_for": lambda i, start, n: (
                 ensemble_evaluate,
@@ -323,23 +176,27 @@ def _adaptive_sweep(
                 tuple(seeds[i][start : start + n]),
             ),
         }
-    runs = run_adaptive_rounds(
+    runs = run_replications(
         _evaluate_task,
         lambda i, r: (evaluate, grid[i], seeds[i][r]),
         len(grid),
-        settings,
-        executor=executor,
-        store=store,
-        **ensemble_kwargs,
+        rx,
+        confidence=confidence,
+        **ensemble,
     )
-    return [
-        SweepPoint(
-            t,
-            ReplicatedValue(
-                tuple(run.values),
-                tuple(seeds[i][: run.replications]),
-                converged=run.converged,
-            ),
-        )
-        for i, (t, run) in enumerate(zip(grid, runs))
-    ]
+    out: list[SweepPoint] = []
+    for i, (t, run) in enumerate(zip(grid, runs)):
+        if run.replications == 1:
+            out.append(SweepPoint(t, run.values[0]))
+        else:
+            out.append(
+                SweepPoint(
+                    t,
+                    ReplicatedValue(
+                        tuple(run.values),
+                        tuple(seeds[i][: run.replications]),
+                        converged=run.converged,
+                    ),
+                )
+            )
+    return out

@@ -7,6 +7,7 @@ from repro.experiments import (
     CPUComparisonConfig,
     run_cpu_comparison,
 )
+from repro.runtime.config import ExecutionConfig
 
 SHORT = CPUComparisonConfig(horizon=300.0, thresholds=(0.001, 0.3, 1.0))
 
@@ -88,9 +89,11 @@ class TestAdaptiveReplication:
     def test_cap_run_matches_fixed_run_bit_for_bit(self):
         # An impossible target forces every point to max_replications,
         # at which length the adaptive run IS the fixed run.
-        fixed = run_cpu_comparison(0.3, self.CFG, replications=3)
+        fixed = run_cpu_comparison(
+            0.3, self.CFG, exec_cfg=ExecutionConfig(replications=3)
+        )
         adaptive = run_cpu_comparison(
-            0.3, self.CFG, ci_target=1e-9, max_replications=3
+            0.3, self.CFG, exec_cfg=ExecutionConfig(ci_target=1e-9, max_replications=3)
         )
         assert adaptive.energy_j == fixed.energy_j
         assert adaptive.fractions == fixed.fractions
@@ -99,7 +102,7 @@ class TestAdaptiveReplication:
 
     def test_adaptive_reports_energy_ci_and_flags(self):
         adaptive = run_cpu_comparison(
-            0.3, self.CFG, ci_target=0.5, max_replications=4
+            0.3, self.CFG, exec_cfg=ExecutionConfig(ci_target=0.5, max_replications=4)
         )
         assert adaptive.energy_ci is not None
         assert all(n >= 2 for n in adaptive.replication_counts)
@@ -109,6 +112,8 @@ class TestAdaptiveReplication:
         assert all(ci.half_width == 0.0 for ci in adaptive.energy_ci["markov"])
 
     def test_fixed_run_reports_no_convergence_fields(self):
-        fixed = run_cpu_comparison(0.3, self.CFG, replications=2)
+        fixed = run_cpu_comparison(
+            0.3, self.CFG, exec_cfg=ExecutionConfig(replications=2)
+        )
         assert fixed.converged is None
         assert fixed.replication_counts is None

@@ -11,6 +11,7 @@ from repro.experiments import (
     run_network_scenario,
 )
 from repro.models import GridTopology, LineTopology, StarTopology
+from repro.runtime.config import ExecutionConfig, ResolvedExecution
 
 
 class TestMakeTopology:
@@ -49,7 +50,7 @@ class TestRunScenario:
         )
 
     def test_single_run_summary(self):
-        result = run_network_scenario(self.config(), shards=2)
+        result = run_network_scenario(self.config(), exec_cfg=ExecutionConfig(shards=2))
         assert len(result.nodes) == 3
         text = format_network_summary(result)
         assert "network lifetime" in text
@@ -62,7 +63,8 @@ class TestRunScenario:
     def test_shards_do_not_change_results(self):
         serial = run_network_scenario(self.config())
         sharded = run_network_scenario(
-            self.config(), shards=3, shard_strategy="round-robin"
+            self.config(),
+            exec_cfg=ExecutionConfig(shards=3, shard_strategy="round-robin"),
         )
         assert sharded == serial
 
@@ -71,13 +73,17 @@ class TestRunScenario:
         # of one — nothing to batch) and point at the fallback, not
         # just name the bad value.
         with pytest.raises(ValueError, match="ensemble of one") as excinfo:
-            run_network_scenario(self.config(), engine="vectorized")
+            run_network_scenario(
+                self.config(), exec_cfg=ExecutionConfig(engine="vectorized")
+            )
         message = str(excinfo.value)
         assert "engine='vectorized'" in message
         assert "interpreted" in message
         assert "workers" in message
         with pytest.raises(ValueError, match="ensemble of one"):
-            run_network_lifetime_sweep(self.config(), engine="vectorized")
+            run_network_lifetime_sweep(
+                self.config(), exec_cfg=ExecutionConfig(engine="vectorized")
+            )
 
 
 class TestRunSweep:
@@ -89,7 +95,7 @@ class TestRunSweep:
             seed=11,
             thresholds=(1e-9, 0.01, 100.0),
         )
-        sweep = run_network_lifetime_sweep(cfg, shards=2)
+        sweep = run_network_lifetime_sweep(cfg, exec_cfg=ExecutionConfig(shards=2))
         assert sweep.thresholds == (1e-9, 0.01, 100.0)
         assert len(sweep.results) == 3
         assert len(sweep.rows()) == 3
@@ -116,7 +122,7 @@ class TestAdaptiveReplication:
     def test_scenario_replication0_bit_identical(self):
         single = run_network_scenario(self.CFG)
         replicated = run_network_scenario(
-            self.CFG, ci_target=0.5, max_replications=4
+            self.CFG, exec_cfg=ExecutionConfig(ci_target=0.5, max_replications=4)
         )
         assert replicated.result.total_energy_j == single.total_energy_j
         assert [n.energy_j for n in replicated.result.nodes] == [
@@ -127,14 +133,16 @@ class TestAdaptiveReplication:
 
     def test_sweep_adaptive_sharding_invariant(self):
         plain = run_network_lifetime_sweep(
-            self.CFG, ci_target=0.5, max_replications=3
+            self.CFG, exec_cfg=ExecutionConfig(ci_target=0.5, max_replications=3)
         )
         sharded = run_network_lifetime_sweep(
             self.CFG,
-            ci_target=0.5,
-            max_replications=3,
-            shards=2,
-            shard_strategy="round-robin",
+            exec_cfg=ExecutionConfig(
+                ci_target=0.5,
+                max_replications=3,
+                shards=2,
+                shard_strategy="round-robin",
+            ),
         )
         assert [
             [r.total_energy_j for r in reps] for reps in plain.replicates
@@ -144,7 +152,7 @@ class TestAdaptiveReplication:
 
     def test_sweep_cap_reports_unconverged_points(self):
         sweep = run_network_lifetime_sweep(
-            self.CFG, ci_target=1e-12, max_replications=2
+            self.CFG, exec_cfg=ExecutionConfig(ci_target=1e-12, max_replications=2)
         )
         assert sweep.converged == [False, False]
         assert sweep.replication_counts == [2, 2]
@@ -156,3 +164,17 @@ class TestAdaptiveReplication:
         assert sweep.replication_counts == [1, 1]
         with pytest.raises(ValueError):
             sweep.energy_ci()
+
+    @pytest.mark.parametrize(
+        "policy", [{}, {"ci_target": 0.5, "max_replications": 3}]
+    )
+    def test_failing_run_raises_its_own_error(self, policy):
+        # The replication loop runs in-process: a network run's error
+        # (here its backend's) surfaces as raised, under either policy.
+        class FailingBackend:
+            def map(self, fn, items, chunk_size=None):
+                raise KeyError("backend down")
+
+        rx = ResolvedExecution(backend=FailingBackend(), **policy)
+        with pytest.raises(KeyError, match="backend down"):
+            run_network_scenario(self.CFG, exec_cfg=rx)

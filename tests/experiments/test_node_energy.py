@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import NodeSweepConfig, run_node_energy_sweep
+from repro.runtime.config import ExecutionConfig
 
 SHORT_GRID = (1e-9, 0.0018, 0.01, 1.0, 50.0)
 
@@ -71,9 +72,11 @@ class TestAdaptiveReplication:
     )
 
     def test_adaptive_is_prefix_of_fixed(self):
-        fixed = run_node_energy_sweep(self.CFG, replications=6)
+        fixed = run_node_energy_sweep(
+            self.CFG, exec_cfg=ExecutionConfig(replications=6)
+        )
         adaptive = run_node_energy_sweep(
-            self.CFG, ci_target=0.3, max_replications=6
+            self.CFG, exec_cfg=ExecutionConfig(ci_target=0.3, max_replications=6)
         )
         for fixed_reps, adaptive_reps in zip(
             fixed.replicates, adaptive.replicates
@@ -89,14 +92,16 @@ class TestAdaptiveReplication:
     def test_replication0_series_unchanged(self):
         single = run_node_energy_sweep(self.CFG)
         adaptive = run_node_energy_sweep(
-            self.CFG, ci_target=0.3, max_replications=4
+            self.CFG, exec_cfg=ExecutionConfig(ci_target=0.3, max_replications=4)
         )
         assert [r.total_energy_j for r in adaptive.results] == [
             r.total_energy_j for r in single.results
         ]
 
     def test_fixed_sweep_reports_no_convergence_fields(self):
-        fixed = run_node_energy_sweep(self.CFG, replications=2)
+        fixed = run_node_energy_sweep(
+            self.CFG, exec_cfg=ExecutionConfig(replications=2)
+        )
         assert fixed.converged is None
         assert fixed.ci_target is None
         assert fixed.replication_counts == [2, 2]

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.experiments import (
@@ -9,6 +10,9 @@ from repro.experiments import (
     cpu_energy_threshold_response,
     node_optimum_vs_rate,
 )
+from repro.experiments.sensitivity import _node_energy_task
+from repro.runtime.config import ExecutionConfig, ResolvedExecution
+from repro.runtime.seeding import replication_seeds
 
 
 class TestCPUThresholdResponse:
@@ -95,7 +99,9 @@ class TestAdaptiveReplication:
 
     def test_adaptive_cells_report_counts_and_flags(self):
         r = node_optimum_vs_rate(
-            [1.0], ci_target=0.5, max_replications=4, **self.KW
+            [1.0],
+            exec_cfg=ExecutionConfig(ci_target=0.5, max_replications=4),
+            **self.KW,
         )
         assert len(r.cell_replications) == 1
         assert len(r.cell_replications[0]) == 2
@@ -108,3 +114,39 @@ class TestAdaptiveReplication:
         assert r.cell_replications is None
         assert r.cell_converged is None
         assert not r.all_converged()
+
+    def test_fixed_replications_run_per_cell(self):
+        pool = RecordingBackend()
+        r = node_optimum_vs_rate(
+            [1.0],
+            thresholds=(100.0,),
+            horizon=5.0,
+            seed=3,
+            exec_cfg=ResolvedExecution(replications=3, backend=pool),
+        )
+        seeds = replication_seeds(3, 3)
+        assert pool.items == [(1.0, 100.0, "closed", 5.0, s) for s in seeds]
+        energies = [_node_energy_task(item) for item in pool.items]
+        assert r.optimum_energies_j == [float(np.mean(energies))]
+
+    def test_replications_floor_the_adaptive_cells(self):
+        r = node_optimum_vs_rate(
+            [1.0],
+            exec_cfg=ExecutionConfig(
+                replications=3, ci_target=1e6, max_replications=8
+            ),
+            **self.KW,
+        )
+        assert r.cell_replications == [[3, 3]]
+        assert r.all_converged()
+
+
+class RecordingBackend:
+    """An in-process backend that records every item it evaluates."""
+
+    def __init__(self):
+        self.items = []
+
+    def map(self, fn, items, chunk_size=None):
+        self.items.extend(items)
+        return [fn(item) for item in items]

@@ -1,4 +1,4 @@
-"""Tests for sweep grids and the sweep runner."""
+"""Tests for the sweep grids."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.experiments import (
     FIG4_TO_9_THRESHOLDS,
     FIG14_15_THRESHOLDS,
     linear_thresholds,
-    run_sweep,
 )
 
 
@@ -32,19 +31,3 @@ class TestGrids:
             linear_thresholds(1.0, 0.5)
         with pytest.raises(ValueError):
             linear_thresholds(0.1, 1.0, 1)
-
-
-class TestRunSweep:
-    def test_preserves_order_and_values(self):
-        points = run_sweep([0.1, 0.2], lambda t: t * 10)
-        assert [p.threshold for p in points] == [0.1, 0.2]
-        assert [p.value for p in points] == [pytest.approx(1.0), pytest.approx(2.0)]
-
-    def test_failure_names_threshold(self):
-        def boom(t):
-            if t > 0.15:
-                raise RuntimeError("inner")
-            return t
-
-        with pytest.raises(RuntimeError, match="0.2"):
-            run_sweep([0.1, 0.2], boom)

@@ -14,6 +14,7 @@ from repro.experiments.tables import (
     format_validation_table,
 )
 from repro.experiments.deltas import delta_table
+from repro.runtime.config import ExecutionConfig
 
 
 @pytest.fixture(scope="module")
@@ -84,9 +85,11 @@ class TestAdaptiveReplication:
     )
 
     def test_adaptive_is_prefix_of_fixed(self):
-        fixed = run_simple_node_validation(self.CFG, replications=8)
+        fixed = run_simple_node_validation(
+            self.CFG, exec_cfg=ExecutionConfig(replications=8)
+        )
         adaptive = run_simple_node_validation(
-            self.CFG, ci_target=5.0, max_replications=8
+            self.CFG, exec_cfg=ExecutionConfig(ci_target=5.0, max_replications=8)
         )
         k = adaptive.replications
         assert (
@@ -97,12 +100,14 @@ class TestAdaptiveReplication:
 
     def test_cap_hit_reports_unconverged(self):
         adaptive = run_simple_node_validation(
-            self.CFG, ci_target=1e-12, max_replications=3
+            self.CFG, exec_cfg=ExecutionConfig(ci_target=1e-12, max_replications=3)
         )
         assert adaptive.converged is False
         assert adaptive.replications == 3
 
     def test_fixed_run_reports_no_convergence_fields(self):
-        fixed = run_simple_node_validation(self.CFG, replications=2)
+        fixed = run_simple_node_validation(
+            self.CFG, exec_cfg=ExecutionConfig(replications=2)
+        )
         assert fixed.converged is None
         assert fixed.ci_target is None

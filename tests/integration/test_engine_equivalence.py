@@ -39,6 +39,7 @@ from repro.experiments.sensitivity import node_optimum_vs_rate
 from repro.models.cpu_petri import CPUPetriModel
 from repro.models.simple_node import SimpleNodeModel
 from repro.models.wsn_node import NodeParameters, WSNNodeModel
+from repro.runtime.config import ExecutionConfig
 from tests.integration.test_random_nets import random_closed_net
 
 #: The shipped equivalence mode of every paper model, per the ISSUE 6
@@ -143,16 +144,17 @@ class TestAdaptiveControllerAgreement:
 
     def test_converged_flags_and_counts_agree(self):
         kwargs = dict(
-            rates=(1.0,),
-            thresholds=(0.00178, 10.0),
-            horizon=40.0,
-            seed=2010,
-            ci_target=0.3,
-            max_replications=8,
-            min_replications=2,
+            rates=(1.0,), thresholds=(0.00178, 10.0), horizon=40.0, seed=2010
         )
-        interp = node_optimum_vs_rate(engine="interpreted", **kwargs)
-        vec = node_optimum_vs_rate(engine="vectorized", **kwargs)
+        adaptive = ExecutionConfig(
+            ci_target=0.3, max_replications=8, min_replications=2
+        )
+        interp = node_optimum_vs_rate(
+            exec_cfg=adaptive.with_overrides(engine="interpreted"), **kwargs
+        )
+        vec = node_optimum_vs_rate(
+            exec_cfg=adaptive.with_overrides(engine="vectorized"), **kwargs
+        )
         assert vec.cell_converged == interp.cell_converged
         assert vec.cell_replications == interp.cell_replications
         assert vec.optima == interp.optima

@@ -31,6 +31,7 @@ from repro.experiments.node_energy import NodeSweepConfig, run_node_energy_sweep
 from repro.experiments.validation import ValidationConfig, run_simple_node_validation
 from repro.runtime.remote import SocketBackend, serve_worker
 from repro.runtime.store import ResultStore, StoreWarning
+from repro.runtime.config import ResolvedExecution
 
 REPLICATIONS = 2
 
@@ -47,22 +48,26 @@ def _wsn_config(workload):
 def _run_wsn_closed(engine, backend, workers, store):
     return run_node_energy_sweep(
         _wsn_config("closed"),
-        workers=workers,
-        replications=REPLICATIONS,
-        backend=backend,
-        engine=engine,
-        store=store,
+        exec_cfg=ResolvedExecution(
+            workers=workers,
+            replications=REPLICATIONS,
+            backend=backend,
+            engine=engine,
+            store=store,
+        ),
     )
 
 
 def _run_wsn_open(engine, backend, workers, store):
     return run_node_energy_sweep(
         _wsn_config("open"),
-        workers=workers,
-        replications=REPLICATIONS,
-        backend=backend,
-        engine=engine,
-        store=store,
+        exec_cfg=ResolvedExecution(
+            workers=workers,
+            replications=REPLICATIONS,
+            backend=backend,
+            engine=engine,
+            store=store,
+        ),
     )
 
 
@@ -70,22 +75,26 @@ def _run_cpu_petri(engine, backend, workers, store):
     return run_cpu_comparison(
         0.1,
         CPUComparisonConfig(horizon=30.0, thresholds=(0.1, 1.0), seed=2010),
-        workers=workers,
-        replications=REPLICATIONS,
-        backend=backend,
-        engine=engine,
-        store=store,
+        exec_cfg=ResolvedExecution(
+            workers=workers,
+            replications=REPLICATIONS,
+            backend=backend,
+            engine=engine,
+            store=store,
+        ),
     )
 
 
 def _run_simple_node(engine, backend, workers, store):
     return run_simple_node_validation(
         ValidationConfig(n_events=5, petri_horizon=60.0, petri_warmup=0.0),
-        workers=workers,
-        replications=REPLICATIONS,
-        backend=backend,
-        engine=engine,
-        store=store,
+        exec_cfg=ResolvedExecution(
+            workers=workers,
+            replications=REPLICATIONS,
+            backend=backend,
+            engine=engine,
+            store=store,
+        ),
     )
 
 
@@ -253,10 +262,12 @@ class TestAdaptiveTopUp:
         # making the executed counts deterministic.
         return run_node_energy_sweep(
             _wsn_config("closed"),
-            ci_target=1e-9,
-            min_replications=2,
-            max_replications=max_replications,
-            store=store,
+            exec_cfg=ResolvedExecution(
+                ci_target=1e-9,
+                min_replications=2,
+                max_replications=max_replications,
+                store=store,
+            ),
         )
 
     def test_top_up_reuses_the_cached_prefix(self, tmp_path):

@@ -11,6 +11,7 @@ from repro.models import (
     SensorNetworkModel,
     StarTopology,
 )
+from repro.runtime.config import ExecutionConfig
 
 
 class TestTopologies:
@@ -219,8 +220,7 @@ class TestShardedSimulation:
                     horizon=20.0,
                     seed=7,
                     base_rate=0.5,
-                    shards=shards,
-                    shard_strategy=strategy,
+                    exec_cfg=ExecutionConfig(shards=shards, shard_strategy=strategy),
                 )
                 assert sharded == serial
 
@@ -229,7 +229,7 @@ class TestShardedSimulation:
         runs = [
             net.simulate(
                 horizon=10.0, seed=3, base_rate=0.5,
-                shards=shards, seed_mode="spawn",
+                exec_cfg=ExecutionConfig(shards=shards, seed_mode="spawn"),
             )
             for shards in (1, 2, 4)
         ]
@@ -241,7 +241,11 @@ class TestShardedSimulation:
             (1e-9, 0.01), horizon=10.0, seed=4, base_rate=0.5
         )
         sharded = net.sweep_thresholds(
-            (1e-9, 0.01), horizon=10.0, seed=4, base_rate=0.5, shards=3
+            (1e-9, 0.01),
+            horizon=10.0,
+            seed=4,
+            base_rate=0.5,
+            exec_cfg=ExecutionConfig(shards=3),
         )
         assert sharded == serial
 
@@ -251,7 +255,7 @@ class TestShardedSimulation:
         # equals the sum over shard node sets.
         net = self.network(GridTopology(10, 10))
         result = net.simulate(
-            horizon=40.0, seed=1, base_rate=0.004, shards=8
+            horizon=40.0, seed=1, base_rate=0.004, exec_cfg=ExecutionConfig(shards=8)
         )
         assert len(result.nodes) == 100
         assert [n.node_id for n in result.nodes] == list(range(1, 101))

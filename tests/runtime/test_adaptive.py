@@ -10,11 +10,11 @@ import pytest
 
 from repro.runtime import (
     AdaptiveSettings,
-    ParallelExecutor,
     ReplicatedValue,
     map_sweep,
     run_adaptive_rounds,
 )
+from repro.runtime.config import ExecutionConfig, ResolvedExecution
 
 
 def seeded_noise(threshold, seed):
@@ -124,7 +124,7 @@ class TestRunAdaptiveRounds:
             lambda i, r: (0.5 * (i + 1), 1000 * i + r),
             3,
             settings,
-            executor=ParallelExecutor(workers=2),
+            exec_cfg=ResolvedExecution(workers=2),
         )
         assert [run.values for run in serial] == [run.values for run in parallel]
         assert [run.converged for run in serial] == [
@@ -142,9 +142,14 @@ class TestMapSweepAdaptive:
     GRID = [0.01, 0.2, 2.0]
 
     def test_adaptive_is_prefix_of_fixed_run(self):
-        fixed = map_sweep(seeded_noise, self.GRID, seed=11, replications=16)
+        fixed = map_sweep(
+            seeded_noise, self.GRID, seed=11, exec_cfg=ExecutionConfig(replications=16)
+        )
         adaptive = map_sweep(
-            seeded_noise, self.GRID, seed=11, ci_target=0.2, max_replications=16
+            seeded_noise,
+            self.GRID,
+            seed=11,
+            exec_cfg=ExecutionConfig(ci_target=0.2, max_replications=16),
         )
         for f, a in zip(fixed, adaptive):
             k = a.value.replications
@@ -152,9 +157,14 @@ class TestMapSweepAdaptive:
             assert a.value.seeds == f.value.seeds[:k]
 
     def test_adaptive_independent_of_workers(self):
-        kwargs = dict(seed=11, ci_target=0.2, max_replications=16)
-        serial = map_sweep(seeded_noise, self.GRID, workers=1, **kwargs)
-        parallel = map_sweep(seeded_noise, self.GRID, workers=3, **kwargs)
+        adaptive = ExecutionConfig(ci_target=0.2, max_replications=16)
+        serial = map_sweep(seeded_noise, self.GRID, seed=11, exec_cfg=adaptive)
+        parallel = map_sweep(
+            seeded_noise,
+            self.GRID,
+            seed=11,
+            exec_cfg=adaptive.with_overrides(workers=3),
+        )
         assert serial == parallel  # frozen dataclasses: bit-identical
 
     def test_noisier_points_replicate_more(self):
@@ -162,8 +172,7 @@ class TestMapSweepAdaptive:
             seeded_noise,
             [0.01, 2.0],
             seed=11,
-            ci_target=0.2,
-            max_replications=32,
+            exec_cfg=ExecutionConfig(ci_target=0.2, max_replications=32),
         )
         quiet, noisy = points
         assert quiet.value.converged
@@ -171,7 +180,10 @@ class TestMapSweepAdaptive:
 
     def test_max_replications_cap(self):
         [point] = map_sweep(
-            seeded_noise, [5.0], seed=11, ci_target=1e-9, max_replications=5
+            seeded_noise,
+            [5.0],
+            seed=11,
+            exec_cfg=ExecutionConfig(ci_target=1e-9, max_replications=5),
         )
         assert point.value.replications == 5
         assert point.value.converged is False
@@ -181,15 +193,18 @@ class TestMapSweepAdaptive:
             seeded_noise,
             [0.001],
             seed=11,
-            replications=6,
-            ci_target=0.5,
-            max_replications=16,
+            exec_cfg=ExecutionConfig(
+                replications=6, ci_target=0.5, max_replications=16
+            ),
         )
         assert point.value.replications >= 6
 
     def test_always_returns_replicated_values_with_flag(self):
         points = map_sweep(
-            seeded_noise, self.GRID, seed=11, ci_target=0.5, max_replications=8
+            seeded_noise,
+            self.GRID,
+            seed=11,
+            exec_cfg=ExecutionConfig(ci_target=0.5, max_replications=8),
         )
         for p in points:
             assert isinstance(p.value, ReplicatedValue)
@@ -197,5 +212,7 @@ class TestMapSweepAdaptive:
             assert len(p.value.seeds) == p.value.replications
 
     def test_fixed_sweeps_leave_converged_unset(self):
-        [point] = map_sweep(seeded_noise, [0.5], seed=11, replications=3)
+        [point] = map_sweep(
+            seeded_noise, [0.5], seed=11, exec_cfg=ExecutionConfig(replications=3)
+        )
         assert point.value.converged is None

@@ -6,7 +6,7 @@ from repro.runtime.backend import ProcessPoolBackend, SerialBackend
 from repro.runtime.config import (
     ExecutionConfig,
     ResolvedExecution,
-    resolve_execution,
+    as_resolved,
 )
 from repro.runtime.executor import ParallelExecutor
 from repro.runtime.store import ResultStore
@@ -158,52 +158,47 @@ class TestResolve:
         assert executor.map(_square, [1, 2, 3]) == [1, 4, 9]
 
 
-class TestResolveExecutionShim:
-    def test_legacy_keywords_alone(self):
-        rx = resolve_execution(workers=3, engine="vectorized")
-        assert rx.workers == 3
-        assert rx.engine == "vectorized"
-        assert rx.backend is None
+class TestAsResolved:
+    def test_none_is_the_defaults(self):
+        assert as_resolved(None) == ResolvedExecution()
+
+    def test_resolved_view_rejects_unknown_engine(self):
+        with pytest.raises(ValueError, match="engine must be one of"):
+            ResolvedExecution(engine="gpu")
 
     def test_exec_cfg_resolved(self):
-        rx = resolve_execution(ExecutionConfig(workers=2))
+        rx = as_resolved(ExecutionConfig(workers=2))
         assert isinstance(rx, ResolvedExecution)
         assert rx.workers == 2
 
     def test_resolved_passthrough(self):
         rx = ResolvedExecution(workers=7)
-        assert resolve_execution(rx) is rx
-
-    def test_default_legacy_keywords_ignored_with_exec_cfg(self):
-        rx = resolve_execution(ExecutionConfig(workers=2), workers=1)
-        assert rx.workers == 2
-
-    def test_conflicting_non_default_keyword_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
-            resolve_execution(ExecutionConfig(), workers=4)
-
-    def test_unknown_keyword_rejected(self):
-        with pytest.raises(TypeError, match="turbo"):
-            resolve_execution(turbo=True)
+        assert as_resolved(rx) is rx
 
     def test_wrong_type_rejected(self):
         with pytest.raises(TypeError, match="ExecutionConfig"):
-            resolve_execution({"workers": 2})
+            as_resolved({"workers": 2})
+
+    def test_seed_plan_size_follows_the_policy(self):
+        assert ResolvedExecution(replications=3).seed_plan_size == 3
+        adaptive = ResolvedExecution(
+            replications=3, ci_target=0.1, max_replications=9
+        )
+        assert adaptive.seed_plan_size == 9
 
 
 class TestDriversAcceptExecCfg:
-    """exec_cfg must be bit-identical to the legacy keyword spelling."""
+    """A config and its resolved view are the same execution settings."""
 
     def test_node_sweep_equivalence(self):
         from repro.experiments import NodeSweepConfig, run_node_energy_sweep
 
         cfg = NodeSweepConfig(horizon=2.0, seed=5)
-        legacy = run_node_energy_sweep(cfg, replications=2)
-        seamed = run_node_energy_sweep(
-            cfg, exec_cfg=ExecutionConfig(replications=2)
-        )
-        assert seamed.breakdowns == legacy.breakdowns
-        assert seamed.replicates == legacy.replicates
+        config = ExecutionConfig(replications=2)
+        direct = run_node_energy_sweep(cfg, exec_cfg=config)
+        resolved = run_node_energy_sweep(cfg, exec_cfg=config.resolve())
+        assert resolved.breakdowns == direct.breakdowns
+        assert resolved.replicates == direct.replicates
 
     def test_network_equivalence(self):
         from repro.experiments import (
@@ -215,14 +210,16 @@ class TestDriversAcceptExecCfg:
         cfg = NetworkScenarioConfig(
             topology=LineTopology(3), horizon=5.0, seed=5
         )
-        legacy = run_network_scenario(cfg, shards=2)
-        seamed = run_network_scenario(cfg, exec_cfg=ExecutionConfig(shards=2))
-        assert seamed == legacy
+        config = ExecutionConfig(shards=2)
+        direct = run_network_scenario(cfg, exec_cfg=config)
+        resolved = run_network_scenario(cfg, exec_cfg=config.resolve())
+        assert resolved == direct
 
     def test_mixing_styles_rejected(self):
+        # exec_cfg is the only way to pass execution settings.
         from repro.experiments import NodeSweepConfig, run_node_energy_sweep
 
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="replications"):
             run_node_energy_sweep(
                 NodeSweepConfig(horizon=2.0),
                 replications=2,

@@ -34,6 +34,7 @@ from repro.runtime.remote import (
     send_frame,
     serve_worker,
 )
+from repro.runtime.config import ExecutionConfig, ResolvedExecution
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -307,7 +308,7 @@ class TestEndToEndCliWorkers:
             thresholds=(0.00178, 0.1),
             seed=2010,
         )
-        serial = run_network_lifetime_sweep(config, shards=2)
+        serial = run_network_lifetime_sweep(config, exec_cfg=ExecutionConfig(shards=2))
         worker_a, port_a = _cli_worker()
         worker_b, port_b = _cli_worker()
         try:
@@ -315,7 +316,7 @@ class TestEndToEndCliWorkers:
                 [f"127.0.0.1:{port_a}", f"127.0.0.1:{port_b}"]
             )
             remote = run_network_lifetime_sweep(
-                config, shards=2, backend=backend
+                config, exec_cfg=ResolvedExecution(shards=2, backend=backend)
             )
         finally:
             worker_a.terminate()

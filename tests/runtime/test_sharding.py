@@ -11,6 +11,7 @@ from repro.runtime.sharding import (
     run_sharded,
     shard_node_seeds,
 )
+from repro.runtime.config import ExecutionConfig
 
 
 def _square(x):
@@ -146,8 +147,10 @@ class TestMapShards:
     def test_parallel_workers_identical(self):
         items = list(range(8))
         plan = partition_indices(len(items), 4)
-        serial = run_sharded(_square, items, plan, workers=1)
-        parallel = run_sharded(_square, items, plan, workers=2)
+        serial = run_sharded(_square, items, plan, exec_cfg=ExecutionConfig(workers=1))
+        parallel = run_sharded(
+            _square, items, plan, exec_cfg=ExecutionConfig(workers=2)
+        )
         assert serial == parallel
 
 

@@ -11,10 +11,11 @@ Three claims guard the cache against silently-wrong science:
    bit flips, version skew and unpicklable payloads each warn
    (:class:`StoreWarning`), delete the bad entry, and read as a miss —
    never a crash, never a wrong hit.
-3. **The execution wrappers submit exactly the misses.**  ``cached_map``
-   / ``cached_ensemble_map`` / ``map_shards`` / the adaptive controller
-   serve hits in the parent and recompute only what is missing, and a
-   warm run is bit-identical to a cold one.
+3. **The dispatch layers submit exactly the misses.**
+   ``run_replications`` (both task shapes, fixed and adaptive),
+   ``map_shards`` and the adaptive controller serve hits in the parent
+   and recompute only what is missing, and a warm run is bit-identical
+   to a cold one.
 """
 
 import dataclasses
@@ -28,8 +29,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.adaptive import AdaptiveSettings, run_adaptive_rounds
-from repro.runtime.executor import ParallelExecutor
+from repro.runtime.adaptive import (
+    AdaptiveSettings,
+    run_adaptive_rounds,
+    run_replications,
+)
+from repro.runtime.config import ResolvedExecution
 from repro.runtime.sharding import map_shards, partition_indices, run_sharded
 from repro.runtime.store import (
     ENTRY_MAGIC,
@@ -37,8 +42,6 @@ from repro.runtime.store import (
     STORE_SCHEMA,
     ResultStore,
     StoreWarning,
-    cached_ensemble_map,
-    cached_map,
     canonical_json,
     canonicalize,
     request_key,
@@ -72,15 +75,41 @@ def bad_ensemble(task):
 
 
 class CountingPool:
-    """A serial pool that records every item submitted through it."""
+    """A serial backend that records every map call and item through it."""
 
     def __init__(self):
+        self.calls = []
         self.submitted = []
 
-    def map(self, fn, items):
+    def map(self, fn, items, chunk_size=None):
         items = list(items)
+        self.calls.append(items)
         self.submitted.extend(items)
         return [fn(item) for item in items]
+
+
+POINTS = (0.1, 0.5)
+
+
+def replicate(pool, store, seeds, engine="interpreted", **policy):
+    """``run_replications`` over POINTS x ``seeds``; values per point.
+
+    Replication ``r`` of point ``i`` is the task ``(POINTS[i],
+    seeds[r])``; the ensemble shape covers a contiguous seed range.
+    """
+    fields = {"replications": len(seeds), **policy}
+    runs = run_replications(
+        noisy,
+        lambda i, r: (POINTS[i], seeds[r]),
+        len(POINTS),
+        ResolvedExecution(backend=pool, store=store, engine=engine, **fields),
+        ensemble_fn=noisy_ensemble,
+        ensemble_task_for=lambda i, start, n: (
+            POINTS[i],
+            tuple(seeds[start : start + n]),
+        ),
+    )
+    return [run.values for run in runs]
 
 
 @dataclass(frozen=True)
@@ -442,77 +471,69 @@ class TestFaultInjection:
             "store_schema"
         ] == STORE_SCHEMA
 
-    def test_corrupt_entry_mid_cached_map_recomputes_only_it(self, tmp_path):
+    def test_corrupt_entry_mid_run_recomputes_only_it(self, tmp_path):
         store = ResultStore(tmp_path)
-        items = [(0.5, s) for s in range(4)]
-        expected = cached_map(CountingPool(), noisy, items, store)
+        seeds = [0, 1, 2, 3]
+        expected = replicate(CountingPool(), store, seeds)
         [victim] = [
-            p for p in store._entry_files() if p.name == task_key(noisy, items[2])
+            p
+            for p in store._entry_files()
+            if p.name == task_key(noisy, (POINTS[0], 2))
         ]
         blob = victim.read_bytes()
         victim.write_bytes(blob[:-2])
         pool = CountingPool()
         with pytest.warns(StoreWarning, match="recomputing"):
-            warm = cached_map(pool, noisy, items, store)
+            warm = replicate(pool, store, seeds)
         assert warm == expected
-        assert pool.submitted == [items[2]]
+        assert pool.submitted == [(POINTS[0], 2)]
 
 
 # ----------------------------------------------------------------------
-# cached_map / cached_ensemble_map submit exactly the misses
+# run_replications submits exactly the misses, in either task shape
 # ----------------------------------------------------------------------
 
 
 class TestCachedMap:
+    """The per-replication task shape (interpreted engine)."""
+
     def test_without_store_is_plain_map(self):
         pool = CountingPool()
-        items = [(0.5, s) for s in range(3)]
-        assert cached_map(pool, noisy, items, None) == [noisy(i) for i in items]
-        assert pool.submitted == items
+        values = replicate(pool, None, [1, 2, 3])
+        items = [(t, s) for t in POINTS for s in (1, 2, 3)]
+        assert pool.calls == [items]
+        assert [v for vs in values for v in vs] == [noisy(i) for i in items]
 
     def test_cold_then_warm(self, tmp_path):
         store = ResultStore(tmp_path)
-        items = [(0.5, s) for s in range(4)]
         cold_pool = CountingPool()
-        cold = cached_map(cold_pool, noisy, items, store)
-        assert cold_pool.submitted == items
+        cold = replicate(cold_pool, store, [1, 2, 3])
+        assert len(cold_pool.submitted) == 6
         warm_pool = CountingPool()
-        warm = cached_map(warm_pool, noisy, items, store)
-        assert warm_pool.submitted == []
+        warm = replicate(warm_pool, store, [1, 2, 3])
+        assert warm_pool.calls == []
         assert warm == cold
 
     def test_partial_warm_submits_only_new_items(self, tmp_path):
         store = ResultStore(tmp_path)
-        cached_map(CountingPool(), noisy, [(0.5, 0), (0.5, 1)], store)
+        replicate(CountingPool(), store, [0, 1])
         pool = CountingPool()
-        grown = [(0.5, 0), (0.5, 2), (0.5, 1), (0.5, 3)]
-        result = cached_map(pool, noisy, grown, store)
-        assert pool.submitted == [(0.5, 2), (0.5, 3)]
-        assert result == [noisy(i) for i in grown]
+        grown = [0, 2, 1, 3]
+        result = replicate(pool, store, grown)
+        assert pool.submitted == [
+            (t, s) for t in POINTS for s in (2, 3)
+        ]
+        assert result == [[noisy((t, s)) for s in grown] for t in POINTS]
 
 
 class TestCachedEnsembleMap:
-    def _run(self, pool, store, seeds_per_point):
-        points = [0.1, 0.5]
-        tasks = [(t, tuple(seeds_per_point)) for t in points]
-        return cached_ensemble_map(
-            pool,
-            noisy_ensemble,
-            tasks,
-            store,
-            key_fn=noisy,
-            rep_items=[[(t, s) for s in seeds_per_point] for t in points],
-            rebuild_tail=lambda i, start: (
-                points[i],
-                tuple(seeds_per_point[start:]),
-            ),
-        )
+    """The ensemble task shape (vectorized engine)."""
 
     def test_cold_then_warm(self, tmp_path):
         store = ResultStore(tmp_path)
-        cold = self._run(CountingPool(), store, [1, 2, 3])
+        cold = replicate(CountingPool(), store, [1, 2, 3], "vectorized")
         warm_pool = CountingPool()
-        warm = self._run(warm_pool, store, [1, 2, 3])
+        warm = replicate(warm_pool, store, [1, 2, 3], "vectorized")
         assert warm_pool.submitted == []
         assert warm == cold
 
@@ -520,51 +541,94 @@ class TestCachedEnsembleMap:
         # The incremental re-run: raise the replication count and only
         # the new suffix is computed, per point.
         store = ResultStore(tmp_path)
-        self._run(CountingPool(), store, [1, 2])
+        replicate(CountingPool(), store, [1, 2], "vectorized")
         pool = CountingPool()
-        grown = self._run(pool, store, [1, 2, 3, 4])
+        grown = replicate(pool, store, [1, 2, 3, 4], "vectorized")
         assert pool.submitted == [(0.1, (3, 4)), (0.5, (3, 4))]
-        assert grown == self._run(CountingPool(), ResultStore(tmp_path), [1, 2, 3, 4])
-        full_cold = [
-            noisy_ensemble((t, (1, 2, 3, 4))) for t in (0.1, 0.5)
-        ]
+        full_cold = [noisy_ensemble((t, (1, 2, 3, 4))) for t in POINTS]
         assert grown == full_cold
 
-    def test_shared_keys_with_cached_map(self, tmp_path):
+    def test_shared_keys_across_engines(self, tmp_path):
         # The engine-equivalence contract: per-replication keys written
-        # by the interpreted path serve the ensemble path, and back.
+        # by the interpreted shape serve the ensemble shape, and back.
         store = ResultStore(tmp_path)
-        items = [(t, s) for t in (0.1, 0.5) for s in (1, 2, 3)]
-        cached_map(CountingPool(), noisy, items, store)
+        replicate(CountingPool(), store, [1, 2, 3])
         pool = CountingPool()
-        self._run(pool, store, [1, 2, 3])
+        replicate(pool, store, [1, 2, 3], "vectorized")
+        assert pool.submitted == []
+        replicate(CountingPool(), store, [4, 5], "vectorized")
+        pool = CountingPool()
+        replicate(pool, store, [4, 5])
         assert pool.submitted == []
 
-    def test_mismatched_rep_items_is_an_error(self, tmp_path):
-        store = ResultStore(tmp_path)
-        with pytest.raises(ValueError, match="points"):
-            cached_ensemble_map(
-                CountingPool(),
-                noisy_ensemble,
-                [(0.1, (1,)), (0.5, (1,))],
-                store,
-                key_fn=noisy,
-                rep_items=[[(0.1, 1)]],
-                rebuild_tail=lambda i, start: (0.1, (1,)),
+    def test_short_ensemble_return_is_an_error(self):
+        with pytest.raises(ValueError, match="expected"):
+            run_replications(
+                noisy,
+                lambda i, r: (0.1, r),
+                1,
+                ResolvedExecution(replications=2, engine="vectorized"),
+                ensemble_fn=bad_ensemble,
+                ensemble_task_for=lambda i, start, n: (0.1, (1, 2)[start:]),
             )
 
-    def test_short_ensemble_return_is_an_error(self, tmp_path):
-        store = ResultStore(tmp_path)
-        with pytest.raises(ValueError, match="expected"):
-            cached_ensemble_map(
-                CountingPool(),
-                bad_ensemble,
-                [(0.1, (1, 2))],
-                store,
-                key_fn=noisy,
-                rep_items=[[(0.1, 1), (0.1, 2)]],
-                rebuild_tail=lambda i, start: (0.1, (1, 2)[start:]),
+    def test_vectorized_requires_an_ensemble_evaluator(self):
+        with pytest.raises(ValueError, match="ensemble"):
+            run_replications(
+                noisy,
+                lambda i, r: (0.1, r),
+                1,
+                ResolvedExecution(engine="vectorized"),
             )
+
+
+class TestReplicationPolicy:
+    """Fixed and adaptive runs share one loop, one store and one plan."""
+
+    ADAPTIVE = dict(ci_target=1e-9, min_replications=2)  # never converges
+
+    @pytest.mark.parametrize("engine", ["interpreted", "vectorized"])
+    def test_fixed_run_is_the_controllers_first_round(self, engine):
+        # One map call over every replication, with exactly the items
+        # the adaptive controller submits first at min_replications=3.
+        seeds = [7, 8, 9, 10, 11]
+        fixed_pool = CountingPool()
+        fixed = replicate(fixed_pool, None, seeds[:3], engine)
+        adaptive_pool = CountingPool()
+        replicate(
+            adaptive_pool,
+            None,
+            seeds,
+            engine,
+            replications=1,
+            ci_target=1e-9,
+            min_replications=3,
+            max_replications=5,
+        )
+        assert len(fixed_pool.calls) == 1
+        assert fixed_pool.calls[0] == adaptive_pool.calls[0]
+        assert len(adaptive_pool.calls) > 1  # the controller kept going
+        assert [len(v) for v in fixed] == [3, 3]
+
+    @pytest.mark.parametrize("engine", ["interpreted", "vectorized"])
+    def test_adaptive_run_reads_a_fixed_runs_entries(self, tmp_path, engine):
+        store = ResultStore(tmp_path)
+        seeds = list(range(20, 26))
+        fixed = replicate(CountingPool(), store, seeds[:4], engine)
+        store.hits = store.puts = 0
+        adaptive = replicate(
+            CountingPool(),
+            store,
+            seeds,
+            engine,
+            max_replications=6,
+            **self.ADAPTIVE,
+        )
+        for short, long in zip(fixed, adaptive):
+            assert long[:4] == short
+        assert store.hits == 2 * 4  # the fixed run's entries, both points
+        assert store.puts == 2 * 2  # only the delta was computed
+        assert adaptive == replicate(CountingPool(), None, seeds, engine)
 
 
 # ----------------------------------------------------------------------
@@ -577,12 +641,16 @@ class TestShardedStore:
         store = ResultStore(tmp_path)
         items = [(0.5, s) for s in range(7)]
         plan_a = partition_indices(len(items), 2, "contiguous")
-        cold = run_sharded(noisy, items, plan_a, store=store)
+        cold = run_sharded(
+            noisy, items, plan_a, exec_cfg=ResolvedExecution(store=store)
+        )
         puts_after_cold = store.puts
         assert puts_after_cold == len(items)
         # A different shard count *and* strategy reads the same entries.
         plan_b = partition_indices(len(items), 3, "round-robin")
-        warm = run_sharded(noisy, items, plan_b, store=store)
+        warm = run_sharded(
+            noisy, items, plan_b, exec_cfg=ResolvedExecution(store=store)
+        )
         assert warm == cold
         assert store.puts == puts_after_cold  # nothing recomputed
         assert store.hits == len(items)
@@ -593,7 +661,9 @@ class TestShardedStore:
         plan = partition_indices(len(items), 3, "contiguous")
         for s in (0, 1, 4):  # warm shard 0 fully, shard 2 partially
             store.put(task_key(noisy, (0.5, s)), noisy((0.5, s)))
-        per_shard = map_shards(noisy, items, plan, store=store)
+        per_shard = map_shards(
+            noisy, items, plan, exec_cfg=ResolvedExecution(store=store)
+        )
         assert per_shard == [
             [noisy(items[i]) for i in shard.node_indices]
             for shard in plan.shards
@@ -610,8 +680,7 @@ class TestAdaptiveStore:
             lambda i, r: ((0.1, 0.5)[i], 100 + 17 * i + r),
             2,
             AdaptiveSettings(max_replications=max_replications, **self.SETTINGS),
-            executor=ParallelExecutor(workers=1),
-            store=store,
+            exec_cfg=ResolvedExecution(store=store),
             **kwargs,
         )
 

@@ -32,6 +32,7 @@ from repro.topology import (
     MMPPTraffic,
     RandomGeometricTopology,
 )
+from repro.runtime.config import ResolvedExecution
 
 CHURN = ChurnModel(failure_rate=0.05, duty_spread=0.3)
 BURSTY = MMPPTraffic(burst_on_s=2.0, burst_off_s=6.0)
@@ -84,25 +85,30 @@ class TestChurnBitIdentity:
     @pytest.mark.parametrize("strategy", ["contiguous", "round-robin"])
     def test_sharded_matches_serial(self, serial, shards, strategy):
         sharded = dynamic_network().simulate(
-            **RUN, shards=shards, shard_strategy=strategy
+            **RUN, exec_cfg=ExecutionConfig(shards=shards, shard_strategy=strategy)
         )
         assert sharded == serial
 
     def test_process_workers_match_serial(self, serial):
-        parallel = dynamic_network().simulate(**RUN, workers=2)
+        parallel = dynamic_network().simulate(
+            **RUN, exec_cfg=ExecutionConfig(workers=2)
+        )
         assert parallel == serial
 
     def test_socket_backend_matches_serial(self, serial, socket_port):
         remote = dynamic_network().simulate(
             **RUN,
-            shards=2,
-            backend=SocketBackend([f"127.0.0.1:{socket_port}"]),
+            exec_cfg=ResolvedExecution(
+                shards=2, backend=SocketBackend([f"127.0.0.1:{socket_port}"])
+            ),
         )
         assert remote == serial
 
     def test_spawn_seed_mode_shard_invariant(self):
         runs = [
-            dynamic_network().simulate(**RUN, shards=shards, seed_mode="spawn")
+            dynamic_network().simulate(
+                **RUN, exec_cfg=ExecutionConfig(shards=shards, seed_mode="spawn")
+            )
             for shards in (1, 2, 6)
         ]
         assert runs[0] == runs[1] == runs[2]
@@ -110,16 +116,22 @@ class TestChurnBitIdentity:
     def test_geometric_topology_shards_identically(self):
         net = dynamic_network(RandomGeometricTopology(30, seed=5))
         reference = net.simulate(horizon=5.0, seed=3, base_rate=0.2)
-        sharded = net.simulate(horizon=5.0, seed=3, base_rate=0.2, shards=4)
+        sharded = net.simulate(
+            horizon=5.0, seed=3, base_rate=0.2, exec_cfg=ExecutionConfig(shards=4)
+        )
         assert sharded == reference
 
     def test_warm_store_matches_cold(self, tmp_path, serial):
         store = ResultStore(tmp_path)
-        cold = dynamic_network().simulate(**RUN, shards=2, store=store)
+        cold = dynamic_network().simulate(
+            **RUN, exec_cfg=ResolvedExecution(shards=2, store=store)
+        )
         assert cold == serial
         puts = store.puts
         assert puts > 0
-        warm = dynamic_network().simulate(**RUN, shards=2, store=store)
+        warm = dynamic_network().simulate(
+            **RUN, exec_cfg=ResolvedExecution(shards=2, store=store)
+        )
         assert warm == serial
         assert store.misses == puts, "warm run must not recompute"
         assert store.hits == puts, "every node entry must be served back"
@@ -158,7 +170,8 @@ class TestLegacyPathUntouched:
         )
         reference = net.simulate(**RUN)
         assert reference.dynamics is None
-        assert net.simulate(**RUN, shards=3, workers=2) == reference
+        sharded = net.simulate(**RUN, exec_cfg=ExecutionConfig(shards=3, workers=2))
+        assert sharded == reference
 
     def test_merge_never_invents_a_report(self, serial):
         shard_like = NetworkResult(
