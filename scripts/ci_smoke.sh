@@ -14,8 +14,9 @@
 #   store     content-addressed result store: cold run, warm run diffed
 #             bit-identical, `store stats` asserted to report hits
 #   scenario  declarative scenario files: validate + run every gallery
-#             spec at its --smoke scale, `scenario run fig14.yaml`
-#             diffed bit-identical against the flag-spelled fig run
+#             spec at its --smoke scale, `scenario run fig14.yaml` and
+#             `churn_tree.yaml` diffed bit-identical against their
+#             flag-spelled fig and network runs
 #   serve     sweep-serving query service: ephemeral-port server,
 #             `query` cold then warm, both diffed bit-identical
 #             against `scenario run`, /stats asserted to report the
@@ -223,6 +224,18 @@ smoke_scenario() {
         echo "scenario run output is bit-identical to the flag spelling"
     else
         echo "FAIL: scenario run output differs from the flag spelling" >&2
+        return 1
+    fi
+    # The same gate for a network spec carrying the schema-v2 keys
+    # (churn_tree.yaml's smoke shape).
+    $CLI scenario run scenarios/churn_tree.yaml --smoke >"$out_scenario"
+    $CLI network --topology cluster-tree --fanout 3 --depth 3 \
+        --failure-rate 0.02 --duty-spread 0.3 --traffic bursty \
+        --base-rate 0.2 --horizon 5 --workers 1 --shards 2 >"$out_flags"
+    if diff "$out_scenario" "$out_flags"; then
+        echo "network scenario output is bit-identical to the flag spelling"
+    else
+        echo "FAIL: network scenario output differs from the flag spelling" >&2
         return 1
     fi
     # Schema errors must name the bad key and exit non-zero.

@@ -72,13 +72,17 @@ All of those execution flags are one shared set
 :class:`~repro.runtime.config.ExecutionConfig`
 (:func:`execution_config_from_args`) and resolved once per run —
 drivers receive the single ``exec_cfg`` object instead of a loose
-keyword bundle.  ``scenario {run,validate,show} FILE`` drives the same
-run functions from a declarative YAML/JSON
-:class:`~repro.scenarios.ScenarioSpec` (model + params + execution +
-outputs), with ``--override KEY=VALUE`` dotted-path tweaks and
-``--smoke`` applying the spec's own CI-scale overrides; ``scenario
-run`` output is byte-identical to the equivalent flag-spelled
-invocation.
+keyword bundle.  ``scenario {run,validate,show} FILE`` reads a
+declarative YAML/JSON :class:`~repro.scenarios.ScenarioSpec` (model +
+params + execution + outputs), with ``--override KEY=VALUE``
+dotted-path tweaks and ``--smoke`` applying the spec's own CI-scale
+overrides.  The run subcommands (``fig``, ``table``, ``node-sweep``,
+``validate``, ``network``) are another spelling of the same spec: each
+builds a ``ScenarioSpec`` from its flags and runs it exactly as
+``scenario run`` does, so both spellings print the same bytes and
+reject bad values with the same ``error: params.KEY ...`` message.
+The run functions below return their report as text; it is written
+to stdout once, by :func:`repro.scenarios.run_scenario`.
 """
 
 from __future__ import annotations
@@ -114,6 +118,14 @@ from .experiments import (
 from .models import NodeParameters, WSNNodeModel
 from .runtime import BACKEND_NAMES
 from .runtime.config import ExecutionConfig, ResolvedExecution
+from .scenarios import (
+    SPEC_VERSION,
+    ScenarioError,
+    ScenarioSpec,
+    load_scenario,
+    run_scenario,
+)
+from .scenarios.spec import SCENARIO_MODELS, _params_schema
 from .experiments.network import (
     NetworkScenarioConfig,
     format_network_summary,
@@ -815,7 +827,6 @@ def _cmd_serve(
 def _cmd_query(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> int:
-    from .scenarios import ScenarioError
     from .scenarios.spec import _parse_text
     from .serving import ServerError, fetch_stats, query_server
 
@@ -857,8 +868,7 @@ def _cmd_query(
             file=sys.stderr,
         )
         return 2
-    exit_code = result.get("exit_code")
-    return exit_code if isinstance(exit_code, int) else 0
+    return 0
 
 
 def _cmd_list() -> int:
@@ -871,11 +881,20 @@ def _cmd_list() -> int:
     return 0
 
 
+def _run_spec(spec) -> int:
+    """Run one scenario, whichever way it was spelled; the exit code."""
+    try:
+        return run_scenario(spec)
+    except ValueError as exc:
+        # e.g. a spec pairing engine=vectorized with a network model —
+        # a user configuration error, not a crash.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
 def _cmd_scenario(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> int:
-    from .scenarios import ScenarioError, load_scenario, run_scenario
-
     try:
         spec = load_scenario(
             args.file, overrides=args.override, smoke=args.smoke
@@ -892,30 +911,61 @@ def _cmd_scenario(
     if args.action == "show":
         print(json.dumps(spec.to_dict(), indent=2, sort_keys=True))
         return 0
+    return _run_spec(spec)
+
+
+def _cmd_run(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> int:
+    """A run subcommand: the flags spell a scenario, which runs as one."""
+    execution = execution_config_from_args(args, parser)
     try:
-        return run_scenario(spec)
-    except ValueError as exc:
-        # e.g. a spec pairing engine=vectorized with a network model —
-        # a user configuration error, not a crash.
+        spec = ScenarioSpec(
+            name=args.command,
+            model=args.command,
+            params={
+                key: getattr(args, key)
+                for key in _params_schema(args.command, SPEC_VERSION)
+            },
+            execution=execution,
+        )
+    except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return _run_spec(spec)
+
+
+def _text(*blocks: str) -> str:
+    """``blocks`` as printed one ``print`` call each: newline-terminated."""
+    return "".join(f"{block}\n" for block in blocks)
+
+
+def _node_sweep_report(sweep, workload: str, title: str) -> str:
+    """The Figs. 14/15 breakdown table, optimum summary and intervals."""
+    t_opt, e_opt = sweep.optimum()
+    return _text(
+        format_breakdown_sweep(sweep.thresholds, sweep.breakdowns, title=title),
+        format_optimum_summary(
+            workload, t_opt, e_opt,
+            sweep.savings_vs_immediate(), sweep.savings_vs_never(),
+        ),
+    ) + _replication_ci(sweep)
 
 
 def run_fig(
     number: int,
     *,
-    horizon: float | None = None,
-    seed: int = 2010,
-    rx: ResolvedExecution | None = None,
-) -> int:
-    """Regenerate one figure; prints the same rows the benchmarks persist.
+    horizon: float | None,
+    seed: int,
+    rx: ResolvedExecution,
+) -> str:
+    """Regenerate one figure; returns the report the benchmarks persist.
 
-    ``rx`` is the resolved execution configuration (default: serial,
-    no store).  Called by both the ``fig`` subcommand and the scenario
-    runner, so flag-spelled and scenario-spelled runs share one code
-    path and print byte-identical output.
+    ``rx`` is the resolved execution configuration.  Every spelling of
+    a run (flags, scenario file, serving request) reaches this function
+    through :func:`repro.scenarios.scenario_report`, so they all render
+    the same bytes.
     """
-    rx = rx if rx is not None else ExecutionConfig().resolve()
     if number in (14, 15):
         workload = "closed" if number == 14 else "open"
         horizon_s = horizon if horizon is not None else 900.0
@@ -923,22 +973,11 @@ def run_fig(
             NodeSweepConfig(workload=workload, horizon=horizon_s, seed=seed),
             exec_cfg=rx,
         )
-        print(
-            format_breakdown_sweep(
-                sweep.thresholds,
-                sweep.breakdowns,
-                title=f"Figure {number} ({workload} model, {horizon_s:.0f} s)",
-            )
+        return _node_sweep_report(
+            sweep,
+            workload,
+            f"Figure {number} ({workload} model, {horizon_s:.0f} s)",
         )
-        t_opt, e_opt = sweep.optimum()
-        print(
-            format_optimum_summary(
-                workload, t_opt, e_opt,
-                sweep.savings_vs_immediate(), sweep.savings_vs_never(),
-            )
-        )
-        _print_replication_ci(sweep)
-        return 0
     pud = _FIG_TO_PUD[number]
     horizon_s = horizon if horizon is not None else 1000.0
     result = run_cpu_comparison(
@@ -947,17 +986,19 @@ def run_fig(
         exec_cfg=rx,
     )
     if number <= 6:
-        for est in ("simulation", "markov", "petri"):
-            print(
+        report = "".join(
+            _text(
                 format_state_percentages(
                     result.thresholds,
                     result.fractions[est],
                     title=f"Figure {number} (PUD={pud:g}s) — {est}",
-                )
+                ),
+                "",
             )
-            print()
+            for est in ("simulation", "markov", "petri")
+        )
     else:
-        print(
+        report = _text(
             format_energy_series(
                 result.thresholds,
                 {
@@ -968,12 +1009,7 @@ def run_fig(
                 title=f"Figure {number} (PUD={pud:g}s)",
             )
         )
-    _print_cpu_replication_ci(result)
-    return 0
-
-
-def _cmd_fig(args: argparse.Namespace, rx: ResolvedExecution) -> int:
-    return run_fig(args.number, horizon=args.horizon, seed=args.seed, rx=rx)
+    return report + _cpu_replication_ci(result)
 
 
 def _format_pm(ci) -> str:
@@ -994,58 +1030,57 @@ def _convergence_tag(replications: int, converged: bool) -> str:
     return f"[{replications:3d} reps, {status}]"
 
 
-def _print_adaptive_point_cis(sweep, metric_label: str) -> None:
+def _adaptive_point_cis(sweep, metric_label: str) -> str:
     """Per-point adaptive outcome lines shared by every sweep command."""
-    print(
+    return _text(
         f"\nadaptive replications (ci-target {sweep.ci_target:g}, "
-        f"{metric_label}, 95% t-interval):"
-    )
-    for threshold, ci, n, ok in zip(
-        sweep.thresholds,
-        sweep.energy_ci(),
-        sweep.replication_counts,
-        sweep.converged,
-    ):
-        print(
+        f"{metric_label}, 95% t-interval):",
+        *(
             f"  PDT {threshold:<12g} {ci.mean:10.4f} J "
             f"{_format_pm(ci)}  {_convergence_tag(n, ok)}"
-        )
-
-
-def _print_replication_ci(sweep) -> None:
-    """Print per-point mean ± t-interval rows for a replicated sweep."""
-    if sweep.ci_target is not None:
-        _print_adaptive_point_cis(sweep, "total energy")
-        return
-    if sweep.replications <= 1:
-        return
-    print(
-        f"\nacross {sweep.replications} replications "
-        "(total energy, 95% t-interval):"
+            for threshold, ci, n, ok in zip(
+                sweep.thresholds,
+                sweep.energy_ci(),
+                sweep.replication_counts,
+                sweep.converged,
+            )
+        ),
     )
-    for threshold, ci in zip(sweep.thresholds, sweep.energy_ci()):
-        print(
-            f"  PDT {threshold:<12g} {ci.mean:10.4f} J "
-            f"{_format_pm(ci)}"
-        )
 
 
-def _print_cpu_replication_ci(result) -> None:
-    """Print per-point energy t-intervals for a replicated CPU sweep."""
+def _replication_ci(sweep) -> str:
+    """Per-point mean ± t-interval rows for a replicated sweep."""
+    if sweep.ci_target is not None:
+        return _adaptive_point_cis(sweep, "total energy")
+    if sweep.replications <= 1:
+        return ""
+    return _text(
+        f"\nacross {sweep.replications} replications "
+        "(total energy, 95% t-interval):",
+        *(
+            f"  PDT {threshold:<12g} {ci.mean:10.4f} J {_format_pm(ci)}"
+            for threshold, ci in zip(sweep.thresholds, sweep.energy_ci())
+        ),
+    )
+
+
+def _cpu_replication_ci(result) -> str:
+    """Per-point energy t-intervals for a replicated CPU sweep."""
     if result.replications <= 1 or result.energy_ci is None:
-        return
+        return ""
     if result.ci_target is not None:
-        print(
+        header = (
             f"\nadaptive replications (ci-target {result.ci_target:g}, "
             "energy, 95% t-interval; printed values above are means):"
         )
     else:
-        print(
+        header = (
             f"\nacross {result.replications} replications "
             "(energy, 95% t-interval; printed values above are means):"
         )
+    lines = [header]
     for est in ("simulation", "petri"):
-        print(f"  {est}:")
+        lines.append(f"  {est}:")
         for i, (threshold, ci) in enumerate(
             zip(result.thresholds, result.energy_ci[est])
         ):
@@ -1057,121 +1092,87 @@ def _print_cpu_replication_ci(result) -> None:
                 if result.ci_target is not None
                 else ""
             )
-            print(
+            lines.append(
                 f"    PDT {threshold:<8g} {ci.mean:10.4f} J "
                 f"{_format_pm(ci)}{tag}"
             )
-    print("  markov: deterministic (no sampling variance)")
+    lines.append("  markov: deterministic (no sampling variance)")
+    return _text(*lines)
 
 
 def run_table(
     number: int,
     *,
-    horizon: float = 1000.0,
-    seed: int = 2010,
-    rx: ResolvedExecution | None = None,
-) -> int:
+    horizon: float,
+    seed: int,
+    rx: ResolvedExecution,
+) -> str:
     """Regenerate one delta table (IV-VI); see :func:`run_fig` on ``rx``."""
-    rx = rx if rx is not None else ExecutionConfig().resolve()
     pud = _TABLE_TO_PUD[number]
     result = run_cpu_comparison(
         pud,
         CPUComparisonConfig(horizon=horizon, seed=seed),
         exec_cfg=rx,
     )
-    print(
+    return _text(
         format_delta_table(
             result.delta_energy(), pud, _TABLE_NUMERALS[number]
         )
-    )
-    _print_cpu_replication_ci(result)
-    return 0
-
-
-def _cmd_table(args: argparse.Namespace, rx: ResolvedExecution) -> int:
-    return run_table(args.number, horizon=args.horizon, seed=args.seed, rx=rx)
+    ) + _cpu_replication_ci(result)
 
 
 def run_node_sweep(
     *,
-    workload: str = "closed",
-    horizon: float = 900.0,
-    seed: int = 2010,
-    rx: ResolvedExecution | None = None,
-) -> int:
+    workload: str,
+    horizon: float,
+    seed: int,
+    rx: ResolvedExecution,
+) -> str:
     """The Figs. 14/15 threshold sweep; see :func:`run_fig` on ``rx``."""
-    rx = rx if rx is not None else ExecutionConfig().resolve()
     sweep = run_node_energy_sweep(
         NodeSweepConfig(workload=workload, horizon=horizon, seed=seed),
         exec_cfg=rx,
     )
-    print(
-        format_breakdown_sweep(
-            sweep.thresholds,
-            sweep.breakdowns,
-            title=f"Node sweep ({workload}, {horizon:.0f} s)",
-        )
-    )
-    t_opt, e_opt = sweep.optimum()
-    print(
-        format_optimum_summary(
-            workload, t_opt, e_opt,
-            sweep.savings_vs_immediate(), sweep.savings_vs_never(),
-        )
-    )
-    _print_replication_ci(sweep)
-    return 0
-
-
-def _cmd_node_sweep(args: argparse.Namespace, rx: ResolvedExecution) -> int:
-    return run_node_sweep(
-        workload=args.workload, horizon=args.horizon, seed=args.seed, rx=rx
+    return _node_sweep_report(
+        sweep, workload, f"Node sweep ({workload}, {horizon:.0f} s)"
     )
 
 
-def run_validate(
-    *,
-    seed: int = 2010,
-    rx: ResolvedExecution | None = None,
-) -> int:
+def run_validate(*, seed: int, rx: ResolvedExecution) -> str:
     """The Section V validation tables; see :func:`run_fig` on ``rx``."""
-    rx = rx if rx is not None else ExecutionConfig().resolve()
     result = run_simple_node_validation(
         ValidationConfig(seed=seed),
         exec_cfg=rx,
     )
-    print(format_steady_state_table(result.petri.stage_probabilities))
-    print()
-    print(format_validation_table(result.table_rows()))
     n = result.replications
     if n > 1:
         ci = result.percent_difference_ci()
-        line = (
+        uncertainty = (
             f"\npercent difference across {n} replications: "
             f"{ci.mean:.2f}% {_format_pm(ci)} (95% t-interval)"
         )
         if result.converged is not None:
-            line += f"  {_convergence_tag(n, result.converged)}"
-        print(line)
+            uncertainty += f"  {_convergence_tag(n, result.converged)}"
     else:
-        print("\npercent difference uncertainty: n/a (1 replication)")
-    return 0
-
-
-def _cmd_validate(args: argparse.Namespace, rx: ResolvedExecution) -> int:
-    return run_validate(seed=args.seed, rx=rx)
+        uncertainty = "\npercent difference uncertainty: n/a (1 replication)"
+    return _text(
+        format_steady_state_table(result.petri.stage_probabilities),
+        "",
+        format_validation_table(result.table_rows()),
+        uncertainty,
+    )
 
 
 def run_network(
     *,
-    topology: str = "line",
-    nodes: int = 5,
-    grid: tuple[int, int] = (10, 10),
-    threshold: float = 0.01,
-    sweep: bool = False,
-    horizon: float = 300.0,
-    base_rate: float = 0.5,
-    seed: int = 2010,
+    topology: str,
+    nodes: int,
+    grid: tuple[int, int],
+    threshold: float,
+    sweep: bool,
+    horizon: float,
+    base_rate: float,
+    seed: int,
     radius: float | None = None,
     fanout: int = 3,
     depth: int = 3,
@@ -1181,22 +1182,18 @@ def run_network(
     burst_on: float = 5.0,
     burst_off: float = 15.0,
     burst_off_fraction: float = 0.0,
-    rx: ResolvedExecution | None = None,
-) -> int:
+    rx: ResolvedExecution,
+) -> str:
     """One network scenario or threshold sweep; see :func:`run_fig` on ``rx``.
 
     The scenario-diversity knobs compose freely: generated topologies
     (``geometric`` / ``cluster-tree`` with ``radius`` / ``fanout`` /
     ``depth``), node churn (``failure_rate`` / ``duty_spread``) and
     bursty arrivals (``traffic="bursty"`` with the ``burst_*`` shape).
-    All default to the paper's static Poisson setup.
+    They keep defaults because schema-v1 scenario specs do not carry
+    them; the defaults are the paper's static Poisson setup.
     """
-    rx = rx if rx is not None else ExecutionConfig().resolve()
     width, height = grid
-    if traffic not in ("poisson", "bursty"):
-        raise ValueError(
-            f"traffic must be 'poisson' or 'bursty', got {traffic!r}"
-        )
     dynamics = ChurnModel(failure_rate=failure_rate, duty_spread=duty_spread)
     config = NetworkScenarioConfig(
         topology=make_topology(
@@ -1230,7 +1227,7 @@ def run_network(
     )
     if sweep:
         sweep_result = run_network_lifetime_sweep(config, exec_cfg=rx)
-        print(
+        report = _text(
             format_table(
                 [
                     "PDT (s)",
@@ -1247,54 +1244,29 @@ def run_network(
             )
         )
         if sweep_result.ci_target is not None:
-            _print_adaptive_point_cis(sweep_result, "network energy")
+            report += _adaptive_point_cis(sweep_result, "network energy")
         best = sweep_result.best()
-        print(
+        return report + _text(
             f"\nbest threshold for the network: "
             f"{best.power_down_threshold:g} s -> "
             f"{best.network_lifetime_days:.2f} days"
         )
-        return 0
     result = run_network_scenario(config, exec_cfg=rx)
-    print(f"network scenario {run_info}")
-    if rx.ci_target is not None:
-        print(format_network_summary(result.result))
-        energy_ci = result.energy_ci()
-        lifetime_ci = result.lifetime_ci()
-        print(
-            f"adaptive replication   : "
-            f"{_convergence_tag(result.replications, result.converged)} "
-            f"at ci-target {result.ci_target:g}\n"
-            f"energy across reps     : {energy_ci.mean:.4f} J "
-            f"{_format_pm(energy_ci)}\n"
-            f"lifetime across reps   : {lifetime_ci.mean:.2f} days "
-            f"{_format_pm(lifetime_ci)}"
-        )
-        return 0
-    print(format_network_summary(result))
-    return 0
-
-
-def _cmd_network(args: argparse.Namespace, rx: ResolvedExecution) -> int:
-    return run_network(
-        topology=args.topology,
-        nodes=args.nodes,
-        grid=args.grid,
-        threshold=args.threshold,
-        sweep=args.sweep,
-        horizon=args.horizon,
-        base_rate=args.base_rate,
-        seed=args.seed,
-        radius=args.radius,
-        fanout=args.fanout,
-        depth=args.depth,
-        failure_rate=args.failure_rate,
-        duty_spread=args.duty_spread,
-        traffic=args.traffic,
-        burst_on=args.burst_on,
-        burst_off=args.burst_off,
-        burst_off_fraction=args.burst_off_fraction,
-        rx=rx,
+    header = f"network scenario {run_info}"
+    if rx.ci_target is None:
+        return _text(header, format_network_summary(result))
+    energy_ci = result.energy_ci()
+    lifetime_ci = result.lifetime_ci()
+    return _text(
+        header,
+        format_network_summary(result.result),
+        f"adaptive replication   : "
+        f"{_convergence_tag(result.replications, result.converged)} "
+        f"at ci-target {result.ci_target:g}\n"
+        f"energy across reps     : {energy_ci.mean:.4f} J "
+        f"{_format_pm(energy_ci)}\n"
+        f"lifetime across reps   : {lifetime_ci.mean:.2f} days "
+        f"{_format_pm(lifetime_ci)}",
     )
 
 
@@ -1388,25 +1360,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_serve(args, parser)
     if args.command == "query":
         return _cmd_query(args, parser)
-    run_commands = {
-        "fig": _cmd_fig,
-        "table": _cmd_table,
-        "node-sweep": _cmd_node_sweep,
-        "validate": _cmd_validate,
-        "network": _cmd_network,
-    }
-    if args.command in run_commands:
-        # One ExecutionConfig per invocation, resolved once, so store
-        # hit/miss counters accumulate across the run and persist
-        # (flush) for `store stats`.
-        rx = execution_config_from_args(args, parser).resolve()
-        try:
-            return run_commands[args.command](args, rx)
-        finally:
-            if rx.store is not None:
-                rx.store.flush_counters()
+    if args.command in SCENARIO_MODELS:
+        return _cmd_run(args, parser)
     raise AssertionError(f"unhandled command {args.command!r}")
-
 
 if __name__ == "__main__":
     sys.exit(main())

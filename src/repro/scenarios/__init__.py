@@ -9,7 +9,7 @@ equivalent flag-spelled invocation byte for byte.  See
 the Section V validation, a 100-node grid network).
 """
 
-from .runner import run_scenario
+from .runner import run_scenario, scenario_report
 from .spec import (
     SPEC_VERSION,
     SUPPORTED_VERSIONS,
@@ -29,4 +29,5 @@ __all__ = [
     "load_scenario",
     "parse_override",
     "run_scenario",
+    "scenario_report",
 ]

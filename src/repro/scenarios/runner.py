@@ -1,17 +1,19 @@
 """Execute a validated :class:`~repro.scenarios.spec.ScenarioSpec`.
 
-The runner dispatches to the *same* run functions the CLI subcommands
-call (``repro.cli.run_fig`` and friends), with the spec's
-``ExecutionConfig`` resolved exactly once — so ``repro.cli scenario
-run fig14.yaml`` prints output byte-identical to the equivalent
-flag-spelled ``repro.cli fig 14 ...`` invocation.  That bit-identity
-is asserted per gallery scenario, across engines and backends, in
+:func:`scenario_report` is the one path from a spec to its report: it
+calls the ``repro.cli`` run function for ``spec.model`` with the
+spec's params and returns the report text.  Every spelling of a run
+goes through it — ``repro.cli scenario run FILE``, the flag-spelled
+subcommands (which build a spec from their flags) and the serving
+API — so they all produce the same bytes.  That bit-identity is
+asserted per gallery scenario, across engines and backends, in
 ``tests/scenarios/test_runner.py`` and diffed in CI by the
 ``scenario`` group of ``scripts/ci_smoke.sh``.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import TYPE_CHECKING
 
 from .spec import ScenarioSpec
@@ -19,73 +21,47 @@ from .spec import ScenarioSpec
 if TYPE_CHECKING:
     from ..runtime.config import ResolvedExecution
 
-__all__ = ["run_scenario"]
+__all__ = ["run_scenario", "scenario_report"]
+
+#: The ``repro.cli`` run function behind each model, by name: it is
+#: looked up at call time, so a rebound module global is the one run.
+_RUN_FUNCTIONS = {
+    "fig": "run_fig",
+    "table": "run_table",
+    "node-sweep": "run_node_sweep",
+    "validate": "run_validate",
+    "network": "run_network",
+}
+
+
+def scenario_report(spec: ScenarioSpec, rx: "ResolvedExecution") -> str:
+    """Run one scenario on ``rx``; returns its report text.
+
+    Store counters are flushed on the way out, whether the run
+    succeeded or not, so ``store stats`` sees every hit and miss.
+    """
+    # Imported here, not at module top: the CLI imports this package,
+    # and the run functions live there.
+    from .. import cli
+
+    run = getattr(cli, _RUN_FUNCTIONS[spec.model])
+    try:
+        return run(**spec.params, rx=rx)
+    finally:
+        if rx.store is not None:
+            rx.store.flush_counters()
 
 
 def run_scenario(
     spec: ScenarioSpec, rx: "ResolvedExecution | None" = None
 ) -> int:
-    """Run one scenario; returns the process exit code.
+    """Run one scenario and write its report to stdout; returns 0.
 
     The spec's ``execution`` is resolved here (backend and store built
-    once), and store counters are flushed on the way out — mirroring
-    what ``repro.cli main`` does for flag-spelled runs.
-
-    ``rx`` overrides that resolution with an already-live
-    :class:`~repro.runtime.config.ResolvedExecution` — the seam the
-    serving layer uses to reuse one long-lived backend/store across
-    requests while keeping this exact dispatch (and therefore
-    byte-identical output) for every spelling of a run.
+    once) unless ``rx`` supplies an already-live
+    :class:`~repro.runtime.config.ResolvedExecution`.
     """
-    # Imported here, not at module top: the CLI imports this package
-    # for its `scenario` subcommand, and the run functions live there.
-    from .. import cli
-
     if rx is None:
         rx = spec.execution.resolve()
-    p = spec.params
-    try:
-        if spec.model == "fig":
-            return cli.run_fig(
-                p["number"], horizon=p["horizon"], seed=p["seed"], rx=rx
-            )
-        if spec.model == "table":
-            return cli.run_table(
-                p["number"], horizon=p["horizon"], seed=p["seed"], rx=rx
-            )
-        if spec.model == "node-sweep":
-            return cli.run_node_sweep(
-                workload=p["workload"],
-                horizon=p["horizon"],
-                seed=p["seed"],
-                rx=rx,
-            )
-        if spec.model == "validate":
-            return cli.run_validate(seed=p["seed"], rx=rx)
-        if spec.model == "network":
-            # Scenario-diversity keys exist from schema v2 on; v1
-            # specs don't carry them, so fall back to the defaults.
-            return cli.run_network(
-                topology=p["topology"],
-                nodes=p["nodes"],
-                grid=p["grid"],
-                threshold=p["threshold"],
-                sweep=p["sweep"],
-                horizon=p["horizon"],
-                base_rate=p["base_rate"],
-                seed=p["seed"],
-                radius=p.get("radius"),
-                fanout=p.get("fanout", 3),
-                depth=p.get("depth", 3),
-                failure_rate=p.get("failure_rate", 0.0),
-                duty_spread=p.get("duty_spread", 0.0),
-                traffic=p.get("traffic", "poisson"),
-                burst_on=p.get("burst_on", 5.0),
-                burst_off=p.get("burst_off", 15.0),
-                burst_off_fraction=p.get("burst_off_fraction", 0.0),
-                rx=rx,
-            )
-        raise AssertionError(f"unhandled scenario model {spec.model!r}")
-    finally:
-        if rx.store is not None:
-            rx.store.flush_counters()
+    sys.stdout.write(scenario_report(spec, rx))
+    return 0

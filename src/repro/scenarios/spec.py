@@ -211,7 +211,7 @@ _MODEL_PARAMS: dict[str, dict[str, _Param]] = {
         "topology": _Param("line", _choice(("line", "star", "grid"))),
         "nodes": _Param(5, _pos_int),
         "grid": _Param((10, 10), _grid),
-        "threshold": _Param(0.01, _pos_float),
+        "threshold": _Param(0.01, _nonneg_float),
         "sweep": _Param(False, _bool),
         "horizon": _Param(300.0, _pos_float),
         "base_rate": _Param(0.5, _pos_float),

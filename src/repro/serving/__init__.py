@@ -9,7 +9,7 @@ This package turns those guarantees into a long-running service:
 * :class:`SweepService` — the programmatic core.  Resolves one
   :class:`~repro.runtime.ExecutionConfig` (backend + store) at startup
   and executes ScenarioSpec-shaped requests against it through the
-  same :func:`~repro.scenarios.run_scenario` dispatch as
+  same :func:`~repro.scenarios.scenario_report` function as
   ``repro.cli scenario run`` — so a served response is byte-identical
   to the equivalent CLI run, a fully-warm request touches only the
   store (zero backend tasks), and a cold request computes exactly its

@@ -5,9 +5,9 @@ A service instance owns one long-lived
 store resolved **once** and reused across every request — and executes
 ScenarioSpec-shaped requests against it.  Each request is validated
 through the same :class:`~repro.scenarios.ScenarioSpec` schema as
-``repro.cli scenario run``, dispatched through the same
-:func:`~repro.scenarios.run_scenario` runner, and keyed into the same
-content-addressed store — which is what makes the serving invariant
+``repro.cli scenario run``, rendered by the same
+:func:`~repro.scenarios.scenario_report` function, and keyed into the
+same content-addressed store — which is what makes the serving invariant
 hold *by construction*:
 
     **A served response is byte-identical to the equivalent
@@ -35,27 +35,25 @@ request can never point the server at a different store directory or
 worker fleet.
 
 Jobs run on a single worker thread, FIFO.  That serialisation is
-deliberate: output capture redirects the process-global ``sys.stdout``
-while a job's run functions print, and the result store counters are
-snapshotted per job — one job at a time keeps both exact.  Job states
-are ``queued → running → done | failed | cancelled``; identical
-in-flight requests (same :func:`~repro.runtime.store.request_key`)
-coalesce onto one job.
+deliberate: the result store counters are snapshotted per job, and one
+job at a time keeps them exact.  A job's output is the report text
+:func:`~repro.scenarios.scenario_report` returns.  Job states are
+``queued → running → done | failed | cancelled``; identical in-flight
+requests (same :func:`~repro.runtime.store.request_key`) coalesce onto
+one job.
 """
 
 from __future__ import annotations
 
-import io
 import threading
 import time
 from collections import deque
 from collections.abc import Mapping
-from contextlib import redirect_stdout
 from typing import Any
 
 from ..runtime.config import ExecutionConfig, ResolvedExecution
 from ..runtime.store import request_key
-from ..scenarios import ScenarioError, ScenarioSpec, run_scenario
+from ..scenarios import ScenarioError, ScenarioSpec, scenario_report
 from ..scenarios.spec import _validate_smoke, apply_overrides
 
 __all__ = [
@@ -514,55 +512,36 @@ class SweepService:
             backend=self._rx.backend,
             store=job_store,
         )
-        buffer = io.StringIO()
         t0 = time.perf_counter()
+        output, error = "", None
         try:
             if job.cancel_requested:
                 raise JobCancelled()
-            with redirect_stdout(buffer):
-                exit_code = run_scenario(job.spec, rx=rx)
+            output = scenario_report(job.spec, rx)
         except JobCancelled:
-            self._account(job, job_store, t0)
-            self._finish(
-                job, "cancelled", error="cancelled while running",
-                result=self._result(None, buffer, job_store, t0),
-            )
-            return
-        except (ScenarioError, ValueError) as exc:
+            state, error = "cancelled", "cancelled while running"
+        except ValueError as exc:
             # A spec-level misconfiguration (e.g. engine="vectorized"
             # on a network model) — the request's fault, not a crash.
-            self._account(job, job_store, t0)
-            self._finish(
-                job, "failed", error=str(exc),
-                result=self._result(None, buffer, job_store, t0),
-            )
-            return
+            state, error = "failed", str(exc)
         except Exception as exc:  # noqa: BLE001 - jobs must never kill the worker
-            self._account(job, job_store, t0)
-            self._finish(
-                job, "failed", error=f"{type(exc).__name__}: {exc}",
-                result=self._result(None, buffer, job_store, t0),
-            )
-            return
-        if job_store is not None:
-            job_store._progress(force=True)
+            state, error = "failed", f"{type(exc).__name__}: {exc}"
+        else:
+            state = "done"
+            if job_store is not None:
+                job_store._progress(force=True)
         self._account(job, job_store, t0)
         self._finish(
-            job, "done",
-            result=self._result(exit_code, buffer, job_store, t0),
+            job, state, error=error,
+            result={
+                "exit_code": 0 if state == "done" else None,
+                "output": output,
+                "store": (
+                    job_store.counters() if job_store is not None else None
+                ),
+                "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
+            },
         )
-
-    @staticmethod
-    def _result(
-        exit_code: int | None, buffer: io.StringIO,
-        job_store: _JobStore | None, t0: float,
-    ) -> dict[str, Any]:
-        return {
-            "exit_code": exit_code,
-            "output": buffer.getvalue(),
-            "store": job_store.counters() if job_store is not None else None,
-            "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-        }
 
     def _account(
         self, job: Job, job_store: _JobStore | None, t0: float

@@ -60,6 +60,72 @@ SMOKE_EQUIVALENTS = [
             "2",
         ],
     ),
+    (
+        # threshold 0 (power down at once) is valid in both spellings.
+        "grid100.yaml",
+        ["--override", "params.threshold=0"],
+        [
+            "network",
+            "--topology",
+            "grid",
+            "--grid",
+            "3x3",
+            "--threshold",
+            "0",
+            "--horizon",
+            "5.0",
+            "--workers",
+            "2",
+            "--shards",
+            "2",
+        ],
+    ),
+    (
+        "churn_tree.yaml",
+        [],
+        [
+            "network",
+            "--topology",
+            "cluster-tree",
+            "--fanout",
+            "3",
+            "--depth",
+            "3",
+            "--failure-rate",
+            "0.02",
+            "--duty-spread",
+            "0.3",
+            "--traffic",
+            "bursty",
+            "--base-rate",
+            "0.2",
+            "--horizon",
+            "5",
+            "--workers",
+            "1",
+            "--shards",
+            "2",
+        ],
+    ),
+    (
+        "geo1000.yaml",
+        [],
+        [
+            "network",
+            "--topology",
+            "geometric",
+            "--nodes",
+            "1000",
+            "--base-rate",
+            "0.1",
+            "--horizon",
+            "2",
+            "--workers",
+            "2",
+            "--shards",
+            "4",
+        ],
+    ),
 ]
 
 
@@ -67,7 +133,7 @@ class TestGalleryBitIdentity:
     @pytest.mark.parametrize(
         ("scenario", "extra", "flags"),
         SMOKE_EQUIVALENTS,
-        ids=[s for s, _, _ in SMOKE_EQUIVALENTS],
+        ids=[" ".join([s, *extra]) for s, extra, _ in SMOKE_EQUIVALENTS],
     )
     def test_smoke_scenario_matches_flags(self, capsys, scenario, extra, flags):
         scenario_out = run_cli(

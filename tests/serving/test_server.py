@@ -68,14 +68,13 @@ def gated(tmp_path, monkeypatch):
     started = threading.Event()
     release = threading.Event()
 
-    def gated_run(spec, rx=None):
+    def gated_run(spec, rx):
         started.set()
         if not release.wait(30):
             raise RuntimeError("gate never released")
-        print("gated output")
-        return 0
+        return "gated output\n"
 
-    monkeypatch.setattr(service_mod, "run_scenario", gated_run)
+    monkeypatch.setattr(service_mod, "scenario_report", gated_run)
     service = SweepService(
         ExecutionConfig(store_dir=tmp_path / "store"), progress_interval=0.0
     )

@@ -187,10 +187,10 @@ class TestServiceExecution:
             )
 
     def test_spec_level_value_error_fails_cleanly(self, tmp_path, monkeypatch):
-        def boom(spec, rx=None):
+        def boom(spec, rx):
             raise ValueError("engine mismatch")
 
-        monkeypatch.setattr(service_mod, "run_scenario", boom)
+        monkeypatch.setattr(service_mod, "scenario_report", boom)
         with make_service(tmp_path) as service:
             job = service.run({"scenario": SCENARIO}, timeout=30)
             assert job.state == "failed"
@@ -201,19 +201,21 @@ class TestServiceExecution:
     ):
         calls = []
 
-        def flaky(spec, rx=None):
+        def flaky(spec, rx):
             calls.append(spec.name)
             if len(calls) == 1:
                 raise RuntimeError("boom")
-            return 0
+            return "second try\n"
 
-        monkeypatch.setattr(service_mod, "run_scenario", flaky)
+        monkeypatch.setattr(service_mod, "scenario_report", flaky)
         with make_service(tmp_path) as service:
             first = service.run({"scenario": SCENARIO}, timeout=30)
             assert first.state == "failed"
             assert "RuntimeError: boom" in first.error
             again = service.run({"scenario": SCENARIO}, timeout=30)
             assert again.state == "done"  # the worker survived
+            assert again.result["exit_code"] == 0
+            assert again.result["output"] == "second try\n"
 
     def test_job_events_trace_the_lifecycle(self, tmp_path):
         with make_service(tmp_path) as service:
@@ -268,13 +270,13 @@ def gated(tmp_path, monkeypatch):
     started = threading.Event()
     release = threading.Event()
 
-    def gated_run(spec, rx=None):
+    def gated_run(spec, rx):
         started.set()
         if not release.wait(30):
             raise RuntimeError("gate never released")
-        return 0
+        return "gated output\n"
 
-    monkeypatch.setattr(service_mod, "run_scenario", gated_run)
+    monkeypatch.setattr(service_mod, "scenario_report", gated_run)
     service = make_service(tmp_path)
     yield service, started, release
     release.set()
@@ -286,14 +288,14 @@ def spinning(tmp_path, monkeypatch):
     """A service whose jobs poll the store until cancelled."""
     started = threading.Event()
 
-    def spinning_run(spec, rx=None):
+    def spinning_run(spec, rx):
         started.set()
         key = request_key({"spin": spec.name})
         while True:
             rx.store.get(key)  # each get is a cancellation checkpoint
             time.sleep(0.005)
 
-    monkeypatch.setattr(service_mod, "run_scenario", spinning_run)
+    monkeypatch.setattr(service_mod, "scenario_report", spinning_run)
     service = make_service(tmp_path)
     yield service, started
     service.close()
@@ -374,6 +376,18 @@ class TestJobControl:
         assert queued.state == "cancelled"
         with pytest.raises(ServiceError, match="shut down"):
             service.submit({"scenario": SCENARIO})
+
+    def test_job_output_is_its_report_not_process_stdout(self, gated, capsys):
+        """Printing while a job runs reaches stdout, not the job's output."""
+        service, started, release = gated
+        job, _ = service.submit({"scenario": SCENARIO})
+        assert started.wait(10)
+        print("printed by the test thread")
+        release.set()
+        assert job.wait(10)
+        assert job.state == "done"
+        assert job.result["output"] == "gated output\n"
+        assert capsys.readouterr().out == "printed by the test thread\n"
 
     def test_run_timeout_raises(self, gated):
         service, started, release = gated

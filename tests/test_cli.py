@@ -228,6 +228,22 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["network", "--topology", "grid", "--grid", "10by10"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["node-sweep", "--horizon", "0"],
+            ["table", "4", "--horizon", "0"],
+            ["network", "--base-rate", "0", "--horizon", "2"],
+        ],
+        ids=["node-sweep", "table", "network"],
+    )
+    def test_bad_run_values_fail_cleanly(self, capsys, argv):
+        """Flags report bad values the way scenario files do: exit 2."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
