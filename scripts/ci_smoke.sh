@@ -9,7 +9,8 @@
 #   sharded   sharded multi-node network scenarios
 #   socket    multi-host backend: 2 localhost workers, sharded sweep,
 #             output asserted bit-identical to --backend local
-#   engine    vectorized lockstep engine: a figure run diffed
+#   engine    vectorized lockstep engine: Fig. 14 (serial and over two
+#             workers), Fig. 7 and an adaptive validate run diffed
 #             bit-identical against the interpreted engine
 #   store     content-addressed result store: cold run, warm run diffed
 #             bit-identical, `store stats` asserted to report hits
@@ -125,34 +126,33 @@ smoke_socket() {
     cleanup_workers
 }
 
+# Run one CLI invocation under both engines and diff the output.
+engine_diff() {
+    local out_interp out_vec
+    out_interp="$(mktemp)"
+    out_vec="$(mktemp)"
+    $CLI "$@" --engine interpreted >"$out_interp"
+    $CLI "$@" --engine vectorized >"$out_vec"
+    if diff "$out_interp" "$out_vec"; then
+        echo "$*: vectorized output is bit-identical to interpreted"
+    else
+        echo "FAIL: $*: vectorized output differs from interpreted" >&2
+        return 1
+    fi
+}
+
 smoke_engine() {
     echo "--- smoke: vectorized engine vs interpreted ---"
     # The engines promise bit-identity, so a textual diff of a figure
     # regeneration is the acceptance gate — not "close enough".
-    local args=(fig 14 --horizon 2 --replications 2)
-    local out_interp out_vec
-    out_interp="$(mktemp)"
-    out_vec="$(mktemp)"
-    $CLI "${args[@]}" --engine interpreted >"$out_interp"
-    $CLI "${args[@]}" --engine vectorized >"$out_vec"
-    if diff "$out_interp" "$out_vec"; then
-        echo "vectorized engine output is bit-identical to interpreted"
-    else
-        echo "FAIL: vectorized engine output differs from interpreted" >&2
-        return 1
-    fi
+    engine_diff fig 14 --horizon 2 --replications 2
+    # Two workers: the sweep points are packed into two ensemble tasks
+    # that run on the process pool.
+    engine_diff fig 14 --horizon 2 --replications 3 --workers 2
+    # The CPU model's Petri-net estimator, ensembled across thresholds.
+    engine_diff fig 7 --horizon 20 --replications 2
     # Adaptive control must agree too (converged flags ride the output).
-    local args_ci=(validate --ci-target 0.5 --max-replications 4)
-    out_interp="$(mktemp)"
-    out_vec="$(mktemp)"
-    $CLI "${args_ci[@]}" --engine interpreted >"$out_interp"
-    $CLI "${args_ci[@]}" --engine vectorized >"$out_vec"
-    if diff "$out_interp" "$out_vec"; then
-        echo "adaptive validate output is bit-identical across engines"
-    else
-        echo "FAIL: adaptive validate output differs across engines" >&2
-        return 1
-    fi
+    engine_diff validate --ci-target 0.5 --max-replications 4
     # The network subcommand is per-node (ensembles of one) and must
     # not accept the flag at all.
     if $CLI network --topology line --nodes 3 --horizon 5 \

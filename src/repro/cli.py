@@ -40,10 +40,10 @@ changes the reported numbers.
 
 ``--engine {interpreted,vectorized}`` selects *how* each Petri-net
 simulation runs (:mod:`repro.core.fast`): the default interpreted
-per-event loop, or the vectorized lockstep engine that runs all of a
-sweep point's replications as one NumPy ensemble.  Results are
-bit-identical; only throughput changes (the vectorized engine wins on
-replication ensembles, R ≳ tens).  ``network`` does not accept
+per-event loop, or the vectorized lockstep engine that runs the
+replications of every sweep point as rows of one NumPy ensemble per
+worker.  Results are bit-identical; only throughput changes (the
+vectorized engine wins once an ensemble has tens of rows).  ``network`` does not accept
 ``--engine vectorized`` — its per-node fan-out has nothing to batch.
 
 ``--backend {local,processes,socket}`` selects *where* tasks execute
@@ -290,9 +290,9 @@ def _add_engine_arg(sub_parser: argparse.ArgumentParser) -> None:
         default="interpreted",
         help=(
             "simulation engine: 'interpreted' (per-event Python loop, "
-            "default) or 'vectorized' (all replications of a sweep "
-            "point in NumPy lockstep; bit-identical results, chunking "
-            "batches sweep points instead of replications)"
+            "default) or 'vectorized' (the replications of every sweep "
+            "point as rows of one NumPy lockstep ensemble per worker; "
+            "bit-identical results)"
         ),
     )
 

@@ -2,11 +2,15 @@
 
 The interpreted engine (:mod:`repro.core.simulator`) advances one
 replication at a time with a per-event Python loop.  This package runs
-*all replications of one sweep point* in lockstep as NumPy arrays: one
-round pops the next event of every replication (an ``argmin`` over the
+an *ensemble* of replications in lockstep as the rows of NumPy arrays:
+one round pops the next event of every row (an ``argmin`` over the
 slot-time matrix), fires the popped transitions grouped per transition,
 resolves immediates by vectorized priority masks, and accumulates
-time-weighted statistics as array ops.  The results hydrate the same
+time-weighted statistics as array ops.  Rows may run different nets as
+long as they compile to the same structure and differ only in their
+timed transitions' distributions, so all the replications of every
+point of a parameter sweep can run as one ensemble.  The results
+hydrate, row by row, the same
 :class:`~repro.core.statistics.StatisticsCollector` /
 :class:`~repro.core.simulator.SimulationResult` types the interpreted
 engine produces.
@@ -16,15 +20,15 @@ Correctness contract
 For nets inside the compilable subset (introspectable guards and token
 filters, annotated producers, enabling memory, finite servers, no reset
 arcs) the engine is **bit-identical** to
-``Simulation(net, seed=s).run(horizon)`` per replication: every
-replication owns its own ``default_rng(seed)`` stream, draws happen in
-the interpreted engine's order (timed transitions refreshed in net
-definition order; immediate conflicts resolved with the identical
-weighted ``rng.choice`` call), deterministic delays consume no
-randomness, and floating-point accumulation follows the same sequence
-of additions.  Event ties resolve by (timed transition definition
-order, server slot) — exactly the deterministic tie policy of
-:class:`~repro.core.events.EventCalendar`.
+``Simulation(net, seed=s).run(horizon)`` per row: every row owns its
+own ``default_rng(seed)`` stream and its own net's distributions,
+draws happen in the interpreted engine's order (timed transitions
+refreshed in net definition order; immediate conflicts resolved with
+the identical weighted ``rng.choice`` call), deterministic delays
+consume no randomness, and floating-point accumulation follows the
+same sequence of additions.  Event ties resolve by (timed transition
+definition order, server slot) — exactly the deterministic tie policy
+of :class:`~repro.core.events.EventCalendar`.
 
 Nets outside the subset raise
 :class:`~repro.core.errors.UnsupportedNetError` at compile time; the
@@ -33,11 +37,17 @@ interpreted engine remains the reference oracle and fallback.
 
 from ..errors import UnsupportedNetError
 from .compile import CompiledNet, compile_net
-from .engine import EnsembleCounts, VectorPredicate, run_ensemble
+from .engine import (
+    EnsembleCounts,
+    EnsembleResults,
+    VectorPredicate,
+    run_ensemble,
+)
 
 __all__ = [
     "CompiledNet",
     "EnsembleCounts",
+    "EnsembleResults",
     "UnsupportedNetError",
     "VectorPredicate",
     "compile_net",

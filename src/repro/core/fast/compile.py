@@ -109,15 +109,46 @@ class CompiledTransition:
     weight: float
     servers: int
     col0: int  # first slot column (timed only)
-    deterministic_delay: float | None
+    # The one field rows of an ensemble may vary (see ``signature``).
     distribution: FiringDistribution
     degree: DegreeFn = field(repr=False)
     plan: FiringPlan = field(repr=False)
+    # What ``degree`` closes over: (inhibitors, inputs, capacity terms)
+    # and the guard's text, which is exact for the compilable guards.
+    arc_inputs: tuple[Any, ...] = ()
+    guard: str = ""
     # Places whose counts feed this transition's enabling degree
     # (inputs, inhibitors, guard reads, capacity-checked outputs).
     dep_places: frozenset[int] = frozenset()
     # Places whose counts change when this transition fires.
     touch_places: frozenset[int] = frozenset()
+
+    def signature(self) -> tuple[tuple[str, Any], ...]:
+        """Everything but the distribution, as comparable values."""
+        plan = self.plan
+        return (
+            ("kind", self.is_timed),
+            ("definition index", self.index),
+            ("priority", self.priority),
+            ("weight", self.weight),
+            ("servers", self.servers),
+            ("slot column", self.col0),
+            ("enabling arcs", self.arc_inputs),
+            ("guard", self.guard),
+            ("dependency places", self.dep_places),
+            ("touched places", self.touch_places),
+            (
+                "firing plan",
+                (
+                    plan.delta3.tobytes(),
+                    plan.delta_tot.tobytes(),
+                    plan.pops,
+                    plan.pop_colors,
+                    plan.forwards,
+                    plan.pushes,
+                ),
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -133,6 +164,7 @@ class CompiledNet:
     possible_colors: dict[str, frozenset[Any]]
     observable: frozenset[str]  # places whose token colours matter
     queued_places: tuple[int, ...]
+    capacities: dict[int, int]
     timed: tuple[CompiledTransition, ...]  # net definition order
     immediates: tuple[CompiledTransition, ...]  # priority-desc, stable
     n_slots: int
@@ -145,6 +177,34 @@ class CompiledNet:
     @property
     def n_colors(self) -> int:
         return len(self.colors)
+
+    def structure_difference(self, other: "CompiledNet") -> str | None:
+        """The first structural difference from ``other``, or None.
+
+        Structure is everything the ensemble engine shares across rows:
+        places, transitions and their order, the colour analysis,
+        queued places, capacities, the slot layout and each
+        transition's :meth:`CompiledTransition.signature`.  Timed
+        distributions are per row and never differ structurally.
+        """
+        for label, mine, theirs in (
+            ("places", self.place_names, other.place_names),
+            ("transitions", self.transition_names, other.transition_names),
+            ("colour universe", self.colors, other.colors),
+            ("possible colours", self.possible_colors, other.possible_colors),
+            ("observable places", self.observable, other.observable),
+            ("queued places", self.queued_places, other.queued_places),
+            ("capacities", self.capacities, other.capacities),
+            ("timed transitions", len(self.timed), len(other.timed)),
+            ("immediate transitions", len(self.immediates), len(other.immediates)),
+        ):
+            if mine != theirs:
+                return label
+        for a, b in zip(self.timed + self.immediates, other.timed + other.immediates):
+            for (label, mine), (_, theirs) in zip(a.signature(), b.signature()):
+                if mine != theirs:
+                    return f"{label} of transition {a.name!r}"
+        return None
 
 
 # ----------------------------------------------------------------------
@@ -343,8 +403,12 @@ def _compile_degree(
     color_index: dict[Any, int],
     possible: dict[str, frozenset[Any]],
     capacities: dict[int, int],
-) -> DegreeFn:
-    """Lower :meth:`Simulation.enabling_degree` to vector form."""
+) -> tuple[DegreeFn, tuple[Any, ...]]:
+    """Lower :meth:`Simulation.enabling_degree` to vector form.
+
+    Returns the closure and the arc inputs it closes over, so two
+    compiled nets can be compared by value.
+    """
     where = t.name
     inhibitors = tuple(
         (place_index[a.place], a.multiplicity) for a in t.inhibitors
@@ -376,6 +440,7 @@ def _compile_degree(
         caps.append((p, capacities[p], arc.multiplicity, removed))
     inputs_t = tuple(inputs)
     caps_t = tuple(caps)
+    arc_inputs = (inhibitors, inputs_t, caps_t)
 
     # Hot-path specialisation: the overwhelmingly common transition is
     # "one unfiltered multiplicity-1 input, no inhibitors, no guard, no
@@ -389,7 +454,7 @@ def _compile_degree(
         and inputs_t[0][3] == 1
     ):
         p_only = inputs_t[0][1]
-        return lambda counts3, totals: totals[:, p_only]
+        return (lambda counts3, totals: totals[:, p_only]), arc_inputs
 
     def degree(counts3: np.ndarray, totals: np.ndarray) -> np.ndarray:
         ok: np.ndarray | None = None
@@ -421,7 +486,7 @@ def _compile_degree(
             deg = np.where(ok, deg, 0)
         return deg
 
-    return degree
+    return degree, arc_inputs
 
 
 def _dep_places(
@@ -682,7 +747,7 @@ def compile_net(net: PetriNet) -> CompiledNet:
             )
         if t.servers == INFINITE_SERVERS:
             raise UnsupportedNetError("infinite servers", t.name)
-        degree = _compile_degree(
+        degree, arc_inputs = _compile_degree(
             t, place_index, color_index, possible, capacities
         )
         plan = _compile_plan(
@@ -703,12 +768,11 @@ def compile_net(net: PetriNet) -> CompiledNet:
             weight=t.weight,
             servers=t.servers,
             col0=col,
-            deterministic_delay=(
-                t.distribution.delay if t.is_deterministic else None
-            ),
             distribution=t.distribution,
             degree=degree,
             plan=plan,
+            arc_inputs=arc_inputs,
+            guard=str(t.guard),
             dep_places=_dep_places(t, place_index, capacities),
             touch_places=_touch_places(plan),
         )
@@ -726,7 +790,7 @@ def compile_net(net: PetriNet) -> CompiledNet:
         key=lambda pair: -pair[1].priority,
     )
     for index, t in ordered_imm:
-        degree = _compile_degree(
+        degree, arc_inputs = _compile_degree(
             t, place_index, color_index, possible, capacities
         )
         plan = _compile_plan(
@@ -748,10 +812,11 @@ def compile_net(net: PetriNet) -> CompiledNet:
                 weight=t.weight,
                 servers=1,
                 col0=-1,
-                deterministic_delay=None,
                 distribution=t.distribution,
                 degree=degree,
                 plan=plan,
+                arc_inputs=arc_inputs,
+                guard=str(t.guard),
                 dep_places=_dep_places(t, place_index, capacities),
                 touch_places=_touch_places(plan),
             )
@@ -767,6 +832,7 @@ def compile_net(net: PetriNet) -> CompiledNet:
         possible_colors={k: frozenset(v) for k, v in possible.items()},
         observable=observable,
         queued_places=tuple(sorted(queued)),
+        capacities=capacities,
         timed=tuple(timed),
         immediates=tuple(immediates),
         n_slots=col,

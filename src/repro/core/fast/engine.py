@@ -1,5 +1,10 @@
-"""The lockstep ensemble engine: all replications of one sweep point as
-NumPy arrays.
+"""The lockstep ensemble engine: many replications as the rows of NumPy
+arrays.
+
+The rows share one compiled plan (places, transitions, firing plans,
+enabling closures) and may differ only in their timed transitions'
+distributions: each row keeps its own delay vector entry or
+distribution, so the rows of a whole parameter sweep run together.
 
 One *round* advances every still-active replication by exactly one
 timed event:
@@ -18,17 +23,18 @@ timed event:
    priority per replication, and — only for replications with a genuine
    tie — the interpreted engine's exact weighted ``rng.choice`` call.
 5. Timed schedules refresh in net definition order, drawing per-
-   replication delays with each replication's own generator in the
-   interpreted engine's draw order.
+   replication delays from each row's own distribution with its own
+   generator, in the interpreted engine's draw order.
 
 Every replication owns a private ``default_rng(seed)``; cross-
 replication interleaving never touches the streams, which is what makes
-the engine bit-identical to ``Simulation(net, seed).run(horizon)`` for
-compilable nets (see the package docstring for the contract).
+the engine bit-identical to ``Simulation(net, seed).run(horizon)`` per row
+for compilable nets (see the package docstring for the contract).
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable, Mapping, Sequence
 from typing import Any
 
@@ -48,7 +54,12 @@ from ..statistics import (
 )
 from .compile import CompiledNet, CompiledTransition, compile_net
 
-__all__ = ["EnsembleCounts", "VectorPredicate", "run_ensemble"]
+__all__ = [
+    "EnsembleCounts",
+    "EnsembleResults",
+    "VectorPredicate",
+    "run_ensemble",
+]
 
 
 class EnsembleCounts:
@@ -167,12 +178,45 @@ class _ColorQueue:
                 )
 
 
+def _initial_state(
+    cn: CompiledNet, initial_marking: Mapping[str, Any] | None
+) -> tuple[np.ndarray, dict[int, list[int]]]:
+    """``[P, C]`` initial counts and FIFO contents of one compiled net.
+
+    Read through the engine's own Marking so overrides, capacities and
+    colour order behave exactly as in the interpreted engine.
+    """
+    marking = cn.net.initial_marking(initial_marking)
+    base3 = np.zeros((cn.n_places, cn.n_colors), dtype=np.int64)
+    init_queues: dict[int, list[int]] = {}
+    for name, p in cn.place_index.items():
+        colors = marking.bag(name).colors()
+        if name not in cn.observable:
+            # Colours in non-observable places are projected to the
+            # colourless token at compile time (see compile.py); the
+            # initial marking must collapse the same way or the counts
+            # would desync from the compiled firing plans.
+            colors = [None] * len(colors)
+        pool = cn.possible_colors.get(name, frozenset())
+        for c in colors:
+            if c not in pool:
+                raise UnsupportedNetError(
+                    f"initial-marking colour {c!r} outside the compiled "
+                    "colour pool of this place",
+                    name,
+                )
+            base3[p, cn.color_index[c]] += 1
+        if p in cn.queued_places:
+            init_queues[p] = [cn.color_index[c] for c in colors]
+    return base3, init_queues
+
+
 class _Ensemble:
     """Mutable run state of one lockstep ensemble."""
 
     def __init__(
         self,
-        cn: CompiledNet,
+        row_nets: list[CompiledNet],
         rngs: list[np.random.Generator],
         warmup: float,
         initial_marking: Mapping[str, Any] | None,
@@ -180,38 +224,39 @@ class _Ensemble:
         on_deadlock: str,
         max_immediate_firings: int,
     ) -> None:
-        self.cn = cn
+        # Only the first row's compiled net is kept: the others differ
+        # in nothing but the timing and net name extracted below.
+        cn = self.cn = row_nets[0]
+        self.net_names = [c.net.name for c in row_nets]
         self.rngs = rngs
         self.warmup = float(warmup)
         self.on_deadlock = on_deadlock
         self.max_immediate_firings = int(max_immediate_firings)
         reps = len(rngs)
-        n_places, n_colors = cn.n_places, cn.n_colors
-        # The initial marking is identical across replications; read it
-        # through the engine's own Marking so overrides, capacities and
-        # colour order behave exactly as in the interpreted engine.
-        marking = cn.net.initial_marking(initial_marking)
-        base3 = np.zeros((n_places, n_colors), dtype=np.int64)
-        init_queues: dict[int, list[int]] = {}
-        for name, p in cn.place_index.items():
-            colors = marking.bag(name).colors()
-            if name not in cn.observable:
-                # Colours in non-observable places are projected to the
-                # colourless token at compile time (see compile.py); the
-                # initial marking must collapse the same way or the
-                # counts would desync from the compiled firing plans.
-                colors = [None] * len(colors)
-            pool = cn.possible_colors.get(name, frozenset())
-            for c in colors:
-                if c not in pool:
-                    raise UnsupportedNetError(
-                        f"initial-marking colour {c!r} outside the "
-                        f"compiled colour pool of this place",
-                        name,
-                    )
-                base3[p, cn.color_index[c]] += 1
-            if p in cn.queued_places:
-                init_queues[p] = [cn.color_index[c] for c in colors]
+        base3, init_queues = _initial_state(cn, initial_marking)
+        for other in {id(c): c for c in row_nets[1:]}.values():
+            if other is cn:
+                continue
+            what = cn.structure_difference(other)
+            if what is None:
+                other3, other_queues = _initial_state(other, initial_marking)
+                if not np.array_equal(other3, base3) or other_queues != init_queues:
+                    what = "initial marking"
+            if what is not None:
+                raise UnsupportedNetError(
+                    f"ensemble rows run nets that differ in {what} (rows "
+                    "may differ only in timed-transition distributions)"
+                )
+        # Per-row timing of every timed transition: a delay vector when
+        # every row is deterministic (no draw), else one distribution
+        # per row, sampled with that row's own generator.
+        self.timing: list[np.ndarray | list[Any]] = []
+        for u in range(len(cn.timed)):
+            dists = [c.timed[u].distribution for c in row_nets]
+            if all(d.is_deterministic for d in dists):
+                self.timing.append(np.array([d.delay for d in dists]))
+            else:
+                self.timing.append(dists)
         self.counts3 = np.repeat(base3[None, :, :], reps, axis=0)
         self.totals = self.counts3.sum(axis=2)
         self.queues = {
@@ -230,8 +275,8 @@ class _Ensemble:
         # Statistics arrays (see TimeWeightedAccumulator): one shared
         # observed-time vector — every accumulator of a replication sees
         # the same update times.
-        self.integral = np.zeros((reps, n_places))
-        self.nonzero_time = np.zeros((reps, n_places))
+        self.integral = np.zeros((reps, cn.n_places))
+        self.nonzero_time = np.zeros((reps, cn.n_places))
         self.observed = np.zeros(reps)
         self.max_counts = self.totals.copy()
         self.preds: list[tuple[str, Any, bool]] = []
@@ -453,19 +498,21 @@ class _Ensemble:
                 if not start.any():
                     continue
                 started = idx[start]
-                if ct.deterministic_delay is not None:
-                    sched[started, col] = (
-                        clock[started] + ct.deterministic_delay
-                    )
+                timing = self.timing[u]
+                if isinstance(timing, np.ndarray):
+                    sched[started, col] = clock[started] + timing[started]
                 else:
-                    dist = ct.distribution
                     for r in started:
-                        sched[r, col] = clock[r] + dist.sample(rngs[r])
+                        sched[r, col] = clock[r] + timing[r].sample(rngs[r])
             else:
-                self._refresh_multi_server(ct, idx, deg)
+                self._refresh_multi_server(ct, self.timing[u], idx, deg)
 
     def _refresh_multi_server(
-        self, ct: CompiledTransition, idx: np.ndarray, deg: np.ndarray
+        self,
+        ct: CompiledTransition,
+        timing: np.ndarray | list[Any],
+        idx: np.ndarray,
+        deg: np.ndarray,
     ) -> None:
         """Finite k > 1 servers: per-replication slot bookkeeping.
 
@@ -475,6 +522,7 @@ class _Ensemble:
         equal times.  Cold path — the shipped models are single-server.
         """
         sched, clock, rngs = self.sched, self.clock, self.rngs
+        vector = isinstance(timing, np.ndarray)
         k = ct.servers
         c0 = ct.col0
         for a, r in enumerate(idx):
@@ -489,10 +537,7 @@ class _Ensemble:
                 slot = 0
                 while need > 0:
                     if slot not in taken:
-                        if ct.deterministic_delay is not None:
-                            delay = ct.deterministic_delay
-                        else:
-                            delay = ct.distribution.sample(rngs[r])
+                        delay = timing[r] if vector else timing[r].sample(rngs[r])
                         sched[r, c0 + slot] = clock[r] + delay
                         need -= 1
                     slot += 1
@@ -587,12 +632,12 @@ class _Ensemble:
     # ------------------------------------------------------------------
     # Result hydration
     # ------------------------------------------------------------------
-    def finalize(self, horizon: float) -> list[SimulationResult]:
-        cn = self.cn
+    def finalize(self, horizon: float) -> None:
+        """Close every row's statistics at its end time."""
         # Deadlocked replications stop early, exactly like the
         # interpreted run(): their statistics close at the deadlock
         # time, not the horizon.
-        end = np.where(self.deadlocked, self.clock, horizon)
+        self.end = end = np.where(self.deadlocked, self.clock, horizon)
         lo = np.maximum(self.clock, self.warmup)
         dt = np.maximum(end - lo, 0.0)
         self.observed += dt
@@ -600,57 +645,91 @@ class _Ensemble:
         self.nonzero_time += (self.totals > 0) * dt[:, None]
         for name in self.pred_integral:
             self.pred_integral[name] += self.pred_value[name] * dt
-        out: list[SimulationResult] = []
+
+    def hydrate(self, r: int) -> SimulationResult:
+        """Row ``r`` as the interpreted engine's result type."""
+        cn = self.cn
         place_names = list(cn.place_names)
         transition_names = list(cn.transition_names)
-        for r in range(len(self.rngs)):
-            end_r = float(end[r])
-            stats = StatisticsCollector(
-                place_names, transition_names, self.warmup
-            )
-            for j, name in enumerate(place_names):
-                acc = stats.place_acc[name]
-                acc._last_time = end_r
-                acc._last_value = float(self.totals[r, j])
-                acc._integral = float(self.integral[r, j])
-                acc._nonzero_time = float(self.nonzero_time[r, j])
-                acc._observed_time = float(self.observed[r])
-                acc._max_value = float(self.max_counts[r, j])
-            for j, name in enumerate(transition_names):
-                counter = stats.transition_counters[name]
-                counter.count = int(self.firing_counts[r, j])
-                counter._last_time = end_r
-            for name, spec, vector in self.preds:
-                fn = spec.fn if vector else spec
-                ps = PredicateStatistic(name, fn, self.warmup)
-                acc = ps.acc
-                acc._last_time = end_r
-                acc._last_value = float(self.pred_value[name][r])
-                acc._integral = float(self.pred_integral[name][r])
-                # 0/1 signal: time at nonzero == the integral itself.
-                acc._nonzero_time = float(self.pred_integral[name][r])
-                acc._observed_time = float(self.observed[r])
-                acc._max_value = float(self.pred_max[name][r])
-                stats.predicates[name] = ps
-            stats.end_time = end_r
-            out.append(
-                SimulationResult(
-                    net_name=cn.net.name,
-                    end_time=end_r,
-                    stats=stats,
-                    firings=int(self.firings[r]),
-                    deadlocked=bool(self.deadlocked[r]),
-                    final_marking_counts={
-                        name: int(self.totals[r, j])
-                        for j, name in enumerate(place_names)
-                    },
-                )
-            )
-        return out
+        end_r = float(self.end[r])
+        stats = StatisticsCollector(place_names, transition_names, self.warmup)
+        for j, name in enumerate(place_names):
+            acc = stats.place_acc[name]
+            acc._last_time = end_r
+            acc._last_value = float(self.totals[r, j])
+            acc._integral = float(self.integral[r, j])
+            acc._nonzero_time = float(self.nonzero_time[r, j])
+            acc._observed_time = float(self.observed[r])
+            acc._max_value = float(self.max_counts[r, j])
+        for j, name in enumerate(transition_names):
+            counter = stats.transition_counters[name]
+            counter.count = int(self.firing_counts[r, j])
+            counter._last_time = end_r
+        for name, spec, vector in self.preds:
+            fn = spec.fn if vector else spec
+            ps = PredicateStatistic(name, fn, self.warmup)
+            acc = ps.acc
+            acc._last_time = end_r
+            acc._last_value = float(self.pred_value[name][r])
+            acc._integral = float(self.pred_integral[name][r])
+            # 0/1 signal: time at nonzero == the integral itself.
+            acc._nonzero_time = float(self.pred_integral[name][r])
+            acc._observed_time = float(self.observed[r])
+            acc._max_value = float(self.pred_max[name][r])
+            stats.predicates[name] = ps
+        stats.end_time = end_r
+        return SimulationResult(
+            net_name=self.net_names[r],
+            end_time=end_r,
+            stats=stats,
+            firings=int(self.firings[r]),
+            deadlocked=bool(self.deadlocked[r]),
+            final_marking_counts={
+                name: int(self.totals[r, j])
+                for j, name in enumerate(place_names)
+            },
+        )
+
+
+class EnsembleResults(Sequence[SimulationResult]):
+    """The per-row results of one finished ensemble, read-only.
+
+    Each access hydrates a fresh :class:`SimulationResult` from the
+    ensemble's arrays and keeps no reference to it, so a caller that
+    reduces rows one at a time holds one hydrated statistics collector
+    at a time.  Repeated access gives equal results.
+    """
+
+    __slots__ = ("_ensemble",)
+
+    def __init__(self, ensemble: _Ensemble | None) -> None:
+        self._ensemble = ensemble  # None: an ensemble of no rows
+
+    def __len__(self) -> int:
+        return 0 if self._ensemble is None else len(self._ensemble.rngs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[r] for r in range(*index.indices(len(self)))]
+        r = operator.index(index)
+        if r < 0:
+            r += len(self)
+        if not 0 <= r < len(self):
+            raise IndexError(f"ensemble row {index} out of range")
+        return self._ensemble.hydrate(r)
+
+
+def _compile_rows(nets: list[PetriNet]) -> list[CompiledNet]:
+    """One compiled net per row; each distinct net is compiled once."""
+    compiled: dict[int, CompiledNet] = {}
+    for n in nets:
+        if id(n) not in compiled:
+            compiled[id(n)] = compile_net(n)
+    return [compiled[id(n)] for n in nets]
 
 
 def run_ensemble(
-    net: PetriNet,
+    net: PetriNet | Sequence[PetriNet],
     horizon: float,
     seeds: Sequence[int] | None = None,
     *,
@@ -660,37 +739,42 @@ def run_ensemble(
     predicates: Mapping[str, Any] | None = None,
     on_deadlock: str = "stop",
     max_immediate_firings: int = 100_000,
-    compiled: CompiledNet | None = None,
-) -> list[SimulationResult]:
-    """Run all replications of one sweep point in vectorized lockstep.
+) -> EnsembleResults:
+    """Run one ensemble of replications in vectorized lockstep.
 
     Parameters
     ----------
     net:
-        The net definition (compiled on the fly unless ``compiled`` is
-        given).  Must lie in the compilable subset, else
-        :class:`~repro.core.errors.UnsupportedNetError`.
+        One net for every row, or a sequence with one net per seed.
+        Rows that share parameters should repeat the same object: each
+        distinct net is compiled once.  All nets must lie in the
+        compilable subset and compile to the same structure, differing
+        only in their timed transitions' distributions (e.g. the sweep
+        values of a ``Deterministic`` threshold, or per-row exponential
+        rates); anything else raises
+        :class:`~repro.core.errors.UnsupportedNetError` naming the first
+        difference.
     horizon:
         Simulated time per replication.
     seeds / rngs:
-        One seed (or ready generator) per replication.  Replication
-        ``r``'s results are bit-identical to
-        ``Simulation(net, seed=seeds[r], warmup=warmup).run(horizon)``.
+        One seed (or ready generator) per replication.  Row ``r``'s
+        result is bit-identical to ``Simulation(nets[r],
+        seed=seeds[r], warmup=warmup).run(horizon)``.
     warmup / initial_marking / on_deadlock / max_immediate_firings:
-        As on :class:`~repro.core.simulator.Simulation`.
+        As on :class:`~repro.core.simulator.Simulation`, shared by all
+        rows.
     predicates:
         ``name -> VectorPredicate | callable`` marking predicates; the
         hydrated statistics expose them via ``predicate_probability``.
-    compiled:
-        Reuse a :func:`~repro.core.fast.compile.compile_net` result
-        across calls (e.g. across adaptive rounds of the same model).
 
     Returns
     -------
-    list[SimulationResult]
-        One result per replication, in seed order — the same type the
-        interpreted engine produces, so downstream energy accounting
-        and statistics code runs unchanged.
+    EnsembleResults
+        One result per row, in seed order — the type the interpreted
+        engine produces, so downstream energy accounting and statistics
+        code runs unchanged.  The run itself is eager (argument errors
+        and :class:`~repro.core.errors.DeadlockError` raise here); each
+        row is hydrated when it is accessed.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
@@ -705,11 +789,13 @@ def run_ensemble(
         if rngs is None
         else list(rngs)
     )
+    nets = [net] * len(gen_list) if isinstance(net, PetriNet) else list(net)
+    if len(nets) != len(gen_list):
+        raise ValueError(f"got {len(nets)} nets for {len(gen_list)} replications")
     if not gen_list:
-        return []
-    cn = compiled if compiled is not None else compile_net(net)
+        return EnsembleResults(None)
     ensemble = _Ensemble(
-        cn,
+        _compile_rows(nets),
         gen_list,
         warmup,
         initial_marking,
@@ -718,4 +804,5 @@ def run_ensemble(
         max_immediate_firings,
     )
     ensemble.run(float(horizon))
-    return ensemble.finalize(float(horizon))
+    ensemble.finalize(float(horizon))
+    return EnsembleResults(ensemble)

@@ -25,7 +25,7 @@ from ..core.statistics import ConfidenceInterval, replication_interval
 from ..des.cpu import CPUPowerStateSimulator, CPUStates
 from ..energy.power import PowerStateTable, cpu_power_table
 from ..models.cpu_markov import CPUMarkovModel
-from ..models.cpu_petri import CPUPetriModel
+from ..models.cpu_petri import CPUPetriModel, simulate_cpu_ensembles
 from .deltas import DeltaStats, delta_table
 from .sweep import FIG4_TO_9_THRESHOLDS
 
@@ -160,64 +160,86 @@ def _evaluate_cpu_point(
     return out
 
 
+#: One sweep point of the vectorized task: ``(threshold, seeds,
+#: first_replication, power_up_delay, cfg, table)``.
+_PointItem = tuple[
+    float, tuple[int, ...], int, float, CPUComparisonConfig, PowerStateTable
+]
+
+
 def _evaluate_cpu_point_ensemble(
-    task: tuple[
-        float, tuple[int, ...], int, float, CPUComparisonConfig, PowerStateTable
-    ],
-) -> list[dict[str, tuple[dict[str, float], float]]]:
-    """All replications of one threshold point, Petri net vectorized.
+    items: tuple[_PointItem, ...],
+) -> list[list[dict[str, tuple[dict[str, float], float]]]]:
+    """Packed threshold points, the Petri net vectorized across them.
 
     The ``engine="vectorized"`` counterpart of
-    :func:`_evaluate_cpu_point`: ``task = (threshold, seeds,
-    first_replication, power_up_delay, cfg, table)``.  The Petri-net
-    estimator runs the whole seed tuple in lockstep through
-    :meth:`~repro.models.cpu_petri.CPUPetriModel.simulate_ensemble`
+    :func:`_evaluate_cpu_point`: the items (see ``_PointItem``) must
+    share ``cfg``.  The Petri-net estimator runs every item's seeds as
+    rows of one lockstep ensemble through
+    :func:`~repro.models.cpu_petri.simulate_cpu_ensembles`
     (bit-identical per replication); the event-driven DES is not a
     Petri net and runs per seed as before, and the deterministic Markov
-    solve still happens once, on global replication 0 only.  Element
-    ``j`` therefore equals ``_evaluate_cpu_point`` at replication
+    solve still happens once per point, on global replication 0 only.
+    Element ``j`` of item ``k``'s list therefore equals
+    ``_evaluate_cpu_point`` at that point's replication
     ``first_replication + j`` exactly.
     """
-    threshold, seeds, first_rep, power_up_delay, cfg, table = task
+    from ..runtime.adaptive import shared_field
+
+    cfg = shared_field(items, 4, "config")
     duration = cfg.horizon - cfg.warmup
+    petri_groups = simulate_cpu_ensembles(
+        [
+            CPUPetriModel(
+                cfg.arrival_rate, cfg.service_rate, threshold, power_up_delay
+            )
+            for threshold, _, _, power_up_delay, _, _ in items
+        ],
+        [seeds for _, seeds, *_ in items],
+        cfg.horizon,
+        cfg.warmup,
+    )
 
-    petri_results = CPUPetriModel(
-        cfg.arrival_rate, cfg.service_rate, threshold, power_up_delay
-    ).simulate_ensemble(cfg.horizon, seeds, warmup=cfg.warmup)
-
-    out: list[dict[str, tuple[dict[str, float], float]]] = []
-    for j, (point_seed, petri) in enumerate(zip(seeds, petri_results)):
-        estimates: list[tuple[str, object]] = [
-            (
-                "simulation",
-                CPUPowerStateSimulator(
-                    cfg.arrival_rate,
-                    cfg.service_rate,
-                    threshold,
-                    power_up_delay,
-                    seed=point_seed,
-                    warmup=cfg.warmup,
-                ).run(cfg.horizon),
-            ),
-            ("petri", petri),
-        ]
-        if first_rep + j == 0:
-            estimates.append(
+    out: list[list[dict[str, tuple[dict[str, float], float]]]] = []
+    for item, petris in zip(items, petri_groups):
+        threshold, seeds, first_rep, power_up_delay, _, table = item
+        point: list[dict[str, tuple[dict[str, float], float]]] = []
+        for j, (point_seed, petri) in enumerate(zip(seeds, petris)):
+            estimates: list[tuple[str, object]] = [
                 (
-                    "markov",
-                    CPUMarkovModel(
-                        cfg.arrival_rate, cfg.service_rate, threshold, power_up_delay
-                    ).simulate(cfg.horizon, warmup=cfg.warmup),
+                    "simulation",
+                    CPUPowerStateSimulator(
+                        cfg.arrival_rate,
+                        cfg.service_rate,
+                        threshold,
+                        power_up_delay,
+                        seed=point_seed,
+                        warmup=cfg.warmup,
+                    ).run(cfg.horizon),
+                ),
+                ("petri", petri),
+            ]
+            if first_rep + j == 0:
+                estimates.append(
+                    (
+                        "markov",
+                        CPUMarkovModel(
+                            cfg.arrival_rate,
+                            cfg.service_rate,
+                            threshold,
+                            power_up_delay,
+                        ).simulate(cfg.horizon, warmup=cfg.warmup),
+                    )
                 )
-            )
-        rep: dict[str, tuple[dict[str, float], float]] = {}
-        for est, result in estimates:
-            fracs = {state: result.fraction(state) for state in CPUStates.ALL}
-            rep[est] = (
-                fracs,
-                table.energy_from_probabilities_j(result.fractions, duration),
-            )
-        out.append(rep)
+            rep: dict[str, tuple[dict[str, float], float]] = {}
+            for est, result in estimates:
+                fracs = {state: result.fraction(state) for state in CPUStates.ALL}
+                rep[est] = (
+                    fracs,
+                    table.energy_from_probabilities_j(result.fractions, duration),
+                )
+            point.append(rep)
+        out.append(point)
     return out
 
 
@@ -255,9 +277,9 @@ def run_cpu_comparison(
     ``replications=max_replications`` run; ``replications`` acts as a
     floor on ``min_replications``.
 
-    ``engine="vectorized"`` runs each point's Petri-net replications in
-    lockstep through :mod:`repro.core.fast` (one ensemble task per
-    threshold point); the DES and the analytic Markov solve are not
+    ``engine="vectorized"`` runs the Petri-net replications of every
+    threshold point as rows of one lockstep ensemble per executor slot
+    (:mod:`repro.core.fast`); the DES and the analytic Markov solve are not
     Petri nets and evaluate exactly as before, so the result is
     bit-identical to the interpreted engine at every seed plan.
 

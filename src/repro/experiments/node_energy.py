@@ -172,11 +172,12 @@ def run_node_energy_sweep(
     ``replications=max_replications`` run; ``replications`` acts as a
     floor on ``min_replications``.
 
-    ``engine="vectorized"`` runs each threshold point's replications in
-    lockstep through :mod:`repro.core.fast` (one ensemble task per
-    point, so chunking batches sweep points); the engine is
-    bit-identical per replication, so the sweep result matches the
-    interpreted engine exactly at every seed plan.
+    ``engine="vectorized"`` runs the replications of every threshold
+    point as rows of one lockstep ensemble per executor slot
+    (:mod:`repro.core.fast`; the points' nets differ only in the
+    ``Power_Down_Threshold`` delay); the engine is bit-identical per
+    replication, so the sweep result matches the interpreted engine
+    exactly at every seed plan.
 
     A ``store`` memoizes per-replication node results keyed by
     ``(params, workload, horizon, seed)`` — shared across engines,

@@ -27,7 +27,11 @@ import numpy as np
 
 from ..energy.power import PXA271_CPU_POWER_MW
 from ..markov.supplementary import SupplementaryVariableCPUModel
-from ..models.wsn_node import NodeParameters, WSNNodeModel
+from ..models.wsn_node import (
+    NodeParameters,
+    WSNNodeModel,
+    simulate_node_ensembles,
+)
 
 __all__ = [
     "RateSensitivityResult",
@@ -77,18 +81,30 @@ def _node_energy_task(task: tuple[float, float, str, float, int]) -> float:
 
 
 def _node_energy_ensemble_task(
-    task: tuple[float, float, str, float, tuple[int, ...]],
-) -> list[float]:
-    """All replications of one (rate, threshold) cell in lockstep.
+    items: tuple[tuple[float, float, str, float, tuple[int, ...]], ...],
+) -> list[list[float]]:
+    """Packed (rate, threshold) cells as one lockstep ensemble.
 
     The ``engine="vectorized"`` counterpart of
-    :func:`_node_energy_task`, bit-identical per seed (see
+    :func:`_node_energy_task`: each item is ``(rate, threshold,
+    workload, horizon, seeds)``, the items must share ``workload`` and
+    ``horizon``, and different rates become per-row exponential
+    arrival distributions.  Bit-identical per seed (see
     :mod:`repro.core.fast`).
     """
-    rate, threshold, workload, horizon, seeds = task
-    params = NodeParameters(power_down_threshold=threshold, arrival_rate=rate)
-    results = WSNNodeModel(params, workload).simulate_ensemble(horizon, seeds)
-    return [r.total_energy_j for r in results]
+    from ..runtime.adaptive import shared_field
+
+    workload = shared_field(items, 2, "workload")
+    horizon = shared_field(items, 3, "horizon")
+    models = [
+        WSNNodeModel(
+            NodeParameters(power_down_threshold=threshold, arrival_rate=rate),
+            workload,
+        )
+        for rate, threshold, *_ in items
+    ]
+    groups = simulate_node_ensembles(models, [seeds for *_, seeds in items], horizon)
+    return [[r.total_energy_j for r in group] for group in groups]
 
 
 def node_optimum_vs_rate(
@@ -117,11 +133,9 @@ def node_optimum_vs_rate(
     stop independently, so cheap low-variance cells don't pay for noisy
     ones.
 
-    ``engine="vectorized"`` runs each cell's replications in lockstep
-    through :mod:`repro.core.fast` (one ensemble task per cell);
-    bit-identical per replication, so the surface is unchanged.  With a
-    single replication every cell is an ensemble of one, so the
-    interpreted engine is usually faster there.
+    ``engine="vectorized"`` runs the cells' replications as rows of one
+    lockstep ensemble per executor slot (:mod:`repro.core.fast`);
+    bit-identical per replication, so the surface is unchanged.
 
     A ``store`` memoizes per-replication cell energies keyed by
     ``(rate, threshold, workload, horizon, seed)``.

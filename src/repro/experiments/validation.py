@@ -147,25 +147,27 @@ def _percent_difference(rep: tuple[IMote2RunResult, SimpleNodeResult, float]) ->
 
 
 def _run_validation_ensemble(
-    task: tuple[ValidationConfig, tuple[int, ...]],
-) -> list[tuple[IMote2RunResult, SimpleNodeResult, float]]:
-    """All validation replications of one batch, Petri net vectorized.
+    items: tuple[tuple[ValidationConfig, tuple[int, ...]], ...],
+) -> list[list[tuple[IMote2RunResult, SimpleNodeResult, float]]]:
+    """Packed validation batches, the Petri net vectorized per batch.
 
     The ``engine="vectorized"`` counterpart of
-    :func:`_run_validation_rep`: the Fig. 10 Petri runs of every seed
-    proceed in lockstep through
+    :func:`_run_validation_rep`: each item is ``(cfg, seeds)``, and the
+    Fig. 10 Petri runs of its seeds proceed in lockstep through
     :meth:`~repro.models.simple_node.SimpleNodeModel.simulate_ensemble`
     (bit-identical per replication); the IMote2 hardware simulator is
     an event-driven DES, not a Petri net, and runs per seed as before.
     """
-    cfg, seeds = task
-    petris = SimpleNodeModel().simulate_ensemble(
-        cfg.petri_horizon, seeds, warmup=cfg.petri_warmup
-    )
     out = []
-    for seed, petri in zip(seeds, petris):
-        hardware = IMote2HardwareSimulator(seed=seed).run_events(cfg.n_events)
-        out.append((hardware, petri, petri.energy_over(hardware.duration_s)))
+    for cfg, seeds in items:
+        petris = SimpleNodeModel().simulate_ensemble(
+            cfg.petri_horizon, seeds, warmup=cfg.petri_warmup
+        )
+        reps = []
+        for seed, petri in zip(seeds, petris):
+            hardware = IMote2HardwareSimulator(seed=seed).run_events(cfg.n_events)
+            reps.append((hardware, petri, petri.energy_over(hardware.duration_s)))
+        out.append(reps)
     return out
 
 

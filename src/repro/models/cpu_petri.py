@@ -33,6 +33,7 @@ costs no time, so ``Active``/``Idle`` splits are exact.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..analysis.structural import check_model_invariants
@@ -42,7 +43,7 @@ from ..core.net import PetriNet
 from ..core.simulator import Simulation, SimulationResult
 from ..des.cpu import CPUSimResult, CPUStates
 
-__all__ = ["CPUPetriModel", "build_cpu_petri_net"]
+__all__ = ["CPUPetriModel", "build_cpu_petri_net", "simulate_cpu_ensembles"]
 
 #: Place names of the four power states, in the paper's order.
 STATE_PLACES = {
@@ -169,16 +170,14 @@ class CPUPetriModel:
         seeds,
         warmup: float = 0.0,
     ) -> list[CPUSimResult]:
-        """All seeds of one sweep point through the vectorized engine.
+        """Replications of this model through the vectorized engine.
 
         Bit-identical to ``[self.simulate(horizon, seed=s,
         warmup=warmup) for s in seeds]`` (see :mod:`repro.core.fast`),
-        but run in lockstep as one NumPy ensemble.
+        but run in lockstep as one NumPy ensemble; see
+        :func:`simulate_cpu_ensembles` for several models at once.
         """
-        from ..core.fast import run_ensemble
-
-        results = run_ensemble(self.build(), horizon, seeds, warmup=warmup)
-        return [self._summarise(r, warmup) for r in results]
+        return simulate_cpu_ensembles([self], [seeds], horizon, warmup)[0]
 
     def _summarise(self, result: SimulationResult, warmup: float) -> CPUSimResult:
         fractions = {
@@ -195,3 +194,32 @@ class CPUPetriModel:
             jobs_served=result.stats.firing_count("Service_Rate"),
             wakeups=result.stats.firing_count("T1"),
         )
+
+
+def simulate_cpu_ensembles(
+    models: Sequence[CPUPetriModel],
+    seeds: Sequence[Sequence[int | None]],
+    horizon: float,
+    warmup: float = 0.0,
+) -> list[list[CPUSimResult]]:
+    """Every model's replications as rows of one lockstep ensemble.
+
+    ``models[k]`` runs at each seed of ``seeds[k]``.  The Fig. 3 net's
+    structure does not depend on its parameters, so any models combine;
+    each row is summarised as it is hydrated, bit-identical to
+    ``models[k].simulate(horizon, seed=s, warmup=warmup)``.
+    """
+    from ..core.fast import run_ensemble
+
+    nets: list[PetriNet] = []
+    for model, group in zip(models, seeds):
+        nets += [model.build()] * len(group)
+    rows = iter(
+        run_ensemble(
+            nets, horizon, [s for group in seeds for s in group], warmup=warmup
+        )
+    )
+    return [
+        [model._summarise(next(rows), warmup) for _ in group]
+        for model, group in zip(models, seeds)
+    ]

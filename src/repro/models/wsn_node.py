@@ -63,6 +63,7 @@ __all__ = [
     "build_wsn_node_net",
     "simulate_node_task",
     "simulate_node_ensemble_task",
+    "simulate_node_ensembles",
 ]
 
 
@@ -80,19 +81,62 @@ def simulate_node_task(
 
 
 def simulate_node_ensemble_task(
-    task: "tuple[NodeParameters, str, float, tuple[int, ...]]",
-) -> "list[WSNNodeResult]":
-    """All replications of one node sweep point, vectorized.
+    items: "tuple[tuple[NodeParameters, str, float, tuple[int, ...]], ...]",
+) -> "list[list[WSNNodeResult]]":
+    """Packed node sweep items, vectorized as one ensemble.
 
     The ``engine="vectorized"`` counterpart of
-    :func:`simulate_node_task`: ``task = (params, workload, horizon,
-    seeds)`` and the whole seed tuple runs in lockstep through
-    :func:`repro.core.fast.run_ensemble`, returning one
-    :class:`WSNNodeResult` per seed — bit-identical to mapping
-    :func:`simulate_node_task` over the seeds.
+    :func:`simulate_node_task`: each item is ``(params, workload,
+    horizon, seeds)``, and every item's seeds run together in one
+    lockstep :func:`repro.core.fast.run_ensemble` (one net per item).
+    Returns one :class:`WSNNodeResult` list per item, bit-identical to
+    mapping :func:`simulate_node_task` over its seeds.  The items must
+    share ``workload`` and ``horizon``.
     """
-    params, workload, horizon, seeds = task
-    return WSNNodeModel(params, workload).simulate_ensemble(horizon, seeds)
+    from ..runtime.adaptive import shared_field
+
+    workload = shared_field(items, 1, "workload")
+    horizon = shared_field(items, 2, "horizon")
+    return simulate_node_ensembles(
+        [WSNNodeModel(params, workload) for params, *_ in items],
+        [seeds for *_, seeds in items],
+        horizon,
+    )
+
+
+def simulate_node_ensembles(
+    models: "Sequence[WSNNodeModel]",
+    seeds: "Sequence[Sequence[int | None]]",
+    horizon: float,
+    warmup: float = 0.0,
+) -> "list[list[WSNNodeResult]]":
+    """Every model's replications as rows of one lockstep ensemble.
+
+    ``models[k]`` runs at each seed of ``seeds[k]``; the models must
+    build structurally identical nets (one workload kind; thresholds
+    and rates may differ).  Each row is accounted as it is hydrated,
+    so the result is bit-identical to ``[[m.simulate(horizon, seed=s,
+    warmup=warmup) for s in group] for m, group in zip(models,
+    seeds)]``.
+    """
+    from ..core.fast import VectorPredicate, run_ensemble
+
+    nets: list[PetriNet] = []
+    for model, group in zip(models, seeds):
+        nets += [model.build()] * len(group)
+    rows = iter(
+        run_ensemble(
+            nets,
+            horizon,
+            [s for group in seeds for s in group],
+            warmup=warmup,
+            predicates={"cpu_active": VectorPredicate(WSNNodeModel._cpu_active)},
+        )
+    )
+    return [
+        [model._account(next(rows), warmup) for _ in group]
+        for model, group in zip(models, seeds)
+    ]
 
 
 #: System-stage places in pipeline order.
@@ -467,24 +511,15 @@ class WSNNodeModel:
         seeds: "Sequence[int | None]",
         warmup: float = 0.0,
     ) -> list[WSNNodeResult]:
-        """All replications of one sweep point through the fast engine.
+        """Replications of this model through the fast engine.
 
         Runs every seed in lockstep via
-        :func:`repro.core.fast.run_ensemble` and accounts energy with
-        the exact post-processing of :meth:`simulate`, so the returned
-        list is bit-identical to ``[self.simulate(horizon, seed=s,
+        :func:`repro.core.fast.run_ensemble` (see
+        :func:`simulate_node_ensembles` for several models at once),
+        bit-identical to ``[self.simulate(horizon, seed=s,
         warmup=warmup) for s in seeds]``.
         """
-        from ..core.fast import VectorPredicate, run_ensemble
-
-        results = run_ensemble(
-            self.build(),
-            horizon,
-            seeds,
-            warmup=warmup,
-            predicates={"cpu_active": VectorPredicate(self._cpu_active)},
-        )
-        return [self._account(r, warmup) for r in results]
+        return simulate_node_ensembles([self], [seeds], horizon, warmup)[0]
 
     def _account(self, result, warmup: float) -> WSNNodeResult:
         """Turn one engine result into the Figs. 14/15 quantities."""

@@ -38,6 +38,7 @@ from typing import Any
 
 from ..core.statistics import replication_interval
 from .config import ExecutionConfig, ResolvedExecution, as_resolved
+from .executor import ParallelExecutor
 from .store import ResultStore, task_key
 
 __all__ = [
@@ -45,6 +46,7 @@ __all__ = [
     "AdaptivePointRun",
     "run_adaptive_rounds",
     "run_replications",
+    "shared_field",
 ]
 
 
@@ -136,7 +138,7 @@ def run_replications(
     n_points: int,
     rx: ResolvedExecution,
     *,
-    ensemble_fn: Callable[[Any], list[Any]] | None = None,
+    ensemble_fn: Callable[[tuple[Any, ...]], list[list[Any]]] | None = None,
     ensemble_task_for: Callable[[int, int, int], Any] | None = None,
     metrics: Callable[[Any], float | Sequence[float]] = float,
     confidence: float = 0.95,
@@ -154,8 +156,9 @@ def run_replications(
       rx.replications), rx.max_replications, confidence)``, stopping
       each point on ``metrics`` (see :func:`run_adaptive_rounds`);
     * ``rx.engine == "vectorized"`` submits the ensemble shape
-      (``ensemble_fn`` / ``ensemble_task_for``, required then), one task
-      per point per round; otherwise one ``fn`` task per replication.
+      (``ensemble_fn`` / ``ensemble_task_for``, required then): each
+      round's per-point items packed into one task per executor slot;
+      otherwise one ``fn`` task per replication.
 
     Store keys are always ``task_key(fn, task_for(i, r))``, so every
     engine, backend and replication policy shares one cache.  Size the
@@ -193,7 +196,7 @@ def run_adaptive_rounds(
     n_points: int,
     settings: AdaptiveSettings,
     metrics: Callable[[Any], float | Sequence[float]] = float,
-    ensemble_fn: Callable[[Any], list[Any]] | None = None,
+    ensemble_fn: Callable[[tuple[Any, ...]], list[list[Any]]] | None = None,
     ensemble_task_for: Callable[[int, int, int], Any] | None = None,
     exec_cfg: ExecutionConfig | ResolvedExecution | None = None,
 ) -> list[AdaptivePointRun]:
@@ -224,14 +227,19 @@ def run_adaptive_rounds(
         *every* metric meets ``ci_target``.  Applied in the parent.
     ensemble_fn / ensemble_task_for:
         The ``engine="vectorized"`` round shape: when both are given,
-        each round submits **one task per open point** covering all of
-        that round's new replications — ``ensemble_task_for(point,
-        first_replication, count)`` builds the item and
-        ``ensemble_fn(item)`` returns the ``count`` per-replication
-        values in seed-plan order.  Chunking thus batches sweep points,
-        not replications; the stopping rule, seed-plan prefix contract
-        and returned values are unchanged (the vectorized engine is
-        bit-identical per replication).
+        ``ensemble_task_for(point, first_replication, count)`` builds
+        one item per open point covering that round's new
+        replications, and the round's items are packed strided into
+        ``min(items, slots)`` tasks — one per executor slot
+        (``workers``, or the backend's ``parallelism``).
+        ``ensemble_fn(items)`` receives a task's tuple of items, runs
+        them as one lockstep ensemble and returns one list of
+        ``count`` per-replication values per item, in seed-plan order.
+        Items packed together must share their run-wide settings
+        (horizon, workload, warmup; see :func:`shared_field`).  The
+        stopping rule, seed-plan prefix contract and returned values
+        are unchanged (the vectorized engine is bit-identical per
+        replication).
     exec_cfg:
         An :class:`~repro.runtime.config.ExecutionConfig` (or resolved
         :class:`~repro.runtime.config.ResolvedExecution`) supplying the
@@ -240,8 +248,8 @@ def run_adaptive_rounds(
         replications are keyed by ``task_key(fn, task_for(i, r))`` —
         always the *interpreted* task shape, so both engines share
         entries.  Cached values are served without submitting work (for
-        the ensemble shape, the cached prefix is served and one smaller
-        task covers only the tail) and computed values are written
+        the ensemble shape, the cached prefix is served and a smaller
+        item covers only the tail) and computed values are written
         back, so raising ``max_replications`` on a warmed store
         schedules only the delta replications.  Its replication and
         engine fields are not read: ``settings`` and the ensemble pair
@@ -269,6 +277,47 @@ def run_adaptive_rounds(
     )
 
 
+def _run_packed(
+    pool: ParallelExecutor,
+    ensemble_fn: Callable[[tuple[Any, ...]], list[list[Any]]],
+    items: list[Any],
+) -> list[list[Any]]:
+    """One value list per ensemble item, from one task per slot.
+
+    Items are packed strided — item ``j`` goes to task ``j % n`` — so
+    each task gets a share of the cheap and the costly points instead
+    of one contiguous run of either.
+    """
+    n = min(len(items), pool.slots)
+    if not n:
+        return []
+    packed = [tuple(items[t::n]) for t in range(n)]
+    outs = pool.map(ensemble_fn, packed)
+    for task, out in zip(packed, outs):
+        if len(out) != len(task):
+            raise ValueError(
+                f"ensemble_fn returned {len(out)} value lists for a "
+                f"task of {len(task)} items"
+            )
+    return [outs[j % n][j // n] for j in range(len(items))]
+
+
+def shared_field(items: Sequence[Any], index: int, name: str) -> Any:
+    """Field ``index`` of every packed ensemble item, which must agree.
+
+    Items in one packed task run as one lockstep ensemble, so they must
+    share the run-wide settings (horizon, workload, warmup).
+    """
+    value = items[0][index]
+    for item in items[1:]:
+        if item[index] != value:
+            raise ValueError(
+                f"packed ensemble items differ in {name}: "
+                f"{value!r} != {item[index]!r}"
+            )
+    return value
+
+
 def _run_rounds(
     fn: Callable[[Any], Any],
     task_for: Callable[[int, int], Any],
@@ -277,7 +326,7 @@ def _run_rounds(
     settings: AdaptiveSettings | None,
     metrics: Callable[[Any], float | Sequence[float]],
     rx: ResolvedExecution,
-    ensemble_fn: Callable[[Any], list[Any]] | None,
+    ensemble_fn: Callable[[tuple[Any, ...]], list[list[Any]]] | None,
     ensemble_task_for: Callable[[int, int, int], Any] | None,
 ) -> list[AdaptivePointRun]:
     """The round loop behind both entry points.
@@ -308,8 +357,8 @@ def _run_rounds(
                 else []
             )
             if ensemble_task_for is not None:
-                # Serve the cached *prefix* only: the ensemble task shape
-                # covers one contiguous replication range per point.
+                # Serve the cached *prefix* only: an ensemble item covers
+                # one contiguous replication range per point.
                 cached: list[Any] = []
                 for key in keys:
                     hit, value = store.get(key)  # type: ignore[union-attr]
@@ -333,10 +382,10 @@ def _run_rounds(
                     tasks.append(task_for(i, done + r))
                 spans.append((i, n_new, slots, keys))
         if ensemble_fn is not None:
-            batches = iter(pool.map(ensemble_fn, tasks) if tasks else [])
+            tails = iter(_run_packed(pool, ensemble_fn, tasks))
             for i, n_new, cached, keys in spans:
                 n_tail = n_new - len(cached)
-                tail = list(next(batches)) if n_tail else []
+                tail = list(next(tails)) if n_tail else []
                 if len(tail) != n_tail:
                     raise ValueError(
                         f"ensemble_fn returned {len(tail)} values for "

@@ -142,6 +142,17 @@ class ParallelExecutor:
         self.mp_context = mp_context
         self.backend = backend
 
+    @property
+    def slots(self) -> int:
+        """Concurrent execution slots: the backend's, else ``workers``.
+
+        A backend without a ``parallelism`` attribute counts as one
+        slot.
+        """
+        if self.backend is not None:
+            return getattr(self.backend, "parallelism", 1)
+        return self.workers
+
     def _resolve_chunk_size(self, n_items: int) -> int:
         if self.chunk_size is not None:
             return self.chunk_size

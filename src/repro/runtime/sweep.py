@@ -81,17 +81,26 @@ def _evaluate_task(
 
 
 def _evaluate_ensemble_task(
-    task: tuple[Callable[[float, tuple[int, ...]], list[Any]], float, tuple[int, ...]],
-) -> list[Any]:
-    """One vectorized sweep-point task: all its seeds in one call."""
-    evaluate, threshold, seeds = task
-    values = evaluate(threshold, seeds)
-    if len(values) != len(seeds):
-        raise ValueError(
-            f"ensemble_evaluate returned {len(values)} values for "
-            f"{len(seeds)} seeds at threshold {threshold!r}"
-        )
-    return list(values)
+    items: tuple[
+        tuple[Callable[[float, tuple[int, ...]], list[Any]], float, tuple[int, ...]],
+        ...,
+    ],
+) -> list[list[Any]]:
+    """Packed vectorized sweep points: one user call per point.
+
+    A user ``ensemble_evaluate`` sees one threshold at a time, so the
+    packed items are evaluated in turn rather than merged.
+    """
+    out: list[list[Any]] = []
+    for evaluate, threshold, seeds in items:
+        values = evaluate(threshold, seeds)
+        if len(values) != len(seeds):
+            raise ValueError(
+                f"ensemble_evaluate returned {len(values)} values for "
+                f"{len(seeds)} seeds at threshold {threshold!r}"
+            )
+        out.append(list(values))
+    return out
 
 
 def map_sweep(
@@ -143,12 +152,12 @@ def map_sweep(
           two-level spawn tree, sized at ``max_replications`` per
           point, so an adaptive run is a bit-identical prefix of the
           fixed ``replications=max_replications`` run at the same seed.
-        * ``engine="vectorized"`` submits **one task per sweep point**
-          that runs all the point's replications in lockstep through
-          ``ensemble_evaluate``.  The seed plan is identical either
-          way, so for a bit-identical ``ensemble_evaluate`` (e.g. one
-          built on :func:`repro.core.fast.run_ensemble`) the returned
-          points match the interpreted engine exactly.
+        * ``engine="vectorized"`` calls ``ensemble_evaluate`` once per
+          sweep point with all the point's seeds, the points packed
+          into one task per executor slot.  The seed plan is identical
+          either way, so for a bit-identical ``ensemble_evaluate``
+          (e.g. one built on :func:`repro.core.fast.run_ensemble`) the
+          returned points match the interpreted engine exactly.
         * ``store`` memoizes per-replication values, keyed by the
           *interpreted* per-replication task ``(evaluate, threshold,
           seed)`` regardless of engine, so both engines and every

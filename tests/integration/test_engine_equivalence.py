@@ -29,16 +29,22 @@ from repro.core import (
     MemoryPolicy,
     PetriNet,
     Simulation,
+    Uniform,
     simulate,
 )
 from repro.core.errors import UnsupportedNetError
 from repro.core.fast import VectorPredicate, compile_net, run_ensemble
-from repro.core.guards import FunctionGuard
+from repro.core.guards import FunctionGuard, tokens_gt
 from repro.core.marking import Token
 from repro.experiments.sensitivity import node_optimum_vs_rate
 from repro.models.cpu_petri import CPUPetriModel
 from repro.models.simple_node import SimpleNodeModel
-from repro.models.wsn_node import NodeParameters, WSNNodeModel
+from repro.models.wsn_node import (
+    NodeParameters,
+    WSNNodeModel,
+    simulate_node_ensemble_task,
+    simulate_node_ensembles,
+)
 from repro.runtime.config import ExecutionConfig
 from tests.integration.test_random_nets import random_closed_net
 
@@ -299,3 +305,161 @@ class TestVectorPredicates:
         assert vec.stats.predicate_probability(
             "cpu_active"
         ) == ref.stats.predicate_probability("cpu_active")
+
+
+class TestMultiServerEquivalence:
+    """Finite ``servers=k`` transitions: slot starts and cancellations."""
+
+    @staticmethod
+    def _net(k, dist):
+        # ``serve`` runs up to k jobs at once; ``steal`` drains the same
+        # queue, so live slots are cancelled whenever the queue shrinks
+        # below the number of busy servers.
+        net = PetriNet("multi-server")
+        net.add_place("Src", initial_tokens=1)
+        net.add_place("Queue", initial_tokens=k)
+        net.add_place("Done")
+        net.add_transition(
+            "arrive", Exponential(3.0), inputs=["Src"], outputs=["Src", "Queue"]
+        )
+        net.add_transition(
+            "serve", dist, inputs=["Queue"], outputs=["Done"], servers=k
+        )
+        net.add_transition(
+            "steal", Exponential(1.5), inputs=["Queue"], outputs=["Done"]
+        )
+        net.add_transition("leave", Exponential(4.0), inputs=["Done"])
+        return net
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize(
+        "dist",
+        [Exponential(0.8), Deterministic(0.9), Uniform(0.2, 1.6)],
+        ids=["exponential", "deterministic", "uniform"],
+    )
+    def test_matches_interpreted(self, k, dist):
+        net = self._net(k, dist)
+        seeds = list(range(40, 48))
+        ensemble = run_ensemble(net, 60.0, seeds)
+        for s, vec in zip(seeds, ensemble):
+            ref = simulate(net, horizon=60.0, seed=s)
+            assert vec.firings == ref.firings
+            assert vec.final_marking_counts == ref.final_marking_counts
+            for place in net.place_names:
+                assert vec.occupancy(place) == ref.occupancy(place), place
+            for t in net.transition_names:
+                assert vec.stats.firing_count(t) == ref.stats.firing_count(t)
+
+
+class TestPerRowEnsembles:
+    """Rows with different (structurally identical) nets, one ensemble."""
+
+    THRESHOLDS = (1e-9, 0.00178, 0.05, 1.0)
+    SEEDS = (2010, 7, 123)
+    HORIZON = 20.0
+
+    def _rows(self, params):
+        # One fresh net per row: every row is compiled on its own.
+        models = [WSNNodeModel(p, "closed") for p in params for _ in self.SEEDS]
+        results = run_ensemble(
+            [m.build() for m in models],
+            self.HORIZON,
+            [s for _ in params for s in self.SEEDS],
+            predicates={
+                "cpu_active": VectorPredicate(WSNNodeModel._cpu_active)
+            },
+        )
+        return models, results
+
+    def _assert_rows_match(self, params):
+        models, results = self._rows(params)
+        seeds = [s for _ in params for s in self.SEEDS]
+        assert len(results) == len(models)
+        for model, seed, result in zip(models, seeds, results):
+            assert model._account(result, 0.0) == model.simulate(
+                self.HORIZON, seed=seed
+            )
+
+    def test_threshold_rows_match_per_point_runs(self):
+        self._assert_rows_match(
+            [NodeParameters(power_down_threshold=t) for t in self.THRESHOLDS]
+        )
+
+    def test_arrival_rate_rows_match_per_point_runs(self):
+        # Different rates are per-row exponential arrival distributions.
+        self._assert_rows_match(
+            [NodeParameters(arrival_rate=r) for r in (0.5, 1.0, 4.0)]
+        )
+
+    def test_grouped_models_match_single_model_ensembles(self):
+        models = [
+            WSNNodeModel(NodeParameters(power_down_threshold=t), "open")
+            for t in self.THRESHOLDS
+        ]
+        groups = simulate_node_ensembles(
+            models, [self.SEEDS] * len(models), self.HORIZON, warmup=5.0
+        )
+        assert groups == [
+            m.simulate_ensemble(self.HORIZON, self.SEEDS, warmup=5.0)
+            for m in models
+        ]
+
+    def test_packed_items_must_share_the_horizon(self):
+        p = NodeParameters()
+        items = ((p, "closed", 5.0, (1,)), (p, "closed", 6.0, (1,)))
+        with pytest.raises(ValueError, match="differ in horizon"):
+            simulate_node_ensemble_task(items)
+
+    @staticmethod
+    def _pair(multiplicity=1, guard_at=1):
+        net = PetriNet("pair")
+        net.add_place("P", initial_tokens=3)
+        net.add_place("Q")
+        net.add_transition(
+            "move",
+            Exponential(1.0),
+            inputs=[("P", multiplicity)],
+            outputs=["Q"],
+            guard=tokens_gt("P", guard_at),
+        )
+        net.add_transition("back", Exponential(1.0), inputs=["Q"], outputs=["P"])
+        return net
+
+    def test_arc_multiplicity_difference_is_refused(self):
+        with pytest.raises(UnsupportedNetError) as err:
+            run_ensemble([self._pair(), self._pair(multiplicity=2)], 5.0, [1, 2])
+        assert "enabling arcs of transition 'move'" in str(err.value)
+
+    def test_guard_constant_difference_is_refused(self):
+        with pytest.raises(UnsupportedNetError) as err:
+            run_ensemble([self._pair(), self._pair(guard_at=2)], 5.0, [1, 2])
+        assert "guard of transition 'move'" in str(err.value)
+
+    def test_net_count_must_match_seeds(self):
+        with pytest.raises(ValueError, match="2 nets for 3 replications"):
+            run_ensemble([self._pair(), self._pair()], 5.0, [1, 2, 3])
+
+    def test_results_are_a_read_only_sequence(self):
+        def summary(result):
+            return (
+                result.firings,
+                result.end_time,
+                result.final_marking_counts,
+                [result.occupancy(p) for p in ("P", "Q")],
+                [result.stats.firing_count(t) for t in ("move", "back")],
+            )
+
+        results = run_ensemble(self._pair(), 5.0, [1, 2, 3])
+        assert len(results) == 3
+        assert summary(results[-1]) == summary(results[2])
+        assert summary(results[-3]) == summary(results[0])
+        assert [summary(r) for r in results] == [summary(r) for r in results]
+        assert [summary(r) for r in results[1:]] == [
+            summary(results[1]),
+            summary(results[2]),
+        ]
+        assert summary(results[0]) != summary(results[1])
+        with pytest.raises(IndexError):
+            results[3]
+        with pytest.raises(TypeError):
+            results[0] = results[1]

@@ -63,15 +63,14 @@ def noisy(task):
     return threshold + float(np.random.default_rng(seed).normal(0.0, 0.5))
 
 
-def noisy_ensemble(task):
-    """All replications of one point in one task (vectorized shape)."""
-    threshold, seeds = task
-    return [noisy((threshold, s)) for s in seeds]
+def noisy_ensemble(items):
+    """Packed points, each with its replications (vectorized shape)."""
+    return [[noisy((threshold, s)) for s in seeds] for threshold, seeds in items]
 
 
-def bad_ensemble(task):
+def bad_ensemble(items):
     """An ensemble task that drops a value (contract violation)."""
-    return noisy_ensemble(task)[:-1]
+    return [values[:-1] for values in noisy_ensemble(items)]
 
 
 class CountingPool:
@@ -86,6 +85,12 @@ class CountingPool:
         self.calls.append(items)
         self.submitted.extend(items)
         return [fn(item) for item in items]
+
+
+class TwoSlotPool(CountingPool):
+    """A counting backend that advertises two execution slots."""
+
+    parallelism = 2
 
 
 POINTS = (0.1, 0.5)
@@ -544,8 +549,8 @@ class TestCachedEnsembleMap:
         replicate(CountingPool(), store, [1, 2], "vectorized")
         pool = CountingPool()
         grown = replicate(pool, store, [1, 2, 3, 4], "vectorized")
-        assert pool.submitted == [(0.1, (3, 4)), (0.5, (3, 4))]
-        full_cold = [noisy_ensemble((t, (1, 2, 3, 4))) for t in POINTS]
+        assert pool.submitted == [((0.1, (3, 4)), (0.5, (3, 4)))]
+        full_cold = noisy_ensemble([(t, (1, 2, 3, 4)) for t in POINTS])
         assert grown == full_cold
 
     def test_shared_keys_across_engines(self, tmp_path):
@@ -562,14 +567,30 @@ class TestCachedEnsembleMap:
         assert pool.submitted == []
 
     def test_short_ensemble_return_is_an_error(self):
-        with pytest.raises(ValueError, match="expected"):
+        # The packed task holds both points; each list comes back one
+        # value short and the error names the first such point.
+        with pytest.raises(ValueError, match="for point 0, expected 2"):
             run_replications(
                 noisy,
-                lambda i, r: (0.1, r),
-                1,
+                lambda i, r: (POINTS[i], r),
+                len(POINTS),
                 ResolvedExecution(replications=2, engine="vectorized"),
                 ensemble_fn=bad_ensemble,
-                ensemble_task_for=lambda i, start, n: (0.1, (1, 2)[start:]),
+                ensemble_task_for=lambda i, start, n: (
+                    POINTS[i],
+                    (1, 2)[start:],
+                ),
+            )
+
+    def test_missing_item_list_is_an_error(self):
+        with pytest.raises(ValueError, match="1 value lists for a task of 2"):
+            run_replications(
+                noisy,
+                lambda i, r: (POINTS[i], r),
+                len(POINTS),
+                ResolvedExecution(replications=2, engine="vectorized"),
+                ensemble_fn=lambda items: noisy_ensemble(items)[:1],
+                ensemble_task_for=lambda i, start, n: (POINTS[i], (1, 2)),
             )
 
     def test_vectorized_requires_an_ensemble_evaluator(self):
@@ -580,6 +601,96 @@ class TestCachedEnsembleMap:
                 1,
                 ResolvedExecution(engine="vectorized"),
             )
+
+
+class TestEnsemblePacking:
+    """One ensemble task per executor slot, items packed strided."""
+
+    GRID = (0.1, 0.2, 0.3, 0.4, 0.5)
+
+    def _run(self, pool, store=None, n_points=len(GRID), **policy):
+        fields = {"replications": 2, **policy}
+        return run_replications(
+            noisy,
+            lambda i, r: (self.GRID[i], 10 + r),
+            n_points,
+            ResolvedExecution(
+                backend=pool, store=store, engine="vectorized", **fields
+            ),
+            ensemble_fn=noisy_ensemble,
+            ensemble_task_for=lambda i, start, n: (
+                self.GRID[i],
+                tuple(range(10 + start, 10 + start + n)),
+            ),
+        )
+
+    def test_serial_run_submits_one_task_for_every_point(self):
+        pool = CountingPool()
+        runs = replicate(pool, None, [1, 2], "vectorized")
+        assert pool.calls == [[((0.1, (1, 2)), (0.5, (1, 2)))]]
+        assert runs == [[noisy((t, s)) for s in (1, 2)] for t in POINTS]
+
+    def test_two_slots_get_two_strided_tasks(self):
+        pool = TwoSlotPool()
+        runs = self._run(pool)
+        item = lambda i: (self.GRID[i], (10, 11))  # noqa: E731
+        assert pool.calls == [
+            [(item(0), item(2), item(4)), (item(1), item(3))]
+        ]
+        assert [run.values for run in runs] == [
+            [noisy((t, s)) for s in (10, 11)] for t in self.GRID
+        ]
+
+    def test_fewer_items_than_slots_gives_one_task_per_item(self):
+        pool = TwoSlotPool()
+        self._run(pool, n_points=1)
+        assert pool.calls == [[((0.1, (10, 11)),)]]
+
+    def test_cached_point_is_left_out_of_the_packed_task(self, tmp_path):
+        store = ResultStore(tmp_path)
+        replicate(CountingPool(), store, [1, 2])
+        # Point 1 is cached only at its first replication.
+        store._entry_path(task_key(noisy, (POINTS[1], 2))).unlink()
+        store.puts = 0
+        pool = CountingPool()
+        warm = replicate(pool, store, [1, 2], "vectorized")
+        assert pool.calls == [[((POINTS[1], (2,)),)]]
+        assert store.puts == 1  # only point 1's tail; nothing for point 0
+        assert warm == [[noisy((t, s)) for s in (1, 2)] for t in POINTS]
+
+    def test_adaptive_rounds_pack_only_open_points(self):
+        # Point 0 is noise-free and converges after the first round;
+        # later rounds pack point 1 alone.
+        def steady_or_noisy(items):
+            return [
+                [t if t == 0.1 else noisy((t, s)) for s in seeds]
+                for t, seeds in items
+            ]
+
+        pool = CountingPool()
+        runs = run_replications(
+            noisy,
+            lambda i, r: (POINTS[i], r),
+            len(POINTS),
+            ResolvedExecution(
+                backend=pool,
+                engine="vectorized",
+                ci_target=1e-9,
+                min_replications=2,
+                max_replications=4,
+            ),
+            ensemble_fn=steady_or_noisy,
+            ensemble_task_for=lambda i, start, n: (
+                POINTS[i],
+                tuple(range(start, start + n)),
+            ),
+        )
+        assert pool.calls == [
+            [((0.1, (0, 1)), (0.5, (0, 1)))],
+            [((0.5, (2, 3)),)],
+        ]
+        assert [run.converged for run in runs] == [True, False]
+        assert [run.replications for run in runs] == [2, 4]
 
 
 class TestReplicationPolicy:
