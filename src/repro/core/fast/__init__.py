@@ -6,11 +6,11 @@ an *ensemble* of replications in lockstep as the rows of NumPy arrays:
 one round pops the next event of every row (an ``argmin`` over the
 slot-time matrix), fires the popped transitions grouped per transition,
 resolves immediates by vectorized priority masks, and accumulates
-time-weighted statistics as array ops.  Rows may run different nets as
-long as they compile to the same structure and differ only in their
-timed transitions' distributions, so all the replications of every
-point of a parameter sweep can run as one ensemble.  The results
-hydrate, row by row, the same
+time-weighted statistics as array ops.  The net is compiled once for
+all rows; a per-row timing table (``row_timing``) gives chosen timed
+transitions a different distribution in each row, so all the
+replications of every point of a parameter sweep can run as one
+ensemble.  The results hydrate, row by row, the same
 :class:`~repro.core.statistics.StatisticsCollector` /
 :class:`~repro.core.simulator.SimulationResult` types the interpreted
 engine produces.
@@ -21,7 +21,7 @@ For nets inside the compilable subset (introspectable guards and token
 filters, annotated producers, enabling memory, finite servers, no reset
 arcs) the engine is **bit-identical** to
 ``Simulation(net, seed=s).run(horizon)`` per row: every row owns its
-own ``default_rng(seed)`` stream and its own net's distributions,
+own ``default_rng(seed)`` stream and its own timed distributions,
 draws happen in the interpreted engine's order (timed transitions
 refreshed in net definition order; immediate conflicts resolved with
 the identical weighted ``rng.choice`` call), deterministic delays

@@ -109,46 +109,14 @@ class CompiledTransition:
     weight: float
     servers: int
     col0: int  # first slot column (timed only)
-    # The one field rows of an ensemble may vary (see ``signature``).
     distribution: FiringDistribution
     degree: DegreeFn = field(repr=False)
     plan: FiringPlan = field(repr=False)
-    # What ``degree`` closes over: (inhibitors, inputs, capacity terms)
-    # and the guard's text, which is exact for the compilable guards.
-    arc_inputs: tuple[Any, ...] = ()
-    guard: str = ""
     # Places whose counts feed this transition's enabling degree
     # (inputs, inhibitors, guard reads, capacity-checked outputs).
     dep_places: frozenset[int] = frozenset()
     # Places whose counts change when this transition fires.
     touch_places: frozenset[int] = frozenset()
-
-    def signature(self) -> tuple[tuple[str, Any], ...]:
-        """Everything but the distribution, as comparable values."""
-        plan = self.plan
-        return (
-            ("kind", self.is_timed),
-            ("definition index", self.index),
-            ("priority", self.priority),
-            ("weight", self.weight),
-            ("servers", self.servers),
-            ("slot column", self.col0),
-            ("enabling arcs", self.arc_inputs),
-            ("guard", self.guard),
-            ("dependency places", self.dep_places),
-            ("touched places", self.touch_places),
-            (
-                "firing plan",
-                (
-                    plan.delta3.tobytes(),
-                    plan.delta_tot.tobytes(),
-                    plan.pops,
-                    plan.pop_colors,
-                    plan.forwards,
-                    plan.pushes,
-                ),
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -177,34 +145,6 @@ class CompiledNet:
     @property
     def n_colors(self) -> int:
         return len(self.colors)
-
-    def structure_difference(self, other: "CompiledNet") -> str | None:
-        """The first structural difference from ``other``, or None.
-
-        Structure is everything the ensemble engine shares across rows:
-        places, transitions and their order, the colour analysis,
-        queued places, capacities, the slot layout and each
-        transition's :meth:`CompiledTransition.signature`.  Timed
-        distributions are per row and never differ structurally.
-        """
-        for label, mine, theirs in (
-            ("places", self.place_names, other.place_names),
-            ("transitions", self.transition_names, other.transition_names),
-            ("colour universe", self.colors, other.colors),
-            ("possible colours", self.possible_colors, other.possible_colors),
-            ("observable places", self.observable, other.observable),
-            ("queued places", self.queued_places, other.queued_places),
-            ("capacities", self.capacities, other.capacities),
-            ("timed transitions", len(self.timed), len(other.timed)),
-            ("immediate transitions", len(self.immediates), len(other.immediates)),
-        ):
-            if mine != theirs:
-                return label
-        for a, b in zip(self.timed + self.immediates, other.timed + other.immediates):
-            for (label, mine), (_, theirs) in zip(a.signature(), b.signature()):
-                if mine != theirs:
-                    return f"{label} of transition {a.name!r}"
-        return None
 
 
 # ----------------------------------------------------------------------
@@ -403,12 +343,8 @@ def _compile_degree(
     color_index: dict[Any, int],
     possible: dict[str, frozenset[Any]],
     capacities: dict[int, int],
-) -> tuple[DegreeFn, tuple[Any, ...]]:
-    """Lower :meth:`Simulation.enabling_degree` to vector form.
-
-    Returns the closure and the arc inputs it closes over, so two
-    compiled nets can be compared by value.
-    """
+) -> DegreeFn:
+    """Lower :meth:`Simulation.enabling_degree` to vector form."""
     where = t.name
     inhibitors = tuple(
         (place_index[a.place], a.multiplicity) for a in t.inhibitors
@@ -440,7 +376,6 @@ def _compile_degree(
         caps.append((p, capacities[p], arc.multiplicity, removed))
     inputs_t = tuple(inputs)
     caps_t = tuple(caps)
-    arc_inputs = (inhibitors, inputs_t, caps_t)
 
     # Hot-path specialisation: the overwhelmingly common transition is
     # "one unfiltered multiplicity-1 input, no inhibitors, no guard, no
@@ -454,7 +389,7 @@ def _compile_degree(
         and inputs_t[0][3] == 1
     ):
         p_only = inputs_t[0][1]
-        return (lambda counts3, totals: totals[:, p_only]), arc_inputs
+        return lambda counts3, totals: totals[:, p_only]
 
     def degree(counts3: np.ndarray, totals: np.ndarray) -> np.ndarray:
         ok: np.ndarray | None = None
@@ -486,7 +421,7 @@ def _compile_degree(
             deg = np.where(ok, deg, 0)
         return deg
 
-    return degree, arc_inputs
+    return degree
 
 
 def _dep_places(
@@ -733,6 +668,35 @@ def compile_net(net: PetriNet) -> CompiledNet:
             ):
                 queued.add(place_index[arc.place])
 
+    def compiled(
+        index: int, t: Transition, servers: int, col0: int
+    ) -> CompiledTransition:
+        degree = _compile_degree(t, place_index, color_index, possible, capacities)
+        plan = _compile_plan(
+            t,
+            place_index,
+            color_index,
+            possible,
+            observable,
+            frozenset(queued),
+            len(place_names),
+            len(ordered),
+        )
+        return CompiledTransition(
+            name=t.name,
+            index=index,
+            is_timed=t.is_timed,
+            priority=t.priority,
+            weight=t.weight,
+            servers=servers,
+            col0=col0,
+            distribution=t.distribution,
+            degree=degree,
+            plan=plan,
+            dep_places=_dep_places(t, place_index, capacities),
+            touch_places=_touch_places(plan),
+        )
+
     timed: list[CompiledTransition] = []
     slot_timed: list[int] = []
     col = 0
@@ -747,40 +711,10 @@ def compile_net(net: PetriNet) -> CompiledNet:
             )
         if t.servers == INFINITE_SERVERS:
             raise UnsupportedNetError("infinite servers", t.name)
-        degree, arc_inputs = _compile_degree(
-            t, place_index, color_index, possible, capacities
-        )
-        plan = _compile_plan(
-            t,
-            place_index,
-            color_index,
-            possible,
-            observable,
-            frozenset(queued),
-            len(place_names),
-            len(ordered),
-        )
-        ct = CompiledTransition(
-            name=t.name,
-            index=index,
-            is_timed=True,
-            priority=t.priority,
-            weight=t.weight,
-            servers=t.servers,
-            col0=col,
-            distribution=t.distribution,
-            degree=degree,
-            plan=plan,
-            arc_inputs=arc_inputs,
-            guard=str(t.guard),
-            dep_places=_dep_places(t, place_index, capacities),
-            touch_places=_touch_places(plan),
-        )
         slot_timed.extend([len(timed)] * t.servers)
+        timed.append(compiled(index, t, t.servers, col))
         col += t.servers
-        timed.append(ct)
 
-    immediates: list[CompiledTransition] = []
     ordered_imm = sorted(
         (
             (index, t)
@@ -789,38 +723,7 @@ def compile_net(net: PetriNet) -> CompiledNet:
         ),
         key=lambda pair: -pair[1].priority,
     )
-    for index, t in ordered_imm:
-        degree, arc_inputs = _compile_degree(
-            t, place_index, color_index, possible, capacities
-        )
-        plan = _compile_plan(
-            t,
-            place_index,
-            color_index,
-            possible,
-            observable,
-            frozenset(queued),
-            len(place_names),
-            len(ordered),
-        )
-        immediates.append(
-            CompiledTransition(
-                name=t.name,
-                index=index,
-                is_timed=False,
-                priority=t.priority,
-                weight=t.weight,
-                servers=1,
-                col0=-1,
-                distribution=t.distribution,
-                degree=degree,
-                plan=plan,
-                arc_inputs=arc_inputs,
-                guard=str(t.guard),
-                dep_places=_dep_places(t, place_index, capacities),
-                touch_places=_touch_places(plan),
-            )
-        )
+    immediates = [compiled(index, t, 1, -1) for index, t in ordered_imm]
 
     return CompiledNet(
         net=net,

@@ -1,10 +1,10 @@
 """The lockstep ensemble engine: many replications as the rows of NumPy
 arrays.
 
-The rows share one compiled plan (places, transitions, firing plans,
-enabling closures) and may differ only in their timed transitions'
-distributions: each row keeps its own delay vector entry or
-distribution, so the rows of a whole parameter sweep run together.
+All rows run one compiled net (places, transitions, firing plans,
+enabling closures).  A per-row timing table may give chosen timed
+transitions a different distribution in each row, so the rows of a
+whole parameter sweep run together.
 
 One *round* advances every still-active replication by exactly one
 timed event:
@@ -40,6 +40,7 @@ from typing import Any
 
 import numpy as np
 
+from ..distributions import FiringDistribution
 from ..errors import (
     DeadlockError,
     ImmediateLoopError,
@@ -181,7 +182,7 @@ class _ColorQueue:
 def _initial_state(
     cn: CompiledNet, initial_marking: Mapping[str, Any] | None
 ) -> tuple[np.ndarray, dict[int, list[int]]]:
-    """``[P, C]`` initial counts and FIFO contents of one compiled net.
+    """``[P, C]`` initial counts and FIFO contents of a compiled net.
 
     Read through the engine's own Marking so overrides, capacities and
     colour order behave exactly as in the interpreted engine.
@@ -216,47 +217,32 @@ class _Ensemble:
 
     def __init__(
         self,
-        row_nets: list[CompiledNet],
+        cn: CompiledNet,
         rngs: list[np.random.Generator],
+        row_timing: Mapping[str, Sequence[FiringDistribution]],
         warmup: float,
         initial_marking: Mapping[str, Any] | None,
         predicates: Mapping[str, Any] | None,
         on_deadlock: str,
         max_immediate_firings: int,
     ) -> None:
-        # Only the first row's compiled net is kept: the others differ
-        # in nothing but the timing and net name extracted below.
-        cn = self.cn = row_nets[0]
-        self.net_names = [c.net.name for c in row_nets]
+        self.cn = cn
         self.rngs = rngs
         self.warmup = float(warmup)
         self.on_deadlock = on_deadlock
         self.max_immediate_firings = int(max_immediate_firings)
         reps = len(rngs)
         base3, init_queues = _initial_state(cn, initial_marking)
-        for other in {id(c): c for c in row_nets[1:]}.values():
-            if other is cn:
-                continue
-            what = cn.structure_difference(other)
-            if what is None:
-                other3, other_queues = _initial_state(other, initial_marking)
-                if not np.array_equal(other3, base3) or other_queues != init_queues:
-                    what = "initial marking"
-            if what is not None:
-                raise UnsupportedNetError(
-                    f"ensemble rows run nets that differ in {what} (rows "
-                    "may differ only in timed-transition distributions)"
-                )
         # Per-row timing of every timed transition: a delay vector when
         # every row is deterministic (no draw), else one distribution
         # per row, sampled with that row's own generator.
         self.timing: list[np.ndarray | list[Any]] = []
-        for u in range(len(cn.timed)):
-            dists = [c.timed[u].distribution for c in row_nets]
+        for ct in cn.timed:
+            dists = row_timing.get(ct.name, [ct.distribution] * reps)
             if all(d.is_deterministic for d in dists):
                 self.timing.append(np.array([d.delay for d in dists]))
             else:
-                self.timing.append(dists)
+                self.timing.append(list(dists))
         self.counts3 = np.repeat(base3[None, :, :], reps, axis=0)
         self.totals = self.counts3.sum(axis=2)
         self.queues = {
@@ -679,7 +665,7 @@ class _Ensemble:
             stats.predicates[name] = ps
         stats.end_time = end_r
         return SimulationResult(
-            net_name=self.net_names[r],
+            net_name=cn.net.name,
             end_time=end_r,
             stats=stats,
             firings=int(self.firings[r]),
@@ -719,21 +705,13 @@ class EnsembleResults(Sequence[SimulationResult]):
         return self._ensemble.hydrate(r)
 
 
-def _compile_rows(nets: list[PetriNet]) -> list[CompiledNet]:
-    """One compiled net per row; each distinct net is compiled once."""
-    compiled: dict[int, CompiledNet] = {}
-    for n in nets:
-        if id(n) not in compiled:
-            compiled[id(n)] = compile_net(n)
-    return [compiled[id(n)] for n in nets]
-
-
 def run_ensemble(
-    net: PetriNet | Sequence[PetriNet],
+    net: PetriNet,
     horizon: float,
     seeds: Sequence[int] | None = None,
     *,
     rngs: Sequence[np.random.Generator] | None = None,
+    row_timing: Mapping[str, Sequence[FiringDistribution]] | None = None,
     warmup: float = 0.0,
     initial_marking: Mapping[str, Any] | None = None,
     predicates: Mapping[str, Any] | None = None,
@@ -745,21 +723,21 @@ def run_ensemble(
     Parameters
     ----------
     net:
-        One net for every row, or a sequence with one net per seed.
-        Rows that share parameters should repeat the same object: each
-        distinct net is compiled once.  All nets must lie in the
-        compilable subset and compile to the same structure, differing
-        only in their timed transitions' distributions (e.g. the sweep
-        values of a ``Deterministic`` threshold, or per-row exponential
-        rates); anything else raises
-        :class:`~repro.core.errors.UnsupportedNetError` naming the first
-        difference.
+        The net every row runs, compiled once; it must lie in the
+        compilable subset.
     horizon:
         Simulated time per replication.
     seeds / rngs:
-        One seed (or ready generator) per replication.  Row ``r``'s
-        result is bit-identical to ``Simulation(nets[r],
-        seed=seeds[r], warmup=warmup).run(horizon)``.
+        One seed (or ready generator) per replication.
+    row_timing:
+        ``transition name -> one distribution per row`` for the timed
+        transitions whose timing differs between rows (e.g. the sweep
+        values of a ``Deterministic`` threshold, or per-row exponential
+        rates); every other timed transition keeps ``net``'s own
+        distribution in every row.  Row ``r``'s result is
+        bit-identical to ``Simulation(net_r, seed=seeds[r],
+        warmup=warmup).run(horizon)``, where ``net_r`` is ``net`` with
+        row ``r``'s distributions.
     warmup / initial_marking / on_deadlock / max_immediate_firings:
         As on :class:`~repro.core.simulator.Simulation`, shared by all
         rows.
@@ -775,6 +753,27 @@ def run_ensemble(
         code runs unchanged.  The run itself is eager (argument errors
         and :class:`~repro.core.errors.DeadlockError` raise here); each
         row is hydrated when it is accessed.
+
+    Examples
+    --------
+    Two rows of one net that differ in the delay of ``go``:
+
+    >>> from repro.core.distributions import Deterministic
+    >>> net = PetriNet("ping")
+    >>> _ = net.add_place("A", initial_tokens=1)
+    >>> _ = net.add_place("B")
+    >>> _ = net.add_transition(
+    ...     "go", Deterministic(1.0), inputs=["A"], outputs=["B"]
+    ... )
+    >>> _ = net.add_transition(
+    ...     "back", Deterministic(1.0), inputs=["B"], outputs=["A"]
+    ... )
+    >>> rows = run_ensemble(
+    ...     net, 10.0, [0, 1],
+    ...     row_timing={"go": [Deterministic(1.0), Deterministic(4.0)]},
+    ... )
+    >>> [row.stats.firing_count("go") for row in rows]
+    [5, 2]
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
@@ -789,14 +788,24 @@ def run_ensemble(
         if rngs is None
         else list(rngs)
     )
-    nets = [net] * len(gen_list) if isinstance(net, PetriNet) else list(net)
-    if len(nets) != len(gen_list):
-        raise ValueError(f"got {len(nets)} nets for {len(gen_list)} replications")
+    row_timing = row_timing or {}
+    for name, dists in row_timing.items():
+        if not (net.has_transition(name) and net.transition(name).is_timed):
+            raise ValueError(
+                f"row_timing names {name!r}, which is not a timed "
+                f"transition of net {net.name!r}"
+            )
+        if len(dists) != len(gen_list):
+            raise ValueError(
+                f"row_timing[{name!r}] has {len(dists)} distributions "
+                f"for {len(gen_list)} rows"
+            )
     if not gen_list:
         return EnsembleResults(None)
     ensemble = _Ensemble(
-        _compile_rows(nets),
+        compile_net(net),
         gen_list,
+        row_timing,
         warmup,
         initial_marking,
         predicates,

@@ -174,10 +174,9 @@ def run_node_energy_sweep(
 
     ``engine="vectorized"`` runs the replications of every threshold
     point as rows of one lockstep ensemble per executor slot
-    (:mod:`repro.core.fast`; the points' nets differ only in the
-    ``Power_Down_Threshold`` delay); the engine is bit-identical per
-    replication, so the sweep result matches the interpreted engine
-    exactly at every seed plan.
+    (:mod:`repro.core.fast`; one net, per-row ``Power_Down_Threshold``
+    delays); the engine is bit-identical per replication, so the sweep
+    result matches the interpreted engine exactly at every seed plan.
 
     A ``store`` memoizes per-replication node results keyed by
     ``(params, workload, horizon, seed)`` — shared across engines,

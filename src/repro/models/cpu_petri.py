@@ -37,7 +37,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..analysis.structural import check_model_invariants
-from ..core.distributions import Deterministic, Exponential
+from ..core.distributions import (
+    Deterministic,
+    Exponential,
+    FiringDistribution,
+)
 from ..core.guards import tokens_eq, tokens_gt
 from ..core.net import PetriNet
 from ..core.simulator import Simulation, SimulationResult
@@ -54,6 +58,21 @@ STATE_PLACES = {
 }
 
 
+def _timing(
+    arrival_rate: float,
+    service_rate: float,
+    power_down_threshold: float,
+    power_up_delay: float,
+) -> dict[str, FiringDistribution]:
+    """Each timed transition's distribution: all the parameters change."""
+    return {
+        "Arrival_Rate": Exponential(arrival_rate),
+        "Power_Up_Delay": Deterministic(power_up_delay),
+        "Service_Rate": Exponential(service_rate),
+        "Power_Down_Threshold": Deterministic(power_down_threshold),
+    }
+
+
 def build_cpu_petri_net(
     arrival_rate: float,
     service_rate: float,
@@ -65,6 +84,9 @@ def build_cpu_petri_net(
         raise ValueError("arrival_rate and service_rate must be > 0")
     if power_down_threshold < 0 or power_up_delay < 0:
         raise ValueError("threshold and delay must be >= 0")
+    timing = _timing(
+        arrival_rate, service_rate, power_down_threshold, power_up_delay
+    )
     net = PetriNet("fig3-cpu")
     net.add_place("P0", initial_tokens=1, description="workload self-loop")
     net.add_place("CPU_Buffer", description="pending jobs")
@@ -75,7 +97,7 @@ def build_cpu_petri_net(
 
     net.add_transition(
         "Arrival_Rate",
-        Exponential(arrival_rate),
+        timing["Arrival_Rate"],
         inputs=["P0"],
         outputs=["P0", "CPU_Buffer"],
         description="open workload generator",
@@ -90,7 +112,7 @@ def build_cpu_petri_net(
     )
     net.add_transition(
         "Power_Up_Delay",
-        Deterministic(power_up_delay),
+        timing["Power_Up_Delay"],
         inputs=["Power_Up"],
         outputs=["Idle"],
         description="deterministic wake-up",
@@ -105,14 +127,14 @@ def build_cpu_petri_net(
     )
     net.add_transition(
         "Service_Rate",
-        Exponential(service_rate),
+        timing["Service_Rate"],
         inputs=["Active", "CPU_Buffer"],
         outputs=["Idle"],
         description="exponential service of one job",
     )
     net.add_transition(
         "Power_Down_Threshold",
-        Deterministic(power_down_threshold),
+        timing["Power_Down_Threshold"],
         inputs=["Idle"],
         outputs=["Stand_By"],
         guard=tokens_eq("CPU_Buffer", 0),
@@ -205,18 +227,30 @@ def simulate_cpu_ensembles(
     """Every model's replications as rows of one lockstep ensemble.
 
     ``models[k]`` runs at each seed of ``seeds[k]``.  The Fig. 3 net's
-    structure does not depend on its parameters, so any models combine;
-    each row is summarised as it is hydrated, bit-identical to
+    structure does not depend on its parameters, so any models combine:
+    the net is built once, from ``models[0]``, and every row takes its
+    model's four timed distributions as per-row timing.  Each row is
+    summarised as it is hydrated, bit-identical to
     ``models[k].simulate(horizon, seed=s, warmup=warmup)``.
     """
     from ..core.fast import run_ensemble
 
-    nets: list[PetriNet] = []
-    for model, group in zip(models, seeds):
-        nets += [model.build()] * len(group)
+    timings = [
+        _timing(
+            m.arrival_rate, m.service_rate, m.power_down_threshold, m.power_up_delay
+        )
+        for m in models
+    ]
     rows = iter(
         run_ensemble(
-            nets, horizon, [s for group in seeds for s in group], warmup=warmup
+            models[0].build(),
+            horizon,
+            [s for group in seeds for s in group],
+            row_timing={
+                name: [t[name] for t, group in zip(timings, seeds) for _ in group]
+                for name in timings[0]
+            },
+            warmup=warmup,
         )
     )
     return [

@@ -74,11 +74,15 @@ class OpenWorkload(WorkloadGenerator):
         if self.rate <= 0:
             raise ValueError(f"rate must be > 0, got {self.rate}")
 
+    def arrivals(self) -> Exponential:
+        """The emit transition's inter-arrival distribution."""
+        return Exponential(self.rate)
+
     def attach(self, net: PetriNet, event_place: str) -> None:
         net.add_place(self.source_place, initial_tokens=1)
         net.add_transition(
             self.emit_transition,
-            Exponential(self.rate),
+            self.arrivals(),
             inputs=[self.source_place],
             outputs=[self.source_place, event_place],
             description="open workload generator (fires independently)",
@@ -115,11 +119,15 @@ class ClosedWorkload(WorkloadGenerator):
         if self.rate <= 0:
             raise ValueError(f"rate must be > 0, got {self.rate}")
 
+    def arrivals(self) -> Exponential:
+        """The emit transition's inter-arrival distribution."""
+        return Exponential(self.rate)
+
     def attach(self, net: PetriNet, event_place: str) -> None:
         net.add_place(self.source_place, initial_tokens=1)
         net.add_transition(
             self.emit_transition,
-            Exponential(self.rate),
+            self.arrivals(),
             inputs=[self.source_place],
             outputs=[self.source_place, event_place],
             guard=tokens_gt(self.wait_place, 0),

@@ -38,11 +38,11 @@ Section VI-A).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from ..analysis.structural import check_model_invariants
 from ..core.arcs import FiringContext, OutputArc
-from ..core.distributions import Deterministic
+from ..core.distributions import Deterministic, FiringDistribution
 from ..core.guards import color_eq, tokens_eq, tokens_gt
 from ..core.net import PetriNet
 from ..core.simulator import Simulation
@@ -88,7 +88,8 @@ def simulate_node_ensemble_task(
     The ``engine="vectorized"`` counterpart of
     :func:`simulate_node_task`: each item is ``(params, workload,
     horizon, seeds)``, and every item's seeds run together in one
-    lockstep :func:`repro.core.fast.run_ensemble` (one net per item).
+    lockstep :func:`repro.core.fast.run_ensemble` (one net for all
+    items, see :func:`simulate_node_ensembles`).
     Returns one :class:`WSNNodeResult` list per item, bit-identical to
     mapping :func:`simulate_node_task` over its seeds.  The items must
     share ``workload`` and ``horizon``.
@@ -112,23 +113,32 @@ def simulate_node_ensembles(
 ) -> "list[list[WSNNodeResult]]":
     """Every model's replications as rows of one lockstep ensemble.
 
-    ``models[k]`` runs at each seed of ``seeds[k]``; the models must
-    build structurally identical nets (one workload kind; thresholds
-    and rates may differ).  Each row is accounted as it is hydrated,
-    so the result is bit-identical to ``[[m.simulate(horizon, seed=s,
-    warmup=warmup) for s in group] for m, group in zip(models,
-    seeds)]``.
+    ``models[k]`` runs at each seed of ``seeds[k]``.  The net is built
+    once, from ``models[0]``; the models may differ only in
+    ``power_down_threshold``, in the rate of an open or closed workload
+    (both become per-row timing, see :func:`_row_timing`) and in their
+    power tables.  Anything else that reaches the net raises
+    :class:`ValueError` naming both values.  Each row is accounted as
+    it is hydrated, so the result is bit-identical to ``[[m.simulate(
+    horizon, seed=s, warmup=warmup) for s in group] for m, group in
+    zip(models, seeds)]``.
     """
     from ..core.fast import VectorPredicate, run_ensemble
+    from ..runtime.adaptive import shared_field
 
-    nets: list[PetriNet] = []
-    for model, group in zip(models, seeds):
-        nets += [model.build()] * len(group)
+    shared = [_net_fields(m) for m in models]
+    for name in shared[0]:
+        shared_field(shared, name, name)
+    timings = [_row_timing(m.params, m.workload) for m in models]
     rows = iter(
         run_ensemble(
-            nets,
+            models[0].build(),
             horizon,
             [s for group in seeds for s in group],
+            row_timing={
+                name: [t[name] for t, group in zip(timings, seeds) for _ in group]
+                for name in timings[0]
+            },
             warmup=warmup,
             predicates={"cpu_active": VectorPredicate(WSNNodeModel._cpu_active)},
         )
@@ -137,6 +147,38 @@ def simulate_node_ensembles(
         [model._account(next(rows), warmup) for _ in group]
         for model, group in zip(models, seeds)
     ]
+
+
+def _row_timing(
+    params: "NodeParameters", workload: WorkloadGenerator
+) -> dict[str, FiringDistribution]:
+    """The distributions the rows of one ensemble may vary, by transition.
+
+    The ``Power_Down_Threshold`` delay and, for an open or closed
+    workload, the emit transition's arrivals.  The net builder takes
+    them from here too, so the two cannot drift apart.
+    """
+    timing = {"Power_Down_Threshold": Deterministic(params.power_down_threshold)}
+    if isinstance(workload, (OpenWorkload, ClosedWorkload)):
+        timing[workload.emit_transition] = workload.arrivals()
+    return timing
+
+
+def _net_fields(model: "WSNNodeModel") -> dict[str, object]:
+    """Everything of ``model`` that shapes its net, but its row timing."""
+    out: dict[str, object] = {
+        f.name: getattr(model.params, f.name)
+        for f in fields(NodeParameters)
+        if f.name not in ("power_down_threshold", "arrival_rate")
+    }
+    w = model.workload
+    if isinstance(w, (OpenWorkload, ClosedWorkload)):
+        # The rate is row timing; the kind and place names are not.
+        w = (type(w).__name__,) + tuple(
+            getattr(w, f.name) for f in fields(w) if f.name != "rate"
+        )
+    out["workload"] = w
+    return out
 
 
 #: System-stage places in pipeline order.
@@ -404,7 +446,7 @@ def build_wsn_node_net(
         )
     net.add_transition(
         "Power_Down_Threshold",
-        Deterministic(p.power_down_threshold),
+        _row_timing(p, workload)["Power_Down_Threshold"],
         inputs=["CPU_Idle"],
         outputs=[OutputArc("CPU_Sleep", producer=_black)],
         guard=tokens_eq("Buffer", 0),

@@ -302,17 +302,17 @@ def _run_packed(
     return [outs[j % n][j // n] for j in range(len(items))]
 
 
-def shared_field(items: Sequence[Any], index: int, name: str) -> Any:
-    """Field ``index`` of every packed ensemble item, which must agree.
+def shared_field(items: Sequence[Any], index: int | str, name: str) -> Any:
+    """Field ``index`` of every ensemble item, which must agree.
 
-    Items in one packed task run as one lockstep ensemble, so they must
-    share the run-wide settings (horizon, workload, warmup).
+    The items of one lockstep ensemble must share the run-wide
+    settings (horizon, workload, warmup) and what shapes the net.
     """
     value = items[0][index]
     for item in items[1:]:
         if item[index] != value:
             raise ValueError(
-                f"packed ensemble items differ in {name}: "
+                f"ensemble items differ in {name}: "
                 f"{value!r} != {item[index]!r}"
             )
     return value

@@ -37,7 +37,7 @@ from repro.core.fast import VectorPredicate, compile_net, run_ensemble
 from repro.core.guards import FunctionGuard, tokens_gt
 from repro.core.marking import Token
 from repro.experiments.sensitivity import node_optimum_vs_rate
-from repro.models.cpu_petri import CPUPetriModel
+from repro.models.cpu_petri import CPUPetriModel, simulate_cpu_ensembles
 from repro.models.simple_node import SimpleNodeModel
 from repro.models.wsn_node import (
     NodeParameters,
@@ -352,19 +352,26 @@ class TestMultiServerEquivalence:
 
 
 class TestPerRowEnsembles:
-    """Rows with different (structurally identical) nets, one ensemble."""
+    """One net, per-row timing: the rows of a whole sweep, one ensemble."""
 
     THRESHOLDS = (1e-9, 0.00178, 0.05, 1.0)
     SEEDS = (2010, 7, 123)
     HORIZON = 20.0
 
     def _rows(self, params):
-        # One fresh net per row: every row is compiled on its own.
+        # One net for every row; each row's threshold and arrival rate
+        # come from row_timing.
         models = [WSNNodeModel(p, "closed") for p in params for _ in self.SEEDS]
         results = run_ensemble(
-            [m.build() for m in models],
+            models[0].build(),
             self.HORIZON,
             [s for _ in params for s in self.SEEDS],
+            row_timing={
+                "Power_Down_Threshold": [
+                    Deterministic(m.params.power_down_threshold) for m in models
+                ],
+                "T0": [Exponential(m.params.arrival_rate) for m in models],
+            },
             predicates={
                 "cpu_active": VectorPredicate(WSNNodeModel._cpu_active)
             },
@@ -404,6 +411,96 @@ class TestPerRowEnsembles:
             for m in models
         ]
 
+    def test_rate_and_threshold_models_match_per_point_runs(self):
+        models = [
+            WSNNodeModel(
+                NodeParameters(power_down_threshold=t, arrival_rate=r), "open"
+            )
+            for t, r in ((0.00178, 0.5), (1.0, 2.0), (0.05, 4.0))
+        ]
+        groups = simulate_node_ensembles(
+            models, [self.SEEDS] * len(models), self.HORIZON
+        )
+        assert groups == [
+            [m.simulate(self.HORIZON, seed=s) for s in self.SEEDS]
+            for m in models
+        ]
+
+    def test_one_compile_and_one_build_per_ensemble(self, monkeypatch):
+        import repro.core.fast.engine as engine
+        import repro.models.wsn_node as wsn_node
+
+        calls = {"compile": 0, "build": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            engine, "compile_net", counted("compile", engine.compile_net)
+        )
+        monkeypatch.setattr(
+            wsn_node,
+            "build_wsn_node_net",
+            counted("build", wsn_node.build_wsn_node_net),
+        )
+        models = [
+            WSNNodeModel(NodeParameters(power_down_threshold=t), "closed")
+            for t in self.THRESHOLDS
+        ]
+        simulate_node_ensembles(models, [self.SEEDS] * len(models), 5.0)
+        assert calls == {"compile": 1, "build": 1}
+
+    def test_models_differing_beyond_row_timing_are_refused(self):
+        models = [
+            WSNNodeModel(NodeParameters(com_packets=1)),
+            WSNNodeModel(NodeParameters(com_packets=2)),
+        ]
+        with pytest.raises(ValueError, match="differ in com_packets: 1 != 2"):
+            simulate_node_ensembles(models, [[1], [1]], 5.0)
+
+    def test_open_and_closed_models_are_refused(self):
+        p = NodeParameters()
+        models = [WSNNodeModel(p, "open"), WSNNodeModel(p, "closed")]
+        with pytest.raises(ValueError, match="differ in workload") as err:
+            simulate_node_ensembles(models, [[1], [1]], 5.0)
+        assert "OpenWorkload" in str(err.value)
+        assert "ClosedWorkload" in str(err.value)
+
+    def test_cpu_models_match_per_point_runs(self):
+        models = [
+            CPUPetriModel(1.0, 10.0, 0.1, 0.05),
+            CPUPetriModel(2.0, 5.0, 1e-9, 0.2),
+            CPUPetriModel(0.5, 20.0, 2.0, 0.0),
+        ]
+        groups = simulate_cpu_ensembles(
+            models, [self.SEEDS] * len(models), self.HORIZON, warmup=2.0
+        )
+        assert groups == [
+            [m.simulate(self.HORIZON, seed=s, warmup=2.0) for s in self.SEEDS]
+            for m in models
+        ]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            CPUPetriModel(0.0, 10.0, 0.1, 0.05),
+            CPUPetriModel(1.0, 0.0, 0.1, 0.05),
+            CPUPetriModel(1.0, 10.0, -0.1, 0.05),
+            CPUPetriModel(1.0, 10.0, 0.1, -0.05),
+        ],
+        ids=["arrival_rate", "service_rate", "threshold", "power_up_delay"],
+    )
+    def test_cpu_rows_are_checked_like_the_builder(self, bad):
+        with pytest.raises(ValueError):
+            bad.build()
+        models = [CPUPetriModel(1.0, 10.0, 0.1, 0.05), bad]
+        with pytest.raises(ValueError):
+            simulate_cpu_ensembles(models, [[1], [1]], 5.0)
+
     def test_packed_items_must_share_the_horizon(self):
         p = NodeParameters()
         items = ((p, "closed", 5.0, (1,)), (p, "closed", 6.0, (1,)))
@@ -411,33 +508,33 @@ class TestPerRowEnsembles:
             simulate_node_ensemble_task(items)
 
     @staticmethod
-    def _pair(multiplicity=1, guard_at=1):
+    def _pair():
         net = PetriNet("pair")
         net.add_place("P", initial_tokens=3)
         net.add_place("Q")
         net.add_transition(
             "move",
             Exponential(1.0),
-            inputs=[("P", multiplicity)],
+            inputs=["P"],
             outputs=["Q"],
-            guard=tokens_gt("P", guard_at),
+            guard=tokens_gt("P", 1),
         )
         net.add_transition("back", Exponential(1.0), inputs=["Q"], outputs=["P"])
         return net
 
-    def test_arc_multiplicity_difference_is_refused(self):
-        with pytest.raises(UnsupportedNetError) as err:
-            run_ensemble([self._pair(), self._pair(multiplicity=2)], 5.0, [1, 2])
-        assert "enabling arcs of transition 'move'" in str(err.value)
+    @pytest.mark.parametrize(
+        "name", ["nope", "Start_Receive"], ids=["unknown", "immediate"]
+    )
+    def test_row_timing_must_name_a_timed_transition(self, name):
+        net = WSNNodeModel(NodeParameters()).build()
+        with pytest.raises(ValueError, match=f"names '{name}', which is not"):
+            run_ensemble(net, 5.0, [1, 2], row_timing={name: [Exponential(1.0)] * 2})
 
-    def test_guard_constant_difference_is_refused(self):
-        with pytest.raises(UnsupportedNetError) as err:
-            run_ensemble([self._pair(), self._pair(guard_at=2)], 5.0, [1, 2])
-        assert "guard of transition 'move'" in str(err.value)
-
-    def test_net_count_must_match_seeds(self):
-        with pytest.raises(ValueError, match="2 nets for 3 replications"):
-            run_ensemble([self._pair(), self._pair()], 5.0, [1, 2, 3])
+    def test_row_timing_needs_one_distribution_per_row(self):
+        with pytest.raises(ValueError, match="1 distributions for 3 rows"):
+            run_ensemble(
+                self._pair(), 5.0, [1, 2, 3], row_timing={"move": [Exponential(1.0)]}
+            )
 
     def test_results_are_a_read_only_sequence(self):
         def summary(result):
