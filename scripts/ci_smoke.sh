@@ -149,6 +149,9 @@ smoke_engine() {
     # Two workers: the sweep points are packed into two ensemble tasks
     # that run on the process pool.
     engine_diff fig 14 --horizon 2 --replications 3 --workers 2
+    # The open workload: each row's arrival rate is per-row timing on
+    # the emit transition.
+    engine_diff fig 15 --horizon 2 --replications 2
     # The CPU model's Petri-net estimator, ensembled across thresholds.
     engine_diff fig 7 --horizon 20 --replications 2
     # Adaptive control must agree too (converged flags ride the output).

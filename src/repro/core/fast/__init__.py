@@ -10,7 +10,9 @@ time-weighted statistics as array ops.  The net is compiled once for
 all rows; a per-row timing table (``row_timing``) gives chosen timed
 transitions a different distribution in each row, so all the
 replications of every point of a parameter sweep can run as one
-ensemble.  The results hydrate, row by row, the same
+ensemble.  The results read out per-row columns (occupancies,
+predicate probabilities, firing counts, end times) straight from the
+arrays, and hydrate, row by row on access, the same
 :class:`~repro.core.statistics.StatisticsCollector` /
 :class:`~repro.core.simulator.SimulationResult` types the interpreted
 engine produces.

@@ -255,6 +255,9 @@ class _Ensemble:
         self.firing_counts = np.zeros(
             (reps, len(cn.transition_names)), dtype=np.int64
         )
+        self.transition_index = {
+            name: j for j, name in enumerate(cn.transition_names)
+        }
         self.stale_pops = 0
         self.done = np.zeros(reps, dtype=bool)
         self.deadlocked = np.zeros(reps, dtype=bool)
@@ -680,29 +683,85 @@ class _Ensemble:
 class EnsembleResults(Sequence[SimulationResult]):
     """The per-row results of one finished ensemble, read-only.
 
-    Each access hydrates a fresh :class:`SimulationResult` from the
-    ensemble's arrays and keeps no reference to it, so a caller that
-    reduces rows one at a time holds one hydrated statistics collector
-    at a time.  Repeated access gives equal results.
+    Two ways to read them:
+
+    * **Columns.** :meth:`occupancy`, :meth:`predicate_probability`,
+      :meth:`firing_count` and :attr:`end_time` carry the names the
+      :class:`SimulationResult` read-outs use and return one value per
+      row, as a fresh NumPy array computed straight from the
+      ensemble's arrays.  Each value is bit-identical to the same
+      read-out of that row's hydrated result.  Models account every
+      row at once from these.
+    * **Rows.** Indexing and iteration hydrate a fresh
+      :class:`SimulationResult` per access and keep no reference to
+      it.  Repeated access gives equal results.
+
+    A slice is a view of those rows, with the same two read-outs.
+    An ensemble of no rows reads every name as an empty column.
     """
 
-    __slots__ = ("_ensemble",)
+    __slots__ = ("_ensemble", "_rows")
 
-    def __init__(self, ensemble: _Ensemble | None) -> None:
+    def __init__(self, ensemble: _Ensemble | None, rows: range | None = None) -> None:
         self._ensemble = ensemble  # None: an ensemble of no rows
+        if rows is None:
+            rows = range(0 if ensemble is None else len(ensemble.rngs))
+        self._rows = rows
 
     def __len__(self) -> int:
-        return 0 if self._ensemble is None else len(self._ensemble.rngs)
+        return len(self._rows)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return [self[r] for r in range(*index.indices(len(self)))]
-        r = operator.index(index)
-        if r < 0:
-            r += len(self)
-        if not 0 <= r < len(self):
-            raise IndexError(f"ensemble row {index} out of range")
+            return EnsembleResults(self._ensemble, self._rows[index])
+        try:
+            r = self._rows[operator.index(index)]
+        except IndexError:
+            raise IndexError(f"ensemble row {index} out of range") from None
         return self._ensemble.hydrate(r)
+
+    # -- columns ---------------------------------------------------------
+    def _column(self, values: np.ndarray) -> np.ndarray:
+        """This view's rows of a per-row array (or of its columns)."""
+        r = self._rows
+        return values[r.start : r.stop] if r.step == 1 else values[list(r)]
+
+    def _fraction(self, part: np.ndarray) -> np.ndarray:
+        """``part / observed`` per row, 0.0 where nothing was observed."""
+        observed = self._column(self._ensemble.observed)
+        return np.divide(
+            part, observed, out=np.zeros(observed.shape), where=observed > 0
+        )
+
+    @property
+    def end_time(self) -> np.ndarray:
+        """Each row's end time (its deadlock time, else the horizon)."""
+        if self._ensemble is None:
+            return np.zeros(0)
+        return self._column(self._ensemble.end).copy()
+
+    def occupancy(self, place: str) -> np.ndarray:
+        """P(#place >= 1) per row: the fraction of time it was marked."""
+        e = self._ensemble
+        if e is None:
+            return np.zeros(0)
+        j = e.cn.place_index[place]
+        return self._fraction(self._column(e.nonzero_time)[:, j])
+
+    def predicate_probability(self, name: str) -> np.ndarray:
+        """Long-run probability of a registered predicate, per row."""
+        e = self._ensemble
+        if e is None:
+            return np.zeros(0)
+        return self._fraction(self._column(e.pred_integral[name]))
+
+    def firing_count(self, transition: str) -> np.ndarray:
+        """Post-warm-up firing count per row (``int64``)."""
+        e = self._ensemble
+        if e is None:
+            return np.zeros(0, dtype=np.int64)
+        j = e.transition_index[transition]
+        return self._column(e.firing_counts)[:, j].copy()
 
 
 def run_ensemble(
@@ -742,17 +801,18 @@ def run_ensemble(
         As on :class:`~repro.core.simulator.Simulation`, shared by all
         rows.
     predicates:
-        ``name -> VectorPredicate | callable`` marking predicates; the
-        hydrated statistics expose them via ``predicate_probability``.
+        ``name -> VectorPredicate | callable`` marking predicates, read
+        back with ``predicate_probability``.
 
     Returns
     -------
     EnsembleResults
-        One result per row, in seed order — the type the interpreted
-        engine produces, so downstream energy accounting and statistics
-        code runs unchanged.  The run itself is eager (argument errors
-        and :class:`~repro.core.errors.DeadlockError` raise here); each
-        row is hydrated when it is accessed.
+        One result per row, in seed order: per-row columns
+        (``occupancy``, ``predicate_probability``, ``firing_count``,
+        ``end_time``) for accounting every row at once, and rows that
+        hydrate the interpreted engine's result type when accessed.
+        The run itself is eager (argument errors and
+        :class:`~repro.core.errors.DeadlockError` raise here).
 
     Examples
     --------
@@ -772,6 +832,8 @@ def run_ensemble(
     ...     net, 10.0, [0, 1],
     ...     row_timing={"go": [Deterministic(1.0), Deterministic(4.0)]},
     ... )
+    >>> rows.firing_count("go").tolist()
+    [5, 2]
     >>> [row.stats.firing_count("go") for row in rows]
     [5, 2]
     """

@@ -106,6 +106,35 @@ class SimulationResult:
         """Shortcut: post-warm-up firings per unit time."""
         return self.stats.throughput(transition)
 
+    def columns(self) -> "_OneRow":
+        """This run as a one-row ensemble: the column read-outs of
+        :class:`repro.core.fast.EnsembleResults`, one value each."""
+        return _OneRow(self)
+
+
+class _OneRow:
+    """A :class:`SimulationResult` read as per-row columns of one row."""
+
+    __slots__ = ("_result",)
+
+    def __init__(self, result: SimulationResult) -> None:
+        self._result = result
+
+    @property
+    def end_time(self) -> np.ndarray:
+        return np.array([self._result.end_time])
+
+    def occupancy(self, place: str) -> np.ndarray:
+        return np.array([self._result.occupancy(place)])
+
+    def predicate_probability(self, name: str) -> np.ndarray:
+        return np.array([self._result.predicate_probability(name)])
+
+    def firing_count(self, transition: str) -> np.ndarray:
+        return np.array(
+            [self._result.stats.firing_count(transition)], dtype=np.int64
+        )
+
 
 class Simulation:
     """One simulation run of a :class:`~repro.core.net.PetriNet`.

@@ -7,12 +7,19 @@ per-component, per-state breakdown feeds the Fig. 14/15 stacked series.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .power import PowerStateTable
 
-__all__ = ["EnergyAccount", "ComponentEnergy", "NodeEnergyAccount"]
+__all__ = [
+    "EnergyAccount",
+    "ComponentEnergy",
+    "NodeEnergyAccount",
+    "dwell_energy_j",
+]
 
 
 @dataclass
@@ -72,6 +79,27 @@ class EnergyAccount:
         if t <= 0:
             return {}
         return {state: s / t for state, s in self.dwell_s.items()}
+
+
+def dwell_energy_j(
+    table: PowerStateTable, states: Sequence[str], seconds: np.ndarray
+) -> np.ndarray:
+    """Joules per state and row: ``seconds[k]`` is ``states[k]``'s dwell.
+
+    Row ``r`` of the result is what a fresh :class:`EnergyAccount`
+    credited with ``seconds[:, r]`` reports per state, with the same
+    float operations, so the energies are bit-identical.  Bad input
+    fails as :meth:`EnergyAccount.credit` does: the rows are credited
+    to such an account, which raises its own error.
+    """
+    if (seconds < 0).any() or not all(map(table.has_state, states)):
+        for row in seconds.T.tolist():
+            account = EnergyAccount(table)
+            for state, s in zip(states, row):
+                account.credit(state, s)
+    rates = np.array([table.rate_mw(state) for state in states])
+    # A fresh ledger's first credit adds to 0.0, so -0.0 credits as 0.0.
+    return rates[:, None] * (0.0 + seconds) / 1000.0
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
+
+import numpy as np
 
 from ..analysis.structural import check_model_invariants
 from ..core.distributions import (
@@ -44,7 +47,7 @@ from ..core.distributions import (
 )
 from ..core.guards import tokens_eq, tokens_gt
 from ..core.net import PetriNet
-from ..core.simulator import Simulation, SimulationResult
+from ..core.simulator import Simulation
 from ..des.cpu import CPUSimResult, CPUStates
 
 __all__ = ["CPUPetriModel", "build_cpu_petri_net", "simulate_cpu_ensembles"]
@@ -181,10 +184,8 @@ class CPUPetriModel:
         Returns the same :class:`~repro.des.cpu.CPUSimResult` shape the
         DES produces, so downstream energy code is estimator-agnostic.
         """
-        net = self.build()
-        sim = Simulation(net, seed=seed, warmup=warmup)
-        result: SimulationResult = sim.run(horizon)
-        return self._summarise(result, warmup)
+        sim = Simulation(self.build(), seed=seed, warmup=warmup)
+        return self._summarise(sim.run(horizon).columns(), warmup)[0]
 
     def simulate_ensemble(
         self,
@@ -201,21 +202,33 @@ class CPUPetriModel:
         """
         return simulate_cpu_ensembles([self], [seeds], horizon, warmup)[0]
 
-    def _summarise(self, result: SimulationResult, warmup: float) -> CPUSimResult:
-        fractions = {
-            state: result.occupancy(place)
-            for state, place in STATE_PLACES.items()
-        }
-        duration = result.end_time - warmup
-        dwell = {s: f * duration for s, f in fractions.items()}
-        return CPUSimResult(
-            fractions=fractions,
-            dwell=dwell,
-            duration=duration,
-            jobs_arrived=result.stats.firing_count("Arrival_Rate"),
-            jobs_served=result.stats.firing_count("Service_Rate"),
-            wakeups=result.stats.firing_count("T1"),
-        )
+    def _summarise(self, rows, warmup: float) -> list[CPUSimResult]:
+        """Every row's state-time fractions, all rows at once.
+
+        ``rows`` is an :class:`~repro.core.fast.EnsembleResults`, or one
+        interpreted run's ``SimulationResult.columns()``.  Each row
+        keeps a scalar summary's float operations.
+        """
+        fractions = np.array([rows.occupancy(p) for p in STATE_PLACES.values()])
+        duration = rows.end_time - warmup
+        return [
+            CPUSimResult(
+                fractions=dict(zip(STATE_PLACES, f)),
+                dwell=dict(zip(STATE_PLACES, d)),
+                duration=dur,
+                jobs_arrived=arrived,
+                jobs_served=served,
+                wakeups=wakeups,
+            )
+            for f, d, dur, arrived, served, wakeups in zip(
+                fractions.T.tolist(),
+                (fractions * duration).T.tolist(),
+                duration.tolist(),
+                rows.firing_count("Arrival_Rate").tolist(),
+                rows.firing_count("Service_Rate").tolist(),
+                rows.firing_count("T1").tolist(),
+            )
+        ]
 
 
 def simulate_cpu_ensembles(
@@ -229,31 +242,33 @@ def simulate_cpu_ensembles(
     ``models[k]`` runs at each seed of ``seeds[k]``.  The Fig. 3 net's
     structure does not depend on its parameters, so any models combine:
     the net is built once, from ``models[0]``, and every row takes its
-    model's four timed distributions as per-row timing.  Each row is
-    summarised as it is hydrated, bit-identical to
-    ``models[k].simulate(horizon, seed=s, warmup=warmup)``.
+    model's four timed distributions as per-row timing.  Each model
+    summarises its rows at once from the ensemble's columns,
+    bit-identical to ``models[k].simulate(horizon, seed=s,
+    warmup=warmup)``.
     """
     from ..core.fast import run_ensemble
 
+    if not models:
+        return []
     timings = [
         _timing(
             m.arrival_rate, m.service_rate, m.power_down_threshold, m.power_up_delay
         )
         for m in models
     ]
-    rows = iter(
-        run_ensemble(
-            models[0].build(),
-            horizon,
-            [s for group in seeds for s in group],
-            row_timing={
-                name: [t[name] for t, group in zip(timings, seeds) for _ in group]
-                for name in timings[0]
-            },
-            warmup=warmup,
-        )
+    rows = run_ensemble(
+        models[0].build(),
+        horizon,
+        [s for group in seeds for s in group],
+        row_timing={
+            name: [t[name] for t, group in zip(timings, seeds) for _ in group]
+            for name in timings[0]
+        },
+        warmup=warmup,
     )
+    ends = accumulate(len(group) for group in seeds)
     return [
-        [model._summarise(next(rows), warmup) for _ in group]
-        for model, group in zip(models, seeds)
+        model._summarise(rows[end - len(group) : end], warmup)
+        for model, group, end in zip(models, seeds, ends)
     ]

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..analysis.structural import check_model_invariants
 from ..core.distributions import Deterministic, Exponential
 from ..core.net import PetriNet
@@ -177,10 +179,8 @@ class SimpleNodeModel:
         warmup: float = 0.0,
     ) -> SimpleNodeResult:
         """Simulate the net and evaluate Eq. (8)."""
-        net = self.build()
-        sim = Simulation(net, seed=seed, warmup=warmup)
-        result = sim.run(horizon)
-        return self._summarise(result, warmup)
+        sim = Simulation(self.build(), seed=seed, warmup=warmup)
+        return self._summarise(sim.run(horizon).columns(), warmup)[0]
 
     def simulate_ensemble(
         self,
@@ -196,17 +196,33 @@ class SimpleNodeModel:
         """
         from ..core.fast import run_ensemble
 
-        results = run_ensemble(self.build(), horizon, seeds, warmup=warmup)
-        return [self._summarise(r, warmup) for r in results]
-
-    def _summarise(self, result, warmup: float) -> SimpleNodeResult:
-        probs = {stage: result.occupancy(stage) for stage in STAGES}
-        return SimpleNodeResult(
-            stage_probabilities=probs,
-            duration=result.end_time - warmup,
-            events=result.stats.firing_count("Job_Arrival"),
-            mean_power_mw=self.mean_power_mw(probs),
+        return self._summarise(
+            run_ensemble(self.build(), horizon, seeds, warmup=warmup), warmup
         )
+
+    def _summarise(self, rows, warmup: float) -> list[SimpleNodeResult]:
+        """Every row's stage probabilities and Eq. (8) power at once.
+
+        ``rows`` is an :class:`~repro.core.fast.EnsembleResults`, or one
+        interpreted run's ``SimulationResult.columns()``.
+        :meth:`mean_power_mw` runs on the columns with each row's
+        scalar float operations.
+        """
+        probs = {stage: rows.occupancy(stage) for stage in STAGES}
+        return [
+            SimpleNodeResult(
+                stage_probabilities=dict(zip(STAGES, p)),
+                duration=duration,
+                events=events,
+                mean_power_mw=power,
+            )
+            for p, duration, events, power in zip(
+                np.array(list(probs.values())).T.tolist(),
+                (rows.end_time - warmup).tolist(),
+                rows.firing_count("Job_Arrival").tolist(),
+                self.mean_power_mw(probs).tolist(),
+            )
+        ]
 
     def analytic_result(self, duration: float) -> SimpleNodeResult:
         """Exact renewal-theory answer (for convergence tests)."""

@@ -39,6 +39,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
+from itertools import accumulate
+
+import numpy as np
 
 from ..analysis.structural import check_model_invariants
 from ..core.arcs import FiringContext, OutputArc
@@ -46,8 +49,8 @@ from ..core.distributions import Deterministic, FiringDistribution
 from ..core.guards import color_eq, tokens_eq, tokens_gt
 from ..core.net import PetriNet
 from ..core.simulator import Simulation
-from ..energy.accounting import NodeEnergyAccount
-from ..energy.breakdown import EnergyBreakdown
+from ..energy.accounting import dwell_energy_j
+from ..energy.breakdown import EnergyBreakdown, categorize
 from ..energy.power import (
     PowerStateTable,
     cpu_power_table,
@@ -118,34 +121,35 @@ def simulate_node_ensembles(
     ``power_down_threshold``, in the rate of an open or closed workload
     (both become per-row timing, see :func:`_row_timing`) and in their
     power tables.  Anything else that reaches the net raises
-    :class:`ValueError` naming both values.  Each row is accounted as
-    it is hydrated, so the result is bit-identical to ``[[m.simulate(
-    horizon, seed=s, warmup=warmup) for s in group] for m, group in
-    zip(models, seeds)]``.
+    :class:`ValueError` naming both values.  Each model accounts its
+    rows at once from the ensemble's columns, so the result is
+    bit-identical to ``[[m.simulate(horizon, seed=s, warmup=warmup)
+    for s in group] for m, group in zip(models, seeds)]``.
     """
     from ..core.fast import VectorPredicate, run_ensemble
     from ..runtime.adaptive import shared_field
 
+    if not models:
+        return []
     shared = [_net_fields(m) for m in models]
     for name in shared[0]:
         shared_field(shared, name, name)
     timings = [_row_timing(m.params, m.workload) for m in models]
-    rows = iter(
-        run_ensemble(
-            models[0].build(),
-            horizon,
-            [s for group in seeds for s in group],
-            row_timing={
-                name: [t[name] for t, group in zip(timings, seeds) for _ in group]
-                for name in timings[0]
-            },
-            warmup=warmup,
-            predicates={"cpu_active": VectorPredicate(WSNNodeModel._cpu_active)},
-        )
+    rows = run_ensemble(
+        models[0].build(),
+        horizon,
+        [s for group in seeds for s in group],
+        row_timing={
+            name: [t[name] for t, group in zip(timings, seeds) for _ in group]
+            for name in timings[0]
+        },
+        warmup=warmup,
+        predicates={"cpu_active": VectorPredicate(WSNNodeModel._cpu_active)},
     )
+    ends = accumulate(len(group) for group in seeds)
     return [
-        [model._account(next(rows), warmup) for _ in group]
-        for model, group in zip(models, seeds)
+        model._account(rows[end - len(group) : end], warmup)
+        for model, group, end in zip(models, seeds, ends)
     ]
 
 
@@ -200,6 +204,16 @@ CPU_PLACES = ("CPU_Sleep", "CPU_PowerUp", "CPU_Idle", "DVS_Wait", "Execute")
 
 #: Radio-state token places (one token circulates).
 RADIO_PLACES = ("Radio_Sleep", "Radio_PowerUp", "Radio_Active", "Radio_Idle")
+
+#: Table III power states in credit order.  The CPU's time fractions
+#: are the occupancies of ``CPU_PLACES[:3]`` and the ``cpu_active``
+#: predicate; the radio's are the occupancies of ``RADIO_PLACES``.
+_CPU_STATES = ("standby", "powerup", "idle", "active")
+_RADIO_STATES = ("standby", "powerup", "active", "idle")
+#: The Fig. 14/15 category of each credited (component, state).
+_CATEGORIES = tuple(categorize("cpu", s) for s in _CPU_STATES) + tuple(
+    categorize("radio", s) for s in _RADIO_STATES
+)
 
 
 @dataclass(frozen=True)
@@ -544,8 +558,7 @@ class WSNNodeModel:
         net = self.build()
         sim = Simulation(net, seed=seed, warmup=warmup)
         sim.add_predicate("cpu_active", self._cpu_active)
-        result = sim.run(horizon)
-        return self._account(result, warmup)
+        return self._account(sim.run(horizon).columns(), warmup)[0]
 
     def simulate_ensemble(
         self,
@@ -563,46 +576,52 @@ class WSNNodeModel:
         """
         return simulate_node_ensembles([self], [seeds], horizon, warmup)[0]
 
-    def _account(self, result, warmup: float) -> WSNNodeResult:
-        """Turn one engine result into the Figs. 14/15 quantities."""
-        duration = result.end_time - warmup
+    def _account(self, rows, warmup: float) -> list[WSNNodeResult]:
+        """Turn every row of an engine result into the Figs. 14/15
+        quantities, all rows at once.
 
-        cpu_fractions = {
-            "standby": result.occupancy("CPU_Sleep"),
-            "powerup": result.occupancy("CPU_PowerUp"),
-            "idle": result.occupancy("CPU_Idle"),
-            "active": result.predicate_probability("cpu_active"),
-        }
-        radio_fractions = {
-            "standby": result.occupancy("Radio_Sleep"),
-            "powerup": result.occupancy("Radio_PowerUp"),
-            "active": result.occupancy("Radio_Active"),
-            "idle": result.occupancy("Radio_Idle"),
-        }
-        stage_fractions = {
-            stage: result.occupancy(stage) for stage in STAGE_PLACES
-        }
-
-        account = NodeEnergyAccount()
-        cpu_acc = account.add_component("cpu", self.cpu_table)
-        radio_acc = account.add_component("radio", self.radio_table)
-        for state, frac in cpu_fractions.items():
-            cpu_acc.credit(state, frac * duration)
-        for state, frac in radio_fractions.items():
-            radio_acc.credit(state, frac * duration)
-        breakdown = EnergyBreakdown.from_component_states(account.breakdown_j())
-
-        radio_wakeups = result.stats.firing_count(
-            "Start_Receive"
-        ) + result.stats.firing_count("T19")
-        return WSNNodeResult(
-            power_down_threshold=self.params.power_down_threshold,
-            duration=duration,
-            cpu_fractions=cpu_fractions,
-            radio_fractions=radio_fractions,
-            stage_fractions=stage_fractions,
-            events_completed=result.stats.firing_count("Wait_Begin"),
-            cpu_wakeups=result.stats.firing_count("T3"),
-            radio_wakeups=radio_wakeups,
-            breakdown=breakdown,
+        ``rows`` is an :class:`~repro.core.fast.EnsembleResults`, or one
+        interpreted run's ``SimulationResult.columns()``.  Each row
+        keeps the float operations of a scalar account, so results are
+        bit-identical across engines.
+        """
+        duration = rows.end_time - warmup
+        cpu = np.array(
+            [rows.occupancy(p) for p in CPU_PLACES[:3]]
+            + [rows.predicate_probability("cpu_active")]
         )
+        radio = np.array([rows.occupancy(p) for p in RADIO_PLACES])
+        stages = np.array([rows.occupancy(stage) for stage in STAGE_PLACES])
+        # Credit order is category order, so total_j() sums alike; the
+        # 0.0 + is EnergyBreakdown.from_component_states' sum from 0.0.
+        energy = 0.0 + np.concatenate(
+            [
+                dwell_energy_j(self.cpu_table, _CPU_STATES, cpu * duration),
+                dwell_energy_j(self.radio_table, _RADIO_STATES, radio * duration),
+            ]
+        )
+        return [
+            WSNNodeResult(
+                power_down_threshold=self.params.power_down_threshold,
+                duration=d,
+                cpu_fractions=dict(zip(_CPU_STATES, c)),
+                radio_fractions=dict(zip(_RADIO_STATES, r)),
+                stage_fractions=dict(zip(STAGE_PLACES, st)),
+                events_completed=events,
+                cpu_wakeups=wakeups,
+                radio_wakeups=radio_wakeups,
+                breakdown=EnergyBreakdown(dict(zip(_CATEGORIES, e))),
+            )
+            for d, c, r, st, events, wakeups, radio_wakeups, e in zip(
+                duration.tolist(),
+                cpu.T.tolist(),
+                radio.T.tolist(),
+                stages.T.tolist(),
+                rows.firing_count("Wait_Begin").tolist(),
+                rows.firing_count("T3").tolist(),
+                (
+                    rows.firing_count("Start_Receive") + rows.firing_count("T19")
+                ).tolist(),
+                energy.T.tolist(),
+            )
+        ]

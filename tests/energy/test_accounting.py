@@ -1,8 +1,12 @@
 """Unit tests for energy accounting."""
 
+import struct
+
+import numpy as np
 import pytest
 
 from repro.energy import EnergyAccount, NodeEnergyAccount, PowerStateTable
+from repro.energy.accounting import dwell_energy_j
 
 
 def table():
@@ -102,3 +106,32 @@ class TestNodeEnergyAccount:
         assert node.account("cpu") is acc
         with pytest.raises(KeyError):
             node.account("ghost")
+
+
+class TestDwellEnergy:
+    """``dwell_energy_j``: a fresh account's credit, per state and row."""
+
+    def test_matches_a_fresh_account_bit_for_bit(self):
+        seconds = [[0.0, -0.0, 1.5], [3.3e-7, 12345.678, 0.0]]
+        expected = []
+        for row in zip(*seconds):
+            acc = EnergyAccount(table())
+            for state, s in zip(("on", "off"), row):
+                acc.credit(state, s)
+            expected.append(list(acc.energy_by_state_j().values()))
+        got = dwell_energy_j(table(), ("on", "off"), np.array(seconds))
+        assert got.shape == (2, 3)
+        flat = [v for row in got.T.tolist() for v in row]
+        assert struct.pack("6d", *flat) == struct.pack(
+            "6d", *[v for row in expected for v in row]
+        )
+
+    def test_fails_as_credit_does(self):
+        with pytest.raises(KeyError) as vec:
+            dwell_energy_j(table(), ("on", "ghost"), np.array([[1.0], [1.0]]))
+        with pytest.raises(KeyError) as ref:
+            EnergyAccount(table()).credit("ghost", 1.0)
+        assert vec.value.args == ref.value.args
+        # Row by row, state by state: row 0's "off" is the first bad value.
+        with pytest.raises(ValueError, match=r"seconds must be >= 0, got -3\.0$"):
+            dwell_energy_j(table(), ("on", "off"), np.array([[1.0, -2.0], [-3.0, 1.0]]))

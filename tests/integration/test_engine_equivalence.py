@@ -19,6 +19,8 @@ enforcement:
   diverge.
 """
 
+import struct
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 
@@ -36,6 +38,7 @@ from repro.core.errors import UnsupportedNetError
 from repro.core.fast import VectorPredicate, compile_net, run_ensemble
 from repro.core.guards import FunctionGuard, tokens_gt
 from repro.core.marking import Token
+from repro.energy.power import PowerStateTable
 from repro.experiments.sensitivity import node_optimum_vs_rate
 from repro.models.cpu_petri import CPUPetriModel, simulate_cpu_ensembles
 from repro.models.simple_node import SimpleNodeModel
@@ -382,10 +385,10 @@ class TestPerRowEnsembles:
         models, results = self._rows(params)
         seeds = [s for _ in params for s in self.SEEDS]
         assert len(results) == len(models)
-        for model, seed, result in zip(models, seeds, results):
-            assert model._account(result, 0.0) == model.simulate(
-                self.HORIZON, seed=seed
-            )
+        for r, (model, seed) in enumerate(zip(models, seeds)):
+            assert model._account(results[r : r + 1], 0.0) == [
+                model.simulate(self.HORIZON, seed=seed)
+            ]
 
     def test_threshold_rows_match_per_point_runs(self):
         self._assert_rows_match(
@@ -560,3 +563,109 @@ class TestPerRowEnsembles:
             results[3]
         with pytest.raises(TypeError):
             results[0] = results[1]
+
+    def test_no_node_models_give_no_results(self):
+        assert simulate_node_ensembles([], [], 5.0) == []
+
+    def test_no_cpu_models_give_no_results(self):
+        assert simulate_cpu_ensembles([], [], 5.0) == []
+
+
+def _bits(values: list[float]) -> bytes:
+    """The exact IEEE-754 bytes of ``values`` (tells 0.0 from -0.0)."""
+    return struct.pack(f"{len(values)}d", *values)
+
+
+class TestColumnReadouts:
+    """The per-row columns equal the hydrated rows' read-outs, bit for bit."""
+
+    @staticmethod
+    def _assert_columns_match(results, net, predicates=()):
+        rows = list(results)
+        assert _bits(results.end_time.tolist()) == _bits([r.end_time for r in rows])
+        for place in net.place_names:
+            column = results.occupancy(place).tolist()
+            assert _bits(column) == _bits([r.occupancy(place) for r in rows]), place
+        for name in predicates:
+            column = results.predicate_probability(name).tolist()
+            assert _bits(column) == _bits(
+                [r.predicate_probability(name) for r in rows]
+            )
+        for t in net.transition_names:
+            column = results.firing_count(t).tolist()
+            assert column == [r.stats.firing_count(t) for r in rows], t
+            assert all(type(c) is int for c in column)
+
+    def test_warmup_rows_count_only_post_warmup_firings(self):
+        model = _wsn_model("open")
+        net = model.build()
+        predicates = {"cpu_active": VectorPredicate(model._cpu_active)}
+        warm = run_ensemble(net, 30.0, SEEDS, warmup=10.0, predicates=predicates)
+        self._assert_columns_match(warm, net, predicates)
+        cold = run_ensemble(net, 30.0, SEEDS, predicates=predicates)
+        counted = sum(warm.firing_count(t) for t in net.transition_names)
+        assert (counted < [r.firings for r in warm]).all()
+        assert (warm.firing_count("Start_Receive") < cold.firing_count("Start_Receive")).all()
+
+    def test_rows_that_deadlock_at_time_zero_read_zero(self):
+        net = PetriNet("stuck")
+        net.add_place("A", initial_tokens=1)
+        net.add_place("B")
+        net.add_place("C")
+        net.add_transition("go", inputs=["A"], outputs=["C"])
+        net.add_transition("never", Exponential(1.0), inputs=["B"], outputs=["A"])
+        results = run_ensemble(net, 5.0, SEEDS)
+        assert all(r.deadlocked for r in results)
+        self._assert_columns_match(results, net)
+        assert results.end_time.tolist() == [0.0] * len(SEEDS)
+        assert _bits(results.occupancy("C").tolist()) == _bits([0.0] * len(SEEDS))
+        assert results.firing_count("go").tolist() == [1] * len(SEEDS)
+
+    def test_an_empty_ensemble_reads_empty_columns(self):
+        model = _wsn_model("closed")
+        net = model.build()
+        results = run_ensemble(net, 5.0, [])
+        assert list(results) == []
+        self._assert_columns_match(results, net, ["cpu_active"])
+        assert results.occupancy("Wait").shape == (0,)
+        assert results.firing_count("T3").dtype == "int64"
+
+    @pytest.mark.parametrize(
+        "rows", [slice(1, 3), slice(None, None, -1), slice(3, None, -2), slice(2, 2)]
+    )
+    def test_a_slice_is_a_view_of_its_rows(self, rows):
+        model = _wsn_model("closed")
+        net = model.build()
+        predicates = {"cpu_active": VectorPredicate(model._cpu_active)}
+        results = run_ensemble(net, 20.0, [1, 2, 3, 4], predicates=predicates)
+        view = results[rows]
+        assert len(view) == len(range(4)[rows])
+        self._assert_columns_match(view, net, predicates)
+        for place in ("Wait", "CPU_Idle"):
+            assert _bits(view.occupancy(place).tolist()) == _bits(
+                results.occupancy(place)[rows].tolist()
+            )
+        # Slicing past the end of a reversed view leaves no rows.
+        assert results[::-1][5:].end_time.tolist() == []
+
+
+class TestAccountingFailures:
+    """A power table that lacks a credited state fails alike in both engines."""
+
+    def _model(self):
+        table = PowerStateTable(
+            "no-powerup", {"standby": 17.0, "idle": 88.0, "active": 193.0}
+        )
+        return WSNNodeModel(NodeParameters(), "closed", cpu_table=table)
+
+    @pytest.mark.parametrize("engine", ["interpreted", "vectorized"])
+    def test_missing_state_raises_key_error(self, engine):
+        model = self._model()
+        with pytest.raises(KeyError) as err:
+            if engine == "interpreted":
+                model.simulate(5.0, seed=1)
+            else:
+                model.simulate_ensemble(5.0, [1, 2])
+        assert err.value.args == (
+            "state 'powerup' not in power table 'no-powerup'",
+        )
