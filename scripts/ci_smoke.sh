@@ -156,6 +156,10 @@ smoke_engine() {
     engine_diff fig 7 --horizon 20 --replications 2
     # Adaptive control must agree too (converged flags ride the output).
     engine_diff validate --ci-target 0.5 --max-replications 4
+    # Adaptive CPU comparison: the second round's batch starts at
+    # replication 2, so only the tasks say where the Markov solve runs.
+    engine_diff table 4 --horizon 20 --replications 2 --ci-target 0.05 \
+        --max-replications 4
     # The network subcommand is per-node (ensembles of one) and must
     # not accept the flag at all.
     if $CLI network --topology line --nodes 3 --horizon 5 \

@@ -79,8 +79,12 @@ dotted-path tweaks and ``--smoke`` applying the spec's own CI-scale
 overrides.  The run subcommands (``fig``, ``table``, ``node-sweep``,
 ``validate``, ``network``) are another spelling of the same spec: each
 builds a ``ScenarioSpec`` from its flags and runs it exactly as
-``scenario run`` does, so both spellings print the same bytes and
-reject bad values with the same ``error: params.KEY ...`` message.
+``scenario run`` does, so both spellings print the same bytes.  A
+bad value the spec checks (``node-sweep --horizon 0``) fails with the
+same ``error: params.KEY ...`` message and exit 2 as a scenario file
+does; flags whose type already checks the value (``--nodes 0``,
+``--grid 0x3``, ``--duty-spread 1.5``, ``--burst-on 0``) stop earlier,
+with argparse's own usage error.
 The run functions below return their report as text; it is written
 to stdout once, by :func:`repro.scenarios.run_scenario`.
 """
@@ -1285,20 +1289,27 @@ def run_topology_describe(
 
     No simulation runs: the report (node count, depth histogram,
     per-hop relay load, hotspot) is a pure function of the topology
-    arguments, which CI pins by diffing two invocations.
+    arguments, which CI pins by diffing two invocations.  A value the
+    topology refuses prints ``error: ...`` and returns 2.
     """
     width, height = grid
-    topo = make_topology(
-        topology,
-        nodes=nodes,
-        width=width,
-        height=height,
-        radius=radius,
-        fanout=fanout,
-        depth=depth,
-        seed=seed,
-    )
-    print(describe_topology(topo, base_rate))
+    try:
+        topo = make_topology(
+            topology,
+            nodes=nodes,
+            width=width,
+            height=height,
+            radius=radius,
+            fanout=fanout,
+            depth=depth,
+            seed=seed,
+        )
+        report = describe_topology(topo, base_rate)
+    except ValueError as exc:
+        # e.g. a negative radius or base rate: a usage error, not a crash.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(report)
     return 0
 
 

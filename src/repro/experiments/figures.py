@@ -18,11 +18,13 @@ powers of Table III over the 1000 s horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
 from ..core.statistics import ConfidenceInterval, replication_interval
-from ..des.cpu import CPUPowerStateSimulator, CPUStates
+from ..des.cpu import CPUPowerStateSimulator, CPUSimResult, CPUStates
 from ..energy.power import PowerStateTable, cpu_power_table
 from ..models.cpu_markov import CPUMarkovModel
 from ..models.cpu_petri import CPUPetriModel, simulate_cpu_ensembles
@@ -109,6 +111,7 @@ class CPUComparisonResult:
 
 def _evaluate_cpu_point(
     task: tuple[float, int, float, CPUComparisonConfig, PowerStateTable, bool],
+    petri: CPUSimResult | None = None,
 ) -> dict[str, tuple[dict[str, float], float]]:
     """One (threshold, replication) evaluation of the estimators.
 
@@ -116,29 +119,28 @@ def _evaluate_cpu_point(
     multiprocessing start method.  The analytic Markov model is
     deterministic (no seed), so it is solved only when
     ``include_markov`` is set — once per threshold, on replication 0 —
-    instead of once per replication.
+    instead of once per replication.  ``petri`` is this task's Petri
+    run when a batch already ran it (see
+    :func:`_evaluate_cpu_point_ensemble`).
     """
     threshold, point_seed, power_up_delay, cfg, table, include_markov = task
     duration = cfg.horizon - cfg.warmup
+    simulation = CPUPowerStateSimulator(
+        cfg.arrival_rate,
+        cfg.service_rate,
+        threshold,
+        power_up_delay,
+        seed=point_seed,
+        warmup=cfg.warmup,
+    ).run(cfg.horizon)
+    if petri is None:
+        petri = CPUPetriModel(
+            cfg.arrival_rate, cfg.service_rate, threshold, power_up_delay
+        ).simulate(cfg.horizon, seed=point_seed, warmup=cfg.warmup)
 
     estimates: list[tuple[str, object]] = [
-        (
-            "simulation",
-            CPUPowerStateSimulator(
-                cfg.arrival_rate,
-                cfg.service_rate,
-                threshold,
-                power_up_delay,
-                seed=point_seed,
-                warmup=cfg.warmup,
-            ).run(cfg.horizon),
-        ),
-        (
-            "petri",
-            CPUPetriModel(
-                cfg.arrival_rate, cfg.service_rate, threshold, power_up_delay
-            ).simulate(cfg.horizon, seed=point_seed, warmup=cfg.warmup),
-        ),
+        ("simulation", simulation),
+        ("petri", petri),
     ]
     if include_markov:
         estimates.append(
@@ -160,87 +162,38 @@ def _evaluate_cpu_point(
     return out
 
 
-#: One sweep point of the vectorized task: ``(threshold, seeds,
-#: first_replication, power_up_delay, cfg, table)``.
-_PointItem = tuple[
-    float, tuple[int, ...], int, float, CPUComparisonConfig, PowerStateTable
-]
-
-
 def _evaluate_cpu_point_ensemble(
-    items: tuple[_PointItem, ...],
-) -> list[list[dict[str, tuple[dict[str, float], float]]]]:
-    """Packed threshold points, the Petri net vectorized across them.
+    tasks: tuple[
+        tuple[float, int, float, CPUComparisonConfig, PowerStateTable, bool], ...
+    ],
+) -> list[dict[str, tuple[dict[str, float], float]]]:
+    """:func:`_evaluate_cpu_point` over many tasks, Petri runs ensembled.
 
-    The ``engine="vectorized"`` counterpart of
-    :func:`_evaluate_cpu_point`: the items (see ``_PointItem``) must
-    share ``cfg``.  The Petri-net estimator runs every item's seeds as
-    rows of one lockstep ensemble through
-    :func:`~repro.models.cpu_petri.simulate_cpu_ensembles`
-    (bit-identical per replication); the event-driven DES is not a
-    Petri net and runs per seed as before, and the deterministic Markov
-    solve still happens once per point, on global replication 0 only.
-    Element ``j`` of item ``k``'s list therefore equals
-    ``_evaluate_cpu_point`` at that point's replication
-    ``first_replication + j`` exactly.
+    The ``engine="vectorized"`` batch form: the tasks must share
+    ``cfg``.  Their Petri-net runs are rows of one lockstep ensemble
+    through :func:`~repro.models.cpu_petri.simulate_cpu_ensembles`
+    (bit-identical per replication, consecutive tasks of one threshold
+    point becoming one model's rows); the DES and the Markov solve
+    then run per task exactly as in :func:`_evaluate_cpu_point`.
     """
     from ..runtime.adaptive import shared_field
 
-    cfg = shared_field(items, 4, "config")
-    duration = cfg.horizon - cfg.warmup
-    petri_groups = simulate_cpu_ensembles(
+    cfg = shared_field(tasks, 3, "config")
+    runs = [list(run) for _, run in groupby(tasks, itemgetter(0, 2))]
+    petris = simulate_cpu_ensembles(
         [
-            CPUPetriModel(
-                cfg.arrival_rate, cfg.service_rate, threshold, power_up_delay
-            )
-            for threshold, _, _, power_up_delay, _, _ in items
+            CPUPetriModel(cfg.arrival_rate, cfg.service_rate, run[0][0], run[0][2])
+            for run in runs
         ],
-        [seeds for _, seeds, *_ in items],
+        [[task[1] for task in run] for run in runs],
         cfg.horizon,
         cfg.warmup,
     )
-
-    out: list[list[dict[str, tuple[dict[str, float], float]]]] = []
-    for item, petris in zip(items, petri_groups):
-        threshold, seeds, first_rep, power_up_delay, _, table = item
-        point: list[dict[str, tuple[dict[str, float], float]]] = []
-        for j, (point_seed, petri) in enumerate(zip(seeds, petris)):
-            estimates: list[tuple[str, object]] = [
-                (
-                    "simulation",
-                    CPUPowerStateSimulator(
-                        cfg.arrival_rate,
-                        cfg.service_rate,
-                        threshold,
-                        power_up_delay,
-                        seed=point_seed,
-                        warmup=cfg.warmup,
-                    ).run(cfg.horizon),
-                ),
-                ("petri", petri),
-            ]
-            if first_rep + j == 0:
-                estimates.append(
-                    (
-                        "markov",
-                        CPUMarkovModel(
-                            cfg.arrival_rate,
-                            cfg.service_rate,
-                            threshold,
-                            power_up_delay,
-                        ).simulate(cfg.horizon, warmup=cfg.warmup),
-                    )
-                )
-            rep: dict[str, tuple[dict[str, float], float]] = {}
-            for est, result in estimates:
-                fracs = {state: result.fraction(state) for state in CPUStates.ALL}
-                rep[est] = (
-                    fracs,
-                    table.energy_from_probabilities_j(result.fractions, duration),
-                )
-            point.append(rep)
-        out.append(point)
-    return out
+    return [
+        _evaluate_cpu_point(task, petri)
+        for run, group in zip(runs, petris)
+        for task, petri in zip(run, group)
+    ]
 
 
 def run_cpu_comparison(
@@ -311,14 +264,6 @@ def run_cpu_comparison(
         len(cfg.thresholds),
         rx,
         ensemble_fn=_evaluate_cpu_point_ensemble,
-        ensemble_task_for=lambda i, start, n: (
-            cfg.thresholds[i],
-            tuple(seed_plans[i][start : start + n]),
-            start,
-            power_up_delay,
-            cfg,
-            table,
-        ),
         metrics=lambda out: (out["simulation"][1], out["petri"][1]),
     )
     per_point = [run.values for run in runs]

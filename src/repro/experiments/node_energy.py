@@ -197,12 +197,6 @@ def run_node_energy_sweep(
         len(cfg.thresholds),
         rx,
         ensemble_fn=simulate_node_ensemble_task,
-        ensemble_task_for=lambda i, start, n: (
-            point_params[i],
-            cfg.workload,
-            cfg.horizon,
-            tuple(rep_seeds[start : start + n]),
-        ),
         metrics=lambda result: result.total_energy_j,
     )
     replicates = [run.values for run in runs]

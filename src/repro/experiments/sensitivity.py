@@ -29,8 +29,8 @@ from ..energy.power import PXA271_CPU_POWER_MW
 from ..markov.supplementary import SupplementaryVariableCPUModel
 from ..models.wsn_node import (
     NodeParameters,
-    WSNNodeModel,
-    simulate_node_ensembles,
+    simulate_node_ensemble_task,
+    simulate_node_task,
 )
 
 __all__ = [
@@ -72,39 +72,32 @@ class RateSensitivityResult:
         return all(ok for row in self.cell_converged for ok in row)
 
 
-def _node_energy_task(task: tuple[float, float, str, float, int]) -> float:
-    """Total node energy for one (rate, threshold) cell (picklable)."""
+def _node_task(
+    task: tuple[float, float, str, float, int],
+) -> tuple[NodeParameters, str, float, int]:
+    """The node-model task of one seeded (rate, threshold) cell."""
     rate, threshold, workload, horizon, seed = task
     params = NodeParameters(power_down_threshold=threshold, arrival_rate=rate)
-    result = WSNNodeModel(params, workload).simulate(horizon, seed=seed)
-    return result.total_energy_j
+    return params, workload, horizon, seed
+
+
+def _node_energy_task(task: tuple[float, float, str, float, int]) -> float:
+    """Total node energy for one (rate, threshold) cell (picklable)."""
+    return simulate_node_task(_node_task(task)).total_energy_j
 
 
 def _node_energy_ensemble_task(
-    items: tuple[tuple[float, float, str, float, tuple[int, ...]], ...],
-) -> list[list[float]]:
-    """Packed (rate, threshold) cells as one lockstep ensemble.
+    tasks: tuple[tuple[float, float, str, float, int], ...],
+) -> list[float]:
+    """:func:`_node_energy_task` over many cells, as one ensemble.
 
-    The ``engine="vectorized"`` counterpart of
-    :func:`_node_energy_task`: each item is ``(rate, threshold,
-    workload, horizon, seeds)``, the items must share ``workload`` and
-    ``horizon``, and different rates become per-row exponential
-    arrival distributions.  Bit-identical per seed (see
-    :mod:`repro.core.fast`).
+    The ``engine="vectorized"`` batch form, through
+    :func:`~repro.models.wsn_node.simulate_node_ensemble_task`: the
+    tasks must share ``workload`` and ``horizon``, and different rates
+    become per-row exponential arrival distributions.
     """
-    from ..runtime.adaptive import shared_field
-
-    workload = shared_field(items, 2, "workload")
-    horizon = shared_field(items, 3, "horizon")
-    models = [
-        WSNNodeModel(
-            NodeParameters(power_down_threshold=threshold, arrival_rate=rate),
-            workload,
-        )
-        for rate, threshold, *_ in items
-    ]
-    groups = simulate_node_ensembles(models, [seeds for *_, seeds in items], horizon)
-    return [[r.total_energy_j for r in group] for group in groups]
+    nodes = simulate_node_ensemble_task(tuple(map(_node_task, tasks)))
+    return [r.total_energy_j for r in nodes]
 
 
 def node_optimum_vs_rate(
@@ -154,12 +147,6 @@ def node_optimum_vs_rate(
         len(cells),
         rx,
         ensemble_fn=_node_energy_ensemble_task,
-        ensemble_task_for=lambda i, start, n: (
-            *cells[i],
-            workload,
-            horizon,
-            tuple(rep_seeds[start : start + n]),
-        ),
     )
     flat = [float(np.mean(run.values)) for run in runs]
     cell_replications: list[list[int]] | None = None

@@ -22,6 +22,8 @@ our duration alongside the paper's.  See EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 from ..core.statistics import ConfidenceInterval, replication_interval
 from ..des.imote2 import IMote2HardwareSimulator, IMote2RunResult
@@ -128,13 +130,19 @@ class ValidationResult:
 
 def _run_validation_rep(
     task: tuple[ValidationConfig, int],
+    petri: SimpleNodeResult | None = None,
 ) -> tuple[IMote2RunResult, SimpleNodeResult, float]:
-    """One seeded (hardware, Petri net) validation pair (picklable)."""
+    """One seeded (hardware, Petri net) validation pair (picklable).
+
+    ``petri`` is this task's Petri run when a batch already ran it
+    (see :func:`_run_validation_ensemble`).
+    """
     cfg, seed = task
     hardware = IMote2HardwareSimulator(seed=seed).run_events(cfg.n_events)
-    petri = SimpleNodeModel().simulate(
-        cfg.petri_horizon, seed=seed, warmup=cfg.petri_warmup
-    )
+    if petri is None:
+        petri = SimpleNodeModel().simulate(
+            cfg.petri_horizon, seed=seed, warmup=cfg.petri_warmup
+        )
     # The paper evaluates the Petri-net energy over the *measured*
     # execution window (0.326519 J = model mean power x 266.5 s).
     return hardware, petri, petri.energy_over(hardware.duration_s)
@@ -147,27 +155,23 @@ def _percent_difference(rep: tuple[IMote2RunResult, SimpleNodeResult, float]) ->
 
 
 def _run_validation_ensemble(
-    items: tuple[tuple[ValidationConfig, tuple[int, ...]], ...],
-) -> list[list[tuple[IMote2RunResult, SimpleNodeResult, float]]]:
-    """Packed validation batches, the Petri net vectorized per batch.
+    tasks: tuple[tuple[ValidationConfig, int], ...],
+) -> list[tuple[IMote2RunResult, SimpleNodeResult, float]]:
+    """:func:`_run_validation_rep` over many tasks, Petri runs ensembled.
 
-    The ``engine="vectorized"`` counterpart of
-    :func:`_run_validation_rep`: each item is ``(cfg, seeds)``, and the
-    Fig. 10 Petri runs of its seeds proceed in lockstep through
+    The ``engine="vectorized"`` batch form: the Fig. 10 Petri runs of
+    consecutive tasks with one config proceed in lockstep through
     :meth:`~repro.models.simple_node.SimpleNodeModel.simulate_ensemble`
     (bit-identical per replication); the IMote2 hardware simulator is
-    an event-driven DES, not a Petri net, and runs per seed as before.
+    an event-driven DES, not a Petri net, and runs per task.
     """
     out = []
-    for cfg, seeds in items:
+    for cfg, group in groupby(tasks, itemgetter(0)):
+        run = list(group)
         petris = SimpleNodeModel().simulate_ensemble(
-            cfg.petri_horizon, seeds, warmup=cfg.petri_warmup
+            cfg.petri_horizon, [seed for _, seed in run], warmup=cfg.petri_warmup
         )
-        reps = []
-        for seed, petri in zip(seeds, petris):
-            hardware = IMote2HardwareSimulator(seed=seed).run_events(cfg.n_events)
-            reps.append((hardware, petri, petri.energy_over(hardware.duration_s)))
-        out.append(reps)
+        out.extend(map(_run_validation_rep, run, petris))
     return out
 
 
@@ -218,10 +222,6 @@ def run_simple_node_validation(
         1,
         rx,
         ensemble_fn=_run_validation_ensemble,
-        ensemble_task_for=lambda _i, start, n: (
-            cfg,
-            tuple(seeds[start : start + n]),
-        ),
         metrics=_percent_difference,
     )
     reps = run.values

@@ -39,7 +39,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
-from itertools import accumulate
+from itertools import accumulate, groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -84,28 +85,28 @@ def simulate_node_task(
 
 
 def simulate_node_ensemble_task(
-    items: "tuple[tuple[NodeParameters, str, float, tuple[int, ...]], ...]",
-) -> "list[list[WSNNodeResult]]":
-    """Packed node sweep items, vectorized as one ensemble.
+    tasks: "tuple[tuple[NodeParameters, str, float, int], ...]",
+) -> "list[WSNNodeResult]":
+    """:func:`simulate_node_task` over many tasks, as one ensemble.
 
-    The ``engine="vectorized"`` counterpart of
-    :func:`simulate_node_task`: each item is ``(params, workload,
-    horizon, seeds)``, and every item's seeds run together in one
+    The ``engine="vectorized"`` batch form: returns
+    ``[simulate_node_task(t) for t in tasks]``, bit for bit, from one
     lockstep :func:`repro.core.fast.run_ensemble` (one net for all
-    items, see :func:`simulate_node_ensembles`).
-    Returns one :class:`WSNNodeResult` list per item, bit-identical to
-    mapping :func:`simulate_node_task` over its seeds.  The items must
+    tasks, see :func:`simulate_node_ensembles`).  Consecutive tasks
+    with the same ``params`` become one model's rows.  The tasks must
     share ``workload`` and ``horizon``.
     """
     from ..runtime.adaptive import shared_field
 
-    workload = shared_field(items, 1, "workload")
-    horizon = shared_field(items, 2, "horizon")
-    return simulate_node_ensembles(
-        [WSNNodeModel(params, workload) for params, *_ in items],
-        [seeds for *_, seeds in items],
+    workload = shared_field(tasks, 1, "workload")
+    horizon = shared_field(tasks, 2, "horizon")
+    runs = [list(run) for _, run in groupby(tasks, itemgetter(0))]
+    groups = simulate_node_ensembles(
+        [WSNNodeModel(run[0][0], workload) for run in runs],
+        [[seed for *_, seed in run] for run in runs],
         horizon,
     )
+    return [result for group in groups for result in group]
 
 
 def simulate_node_ensembles(

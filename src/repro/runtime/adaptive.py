@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any
 
 from ..core.statistics import replication_interval
@@ -138,8 +139,7 @@ def run_replications(
     n_points: int,
     rx: ResolvedExecution,
     *,
-    ensemble_fn: Callable[[tuple[Any, ...]], list[list[Any]]] | None = None,
-    ensemble_task_for: Callable[[int, int, int], Any] | None = None,
+    ensemble_fn: Callable[[tuple[Any, ...]], list[Any]] | None = None,
     metrics: Callable[[Any], float | Sequence[float]] = float,
     confidence: float = 0.95,
 ) -> list[AdaptivePointRun]:
@@ -155,20 +155,20 @@ def run_replications(
       ``AdaptiveSettings(rx.ci_target, max(rx.min_replications,
       rx.replications), rx.max_replications, confidence)``, stopping
       each point on ``metrics`` (see :func:`run_adaptive_rounds`);
-    * ``rx.engine == "vectorized"`` submits the ensemble shape
-      (``ensemble_fn`` / ``ensemble_task_for``, required then): each
-      round's per-point items packed into one task per executor slot;
-      otherwise one ``fn`` task per replication.
+    * ``rx.engine == "vectorized"`` batches each round's missing
+      ``task_for`` tasks through ``ensemble_fn`` (required then), one
+      task tuple per executor slot; otherwise one ``fn`` call per
+      replication.  ``ensemble_fn(tasks)`` must return ``[fn(t) for t
+      in tasks]``, bit for bit.
 
     Store keys are always ``task_key(fn, task_for(i, r))``, so every
     engine, backend and replication policy shares one cache.  Size the
     seed plans ``task_for`` reads from at ``rx.seed_plan_size``.
     """
-    if rx.engine == "vectorized":
-        if ensemble_fn is None or ensemble_task_for is None:
-            raise ValueError("engine='vectorized' requires an ensemble evaluator")
-    else:
-        ensemble_fn = ensemble_task_for = None
+    if rx.engine != "vectorized":
+        ensemble_fn = None
+    elif ensemble_fn is None:
+        raise ValueError("engine='vectorized' requires an ensemble evaluator")
     settings = None
     if rx.ci_target is not None:
         settings = AdaptiveSettings(
@@ -186,7 +186,6 @@ def run_replications(
         metrics,
         rx,
         ensemble_fn,
-        ensemble_task_for,
     )
 
 
@@ -196,8 +195,7 @@ def run_adaptive_rounds(
     n_points: int,
     settings: AdaptiveSettings,
     metrics: Callable[[Any], float | Sequence[float]] = float,
-    ensemble_fn: Callable[[tuple[Any, ...]], list[list[Any]]] | None = None,
-    ensemble_task_for: Callable[[int, int, int], Any] | None = None,
+    ensemble_fn: Callable[[tuple[Any, ...]], list[Any]] | None = None,
     exec_cfg: ExecutionConfig | ResolvedExecution | None = None,
 ) -> list[AdaptivePointRun]:
     """Drive ``fn`` over ``(point, replication)`` tasks until CIs close.
@@ -225,21 +223,18 @@ def run_adaptive_rounds(
         Maps one evaluation result to the float (or several floats)
         whose interval must tighten; a point converges only when
         *every* metric meets ``ci_target``.  Applied in the parent.
-    ensemble_fn / ensemble_task_for:
-        The ``engine="vectorized"`` round shape: when both are given,
-        ``ensemble_task_for(point, first_replication, count)`` builds
-        one item per open point covering that round's new
-        replications, and the round's items are packed strided into
-        ``min(items, slots)`` tasks — one per executor slot
-        (``workers``, or the backend's ``parallelism``).
-        ``ensemble_fn(items)`` receives a task's tuple of items, runs
-        them as one lockstep ensemble and returns one list of
-        ``count`` per-replication values per item, in seed-plan order.
-        Items packed together must share their run-wide settings
-        (horizon, workload, warmup; see :func:`shared_field`).  The
+    ensemble_fn:
+        The ``engine="vectorized"`` batch form of ``fn``: when given,
+        each round's missing tasks are packed into ``min(points,
+        slots)`` tuples — one per executor slot (``workers``, or the
+        backend's ``parallelism``), points strided across them, each
+        point's tasks contiguous and in replication order — and
+        ``ensemble_fn(tasks)`` runs one tuple as one lockstep ensemble.
+        It must return ``[fn(t) for t in tasks]``, bit for bit, so the
         stopping rule, seed-plan prefix contract and returned values
-        are unchanged (the vectorized engine is bit-identical per
-        replication).
+        are unchanged.  Tasks packed together must share their
+        run-wide settings (horizon, workload, warmup; see
+        :func:`shared_field`).
     exec_cfg:
         An :class:`~repro.runtime.config.ExecutionConfig` (or resolved
         :class:`~repro.runtime.config.ResolvedExecution`) supplying the
@@ -247,23 +242,17 @@ def run_adaptive_rounds(
         serial and store-less.  With a store, each round's new
         replications are keyed by ``task_key(fn, task_for(i, r))`` —
         always the *interpreted* task shape, so both engines share
-        entries.  Cached values are served without submitting work (for
-        the ensemble shape, the cached prefix is served and a smaller
-        item covers only the tail) and computed values are written
-        back, so raising ``max_replications`` on a warmed store
-        schedules only the delta replications.  Its replication and
-        engine fields are not read: ``settings`` and the ensemble pair
-        decide those.
+        entries.  Cached values are served without submitting work,
+        whichever the engine, and computed values are written back, so
+        raising ``max_replications`` on a warmed store schedules only
+        the delta replications.  Its replication and engine fields are
+        not read: ``settings`` and ``ensemble_fn`` decide those.
 
     Returns
     -------
     list[AdaptivePointRun]
         One entry per point, in point order.
     """
-    if (ensemble_fn is None) != (ensemble_task_for is None):
-        raise ValueError(
-            "ensemble_fn and ensemble_task_for must be given together"
-        )
     return _run_rounds(
         fn,
         task_for,
@@ -273,33 +262,35 @@ def run_adaptive_rounds(
         metrics,
         as_resolved(exec_cfg),
         ensemble_fn,
-        ensemble_task_for,
     )
 
 
 def _run_packed(
     pool: ParallelExecutor,
-    ensemble_fn: Callable[[tuple[Any, ...]], list[list[Any]]],
-    items: list[Any],
-) -> list[list[Any]]:
-    """One value list per ensemble item, from one task per slot.
+    ensemble_fn: Callable[[tuple[Any, ...]], list[Any]],
+    misses: list[list[Any]],
+) -> list[Any]:
+    """The values of ``misses``, in order, from one ``ensemble_fn`` call per slot.
 
-    Items are packed strided — item ``j`` goes to task ``j % n`` — so
-    each task gets a share of the cheap and the costly points instead
-    of one contiguous run of either.
+    Points are packed strided — point ``j`` goes to task ``j % n`` —
+    so each task gets a share of the cheap and the costly points
+    instead of one contiguous run of either.
     """
-    n = min(len(items), pool.slots)
-    if not n:
-        return []
-    packed = [tuple(items[t::n]) for t in range(n)]
-    outs = pool.map(ensemble_fn, packed)
-    for task, out in zip(packed, outs):
-        if len(out) != len(task):
+    n = min(len(misses), pool.slots)
+    packed = [tuple(task for point in misses[t::n] for task in point) for t in range(n)]
+    outs = pool.map(ensemble_fn, packed) if packed else []
+    for tasks, out in zip(packed, outs):
+        if len(out) != len(tasks):
             raise ValueError(
-                f"ensemble_fn returned {len(out)} value lists for a "
-                f"task of {len(task)} items"
+                f"ensemble_fn returned {len(out)} values for "
+                f"{len(tasks)} tasks"
             )
-    return [outs[j % n][j // n] for j in range(len(items))]
+    values = [iter(out) for out in outs]
+    return [
+        value
+        for j, point in enumerate(misses)
+        for value in islice(values[j % n], len(point))
+    ]
 
 
 def shared_field(items: Sequence[Any], index: int | str, name: str) -> Any:
@@ -326,8 +317,7 @@ def _run_rounds(
     settings: AdaptiveSettings | None,
     metrics: Callable[[Any], float | Sequence[float]],
     rx: ResolvedExecution,
-    ensemble_fn: Callable[[tuple[Any, ...]], list[list[Any]]] | None,
-    ensemble_task_for: Callable[[int, int, int], Any] | None,
+    ensemble_fn: Callable[[tuple[Any, ...]], list[Any]] | None,
 ) -> list[AdaptivePointRun]:
     """The round loop behind both entry points.
 
@@ -345,66 +335,40 @@ def _run_rounds(
     runs = [AdaptivePointRun(values=[]) for _ in range(n_points)]
     open_points = list(range(n_points))
     while open_points:
-        tasks: list[Any] = []
-        # (point, new replication count, cached prefix / per-rep slots, keys)
-        spans: list[tuple[int, int, list[Any], list[str]]] = []
+        # One slot per new replication: (hit, cached value or store key).
+        slots: list[tuple[int, list[tuple[bool, Any]]]] = []
+        misses: list[list[Any]] = []  # per point with any, in order
         for i in open_points:
             done = len(runs[i].values)
             n_new = min(first_round if done == 0 else round_size, cap - done)
-            keys = (
-                [task_key(fn, task_for(i, done + r)) for r in range(n_new)]
-                if store is not None
-                else []
-            )
-            if ensemble_task_for is not None:
-                # Serve the cached *prefix* only: an ensemble item covers
-                # one contiguous replication range per point.
-                cached: list[Any] = []
-                for key in keys:
-                    hit, value = store.get(key)  # type: ignore[union-attr]
-                    if not hit:
-                        break
-                    cached.append(value)
-                if len(cached) < n_new:
-                    tasks.append(
-                        ensemble_task_for(i, done + len(cached), n_new - len(cached))
-                    )
-                spans.append((i, n_new, cached, keys))
-            else:
-                slots: list[Any] = []
-                for r in range(n_new):
-                    if store is not None:
-                        hit, value = store.get(keys[r])
-                        if hit:
-                            slots.append((True, value))
-                            continue
-                    slots.append((False, None))
-                    tasks.append(task_for(i, done + r))
-                spans.append((i, n_new, slots, keys))
-        if ensemble_fn is not None:
-            tails = iter(_run_packed(pool, ensemble_fn, tasks))
-            for i, n_new, cached, keys in spans:
-                n_tail = n_new - len(cached)
-                tail = list(next(tails)) if n_tail else []
-                if len(tail) != n_tail:
-                    raise ValueError(
-                        f"ensemble_fn returned {len(tail)} values for "
-                        f"point {i}, expected {n_tail}"
-                    )
+            point_slots: list[tuple[bool, Any]] = []
+            point_misses: list[Any] = []
+            for r in range(done, done + n_new):
+                task = task_for(i, r)
+                key = None
                 if store is not None:
-                    for offset, value in enumerate(tail):
-                        store.put(keys[len(cached) + offset], value)
-                runs[i].values.extend(cached)
-                runs[i].values.extend(tail)
+                    key = task_key(fn, task)
+                    hit, value = store.get(key)
+                    if hit:
+                        point_slots.append((True, value))
+                        continue
+                point_slots.append((False, key))
+                point_misses.append(task)
+            slots.append((i, point_slots))
+            if point_misses:
+                misses.append(point_misses)
+        if ensemble_fn is not None:
+            computed = iter(_run_packed(pool, ensemble_fn, misses))
         else:
-            flat = iter(pool.map(fn, tasks) if tasks else [])
-            for i, n_new, slots, keys in spans:
-                for r, (hit, value) in enumerate(slots):
-                    if not hit:
-                        value = next(flat)
-                        if store is not None:
-                            store.put(keys[r], value)
-                    runs[i].values.append(value)
+            flat = [task for point in misses for task in point]
+            computed = iter(pool.map(fn, flat) if flat else [])
+        for i, point_slots in slots:
+            for hit, value in point_slots:
+                if not hit:
+                    key, value = value, next(computed)
+                    if store is not None:
+                        store.put(key, value)
+                runs[i].values.append(value)
         if settings is None:
             break
         still_open: list[int] = []

@@ -29,6 +29,9 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import partial
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, TypeVar
 
 import numpy as np
@@ -81,25 +84,25 @@ def _evaluate_task(
 
 
 def _evaluate_ensemble_task(
-    items: tuple[
-        tuple[Callable[[float, tuple[int, ...]], list[Any]], float, tuple[int, ...]],
-        ...,
-    ],
-) -> list[list[Any]]:
-    """Packed vectorized sweep points: one user call per point.
+    ensemble_evaluate: Callable[[float, tuple[int, ...]], list[Any]],
+    tasks: tuple[tuple[Callable[[float, int], Any], float, int], ...],
+) -> list[Any]:
+    """:func:`_evaluate_task` over many tasks: one user call per point.
 
-    A user ``ensemble_evaluate`` sees one threshold at a time, so the
-    packed items are evaluated in turn rather than merged.
+    Consecutive tasks of one threshold go to ``ensemble_evaluate`` as
+    one seed tuple; a user ``ensemble_evaluate`` sees one threshold at
+    a time, so the points are evaluated in turn rather than merged.
     """
-    out: list[list[Any]] = []
-    for evaluate, threshold, seeds in items:
-        values = evaluate(threshold, seeds)
+    out: list[Any] = []
+    for threshold, run in groupby(tasks, itemgetter(1)):
+        seeds = tuple(seed for *_, seed in run)
+        values = ensemble_evaluate(threshold, seeds)
         if len(values) != len(seeds):
             raise ValueError(
                 f"ensemble_evaluate returned {len(values)} values for "
                 f"{len(seeds)} seeds at threshold {threshold!r}"
             )
-        out.append(list(values))
+        out.extend(values)
     return out
 
 
@@ -128,9 +131,12 @@ def map_sweep(
         Confidence level of the adaptive stopping intervals; ignored
         unless ``exec_cfg.ci_target`` is set.
     ensemble_evaluate:
-        ``(threshold, seeds) -> [value, ...]`` in seed order; required
-        for (and only used by) ``engine="vectorized"``.  Must be
-        module-level (picklable) when ``workers > 1``.
+        ``(threshold, seeds) -> [value, ...]`` in seed order, equal to
+        ``[evaluate(threshold, s) for s in seeds]``; required for (and
+        only used by) ``engine="vectorized"``.  Each call gets one
+        point's missing seeds of a round, which need not be
+        consecutive in the seed plan when a store holds some of them.
+        Must be module-level (picklable) when ``workers > 1``.
     exec_cfg:
         An :class:`~repro.runtime.config.ExecutionConfig` (or resolved
         :class:`~repro.runtime.config.ResolvedExecution`); default
@@ -153,11 +159,12 @@ def map_sweep(
           point, so an adaptive run is a bit-identical prefix of the
           fixed ``replications=max_replications`` run at the same seed.
         * ``engine="vectorized"`` calls ``ensemble_evaluate`` once per
-          sweep point with all the point's seeds, the points packed
-          into one task per executor slot.  The seed plan is identical
-          either way, so for a bit-identical ``ensemble_evaluate``
-          (e.g. one built on :func:`repro.core.fast.run_ensemble`) the
-          returned points match the interpreted engine exactly.
+          sweep point with the point's missing seeds, the points
+          packed into one task per executor slot.  The seed plan is
+          identical either way, so for a bit-identical
+          ``ensemble_evaluate`` (e.g. one built on
+          :func:`repro.core.fast.run_ensemble`) the returned points
+          match the interpreted engine exactly.
         * ``store`` memoizes per-replication values, keyed by the
           *interpreted* per-replication task ``(evaluate, threshold,
           seed)`` regardless of engine, so both engines and every
@@ -175,23 +182,17 @@ def map_sweep(
         [sequence_to_seed(s) for s in ps.spawn(rx.seed_plan_size)]
         for ps in point_seqs
     ]
-    ensemble: dict[str, Any] = {}
-    if ensemble_evaluate is not None:
-        ensemble = {
-            "ensemble_fn": _evaluate_ensemble_task,
-            "ensemble_task_for": lambda i, start, n: (
-                ensemble_evaluate,
-                grid[i],
-                tuple(seeds[i][start : start + n]),
-            ),
-        }
     runs = run_replications(
         _evaluate_task,
         lambda i, r: (evaluate, grid[i], seeds[i][r]),
         len(grid),
         rx,
+        ensemble_fn=(
+            None
+            if ensemble_evaluate is None
+            else partial(_evaluate_ensemble_task, ensemble_evaluate)
+        ),
         confidence=confidence,
-        **ensemble,
     )
     out: list[SweepPoint] = []
     for i, (t, run) in enumerate(zip(grid, runs)):

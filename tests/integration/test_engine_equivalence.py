@@ -14,12 +14,17 @@ enforcement:
 * An adaptive-controller run asserts converged flags and replication
   counts agree across engines (the controller only sees values, and the
   values are identical).
+* Every driver's batch function returns its per-replication function's
+  values, pickle for pickle, for a batch that mixes points and skips
+  replications.
 * The compile-time fences: everything outside the subset must raise
   :class:`~repro.core.errors.UnsupportedNetError`, not silently
   diverge.
 """
 
+import pickle
 import struct
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -38,8 +43,22 @@ from repro.core.errors import UnsupportedNetError
 from repro.core.fast import VectorPredicate, compile_net, run_ensemble
 from repro.core.guards import FunctionGuard, tokens_gt
 from repro.core.marking import Token
-from repro.energy.power import PowerStateTable
-from repro.experiments.sensitivity import node_optimum_vs_rate
+from repro.energy.power import PowerStateTable, cpu_power_table
+from repro.experiments.figures import (
+    CPUComparisonConfig,
+    _evaluate_cpu_point,
+    _evaluate_cpu_point_ensemble,
+)
+from repro.experiments.sensitivity import (
+    _node_energy_ensemble_task,
+    _node_energy_task,
+    node_optimum_vs_rate,
+)
+from repro.experiments.validation import (
+    ValidationConfig,
+    _run_validation_ensemble,
+    _run_validation_rep,
+)
 from repro.models.cpu_petri import CPUPetriModel, simulate_cpu_ensembles
 from repro.models.simple_node import SimpleNodeModel
 from repro.models.wsn_node import (
@@ -47,8 +66,11 @@ from repro.models.wsn_node import (
     WSNNodeModel,
     simulate_node_ensemble_task,
     simulate_node_ensembles,
+    simulate_node_task,
 )
 from repro.runtime.config import ExecutionConfig
+from repro.runtime.seeding import replication_seeds
+from repro.runtime.sweep import _evaluate_ensemble_task, _evaluate_task
 from tests.integration.test_random_nets import random_closed_net
 
 #: The shipped equivalence mode of every paper model, per the ISSUE 6
@@ -506,9 +528,9 @@ class TestPerRowEnsembles:
 
     def test_packed_items_must_share_the_horizon(self):
         p = NodeParameters()
-        items = ((p, "closed", 5.0, (1,)), (p, "closed", 6.0, (1,)))
+        tasks = ((p, "closed", 5.0, 1), (p, "closed", 6.0, 2))
         with pytest.raises(ValueError, match="differ in horizon"):
-            simulate_node_ensemble_task(items)
+            simulate_node_ensemble_task(tasks)
 
     @staticmethod
     def _pair():
@@ -574,6 +596,118 @@ class TestPerRowEnsembles:
 def _bits(values: list[float]) -> bytes:
     """The exact IEEE-754 bytes of ``values`` (tells 0.0 from -0.0)."""
     return struct.pack(f"{len(values)}d", *values)
+
+
+def _sweep_energy(threshold, seed):
+    """A ``map_sweep`` evaluate: one node run's total energy."""
+    params = NodeParameters(power_down_threshold=threshold)
+    return WSNNodeModel(params, "closed").simulate(5.0, seed=seed).total_energy_j
+
+
+def _sweep_energy_ensemble(threshold, seeds):
+    """The ``ensemble_evaluate`` twin of :func:`_sweep_energy`."""
+    params = NodeParameters(power_down_threshold=threshold)
+    model = WSNNodeModel(params, "closed")
+    return [r.total_energy_j for r in model.simulate_ensemble(5.0, seeds)]
+
+
+#: Replications 0, 2 and 3 of a four-replication seed plan: a batch
+#: that skips one, as a store hole leaves it.
+_REPS = (0, 2, 3)
+_SEEDS = replication_seeds(2010, 4)
+
+
+def _batch(point_task):
+    """Two points' tasks at replications ``_REPS``, each point's together."""
+    return tuple(
+        point_task(point, r, _SEEDS[r]) for point in range(2) for r in _REPS
+    )
+
+
+_CPU_CFG = CPUComparisonConfig(horizon=20.0)
+_CPU_TABLE = cpu_power_table()
+_VALIDATION_CFGS = (
+    ValidationConfig(n_events=5, petri_horizon=200.0, petri_warmup=10.0),
+    ValidationConfig(n_events=5, petri_horizon=300.0, petri_warmup=10.0),
+)
+
+#: Every driver's ``(fn, ensemble_fn, task for (point, r, seed))``.
+BATCHED_DRIVERS = {
+    "node-sweep": (
+        simulate_node_task,
+        simulate_node_ensemble_task,
+        lambda i, r, seed: (
+            NodeParameters(power_down_threshold=(0.00178, 1.0)[i]),
+            "closed",
+            5.0,
+            seed,
+        ),
+    ),
+    "cpu-comparison": (
+        _evaluate_cpu_point,
+        _evaluate_cpu_point_ensemble,
+        lambda i, r, seed: (
+            (0.01, 0.5)[i],
+            seed,
+            0.3,
+            _CPU_CFG,
+            _CPU_TABLE,
+            r == 0,
+        ),
+    ),
+    "sensitivity": (
+        _node_energy_task,
+        _node_energy_ensemble_task,
+        lambda i, r, seed: ((1.0, 2.0)[i], 0.00178, "closed", 5.0, seed),
+    ),
+    "validation": (
+        _run_validation_rep,
+        _run_validation_ensemble,
+        lambda i, r, seed: (_VALIDATION_CFGS[i], seed),
+    ),
+    "map-sweep": (
+        _evaluate_task,
+        partial(_evaluate_ensemble_task, _sweep_energy_ensemble),
+        lambda i, r, seed: (_sweep_energy, (0.00178, 1.0)[i], seed),
+    ),
+}
+
+
+class TestBatchedTaskContract:
+    """``ensemble_fn(tasks) == [fn(t) for t in tasks]``, per driver."""
+
+    @pytest.mark.parametrize("driver", sorted(BATCHED_DRIVERS))
+    def test_batch_returns_the_per_task_values(self, driver):
+        fn, ensemble_fn, point_task = BATCHED_DRIVERS[driver]
+        tasks = _batch(point_task)
+        assert pickle.dumps(ensemble_fn(tasks), 5) == pickle.dumps(
+            [fn(t) for t in tasks], 5
+        )
+
+    @pytest.mark.parametrize(
+        "ensemble_fn, tasks, field",
+        [
+            (
+                _evaluate_cpu_point_ensemble,
+                (
+                    (0.01, 1, 0.3, _CPU_CFG, _CPU_TABLE, True),
+                    (0.01, 2, 0.3, CPUComparisonConfig(horizon=30.0), _CPU_TABLE, False),
+                ),
+                "config",
+            ),
+            (
+                _node_energy_ensemble_task,
+                ((1.0, 0.1, "closed", 5.0, 1), (1.0, 0.1, "open", 5.0, 2)),
+                "workload",
+            ),
+        ],
+        ids=["cpu-config", "sensitivity-workload"],
+    )
+    def test_batch_refuses_tasks_that_differ_in_run_settings(
+        self, ensemble_fn, tasks, field
+    ):
+        with pytest.raises(ValueError, match=f"differ in {field}"):
+            ensemble_fn(tasks)
 
 
 class TestColumnReadouts:

@@ -12,7 +12,7 @@ Three claims guard the cache against silently-wrong science:
    (:class:`StoreWarning`), delete the bad entry, and read as a miss —
    never a crash, never a wrong hit.
 3. **The dispatch layers submit exactly the misses.**
-   ``run_replications`` (both task shapes, fixed and adaptive),
+   ``run_replications`` (both engines, fixed and adaptive),
    ``map_shards`` and the adaptive controller serve hits in the parent
    and recompute only what is missing, and a warm run is bit-identical
    to a cold one.
@@ -63,14 +63,14 @@ def noisy(task):
     return threshold + float(np.random.default_rng(seed).normal(0.0, 0.5))
 
 
-def noisy_ensemble(items):
-    """Packed points, each with its replications (vectorized shape)."""
-    return [[noisy((threshold, s)) for s in seeds] for threshold, seeds in items]
+def noisy_ensemble(tasks):
+    """``noisy`` over a batch of tasks (the vectorized engine's form)."""
+    return [noisy(task) for task in tasks]
 
 
-def bad_ensemble(items):
-    """An ensemble task that drops a value (contract violation)."""
-    return [values[:-1] for values in noisy_ensemble(items)]
+def bad_ensemble(tasks):
+    """A batch function that drops a value (contract violation)."""
+    return noisy_ensemble(tasks)[:-1]
 
 
 class CountingPool:
@@ -100,7 +100,7 @@ def replicate(pool, store, seeds, engine="interpreted", **policy):
     """``run_replications`` over POINTS x ``seeds``; values per point.
 
     Replication ``r`` of point ``i`` is the task ``(POINTS[i],
-    seeds[r])``; the ensemble shape covers a contiguous seed range.
+    seeds[r])``, whichever the engine.
     """
     fields = {"replications": len(seeds), **policy}
     runs = run_replications(
@@ -109,10 +109,6 @@ def replicate(pool, store, seeds, engine="interpreted", **policy):
         len(POINTS),
         ResolvedExecution(backend=pool, store=store, engine=engine, **fields),
         ensemble_fn=noisy_ensemble,
-        ensemble_task_for=lambda i, start, n: (
-            POINTS[i],
-            tuple(seeds[start : start + n]),
-        ),
     )
     return [run.values for run in runs]
 
@@ -532,7 +528,7 @@ class TestCachedMap:
 
 
 class TestCachedEnsembleMap:
-    """The ensemble task shape (vectorized engine)."""
+    """The batched form of the same tasks (vectorized engine)."""
 
     def test_cold_then_warm(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -544,14 +540,13 @@ class TestCachedEnsembleMap:
 
     def test_top_up_submits_only_the_tail(self, tmp_path):
         # The incremental re-run: raise the replication count and only
-        # the new suffix is computed, per point.
+        # the new replications are computed, per point.
         store = ResultStore(tmp_path)
         replicate(CountingPool(), store, [1, 2], "vectorized")
         pool = CountingPool()
         grown = replicate(pool, store, [1, 2, 3, 4], "vectorized")
-        assert pool.submitted == [((0.1, (3, 4)), (0.5, (3, 4)))]
-        full_cold = noisy_ensemble([(t, (1, 2, 3, 4)) for t in POINTS])
-        assert grown == full_cold
+        assert pool.submitted == [((0.1, 3), (0.1, 4), (0.5, 3), (0.5, 4))]
+        assert grown == [[noisy((t, s)) for s in (1, 2, 3, 4)] for t in POINTS]
 
     def test_shared_keys_across_engines(self, tmp_path):
         # The engine-equivalence contract: per-replication keys written
@@ -567,30 +562,15 @@ class TestCachedEnsembleMap:
         assert pool.submitted == []
 
     def test_short_ensemble_return_is_an_error(self):
-        # The packed task holds both points; each list comes back one
-        # value short and the error names the first such point.
-        with pytest.raises(ValueError, match="for point 0, expected 2"):
+        # The packed task holds both points' replications; one value
+        # short is caught before any value is stored.
+        with pytest.raises(ValueError, match="returned 3 values for 4 tasks"):
             run_replications(
                 noisy,
                 lambda i, r: (POINTS[i], r),
                 len(POINTS),
                 ResolvedExecution(replications=2, engine="vectorized"),
                 ensemble_fn=bad_ensemble,
-                ensemble_task_for=lambda i, start, n: (
-                    POINTS[i],
-                    (1, 2)[start:],
-                ),
-            )
-
-    def test_missing_item_list_is_an_error(self):
-        with pytest.raises(ValueError, match="1 value lists for a task of 2"):
-            run_replications(
-                noisy,
-                lambda i, r: (POINTS[i], r),
-                len(POINTS),
-                ResolvedExecution(replications=2, engine="vectorized"),
-                ensemble_fn=lambda items: noisy_ensemble(items)[:1],
-                ensemble_task_for=lambda i, start, n: (POINTS[i], (1, 2)),
             )
 
     def test_vectorized_requires_an_ensemble_evaluator(self):
@@ -604,7 +584,7 @@ class TestCachedEnsembleMap:
 
 
 class TestEnsemblePacking:
-    """One ensemble task per executor slot, items packed strided."""
+    """One batch per executor slot, points packed strided."""
 
     GRID = (0.1, 0.2, 0.3, 0.4, 0.5)
 
@@ -618,25 +598,22 @@ class TestEnsemblePacking:
                 backend=pool, store=store, engine="vectorized", **fields
             ),
             ensemble_fn=noisy_ensemble,
-            ensemble_task_for=lambda i, start, n: (
-                self.GRID[i],
-                tuple(range(10 + start, 10 + start + n)),
-            ),
         )
 
     def test_serial_run_submits_one_task_for_every_point(self):
         pool = CountingPool()
         runs = replicate(pool, None, [1, 2], "vectorized")
-        assert pool.calls == [[((0.1, (1, 2)), (0.5, (1, 2)))]]
+        assert pool.calls == [[((0.1, 1), (0.1, 2), (0.5, 1), (0.5, 2))]]
         assert runs == [[noisy((t, s)) for s in (1, 2)] for t in POINTS]
 
     def test_two_slots_get_two_strided_tasks(self):
         pool = TwoSlotPool()
         runs = self._run(pool)
-        item = lambda i: (self.GRID[i], (10, 11))  # noqa: E731
-        assert pool.calls == [
-            [(item(0), item(2), item(4)), (item(1), item(3))]
-        ]
+
+        def batch(*points):
+            return tuple((self.GRID[i], s) for i in points for s in (10, 11))
+
+        assert pool.calls == [[batch(0, 2, 4), batch(1, 3)]]
         assert [run.values for run in runs] == [
             [noisy((t, s)) for s in (10, 11)] for t in self.GRID
         ]
@@ -644,7 +621,7 @@ class TestEnsemblePacking:
     def test_fewer_items_than_slots_gives_one_task_per_item(self):
         pool = TwoSlotPool()
         self._run(pool, n_points=1)
-        assert pool.calls == [[((0.1, (10, 11)),)]]
+        assert pool.calls == [[((0.1, 10), (0.1, 11))]]
 
     def test_cached_point_is_left_out_of_the_packed_task(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -654,18 +631,28 @@ class TestEnsemblePacking:
         store.puts = 0
         pool = CountingPool()
         warm = replicate(pool, store, [1, 2], "vectorized")
-        assert pool.calls == [[((POINTS[1], (2,)),)]]
-        assert store.puts == 1  # only point 1's tail; nothing for point 0
+        assert pool.calls == [[((POINTS[1], 2),)]]
+        assert store.puts == 1  # only point 1's miss; nothing for point 0
+        assert warm == [[noisy((t, s)) for s in (1, 2)] for t in POINTS]
+
+    def test_a_store_hole_submits_only_the_missing_replication(self, tmp_path):
+        # Replication 0 of point 1 is missing and replication 1 cached:
+        # the batch holds replication 0 alone, and only it is stored.
+        store = ResultStore(tmp_path)
+        replicate(CountingPool(), store, [1, 2])
+        store._entry_path(task_key(noisy, (POINTS[1], 1))).unlink()
+        store.puts = 0
+        pool = CountingPool()
+        warm = replicate(pool, store, [1, 2], "vectorized")
+        assert pool.calls == [[((POINTS[1], 1),)]]
+        assert store.puts == 1
         assert warm == [[noisy((t, s)) for s in (1, 2)] for t in POINTS]
 
     def test_adaptive_rounds_pack_only_open_points(self):
         # Point 0 is noise-free and converges after the first round;
         # later rounds pack point 1 alone.
-        def steady_or_noisy(items):
-            return [
-                [t if t == 0.1 else noisy((t, s)) for s in seeds]
-                for t, seeds in items
-            ]
+        def steady_or_noisy(tasks):
+            return [t if t == 0.1 else noisy((t, s)) for t, s in tasks]
 
         pool = CountingPool()
         runs = run_replications(
@@ -680,14 +667,10 @@ class TestEnsemblePacking:
                 max_replications=4,
             ),
             ensemble_fn=steady_or_noisy,
-            ensemble_task_for=lambda i, start, n: (
-                POINTS[i],
-                tuple(range(start, start + n)),
-            ),
         )
         assert pool.calls == [
-            [((0.1, (0, 1)), (0.5, (0, 1)))],
-            [((0.5, (2, 3)),)],
+            [((0.1, 0), (0.1, 1), (0.5, 0), (0.5, 1))],
+            [((0.5, 2), (0.5, 3))],
         ]
         assert [run.converged for run in runs] == [True, False]
         assert [run.replications for run in runs] == [2, 4]
@@ -795,15 +778,6 @@ class TestAdaptiveStore:
             **kwargs,
         )
 
-    def _ensemble_kwargs(self):
-        return dict(
-            ensemble_fn=noisy_ensemble,
-            ensemble_task_for=lambda i, start, n: (
-                (0.1, 0.5)[i],
-                tuple(100 + 17 * i + r for r in range(start, start + n)),
-            ),
-        )
-
     def test_warm_adaptive_run_is_all_hits(self, tmp_path):
         store = ResultStore(tmp_path)
         cold = self._run(store, 4)
@@ -830,7 +804,7 @@ class TestAdaptiveStore:
         store = ResultStore(tmp_path)
         interpreted = self._run(store, 4)
         store.hits = store.misses = 0
-        vectorized = self._run(store, 4, **self._ensemble_kwargs())
+        vectorized = self._run(store, 4, ensemble_fn=noisy_ensemble)
         assert [r.values for r in vectorized] == [
             r.values for r in interpreted
         ]
@@ -838,9 +812,9 @@ class TestAdaptiveStore:
 
     def test_ensemble_path_tops_up_with_one_tail_per_round(self, tmp_path):
         store = ResultStore(tmp_path)
-        self._run(store, 4, **self._ensemble_kwargs())
+        self._run(store, 4, ensemble_fn=noisy_ensemble)
         store.hits = store.misses = store.puts = 0
-        long = self._run(store, 8, **self._ensemble_kwargs())
+        long = self._run(store, 8, ensemble_fn=noisy_ensemble)
         assert store.hits == 2 * 4
         assert store.puts == 2 * 4
         assert [r.values for r in long] == [

@@ -244,6 +244,21 @@ class TestCLI:
         assert captured.err.startswith("error:")
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--topology", "geometric", "--nodes", "5", "--radius", "-1"],
+            ["--base-rate", "-1"],
+        ],
+        ids=["radius", "base-rate"],
+    )
+    def test_bad_topology_values_fail_cleanly(self, capsys, flags):
+        """``topology describe`` reports a refused value, not a traceback."""
+        assert main(["topology", "describe", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
