@@ -5,9 +5,8 @@ Composes the node model into a 5-node relay chain and optimises the
 node death) — the deployment-level version of the paper's Section VII
 question.  Asserts the energy-hole structure (sink-adjacent hotspot)
 and that the single-node optimum band carries over to the network
-metric.  The sweep runs through the sharded path (``shards=2``), which
-is numerically identical to the serial one by construction — see
-``bench_parallel_scaling.py`` for the shard-scaling timings.
+metric.  See ``bench_parallel_scaling.py`` for the worker-scaling
+timings of the network path.
 """
 
 import pytest
@@ -15,7 +14,6 @@ import pytest
 from conftest import once, paper_claim, scaled, write_result
 from repro.energy import IMOTE2_3xAAA, format_table
 from repro.models import LineTopology, NodeParameters, SensorNetworkModel
-from repro.runtime.config import ExecutionConfig
 
 THRESHOLDS = (1e-9, 0.00178, 0.01, 0.1, 1.0, 100.0)
 
@@ -35,7 +33,6 @@ def test_network_lifetime_sweep(benchmark):
             horizon=scaled(300.0, 20.0),
             seed=2010,
             base_rate=0.5,
-            exec_cfg=ExecutionConfig(shards=2),
         ),
     )
 

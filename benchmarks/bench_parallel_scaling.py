@@ -1,13 +1,13 @@
-"""Parallel runtime scaling: the Figs. 14/15 sweep and a sharded grid.
+"""Parallel runtime scaling: the Figs. 14/15 sweep and a network grid.
 
 Runs the full 23-point closed-model threshold grid through
 ``run_node_energy_sweep`` twice — ``workers=1`` (the bit-identical
 serial fallback) and ``workers=4`` — and records per-configuration
 throughput (grid points per second) and the speedup.  A second section
-does the same for the sharded network path: a 100-node
-``GridTopology`` scenario unsharded vs ``shards=4`` worker groups.
-The per-point results must be numerically identical at a fixed seed
-regardless of worker or shard count; those assertions are the hard
+does the same for the network path: a 100-node ``GridTopology``
+scenario at ``workers=1`` vs ``workers=4``, its nodes chunked over the
+pool.  The per-point results must be numerically identical at a fixed
+seed regardless of worker count; those assertions are the hard
 gate.  The speedups themselves are hardware-dependent (a 4-worker pool
 needs ≥ 4 cores to approach 4×), so they are recorded, not asserted —
 and on a host with fewer than two cores the bench *refuses to record*:
@@ -36,7 +36,6 @@ HORIZON_S = scaled(60.0, 4.0)
 WORKERS = scaled(4, 2)
 CONFIG = NodeSweepConfig(workload="closed", horizon=HORIZON_S, seed=2010)
 
-SHARDS = scaled(4, 2)
 GRID = GridTopology(*scaled((10, 10), (3, 3)))
 GRID_HORIZON_S = scaled(30.0, 4.0)
 GRID_BASE_RATE = 0.004  # hotspot at 0.4 events/s stays unsaturated
@@ -48,7 +47,7 @@ def _timed_sweep(workers):
     return sweep, time.perf_counter() - start
 
 
-def _timed_grid(shards, workers):
+def _timed_grid(workers):
     network = SensorNetworkModel(
         GRID, NodeParameters(power_down_threshold=0.01)
     )
@@ -57,7 +56,7 @@ def _timed_grid(shards, workers):
         GRID_HORIZON_S,
         seed=2010,
         base_rate=GRID_BASE_RATE,
-        exec_cfg=ExecutionConfig(workers=workers, shards=shards),
+        exec_cfg=ExecutionConfig(workers=workers),
     )
     return result, time.perf_counter() - start
 
@@ -115,28 +114,26 @@ def test_parallel_scaling_fig14_grid(benchmark):
 
 
 @pytest.mark.benchmark(group="parallel-scaling")
-def test_shard_scaling_network_grid(benchmark):
-    serial, serial_s = _timed_grid(shards=1, workers=1)
-    sharded, sharded_s = once(
-        benchmark, lambda: _timed_grid(shards=SHARDS, workers=WORKERS)
-    )
+def test_network_grid_scaling(benchmark):
+    serial, serial_s = _timed_grid(workers=1)
+    parallel, parallel_s = once(benchmark, lambda: _timed_grid(workers=WORKERS))
 
-    # Hard gate: sharding must never change the numbers.
-    assert sharded == serial
+    # Hard gate: worker count must never change the numbers.
+    assert parallel == serial
 
     n = GRID.n_nodes
     text = "\n".join(
         [
-            f"Shard scaling: {GRID.describe()} "
+            f"Network grid scaling: {GRID.describe()} "
             f"({GRID_HORIZON_S:.0f} s horizon, {GRID_BASE_RATE:g} events/s "
             "base rate, seed 2010)",
             f"  host cores          : {os.cpu_count()}",
-            f"  unsharded (shards=1): {serial_s:8.2f} s "
+            f"  serial   (workers=1): {serial_s:8.2f} s "
             f"({n / serial_s:6.2f} nodes/s)",
-            f"  sharded   (shards={SHARDS}, workers={WORKERS}): "
-            f"{sharded_s:8.2f} s ({n / sharded_s:6.2f} nodes/s)",
-            *_speedup_lines("speedup             ", serial_s, sharded_s),
-            "  merged NetworkResult: identical to unsharded (asserted)",
+            f"  parallel (workers={WORKERS}): "
+            f"{parallel_s:8.2f} s ({n / parallel_s:6.2f} nodes/s)",
+            *_speedup_lines("speedup             ", serial_s, parallel_s),
+            "  NetworkResult       : identical to serial (asserted)",
         ]
     )
     _record_or_refuse("shard_scaling", text)

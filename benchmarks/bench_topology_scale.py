@@ -3,13 +3,13 @@
 Times a full churning, bursty network run on random geometric
 deployments of growing size — the scenario-diversity subsystem's
 answer to "does the generated-topology path actually scale?".  Each
-run goes through the sharded worker path exactly as the
-``geo1000.yaml`` gallery scenario does; recorded columns are wall
+run goes through the process pool exactly as the ``geo1000.yaml``
+gallery scenario does; recorded columns are wall
 time, simulated events, and events/s of end-to-end throughput.
 
 Scale-free gates stay active in smoke mode: topology generation is
-asserted seed-deterministic and the sharded run bit-identical to the
-serial one at the smallest size.
+asserted seed-deterministic and the four-worker run bit-identical to
+the serial one at the smallest size.
 """
 
 import time
@@ -42,7 +42,7 @@ def run_one(n_nodes, horizon):
         horizon=horizon,
         seed=SEED,
         base_rate=BASE_RATE,
-        exec_cfg=ExecutionConfig(shards=8, workers=4),
+        exec_cfg=ExecutionConfig(workers=4),
     )
     wall_s = time.perf_counter() - start
     events = sum(node.events_completed for node in result.nodes)
@@ -54,7 +54,7 @@ def test_topology_scale(benchmark):
     horizon = scaled(120.0, 2.0)
 
     # Scale-free gates first, at the cheapest size: the generator is a
-    # pure function of its seed, and sharding never changes numbers.
+    # pure function of its seed, and workers never change numbers.
     small = RandomGeometricTopology(SIZES[0], seed=SEED)
     assert small.tree_parents() == (
         RandomGeometricTopology(SIZES[0], seed=SEED).tree_parents()
@@ -62,8 +62,8 @@ def test_topology_scale(benchmark):
     serial = build_network(SIZES[0]).simulate(
         horizon=horizon, seed=SEED, base_rate=BASE_RATE
     )
-    sharded, _, _ = run_one(SIZES[0], horizon)
-    assert sharded == serial
+    parallel, _, _ = run_one(SIZES[0], horizon)
+    assert parallel == serial
 
     def sweep():
         return [run_one(n, horizon) for n in SIZES]
@@ -86,7 +86,7 @@ def test_topology_scale(benchmark):
         ],
         rows,
         title="Generated-topology scale: churning bursty geometric "
-        f"deployments, shards=8/workers=4, seed {SEED}",
+        f"deployments, workers=4, seed {SEED}",
     )
     write_result("topology_scale", text)
 

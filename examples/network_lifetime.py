@@ -9,9 +9,8 @@ at the network level: which ``Power_Down_Threshold`` maximises the
 *network* lifetime (time to first node death)?
 
 The final section scales the question up: a 100-node grid simulated
-through the sharded runtime (``shards=8`` worker-group tasks), which
-is bit-identical to the serial path — sharding is an execution knob,
-not a modelling one.
+over a two-worker process pool, which is bit-identical to the serial
+path — the worker count is an execution knob, not a modelling one.
 
 Run:  python examples/network_lifetime.py
 """
@@ -79,17 +78,17 @@ def main() -> None:
         "immediate power-down remains clearly worst, as in Fig. 14."
     )
 
-    # --- hundreds of nodes: the sharded path -----------------------------
+    # --- hundreds of nodes: two workers ----------------------------------
     grid_net = SensorNetworkModel(
         GridTopology(10, 10),
         NodeParameters(power_down_threshold=0.01),
         IMOTE2_3xAAA,
     )
     grid = grid_net.simulate(
-        horizon=40.0, seed=1, base_rate=0.004, exec_cfg=ExecutionConfig(shards=8)
+        horizon=40.0, seed=1, base_rate=0.004, exec_cfg=ExecutionConfig(workers=2)
     )
     print(
-        f"\n{grid.topology}, simulated as 8 shards: "
+        f"\n{grid.topology}, simulated over 2 workers: "
         f"hotspot node {grid.hotspot.node_id} "
         f"(relays {grid.hotspot.event_rate:g} events/s vs "
         f"{grid.nodes[-1].event_rate:g} at the far corner), "

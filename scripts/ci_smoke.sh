@@ -6,8 +6,9 @@
 # Groups:
 #   runtime   parallel runtime on a tiny grid (workers + replications)
 #   adaptive  adaptive replication control (--ci-target)
-#   sharded   sharded multi-node network scenarios
-#   socket    multi-host backend: 2 localhost workers, sharded sweep,
+#   network   multi-node network scenario: a grid run over two workers
+#             diffed bit-identical (below the header) against one
+#   socket    multi-host backend: 2 localhost workers, network sweep,
 #             output asserted bit-identical to --backend local
 #   engine    vectorized lockstep engine: Fig. 14 (serial and over two
 #             workers), Fig. 7 and an adaptive validate run diffed
@@ -24,14 +25,14 @@
 #             warm pass as pure hits
 #   topology  scenario-diversity subsystem: both generated-topology
 #             gallery scenarios at --smoke, a churning bursty run
-#             diffed bit-identical between sharded and serial
+#             diffed bit-identical between two-worker and serial
 #             spellings, `topology describe` asserted stable
 #   all       every group above (default)
 #
 # Each group exercises the CLI exactly as a user would — tiny horizons,
 # full code paths.  The socket group is the acceptance gate for the
 # execution-backend layer: it starts two `repro.cli worker` processes
-# on ephemeral ports, runs the same sharded `network --sweep` through
+# on ephemeral ports, runs the same `network --sweep` through
 # `--backend socket` and `--backend local`, and diffs the output.
 
 set -euo pipefail
@@ -66,12 +67,23 @@ smoke_adaptive() {
         --ci-target 0.5 --max-replications 2
 }
 
-smoke_sharded() {
-    echo "--- smoke: sharded network scenarios ---"
-    $CLI network --topology grid --grid 5x4 --horizon 5 --base-rate 0.05 \
-        --shards 4 --workers 2
-    $CLI network --topology line --nodes 3 --horizon 5 --sweep \
-        --shards 2 --shard-strategy round-robin
+smoke_network() {
+    echo "--- smoke: multi-node network scenario (workers 2 vs 1) ---"
+    # The first output line records the worker count, which is exactly
+    # what differs — drop it, diff the numbers.
+    local args=(network --topology grid --grid 5x4 --horizon 5 --base-rate 0.05)
+    local out_serial out_parallel
+    out_serial="$(mktemp)"
+    out_parallel="$(mktemp)"
+    $CLI "${args[@]}" --workers 1 | tail -n +2 >"$out_serial"
+    $CLI "${args[@]}" --workers 2 | tail -n +2 >"$out_parallel"
+    if diff "$out_serial" "$out_parallel"; then
+        echo "network output is bit-identical over 2 workers and 1"
+    else
+        echo "FAIL: network output differs over 2 workers and 1" >&2
+        return 1
+    fi
+    cat "$out_parallel"
 }
 
 # Start one worker on an ephemeral port, logging to $1.  Runs in the
@@ -109,7 +121,7 @@ smoke_socket() {
     port_b="$(worker_port "$log_b")"
     echo "workers on ports $port_a, $port_b"
 
-    local args=(network --topology line --nodes 4 --horizon 5 --sweep --shards 2)
+    local args=(network --topology line --nodes 4 --horizon 5 --sweep)
     local out_local out_socket
     out_local="$(mktemp)"
     out_socket="$(mktemp)"
@@ -160,8 +172,8 @@ smoke_engine() {
     # replication 2, so only the tasks say where the Markov solve runs.
     engine_diff table 4 --horizon 20 --replications 2 --ci-target 0.05 \
         --max-replications 4
-    # The network subcommand is per-node (ensembles of one) and must
-    # not accept the flag at all.
+    # The network subcommand runs on the interpreted engine only and
+    # must not accept the flag at all.
     if $CLI network --topology line --nodes 3 --horizon 5 \
         --engine vectorized >/dev/null 2>&1; then
         echo "FAIL: network accepted --engine vectorized" >&2
@@ -238,7 +250,7 @@ smoke_scenario() {
     $CLI scenario run scenarios/churn_tree.yaml --smoke >"$out_scenario"
     $CLI network --topology cluster-tree --fanout 3 --depth 3 \
         --failure-rate 0.02 --duty-spread 0.3 --traffic bursty \
-        --base-rate 0.2 --horizon 5 --workers 1 --shards 2 >"$out_flags"
+        --base-rate 0.2 --horizon 5 --workers 1 >"$out_flags"
     if diff "$out_scenario" "$out_flags"; then
         echo "network scenario output is bit-identical to the flag spelling"
     else
@@ -262,21 +274,21 @@ smoke_topology() {
     $CLI scenario validate scenarios/churn_tree.yaml
     $CLI scenario run scenarios/churn_tree.yaml --smoke
     # The acceptance gate for the dynamics layer: a churning, bursty
-    # geometric run must print the same bytes sharded as serial.  The
-    # first output line records the execution shape (workers/shards),
-    # which is exactly what differs — drop it, diff the numbers.
+    # geometric run must print the same bytes over two workers as
+    # serial.  The first output line records the worker count, which
+    # is exactly what differs — drop it, diff the numbers.
     local args=(network --topology geometric --nodes 12 --horizon 5
         --base-rate 0.2 --failure-rate 0.2 --duty-spread 0.3
         --traffic bursty --seed 3)
-    local out_serial out_sharded
+    local out_serial out_parallel
     out_serial="$(mktemp)"
-    out_sharded="$(mktemp)"
+    out_parallel="$(mktemp)"
     $CLI "${args[@]}" | tail -n +2 >"$out_serial"
-    $CLI "${args[@]}" --shards 3 --workers 2 | tail -n +2 >"$out_sharded"
-    if diff "$out_serial" "$out_sharded"; then
-        echo "churn run output is bit-identical sharded vs serial"
+    $CLI "${args[@]}" --workers 2 | tail -n +2 >"$out_parallel"
+    if diff "$out_serial" "$out_parallel"; then
+        echo "churn run output is bit-identical over 2 workers vs serial"
     else
-        echo "FAIL: churn run output differs sharded vs serial" >&2
+        echo "FAIL: churn run output differs over 2 workers vs serial" >&2
         return 1
     fi
     if ! grep -q "failures" "$out_serial"; then
@@ -364,17 +376,17 @@ for group in "${groups[@]}"; do
     case "$group" in
         runtime)  smoke_runtime ;;
         adaptive) smoke_adaptive ;;
-        sharded)  smoke_sharded ;;
+        network)  smoke_network ;;
         socket)   smoke_socket ;;
         engine)   smoke_engine ;;
         store)    smoke_store ;;
         scenario) smoke_scenario ;;
         serve)    smoke_serve ;;
         topology) smoke_topology ;;
-        all)      smoke_runtime; smoke_adaptive; smoke_sharded; smoke_socket; smoke_engine; smoke_store; smoke_scenario; smoke_serve; smoke_topology ;;
+        all)      smoke_runtime; smoke_adaptive; smoke_network; smoke_socket; smoke_engine; smoke_store; smoke_scenario; smoke_serve; smoke_topology ;;
         *)
             echo "unknown smoke group: $group" >&2
-            echo "valid groups: runtime adaptive sharded socket engine store scenario serve topology all" >&2
+            echo "valid groups: runtime adaptive network socket engine store scenario serve topology all" >&2
             exit 2
             ;;
     esac

@@ -27,7 +27,7 @@ Subpackages
     plus network-level lifetime scenarios.
 ``repro.runtime``
     Parallel replication/sweep execution runtime (process pools with
-    spawn-safe seeding, node-set sharding into worker groups); every
+    spawn-safe seeding and a content-addressed result store); every
     experiment driver routes its grid through it.
 """
 

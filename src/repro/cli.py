@@ -10,7 +10,7 @@ Usage::
     python -m repro.cli node-sweep --ci-target 0.05 --max-replications 32
     python -m repro.cli validate --replications 16 --workers 4
     python -m repro.cli lifetime --threshold 0.00178 --capacity-mah 1000
-    python -m repro.cli network --topology grid --grid 10x10 --shards 8
+    python -m repro.cli network --topology grid --grid 10x10 --workers 4
     python -m repro.cli network --topology line --nodes 5 --sweep
     python -m repro.cli node-sweep --store ~/.repro-store
     python -m repro.cli store stats --store ~/.repro-store
@@ -32,11 +32,10 @@ switches the replication count to adaptive control
 (:mod:`repro.runtime.adaptive`): each point replicates in rounds until
 its interval's relative half-width is ≤ REL (capped at
 ``--max-replications``), and the output reports each point's
-replication count and convergence.  The ``network`` subcommand
-additionally accepts ``--shards K`` to partition a topology's node set
-into coarse worker-group tasks (:mod:`repro.runtime.sharding`) — the
-scaling knob for hundreds-of-node grids; no worker/shard setting ever
-changes the reported numbers.
+replication count and convergence.  The ``network`` subcommand runs
+each node of a topology as one task, chunked over ``--workers`` like
+any other task set; no worker setting ever changes the reported
+numbers.
 
 ``--engine {interpreted,vectorized}`` selects *how* each Petri-net
 simulation runs (:mod:`repro.core.fast`): the default interpreted
@@ -44,7 +43,8 @@ per-event loop, or the vectorized lockstep engine that runs the
 replications of every sweep point as rows of one NumPy ensemble per
 worker.  Results are bit-identical; only throughput changes (the
 vectorized engine wins once an ensemble has tens of rows).  ``network`` does not accept
-``--engine vectorized`` — its per-node fan-out has nothing to batch.
+``--engine vectorized`` — bursty nodes and churn segments have no
+batched evaluator yet.
 
 ``--backend {local,processes,socket}`` selects *where* tasks execute
 (:mod:`repro.runtime.backend`): in-process, on a local process pool,
@@ -52,7 +52,7 @@ or on remote worker processes.  For the socket backend, start one
 ``python -m repro.cli worker --serve PORT`` per host and list each as
 ``--connect host:port``; chunks are load-balanced across the workers
 and re-queued if a worker drops (:mod:`repro.runtime.remote`).
-Backends, like workers and shards, never change the reported numbers —
+Backends, like workers, never change the reported numbers —
 ``--backend socket`` is asserted bit-identical to ``--backend local``
 in the test suite and CI.
 
@@ -62,7 +62,7 @@ content-addressed on-disk :class:`~repro.runtime.store.ResultStore`
 ``--no-store`` disables it for one run — combining it with ``--store
 DIR`` is a flag error).  Warm re-runs print output byte-identical to
 cold runs — entries are keyed by the task spec (parameters, seed,
-horizon), never by workers/shards/backend/engine, so every execution
+horizon), never by workers/backend/engine, so every execution
 configuration shares one cache.  ``python -m repro.cli store
 {stats,verify,gc} --store DIR`` inspects, integrity-checks and
 compacts a store.
@@ -327,14 +327,13 @@ def add_execution_args(
     *,
     replications: bool = True,
     engine: bool = True,
-    shards: bool = False,
 ) -> None:
     """Attach the shared execution flags to a run subcommand.
 
     One flag set for every run subcommand — workers, replications,
-    engine, adaptive control, backend, store, and (for sharded node
-    sets) shards.  :func:`execution_config_from_args` is the inverse:
-    it folds whatever subset a subcommand carries into one
+    engine, adaptive control, backend and store.
+    :func:`execution_config_from_args` is the inverse: it folds whatever
+    subset a subcommand carries into one
     :class:`~repro.runtime.config.ExecutionConfig`.
     """
     sub_parser.add_argument(
@@ -342,8 +341,8 @@ def add_execution_args(
         type=_positive_int,
         default=1,
         help=(
-            "process-pool size for grid points / replications / shard "
-            "tasks (default 1)"
+            "process-pool size for grid points / replications / network "
+            "nodes (default 1)"
         ),
     )
     if replications:
@@ -361,22 +360,6 @@ def add_execution_args(
     _add_adaptive_args(sub_parser)
     _add_backend_args(sub_parser)
     _add_store_args(sub_parser)
-    if shards:
-        sub_parser.add_argument(
-            "--shards",
-            type=_positive_int,
-            default=1,
-            help=(
-                "worker-group shards over the node set "
-                "(default 1 = unsharded)"
-            ),
-        )
-        sub_parser.add_argument(
-            "--shard-strategy",
-            choices=["contiguous", "round-robin"],
-            default="contiguous",
-            help="node partition strategy for --shards > 1",
-        )
 
 
 def execution_config_from_args(
@@ -445,8 +428,6 @@ def execution_config_from_args(
             connect=tuple(connect or ()),
             engine=getattr(args, "engine", "interpreted"),
             store_dir=store_dir,
-            shards=getattr(args, "shards", 1),
-            shard_strategy=getattr(args, "shard_strategy", "contiguous"),
             ci_target=getattr(args, "ci_target", None),
             max_replications=getattr(args, "max_replications", 64),
         )
@@ -489,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_execution_args(val)
 
     network = sub.add_parser(
-        "network", help="sharded multi-node network scenario"
+        "network", help="multi-node network scenario"
     )
     _add_topology_args(network)
     network.add_argument(
@@ -561,7 +542,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="events/s sensed by each node before relaying (default 0.5)",
     )
     network.add_argument("--seed", type=int, default=2010)
-    add_execution_args(network, replications=False, engine=False, shards=True)
+    add_execution_args(network, replications=False, engine=False)
 
     topology = sub.add_parser(
         "topology",
@@ -753,11 +734,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     life = sub.add_parser("lifetime", help="battery lifetime at a threshold")
-    life.add_argument("--threshold", type=float, default=0.00178)
+    life.add_argument("--threshold", type=_nonneg_float, default=0.00178)
     life.add_argument("--workload", choices=["closed", "open"], default="closed")
-    life.add_argument("--horizon", type=float, default=300.0)
-    life.add_argument("--capacity-mah", type=float, default=1000.0)
-    life.add_argument("--voltage", type=float, default=4.5)
+    life.add_argument("--horizon", type=_positive_float, default=300.0)
+    life.add_argument("--capacity-mah", type=_positive_float, default=1000.0)
+    life.add_argument("--voltage", type=_positive_float, default=4.5)
     life.add_argument("--seed", type=int, default=2010)
 
     return parser
@@ -879,7 +860,7 @@ def _cmd_list() -> int:
     print(
         "figures: 4 5 6 (state shares) 7 8 9 (energy) 14 15 (node sweeps)\n"
         "tables:  4 5 6 (delta energy) + validate (VIII-X)\n"
-        "extras:  node-sweep, lifetime, network (sharded multi-node), "
+        "extras:  node-sweep, lifetime, network (multi-node), "
         "scenario (declarative spec files)"
     )
     return 0
@@ -1225,10 +1206,7 @@ def run_network(
             else None
         ),
     )
-    run_info = (
-        f"(workers={rx.workers}, shards={rx.shards}, "
-        f"{rx.shard_strategy})"
-    )
+    run_info = f"(workers={rx.workers})"
     if sweep:
         sweep_result = run_network_lifetime_sweep(config, exec_cfg=rx)
         report = _text(

@@ -5,7 +5,7 @@
 * :mod:`repro.experiments.deltas` — Tables IV–VI Δ-energy statistics;
 * :mod:`repro.experiments.node_energy` — Figs. 14/15 node sweeps with
   optimum-threshold detection;
-* :mod:`repro.experiments.network` — sharded multi-node network
+* :mod:`repro.experiments.network` — multi-node network
   scenarios (line/star/grid) on the network-lifetime metric;
 * :mod:`repro.experiments.validation` — the Section V IMote2
   validation (Tables VIII–X);

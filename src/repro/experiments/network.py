@@ -1,11 +1,11 @@
-"""Network-scenario driver: sharded multi-node lifetime experiments.
+"""Network-scenario driver: multi-node lifetime experiments.
 
 The deployment-level companion of the Figs. 14/15 sweeps: build a
 topology (line, star, or a hundreds-of-node grid), simulate every node
-at its relay-inflated event rate through the
-:mod:`repro.runtime.sharding` worker groups, and report the network
-metrics — time to first node death, the hotspot node, total energy and
-the lifetime imbalance that motivates location-aware power management.
+at its relay-inflated event rate, one :mod:`repro.runtime` task per
+node, and report the network metrics — time to first node death, the
+hotspot node, total energy and the lifetime imbalance that motivates
+location-aware power management.
 
 Two entry points:
 
@@ -16,7 +16,7 @@ Two entry points:
   answering "which ``Power_Down_Threshold`` maximises *network* lifetime?".
 
 Both take an ``exec_cfg`` whose ``workers`` (process-pool size) and
-``shards`` (worker-group count) never change the numbers.
+backend never change the numbers.
 """
 
 from __future__ import annotations
@@ -57,21 +57,17 @@ __all__ = [
 def _check_engine(engine: str) -> None:
     """Refuse the vectorized engine, explicitly and loudly.
 
-    The vectorized engine batches *replications of one model config*;
-    a network scenario parallelises across nodes, each with a distinct
-    relay-inflated event rate (an ensemble of one per node), so there
-    is nothing for the lockstep engine to batch.  Refusing beats
-    silently falling back — callers choose the engine, never guess.
+    Network nodes run on the interpreted engine only: bursty (MMPP)
+    nodes and churn segments have no batched evaluator yet.  Refusing
+    beats silently falling back — callers choose the engine, never
+    guess.
     """
     if engine == "vectorized":
         raise ValueError(
             "engine='vectorized' does not apply to network scenarios: "
-            "the lockstep engine batches replications of one model "
-            "config, but every network node runs a distinct "
-            "relay-inflated config, so each node would be a per-node "
-            "ensemble of one with nothing to batch; run with "
-            "engine='interpreted' (the default) and parallelise with "
-            "workers/shards instead"
+            "bursty (MMPP) nodes and churn segments have no batched "
+            "evaluator yet; run with engine='interpreted' (the default) "
+            "and parallelise with workers instead"
         )
 
 
@@ -260,9 +256,9 @@ def _network_runs(
 ) -> list[AdaptivePointRun]:
     """Replicate whole network runs, one point per threshold.
 
-    Each replication is a full (possibly sharded) network simulation.
-    The replication loop runs in-process and store-less, so ``workers``
-    and ``shards`` keep parallelising *inside* each network run and the
+    Each replication is a full network simulation.  The replication
+    loop runs in-process and store-less, so ``workers`` keeps
+    parallelising *inside* each network run and the
     store memoizes at *node* granularity inside each
     :meth:`~repro.models.network.SensorNetworkModel.simulate` call (the
     loop's own ``(point, rep)`` tasks are index placeholders with no
@@ -345,9 +341,8 @@ def run_network_scenario(
     given.  ``exec_cfg`` — an
     :class:`~repro.runtime.config.ExecutionConfig` (or resolved
     :class:`~repro.runtime.config.ResolvedExecution`) — says how to
-    run: its ``shards`` partition the node set into worker-group tasks
-    (see :mod:`repro.runtime.sharding`), and results are identical for
-    any ``(workers, shards, shard_strategy)``.
+    run: each node is one task on its ``workers`` / backend, and
+    results are identical for any of them.
 
     With ``ci_target`` set, the whole scenario replicates with spawned
     seeds until the total-energy interval's relative half-width meets
@@ -386,10 +381,9 @@ def run_network_lifetime_sweep(
     """Sweep ``config.thresholds`` on the network-lifetime metric.
 
     ``exec_cfg`` is as in :func:`run_network_scenario`.  The threshold
-    points run in order, each a complete (possibly sharded) network
-    simulation.  With ``ci_target`` set, every threshold point
-    replicates adaptively on its total-energy interval and stops
-    independently; ``results`` still holds the replication-0 series
+    points run in order, each a complete network simulation.  With
+    ``ci_target`` set, every threshold point replicates adaptively on
+    its total-energy interval and stops independently; ``results`` still holds the replication-0 series
     (bit-identical to the single-run sweep), with per-point counts,
     ``converged`` flags and :meth:`NetworkSweepResult.energy_ci`
     uncertainty on top.

@@ -23,12 +23,11 @@ This turns the single-node ``Power_Down_Threshold`` question into the
 deployment-level one: which threshold maximises the *network* lifetime,
 given that the hotspot node sees a different workload than the leaves?
 
-Because nodes are independent, the node set shards cleanly:
-``simulate(..., shards=K)`` partitions the nodes via
-:mod:`repro.runtime.sharding`, runs each shard as one worker-group
-task, and merges the per-shard results with :meth:`NetworkResult.merge`
-— per-node seeds are keyed by node index, so every ``(workers,
-shards, strategy)`` combination is bit-identical to the serial run.
+Because nodes are independent, each node is one task of
+:func:`repro.runtime.run_replications`, which chunks the node set over
+the executor's workers like any other task set.  Per-node seeds are
+keyed by node index, so every ``workers`` / backend combination is
+bit-identical to the serial run.
 """
 
 from __future__ import annotations
@@ -256,9 +255,9 @@ class NodeSummary:
 
 @dataclass
 class NetworkResult:
-    """Outcome of one network simulation (or a merged set of shards).
+    """Outcome of one network simulation (or a merged set of parts).
 
-    The aggregate metrics are all shard-decomposable, which is what
+    The aggregate metrics are all decomposable over nodes, which is what
     makes :meth:`merge` exact rather than approximate: total energy is
     a sum over nodes, network lifetime is a min, and the hotspot is the
     argmin node — each distributes over any partition of the node set.
@@ -269,20 +268,20 @@ class NetworkResult:
     horizon_s: float
     nodes: list[NodeSummary]
     #: Churn statistics, attached by the parent after any merge —
-    #: shards never see or produce this, so merging stays exact.
+    #: parts never see or produce this, so merging stays exact.
     dynamics: ChurnReport | None = None
 
     @classmethod
     def merge(cls, results: Sequence["NetworkResult"]) -> "NetworkResult":
-        """Combine per-shard results into one network-wide result.
+        """Combine results over disjoint node sets into one network-wide result.
 
         Requires every part to describe the same run (topology label,
         threshold, horizon) and the node ids to be disjoint; nodes are
-        re-sorted by id so the merged result is independent of shard
-        order and strategy, making ``merge`` associative and
-        commutative.  The aggregates follow from the node list:
-        lifetime = min over shards, hotspot = the argmin node, energy =
-        sum of shard energies.
+        re-sorted by id so the merged result is independent of part
+        order, making ``merge`` associative and commutative.  The
+        aggregates follow from the node list: lifetime = min over
+        parts, hotspot = the argmin node, energy = sum of part
+        energies.
         """
         results = list(results)
         if not results:
@@ -306,7 +305,7 @@ class NetworkResult:
         ids = [n.node_id for n in nodes]
         if len(set(ids)) != len(ids):
             duplicates = sorted({i for i in ids if ids.count(i) > 1})
-            raise ValueError(f"duplicate node ids across shards: {duplicates}")
+            raise ValueError(f"duplicate node ids across parts: {duplicates}")
         return cls(
             topology=first.topology,
             power_down_threshold=first.power_down_threshold,
@@ -349,7 +348,7 @@ def simulate_node_segments_task(
     back-to-back at its epoch's effective rate with its own
     deterministic seed; results come back per segment for the parent
     to fold into one :class:`NodeSummary`.  Keeping the whole node in
-    one task preserves the node-granular sharding and result-store
+    one task preserves the node-granular dispatch and result-store
     keying of the static path.
     """
     params, workload, traffic, segments = task
@@ -414,7 +413,7 @@ class SensorNetworkModel:
     >>> from repro.runtime import ExecutionConfig
     >>> result = net.simulate(
     ...     horizon=5.0, seed=7, base_rate=0.2,
-    ...     exec_cfg=ExecutionConfig(shards=4),
+    ...     exec_cfg=ExecutionConfig(workers=2),
     ... )
     >>> len(result.nodes)
     20
@@ -529,44 +528,33 @@ class SensorNetworkModel:
         ``exec_cfg`` — an :class:`~repro.runtime.config.ExecutionConfig`
         (or resolved :class:`~repro.runtime.config.ResolvedExecution`)
         — places the work; only its ``workers`` / ``backend`` /
-        ``store`` / ``shards`` / ``shard_strategy`` / ``seed_mode``
-        fields apply.  Nodes are independent, so with ``workers > 1``
-        their simulations are submitted through the
-        :mod:`repro.runtime` process pool.  With ``shards > 1`` the node
-        set is partitioned by
-        :func:`repro.runtime.sharding.partition_indices` and each shard
-        runs as one coarse worker-group task whose
-        :class:`NetworkResult` is folded in via
-        :meth:`NetworkResult.merge` — the scaling path for
-        hundreds-of-node topologies, where per-node task dispatch
-        overhead would dominate.
+        ``store`` / ``seed_mode`` fields apply.  Nodes are independent,
+        so each node is one task of
+        :func:`~repro.runtime.adaptive.run_replications`, whose
+        executor chunks the node set over the workers.
 
         Per-node seeds are fixed *before* distribution and keyed by
         node index (``seed + node_index`` in the default ``"legacy"``
         mode, :meth:`~numpy.random.SeedSequence.spawn` children with
-        ``seed_mode="spawn"``), so results are identical for any
-        ``workers``, ``shards``, ``shard_strategy`` and backend;
-        ``shards=1`` is bit-identical to the historical serial path.
+        ``seed_mode="spawn"``; see
+        :func:`~repro.runtime.seeding.node_seeds`), so results are
+        identical for any ``workers`` and backend.
 
         A ``store`` memoizes *per-node* results keyed by ``(node params
         incl. effective rate, workload, horizon, node seed)`` — node
-        granularity means any topology, shard count or threshold sweep
+        granularity means any topology, worker count or threshold sweep
         reuses every node simulation it shares with an earlier run.
         """
         from ..runtime.adaptive import run_replications
         from ..runtime.config import as_resolved
-        from ..runtime.sharding import (
-            map_shards,
-            partition_indices,
-            shard_node_seeds,
-        )
+        from ..runtime.seeding import node_seeds
 
         rx = as_resolved(exec_cfg)
         if horizon <= 0:
             raise ValueError("horizon must be > 0")
         rates = self.topology.effective_rates(base_rate)
         estimator = NodeLifetimeEstimator(self.battery)
-        seeds = shard_node_seeds(seed, len(rates), mode=rx.seed_mode)
+        seeds = node_seeds(seed, len(rates), mode=rx.seed_mode)
         if self.dynamics is not None:
             # Churn: the whole schedule — failures, rewired trees,
             # per-epoch rates, per-segment seeds — is fixed here in
@@ -607,36 +595,16 @@ class SensorNetworkModel:
                 i, tasks[i][3], result, estimator, schedule.failure_time(i)
             )
 
-        if rx.shards == 1:
-            # One replication per node, whatever replication policy or
-            # engine the caller's run uses.
-            node_rx = replace(rx, replications=1, ci_target=None, engine="interpreted")
-            runs = run_replications(
-                task_fn, lambda i, _r: tasks[i], len(tasks), node_rx
-            )
-            results = [run.values[0] for run in runs]
-            out = NetworkResult(
-                topology=self.topology.describe(),
-                power_down_threshold=self.params.power_down_threshold,
-                horizon_s=horizon,
-                nodes=[summarise(i, result) for i, result in enumerate(results)],
-            )
-        else:
-            plan = partition_indices(len(tasks), rx.shards, rx.shard_strategy)
-            per_shard = map_shards(task_fn, tasks, plan, exec_cfg=rx)
-            shard_results = [
-                NetworkResult(
-                    topology=self.topology.describe(),
-                    power_down_threshold=self.params.power_down_threshold,
-                    horizon_s=horizon,
-                    nodes=[
-                        summarise(i, result)
-                        for i, result in zip(shard.node_indices, results)
-                    ],
-                )
-                for shard, results in zip(plan.shards, per_shard)
-            ]
-            out = NetworkResult.merge(shard_results)
+        # One replication per node, whatever replication policy or
+        # engine the caller's run uses.
+        node_rx = replace(rx, replications=1, ci_target=None, engine="interpreted")
+        runs = run_replications(task_fn, lambda i, _r: tasks[i], len(tasks), node_rx)
+        out = NetworkResult(
+            topology=self.topology.describe(),
+            power_down_threshold=self.params.power_down_threshold,
+            horizon_s=horizon,
+            nodes=[summarise(i, run.values[0]) for i, run in enumerate(runs)],
+        )
         if schedule is not None:
             out.dynamics = schedule.report()
         return out
@@ -653,7 +621,7 @@ class SensorNetworkModel:
         """Network result per threshold (network-lifetime optimisation).
 
         ``exec_cfg`` places the work as in :meth:`simulate`: it
-        parallelises across the nodes (or shards) of each network run;
+        parallelises across the nodes of each network run;
         the threshold points themselves are processed in order so each
         :class:`NetworkResult` is complete before the next starts.
         """

@@ -20,10 +20,11 @@ time:
   TCP pickle protocol, load-balancing across hosts and re-queuing the
   chunks of dropped workers;
 * :mod:`repro.runtime.seeding` — spawn-safe, collision-free seed plans
-  via :meth:`numpy.random.SeedSequence.spawn`;
+  via :meth:`numpy.random.SeedSequence.spawn`, and :func:`node_seeds`,
+  which keys a node set's seeds by node index;
 * :mod:`repro.runtime.config` — the one way to pass execution
   settings: :class:`ExecutionConfig` bundles workers / backend spec /
-  engine / store dir / seed mode / shards / replication policy into one
+  engine / store dir / seed mode / replication policy into one
   frozen, serialisable value whose :meth:`~ExecutionConfig.resolve`
   builds the live backend/store; every driver takes it (or the
   resolved view) as ``exec_cfg=`` and nothing else;
@@ -41,12 +42,6 @@ time:
   returning :class:`~repro.experiments.sweep.SweepPoint` rows whose
   values carry across-replication confidence intervals when
   ``replications > 1``;
-* :mod:`repro.runtime.sharding` — coarse-grained worker groups for
-  hundreds-of-item task sets: :func:`partition_indices` plans
-  contiguous or round-robin :class:`ShardPlan` partitions,
-  :func:`map_shards` / :func:`run_sharded` run one executor task per
-  shard, and :func:`shard_node_seeds` keys seeds by global item index
-  so no shard count or strategy can change the numbers;
 * :mod:`repro.runtime.store` — content-addressed result memoization:
   :class:`ResultStore` keeps per-replication results on disk under a
   canonical SHA-256 :func:`task_key` of the task spec (parameters,
@@ -82,21 +77,13 @@ from .backend import (
 )
 from .executor import ParallelExecutor, TaskError
 from .seeding import (
+    node_seeds,
     replication_seeds,
     sequence_to_seed,
     spawn_seeds,
     spawn_sequences,
     substream_seed,
     substream_sequence,
-)
-from .sharding import (
-    SHARD_STRATEGIES,
-    Shard,
-    ShardPlan,
-    map_shards,
-    partition_indices,
-    run_sharded,
-    shard_node_seeds,
 )
 from .store import (
     ResultStore,
@@ -127,19 +114,13 @@ __all__ = [
     "AdaptivePointRun",
     "run_adaptive_rounds",
     "run_replications",
+    "node_seeds",
     "replication_seeds",
     "sequence_to_seed",
     "spawn_seeds",
     "spawn_sequences",
     "substream_seed",
     "substream_sequence",
-    "Shard",
-    "ShardPlan",
-    "SHARD_STRATEGIES",
-    "partition_indices",
-    "shard_node_seeds",
-    "map_shards",
-    "run_sharded",
     "ResultStore",
     "StoreStats",
     "StoreWarning",

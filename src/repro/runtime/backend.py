@@ -2,7 +2,7 @@
 
 A *backend* answers one question — "evaluate these picklable task
 chunks and give me the results back in order" — and nothing else.  The
-chunking policy, seed plans, adaptive control and sharding all live
+chunking policy, seed plans and adaptive control all live
 above this seam, which is what makes the implementations
 interchangeable:
 

@@ -1,11 +1,10 @@
 """One execution-configuration object for every driver and the CLI.
 
-Every capability the runtime has grown — worker pools (PR 1), shards
-(PR 2), adaptive replication (PR 3), pluggable backends (PR 4), the
-vectorized engine (PR 6), the result store (PR 7) — added a keyword
-that had to be threaded through all five experiment drivers and every
-CLI subcommand.  :class:`ExecutionConfig` collapses that plumbing into
-a single frozen, serialisable value:
+Every capability the runtime has grown — worker pools, adaptive
+replication, pluggable backends, the vectorized engine, the result
+store — added a keyword that had to be threaded through all five
+experiment drivers and every CLI subcommand.  :class:`ExecutionConfig`
+collapses that plumbing into a single frozen, serialisable value:
 
 * **declarative** — plain data (strings, ints, paths), so it can live
   in a scenario file, an environment, or a test parametrisation;
@@ -37,7 +36,7 @@ from typing import Any
 
 from .backend import BACKEND_NAMES, Backend, make_backend
 from .executor import ParallelExecutor
-from .sharding import SEED_MODES, SHARD_STRATEGIES
+from .seeding import SEED_MODES
 from .store import ResultStore
 
 __all__ = [
@@ -74,7 +73,7 @@ class ExecutionConfig:
     :meth:`from_dict`.
     """
 
-    #: Process-pool size for grid points / replications / shard tasks.
+    #: Process-pool size for grid points / replications / network nodes.
     workers: int = 1
     #: Independent replications per stochastic point (the adaptive
     #: floor when ``ci_target`` is set).
@@ -89,13 +88,9 @@ class ExecutionConfig:
     engine: str = "interpreted"
     #: Result-store directory (``None`` disables memoization).
     store_dir: str | None = None
-    #: Per-item seed derivation for sharded node sets (see
-    #: :func:`~repro.runtime.sharding.shard_node_seeds`).
+    #: Per-node seed derivation for network node sets (see
+    #: :func:`~repro.runtime.seeding.node_seeds`).
     seed_mode: str = "legacy"
-    #: Worker-group shards over a network's node set.
-    shards: int = 1
-    #: Node partition strategy for ``shards > 1``.
-    shard_strategy: str = "contiguous"
     #: Adaptive replication: target relative CI half-width (``None``
     #: keeps the fixed ``replications`` count).
     ci_target: float | None = None
@@ -117,7 +112,6 @@ class ExecutionConfig:
         for name in (
             "workers",
             "replications",
-            "shards",
             "max_replications",
             "min_replications",
         ):
@@ -126,7 +120,6 @@ class ExecutionConfig:
         if self.backend is not None:
             _check_choice("backend", self.backend, BACKEND_NAMES)
         _check_choice("seed_mode", self.seed_mode, SEED_MODES)
-        _check_choice("shard_strategy", self.shard_strategy, SHARD_STRATEGIES)
         if not all(isinstance(a, str) for a in self.connect):
             raise ValueError(
                 f"connect entries must be 'host:port' strings, "
@@ -249,8 +242,6 @@ class ExecutionConfig:
             replications=self.replications,
             engine=self.engine,
             seed_mode=self.seed_mode,
-            shards=self.shards,
-            shard_strategy=self.shard_strategy,
             ci_target=self.ci_target,
             max_replications=self.max_replications,
             min_replications=self.min_replications,
@@ -274,8 +265,6 @@ class ResolvedExecution:
     replications: int = 1
     engine: str = "interpreted"
     seed_mode: str = "legacy"
-    shards: int = 1
-    shard_strategy: str = "contiguous"
     ci_target: float | None = None
     max_replications: int = 64
     min_replications: int = 2
@@ -287,11 +276,9 @@ class ResolvedExecution:
         # engine picks the task shape run_replications submits.
         _check_choice("engine", self.engine, ENGINE_NAMES)
 
-    def executor(self, chunk_size: int | None = None) -> ParallelExecutor:
+    def executor(self) -> ParallelExecutor:
         """A :class:`ParallelExecutor` over this config's placement."""
-        return ParallelExecutor(
-            workers=self.workers, chunk_size=chunk_size, backend=self.backend
-        )
+        return ParallelExecutor(workers=self.workers, backend=self.backend)
 
     @property
     def seed_plan_size(self) -> int:

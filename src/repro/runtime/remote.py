@@ -1,6 +1,6 @@
 """Multi-host execution: a socket worker protocol + chunk dispatcher.
 
-The shard/chunk seam of :mod:`repro.runtime` is host-agnostic — tasks
+The chunk seam of :mod:`repro.runtime` is host-agnostic — tasks
 are pure picklable data and seeds travel as values inside them — so
 chunks can run on any machine that can import :mod:`repro`.  This
 module supplies the thin transport:

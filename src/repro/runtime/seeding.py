@@ -14,13 +14,22 @@ flattened to a 128-bit integer drawn from its state, which
 :func:`numpy.random.default_rng` accepts directly.  Distinct children
 give distinct integers with overwhelming probability (collisions need a
 128-bit birthday coincidence).
+
+:func:`node_seeds` gives each item of a node set its own seed, keyed by
+the item's index alone, so how the set is split into executor chunks
+never changes a number.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+#: Supported per-item seed derivation modes (see :func:`node_seeds`).
+SEED_MODES = ("legacy", "spawn")
+
 __all__ = [
+    "SEED_MODES",
+    "node_seeds",
     "sequence_to_seed",
     "spawn_sequences",
     "spawn_seeds",
@@ -87,3 +96,37 @@ def replication_seeds(base_seed: int | None, replications: int) -> list[int | No
     if replications == 1:
         return [base_seed]
     return [base_seed, *spawn_seeds(base_seed, replications - 1)]
+
+
+def node_seeds(seed: int | None, n_items: int, mode: str = "legacy") -> list[int]:
+    """Per-item seeds keyed by item index.
+
+    The seed of item ``i`` depends only on ``(seed, i)``, so any worker
+    count, chunking or backend hands every item the same seed.
+
+    Modes
+    -----
+    ``"legacy"``
+        ``seed + i`` — the network model's historical scheme, distinct
+        within a run.  Requires an integer ``seed``.
+    ``"spawn"``
+        :meth:`numpy.random.SeedSequence.spawn` children of ``seed``,
+        flattened to 128-bit integers — collision-free within a run
+        *and* across different root seeds (two ``"legacy"`` runs with
+        roots 0 and 50 share seeds 50..n-1; two ``"spawn"`` runs never
+        overlap).  Accepts ``seed=None`` for fresh OS entropy.
+
+    >>> node_seeds(10, 3)
+    [10, 11, 12]
+    >>> node_seeds(10, 3, mode="spawn") == spawn_seeds(10, 3)
+    True
+    """
+    if n_items < 0:
+        raise ValueError(f"n_items must be >= 0, got {n_items}")
+    if mode not in SEED_MODES:
+        raise ValueError(f"mode must be one of {SEED_MODES}, got {mode!r}")
+    if mode == "spawn":
+        return spawn_seeds(seed, n_items)
+    if seed is None:
+        raise ValueError("legacy seed mode requires an integer seed")
+    return [seed + i for i in range(n_items)]

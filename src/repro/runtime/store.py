@@ -25,12 +25,11 @@ The three layers:
   ``manifest.json`` carrying schema/version stamps and persistent
   hit/miss counters.  A manifest from a different schema disables the
   store with a warning (every read misses, writes are skipped).
-* the dispatch layers that consult it —
-  :func:`~repro.runtime.adaptive.run_replications` and
-  :func:`~repro.runtime.sharding.map_shards` — read the store in the
-  *parent* process, submit only the misses through the
+* the dispatch layer that consults it —
+  :func:`~repro.runtime.adaptive.run_replications` — reads the store
+  in the *parent* process, submit only the misses through the
   :class:`~repro.runtime.ParallelExecutor` (so remote socket workers
-  never need the store directory), and write freshly computed values
+  never need the store directory), and writes freshly computed values
   back.
 
 Engine-equivalence classes
@@ -40,7 +39,7 @@ Keys are always derived from the **interpreted-engine task shape**
 work is executed by the vectorized lockstep engine: PR 6's bit-identity
 contract makes both engines one equivalence class, so a sweep run under
 ``engine="vectorized"`` warms the cache for ``engine="interpreted"``
-and vice versa.  Execution knobs (workers, shards, chunking, backend)
+and vice versa.  Execution knobs (workers, chunking, backend)
 are never part of a key — they never change results.
 """
 

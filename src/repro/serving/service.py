@@ -29,7 +29,7 @@ the offending key — the HTTP layer maps them to 400.
 
 Placement is **server policy**: the request's ``execution`` block
 still controls everything that shapes the output (replications,
-``ci_target``, engine, shards — the spelling ``scenario run`` would
+``ci_target``, engine, seed mode — the spelling ``scenario run`` would
 use), but the *live* backend and store are the service's own, so a
 request can never point the server at a different store directory or
 worker fleet.
@@ -504,8 +504,6 @@ class SweepService:
             replications=ex.replications,
             engine=ex.engine,
             seed_mode=ex.seed_mode,
-            shards=ex.shards,
-            shard_strategy=ex.shard_strategy,
             ci_target=ex.ci_target,
             max_replications=ex.max_replications,
             min_replications=ex.min_replications,

@@ -3,7 +3,7 @@
 The paper evaluates its node model on three hand-built topologies with
 immortal nodes and Poisson arrivals.  This package opens all three
 axes while preserving the repo's bit-identity contract (every
-``workers`` / ``shards`` / backend combination reproduces the serial
+``workers`` / backend combination reproduces the serial
 run exactly):
 
 * :mod:`repro.topology.generators` — seed-deterministic generated
@@ -14,9 +14,8 @@ run exactly):
 * :mod:`repro.topology.dynamics` — :class:`ChurnModel` node churn:
   failures, battery-death rewiring to the nearest live relay, and
   per-node duty-cycle variation, all precomputed in the parent as a
-  :class:`ChurnSchedule` of per-node segments so shards stay
-  independent and :meth:`~repro.models.network.NetworkResult.merge`
-  stays exact;
+  :class:`ChurnSchedule` of per-node segments so every node stays
+  an independent task;
 * :mod:`repro.topology.traffic` — :class:`MMPPTraffic` bursty (on-off
   / Markov-modulated Poisson) arrivals that preserve each node's mean
   offered load, isolating the effect of arrival correlation;
@@ -27,7 +26,7 @@ run exactly):
 
 Everything surfaces through the existing seams: new ``params`` keys in
 scenario schema v2, flags on the ``network`` CLI, and untouched
-sharding/store/serving layers.
+runtime/store/serving layers.
 """
 
 from .describe import describe_topology

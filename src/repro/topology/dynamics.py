@@ -14,13 +14,12 @@ into the *parent* process before any work is distributed:
    epoch boundary — and every node's effective rate are too;
 3. the resulting :class:`ChurnSchedule` hands each node an independent
    list of ``(rate, duration, seed)`` *segments*.  A node's segments
-   are simulated back-to-back by one worker task, so the node set
-   still shards exactly as before and
-   :meth:`~repro.models.network.NetworkResult.merge` stays exact:
-   nothing a shard computes depends on any other shard.
+   are simulated back-to-back by one worker task, so every node is
+   still one independent task: nothing a node's task computes depends
+   on any other node's.
 
 The schedule is a pure function of ``(topology, base_rate, horizon,
-seed)`` — any worker count, shard plan or backend sees the same one.
+seed)`` — any worker count, chunking or backend sees the same one.
 """
 
 from __future__ import annotations
@@ -211,7 +210,7 @@ def _epoch_rates(
 
 @dataclass(frozen=True)
 class ChurnSchedule:
-    """The precomputed, shard-independent outcome of a churn draw."""
+    """The precomputed, placement-independent outcome of a churn draw."""
 
     horizon_s: float
     base_rate: float
@@ -229,7 +228,7 @@ class ChurnSchedule:
 
         Each segment's simulation seed is a tagged sub-stream of the
         node's own seed keyed by the epoch index, so it depends only on
-        ``(node seed, epoch)`` — never on which shard or worker runs
+        ``(node seed, epoch)`` — never on which chunk or worker runs
         it.  Segments end when the node dies; they cover ``[0, t_fail)``
         or the whole horizon for survivors.
         """

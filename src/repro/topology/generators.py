@@ -18,7 +18,7 @@ deployments at 1000+ node scale:
 
 Both are frozen dataclasses: seed-deterministic (equal construction
 arguments give bit-identical adjacency and rates), cheap to hash into
-result-store keys, and safe to share across shards.
+result-store keys, and safe to share across workers.
 
 Connectivity policy (documented contract)
 -----------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the sharded network-scenario experiment driver."""
+"""Tests for the network-scenario experiment driver."""
 
 import pytest
 
@@ -50,7 +50,7 @@ class TestRunScenario:
         )
 
     def test_single_run_summary(self):
-        result = run_network_scenario(self.config(), exec_cfg=ExecutionConfig(shards=2))
+        result = run_network_scenario(self.config(), exec_cfg=ExecutionConfig(workers=2))
         assert len(result.nodes) == 3
         text = format_network_summary(result)
         assert "network lifetime" in text
@@ -61,18 +61,20 @@ class TestRunScenario:
         assert result.power_down_threshold == 0.5
 
     def test_shards_do_not_change_results(self):
+        # However the node tasks are chunked over workers, the numbers
+        # stay those of the serial run.
         serial = run_network_scenario(self.config())
-        sharded = run_network_scenario(
-            self.config(),
-            exec_cfg=ExecutionConfig(shards=3, shard_strategy="round-robin"),
+        parallel = run_network_scenario(
+            self.config(), exec_cfg=ExecutionConfig(workers=2)
         )
-        assert sharded == serial
+        assert parallel == serial
 
     def test_vectorized_engine_refused_with_explanation(self):
-        # The refusal must say *why* (each node is a per-node ensemble
-        # of one — nothing to batch) and point at the fallback, not
+        # The refusal must say *why* (bursty nodes and churn segments
+        # have no batched evaluator yet) and point at the fallback, not
         # just name the bad value.
-        with pytest.raises(ValueError, match="ensemble of one") as excinfo:
+        reason = "no batched evaluator yet"
+        with pytest.raises(ValueError, match=reason) as excinfo:
             run_network_scenario(
                 self.config(), exec_cfg=ExecutionConfig(engine="vectorized")
             )
@@ -80,7 +82,8 @@ class TestRunScenario:
         assert "engine='vectorized'" in message
         assert "interpreted" in message
         assert "workers" in message
-        with pytest.raises(ValueError, match="ensemble of one"):
+        assert "shard" not in message
+        with pytest.raises(ValueError, match=reason):
             run_network_lifetime_sweep(
                 self.config(), exec_cfg=ExecutionConfig(engine="vectorized")
             )
@@ -95,7 +98,7 @@ class TestRunSweep:
             seed=11,
             thresholds=(1e-9, 0.01, 100.0),
         )
-        sweep = run_network_lifetime_sweep(cfg, exec_cfg=ExecutionConfig(shards=2))
+        sweep = run_network_lifetime_sweep(cfg, exec_cfg=ExecutionConfig(workers=2))
         assert sweep.thresholds == (1e-9, 0.01, 100.0)
         assert len(sweep.results) == 3
         assert len(sweep.rows()) == 3
@@ -110,7 +113,7 @@ class TestRunSweep:
 
 class TestAdaptiveReplication:
     """ci_target network runs: replication 0 stays bit-identical and
-    shard/worker settings never change adaptive decisions."""
+    worker settings never change adaptive decisions."""
 
     CFG = NetworkScenarioConfig(
         topology=LineTopology(3),
@@ -135,20 +138,15 @@ class TestAdaptiveReplication:
         plain = run_network_lifetime_sweep(
             self.CFG, exec_cfg=ExecutionConfig(ci_target=0.5, max_replications=3)
         )
-        sharded = run_network_lifetime_sweep(
+        parallel = run_network_lifetime_sweep(
             self.CFG,
-            exec_cfg=ExecutionConfig(
-                ci_target=0.5,
-                max_replications=3,
-                shards=2,
-                shard_strategy="round-robin",
-            ),
+            exec_cfg=ExecutionConfig(ci_target=0.5, max_replications=3, workers=2),
         )
         assert [
             [r.total_energy_j for r in reps] for reps in plain.replicates
-        ] == [[r.total_energy_j for r in reps] for reps in sharded.replicates]
-        assert plain.converged == sharded.converged
-        assert plain.replication_counts == sharded.replication_counts
+        ] == [[r.total_energy_j for r in reps] for reps in parallel.replicates]
+        assert plain.converged == parallel.converged
+        assert plain.replication_counts == parallel.replication_counts
 
     def test_sweep_cap_reports_unconverged_points(self):
         sweep = run_network_lifetime_sweep(

@@ -1,7 +1,10 @@
 """Tests for the multi-node network layer."""
 
+from dataclasses import replace
+
 import pytest
 
+import repro.models.network as network_module
 from repro.energy import LinearBattery
 from repro.models import (
     GridTopology,
@@ -11,7 +14,17 @@ from repro.models import (
     SensorNetworkModel,
     StarTopology,
 )
-from repro.runtime.config import ExecutionConfig
+from repro.models.wsn_node import simulate_node_task
+from repro.runtime import TaskError
+from repro.runtime.config import ExecutionConfig, ResolvedExecution
+from repro.runtime.store import ResultStore, task_key
+
+
+def fail_on_seed_102(task):
+    """``simulate_node_task``, except that the node seeded 102 fails."""
+    if task[3] == 102:
+        raise ValueError("node 3 blew up")
+    return simulate_node_task(task)
 
 
 class TestTopologies:
@@ -204,65 +217,109 @@ class TestNetworkResultMerge:
 
 
 class TestShardedSimulation:
+    """The node set split into executor chunks over several workers."""
+
     def network(self, topology):
         return SensorNetworkModel(
             topology, NodeParameters(power_down_threshold=0.01)
         )
 
     def test_shards_bit_identical_to_serial(self):
-        # shards=1 runs the historical serial code path; every shard
-        # count and strategy must reproduce it exactly.
+        # Every worker count, and so every chunking of the node tasks,
+        # must reproduce the serial run exactly.
         net = self.network(LineTopology(5))
         serial = net.simulate(horizon=20.0, seed=7, base_rate=0.5)
-        for shards in (2, 4, 5):
-            for strategy in ("contiguous", "round-robin"):
-                sharded = net.simulate(
-                    horizon=20.0,
-                    seed=7,
-                    base_rate=0.5,
-                    exec_cfg=ExecutionConfig(shards=shards, shard_strategy=strategy),
-                )
-                assert sharded == serial
+        for workers in (2, 3):
+            parallel = net.simulate(
+                horizon=20.0,
+                seed=7,
+                base_rate=0.5,
+                exec_cfg=ExecutionConfig(workers=workers),
+            )
+            assert parallel == serial
 
     def test_spawn_seed_mode_shard_invariant(self):
         net = self.network(LineTopology(4))
         runs = [
             net.simulate(
                 horizon=10.0, seed=3, base_rate=0.5,
-                exec_cfg=ExecutionConfig(shards=shards, seed_mode="spawn"),
+                exec_cfg=ExecutionConfig(workers=workers, seed_mode="spawn"),
             )
-            for shards in (1, 2, 4)
+            for workers in (1, 2)
         ]
-        assert runs[0] == runs[1] == runs[2]
+        assert runs[0] == runs[1]
 
     def test_sweep_thresholds_sharded(self):
         net = self.network(LineTopology(3))
         serial = net.sweep_thresholds(
             (1e-9, 0.01), horizon=10.0, seed=4, base_rate=0.5
         )
-        sharded = net.sweep_thresholds(
+        parallel = net.sweep_thresholds(
             (1e-9, 0.01),
             horizon=10.0,
             seed=4,
             base_rate=0.5,
-            exec_cfg=ExecutionConfig(shards=3),
+            exec_cfg=ExecutionConfig(workers=2),
         )
-        assert sharded == serial
+        assert parallel == serial
 
     def test_hundred_node_grid_through_sharded_path(self):
-        # The ISSUE acceptance scenario: a >= 100-node grid completes
-        # through the sharded path and the merged result's total energy
-        # equals the sum over shard node sets.
+        # A >= 100-node grid completes on a process pool, in node order,
+        # and its total energy is the sum over its nodes.
         net = self.network(GridTopology(10, 10))
         result = net.simulate(
-            horizon=40.0, seed=1, base_rate=0.004, exec_cfg=ExecutionConfig(shards=8)
+            horizon=40.0, seed=1, base_rate=0.004, exec_cfg=ExecutionConfig(workers=2)
         )
         assert len(result.nodes) == 100
         assert [n.node_id for n in result.nodes] == list(range(1, 101))
         assert result.total_energy_j == pytest.approx(
             sum(n.energy_j for n in result.nodes)
         )
-        # energy-hole structure survives the merge: the sink-adjacent
-        # corner relays all 100 nodes' traffic
+        # energy-hole structure: the sink-adjacent corner relays all
+        # 100 nodes' traffic
         assert result.nodes[0].event_rate == pytest.approx(0.4)
         assert result.hotspot.node_id == 1
+
+
+class TestNodeDispatch:
+    """Each node is one task of the runtime's one dispatch."""
+
+    PARAMS = NodeParameters(power_down_threshold=0.01)
+    RUN = dict(horizon=5.0, seed=100, base_rate=0.5)
+
+    def network(self):
+        return SensorNetworkModel(LineTopology(5), self.PARAMS)
+
+    def node_task(self, i):
+        rate = LineTopology(5).effective_rates(self.RUN["base_rate"])[i]
+        return (
+            replace(self.PARAMS, arrival_rate=rate),
+            "open",
+            self.RUN["horizon"],
+            self.RUN["seed"] + i,
+        )
+
+    def test_partially_warm_store_computes_only_the_missing_nodes(self, tmp_path):
+        store = ResultStore(tmp_path)
+        for i in (0, 2, 4):
+            task = self.node_task(i)
+            store.put(task_key(simulate_node_task, task), simulate_node_task(task))
+        store.puts = 0
+        warm = self.network().simulate(
+            **self.RUN, exec_cfg=ResolvedExecution(store=store)
+        )
+        assert store.hits == 3
+        assert store.puts == 2
+        assert warm == self.network().simulate(**self.RUN)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_node_raises_task_error_with_its_task(
+        self, monkeypatch, workers
+    ):
+        monkeypatch.setattr(network_module, "simulate_node_task", fail_on_seed_102)
+        with pytest.raises(TaskError) as excinfo:
+            self.network().simulate(
+                **self.RUN, exec_cfg=ExecutionConfig(workers=workers)
+            )
+        assert excinfo.value.item == self.node_task(2)
+        assert excinfo.value.index == 2

@@ -21,7 +21,7 @@ class TestValidation:
         assert cfg.store_dir is None
 
     @pytest.mark.parametrize(
-        "field", ["workers", "replications", "shards", "max_replications"]
+        "field", ["workers", "replications", "max_replications"]
     )
     def test_positive_int_fields_name_the_field(self, field):
         for bad in (0, -1, 1.5, "2", True):
@@ -34,7 +34,6 @@ class TestValidation:
             ("engine", "turbo"),
             ("backend", "quantum"),
             ("seed_mode", "fixed"),
-            ("shard_strategy", "random"),
         ],
     )
     def test_choice_fields_name_the_field(self, field, bad):
@@ -84,8 +83,7 @@ class TestSerialisation:
             connect=("a:1", "b:2"),
             engine="vectorized",
             store_dir="/tmp/s",
-            shards=3,
-            shard_strategy="round-robin",
+            seed_mode="spawn",
             ci_target=0.05,
         )
         assert ExecutionConfig.from_dict(cfg.to_dict()) == cfg
@@ -210,7 +208,7 @@ class TestDriversAcceptExecCfg:
         cfg = NetworkScenarioConfig(
             topology=LineTopology(3), horizon=5.0, seed=5
         )
-        config = ExecutionConfig(shards=2)
+        config = ExecutionConfig(workers=2)
         direct = run_network_scenario(cfg, exec_cfg=config)
         resolved = run_network_scenario(cfg, exec_cfg=config.resolve())
         assert resolved == direct

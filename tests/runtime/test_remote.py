@@ -2,7 +2,7 @@
 
 The heavier tests launch real worker subprocesses (``python -m
 repro.cli worker --serve 0``) on localhost and assert the headline
-multi-host contract: a sharded network sweep dispatched over TCP is
+multi-host contract: a network sweep dispatched over TCP is
 bit-identical to the serial backend, and a worker lost mid-run only
 costs capacity, never results.
 """
@@ -299,7 +299,7 @@ def _cli_worker(extra_env=None):
 
 
 class TestEndToEndCliWorkers:
-    """The flagship contract: 2 worker subprocesses, sharded sweep."""
+    """The flagship contract: 2 worker subprocesses, network sweep."""
 
     def test_sharded_network_sweep_bit_identical_to_serial(self):
         config = NetworkScenarioConfig(
@@ -308,7 +308,7 @@ class TestEndToEndCliWorkers:
             thresholds=(0.00178, 0.1),
             seed=2010,
         )
-        serial = run_network_lifetime_sweep(config, exec_cfg=ExecutionConfig(shards=2))
+        serial = run_network_lifetime_sweep(config, exec_cfg=ExecutionConfig())
         worker_a, port_a = _cli_worker()
         worker_b, port_b = _cli_worker()
         try:
@@ -316,7 +316,7 @@ class TestEndToEndCliWorkers:
                 [f"127.0.0.1:{port_a}", f"127.0.0.1:{port_b}"]
             )
             remote = run_network_lifetime_sweep(
-                config, exec_cfg=ResolvedExecution(shards=2, backend=backend)
+                config, exec_cfg=ResolvedExecution(backend=backend)
             )
         finally:
             worker_a.terminate()

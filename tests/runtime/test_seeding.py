@@ -1,8 +1,10 @@
 """Spawn-safe seeding: collision-freedom, determinism, legacy head."""
 
 import numpy as np
+import pytest
 
 from repro.runtime.seeding import (
+    node_seeds,
     replication_seeds,
     sequence_to_seed,
     spawn_seeds,
@@ -57,3 +59,37 @@ class TestReplicationSeeds:
 
         with pytest.raises(ValueError):
             replication_seeds(1, 0)
+
+
+class TestNodeSeeds:
+    def test_legacy_matches_historical_scheme(self):
+        assert node_seeds(2010, 4) == [2010, 2011, 2012, 2013]
+
+    def test_legacy_requires_integer_seed(self):
+        with pytest.raises(ValueError):
+            node_seeds(None, 3, mode="legacy")
+
+    def test_spawn_mode_reproducible_and_entropy_ok(self):
+        a = node_seeds(7, 16, mode="spawn")
+        b = node_seeds(7, 16, mode="spawn")
+        assert a == b
+        assert len(node_seeds(None, 4, mode="spawn")) == 4
+
+    @pytest.mark.parametrize("mode", ["legacy", "spawn"])
+    def test_collision_free(self, mode):
+        seeds = node_seeds(42, 50, mode=mode)
+        assert len(set(seeds)) == len(seeds)
+
+    @pytest.mark.parametrize("mode", ["legacy", "spawn"])
+    def test_seed_depends_only_on_node_index(self, mode):
+        # Node i's seed never depends on how many nodes follow it, so
+        # no split of the node set can change it.
+        seeds = node_seeds(9, 12, mode=mode)
+        for n in (1, 3, 12):
+            assert node_seeds(9, n, mode=mode) == seeds[:n]
+
+    def test_invalid_mode(self):
+        with pytest.raises(ValueError):
+            node_seeds(1, 3, mode="bogus")
+        with pytest.raises(ValueError):
+            node_seeds(1, -1)

@@ -12,8 +12,8 @@ Three claims guard the cache against silently-wrong science:
    (:class:`StoreWarning`), delete the bad entry, and read as a miss —
    never a crash, never a wrong hit.
 3. **The dispatch layers submit exactly the misses.**
-   ``run_replications`` (both engines, fixed and adaptive),
-   ``map_shards`` and the adaptive controller serve hits in the parent
+   ``run_replications`` (both engines, fixed and adaptive) and the
+   adaptive controller serve hits in the parent
    and recompute only what is missing, and a warm run is bit-identical
    to a cold one.
 """
@@ -35,7 +35,6 @@ from repro.runtime.adaptive import (
     run_replications,
 )
 from repro.runtime.config import ResolvedExecution
-from repro.runtime.sharding import map_shards, partition_indices, run_sharded
 from repro.runtime.store import (
     ENTRY_MAGIC,
     KEY_SCHEMA,
@@ -726,43 +725,8 @@ class TestReplicationPolicy:
 
 
 # ----------------------------------------------------------------------
-# Sharded and adaptive layers share the same per-replication entries
+# The adaptive layer shares the same per-replication entries
 # ----------------------------------------------------------------------
-
-
-class TestShardedStore:
-    def test_shard_plan_never_enters_the_key(self, tmp_path):
-        store = ResultStore(tmp_path)
-        items = [(0.5, s) for s in range(7)]
-        plan_a = partition_indices(len(items), 2, "contiguous")
-        cold = run_sharded(
-            noisy, items, plan_a, exec_cfg=ResolvedExecution(store=store)
-        )
-        puts_after_cold = store.puts
-        assert puts_after_cold == len(items)
-        # A different shard count *and* strategy reads the same entries.
-        plan_b = partition_indices(len(items), 3, "round-robin")
-        warm = run_sharded(
-            noisy, items, plan_b, exec_cfg=ResolvedExecution(store=store)
-        )
-        assert warm == cold
-        assert store.puts == puts_after_cold  # nothing recomputed
-        assert store.hits == len(items)
-
-    def test_partially_warm_shards_compute_only_missing(self, tmp_path):
-        store = ResultStore(tmp_path)
-        items = [(0.5, s) for s in range(6)]
-        plan = partition_indices(len(items), 3, "contiguous")
-        for s in (0, 1, 4):  # warm shard 0 fully, shard 2 partially
-            store.put(task_key(noisy, (0.5, s)), noisy((0.5, s)))
-        per_shard = map_shards(
-            noisy, items, plan, exec_cfg=ResolvedExecution(store=store)
-        )
-        assert per_shard == [
-            [noisy(items[i]) for i in shard.node_indices]
-            for shard in plan.shards
-        ]
-        assert store.puts == 3 + 3  # the warm-up puts + the 3 misses
 
 
 class TestAdaptiveStore:

@@ -56,8 +56,6 @@ SMOKE_EQUIVALENTS = [
             "5.0",
             "--workers",
             "2",
-            "--shards",
-            "2",
         ],
     ),
     (
@@ -75,8 +73,6 @@ SMOKE_EQUIVALENTS = [
             "--horizon",
             "5.0",
             "--workers",
-            "2",
-            "--shards",
             "2",
         ],
     ),
@@ -103,8 +99,6 @@ SMOKE_EQUIVALENTS = [
             "5",
             "--workers",
             "1",
-            "--shards",
-            "2",
         ],
     ),
     (
@@ -122,8 +116,6 @@ SMOKE_EQUIVALENTS = [
             "2",
             "--workers",
             "2",
-            "--shards",
-            "4",
         ],
     ),
 ]

@@ -54,6 +54,23 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "days" in out
 
+    @pytest.mark.parametrize(
+        ("flag", "value"),
+        [
+            ("--horizon", "0"),
+            ("--capacity-mah", "-5"),
+            ("--voltage", "0"),
+            ("--threshold", "-1"),
+        ],
+    )
+    def test_lifetime_bad_values_are_argparse_errors(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lifetime", flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err
+        assert "Traceback" not in err
+
     def test_invalid_figure_rejected(self):
         with pytest.raises(SystemExit):
             main(["fig", "3"])
@@ -175,7 +192,7 @@ class TestCLI:
         )
         out = capsys.readouterr().out
         assert "network lifetime" in out
-        assert "shards=1" in out
+        assert out.startswith("network scenario (workers=1)\n")
 
     def test_network_sharded_grid(self, capsys):
         assert (
@@ -190,17 +207,15 @@ class TestCLI:
                     "5",
                     "--base-rate",
                     "0.05",
-                    "--shards",
-                    "3",
-                    "--shard-strategy",
-                    "round-robin",
+                    "--workers",
+                    "2",
                 ]
             )
             == 0
         )
         out = capsys.readouterr().out
         assert "4x3 grid of 12 nodes" in out
-        assert "shards=3" in out
+        assert out.startswith("network scenario (workers=2)\n")
 
     def test_network_sweep(self, capsys):
         assert (
@@ -214,8 +229,6 @@ class TestCLI:
                     "--horizon",
                     "5",
                     "--sweep",
-                    "--shards",
-                    "2",
                 ]
             )
             == 0
@@ -317,8 +330,6 @@ class TestBackendSelection:
             "--horizon",
             "5",
             "--sweep",
-            "--shards",
-            "2",
         ]
         assert main([*args, "--backend", "local"]) == 0
         local_out = capsys.readouterr().out
@@ -464,7 +475,25 @@ class TestScenarioSubcommand:
         )
         assert main(["scenario", "run", path]) == 2
         err = capsys.readouterr().err
-        assert "ensemble of one" in err
+        assert "no batched evaluator yet" in err
+
+    def test_spec_with_shards_key_is_clean_error(self, capsys, tmp_path):
+        # The removed execution keys fail loudly: no alias, no silent drop.
+        path = self._write(
+            tmp_path,
+            {
+                "version": 1,
+                "name": "old-spelling",
+                "model": "network",
+                "params": {"horizon": 5.0},
+                "execution": {"shards": 2},
+            },
+        )
+        assert main(["scenario", "run", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: execution: unknown execution key 'shards' (known keys: "
+        )
 
 
 class TestWorkerSubcommand:

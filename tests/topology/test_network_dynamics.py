@@ -1,15 +1,14 @@
 """The bit-identity invariant matrix, extended to dynamic topologies.
 
 The static network layer already guarantees that every ``workers`` /
-``shards`` / ``shard_strategy`` / backend combination reproduces the
-serial run exactly.  Churn and bursty traffic must not loosen that by
-one bit: the schedule is drawn in the parent, so a churn run is the
-same pure function of ``(topology, horizon, seed, base_rate)`` no
-matter how the node set is distributed.  This suite replays the
-PR 2 / PR 4 invariant matrix on a churning, bursty cluster tree, pins
-the warm/cold store equivalence of the new task tuples, and runs the
-1000-node gallery scenario end-to-end through both ``scenario run``
-and the serving API.
+backend combination reproduces the serial run exactly.  Churn and
+bursty traffic must not loosen that by one bit: the schedule is drawn
+in the parent, so a churn run is the same pure function of
+``(topology, horizon, seed, base_rate)`` no matter how the node set is
+distributed.  This suite replays the workers / backend invariant
+matrix on a churning, bursty cluster tree, pins the warm/cold store
+equivalence of the new task tuples, and runs the 1000-node gallery
+scenario end-to-end through both ``scenario run`` and the serving API.
 """
 
 import io
@@ -81,14 +80,6 @@ class TestChurnBitIdentity:
         assert serial.dynamics is not None
         assert serial.dynamics.failures > 0
 
-    @pytest.mark.parametrize("shards", [2, 3, 6])
-    @pytest.mark.parametrize("strategy", ["contiguous", "round-robin"])
-    def test_sharded_matches_serial(self, serial, shards, strategy):
-        sharded = dynamic_network().simulate(
-            **RUN, exec_cfg=ExecutionConfig(shards=shards, shard_strategy=strategy)
-        )
-        assert sharded == serial
-
     def test_process_workers_match_serial(self, serial):
         parallel = dynamic_network().simulate(
             **RUN, exec_cfg=ExecutionConfig(workers=2)
@@ -99,7 +90,7 @@ class TestChurnBitIdentity:
         remote = dynamic_network().simulate(
             **RUN,
             exec_cfg=ResolvedExecution(
-                shards=2, backend=SocketBackend([f"127.0.0.1:{socket_port}"])
+                backend=SocketBackend([f"127.0.0.1:{socket_port}"])
             ),
         )
         assert remote == serial
@@ -107,30 +98,32 @@ class TestChurnBitIdentity:
     def test_spawn_seed_mode_shard_invariant(self):
         runs = [
             dynamic_network().simulate(
-                **RUN, exec_cfg=ExecutionConfig(shards=shards, seed_mode="spawn")
+                **RUN, exec_cfg=ExecutionConfig(workers=workers, seed_mode="spawn")
             )
-            for shards in (1, 2, 6)
+            for workers in (1, 2)
         ]
-        assert runs[0] == runs[1] == runs[2]
+        assert runs[0] == runs[1]
 
     def test_geometric_topology_shards_identically(self):
         net = dynamic_network(RandomGeometricTopology(30, seed=5))
         reference = net.simulate(horizon=5.0, seed=3, base_rate=0.2)
-        sharded = net.simulate(
-            horizon=5.0, seed=3, base_rate=0.2, exec_cfg=ExecutionConfig(shards=4)
+        parallel = net.simulate(
+            horizon=5.0, seed=3, base_rate=0.2, exec_cfg=ExecutionConfig(workers=2)
         )
-        assert sharded == reference
+        assert parallel == reference
 
     def test_warm_store_matches_cold(self, tmp_path, serial):
+        # The worker count never enters a key: a serial cold run warms
+        # every entry a two-worker run reads.
         store = ResultStore(tmp_path)
         cold = dynamic_network().simulate(
-            **RUN, exec_cfg=ResolvedExecution(shards=2, store=store)
+            **RUN, exec_cfg=ResolvedExecution(store=store)
         )
         assert cold == serial
         puts = store.puts
         assert puts > 0
         warm = dynamic_network().simulate(
-            **RUN, exec_cfg=ResolvedExecution(shards=2, store=store)
+            **RUN, exec_cfg=ResolvedExecution(workers=2, store=store)
         )
         assert warm == serial
         assert store.misses == puts, "warm run must not recompute"
@@ -162,7 +155,8 @@ class TestLegacyPathUntouched:
 
     def test_bursty_without_churn_shards_identically(self):
         # Traffic-only runs use the legacy single-segment task path
-        # (with MMPP workloads substituted) and must still shard exactly.
+        # (with MMPP workloads substituted) and must still split over
+        # workers exactly.
         net = SensorNetworkModel(
             ClusterTreeTopology(2, 2),
             NodeParameters(power_down_threshold=0.01),
@@ -170,8 +164,8 @@ class TestLegacyPathUntouched:
         )
         reference = net.simulate(**RUN)
         assert reference.dynamics is None
-        sharded = net.simulate(**RUN, exec_cfg=ExecutionConfig(shards=3, workers=2))
-        assert sharded == reference
+        parallel = net.simulate(**RUN, exec_cfg=ExecutionConfig(workers=2))
+        assert parallel == reference
 
     def test_merge_never_invents_a_report(self, serial):
         shard_like = NetworkResult(
@@ -202,7 +196,7 @@ GEO1000_SMOKE = {
         "base_rate": 0.1,
         "seed": 2010,
     },
-    "execution": {"workers": 2, "shards": 4},
+    "execution": {"workers": 2},
 }
 
 
