@@ -18,7 +18,9 @@
 #   scenario  declarative scenario files: validate + run every gallery
 #             spec at its --smoke scale, `scenario run fig14.yaml` and
 #             `churn_tree.yaml` diffed bit-identical against their
-#             flag-spelled fig and network runs
+#             flag-spelled fig and network runs; a NaN or infinite
+#             horizon asserted to fail fast with exit 2, the same
+#             stderr line for a flag as for an override
 #   serve     sweep-serving query service: ephemeral-port server,
 #             `query` cold then warm, both diffed bit-identical
 #             against `scenario run`, /stats asserted to report the
@@ -223,6 +225,19 @@ smoke_store() {
     rm -rf "$store_dir"
 }
 
+# Run one CLI invocation that must fail fast: exit 2 within 60 s,
+# stderr written to $1.
+expect_exit_2() {
+    local err="$1" code=0
+    shift
+    timeout 60 $CLI "$@" >/dev/null 2>"$err" || code=$?
+    if [ "$code" -ne 2 ]; then
+        echo "FAIL: $* exited $code, expected 2; stderr:" >&2
+        cat "$err" >&2
+        return 1
+    fi
+}
+
 smoke_scenario() {
     echo "--- smoke: declarative scenario gallery ---"
     # Every shipped spec must validate and run at its own CI scale.
@@ -264,6 +279,26 @@ smoke_scenario() {
         return 1
     fi
     echo "scenario correctly rejects an unknown params key"
+    # Non-finite numbers fail fast (they once hung the run), and a flag
+    # and an override of the same value fail with the same line.
+    local err_flag err_override bad_spec
+    err_flag="$(mktemp)"
+    err_override="$(mktemp)"
+    expect_exit_2 "$err_flag" fig 14 --horizon nan
+    expect_exit_2 "$err_override" scenario run scenarios/fig14.yaml \
+        --override params.horizon=NaN
+    if diff "$err_flag" "$err_override"; then
+        echo "flag and override reject a NaN horizon with one message"
+    else
+        echo "FAIL: flag and override reject a NaN horizon differently" >&2
+        return 1
+    fi
+    bad_spec="$(mktemp --suffix=.yaml)"
+    printf 'name: inf\nmodel: node-sweep\nparams:\n  horizon: .inf\n' \
+        >"$bad_spec"
+    expect_exit_2 "$err_flag" scenario validate "$bad_spec"
+    echo "scenario validate rejects an infinite horizon"
+    rm -f "$err_flag" "$err_override" "$bad_spec"
 }
 
 smoke_topology() {

@@ -83,7 +83,8 @@ def _render_action(action: argparse.Action) -> str:
         value = _value_spec(action)
         head = f"`{name} {value}`" if value else f"`{name}`"
     else:
-        head = f"`{action.metavar or action.dest}`"
+        value = f" {action.metavar}" if action.metavar else ""
+        head = f"`{action.dest}{value}`"
         if action.choices is not None:
             quals.append(
                 "one of " + ", ".join(str(c) for c in action.choices)

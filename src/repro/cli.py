@@ -79,12 +79,14 @@ dotted-path tweaks and ``--smoke`` applying the spec's own CI-scale
 overrides.  The run subcommands (``fig``, ``table``, ``node-sweep``,
 ``validate``, ``network``) are another spelling of the same spec: each
 builds a ``ScenarioSpec`` from its flags and runs it exactly as
-``scenario run`` does, so both spellings print the same bytes.  A
-bad value the spec checks (``node-sweep --horizon 0``) fails with the
-same ``error: params.KEY ...`` message and exit 2 as a scenario file
-does; flags whose type already checks the value (``--nodes 0``,
-``--grid 0x3``, ``--duty-spread 1.5``, ``--burst-on 0``) stop earlier,
-with argparse's own usage error.
+``scenario run`` does, so both spellings print the same bytes.  Their
+parameter flags are generated from the scenario schema
+(:func:`_add_param_flags`): a flag's text is parsed like an
+``--override`` value and the schema's check is the only check, so a
+bad value (``node-sweep --horizon 0``, ``network --grid 0x3``,
+``fig 14 --horizon nan``) fails with the same ``error: params.KEY
+...`` line and exit 2 whether it came as a flag, an override, a file
+or a serving request.
 The run functions below return their report as text; it is written
 to stdout once, by :func:`repro.scenarios.run_scenario`.
 """
@@ -127,9 +129,15 @@ from .scenarios import (
     ScenarioError,
     ScenarioSpec,
     load_scenario,
+    parse_value,
     run_scenario,
 )
-from .scenarios.spec import SCENARIO_MODELS, _params_schema
+from .scenarios.spec import (
+    _REQUIRED,
+    SCENARIO_MODELS,
+    _params_schema,
+    _validate_params,
+)
 from .experiments.network import (
     NetworkScenarioConfig,
     format_network_summary,
@@ -151,101 +159,69 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _ci_target(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return value
-
-
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be > 0 and finite, got {value}"
+        )
     return value
 
 
 def _nonneg_float(text: str) -> float:
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _fraction(text: str) -> float:
-    value = float(text)
-    if not 0 <= value < 1:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {value}")
-    return value
-
-
-def _grid_spec(text: str) -> tuple[int, int]:
-    """Parse a ``WIDTHxHEIGHT`` grid spec like ``10x10``."""
-    try:
-        width_text, height_text = text.lower().split("x")
-        width, height = int(width_text), int(height_text)
-    except ValueError:
+    if not 0 <= value < math.inf:
         raise argparse.ArgumentTypeError(
-            f"expected WIDTHxHEIGHT (e.g. 10x10), got {text!r}"
-        ) from None
-    if width < 1 or height < 1:
-        raise argparse.ArgumentTypeError(
-            f"grid dimensions must be >= 1, got {text!r}"
+            f"must be >= 0 and finite, got {value}"
         )
-    return width, height
+    return value
 
 
-def _add_topology_args(sub_parser: argparse.ArgumentParser) -> None:
-    """Topology-selection flags shared by ``network`` and ``topology``."""
-    sub_parser.add_argument(
-        "--topology",
-        choices=["line", "star", "grid", "geometric", "cluster-tree"],
-        default="line",
-    )
-    sub_parser.add_argument(
-        "--nodes",
-        type=_positive_int,
-        default=5,
-        help=(
-            "chain length (line), leaf count (star) or deployment size "
-            "(geometric); ignored for grid and cluster-tree"
-        ),
-    )
-    sub_parser.add_argument(
-        "--grid",
-        type=_grid_spec,
-        default=(10, 10),
-        metavar="WxH",
-        help="grid dimensions for --topology grid (default 10x10)",
-    )
-    sub_parser.add_argument(
-        "--radius",
-        type=float,
-        default=None,
-        help=(
-            "connectivity radius for --topology geometric (default: "
-            "auto-sized from the node count; retried/grown "
-            "deterministically if the deployment comes out disconnected)"
-        ),
-    )
-    sub_parser.add_argument(
-        "--fanout",
-        type=_positive_int,
-        default=3,
-        help="children per cluster head for --topology cluster-tree",
-    )
-    sub_parser.add_argument(
-        "--depth",
-        type=_positive_int,
-        default=3,
-        help="tree depth for --topology cluster-tree",
-    )
+#: The ``network`` parameters that shape a topology; ``topology
+#: describe`` takes these flags.
+_TOPOLOGY_KEYS = (
+    "topology", "nodes", "grid", "radius", "fanout", "depth", "base_rate", "seed"
+)
+
+
+def _add_param_flags(
+    sub_parser: argparse.ArgumentParser,
+    model: str,
+    keys: Sequence[str] | None = None,
+) -> None:
+    """One flag per parameter (all, or ``keys``) of ``model``'s schema.
+
+    The scenario schema is the only definition of a run parameter: its
+    default, help and metavar become the flag's.  The flag's text is
+    parsed like an ``--override`` value, and the schema's check runs
+    when the flags become a spec, so a flag and a scenario file accept
+    and reject the same values.  A required key is positional; a
+    ``False`` default is a switch.
+    """
+    schema = _params_schema(model, SPEC_VERSION)
+    for key in keys or schema:
+        param = schema[key]
+        flag = f"--{key.replace('_', '-')}"
+        if param.default is _REQUIRED:
+            sub_parser.add_argument(
+                key, type=parse_value, metavar=param.metavar, help=param.help
+            )
+        elif param.default is False:
+            sub_parser.add_argument(flag, action="store_true", help=param.help)
+        else:
+            sub_parser.add_argument(
+                flag,
+                type=parse_value,
+                default=param.default,
+                metavar=param.metavar,
+                help=param.help,
+            )
 
 
 def _add_adaptive_args(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument(
         "--ci-target",
-        type=_ci_target,
+        type=_positive_float,
         default=None,
         metavar="REL",
         help=(
@@ -445,104 +421,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list available artifacts")
 
-    fig = sub.add_parser("fig", help="regenerate a figure (4-9, 14, 15)")
-    fig.add_argument("number", type=int, choices=[4, 5, 6, 7, 8, 9, 14, 15])
-    fig.add_argument("--horizon", type=float, default=None, help="simulated seconds")
-    fig.add_argument("--seed", type=int, default=2010)
-    add_execution_args(fig)
-
-    table = sub.add_parser("table", help="regenerate a delta table (4-6)")
-    table.add_argument("number", type=int, choices=[4, 5, 6])
-    table.add_argument("--horizon", type=float, default=1000.0)
-    table.add_argument("--seed", type=int, default=2010)
-    add_execution_args(table)
-
-    node = sub.add_parser("node-sweep", help="Figs. 14/15 node threshold sweep")
-    node.add_argument("--workload", choices=["closed", "open"], default="closed")
-    node.add_argument("--horizon", type=float, default=900.0)
-    node.add_argument("--seed", type=int, default=2010)
-    add_execution_args(node)
-
-    val = sub.add_parser(
-        "validate", help="Section V IMote2 validation (Tables VIII-X)"
-    )
-    val.add_argument("--seed", type=int, default=2010)
-    add_execution_args(val)
-
-    network = sub.add_parser(
-        "network", help="multi-node network scenario"
-    )
-    _add_topology_args(network)
-    network.add_argument(
-        "--failure-rate",
-        type=_nonneg_float,
-        default=0.0,
-        help=(
-            "per-node exponential failure rate (1/s) for churn; dead "
-            "relays rewire their orphans to the nearest live relay "
-            "(default 0 = immortal nodes)"
-        ),
-    )
-    network.add_argument(
-        "--duty-spread",
-        type=_fraction,
-        default=0.0,
-        help=(
-            "half-width of the uniform per-node duty-cycle factor, in "
-            "[0, 1): each node senses at base-rate x (1 +/- spread) "
-            "(default 0 = identical nodes)"
-        ),
-    )
-    network.add_argument(
-        "--traffic",
-        choices=["poisson", "bursty"],
-        default="poisson",
-        help=(
-            "arrival process: poisson (the paper's) or bursty "
-            "mean-rate-preserving MMPP/on-off"
-        ),
-    )
-    network.add_argument(
-        "--burst-on",
-        type=_positive_float,
-        default=5.0,
-        help="mean burst (ON) duration in seconds for --traffic bursty",
-    )
-    network.add_argument(
-        "--burst-off",
-        type=_positive_float,
-        default=15.0,
-        help="mean quiet (OFF) duration in seconds for --traffic bursty",
-    )
-    network.add_argument(
-        "--burst-off-fraction",
-        type=_fraction,
-        default=0.0,
-        help=(
-            "quiet-state emission rate as a fraction of the burst rate, "
-            "in [0, 1) (default 0 = silent between bursts)"
-        ),
-    )
-    network.add_argument(
-        "--threshold",
-        type=float,
-        default=0.01,
-        help="Power_Down_Threshold for the single run (default 0.01 s)",
-    )
-    network.add_argument(
-        "--sweep",
-        action="store_true",
-        help="sweep the network threshold grid instead of one run",
-    )
-    network.add_argument("--horizon", type=float, default=300.0)
-    network.add_argument(
-        "--base-rate",
-        type=float,
-        default=0.5,
-        help="events/s sensed by each node before relaying (default 0.5)",
-    )
-    network.add_argument("--seed", type=int, default=2010)
-    add_execution_args(network, replications=False, engine=False)
+    run_helps = {
+        "fig": "regenerate a figure (4-9, 14, 15)",
+        "table": "regenerate a delta table (4-6)",
+        "node-sweep": "Figs. 14/15 node threshold sweep",
+        "validate": "Section V IMote2 validation (Tables VIII-X)",
+        "network": "multi-node network scenario",
+    }
+    for model, help_text in run_helps.items():
+        run = sub.add_parser(model, help=help_text)
+        _add_param_flags(run, model)
+        # Network runs replicate only adaptively, on the interpreted engine.
+        add_execution_args(
+            run, replications=model != "network", engine=model != "network"
+        )
 
     topology = sub.add_parser(
         "topology",
@@ -556,19 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "relay load for the selected topology"
         ),
     )
-    _add_topology_args(topology)
-    topology.add_argument(
-        "--base-rate",
-        type=float,
-        default=0.5,
-        help="events/s sensed by each node before relaying (default 0.5)",
-    )
-    topology.add_argument(
-        "--seed",
-        type=int,
-        default=2010,
-        help="layout seed for generated topologies (default 2010)",
-    )
+    _add_param_flags(topology, "network", _TOPOLOGY_KEYS)
 
     scenario = sub.add_parser(
         "scenario",
@@ -1158,15 +1038,15 @@ def run_network(
     horizon: float,
     base_rate: float,
     seed: int,
-    radius: float | None = None,
-    fanout: int = 3,
-    depth: int = 3,
-    failure_rate: float = 0.0,
-    duty_spread: float = 0.0,
-    traffic: str = "poisson",
-    burst_on: float = 5.0,
-    burst_off: float = 15.0,
-    burst_off_fraction: float = 0.0,
+    radius: float | None,
+    fanout: int,
+    depth: int,
+    failure_rate: float,
+    duty_spread: float,
+    traffic: str,
+    burst_on: float,
+    burst_off: float,
+    burst_off_fraction: float,
     rx: ResolvedExecution,
 ) -> str:
     """One network scenario or threshold sweep; see :func:`run_fig` on ``rx``.
@@ -1175,8 +1055,7 @@ def run_network(
     (``geometric`` / ``cluster-tree`` with ``radius`` / ``fanout`` /
     ``depth``), node churn (``failure_rate`` / ``duty_spread``) and
     bursty arrivals (``traffic="bursty"`` with the ``burst_*`` shape).
-    They keep defaults because schema-v1 scenario specs do not carry
-    them; the defaults are the paper's static Poisson setup.
+    Their schema defaults are the paper's static Poisson setup.
     """
     width, height = grid
     dynamics = ChurnModel(failure_rate=failure_rate, duty_spread=duty_spread)
@@ -1254,14 +1133,14 @@ def run_network(
 
 def run_topology_describe(
     *,
-    topology: str = "line",
-    nodes: int = 5,
-    grid: tuple[int, int] = (10, 10),
-    radius: float | None = None,
-    fanout: int = 3,
-    depth: int = 3,
-    base_rate: float = 0.5,
-    seed: int = 2010,
+    topology: str,
+    nodes: int,
+    grid: tuple[int, int],
+    radius: float | None,
+    fanout: int,
+    depth: int,
+    base_rate: float,
+    seed: int,
 ) -> int:
     """Print a deterministic structural report for a topology spec.
 
@@ -1292,16 +1171,14 @@ def run_topology_describe(
 
 
 def _cmd_topology(args: argparse.Namespace) -> int:
-    return run_topology_describe(
-        topology=args.topology,
-        nodes=args.nodes,
-        grid=args.grid,
-        radius=args.radius,
-        fanout=args.fanout,
-        depth=args.depth,
-        base_rate=args.base_rate,
-        seed=args.seed,
-    )
+    try:
+        params = _validate_params(
+            "network", {key: getattr(args, key) for key in _TOPOLOGY_KEYS}
+        )
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return run_topology_describe(**{key: params[key] for key in _TOPOLOGY_KEYS})
 
 
 def _cmd_lifetime(args: argparse.Namespace) -> int:

@@ -34,6 +34,7 @@ for compilable nets (see the package docstring for the contract).
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Callable, Mapping, Sequence
 from typing import Any
@@ -837,8 +838,8 @@ def run_ensemble(
     >>> [row.stats.firing_count("go") for row in rows]
     [5, 2]
     """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be > 0 and finite, got {horizon}")
     if (seeds is None) == (rngs is None):
         raise ValueError("give exactly one of seeds or rngs")
     if on_deadlock not in ("stop", "raise"):

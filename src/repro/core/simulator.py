@@ -40,6 +40,7 @@ Statistics are time-weighted between events (see
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
@@ -536,8 +537,8 @@ class Simulation:
 
     def run(self, horizon: float, max_firings: int | None = None) -> SimulationResult:
         """Simulate until ``horizon`` (or deadlock / ``max_firings``)."""
-        if horizon <= 0:
-            raise ValueError(f"horizon must be > 0, got {horizon}")
+        if not 0 < horizon < math.inf:
+            raise ValueError(f"horizon must be > 0 and finite, got {horizon}")
         self._initialize()
         stopped_early = False
         while True:

@@ -227,8 +227,8 @@ def run_cpu_comparison(
     deterministic and exempt), or ``max_replications`` is hit.  The
     seed plan per point is prefix-stable, so the executed replications
     are a bit-identical prefix of the fixed
-    ``replications=max_replications`` run; ``replications`` acts as a
-    floor on ``min_replications``.
+    ``replications=max_replications`` run; ``replications`` (at least 2)
+    is the per-point floor.
 
     ``engine="vectorized"`` runs the Petri-net replications of every
     threshold point as rows of one lockstep ensemble per executor slot

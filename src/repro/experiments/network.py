@@ -267,7 +267,7 @@ def _network_runs(
     Without ``ci_target`` every point is one run at ``cfg.seed``.  With
     it, points replicate on total network energy (network lifetime
     quantises to the hotspot node's battery and is reported with its
-    own CI instead) under a ``min_replications`` floor; the seed plan
+    own CI instead) from a floor of 2 replications; the seed plan
     (``replication_seeds``) is prefix-stable, so replication 0 is
     bit-identical to the single run and an adaptive run is a prefix of
     the fixed ``max_replications`` run.
@@ -281,7 +281,6 @@ def _network_runs(
     outer = ResolvedExecution(
         ci_target=rx.ci_target,
         max_replications=rx.max_replications,
-        min_replications=rx.min_replications,
     )
     models = [
         SensorNetworkModel(

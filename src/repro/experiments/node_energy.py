@@ -169,8 +169,8 @@ def run_node_energy_sweep(
     at ``max_replications``).  The per-point seed plan is then sized at
     ``max_replications`` (``replication_seeds`` is prefix-stable), so an
     adaptive run's replicates are a bit-identical prefix of the fixed
-    ``replications=max_replications`` run; ``replications`` acts as a
-    floor on ``min_replications``.
+    ``replications=max_replications`` run; ``replications`` (at least 2)
+    is the per-point floor.
 
     ``engine="vectorized"`` runs the replications of every threshold
     point as rows of one lockstep ensemble per executor slot

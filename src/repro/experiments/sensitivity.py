@@ -122,7 +122,7 @@ def node_optimum_vs_rate(
 
     With ``ci_target`` set, each cell is replicated adaptively on its
     energy until the interval's relative half-width crosses the target,
-    with ``max(min_replications, replications)`` as the floor.  Cells
+    with ``max(2, replications)`` as the floor.  Cells
     stop independently, so cheap low-variance cells don't pay for noisy
     ones.
 

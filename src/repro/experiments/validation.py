@@ -196,8 +196,8 @@ def run_simple_node_validation(
     until the interval's relative half-width crosses the target or
     ``max_replications`` is reached.  The seed plan is prefix-stable,
     so the executed replications are a bit-identical prefix of the
-    fixed ``replications=max_replications`` run; ``replications`` acts
-    as a floor on ``min_replications``.
+    fixed ``replications=max_replications`` run; ``replications`` (at
+    least 2) is the per-point floor.
 
     ``engine="vectorized"`` runs the Petri-net half of every
     replication in lockstep through :mod:`repro.core.fast`

@@ -152,8 +152,8 @@ def run_replications(
       first round of ``rx.replications`` per point, with no stopping
       rule: one :meth:`ParallelExecutor.map` call over every miss;
     * **adaptive** — rounds under
-      ``AdaptiveSettings(rx.ci_target, max(rx.min_replications,
-      rx.replications), rx.max_replications, confidence)``, stopping
+      ``AdaptiveSettings(rx.ci_target, max(2, rx.replications),
+      rx.max_replications, confidence)``, stopping
       each point on ``metrics`` (see :func:`run_adaptive_rounds`);
     * ``rx.engine == "vectorized"`` batches each round's missing
       ``task_for`` tasks through ``ensemble_fn`` (required then), one
@@ -173,7 +173,7 @@ def run_replications(
     if rx.ci_target is not None:
         settings = AdaptiveSettings(
             ci_target=rx.ci_target,
-            min_replications=max(rx.min_replications, rx.replications),
+            min_replications=max(2, rx.replications),
             max_replications=rx.max_replications,
             confidence=confidence,
         )

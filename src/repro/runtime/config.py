@@ -7,7 +7,7 @@ experiment drivers and every CLI subcommand.  :class:`ExecutionConfig`
 collapses that plumbing into a single frozen, serialisable value:
 
 * **declarative** — plain data (strings, ints, paths), so it can live
-  in a scenario file, an environment, or a test parametrisation;
+  in a scenario file, a serving request or a test parametrisation;
 * **validated** — every field is checked on construction with an error
   that names the field, so schema fuzzing gets precise rejections;
 * **resolvable** — :meth:`ExecutionConfig.resolve` builds the live
@@ -29,6 +29,7 @@ the one dispatch from a driver to a backend.
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
@@ -96,8 +97,6 @@ class ExecutionConfig:
     ci_target: float | None = None
     #: Per-point replication cap under ``ci_target``.
     max_replications: int = 64
-    #: Per-point replication floor under ``ci_target``.
-    min_replications: int = 2
 
     def __post_init__(self) -> None:
         if isinstance(self.connect, (list, str)):
@@ -109,12 +108,7 @@ class ExecutionConfig:
                     f"got the bare string {self.connect!r}"
                 )
             object.__setattr__(self, "connect", tuple(self.connect))
-        for name in (
-            "workers",
-            "replications",
-            "max_replications",
-            "min_replications",
-        ):
+        for name in ("workers", "replications", "max_replications"):
             _check_positive_int(name, getattr(self, name))
         _check_choice("engine", self.engine, ENGINE_NAMES)
         if self.backend is not None:
@@ -148,9 +142,9 @@ class ExecutionConfig:
                 raise ValueError(
                     f"ci_target must be a number or None, got {self.ci_target!r}"
                 )
-            if self.ci_target <= 0:
+            if not 0 < self.ci_target < math.inf:
                 raise ValueError(
-                    f"ci_target must be > 0, got {self.ci_target}"
+                    f"ci_target must be > 0 and finite, got {self.ci_target}"
                 )
             if self.replications > self.max_replications:
                 raise ValueError(
@@ -158,33 +152,6 @@ class ExecutionConfig:
                     f"floor under ci_target and must be <= "
                     f"max_replications {self.max_replications}"
                 )
-
-    @classmethod
-    def from_env(
-        cls, environ: Mapping[str, str] | None = None, **overrides: Any
-    ) -> "ExecutionConfig":
-        """Build a config from the environment plus explicit overrides.
-
-        Recognised variables: ``REPRO_STORE`` (store directory, the
-        historical CLI variable), ``REPRO_WORKERS`` (pool size) and
-        ``REPRO_ENGINE``.  Keyword overrides win over the environment.
-        """
-        env = os.environ if environ is None else environ
-        values: dict[str, Any] = {}
-        if env.get("REPRO_STORE"):
-            values["store_dir"] = env["REPRO_STORE"]
-        if env.get("REPRO_WORKERS"):
-            try:
-                values["workers"] = int(env["REPRO_WORKERS"])
-            except ValueError:
-                raise ValueError(
-                    f"$REPRO_WORKERS must be an integer, "
-                    f"got {env['REPRO_WORKERS']!r}"
-                ) from None
-        if env.get("REPRO_ENGINE"):
-            values["engine"] = env["REPRO_ENGINE"]
-        values.update(overrides)
-        return cls(**values)
 
     def to_dict(self) -> dict[str, Any]:
         """Plain JSON-serialisable mapping of every field."""
@@ -244,7 +211,6 @@ class ExecutionConfig:
             seed_mode=self.seed_mode,
             ci_target=self.ci_target,
             max_replications=self.max_replications,
-            min_replications=self.min_replications,
             backend=backend,
             store=store,
         )
@@ -267,7 +233,6 @@ class ResolvedExecution:
     seed_mode: str = "legacy"
     ci_target: float | None = None
     max_replications: int = 64
-    min_replications: int = 2
     backend: Backend | None = None
     store: ResultStore | None = None
 

@@ -151,8 +151,8 @@ def map_sweep(
           (:mod:`repro.runtime.adaptive`): every point runs rounds of
           replications until its across-replication interval satisfies
           ``relative_half_width() <= ci_target`` or ``max_replications``
-          is reached.  ``replications`` then acts as a floor on
-          ``min_replications``, values must be float-convertible, and
+          is reached.  ``replications`` (at least 2) is then the
+          per-point floor, values must be float-convertible, and
           every value is a :class:`ReplicatedValue` whose ``converged``
           flag and length report the outcome.  Seeds come from the same
           two-level spawn tree, sized at ``max_replications`` per

@@ -18,6 +18,7 @@ from .spec import (
     apply_overrides,
     load_scenario,
     parse_override,
+    parse_value,
 )
 
 __all__ = [
@@ -28,6 +29,7 @@ __all__ = [
     "apply_overrides",
     "load_scenario",
     "parse_override",
+    "parse_value",
     "run_scenario",
     "scenario_report",
 ]

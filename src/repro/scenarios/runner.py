@@ -2,7 +2,8 @@
 
 :func:`scenario_report` is the one path from a spec to its report: it
 calls the ``repro.cli`` run function for ``spec.model`` with the
-spec's params and returns the report text.  Every spelling of a run
+spec's params (a version-1 spec's missing keys filled with the current
+schema's defaults) and returns the report text.  Every spelling of a run
 goes through it — ``repro.cli scenario run FILE``, the flag-spelled
 subcommands (which build a spec from their flags) and the serving
 API — so they all produce the same bytes.  That bit-identity is
@@ -16,7 +17,7 @@ from __future__ import annotations
 import sys
 from typing import TYPE_CHECKING
 
-from .spec import ScenarioSpec
+from .spec import SPEC_VERSION, ScenarioSpec, _params_schema
 
 if TYPE_CHECKING:
     from ..runtime.config import ResolvedExecution
@@ -45,8 +46,13 @@ def scenario_report(spec: ScenarioSpec, rx: "ResolvedExecution") -> str:
     from .. import cli
 
     run = getattr(cli, _RUN_FUNCTIONS[spec.model])
+    # A version-1 spec lacks the keys later versions added; the run
+    # function takes every current key, so fill those from the schema.
+    schema = _params_schema(spec.model, SPEC_VERSION)
+    params = {key: param.default for key, param in schema.items()}
+    params.update(spec.params)
     try:
-        return run(**spec.params, rx=rx)
+        return run(**params, rx=rx)
     finally:
         if rx.store is not None:
             rx.store.flush_counters()

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -61,6 +62,7 @@ __all__ = [
     "apply_overrides",
     "load_scenario",
     "parse_override",
+    "parse_value",
 ]
 
 #: Current schema version; bumped on incompatible schema changes.
@@ -105,23 +107,35 @@ def _pos_int(key: str, value: Any) -> int:
     return value
 
 
-def _pos_float(key: str, value: Any) -> float:
+def _number(key: str, value: Any) -> float:
+    """A finite number as a float: NaN or an infinity would hang a run."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{key} must be a number, got {value!r}")
-    if value <= 0:
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ScenarioError(f"{key} must be finite, got {number}")
+    return number
+
+
+def _pos_float(key: str, value: Any) -> float:
+    number = _number(key, value)
+    if number <= 0:
         raise ScenarioError(f"{key} must be > 0, got {value}")
-    return float(value)
+    return number
+
 
 def _opt_pos_float(key: str, value: Any) -> float | None:
     return None if value is None else _pos_float(key, value)
 
 
 def _nonneg_float(key: str, value: Any) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{key} must be a number, got {value!r}")
-    if value < 0:
+    number = _number(key, value)
+    if number < 0:
         raise ScenarioError(f"{key} must be >= 0, got {value}")
-    return float(value)
+    return number
 
 
 def _fraction(key: str, value: Any) -> float:
@@ -180,27 +194,47 @@ def _grid(key: str, value: Any) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class _Param:
-    """One model parameter: its default (or required) and its check."""
+    """One model parameter: its default (or required), its check, and
+    the help and value placeholder of its command-line flag."""
 
     default: Any
     check: Callable[[str, Any], Any]
+    help: str | None = None
+    metavar: str | None = None
 
 
-#: Per-model parameter schema.  Defaults mirror the CLI flag defaults
-#: exactly, so an empty ``params`` block equals the bare subcommand.
+def _choice_param(
+    default: Any, choices: tuple[Any, ...], help: str | None = None
+) -> _Param:
+    """A parameter taking one of ``choices``, listed in its metavar."""
+    metavar = "{" + ",".join(str(c) for c in choices) + "}"
+    return _Param(default, _choice(choices), help, metavar)
+
+
+#: Per-model parameter schema: the one definition of every run
+#: parameter.  ``repro.cli`` generates each run subcommand's flags from
+#: it (``base_rate`` is ``--base-rate``; a required key is positional;
+#: a ``False`` default is a switch), so an empty ``params`` block
+#: equals the bare subcommand and every spelling shares one check.
 _MODEL_PARAMS: dict[str, dict[str, _Param]] = {
     "fig": {
-        "number": _Param(_REQUIRED, _choice((4, 5, 6, 7, 8, 9, 14, 15))),
-        "horizon": _Param(None, _opt_pos_float),
+        "number": _choice_param(
+            _REQUIRED, (4, 5, 6, 7, 8, 9, 14, 15), "figure to regenerate"
+        ),
+        "horizon": _Param(
+            None,
+            _opt_pos_float,
+            "simulated seconds (default: 900 for Figs. 14/15, else 1000)",
+        ),
         "seed": _Param(2010, _int),
     },
     "table": {
-        "number": _Param(_REQUIRED, _choice((4, 5, 6))),
+        "number": _choice_param(_REQUIRED, (4, 5, 6), "table to regenerate"),
         "horizon": _Param(1000.0, _pos_float),
         "seed": _Param(2010, _int),
     },
     "node-sweep": {
-        "workload": _Param("closed", _choice(("closed", "open"))),
+        "workload": _choice_param("closed", ("closed", "open")),
         "horizon": _Param(900.0, _pos_float),
         "seed": _Param(2010, _int),
     },
@@ -208,14 +242,38 @@ _MODEL_PARAMS: dict[str, dict[str, _Param]] = {
         "seed": _Param(2010, _int),
     },
     "network": {
-        "topology": _Param("line", _choice(("line", "star", "grid"))),
-        "nodes": _Param(5, _pos_int),
-        "grid": _Param((10, 10), _grid),
-        "threshold": _Param(0.01, _nonneg_float),
-        "sweep": _Param(False, _bool),
+        "topology": _choice_param("line", ("line", "star", "grid")),
+        "nodes": _Param(
+            5,
+            _pos_int,
+            "chain length (line), leaf count (star) or deployment size "
+            "(geometric); ignored for grid and cluster-tree",
+        ),
+        "grid": _Param(
+            (10, 10),
+            _grid,
+            "grid dimensions for --topology grid (default 10x10)",
+            "WxH",
+        ),
+        "threshold": _Param(
+            0.01,
+            _nonneg_float,
+            "Power_Down_Threshold for the single run (default 0.01 s)",
+        ),
+        "sweep": _Param(
+            False,
+            _bool,
+            "sweep the network threshold grid instead of one run",
+        ),
         "horizon": _Param(300.0, _pos_float),
-        "base_rate": _Param(0.5, _pos_float),
-        "seed": _Param(2010, _int),
+        "base_rate": _Param(
+            0.5,
+            _pos_float,
+            "events/s sensed by each node before relaying (default 0.5)",
+        ),
+        "seed": _Param(
+            2010, _int, "run seed; also lays out generated topologies"
+        ),
     },
 }
 
@@ -225,19 +283,56 @@ _MODEL_PARAMS: dict[str, dict[str, _Param]] = {
 #: version-1 specs never see these (not even as filled defaults).
 _MODEL_PARAMS_V2: dict[str, dict[str, _Param]] = {
     "network": {
-        "topology": _Param(
-            "line",
-            _choice(("line", "star", "grid", "geometric", "cluster-tree")),
+        "topology": _choice_param(
+            "line", ("line", "star", "grid", "geometric", "cluster-tree")
         ),
-        "radius": _Param(None, _opt_pos_float),
-        "fanout": _Param(3, _pos_int),
-        "depth": _Param(3, _pos_int),
-        "failure_rate": _Param(0.0, _nonneg_float),
-        "duty_spread": _Param(0.0, _fraction),
-        "traffic": _Param("poisson", _choice(("poisson", "bursty"))),
-        "burst_on": _Param(5.0, _pos_float),
-        "burst_off": _Param(15.0, _pos_float),
-        "burst_off_fraction": _Param(0.0, _fraction),
+        "radius": _Param(
+            None,
+            _opt_pos_float,
+            "connectivity radius for --topology geometric (default: "
+            "auto-sized from the node count; retried/grown "
+            "deterministically if the deployment comes out disconnected)",
+        ),
+        "fanout": _Param(
+            3, _pos_int, "children per cluster head for --topology cluster-tree"
+        ),
+        "depth": _Param(3, _pos_int, "tree depth for --topology cluster-tree"),
+        "failure_rate": _Param(
+            0.0,
+            _nonneg_float,
+            "per-node exponential failure rate (1/s) for churn; dead "
+            "relays rewire their orphans to the nearest live relay "
+            "(default 0 = immortal nodes)",
+        ),
+        "duty_spread": _Param(
+            0.0,
+            _fraction,
+            "half-width of the uniform per-node duty-cycle factor, in "
+            "[0, 1): each node senses at base-rate x (1 +/- spread) "
+            "(default 0 = identical nodes)",
+        ),
+        "traffic": _choice_param(
+            "poisson",
+            ("poisson", "bursty"),
+            "arrival process: poisson (the paper's) or bursty "
+            "mean-rate-preserving MMPP/on-off",
+        ),
+        "burst_on": _Param(
+            5.0,
+            _pos_float,
+            "mean burst (ON) duration in seconds for --traffic bursty",
+        ),
+        "burst_off": _Param(
+            15.0,
+            _pos_float,
+            "mean quiet (OFF) duration in seconds for --traffic bursty",
+        ),
+        "burst_off_fraction": _Param(
+            0.0,
+            _fraction,
+            "quiet-state emission rate as a fraction of the burst rate, "
+            "in [0, 1) (default 0 = silent between bursts)",
+        ),
     },
 }
 
@@ -472,24 +567,34 @@ class ScenarioSpec:
         )
 
 
-def parse_override(text: str) -> tuple[str, Any]:
-    """Parse one ``KEY=VALUE`` override.
+def parse_value(text: str) -> Any:
+    """Parse one parameter value written as text, as every spelling does.
 
-    The value is parsed as JSON when possible (numbers, booleans,
-    lists), else kept as a literal string — so
-    ``params.horizon=2.5``, ``execution.backend=processes`` and
-    ``params.grid=[3,3]`` all do the obvious thing.
+    JSON when possible (numbers, booleans, lists), then a float
+    spelling JSON lacks (``nan``, ``inf``), else the literal string —
+    so ``2.5``, ``processes``, ``[3,3]`` and ``10x10`` all do the
+    obvious thing, and a flag value and an ``--override`` value of the
+    same text reach the schema's check as the same value.
     """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def parse_override(text: str) -> tuple[str, Any]:
+    """Parse one ``KEY=VALUE`` override; the value via :func:`parse_value`."""
     key, sep, value = text.partition("=")
     if not sep or not key:
         raise ScenarioError(
             f"override must be KEY=VALUE (e.g. params.horizon=2.5), "
             f"got {text!r}"
         )
-    try:
-        return key, json.loads(value)
-    except json.JSONDecodeError:
-        return key, value
+    return key, parse_value(value)
 
 
 def apply_overrides(

@@ -506,7 +506,6 @@ class SweepService:
             seed_mode=ex.seed_mode,
             ci_target=ex.ci_target,
             max_replications=ex.max_replications,
-            min_replications=ex.min_replications,
             backend=self._rx.backend,
             store=job_store,
         )

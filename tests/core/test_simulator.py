@@ -78,6 +78,17 @@ class TestBasicTokenGame:
     def test_invalid_horizon(self):
         with pytest.raises(ValueError):
             simulate(chain_net(), horizon=0.0)
+        # NaN or infinity would never end the event loop.
+        for horizon in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="horizon"):
+                Simulation(chain_net(), seed=0).run(horizon)
+
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+    def test_vectorized_kernel_rejects_non_finite_horizon(self, horizon):
+        from repro.core.fast import run_ensemble
+
+        with pytest.raises(ValueError, match="horizon"):
+            run_ensemble(chain_net(), horizon, [0, 1])
 
     def test_max_firings_stops_early(self):
         net = PetriNet()

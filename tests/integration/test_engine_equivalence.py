@@ -178,7 +178,7 @@ class TestAdaptiveControllerAgreement:
             rates=(1.0,), thresholds=(0.00178, 10.0), horizon=40.0, seed=2010
         )
         adaptive = ExecutionConfig(
-            ci_target=0.3, max_replications=8, min_replications=2
+            ci_target=0.3, max_replications=8, replications=2
         )
         interp = node_optimum_vs_rate(
             exec_cfg=adaptive.with_overrides(engine="interpreted"), **kwargs

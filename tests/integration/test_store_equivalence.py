@@ -264,7 +264,7 @@ class TestAdaptiveTopUp:
             _wsn_config("closed"),
             exec_cfg=ResolvedExecution(
                 ci_target=1e-9,
-                min_replications=2,
+                replications=2,
                 max_replications=max_replications,
                 store=store,
             ),

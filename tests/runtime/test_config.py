@@ -62,6 +62,17 @@ class TestValidation:
             ExecutionConfig(ci_target=0.0)
         with pytest.raises(ValueError, match="ci_target"):
             ExecutionConfig(ci_target=True)
+        # NaN never meets the stopping rule: every point would run to
+        # max_replications.
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="ci_target"):
+                ExecutionConfig(ci_target=bad)
+
+    def test_min_replications_is_an_unknown_key(self):
+        # ``replications`` is the adaptive floor; the old second
+        # spelling of it fails loudly instead of being dropped.
+        with pytest.raises(ValueError, match="'min_replications'"):
+            ExecutionConfig.from_dict({"min_replications": 3})
 
     def test_replication_floor_above_cap_rejected_under_ci_target(self):
         with pytest.raises(ValueError, match="max_replications"):
@@ -104,31 +115,6 @@ class TestSerialisation:
         assert cfg.with_overrides(workers=4).workers == 4
         with pytest.raises(ValueError, match="workers"):
             cfg.with_overrides(workers=0)
-
-
-class TestFromEnv:
-    def test_reads_store_workers_engine(self):
-        cfg = ExecutionConfig.from_env(
-            {
-                "REPRO_STORE": "/tmp/store",
-                "REPRO_WORKERS": "3",
-                "REPRO_ENGINE": "vectorized",
-            }
-        )
-        assert cfg.store_dir == "/tmp/store"
-        assert cfg.workers == 3
-        assert cfg.engine == "vectorized"
-
-    def test_overrides_win_over_environment(self):
-        cfg = ExecutionConfig.from_env({"REPRO_WORKERS": "3"}, workers=5)
-        assert cfg.workers == 5
-
-    def test_bad_workers_named(self):
-        with pytest.raises(ValueError, match="REPRO_WORKERS"):
-            ExecutionConfig.from_env({"REPRO_WORKERS": "many"})
-
-    def test_empty_environment_is_defaults(self):
-        assert ExecutionConfig.from_env({}) == ExecutionConfig()
 
 
 class TestResolve:

@@ -662,7 +662,7 @@ class TestEnsemblePacking:
                 backend=pool,
                 engine="vectorized",
                 ci_target=1e-9,
-                min_replications=2,
+                replications=2,
                 max_replications=4,
             ),
             ensemble_fn=steady_or_noisy,
@@ -678,12 +678,12 @@ class TestEnsemblePacking:
 class TestReplicationPolicy:
     """Fixed and adaptive runs share one loop, one store and one plan."""
 
-    ADAPTIVE = dict(ci_target=1e-9, min_replications=2)  # never converges
+    ADAPTIVE = dict(ci_target=1e-9, replications=2)  # never converges
 
     @pytest.mark.parametrize("engine", ["interpreted", "vectorized"])
     def test_fixed_run_is_the_controllers_first_round(self, engine):
         # One map call over every replication, with exactly the items
-        # the adaptive controller submits first at min_replications=3.
+        # the adaptive controller submits first from a floor of 3.
         seeds = [7, 8, 9, 10, 11]
         fixed_pool = CountingPool()
         fixed = replicate(fixed_pool, None, seeds[:3], engine)
@@ -693,9 +693,8 @@ class TestReplicationPolicy:
             None,
             seeds,
             engine,
-            replications=1,
+            replications=3,
             ci_target=1e-9,
-            min_replications=3,
             max_replications=5,
         )
         assert len(fixed_pool.calls) == 1

@@ -7,6 +7,7 @@ law, then mutates/drops keys and asserts every rejection is a
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,7 +22,9 @@ from repro.scenarios import (
     apply_overrides,
     load_scenario,
     parse_override,
+    parse_value,
 )
+from repro.scenarios.spec import SCENARIO_MODELS, _params_schema
 
 FUZZ_SETTINGS = settings(
     max_examples=40,
@@ -162,6 +165,49 @@ class TestRejectionsNameTheKey:
         assert bad_key in str(excinfo.value) or "zz" in str(excinfo.value)
 
 
+def _float_params():
+    """(model, key) of every float-valued parameter of the schema.
+
+    A float parameter is one whose check accepts ``0.5``: integer,
+    choice, grid and switch checks all refuse it.
+    """
+    out = []
+    for model in SCENARIO_MODELS:
+        for key, param in _params_schema(model, SPEC_VERSION).items():
+            try:
+                param.check(f"params.{key}", 0.5)
+            except ScenarioError:
+                continue
+            out.append((model, key))
+    return out
+
+
+_REQUIRED_PARAMS = {"fig": {"number": 14}, "table": {"number": 4}}
+
+
+class TestNonFiniteNumbers:
+    def test_every_model_has_float_params_covered(self):
+        models = {model for model, _ in _float_params()}
+        assert models == {"fig", "table", "node-sweep", "network"}
+
+    @FUZZ_SETTINGS
+    @given(
+        target=st.sampled_from(_float_params()),
+        bad=st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    )
+    def test_float_params_reject_non_finite_naming_the_key(self, target, bad):
+        # NaN and the infinities pass a bare ``value <= 0`` test and
+        # would hang the run; the check must refuse them by name.
+        model, key = target
+        params = {**_REQUIRED_PARAMS.get(model, {}), key: bad}
+        with pytest.raises(ScenarioError) as excinfo:
+            ScenarioSpec.from_dict(
+                {"name": "n", "model": model, "params": params}
+            )
+        assert f"params.{key}" in str(excinfo.value)
+        assert "finite" in str(excinfo.value)
+
+
 class TestDefaultsAndNormalisation:
     def test_params_defaults_filled(self):
         spec = ScenarioSpec.from_dict(
@@ -203,6 +249,15 @@ class TestOverrides:
             "execution.backend",
             "processes",
         )
+
+    def test_parse_value_reads_float_spellings_json_lacks(self):
+        # A flag value and an override value of the same text must
+        # reach the check as the same value: ``nan`` as JSON's ``NaN``.
+        assert math.isnan(parse_value("nan"))
+        assert math.isnan(parse_value("NaN"))
+        assert parse_value("inf") == parse_value("Infinity") == math.inf
+        assert parse_value("10x10") == "10x10"
+        assert parse_value("5") == 5
 
     def test_parse_override_requires_equals(self):
         with pytest.raises(ScenarioError, match="KEY=VALUE"):

@@ -186,6 +186,20 @@ class TestServiceExecution:
                 cold.result["store"]["puts"] - 1
             )
 
+    def test_nan_request_rejected_and_next_request_completes(
+        self, tmp_path, reference
+    ):
+        # A NaN horizon once passed the schema and never finished,
+        # blocking every later job behind it in the FIFO worker.
+        _, ref_out = reference
+        bad = dict(SCENARIO, params={"number": 14, "horizon": float("nan")})
+        with make_service(tmp_path) as service:
+            with pytest.raises(ServiceError, match="params.horizon"):
+                service.submit({"scenario": bad})
+            job = service.run({"scenario": SCENARIO}, timeout=300)
+            assert job.state == "done"
+            assert job.result["output"] == ref_out
+
     def test_spec_level_value_error_fails_cleanly(self, tmp_path, monkeypatch):
         def boom(spec, rx):
             raise ValueError("engine mismatch")

@@ -1,5 +1,7 @@
 """Tests for the command-line interface (fast paths only)."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -61,6 +63,8 @@ class TestCLI:
             ("--capacity-mah", "-5"),
             ("--voltage", "0"),
             ("--threshold", "-1"),
+            ("--horizon", "nan"),
+            ("--threshold", "inf"),
         ],
     )
     def test_lifetime_bad_values_are_argparse_errors(self, capsys, flag, value):
@@ -71,9 +75,11 @@ class TestCLI:
         assert f"argument {flag}" in err
         assert "Traceback" not in err
 
-    def test_invalid_figure_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["fig", "3"])
+    def test_invalid_figure_rejected(self, capsys):
+        assert main(["fig", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: params.number must be one of")
+        assert captured.out == ""
 
     def test_node_sweep_with_workers_and_replications(self, capsys):
         assert (
@@ -156,6 +162,10 @@ class TestCLI:
     def test_bad_ci_target_rejected(self):
         with pytest.raises(SystemExit):
             main(["node-sweep", "--ci-target", "0"])
+        # NaN never meets the stopping rule: every point would run to
+        # --max-replications instead of failing.
+        with pytest.raises(SystemExit):
+            main(["node-sweep", "--ci-target", "nan"])
 
     def test_replications_floor_above_cap_rejected(self, capsys):
         # --replications acts as the per-point floor under --ci-target,
@@ -237,9 +247,46 @@ class TestCLI:
         assert "Network lifetime sweep" in out
         assert "best threshold for the network" in out
 
-    def test_network_bad_grid_spec_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["network", "--topology", "grid", "--grid", "10by10"])
+    def test_network_bad_grid_spec_rejected(self, capsys):
+        assert main(["network", "--topology", "grid", "--grid", "10by10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: params.grid must be")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        ("argv", "key", "value"),
+        [
+            (["fig", "14", "--horizon", "nan"], "horizon", "nan"),
+            (["node-sweep", "--horizon", "inf"], "horizon", "inf"),
+            (["network", "--nodes", "0"], "nodes", "0"),
+            (["network", "--grid", "0x3"], "grid", "0x3"),
+            (["network", "--duty-spread", "1.5"], "duty_spread", "1.5"),
+            (["network", "--burst-on", "0"], "burst_on", "0"),
+            (["fig", "3"], "number", "3"),
+        ],
+        ids=lambda x: " ".join(x) if isinstance(x, list) else None,
+    )
+    def test_bad_flag_fails_like_its_override(
+        self, capsys, tmp_path, argv, key, value
+    ):
+        """A flag and ``--override params.KEY=VALUE`` share one check."""
+        assert main(argv) == 2
+        flag = capsys.readouterr()
+        assert flag.out == ""
+        assert flag.err.startswith(f"error: params.{key} ")
+        model = argv[0]
+        params = {"number": int(argv[1])} if model == "fig" else {}
+        path = tmp_path / "spec.json"
+        path.write_text(
+            json.dumps({"name": model, "model": model, "params": params})
+        )
+        argv_override = [
+            "scenario", "run", str(path), "--override", f"params.{key}={value}"
+        ]
+        assert main(argv_override) == 2
+        override = capsys.readouterr()
+        assert override.out == ""
+        assert override.err == flag.err
 
     @pytest.mark.parametrize(
         "argv",
@@ -493,6 +540,20 @@ class TestScenarioSubcommand:
         err = capsys.readouterr().err
         assert err.startswith(
             "error: execution: unknown execution key 'shards' (known keys: "
+        )
+
+
+    def test_spec_with_min_replications_key_is_clean_error(
+        self, capsys, tmp_path
+    ):
+        # ``replications`` is the adaptive floor; the old second field
+        # for it is rejected, not silently ignored.
+        data = self._valid()
+        data["execution"] = {"ci_target": 0.5, "min_replications": 3}
+        assert main(["scenario", "run", self._write(tmp_path, data)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: execution: unknown execution key 'min_replications'"
         )
 
 
