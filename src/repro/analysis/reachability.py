@@ -6,9 +6,11 @@ reachability graph; we reproduce the untimed core of that pipeline:
 * :func:`build_reachability_graph` explores the marking space ignoring
   time (every enabled transition is a successor edge) with a state
   budget so unbounded nets fail loudly instead of looping.
-* The result is a :class:`ReachabilityGraph` wrapping a
-  :class:`networkx.DiGraph` whose nodes are canonical marking
-  signatures, enriched with per-node token-count dicts.
+* The result is a :class:`ReachabilityGraph`: plain dicts keyed by
+  canonical marking signatures, holding each state's token counts and
+  its labelled successor edges.  Strong connectivity and home states
+  come from one iterative Tarjan pass, so graphs of 100k states need no
+  recursion.
 
 Timing is deliberately ignored here: reachability is a structural
 notion.  The timed analysis path for exponential nets lives in
@@ -19,9 +21,8 @@ with immediate-transition (vanishing-marking) elimination.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
-
-import networkx as nx
 
 from ..core.errors import UnboundedNetError
 from ..core.marking import Marking
@@ -41,74 +42,122 @@ class ReachabilityGraph:
 
     Attributes
     ----------
-    graph:
-        ``networkx.DiGraph``; node keys are marking signatures, node
-        attribute ``counts`` holds the token-count dict, edge attribute
-        ``transition`` names the firing.
+    states:
+        Marking signature → token-count dict, in discovery order.
+    edges:
+        Marking signature → ``{successor signature: transition name}``;
+        every state has an entry (empty for a deadlock).  When several
+        transitions lead to the same successor, the first one found
+        labels the edge.
     initial:
         Signature of the initial marking.
     """
 
-    graph: nx.DiGraph
+    states: dict[Signature, dict[str, int]]
+    edges: dict[Signature, dict[Signature, str]]
     initial: Signature
 
     @property
     def n_states(self) -> int:
         """Number of distinct reachable markings."""
-        return self.graph.number_of_nodes()
+        return len(self.states)
 
     @property
     def n_edges(self) -> int:
         """Number of firing edges."""
-        return self.graph.number_of_edges()
+        return sum(len(succs) for succs in self.edges.values())
 
     def counts_of(self, signature: Signature) -> dict[str, int]:
         """Token counts of a state."""
-        return self.graph.nodes[signature]["counts"]
+        return self.states[signature]
 
     def deadlock_states(self) -> list[Signature]:
         """States with no outgoing firing."""
-        return [n for n in self.graph.nodes if self.graph.out_degree(n) == 0]
+        return [sig for sig, succs in self.edges.items() if not succs]
 
     def max_tokens(self, place: str) -> int:
         """Bound of ``place`` over the reachable space."""
-        return max(
-            data["counts"].get(place, 0)
-            for _, data in self.graph.nodes(data=True)
-        )
+        return max(counts.get(place, 0) for counts in self.states.values())
 
     def bound_vector(self) -> dict[str, int]:
         """Per-place bounds (the k-boundedness certificate)."""
         bounds: dict[str, int] = {}
-        for _, data in self.graph.nodes(data=True):
-            for place, count in data["counts"].items():
+        for counts in self.states.values():
+            for place, count in counts.items():
                 if count > bounds.get(place, 0):
                     bounds[place] = count
         return bounds
 
+    def fired_transitions(self) -> set[str]:
+        """Names of the transitions labelling at least one edge."""
+        return {t for succs in self.edges.values() for t in succs.values()}
+
     def is_live_transition(self, transition: str) -> bool:
         """L1-liveness: the transition labels at least one edge."""
-        return any(
-            data.get("transition") == transition
-            for _, _, data in self.graph.edges(data=True)
-        )
+        return transition in self.fired_transitions()
 
     def strongly_connected(self) -> bool:
         """True when every state can reach every other (ergodic skeleton)."""
-        return nx.is_strongly_connected(self.graph)
+        return len(self._components()) == 1
 
     def home_states(self) -> list[Signature]:
         """States reachable from every reachable state."""
-        condensation = nx.condensation(self.graph)
-        # A home state lives in the unique terminal SCC (out-degree 0 in
-        # the condensation) reachable from all components.
+        # A home state lives in the unique terminal SCC (no edge leaving
+        # it); every state reaches some terminal SCC, so with exactly one
+        # all states reach it, and with more there is no home state.
         terminal = [
-            n for n in condensation.nodes if condensation.out_degree(n) == 0
+            members
+            for members in self._components()
+            if all(s in members for m in members for s in self.edges[m])
         ]
         if len(terminal) != 1:
             return []
-        members = condensation.nodes[terminal[0]]["members"]
-        return sorted(members)
+        return sorted(terminal[0])
+
+    def _components(self) -> list[set[Signature]]:
+        """Strongly connected components by an iterative Tarjan pass."""
+        index: dict[Signature, int] = {}
+        low: dict[Signature, int] = {}
+        stack: list[Signature] = []
+        on_stack: set[Signature] = set()
+        components: list[set[Signature]] = []
+        # Explicit DFS stack of (node, its unexplored successors).
+        work: list[tuple[Signature, Iterator[Signature]]] = []
+
+        def visit(node: Signature) -> None:
+            index[node] = low[node] = len(index)
+            stack.append(node)
+            on_stack.add(node)
+            work.append((node, iter(self.edges[node])))
+
+        for root in self.edges:
+            if root in index:
+                continue
+            visit(root)
+            while work:
+                node, successors = work[-1]
+                for succ in successors:
+                    if succ not in index:
+                        visit(succ)
+                        break
+                    if succ in on_stack and index[succ] < low[node]:
+                        low[node] = index[succ]
+                else:
+                    work.pop()
+                    if work:
+                        parent = work[-1][0]
+                        if low[node] < low[parent]:
+                            low[parent] = low[node]
+                    if low[node] == index[node]:
+                        members: set[Signature] = set()
+                        while True:
+                            member = stack.pop()
+                            on_stack.discard(member)
+                            members.add(member)
+                            if member == node:
+                                break
+                        components.append(members)
+        return components
 
 
 def _fire_untimed(
@@ -188,22 +237,21 @@ def build_reachability_graph(
     colours, so their graphs are exact.
     """
     marking0 = initial_marking if initial_marking is not None else net.initial_marking()
-    graph = nx.DiGraph()
     initial_sig = marking0.signature()
-    graph.add_node(initial_sig, counts=marking0.counts())
+    states = {initial_sig: marking0.counts()}
+    edges: dict[Signature, dict[Signature, str]] = {initial_sig: {}}
     frontier: deque[tuple[Signature, Marking]] = deque([(initial_sig, marking0)])
-    seen: set[Signature] = {initial_sig}
     while frontier:
         sig, marking = frontier.popleft()
+        successors = edges[sig]
         for transition in _enabled_untimed(net, marking):
             successor = _fire_untimed(net, marking, transition)
             succ_sig = successor.signature()
-            if succ_sig not in seen:
-                if len(seen) >= max_states:
+            if succ_sig not in states:
+                if len(states) >= max_states:
                     raise UnboundedNetError(max_states)
-                seen.add(succ_sig)
-                graph.add_node(succ_sig, counts=successor.counts())
+                states[succ_sig] = successor.counts()
+                edges[succ_sig] = {}
                 frontier.append((succ_sig, successor))
-            if not graph.has_edge(sig, succ_sig):
-                graph.add_edge(sig, succ_sig, transition=transition.name)
-    return ReachabilityGraph(graph=graph, initial=initial_sig)
+            successors.setdefault(succ_sig, transition.name)
+    return ReachabilityGraph(states=states, edges=edges, initial=initial_sig)

@@ -108,11 +108,7 @@ def liveness_summary(
 ) -> LivenessReport:
     """L1-liveness per transition and deadlock census."""
     rg = rg if rg is not None else build_reachability_graph(net, max_states)
-    fired = {
-        data["transition"]
-        for _, _, data in rg.graph.edges(data=True)
-        if "transition" in data
-    }
+    fired = rg.fired_transitions()
     all_names = set(net.transition_names)
     return LivenessReport(
         live=frozenset(fired),

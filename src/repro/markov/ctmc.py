@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import linalg as sla
 
 __all__ = ["CTMC"]
 
@@ -119,6 +118,8 @@ class CTMC:
         return pi / total
 
     def _nullspace_pi(self) -> np.ndarray:
+        from scipy import linalg as sla
+
         w, v = sla.eig(self.Q.T)
         i = int(np.argmin(np.abs(w)))
         pi = np.real(v[:, i])

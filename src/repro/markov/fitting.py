@@ -23,7 +23,6 @@ import math
 from collections.abc import Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from ..core.distributions import (
     Deterministic,
@@ -96,6 +95,8 @@ def fit_lognormal(samples: Sequence[float]) -> LogNormal:
 
 
 def _log_likelihood(dist: FiringDistribution, arr: np.ndarray) -> float:
+    from scipy import stats as sps
+
     if isinstance(dist, Exponential):
         return float(np.sum(sps.expon.logpdf(arr, scale=1.0 / dist.rate)))
     if isinstance(dist, Erlang):

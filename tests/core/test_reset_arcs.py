@@ -134,11 +134,5 @@ class TestResetConstruction:
             resets=["q"],
         )
         rg = build_reachability_graph(net)
-        final = [
-            counts
-            for sig, counts in (
-                (n, rg.counts_of(n)) for n in rg.graph.nodes
-            )
-            if counts["done"] == 1
-        ]
+        final = [counts for counts in rg.states.values() if counts["done"] == 1]
         assert final and all(c["q"] == 0 for c in final)

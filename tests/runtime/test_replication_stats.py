@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from repro.core.statistics import ConfidenceInterval, replication_interval
+from repro.core.statistics import (
+    ConfidenceInterval,
+    _t_critical,
+    replication_interval,
+)
 
 
 class TestReplicationInterval:
@@ -64,3 +68,13 @@ class TestReplicationInterval:
             for _ in range(200)
         )
         assert hits >= 175
+
+
+class TestTCritical:
+    @pytest.mark.parametrize("confidence", [0.8, 0.9, 0.95, 0.99, 0.999])
+    def test_bit_equal_to_scipy_stats_ppf(self, confidence):
+        # stdtrit is the function t.ppf calls, so equality is exact, not
+        # approximate: every printed interval keeps its last digit.
+        for df in [*range(1, 401), 10**3, 10**5, 10**6]:
+            expected = float(stats.t.ppf(0.5 + confidence / 2.0, df=df))
+            assert _t_critical(confidence, df) == expected, (confidence, df)
