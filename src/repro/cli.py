@@ -38,13 +38,15 @@ any other task set; no worker setting ever changes the reported
 numbers.
 
 ``--engine {interpreted,vectorized}`` selects *how* each Petri-net
-simulation runs (:mod:`repro.core.fast`): the default interpreted
-per-event loop, or the vectorized lockstep engine that runs the
-replications of every sweep point as rows of one NumPy ensemble per
-worker.  Results are bit-identical; only throughput changes (the
-vectorized engine wins once an ensemble has tens of rows).  ``network`` does not accept
-``--engine vectorized`` — bursty nodes and churn segments have no
-batched evaluator yet.
+simulation runs (:mod:`repro.core.fast`).  The default, vectorized,
+runs each batch of replications — the replications of the sweep
+points, or the nodes and churn segments of a network — as rows of one
+NumPy lockstep ensemble per worker; a batch below
+:data:`~repro.runtime.adaptive.LOCKSTEP_MIN_ROWS` tasks (a lone
+``validate`` replication, say) runs on the interpreted per-event loop,
+which is faster there.  ``interpreted`` runs every replication on that
+loop, the reference engine.  Results are bit-identical; only
+throughput changes.
 
 ``--backend {local,processes,socket}`` selects *where* tasks execute
 (:mod:`repro.runtime.backend`): in-process, on a local process pool,
@@ -123,6 +125,7 @@ from .experiments import (
 )
 from .models import NodeParameters, WSNNodeModel
 from .runtime import BACKEND_NAMES
+from .runtime.adaptive import LOCKSTEP_MIN_ROWS
 from .runtime.config import ExecutionConfig, ResolvedExecution
 from .scenarios import (
     SPEC_VERSION,
@@ -267,12 +270,13 @@ def _add_engine_arg(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument(
         "--engine",
         choices=["interpreted", "vectorized"],
-        default="interpreted",
+        default="vectorized",
         help=(
-            "simulation engine: 'interpreted' (per-event Python loop, "
-            "default) or 'vectorized' (the replications of every sweep "
-            "point as rows of one NumPy lockstep ensemble per worker; "
-            "bit-identical results)"
+            "simulation engine: 'vectorized' (each batch of replications "
+            "or network nodes as rows of one NumPy lockstep ensemble per "
+            f"worker; batches below the lockstep floor of {LOCKSTEP_MIN_ROWS} "
+            "tasks run interpreted) or 'interpreted' (per-event Python loop, the "
+            "reference); bit-identical results (default vectorized)"
         ),
     )
 
@@ -302,7 +306,6 @@ def add_execution_args(
     sub_parser: argparse.ArgumentParser,
     *,
     replications: bool = True,
-    engine: bool = True,
 ) -> None:
     """Attach the shared execution flags to a run subcommand.
 
@@ -331,8 +334,7 @@ def add_execution_args(
                 "with --ci-target this is the minimum per point"
             ),
         )
-    if engine:
-        _add_engine_arg(sub_parser)
+    _add_engine_arg(sub_parser)
     _add_adaptive_args(sub_parser)
     _add_backend_args(sub_parser)
     _add_store_args(sub_parser)
@@ -402,7 +404,7 @@ def execution_config_from_args(
             replications=getattr(args, "replications", 1),
             backend=backend,
             connect=tuple(connect or ()),
-            engine=getattr(args, "engine", "interpreted"),
+            engine=getattr(args, "engine", "vectorized"),
             store_dir=store_dir,
             ci_target=getattr(args, "ci_target", None),
             max_replications=getattr(args, "max_replications", 64),
@@ -431,10 +433,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for model, help_text in run_helps.items():
         run = sub.add_parser(model, help=help_text)
         _add_param_flags(run, model)
-        # Network runs replicate only adaptively, on the interpreted engine.
-        add_execution_args(
-            run, replications=model != "network", engine=model != "network"
-        )
+        # Network runs replicate only adaptively.
+        add_execution_args(run, replications=model != "network")
 
     topology = sub.add_parser(
         "topology",
@@ -751,8 +751,8 @@ def _run_spec(spec) -> int:
     try:
         return run_scenario(spec)
     except ValueError as exc:
-        # e.g. a spec pairing engine=vectorized with a network model —
-        # a user configuration error, not a crash.
+        # e.g. a topology the schema cannot check alone (a geometric
+        # radius too small to connect it) — a user error, not a crash.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -246,6 +246,10 @@ class _Ensemble:
                 self.timing.append(list(dists))
         self.counts3 = np.repeat(base3[None, :, :], reps, axis=0)
         self.totals = self.counts3.sum(axis=2)
+        # Every step reads the counts of a subset of rows: gathered into
+        # these, not into a fresh copy per read (see _gather).
+        self._counts3_rows = np.empty_like(self.counts3)
+        self._totals_rows = np.empty_like(self.totals)
         self.queues = {
             p: _ColorQueue(reps, init_queues.get(p, []))
             for p in cn.queued_places
@@ -283,6 +287,20 @@ class _Ensemble:
         self._eval_predicates(self._all)
         for name in self.pred_value:
             self.pred_max[name] = self.pred_value[name].copy()
+
+    def _gather(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``counts3[idx]`` and ``totals[idx]``, valid until the next call.
+
+        Written into buffers the ensemble keeps for its whole run, so
+        the per-step reads allocate nothing: per-step copies of up to a
+        megabyte each made glibc trim and fault in the same heap pages
+        again and again.
+        """
+        n = idx.size
+        return (
+            np.take(self.counts3, idx, axis=0, out=self._counts3_rows[:n], mode="clip"),
+            np.take(self.totals, idx, axis=0, out=self._totals_rows[:n], mode="clip"),
+        )
 
     # ------------------------------------------------------------------
     # Predicates
@@ -397,7 +415,7 @@ class _Ensemble:
                 ]
             if not cand_ids:
                 return
-            counts3, totals = self.counts3[rem], self.totals[rem]
+            counts3, totals = self._gather(rem)
             enab = np.zeros((len(cand_ids), rem.size), dtype=bool)
             prios = np.empty(len(cand_ids))
             for row, i in enumerate(cand_ids):
@@ -466,7 +484,7 @@ class _Ensemble:
         Skipping never skips an RNG draw the interpreted engine would
         make: an unchanged degree with untouched slots starts nothing.
         """
-        counts3, totals = self.counts3[idx], self.totals[idx]
+        counts3, totals = self._gather(idx)
         sched, clock, rngs = self.sched, self.clock, self.rngs
         for u, ct in enumerate(self.cn.timed):
             if (
@@ -597,7 +615,7 @@ class _Ensemble:
                 group = active[timed_of == u]
                 ct = cn.timed[u]
                 popped.add(int(u))
-                deg = ct.degree(self.counts3[group], self.totals[group])
+                deg = ct.degree(*self._gather(group))
                 enabled = deg > 0
                 if not enabled.all():
                     # Scheduled-but-stale (see Simulation.step): the

@@ -54,23 +54,6 @@ __all__ = [
 ]
 
 
-def _check_engine(engine: str) -> None:
-    """Refuse the vectorized engine, explicitly and loudly.
-
-    Network nodes run on the interpreted engine only: bursty (MMPP)
-    nodes and churn segments have no batched evaluator yet.  Refusing
-    beats silently falling back — callers choose the engine, never
-    guess.
-    """
-    if engine == "vectorized":
-        raise ValueError(
-            "engine='vectorized' does not apply to network scenarios: "
-            "bursty (MMPP) nodes and churn segments have no batched "
-            "evaluator yet; run with engine='interpreted' (the default) "
-            "and parallelise with workers instead"
-        )
-
-
 def make_topology(
     kind: str,
     nodes: int = 5,
@@ -277,7 +260,6 @@ def _network_runs(
     from ..runtime.executor import TaskError
     from ..runtime.seeding import replication_seeds
 
-    _check_engine(rx.engine)
     outer = ResolvedExecution(
         ci_target=rx.ci_target,
         max_replications=rx.max_replications,
@@ -350,10 +332,6 @@ def run_network_scenario(
     is bit-identical to the unreplicated scenario.  The
     ``replications`` field is not used here: replication counts are
     adaptive (``ci_target``-driven) for network scenarios.
-
-    Only ``engine="interpreted"`` is supported here (see
-    :func:`_check_engine` for why the vectorized engine does not apply
-    to per-node network fan-outs).
     """
     from ..runtime.config import as_resolved
 
@@ -386,9 +364,6 @@ def run_network_lifetime_sweep(
     (bit-identical to the single-run sweep), with per-point counts,
     ``converged`` flags and :meth:`NetworkSweepResult.energy_ci`
     uncertainty on top.
-
-    Only ``engine="interpreted"`` is supported here (see
-    :func:`_check_engine`).
     """
     from ..runtime.config import as_resolved
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from ..energy.battery import LinearBattery, NodeLifetimeEstimator, PeukertBattery
@@ -41,6 +42,8 @@ from .wsn_node import (
     NodeParameters,
     WSNNodeModel,
     WSNNodeResult,
+    simulate_node_ensemble_task,
+    simulate_node_ensembles,
     simulate_node_task,
 )
 
@@ -57,6 +60,7 @@ __all__ = [
     "NetworkResult",
     "SensorNetworkModel",
     "simulate_node_segments_task",
+    "simulate_node_segments_ensemble_task",
 ]
 
 #: Seconds per day, for converting failure times to lifetime units.
@@ -335,6 +339,19 @@ class NetworkResult:
         return max(lifetimes) / lo if lo > 0 else float("inf")
 
 
+def _segment_model(
+    params: NodeParameters,
+    workload: str,
+    traffic: "MMPPTraffic | None",
+    seg: "NodeSegment",
+) -> WSNNodeModel:
+    """The node model of one alive segment, at its epoch's rate."""
+    return WSNNodeModel(
+        replace(params, arrival_rate=seg.rate),
+        traffic.workload(seg.rate) if traffic is not None else workload,
+    )
+
+
 def simulate_node_segments_task(
     task: tuple[
         NodeParameters, str, "MMPPTraffic | None", tuple["NodeSegment", ...]
@@ -352,18 +369,47 @@ def simulate_node_segments_task(
     keying of the static path.
     """
     params, workload, traffic, segments = task
-    results = []
-    for seg in segments:
-        seg_params = replace(params, arrival_rate=seg.rate)
-        seg_workload = (
-            traffic.workload(seg.rate) if traffic is not None else workload
+    return [
+        _segment_model(params, workload, traffic, seg).simulate(
+            seg.duration_s, seed=seg.seed
         )
-        results.append(
-            WSNNodeModel(seg_params, seg_workload).simulate(
-                seg.duration_s, seed=seg.seed
-            )
+        for seg in segments
+    ]
+
+
+def simulate_node_segments_ensemble_task(
+    tasks: tuple[
+        tuple[NodeParameters, str, "MMPPTraffic | None", tuple["NodeSegment", ...]],
+        ...,
+    ],
+) -> list[list[WSNNodeResult]]:
+    """:func:`simulate_node_segments_task` over many nodes, as ensembles.
+
+    The ``engine="vectorized"`` batch form: returns
+    ``[simulate_node_segments_task(t) for t in tasks]``, bit for bit.
+    Every segment of every task is one row, and the rows of each
+    distinct ``duration_s`` run as one
+    :func:`~repro.models.wsn_node.simulate_node_ensembles` call.  All
+    alive segments of one churn epoch share its duration, so an epoch
+    is one ensemble and no row needs a horizon of its own.
+    """
+    rows = [
+        (seg.duration_s, _segment_model(params, workload, traffic, seg), seg.seed)
+        for params, workload, traffic, segments in tasks
+        for seg in segments
+    ]
+    by_duration: dict[float, list[int]] = {}
+    for j, (duration, _, _) in enumerate(rows):
+        by_duration.setdefault(duration, []).append(j)
+    results: list[WSNNodeResult | None] = [None] * len(rows)
+    for duration, js in by_duration.items():
+        groups = simulate_node_ensembles(
+            [rows[j][1] for j in js], [[rows[j][2]] for j in js], duration
         )
-    return results
+        for j, [result] in zip(js, groups):
+            results[j] = result
+    flat = iter(results)
+    return [list(islice(flat, len(task[3]))) for task in tasks]
 
 
 class SensorNetworkModel:
@@ -564,6 +610,7 @@ class SensorNetworkModel:
                 self.topology, base_rate, horizon, seed
             )
             task_fn = simulate_node_segments_task
+            ensemble_fn = simulate_node_segments_ensemble_task
             tasks = [
                 (
                     self.params,
@@ -576,6 +623,7 @@ class SensorNetworkModel:
         else:
             schedule = None
             task_fn = simulate_node_task
+            ensemble_fn = simulate_node_ensemble_task
             tasks = [
                 (
                     replace(self.params, arrival_rate=rate),
@@ -595,10 +643,16 @@ class SensorNetworkModel:
                 i, tasks[i][3], result, estimator, schedule.failure_time(i)
             )
 
-        # One replication per node, whatever replication policy or
-        # engine the caller's run uses.
-        node_rx = replace(rx, replications=1, ci_target=None, engine="interpreted")
-        runs = run_replications(task_fn, lambda i, _r: tasks[i], len(tasks), node_rx)
+        # One replication per node, whatever replication policy the
+        # caller's run uses; the caller's engine decides the task shape.
+        node_rx = replace(rx, replications=1, ci_target=None)
+        runs = run_replications(
+            task_fn,
+            lambda i, _r: tasks[i],
+            len(tasks),
+            node_rx,
+            ensemble_fn=ensemble_fn,
+        )
         out = NetworkResult(
             topology=self.topology.describe(),
             power_down_threshold=self.params.power_down_threshold,

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from ..core.distributions import Empirical, Exponential
+from ..core.distributions import Empirical, Exponential, FiringDistribution
 from ..core.guards import TRUE, Guard, tokens_gt
 from ..core.net import PetriNet
 
@@ -53,6 +53,15 @@ class WorkloadGenerator:
         """Mean gap between generated events (seconds)."""
         raise NotImplementedError
 
+    def emit_timing(self) -> dict[str, FiringDistribution]:
+        """The emit transitions whose timing is set by a rate field.
+
+        ``transition name -> distribution``; the lockstep ensemble
+        varies these per row, so generators that differ only in their
+        rates share one net.  Empty for a generator without rates.
+        """
+        return {}
+
 
 @dataclass
 class OpenWorkload(WorkloadGenerator):
@@ -74,15 +83,14 @@ class OpenWorkload(WorkloadGenerator):
         if self.rate <= 0:
             raise ValueError(f"rate must be > 0, got {self.rate}")
 
-    def arrivals(self) -> Exponential:
-        """The emit transition's inter-arrival distribution."""
-        return Exponential(self.rate)
+    def emit_timing(self) -> dict[str, FiringDistribution]:
+        return {self.emit_transition: Exponential(self.rate)}
 
     def attach(self, net: PetriNet, event_place: str) -> None:
         net.add_place(self.source_place, initial_tokens=1)
         net.add_transition(
             self.emit_transition,
-            self.arrivals(),
+            self.emit_timing()[self.emit_transition],
             inputs=[self.source_place],
             outputs=[self.source_place, event_place],
             description="open workload generator (fires independently)",
@@ -119,15 +127,14 @@ class ClosedWorkload(WorkloadGenerator):
         if self.rate <= 0:
             raise ValueError(f"rate must be > 0, got {self.rate}")
 
-    def arrivals(self) -> Exponential:
-        """The emit transition's inter-arrival distribution."""
-        return Exponential(self.rate)
+    def emit_timing(self) -> dict[str, FiringDistribution]:
+        return {self.emit_transition: Exponential(self.rate)}
 
     def attach(self, net: PetriNet, event_place: str) -> None:
         net.add_place(self.source_place, initial_tokens=1)
         net.add_transition(
             self.emit_transition,
-            self.arrivals(),
+            self.emit_timing()[self.emit_transition],
             inputs=[self.source_place],
             outputs=[self.source_place, event_place],
             guard=tokens_gt(self.wait_place, 0),
@@ -177,20 +184,35 @@ class MMPPWorkload(WorkloadGenerator):
                 f"on={self.mean_on_s}, off={self.mean_off_s}"
             )
 
+    def emit_timing(self) -> dict[str, FiringDistribution]:
+        """The burst-state emitter and, if ``rate_off > 0``, the quiet one.
+
+        A ``rate_off`` of 0 leaves the quiet-state transition out of
+        the net altogether.
+        """
+        timing: dict[str, FiringDistribution] = {
+            self.emit_transition: Exponential(self.rate_on)
+        }
+        if self.rate_off > 0:
+            timing[f"{self.emit_transition}_off"] = Exponential(self.rate_off)
+        return timing
+
     def attach(self, net: PetriNet, event_place: str) -> None:
         net.add_place(self.on_place, initial_tokens=1)
         net.add_place(self.off_place)
+        emit = self.emit_timing()
+        quiet = f"{self.emit_transition}_off"
         net.add_transition(
             self.emit_transition,
-            Exponential(self.rate_on),
+            emit[self.emit_transition],
             inputs=[self.on_place],
             outputs=[self.on_place, event_place],
             description="MMPP generator, burst (ON) state",
         )
-        if self.rate_off > 0:
+        if quiet in emit:
             net.add_transition(
-                f"{self.emit_transition}_off",
-                Exponential(self.rate_off),
+                quiet,
+                emit[quiet],
                 inputs=[self.off_place],
                 outputs=[self.off_place, event_place],
                 description="MMPP generator, quiet (OFF) state",

@@ -37,9 +37,9 @@ Section VI-A).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, fields, replace
-from itertools import accumulate, groupby
+from itertools import accumulate, groupby, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -85,7 +85,7 @@ def simulate_node_task(
 
 
 def simulate_node_ensemble_task(
-    tasks: "tuple[tuple[NodeParameters, str, float, int], ...]",
+    tasks: "tuple[tuple[NodeParameters, str | WorkloadGenerator, float, int], ...]",
 ) -> "list[WSNNodeResult]":
     """:func:`simulate_node_task` over many tasks, as one ensemble.
 
@@ -93,16 +93,16 @@ def simulate_node_ensemble_task(
     ``[simulate_node_task(t) for t in tasks]``, bit for bit, from one
     lockstep :func:`repro.core.fast.run_ensemble` (one net for all
     tasks, see :func:`simulate_node_ensembles`).  Consecutive tasks
-    with the same ``params`` become one model's rows.  The tasks must
-    share ``workload`` and ``horizon``.
+    with the same ``params`` and ``workload`` become one model's rows,
+    so network nodes whose bursty workloads differ in their rates
+    share the ensemble.  The tasks must share ``horizon``.
     """
     from ..runtime.adaptive import shared_field
 
-    workload = shared_field(tasks, 1, "workload")
     horizon = shared_field(tasks, 2, "horizon")
-    runs = [list(run) for _, run in groupby(tasks, itemgetter(0))]
+    runs = [list(run) for _, run in groupby(tasks, itemgetter(0, 1))]
     groups = simulate_node_ensembles(
-        [WSNNodeModel(run[0][0], workload) for run in runs],
+        [WSNNodeModel(params, workload) for (params, workload, *_), *_ in runs],
         [[seed for *_, seed in run] for run in runs],
         horizon,
     )
@@ -119,13 +119,14 @@ def simulate_node_ensembles(
 
     ``models[k]`` runs at each seed of ``seeds[k]``.  The net is built
     once, from ``models[0]``; the models may differ only in
-    ``power_down_threshold``, in the rate of an open or closed workload
-    (both become per-row timing, see :func:`_row_timing`) and in their
-    power tables.  Anything else that reaches the net raises
-    :class:`ValueError` naming both values.  Each model accounts its
-    rows at once from the ensemble's columns, so the result is
-    bit-identical to ``[[m.simulate(horizon, seed=s, warmup=warmup)
-    for s in group] for m, group in zip(models, seeds)]``.
+    ``power_down_threshold``, in the rates of their workload (an open,
+    closed or MMPP workload's emit transitions become per-row timing,
+    see :func:`_row_timing`) and in their power tables.  Anything else
+    that reaches the net raises :class:`ValueError` naming both values.
+    Consecutive models with equal power tables account their rows at
+    once from the ensemble's columns, so the result is bit-identical to
+    ``[[m.simulate(horizon, seed=s, warmup=warmup) for s in group] for
+    m, group in zip(models, seeds)]``.
     """
     from ..core.fast import VectorPredicate, run_ensemble
     from ..runtime.adaptive import shared_field
@@ -147,11 +148,23 @@ def simulate_node_ensembles(
         warmup=warmup,
         predicates={"cpu_active": VectorPredicate(WSNNodeModel._cpu_active)},
     )
+    results: list[WSNNodeResult] = []
+    for (cpu_table, radio_table), run in groupby(
+        zip(models, seeds), lambda pair: (pair[0].cpu_table, pair[0].radio_table)
+    ):
+        thresholds = [
+            model.params.power_down_threshold for model, group in run for _ in group
+        ]
+        start = len(results)
+        results += _account(
+            rows[start : start + len(thresholds)],
+            warmup,
+            thresholds,
+            cpu_table,
+            radio_table,
+        )
     ends = accumulate(len(group) for group in seeds)
-    return [
-        model._account(rows[end - len(group) : end], warmup)
-        for model, group, end in zip(models, seeds, ends)
-    ]
+    return [results[end - len(group) : end] for group, end in zip(seeds, ends)]
 
 
 def _row_timing(
@@ -159,14 +172,18 @@ def _row_timing(
 ) -> dict[str, FiringDistribution]:
     """The distributions the rows of one ensemble may vary, by transition.
 
-    The ``Power_Down_Threshold`` delay and, for an open or closed
-    workload, the emit transition's arrivals.  The net builder takes
-    them from here too, so the two cannot drift apart.
+    The ``Power_Down_Threshold`` delay and the workload's
+    :meth:`~repro.models.workload.WorkloadGenerator.emit_timing`.  The
+    net builder and the workload's ``attach`` take them from the same
+    places, so the net and the rows cannot drift apart.
     """
     timing = {"Power_Down_Threshold": Deterministic(params.power_down_threshold)}
-    if isinstance(workload, (OpenWorkload, ClosedWorkload)):
-        timing[workload.emit_transition] = workload.arrivals()
+    timing.update(workload.emit_timing())
     return timing
+
+
+#: Workload fields that reach the net only through ``emit_timing``.
+_RATE_FIELDS = ("rate", "rate_on", "rate_off")
 
 
 def _net_fields(model: "WSNNodeModel") -> dict[str, object]:
@@ -177,12 +194,15 @@ def _net_fields(model: "WSNNodeModel") -> dict[str, object]:
         if f.name not in ("power_down_threshold", "arrival_rate")
     }
     w = model.workload
-    if isinstance(w, (OpenWorkload, ClosedWorkload)):
-        # The rate is row timing; the kind and place names are not.
+    emit = w.emit_timing()
+    if emit:
+        # The rates are row timing; the kind, place names, dwell means
+        # and which emit transitions exist are not.
         w = (type(w).__name__,) + tuple(
-            getattr(w, f.name) for f in fields(w) if f.name != "rate"
+            getattr(w, f.name) for f in fields(w) if f.name not in _RATE_FIELDS
         )
     out["workload"] = w
+    out["emit transitions"] = tuple(emit)
     return out
 
 
@@ -578,51 +598,71 @@ class WSNNodeModel:
         return simulate_node_ensembles([self], [seeds], horizon, warmup)[0]
 
     def _account(self, rows, warmup: float) -> list[WSNNodeResult]:
-        """Turn every row of an engine result into the Figs. 14/15
-        quantities, all rows at once.
+        """Every row of an engine result, accounted with this model's
+        threshold and power tables (see :func:`_account`)."""
+        return _account(
+            rows,
+            warmup,
+            repeat(self.params.power_down_threshold),
+            self.cpu_table,
+            self.radio_table,
+        )
 
-        ``rows`` is an :class:`~repro.core.fast.EnsembleResults`, or one
-        interpreted run's ``SimulationResult.columns()``.  Each row
-        keeps the float operations of a scalar account, so results are
-        bit-identical across engines.
-        """
-        duration = rows.end_time - warmup
-        cpu = np.array(
-            [rows.occupancy(p) for p in CPU_PLACES[:3]]
-            + [rows.predicate_probability("cpu_active")]
-        )
-        radio = np.array([rows.occupancy(p) for p in RADIO_PLACES])
-        stages = np.array([rows.occupancy(stage) for stage in STAGE_PLACES])
-        # Credit order is category order, so total_j() sums alike; the
-        # 0.0 + is EnergyBreakdown.from_component_states' sum from 0.0.
-        energy = 0.0 + np.concatenate(
-            [
-                dwell_energy_j(self.cpu_table, _CPU_STATES, cpu * duration),
-                dwell_energy_j(self.radio_table, _RADIO_STATES, radio * duration),
-            ]
-        )
-        return [
-            WSNNodeResult(
-                power_down_threshold=self.params.power_down_threshold,
-                duration=d,
-                cpu_fractions=dict(zip(_CPU_STATES, c)),
-                radio_fractions=dict(zip(_RADIO_STATES, r)),
-                stage_fractions=dict(zip(STAGE_PLACES, st)),
-                events_completed=events,
-                cpu_wakeups=wakeups,
-                radio_wakeups=radio_wakeups,
-                breakdown=EnergyBreakdown(dict(zip(_CATEGORIES, e))),
-            )
-            for d, c, r, st, events, wakeups, radio_wakeups, e in zip(
-                duration.tolist(),
-                cpu.T.tolist(),
-                radio.T.tolist(),
-                stages.T.tolist(),
-                rows.firing_count("Wait_Begin").tolist(),
-                rows.firing_count("T3").tolist(),
-                (
-                    rows.firing_count("Start_Receive") + rows.firing_count("T19")
-                ).tolist(),
-                energy.T.tolist(),
-            )
+
+def _account(
+    rows,
+    warmup: float,
+    thresholds: Iterable[float],
+    cpu_table: PowerStateTable,
+    radio_table: PowerStateTable,
+) -> list[WSNNodeResult]:
+    """Turn every row of an engine result into the Figs. 14/15
+    quantities, all rows at once.
+
+    ``rows`` is an :class:`~repro.core.fast.EnsembleResults`, or one
+    interpreted run's ``SimulationResult.columns()``; ``thresholds``
+    is each row's ``power_down_threshold``.  Each row keeps the float
+    operations of a scalar account, so results are bit-identical
+    across engines and however many rows are accounted together.
+    """
+    duration = rows.end_time - warmup
+    cpu = np.array(
+        [rows.occupancy(p) for p in CPU_PLACES[:3]]
+        + [rows.predicate_probability("cpu_active")]
+    )
+    radio = np.array([rows.occupancy(p) for p in RADIO_PLACES])
+    stages = np.array([rows.occupancy(stage) for stage in STAGE_PLACES])
+    # Credit order is category order, so total_j() sums alike; the
+    # 0.0 + is EnergyBreakdown.from_component_states' sum from 0.0.
+    energy = 0.0 + np.concatenate(
+        [
+            dwell_energy_j(cpu_table, _CPU_STATES, cpu * duration),
+            dwell_energy_j(radio_table, _RADIO_STATES, radio * duration),
         ]
+    )
+    return [
+        WSNNodeResult(
+            power_down_threshold=threshold,
+            duration=d,
+            cpu_fractions=dict(zip(_CPU_STATES, c)),
+            radio_fractions=dict(zip(_RADIO_STATES, r)),
+            stage_fractions=dict(zip(STAGE_PLACES, st)),
+            events_completed=events,
+            cpu_wakeups=wakeups,
+            radio_wakeups=radio_wakeups,
+            breakdown=EnergyBreakdown(dict(zip(_CATEGORIES, e))),
+        )
+        for threshold, d, c, r, st, events, wakeups, radio_wakeups, e in zip(
+            thresholds,
+            duration.tolist(),
+            cpu.T.tolist(),
+            radio.T.tolist(),
+            stages.T.tolist(),
+            rows.firing_count("Wait_Begin").tolist(),
+            rows.firing_count("T3").tolist(),
+            (
+                rows.firing_count("Start_Receive") + rows.firing_count("T19")
+            ).tolist(),
+            energy.T.tolist(),
+        )
+    ]

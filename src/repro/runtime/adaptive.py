@@ -43,12 +43,23 @@ from .executor import ParallelExecutor
 from .store import ResultStore, task_key
 
 __all__ = [
+    "LOCKSTEP_MIN_ROWS",
     "AdaptiveSettings",
     "AdaptivePointRun",
     "run_adaptive_rounds",
     "run_replications",
     "shared_field",
 ]
+
+#: Fewest tasks one lockstep ensemble is given; a smaller batch runs
+#: ``fn`` once per task.  A lockstep step costs a fixed set of NumPy
+#: calls whatever the row count, so a narrow ensemble loses to the
+#: interpreted loop.  Measured on a 2-core host (Python 3.11, NumPy
+#: 2.4), rows of one model: the closed node net broke even at about 3
+#: rows, the open node net between 6 and 8 and the validation net at 4;
+#: one validation row ran at 0.2x, and at 8 rows lockstep ran 1.3x
+#: (open node), 2.1x (validation) and 2.9x (closed node) as fast.
+LOCKSTEP_MIN_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -156,10 +167,12 @@ def run_replications(
       rx.max_replications, confidence)``, stopping
       each point on ``metrics`` (see :func:`run_adaptive_rounds`);
     * ``rx.engine == "vectorized"`` batches each round's missing
-      ``task_for`` tasks through ``ensemble_fn`` (required then), one
-      task tuple per executor slot; otherwise one ``fn`` call per
-      replication.  ``ensemble_fn(tasks)`` must return ``[fn(t) for t
-      in tasks]``, bit for bit.
+      ``task_for`` tasks through ``ensemble_fn``, at most one task
+      tuple per executor slot and none below
+      :data:`LOCKSTEP_MIN_ROWS` tasks; a smaller round, a run without
+      ``ensemble_fn`` and the interpreted engine make one ``fn`` call
+      per replication.  ``ensemble_fn(tasks)`` must return ``[fn(t)
+      for t in tasks]``, bit for bit.
 
     Store keys are always ``task_key(fn, task_for(i, r))``, so every
     engine, backend and replication policy shares one cache.  Size the
@@ -167,8 +180,6 @@ def run_replications(
     """
     if rx.engine != "vectorized":
         ensemble_fn = None
-    elif ensemble_fn is None:
-        raise ValueError("engine='vectorized' requires an ensemble evaluator")
     settings = None
     if rx.ci_target is not None:
         settings = AdaptiveSettings(
@@ -225,11 +236,14 @@ def run_adaptive_rounds(
         *every* metric meets ``ci_target``.  Applied in the parent.
     ensemble_fn:
         The ``engine="vectorized"`` batch form of ``fn``: when given,
-        each round's missing tasks are packed into ``min(points,
-        slots)`` tuples — one per executor slot (``workers``, or the
-        backend's ``parallelism``), points strided across them, each
-        point's tasks contiguous and in replication order — and
-        ``ensemble_fn(tasks)`` runs one tuple as one lockstep ensemble.
+        each round's missing tasks are packed into at most ``min(points,
+        slots, tasks // LOCKSTEP_MIN_ROWS)`` tuples — at most one per
+        executor slot (``workers``, or the backend's ``parallelism``),
+        points strided across them, each point's tasks contiguous and
+        in replication order, and no tuple below
+        :data:`LOCKSTEP_MIN_ROWS` tasks — and ``ensemble_fn(tasks)``
+        runs one tuple as one lockstep ensemble.  A round too small
+        for one tuple runs ``fn`` once per task.
         It must return ``[fn(t) for t in tasks]``, bit for bit, so the
         stopping rule, seed-plan prefix contract and returned values
         are unchanged.  Tasks packed together must share their
@@ -265,20 +279,40 @@ def run_adaptive_rounds(
     )
 
 
-def _run_packed(
+def _pack_count(sizes: list[int], slots: int) -> int:
+    """How many ensembles a round of points with ``sizes`` misses gets.
+
+    At most one per point and per slot, and each strided pack holds at
+    least :data:`LOCKSTEP_MIN_ROWS` tasks; 0 means run ``fn`` per task.
+    """
+    n = min(len(sizes), slots, sum(sizes) // LOCKSTEP_MIN_ROWS)
+    while n and min(sum(sizes[t::n]) for t in range(n)) < LOCKSTEP_MIN_ROWS:
+        n -= 1
+    return n
+
+
+def _run_misses(
     pool: ParallelExecutor,
-    ensemble_fn: Callable[[tuple[Any, ...]], list[Any]],
+    fn: Callable[[Any], Any],
+    ensemble_fn: Callable[[tuple[Any, ...]], list[Any]] | None,
     misses: list[list[Any]],
 ) -> list[Any]:
-    """The values of ``misses``, in order, from one ``ensemble_fn`` call per slot.
+    """The values of ``misses``, in order.
 
-    Points are packed strided — point ``j`` goes to task ``j % n`` —
-    so each task gets a share of the cheap and the costly points
+    One ``ensemble_fn`` call per pack when the round is big enough for
+    one (see :func:`_pack_count`), else one ``fn`` call per task.
+    Points are packed strided — point ``j`` goes to pack ``j % n`` —
+    so each pack gets a share of the cheap and the costly points
     instead of one contiguous run of either.
     """
-    n = min(len(misses), pool.slots)
+    n = 0
+    if ensemble_fn is not None:
+        n = _pack_count([len(point) for point in misses], pool.slots)
+    if n == 0:
+        flat = [task for point in misses for task in point]
+        return pool.map(fn, flat) if flat else []
     packed = [tuple(task for point in misses[t::n] for task in point) for t in range(n)]
-    outs = pool.map(ensemble_fn, packed) if packed else []
+    outs = pool.map(ensemble_fn, packed)
     for tasks, out in zip(packed, outs):
         if len(out) != len(tasks):
             raise ValueError(
@@ -357,11 +391,7 @@ def _run_rounds(
             slots.append((i, point_slots))
             if point_misses:
                 misses.append(point_misses)
-        if ensemble_fn is not None:
-            computed = iter(_run_packed(pool, ensemble_fn, misses))
-        else:
-            flat = [task for point in misses for task in point]
-            computed = iter(pool.map(fn, flat) if flat else [])
+        computed = iter(_run_misses(pool, fn, ensemble_fn, misses))
         for i, point_slots in slots:
             for hit, value in point_slots:
                 if not hit:

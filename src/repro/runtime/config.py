@@ -67,11 +67,11 @@ def _check_choice(name: str, value: Any, choices: tuple[str, ...]) -> None:
 class ExecutionConfig:
     """*How* to execute a run: workers, backend, engine, store, adaptive.
 
-    All fields are plain data with the historical defaults, so
-    ``ExecutionConfig()`` reproduces every driver's legacy behaviour
-    bit for bit.  Instances are frozen (safe to share and to use as
-    defaults) and JSON-serialisable via :meth:`to_dict` /
-    :meth:`from_dict`.
+    All fields are plain data, and ``ExecutionConfig()`` reproduces
+    every driver's legacy numbers bit for bit: the default vectorized
+    engine gives the interpreted engine's results.  Instances are
+    frozen (safe to share and to use as defaults) and
+    JSON-serialisable via :meth:`to_dict` / :meth:`from_dict`.
     """
 
     #: Process-pool size for grid points / replications / network nodes.
@@ -85,8 +85,12 @@ class ExecutionConfig:
     backend: str | None = None
     #: ``host:port`` worker addresses for ``backend="socket"``.
     connect: tuple[str, ...] = ()
-    #: Simulation engine, one of :data:`ENGINE_NAMES`.
-    engine: str = "interpreted"
+    #: Simulation engine, one of :data:`ENGINE_NAMES`: ``"vectorized"``
+    #: runs batches of at least
+    #: :data:`~repro.runtime.adaptive.LOCKSTEP_MIN_ROWS` tasks in
+    #: lockstep and smaller ones interpreted; ``"interpreted"`` is the
+    #: reference per-event loop.
+    engine: str = "vectorized"
     #: Result-store directory (``None`` disables memoization).
     store_dir: str | None = None
     #: Per-node seed derivation for network node sets (see
@@ -229,7 +233,7 @@ class ResolvedExecution:
 
     workers: int = 1
     replications: int = 1
-    engine: str = "interpreted"
+    engine: str = "vectorized"
     seed_mode: str = "legacy"
     ci_target: float | None = None
     max_replications: int = 64

@@ -132,8 +132,8 @@ def map_sweep(
         unless ``exec_cfg.ci_target`` is set.
     ensemble_evaluate:
         ``(threshold, seeds) -> [value, ...]`` in seed order, equal to
-        ``[evaluate(threshold, s) for s in seeds]``; required for (and
-        only used by) ``engine="vectorized"``.  Each call gets one
+        ``[evaluate(threshold, s) for s in seeds]``; used only by
+        ``engine="vectorized"``.  Each call gets one
         point's missing seeds of a round, which need not be
         consecutive in the seed plan when a store holds some of them.
         Must be module-level (picklable) when ``workers > 1``.
@@ -158,9 +158,13 @@ def map_sweep(
           two-level spawn tree, sized at ``max_replications`` per
           point, so an adaptive run is a bit-identical prefix of the
           fixed ``replications=max_replications`` run at the same seed.
-        * ``engine="vectorized"`` calls ``ensemble_evaluate`` once per
-          sweep point with the point's missing seeds, the points
-          packed into one task per executor slot.  The seed plan is
+        * ``engine="vectorized"`` (the default) calls
+          ``ensemble_evaluate`` once per sweep point with the point's
+          missing seeds, the points packed into at most one task per
+          executor slot; a round below
+          :data:`~repro.runtime.adaptive.LOCKSTEP_MIN_ROWS` tasks, or
+          no ``ensemble_evaluate``, calls ``evaluate`` per
+          replication.  The seed plan is
           identical either way, so for a bit-identical
           ``ensemble_evaluate`` (e.g. one built on
           :func:`repro.core.fast.run_ensemble`) the returned points

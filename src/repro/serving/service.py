@@ -518,8 +518,9 @@ class SweepService:
         except JobCancelled:
             state, error = "cancelled", "cancelled while running"
         except ValueError as exc:
-            # A spec-level misconfiguration (e.g. engine="vectorized"
-            # on a network model) — the request's fault, not a crash.
+            # A spec-level misconfiguration (e.g. a geometric radius
+            # too small to connect the network) — the request's fault,
+            # not a crash.
             state, error = "failed", str(exc)
         except Exception as exc:  # noqa: BLE001 - jobs must never kill the worker
             state, error = "failed", f"{type(exc).__name__}: {exc}"

@@ -69,24 +69,16 @@ class TestRunScenario:
         )
         assert parallel == serial
 
-    def test_vectorized_engine_refused_with_explanation(self):
-        # The refusal must say *why* (bursty nodes and churn segments
-        # have no batched evaluator yet) and point at the fallback, not
-        # just name the bad value.
-        reason = "no batched evaluator yet"
-        with pytest.raises(ValueError, match=reason) as excinfo:
-            run_network_scenario(
-                self.config(), exec_cfg=ExecutionConfig(engine="vectorized")
-            )
-        message = str(excinfo.value)
-        assert "engine='vectorized'" in message
-        assert "interpreted" in message
-        assert "workers" in message
-        assert "shard" not in message
-        with pytest.raises(ValueError, match=reason):
-            run_network_lifetime_sweep(
-                self.config(), exec_cfg=ExecutionConfig(engine="vectorized")
-            )
+    def test_vectorized_engine_matches_interpreted(self):
+        # Network nodes run as one lockstep ensemble under the
+        # vectorized engine, with the interpreted engine's numbers.
+        cfg = NetworkScenarioConfig(
+            topology=GridTopology(3, 3), horizon=10.0, base_rate=0.5, seed=11
+        )
+        for run in (run_network_scenario, run_network_lifetime_sweep):
+            assert run(
+                cfg, exec_cfg=ExecutionConfig(engine="vectorized")
+            ) == run(cfg, exec_cfg=ExecutionConfig(engine="interpreted"))
 
 
 class TestRunSweep:

@@ -28,6 +28,7 @@ from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     INFINITE_SERVERS,
@@ -49,6 +50,11 @@ from repro.experiments.figures import (
     _evaluate_cpu_point,
     _evaluate_cpu_point_ensemble,
 )
+from repro.experiments.network import (
+    NetworkScenarioConfig,
+    make_topology,
+    run_network_scenario,
+)
 from repro.experiments.sensitivity import (
     _node_energy_ensemble_task,
     _node_energy_task,
@@ -60,6 +66,10 @@ from repro.experiments.validation import (
     _run_validation_rep,
 )
 from repro.models.cpu_petri import CPUPetriModel, simulate_cpu_ensembles
+from repro.models.network import (
+    simulate_node_segments_ensemble_task,
+    simulate_node_segments_task,
+)
 from repro.models.simple_node import SimpleNodeModel
 from repro.models.wsn_node import (
     NodeParameters,
@@ -69,8 +79,10 @@ from repro.models.wsn_node import (
     simulate_node_task,
 )
 from repro.runtime.config import ExecutionConfig
-from repro.runtime.seeding import replication_seeds
+from repro.runtime.seeding import SEED_MODES, replication_seeds
 from repro.runtime.sweep import _evaluate_ensemble_task, _evaluate_task
+from repro.topology.dynamics import ChurnModel, NodeSegment
+from repro.topology.traffic import MMPPTraffic
 from tests.integration.test_random_nets import random_closed_net
 
 #: The shipped equivalence mode of every paper model, per the ISSUE 6
@@ -191,6 +203,70 @@ class TestAdaptiveControllerAgreement:
         assert vec.optima == interp.optima
         assert vec.optimum_energies_j == interp.optimum_energies_j
         assert vec.savings_vs_never == interp.savings_vs_never
+
+
+#: Network topologies of at least LOCKSTEP_MIN_ROWS nodes, so the
+#: vectorized run packs its nodes into an ensemble.
+_NETWORK_TOPOLOGIES = {
+    "line": dict(kind="line", nodes=9),
+    "grid": dict(kind="grid", width=3, height=3),
+    "cluster-tree": dict(kind="cluster-tree", fanout=3, depth=2),
+    "geometric": dict(kind="geometric", nodes=10, seed=4),
+}
+
+#: ``(workload, traffic)`` of every arrival process a network runs.
+_NETWORK_TRAFFIC = {
+    "open": ("open", None),
+    "closed": ("closed", None),
+    "bursty": ("open", MMPPTraffic(2.0, 3.0)),
+    "bursty-trickle": ("open", MMPPTraffic(2.0, 3.0, off_fraction=0.25)),
+}
+
+
+class TestNetworkEngineEquivalence:
+    """Network runs give the same bytes on both engines."""
+
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        topology=st.sampled_from(sorted(_NETWORK_TOPOLOGIES)),
+        traffic=st.sampled_from(sorted(_NETWORK_TRAFFIC)),
+        churn=st.booleans(),
+        seed_mode=st.sampled_from(SEED_MODES),
+        workers=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_pickled_results_are_equal(
+        self, topology, traffic, churn, seed_mode, workers, seed
+    ):
+        workload, mmpp = _NETWORK_TRAFFIC[traffic]
+        cfg = NetworkScenarioConfig(
+            topology=make_topology(**_NETWORK_TOPOLOGIES[topology]),
+            horizon=6.0,
+            base_rate=0.3,
+            seed=seed,
+            workload=workload,
+            traffic=mmpp,
+            dynamics=(
+                ChurnModel(failure_rate=0.05, duty_spread=0.3) if churn else None
+            ),
+        )
+        results = [
+            pickle.dumps(
+                run_network_scenario(
+                    cfg,
+                    exec_cfg=ExecutionConfig(
+                        engine=engine, workers=workers, seed_mode=seed_mode
+                    ),
+                ),
+                5,
+            )
+            for engine in ("interpreted", "vectorized")
+        ]
+        assert results[0] == results[1]
 
 
 class TestUnsupportedNetFences:
@@ -495,6 +571,58 @@ class TestPerRowEnsembles:
         assert "OpenWorkload" in str(err.value)
         assert "ClosedWorkload" in str(err.value)
 
+    def test_bursty_models_match_per_point_runs(self):
+        # MMPP nodes of one network differ in their emit rates only.
+        models = [
+            WSNNodeModel(
+                NodeParameters(power_down_threshold=t),
+                MMPPTraffic(2.0, 3.0, off_fraction=0.2).workload(rate),
+            )
+            for t, rate in ((0.00178, 0.5), (1.0, 2.0), (0.05, 4.0))
+        ]
+        groups = simulate_node_ensembles(
+            models, [self.SEEDS] * len(models), self.HORIZON
+        )
+        assert groups == [
+            [m.simulate(self.HORIZON, seed=s) for s in self.SEEDS]
+            for m in models
+        ]
+
+    def test_bursty_models_with_and_without_a_quiet_emitter_are_refused(self):
+        models = [
+            WSNNodeModel(NodeParameters(), MMPPTraffic(off_fraction=f).workload(1.0))
+            for f in (0.0, 0.2)
+        ]
+        with pytest.raises(ValueError, match="differ in emit transitions") as err:
+            simulate_node_ensembles(models, [[1], [1]], 5.0)
+        assert "T0_off" in str(err.value)
+
+    def test_bursty_models_differing_in_dwell_means_are_refused(self):
+        models = [
+            WSNNodeModel(NodeParameters(), MMPPTraffic(on, 3.0).workload(1.0))
+            for on in (2.0, 4.0)
+        ]
+        with pytest.raises(ValueError, match="differ in workload"):
+            simulate_node_ensembles(models, [[1], [1]], 5.0)
+
+    def test_models_sharing_power_tables_account_once(self, monkeypatch):
+        import repro.models.wsn_node as wsn_node
+
+        calls = []
+
+        def counted(rows, *args):
+            calls.append(len(rows))
+            return account(rows, *args)
+
+        account = wsn_node._account
+        monkeypatch.setattr(wsn_node, "_account", counted)
+        models = [
+            WSNNodeModel(NodeParameters(power_down_threshold=t), "open")
+            for t in self.THRESHOLDS
+        ]
+        simulate_node_ensembles(models, [self.SEEDS] * len(models), 5.0)
+        assert calls == [len(models) * len(self.SEEDS)]
+
     def test_cpu_models_match_per_point_runs(self):
         models = [
             CPUPetriModel(1.0, 10.0, 0.1, 0.05),
@@ -664,6 +792,27 @@ BATCHED_DRIVERS = {
         _run_validation_rep,
         _run_validation_ensemble,
         lambda i, r, seed: (_VALIDATION_CFGS[i], seed),
+    ),
+    "network-bursty-nodes": (
+        simulate_node_task,
+        simulate_node_ensemble_task,
+        lambda i, r, seed: (
+            NodeParameters(arrival_rate=(0.5, 2.0)[i]),
+            MMPPTraffic(2.0, 3.0, off_fraction=0.2).workload((0.5, 2.0)[i]),
+            5.0,
+            seed,
+        ),
+    ),
+    "network-churn-segments": (
+        simulate_node_segments_task,
+        simulate_node_segments_ensemble_task,
+        lambda i, r, seed: (
+            NodeParameters(),
+            "open",
+            None,
+            (NodeSegment(0.0, 3.0, (0.5, 2.0)[i], seed),)
+            + ((NodeSegment(3.0, 2.0, 1.0, seed + 1),) if r else ()),
+        ),
     ),
     "map-sweep": (
         _evaluate_task,

@@ -18,6 +18,8 @@ from repro.models.wsn_node import simulate_node_task
 from repro.runtime import TaskError
 from repro.runtime.config import ExecutionConfig, ResolvedExecution
 from repro.runtime.store import ResultStore, task_key
+from repro.topology.dynamics import ChurnModel
+from repro.topology.traffic import MMPPTraffic
 
 
 def fail_on_seed_102(task):
@@ -311,6 +313,34 @@ class TestNodeDispatch:
         assert store.hits == 3
         assert store.puts == 2
         assert warm == self.network().simulate(**self.RUN)
+
+    @pytest.mark.parametrize(
+        "dynamics, traffic",
+        [
+            (None, None),
+            (None, MMPPTraffic(2.0, 3.0, 0.2)),
+            (ChurnModel(failure_rate=0.05, duty_spread=0.3), MMPPTraffic(2.0, 3.0)),
+        ],
+        ids=["static", "bursty", "churn"],
+    )
+    def test_interpreted_store_serves_a_vectorized_run(
+        self, tmp_path, dynamics, traffic
+    ):
+        # Node keys do not depend on the engine: a store filled by the
+        # interpreted engine serves a lockstep run without one miss.
+        net = SensorNetworkModel(
+            GridTopology(3, 3), self.PARAMS, dynamics=dynamics, traffic=traffic
+        )
+        store = ResultStore(tmp_path)
+        cold = net.simulate(
+            **self.RUN, exec_cfg=ResolvedExecution(store=store, engine="interpreted")
+        )
+        store.hits = store.misses = 0
+        warm = net.simulate(
+            **self.RUN, exec_cfg=ResolvedExecution(store=store, engine="vectorized")
+        )
+        assert (store.hits, store.misses) == (9, 0)
+        assert warm == cold
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_node_raises_task_error_with_its_task(

@@ -16,7 +16,8 @@ class TestValidation:
     def test_defaults_are_valid(self):
         cfg = ExecutionConfig()
         assert cfg.workers == 1
-        assert cfg.engine == "interpreted"
+        assert cfg.engine == "vectorized"
+        assert ResolvedExecution().engine == "vectorized"
         assert cfg.backend is None
         assert cfg.store_dir is None
 

@@ -30,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime.adaptive import (
+    LOCKSTEP_MIN_ROWS,
     AdaptiveSettings,
     run_adaptive_rounds,
     run_replications,
@@ -526,14 +527,18 @@ class TestCachedMap:
         assert result == [[noisy((t, s)) for s in grown] for t in POINTS]
 
 
+#: Four replications of both POINTS: one batch at the lockstep floor.
+SEEDS4 = [1, 2, 3, 4]
+
+
 class TestCachedEnsembleMap:
     """The batched form of the same tasks (vectorized engine)."""
 
     def test_cold_then_warm(self, tmp_path):
         store = ResultStore(tmp_path)
-        cold = replicate(CountingPool(), store, [1, 2, 3], "vectorized")
+        cold = replicate(CountingPool(), store, SEEDS4, "vectorized")
         warm_pool = CountingPool()
-        warm = replicate(warm_pool, store, [1, 2, 3], "vectorized")
+        warm = replicate(warm_pool, store, SEEDS4, "vectorized")
         assert warm_pool.submitted == []
         assert warm == cold
 
@@ -541,54 +546,61 @@ class TestCachedEnsembleMap:
         # The incremental re-run: raise the replication count and only
         # the new replications are computed, per point.
         store = ResultStore(tmp_path)
-        replicate(CountingPool(), store, [1, 2], "vectorized")
+        replicate(CountingPool(), store, SEEDS4, "vectorized")
         pool = CountingPool()
-        grown = replicate(pool, store, [1, 2, 3, 4], "vectorized")
-        assert pool.submitted == [((0.1, 3), (0.1, 4), (0.5, 3), (0.5, 4))]
-        assert grown == [[noisy((t, s)) for s in (1, 2, 3, 4)] for t in POINTS]
+        grown = replicate(pool, store, list(range(1, 9)), "vectorized")
+        assert pool.submitted == [
+            tuple((t, s) for t in POINTS for s in (5, 6, 7, 8))
+        ]
+        assert grown == [[noisy((t, s)) for s in range(1, 9)] for t in POINTS]
 
     def test_shared_keys_across_engines(self, tmp_path):
         # The engine-equivalence contract: per-replication keys written
         # by the interpreted shape serve the ensemble shape, and back.
         store = ResultStore(tmp_path)
-        replicate(CountingPool(), store, [1, 2, 3])
+        replicate(CountingPool(), store, SEEDS4)
         pool = CountingPool()
-        replicate(pool, store, [1, 2, 3], "vectorized")
+        replicate(pool, store, SEEDS4, "vectorized")
         assert pool.submitted == []
-        replicate(CountingPool(), store, [4, 5], "vectorized")
+        replicate(CountingPool(), store, [5, 6, 7, 8], "vectorized")
         pool = CountingPool()
-        replicate(pool, store, [4, 5])
+        replicate(pool, store, [5, 6, 7, 8])
         assert pool.submitted == []
 
     def test_short_ensemble_return_is_an_error(self):
         # The packed task holds both points' replications; one value
         # short is caught before any value is stored.
-        with pytest.raises(ValueError, match="returned 3 values for 4 tasks"):
+        with pytest.raises(ValueError, match="returned 7 values for 8 tasks"):
             run_replications(
                 noisy,
                 lambda i, r: (POINTS[i], r),
                 len(POINTS),
-                ResolvedExecution(replications=2, engine="vectorized"),
+                ResolvedExecution(replications=4, engine="vectorized"),
                 ensemble_fn=bad_ensemble,
             )
 
-    def test_vectorized_requires_an_ensemble_evaluator(self):
-        with pytest.raises(ValueError, match="ensemble"):
-            run_replications(
-                noisy,
-                lambda i, r: (0.1, r),
-                1,
-                ResolvedExecution(engine="vectorized"),
-            )
+    def test_vectorized_without_ensemble_fn_runs_per_task(self):
+        # No batch form: the vectorized engine runs fn once per task,
+        # with the values of the interpreted engine.
+        pool = CountingPool()
+        runs = run_replications(
+            noisy,
+            lambda i, r: (POINTS[i], r),
+            len(POINTS),
+            ResolvedExecution(backend=pool, replications=4, engine="vectorized"),
+        )
+        items = [(t, r) for t in POINTS for r in range(4)]
+        assert pool.calls == [items]
+        assert [v for run in runs for v in run.values] == [noisy(i) for i in items]
 
 
 class TestEnsemblePacking:
-    """One batch per executor slot, points packed strided."""
+    """At most one batch per executor slot, points packed strided."""
 
     GRID = (0.1, 0.2, 0.3, 0.4, 0.5)
 
     def _run(self, pool, store=None, n_points=len(GRID), **policy):
-        fields = {"replications": 2, **policy}
+        fields = {"replications": 4, **policy}
         return run_replications(
             noisy,
             lambda i, r: (self.GRID[i], 10 + r),
@@ -601,51 +613,60 @@ class TestEnsemblePacking:
 
     def test_serial_run_submits_one_task_for_every_point(self):
         pool = CountingPool()
-        runs = replicate(pool, None, [1, 2], "vectorized")
-        assert pool.calls == [[((0.1, 1), (0.1, 2), (0.5, 1), (0.5, 2))]]
-        assert runs == [[noisy((t, s)) for s in (1, 2)] for t in POINTS]
+        runs = replicate(pool, None, SEEDS4, "vectorized")
+        assert pool.calls == [[tuple((t, s) for t in POINTS for s in SEEDS4)]]
+        assert runs == [[noisy((t, s)) for s in SEEDS4] for t in POINTS]
 
     def test_two_slots_get_two_strided_tasks(self):
         pool = TwoSlotPool()
         runs = self._run(pool)
+        reps = (10, 11, 12, 13)
 
         def batch(*points):
-            return tuple((self.GRID[i], s) for i in points for s in (10, 11))
+            return tuple((self.GRID[i], s) for i in points for s in reps)
 
         assert pool.calls == [[batch(0, 2, 4), batch(1, 3)]]
         assert [run.values for run in runs] == [
-            [noisy((t, s)) for s in (10, 11)] for t in self.GRID
+            [noisy((t, s)) for s in reps] for t in self.GRID
         ]
 
     def test_fewer_items_than_slots_gives_one_task_per_item(self):
         pool = TwoSlotPool()
-        self._run(pool, n_points=1)
-        assert pool.calls == [[((0.1, 10), (0.1, 11))]]
+        self._run(pool, n_points=1, replications=LOCKSTEP_MIN_ROWS)
+        assert pool.calls == [
+            [tuple((0.1, 10 + r) for r in range(LOCKSTEP_MIN_ROWS))]
+        ]
 
     def test_cached_point_is_left_out_of_the_packed_task(self, tmp_path):
         store = ResultStore(tmp_path)
-        replicate(CountingPool(), store, [1, 2])
-        # Point 1 is cached only at its first replication.
-        store._entry_path(task_key(noisy, (POINTS[1], 2))).unlink()
+        seeds = list(range(1, 9))
+        replicate(CountingPool(), store, seeds)
+        # Point 1 is not cached at all.
+        for s in seeds:
+            store._entry_path(task_key(noisy, (POINTS[1], s))).unlink()
         store.puts = 0
         pool = CountingPool()
-        warm = replicate(pool, store, [1, 2], "vectorized")
-        assert pool.calls == [[((POINTS[1], 2),)]]
-        assert store.puts == 1  # only point 1's miss; nothing for point 0
-        assert warm == [[noisy((t, s)) for s in (1, 2)] for t in POINTS]
+        warm = replicate(pool, store, seeds, "vectorized")
+        assert pool.calls == [[tuple((POINTS[1], s) for s in seeds)]]
+        assert store.puts == 8  # only point 1's misses; nothing for point 0
+        assert warm == [[noisy((t, s)) for s in seeds] for t in POINTS]
 
     def test_a_store_hole_submits_only_the_missing_replication(self, tmp_path):
-        # Replication 0 of point 1 is missing and replication 1 cached:
-        # the batch holds replication 0 alone, and only it is stored.
+        # Every odd replication of both points is missing and the even
+        # ones cached: the batch holds the odd ones alone, and only
+        # they are stored.
         store = ResultStore(tmp_path)
-        replicate(CountingPool(), store, [1, 2])
-        store._entry_path(task_key(noisy, (POINTS[1], 1))).unlink()
+        seeds = list(range(1, 9))
+        replicate(CountingPool(), store, seeds)
+        holes = [(t, s) for t in POINTS for s in seeds if s % 2]
+        for task in holes:
+            store._entry_path(task_key(noisy, task)).unlink()
         store.puts = 0
         pool = CountingPool()
-        warm = replicate(pool, store, [1, 2], "vectorized")
-        assert pool.calls == [[((POINTS[1], 1),)]]
-        assert store.puts == 1
-        assert warm == [[noisy((t, s)) for s in (1, 2)] for t in POINTS]
+        warm = replicate(pool, store, seeds, "vectorized")
+        assert pool.calls == [[tuple(holes)]]
+        assert store.puts == 8
+        assert warm == [[noisy((t, s)) for s in seeds] for t in POINTS]
 
     def test_adaptive_rounds_pack_only_open_points(self):
         # Point 0 is noise-free and converges after the first round;
@@ -662,17 +683,87 @@ class TestEnsemblePacking:
                 backend=pool,
                 engine="vectorized",
                 ci_target=1e-9,
-                replications=2,
-                max_replications=4,
+                replications=8,
+                max_replications=16,
             ),
             ensemble_fn=steady_or_noisy,
         )
         assert pool.calls == [
-            [((0.1, 0), (0.1, 1), (0.5, 0), (0.5, 1))],
-            [((0.5, 2), (0.5, 3))],
+            [tuple((t, r) for t in POINTS for r in range(8))],
+            [tuple((0.5, r) for r in range(8, 16))],
         ]
         assert [run.converged for run in runs] == [True, False]
-        assert [run.replications for run in runs] == [2, 4]
+        assert [run.replications for run in runs] == [8, 16]
+
+
+def refuse_ensemble(tasks):
+    """A batch function that must not be reached."""
+    raise AssertionError(f"ensemble_fn called with {len(tasks)} tasks")
+
+
+class TestLockstepFloor:
+    """Rounds below LOCKSTEP_MIN_ROWS tasks run fn once per task."""
+
+    def _run(self, pool, n_points, replications, ensemble_fn=noisy_ensemble):
+        return run_replications(
+            noisy,
+            lambda i, r: (0.1 * (i + 1), r),
+            n_points,
+            ResolvedExecution(
+                backend=pool, replications=replications, engine="vectorized"
+            ),
+            ensemble_fn=ensemble_fn,
+        )
+
+    def test_seven_tasks_never_call_the_ensemble(self):
+        pool = CountingPool()
+        runs = self._run(pool, 1, 7, ensemble_fn=refuse_ensemble)
+        assert pool.calls == [[(0.1, r) for r in range(7)]]
+        assert runs[0].values == [noisy((0.1, r)) for r in range(7)]
+
+    def test_eight_tasks_call_it_once(self):
+        pool = CountingPool()
+        runs = self._run(pool, 1, 8)
+        assert pool.calls == [[tuple((0.1, r) for r in range(8))]]
+        assert runs[0].values == [noisy((0.1, r)) for r in range(8)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_points=st.integers(1, 6),
+        replications=st.integers(1, 12),
+        holes=st.sets(st.integers(0, 71), max_size=40),
+    )
+    def test_two_slots_never_get_an_ensemble_below_the_floor(
+        self, tmp_path_factory, n_points, replications, holes
+    ):
+        # Store holes leave the points of a round uneven in size.
+        store = ResultStore(tmp_path_factory.mktemp("store"))
+        tasks = [
+            (0.1 * (i + 1), r) for i in range(n_points) for r in range(replications)
+        ]
+        for j, task in enumerate(tasks):
+            if j not in holes:
+                store.put(task_key(noisy, task), noisy(task))
+        pool = TwoSlotPool()
+        runs = run_replications(
+            noisy,
+            lambda i, r: (0.1 * (i + 1), r),
+            n_points,
+            ResolvedExecution(
+                backend=pool, store=store, replications=replications,
+                engine="vectorized",
+            ),
+            ensemble_fn=noisy_ensemble,
+        )
+        misses = [t for j, t in enumerate(tasks) if j in holes]
+        [call] = pool.calls or [[]]
+        if len(misses) < LOCKSTEP_MIN_ROWS:
+            assert call == misses
+        else:
+            assert 1 <= len(call) <= 2
+            assert all(len(batch) >= LOCKSTEP_MIN_ROWS for batch in call)
+            assert sorted(t for batch in call for t in batch) == sorted(misses)
+        assert [v for run in runs for v in run.values] == [noisy(t) for t in tasks]
 
 
 class TestReplicationPolicy:

@@ -507,22 +507,24 @@ class TestScenarioSubcommand:
         )
         assert "cannot read" in capsys.readouterr().err
 
-    def test_vectorized_network_spec_is_clean_error(self, capsys, tmp_path):
-        # A spec-level misconfiguration surfaces as an error message,
-        # not a traceback.
-        path = self._write(
-            tmp_path,
-            {
-                "version": 1,
-                "name": "bad",
-                "model": "network",
-                "params": {"horizon": 5.0},
-                "execution": {"engine": "vectorized"},
-            },
-        )
-        assert main(["scenario", "run", path]) == 2
-        err = capsys.readouterr().err
-        assert "no batched evaluator yet" in err
+    def test_vectorized_network_spec_matches_interpreted(self, capsys, tmp_path):
+        # A network spec runs on either engine and prints the same bytes.
+        outputs = []
+        for engine in ("vectorized", "interpreted"):
+            path = self._write(
+                tmp_path,
+                {
+                    "version": 1,
+                    "name": "grid",
+                    "model": "network",
+                    "params": {"topology": "grid", "grid": [3, 3], "horizon": 5.0},
+                    "execution": {"engine": engine},
+                },
+            )
+            assert main(["scenario", "run", path]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "9 nodes" in outputs[0]
 
     def test_spec_with_shards_key_is_clean_error(self, capsys, tmp_path):
         # The removed execution keys fail loudly: no alias, no silent drop.
