@@ -124,6 +124,12 @@ def _class_id(cls: type) -> str:
     return f"{cls.__module__}.{cls.__qualname__}"
 
 
+#: ``(class id, dataclasses.fields)`` per concrete dataclass type, built
+#: on first sight: a sweep canonicalizes the same config classes once
+#: per task, and neither part can change after the class is created.
+_DATACLASS_SHAPES: dict[type, tuple[str, tuple[dataclasses.Field, ...]]] = {}
+
+
 def _field_is_default(field: dataclasses.Field, value: Any) -> bool:
     """True when a dataclass field still carries its declared default.
 
@@ -161,6 +167,18 @@ def canonicalize(obj: Any) -> Any:
       an item the canonicalizer does not understand must fail loudly,
       never hash by object identity.
     """
+    # Exact built-in types and dataclasses seen before skip the
+    # isinstance chain below; each returns what the chain would.
+    cls = type(obj)
+    if cls is str or cls is int:
+        return obj
+    if cls is float:
+        return ["f", obj.hex()]
+    if cls is tuple or cls is list:
+        return ["l", [canonicalize(v) for v in obj]]
+    shape = _DATACLASS_SHAPES.get(cls)
+    if shape is not None:
+        return _canonical_dataclass(obj, shape)
     if obj is None or isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, (int, np.integer)):
@@ -172,12 +190,8 @@ def canonicalize(obj: Any) -> Any:
     if isinstance(obj, np.ndarray):
         return ["nd", list(obj.shape), obj.dtype.str, obj.tobytes().hex()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        body = {
-            f.name: canonicalize(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-            if not _field_is_default(f, getattr(obj, f.name))
-        }
-        return ["dc", _class_id(type(obj)), body]
+        shape = _DATACLASS_SHAPES[cls] = (_class_id(cls), dataclasses.fields(cls))
+        return _canonical_dataclass(obj, shape)
     if isinstance(obj, Mapping):
         pairs = sorted(
             (
@@ -207,6 +221,18 @@ def canonicalize(obj: Any) -> Any:
         "use plain data, dataclasses, or module-level callables in task "
         "items"
     )
+
+
+def _canonical_dataclass(
+    obj: Any, shape: tuple[str, tuple[dataclasses.Field, ...]]
+) -> list[Any]:
+    class_id, fields = shape
+    body = {}
+    for f in fields:
+        value = getattr(obj, f.name)
+        if not _field_is_default(f, value):
+            body[f.name] = canonicalize(value)
+    return ["dc", class_id, body]
 
 
 def canonical_json(obj: Any) -> str:
@@ -335,6 +361,7 @@ class ResultStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self.objects_dir = self.root / "objects"
         self.objects_dir.mkdir(exist_ok=True)
+        self._objects = os.fspath(self.objects_dir)
         manifest = self._read_manifest()
         if manifest is None:
             self._write_manifest(self._fresh_manifest())
@@ -419,12 +446,18 @@ class ResultStore:
 
     # -- entries -------------------------------------------------------
 
-    def _entry_path(self, key: str) -> Path:
-        if not _KEY_RE.match(key):
+    def _entry_file(self, key: str) -> str:
+        """The entry file of ``key``: ``objects/<key[:2]>/<key>``.
+
+        A plain string path, so a warm read of many keys builds no
+        :class:`~pathlib.Path` objects.  Malformed keys raise
+        ``ValueError``.
+        """
+        if not _KEY_RE.fullmatch(key):
             raise ValueError(
                 f"store keys are 64-char lowercase hex digests, got {key!r}"
             )
-        return self.objects_dir / key[:2] / key
+        return f"{self._objects}/{key[:2]}/{key}"
 
     def get(self, key: str) -> tuple[bool, Any]:
         """Look up one key: ``(True, value)`` on a verified hit.
@@ -434,12 +467,13 @@ class ResultStore:
         is deleted (so the recomputed value can heal it), and is
         treated as a miss.
         """
+        path = self._entry_file(key)
         if self._disabled:
             self.misses += 1
             return False, None
-        path = self._entry_path(key)
         try:
-            blob = path.read_bytes()
+            with open(path, "rb", buffering=0) as fh:
+                blob = fh.read()
         except FileNotFoundError:
             self.misses += 1
             return False, None
@@ -467,14 +501,13 @@ class ResultStore:
         actually reads it.  The serving layer uses this to report cache
         coverage without perturbing hit/miss accounting.
         """
-        if self._disabled:
-            return False
-        return self._entry_path(key).is_file()
+        path = self._entry_file(key)
+        return not self._disabled and os.path.isfile(path)
 
-    def _quarantine(self, path: Path, reason: str) -> None:
+    def _quarantine(self, path: str, reason: str) -> None:
         """Warn about a bad entry, drop it, count it as corrupt+miss."""
         warnings.warn(
-            f"result store entry {path.name[:12]}… is invalid "
+            f"result store entry {os.path.basename(path)[:12]}… is invalid "
             f"({reason}); recomputing this task",
             StoreWarning,
             stacklevel=4,
@@ -482,26 +515,28 @@ class ResultStore:
         self.corrupt += 1
         self.misses += 1
         try:
-            path.unlink()
+            os.unlink(path)
         except OSError:
             pass
 
     def put(self, key: str, value: Any) -> None:
         """Store one value under its key, atomically."""
+        path = self._entry_file(key)
         if self._disabled:
             return
-        path = self._entry_path(key)
-        path.parent.mkdir(exist_ok=True)
+        shard = os.path.dirname(path)
+        os.makedirs(shard, exist_ok=True)
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         blob = ENTRY_MAGIC + hashlib.sha256(payload).digest() + payload
-        tmp = path.parent / f".{key}.{os.getpid()}.tmp"
+        tmp = f"{shard}/.{key}.{os.getpid()}.tmp"
         try:
-            tmp.write_bytes(blob)
+            with open(tmp, "wb") as fh:
+                fh.write(blob)
             os.replace(tmp, path)
         finally:
-            if tmp.exists():
+            if os.path.exists(tmp):
                 try:
-                    tmp.unlink()
+                    os.unlink(tmp)
                 except OSError:
                     pass
         self.puts += 1
@@ -512,7 +547,7 @@ class ResultStore:
         return sorted(
             p
             for p in self.objects_dir.glob("??/*")
-            if p.is_file() and _KEY_RE.match(p.name)
+            if p.is_file() and _KEY_RE.fullmatch(p.name)
         )
 
     def stats(self) -> StoreStats:

@@ -156,26 +156,36 @@ def geometric_parents(
     alive_mask = (
         np.ones(n, dtype=bool) if alive is None else np.asarray(alive, dtype=bool)
     )
-    delta = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt((delta**2).sum(axis=2))
+    # Pairwise distances, built in place from the per-axis differences
+    # so that no [n, n, 2] array is allocated.
+    dist = np.subtract.outer(positions[:, 0], positions[:, 0])
+    dy = np.subtract.outer(positions[:, 1], positions[:, 1])
+    dist *= dist
+    dy *= dy
+    dist += dy
+    del dy
+    np.sqrt(dist, out=dist)
     sink_dist = np.sqrt(((positions - sink) ** 2).sum(axis=1))
     linked = dist <= radius
     np.fill_diagonal(linked, False)
-    linked &= alive_mask[:, None] & alive_mask[None, :]
+    linked &= alive_mask[:, None]
+    linked &= alive_mask[None, :]
 
-    parents = [UNREACHABLE] * n
+    parents = np.full(n, UNREACHABLE)
     unvisited = alive_mask.copy()
     current = np.nonzero(alive_mask & (sink_dist <= radius))[0]
-    for i in current:
-        parents[int(i)] = SINK
+    parents[current] = SINK
     unvisited[current] = False
     while current.size:
-        cand_rows = linked[:, current]  # (n, |frontier|)
-        reached = np.nonzero(cand_rows.any(axis=1) & unvisited)[0]
-        for i in reached:
-            js = current[cand_rows[i]]
-            best = js[np.lexsort((js, dist[i, js]))[0]]
-            parents[int(i)] = int(best)
+        # ``linked`` is symmetric, so the frontier's rows name every
+        # node one hop out.
+        reached = np.nonzero(linked[current].any(axis=0) & unvisited)[0]
+        # One masked argmin picks every parent on this level: the
+        # frontier is in ascending index order, so the first minimum is
+        # the nearest relay with the lowest index winning ties.
+        block = np.ix_(reached, current)
+        near = np.where(linked[block], dist[block], np.inf)
+        parents[reached] = current[near.argmin(axis=1)]
         unvisited[reached] = False
         current = reached
-    return tuple(parents)
+    return tuple(parents.tolist())

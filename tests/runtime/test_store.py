@@ -20,15 +20,18 @@ Three claims guard the cache against silently-wrong science:
 
 import dataclasses
 import json
+import os
 import pickle
 import warnings
-from dataclasses import dataclass, make_dataclass
+from dataclasses import dataclass, field, make_dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.models.network import simulate_node_segments_task
+from repro.models.wsn_node import NodeParameters, simulate_node_task
 from repro.runtime.adaptive import (
     LOCKSTEP_MIN_ROWS,
     AdaptiveSettings,
@@ -47,6 +50,8 @@ from repro.runtime.store import (
     request_key,
     task_key,
 )
+from repro.topology.dynamics import NodeSegment
+from repro.topology.traffic import MMPPTraffic
 
 # ----------------------------------------------------------------------
 # Module-level task functions (content-addressable: stable qualnames)
@@ -123,6 +128,18 @@ class SpecA:
 class SpecB:  # same shape as SpecA on purpose: class identity must matter
     horizon: float = 900.0
     seed: int = 2010
+
+
+@dataclass(frozen=True)
+class SpecAChild(SpecA):  # inherits every field; its identity is its own
+    pass
+
+
+@dataclass(frozen=True)
+class Tagged:
+    horizon: float = 900.0
+    tags: tuple = field(default_factory=tuple)
+    notes: dict = field(default_factory=dict)
 
 
 # ----------------------------------------------------------------------
@@ -234,6 +251,69 @@ class TestDataclassFieldRules:
         assert canonical_json(SpecA(horizon=901.0)) != canonical_json(SpecA())
         assert canonical_json(SpecA(seed=7)) != canonical_json(SpecA())
 
+    def test_default_factory_field_at_its_default_is_dropped(self):
+        assert canonicalize(Tagged()) == ["dc", f"{__name__}.Tagged", {}]
+        assert canonical_json(Tagged(tags=(), notes={})) == canonical_json(
+            Tagged()
+        )
+        assert canonicalize(Tagged(tags=(1,)))[2] == {"tags": ["l", [1]]}
+        assert canonical_json(Tagged(notes={"a": 1})) != canonical_json(
+            Tagged()
+        )
+
+    def test_subclass_hashes_under_its_own_class_id(self):
+        # Canonicalize the parent first and the child after, and the
+        # other way round: neither may borrow the other's class id.
+        for order in ((SpecA, SpecAChild), (SpecAChild, SpecA)):
+            forms = {cls: canonicalize(cls(horizon=1.0)) for cls in order}
+            assert forms[SpecA] == [
+                "dc", f"{__name__}.SpecA", {"horizon": ["f", (1.0).hex()]}
+            ]
+            assert forms[SpecAChild] == [
+                "dc", f"{__name__}.SpecAChild", {"horizon": ["f", (1.0).hex()]}
+            ]
+        assert task_key(noisy, SpecAChild()) != task_key(noisy, SpecA())
+
+
+class TestGoldenKeys:
+    """Exact keys of real task shapes, as the store has always written them.
+
+    A warm store is only as good as its keys: if the canonicalizer ever
+    hashes one of these items differently, every entry written before
+    becomes unreachable.  Such a change needs a ``KEY_SCHEMA`` bump and
+    a new pin here, never a silent drift.
+    """
+
+    def test_static_network_node_task(self):
+        task = (NodeParameters(arrival_rate=0.37), "open", 2.0, 2017)
+        assert task_key(simulate_node_task, task) == (
+            "d470fb427b15d7b4b8b820ac0a2bd73d8909397ea9551f11c18925a5d195de82"
+        )
+
+    def test_churn_segments_task(self):
+        task = (
+            NodeParameters(power_down_threshold=0.05),
+            "open",
+            MMPPTraffic(off_fraction=0.1),
+            (NodeSegment(0.0, 1.5, 0.4, 11), NodeSegment(1.5, 0.5, 0.6, 12)),
+        )
+        assert task_key(simulate_node_segments_task, task) == (
+            "8914efb7e9ec4b19df89233689ca6d60f9d408cf688dd37762652e50493a2ed7"
+        )
+
+    def test_fig14_sweep_point_task(self):
+        # The last threshold point and second replication seed of
+        # ``fig 14 --horizon 2 --seed 2010``.
+        task = (
+            NodeParameters(power_down_threshold=10.0),
+            "closed",
+            2.0,
+            28168023395977068359358731476408410066,
+        )
+        assert task_key(simulate_node_task, task) == (
+            "98b1529ecd2b542b22cb27d99900ac90c77c579fb12aa290e5b9c61e0ae148ff"
+        )
+
 
 class TestCanonicalizationRejections:
     def test_lambda_is_rejected(self):
@@ -317,10 +397,22 @@ class TestResultStore:
 
     def test_malformed_key_is_rejected(self, tmp_path):
         store = ResultStore(tmp_path)
-        with pytest.raises(ValueError, match="64-char"):
-            store.get("not-a-digest")
-        with pytest.raises(ValueError, match="64-char"):
-            store.put("AB" * 32, 1.0)  # uppercase: not canonical hex
+        # garbage, uppercase (not canonical hex), short, a trailing
+        # newline, path traversal
+        for key in (
+            "not-a-digest",
+            "AB" * 32,
+            "ab" * 31,
+            "ab" * 32 + "\n",
+            "../" + "ab" * 31,
+        ):
+            with pytest.raises(ValueError, match="64-char"):
+                store.get(key)
+            with pytest.raises(ValueError, match="64-char"):
+                store.put(key, 1.0)
+            with pytest.raises(ValueError, match="64-char"):
+                store.contains(key)
+        assert (store.hits, store.misses, store.puts) == (0, 0, 0)
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -643,7 +735,7 @@ class TestEnsemblePacking:
         replicate(CountingPool(), store, seeds)
         # Point 1 is not cached at all.
         for s in seeds:
-            store._entry_path(task_key(noisy, (POINTS[1], s))).unlink()
+            os.unlink(store._entry_file(task_key(noisy, (POINTS[1], s))))
         store.puts = 0
         pool = CountingPool()
         warm = replicate(pool, store, seeds, "vectorized")
@@ -660,7 +752,7 @@ class TestEnsemblePacking:
         replicate(CountingPool(), store, seeds)
         holes = [(t, s) for t in POINTS for s in seeds if s % 2]
         for task in holes:
-            store._entry_path(task_key(noisy, task)).unlink()
+            os.unlink(store._entry_file(task_key(noisy, task)))
         store.puts = 0
         pool = CountingPool()
         warm = replicate(pool, store, seeds, "vectorized")
