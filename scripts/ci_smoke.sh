@@ -295,6 +295,16 @@ smoke_scenario() {
         echo "FAIL: flag and override reject a NaN horizon differently" >&2
         return 1
     fi
+    # Execution settings share one check too: ExecutionConfig's.
+    expect_exit_2 "$err_flag" validate --workers 0
+    expect_exit_2 "$err_override" scenario run scenarios/validation.yaml \
+        --override execution.workers=0
+    if diff "$err_flag" "$err_override"; then
+        echo "flag and override reject --workers 0 with one message"
+    else
+        echo "FAIL: flag and override reject --workers 0 differently" >&2
+        return 1
+    fi
     bad_spec="$(mktemp --suffix=.yaml)"
     printf 'name: inf\nmodel: node-sweep\nparams:\n  horizon: .inf\n' \
         >"$bad_spec"

@@ -69,12 +69,15 @@ configuration shares one cache.  ``python -m repro.cli store
 {stats,verify,gc} --store DIR`` inspects, integrity-checks and
 compacts a store.
 
-All of those execution flags are one shared set
-(:func:`add_execution_args`), parsed into one
+All of those execution flags are generated from the fields of
 :class:`~repro.runtime.config.ExecutionConfig`
-(:func:`execution_config_from_args`) and resolved once per run —
-drivers receive the single ``exec_cfg`` object instead of a loose
-keyword bundle.  ``scenario {run,validate,show} FILE`` reads a
+(:func:`add_execution_args`), whose own check is the only check of an
+execution setting, and resolved once per run — drivers receive the
+single ``exec_cfg`` object instead of a loose keyword bundle.  A bad
+value (``--workers 0``, ``--engine bogus``, ``--connect nonsense``)
+fails with the same ``error: execution: ...`` line and exit 2 as the
+matching ``--override execution.KEY=VALUE``.
+``scenario {run,validate,show} FILE`` reads a
 declarative YAML/JSON :class:`~repro.scenarios.ScenarioSpec` (model +
 params + execution + outputs), with ``--override KEY=VALUE``
 dotted-path tweaks and ``--smoke`` applying the spec's own CI-scale
@@ -101,6 +104,7 @@ import math
 import os
 import sys
 from collections.abc import Sequence
+from dataclasses import fields
 from pathlib import Path
 from typing import Any
 
@@ -124,8 +128,6 @@ from .experiments import (
     run_simple_node_validation,
 )
 from .models import NodeParameters, WSNNodeModel
-from .runtime import BACKEND_NAMES
-from .runtime.adaptive import LOCKSTEP_MIN_ROWS
 from .runtime.config import ExecutionConfig, ResolvedExecution
 from .scenarios import (
     SPEC_VERSION,
@@ -139,6 +141,7 @@ from .scenarios.spec import (
     _REQUIRED,
     SCENARIO_MODELS,
     _params_schema,
+    _validate_execution,
     _validate_params,
 )
 from .experiments.network import (
@@ -221,197 +224,80 @@ def _add_param_flags(
             )
 
 
-def _add_adaptive_args(sub_parser: argparse.ArgumentParser) -> None:
-    sub_parser.add_argument(
-        "--ci-target",
-        type=_positive_float,
-        default=None,
-        metavar="REL",
-        help=(
-            "adaptive replication control: replicate each point until its "
-            "95%% interval's relative half-width is <= REL (e.g. 0.05), "
-            "then stop that point"
-        ),
-    )
-    sub_parser.add_argument(
-        "--max-replications",
-        type=_positive_int,
-        default=64,
-        help="per-point replication cap under --ci-target (default 64)",
-    )
-
-
-def _add_backend_args(sub_parser: argparse.ArgumentParser) -> None:
-    sub_parser.add_argument(
-        "--backend",
-        choices=list(BACKEND_NAMES),
-        default=None,
-        help=(
-            "execution backend: 'local' (in-process), 'processes' "
-            "(local pool of --workers), 'socket' (remote workers from "
-            "--connect); default: processes when --workers > 1, else "
-            "local"
-        ),
-    )
-    sub_parser.add_argument(
-        "--connect",
-        action="append",
-        default=None,
-        metavar="HOST:PORT",
-        help=(
-            "worker address for --backend socket (repeat for several "
-            "hosts; start each with 'python -m repro.cli worker "
-            "--serve PORT')"
-        ),
-    )
-
-
-def _add_engine_arg(sub_parser: argparse.ArgumentParser) -> None:
-    sub_parser.add_argument(
-        "--engine",
-        choices=["interpreted", "vectorized"],
-        default="vectorized",
-        help=(
-            "simulation engine: 'vectorized' (each batch of replications "
-            "or network nodes as rows of one NumPy lockstep ensemble per "
-            f"worker; batches below the lockstep floor of {LOCKSTEP_MIN_ROWS} "
-            "tasks run interpreted) or 'interpreted' (per-event Python loop, the "
-            "reference); bit-identical results (default vectorized)"
-        ),
-    )
-
-
-def _add_store_args(sub_parser: argparse.ArgumentParser) -> None:
-    sub_parser.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help=(
-            "content-addressed result store directory: cached "
-            "replications are served without re-simulating and new ones "
-            "are written back (default: $REPRO_STORE if set, else off)"
-        ),
-    )
-    sub_parser.add_argument(
-        "--no-store",
-        action="store_true",
-        help=(
-            "disable the result store even if $REPRO_STORE is set "
-            "(contradicts --store DIR; passing both is an error)"
-        ),
-    )
+#: The execution settings each command takes as flags, in help order.
+_RUN_EXECUTION_KEYS = (
+    "workers", "replications", "engine", "ci_target", "max_replications",
+    "backend", "connect", "store_dir",
+)
+_SERVE_EXECUTION_KEYS = ("workers", "backend", "connect", "store_dir")
 
 
 def add_execution_args(
-    sub_parser: argparse.ArgumentParser,
-    *,
-    replications: bool = True,
+    sub_parser: argparse.ArgumentParser, keys: Sequence[str]
 ) -> None:
-    """Attach the shared execution flags to a run subcommand.
+    """One flag per execution setting in ``keys``, from ``ExecutionConfig``.
 
-    One flag set for every run subcommand — workers, replications,
-    engine, adaptive control, backend and store.
-    :func:`execution_config_from_args` is the inverse: it folds whatever
-    subset a subcommand carries into one
-    :class:`~repro.runtime.config.ExecutionConfig`.
+    :class:`~repro.runtime.config.ExecutionConfig`'s fields are the only
+    definition of an execution setting: a field's default, help and
+    metavar become its flag's (``max_replications`` is
+    ``--max-replications``, ``store_dir`` is ``--store DIR``).  The
+    flag's text is parsed like an ``--override`` value and the config's
+    own check is the only check, so ``--workers 0`` and ``--override
+    execution.workers=0`` fail with the same ``error: execution: ...``
+    line.  ``connect`` is repeatable, and ``--store`` comes with
+    ``--no-store``.
     """
-    sub_parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help=(
-            "process-pool size for grid points / replications / network "
-            "nodes (default 1)"
-        ),
-    )
-    if replications:
+    settings = {f.name: f for f in fields(ExecutionConfig)}
+    for key in keys:
+        setting = settings[key]
+        repeatable = isinstance(setting.default, tuple)
+        store = key == "store_dir"
         sub_parser.add_argument(
-            "--replications",
-            type=_positive_int,
-            default=1,
+            "--store" if store else f"--{key.replace('_', '-')}",
+            dest=key,
+            action="append" if repeatable else "store",
+            default=None if repeatable else setting.default,
+            # A directory is text, never a JSON value.
+            type=str if store else parse_value,
+            metavar=setting.metadata["metavar"],
+            help=setting.metadata["help"].replace("%", "%%"),
+        )
+    if "store_dir" in keys:
+        sub_parser.add_argument(
+            "--no-store",
+            action="store_true",
             help=(
-                "independent replications per stochastic point (default 1); "
-                "with --ci-target this is the minimum per point"
+                "disable the result store even if $REPRO_STORE is set "
+                "(contradicts --store DIR; passing both is an error)"
             ),
         )
-    _add_engine_arg(sub_parser)
-    _add_adaptive_args(sub_parser)
-    _add_backend_args(sub_parser)
-    _add_store_args(sub_parser)
 
 
-def execution_config_from_args(
-    args: argparse.Namespace,
-    parser: argparse.ArgumentParser | None = None,
-) -> ExecutionConfig:
-    """Fold the shared execution flags into one ``ExecutionConfig``.
+def _execution_settings(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> dict[str, Any]:
+    """The execution flags as an ``execution`` mapping of a spec.
 
-    Validates the cross-flag constraints (socket needs ``--connect``,
-    ``--store`` contradicts ``--no-store``, the adaptive replication
-    floor) and resolves the store directory precedence explicitly:
-    ``--no-store`` > ``--store DIR`` > ``$REPRO_STORE`` > off.  With a
-    ``parser``, violations are argparse errors (exit 2); without one,
-    they raise :class:`ValueError` — so programmatic callers get an
-    exception instead of a ``sys.exit``.
+    The store directory is a deployment setting, and its precedence is
+    the command line's own rule: ``--no-store`` > ``--store DIR`` >
+    ``$REPRO_STORE`` > off (passing both flags is a usage error).
+    Every other check is ``ExecutionConfig``'s, run when the mapping
+    becomes a config.
     """
-
-    def fail(message: str) -> None:
-        if parser is not None:
-            parser.error(message)
-        raise ValueError(message)
-
-    backend = getattr(args, "backend", None)
-    connect = getattr(args, "connect", None)
-    if backend == "socket" and not connect:
-        fail(
-            "--backend socket requires at least one --connect HOST:PORT "
-            "(start workers with 'python -m repro.cli worker --serve PORT')"
-        )
-    if connect and backend != "socket":
-        fail("--connect only applies with --backend socket")
-    if connect:
-        from .runtime.remote import parse_address
-
-        try:
-            for address in connect:
-                parse_address(address)
-        except ValueError as exc:
-            fail(str(exc))
-    if (
-        getattr(args, "ci_target", None) is not None
-        and getattr(args, "replications", 1) > args.max_replications
-    ):
-        fail(
-            f"--replications {args.replications} is the per-point floor "
-            f"under --ci-target and must be <= --max-replications "
-            f"{args.max_replications}"
-        )
-    no_store = getattr(args, "no_store", False)
-    store_flag = getattr(args, "store", None)
-    if no_store and store_flag:
-        fail(
+    if args.no_store and args.store_dir:
+        parser.error(
             "--store DIR and --no-store contradict each other; pass at "
             "most one (--no-store exists to override $REPRO_STORE for "
             "one run)"
         )
-    if no_store:
-        store_dir = None
-    else:
-        store_dir = store_flag or os.environ.get("REPRO_STORE") or None
-    try:
-        return ExecutionConfig(
-            workers=getattr(args, "workers", 1),
-            replications=getattr(args, "replications", 1),
-            backend=backend,
-            connect=tuple(connect or ()),
-            engine=getattr(args, "engine", "vectorized"),
-            store_dir=store_dir,
-            ci_target=getattr(args, "ci_target", None),
-            max_replications=getattr(args, "max_replications", 64),
-        )
-    except ValueError as exc:
-        fail(str(exc))
-        raise AssertionError("unreachable") from exc
+    settings = {
+        key: getattr(args, key)
+        for key in _RUN_EXECUTION_KEYS
+        if getattr(args, key, None) is not None
+    }
+    if not args.no_store and os.environ.get("REPRO_STORE"):
+        settings.setdefault("store_dir", os.environ["REPRO_STORE"])
+    return settings
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -433,8 +319,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for model, help_text in run_helps.items():
         run = sub.add_parser(model, help=help_text)
         _add_param_flags(run, model)
-        # Network runs replicate only adaptively.
-        add_execution_args(run, replications=model != "network")
+        keys = _RUN_EXECUTION_KEYS
+        if model == "network":  # network runs replicate only adaptively
+            keys = tuple(k for k in keys if k != "replications")
+        add_execution_args(run, keys)
 
     topology = sub.add_parser(
         "topology",
@@ -545,13 +433,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "unauthenticated — expose it only on trusted networks)",
     )
     serve.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="process-pool size for cache-miss tasks (default 1); the "
-        "pool is kept alive across requests",
-    )
-    serve.add_argument(
         "--progress-interval",
         type=float,
         default=0.2,
@@ -559,8 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="minimum seconds between per-task job progress events "
         "(default 0.2; 0 emits one per store access)",
     )
-    _add_backend_args(serve)
-    _add_store_args(serve)
+    add_execution_args(serve, _SERVE_EXECUTION_KEYS)
 
     query = sub.add_parser(
         "query",
@@ -664,7 +544,11 @@ def _cmd_serve(
 ) -> int:
     from .serving import SweepService, make_server
 
-    execution = execution_config_from_args(args, parser)
+    try:
+        execution = _validate_execution(_execution_settings(args, parser))
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     service = SweepService(
         execution, progress_interval=args.progress_interval
     )
@@ -783,7 +667,6 @@ def _cmd_run(
     args: argparse.Namespace, parser: argparse.ArgumentParser
 ) -> int:
     """A run subcommand: the flags spell a scenario, which runs as one."""
-    execution = execution_config_from_args(args, parser)
     try:
         spec = ScenarioSpec(
             name=args.command,
@@ -792,7 +675,7 @@ def _cmd_run(
                 key: getattr(args, key)
                 for key in _params_schema(args.command, SPEC_VERSION)
             },
-            execution=execution,
+            execution=_execution_settings(args, parser),
         )
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

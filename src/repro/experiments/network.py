@@ -123,17 +123,6 @@ class NetworkScenarioConfig:
         if not self.thresholds:
             raise ValueError("thresholds must be non-empty")
 
-    def model(self) -> SensorNetworkModel:
-        """The configured network model."""
-        return SensorNetworkModel(
-            self.topology,
-            self.params,
-            self.battery,
-            self.workload,
-            dynamics=self.dynamics,
-            traffic=self.traffic,
-        )
-
 
 @dataclass
 class ReplicatedNetworkResult:

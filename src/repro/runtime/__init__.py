@@ -12,7 +12,7 @@ time:
   :class:`Backend`;
 * :mod:`repro.runtime.backend` — the backend seam:
   :class:`SerialBackend` (in-process reference),
-  :class:`ProcessPoolBackend` (local cores, the historical default for
+  :class:`ProcessPoolBackend` (local cores, the default for
   ``workers > 1``) and :func:`make_backend` for CLI-style selection;
 * :mod:`repro.runtime.remote` — multi-host execution:
   ``SocketBackend`` dispatches task chunks to remote
@@ -36,8 +36,7 @@ time:
   under ``ci_target`` it evaluates every open point in rounds and
   stops each one independently once its interval's relative half-width
   crosses the target, consuming a prefix of the fixed-count seed plan
-  so converged runs stay bit-reproducible (:func:`run_adaptive_rounds`
-  is the explicit-:class:`AdaptiveSettings` form);
+  so converged runs stay bit-reproducible;
 * :func:`map_sweep` — the public grid × replications API on top of it,
   returning :class:`~repro.experiments.sweep.SweepPoint` rows whose
   values carry across-replication confidence intervals when
@@ -56,12 +55,7 @@ CLI builds the one ``exec_cfg`` from ``--workers`` /
 ``--replications`` / ``--engine`` / ``--store`` and friends.
 """
 
-from .adaptive import (
-    AdaptivePointRun,
-    AdaptiveSettings,
-    run_adaptive_rounds,
-    run_replications,
-)
+from .adaptive import AdaptivePointRun, run_replications
 from .config import (
     ENGINE_NAMES,
     ExecutionConfig,
@@ -110,9 +104,7 @@ __all__ = [
     "make_backend",
     "map_sweep",
     "ReplicatedValue",
-    "AdaptiveSettings",
     "AdaptivePointRun",
-    "run_adaptive_rounds",
     "run_replications",
     "node_seeds",
     "replication_seeds",

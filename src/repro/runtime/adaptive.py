@@ -3,7 +3,7 @@
 A fixed ``--replications`` count spends the same effort on every sweep
 point — wasteful on low-variance points, under-powered on noisy ones.
 This module replaces the fixed count with a *sequential, rounds-based
-stopping rule*: evaluate every still-open point a batch of replications
+stopping rule*: evaluate every still-open point a floor of replications
 at a time through the shared :class:`~repro.runtime.ParallelExecutor`,
 recompute each point's across-replication
 :func:`~repro.core.statistics.replication_interval` after the round,
@@ -38,15 +38,13 @@ from itertools import islice
 from typing import Any
 
 from ..core.statistics import replication_interval
-from .config import ExecutionConfig, ResolvedExecution, as_resolved
+from .config import ResolvedExecution
 from .executor import ParallelExecutor
 from .store import ResultStore, task_key
 
 __all__ = [
     "LOCKSTEP_MIN_ROWS",
-    "AdaptiveSettings",
     "AdaptivePointRun",
-    "run_adaptive_rounds",
     "run_replications",
     "shared_field",
 ]
@@ -60,60 +58,6 @@ __all__ = [
 #: one validation row ran at 0.2x, and at 8 rows lockstep ran 1.3x
 #: (open node), 2.1x (validation) and 2.9x (closed node) as fast.
 LOCKSTEP_MIN_ROWS = 8
-
-
-@dataclass(frozen=True)
-class AdaptiveSettings:
-    """Stopping rule of a sequential replication controller.
-
-    Parameters
-    ----------
-    ci_target:
-        Target relative CI half-width: a point is converged once
-        ``interval.relative_half_width() <= ci_target`` for every
-        tracked metric.
-    min_replications:
-        Replications every point runs before the rule is first checked
-        (at least 2 — a single replication has an infinite half-width).
-    max_replications:
-        Hard cap per point; a point reaching it closes unconverged.
-    batch_size:
-        Replications added to every open point per subsequent round
-        (default: ``min_replications``).
-    confidence:
-        Confidence level of the stopping intervals.
-    """
-
-    ci_target: float
-    min_replications: int = 2
-    max_replications: int = 64
-    batch_size: int | None = None
-    confidence: float = 0.95
-
-    def __post_init__(self) -> None:
-        if self.ci_target <= 0:
-            raise ValueError(f"ci_target must be > 0, got {self.ci_target}")
-        if self.min_replications < 2:
-            raise ValueError(
-                "min_replications must be >= 2 (one replication has an "
-                f"infinite half-width), got {self.min_replications}"
-            )
-        if self.max_replications < self.min_replications:
-            raise ValueError(
-                f"max_replications {self.max_replications} must be >= "
-                f"min_replications {self.min_replications}"
-            )
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0 < self.confidence < 1:
-            raise ValueError(
-                f"confidence must be in (0, 1), got {self.confidence}"
-            )
-
-    @property
-    def round_size(self) -> int:
-        """Replications added per round after the first."""
-        return self.batch_size if self.batch_size is not None else self.min_replications
 
 
 @dataclass
@@ -152,67 +96,27 @@ def run_replications(
     *,
     ensemble_fn: Callable[[tuple[Any, ...]], list[Any]] | None = None,
     metrics: Callable[[Any], float | Sequence[float]] = float,
-    confidence: float = 0.95,
 ) -> list[AdaptivePointRun]:
     """Replicate ``n_points`` design points the way ``rx`` asks.
 
-    The one dispatch from a driver to a backend.  The replication
-    policy and the engine both come from ``rx``:
+    The one dispatch from a driver to a backend, and the one stopping
+    rule.  The replication policy and the engine both come from ``rx``:
 
-    * **fixed count** (``rx.ci_target is None``) — the controller's
-      first round of ``rx.replications`` per point, with no stopping
-      rule: one :meth:`ParallelExecutor.map` call over every miss;
-    * **adaptive** — rounds under
-      ``AdaptiveSettings(rx.ci_target, max(2, rx.replications),
-      rx.max_replications, confidence)``, stopping
-      each point on ``metrics`` (see :func:`run_adaptive_rounds`);
+    * **fixed count** (``rx.ci_target is None``) — one round of
+      ``rx.replications`` per point, with no stopping rule: one
+      :meth:`ParallelExecutor.map` call over every miss;
+    * **adaptive** — a first round of the floor ``max(2,
+      rx.replications)`` per point (one replication has an infinite
+      half-width), then rounds adding the same floor to every open
+      point.  A point closes once the 95% interval of every ``metrics``
+      value has ``relative_half_width() <= rx.ci_target``, or at
+      ``rx.max_replications``;
     * ``rx.engine == "vectorized"`` batches each round's missing
       ``task_for`` tasks through ``ensemble_fn``, at most one task
       tuple per executor slot and none below
       :data:`LOCKSTEP_MIN_ROWS` tasks; a smaller round, a run without
       ``ensemble_fn`` and the interpreted engine make one ``fn`` call
-      per replication.  ``ensemble_fn(tasks)`` must return ``[fn(t)
-      for t in tasks]``, bit for bit.
-
-    Store keys are always ``task_key(fn, task_for(i, r))``, so every
-    engine, backend and replication policy shares one cache.  Size the
-    seed plans ``task_for`` reads from at ``rx.seed_plan_size``.
-    """
-    if rx.engine != "vectorized":
-        ensemble_fn = None
-    settings = None
-    if rx.ci_target is not None:
-        settings = AdaptiveSettings(
-            ci_target=rx.ci_target,
-            min_replications=max(2, rx.replications),
-            max_replications=rx.max_replications,
-            confidence=confidence,
-        )
-    return _run_rounds(
-        fn,
-        task_for,
-        n_points,
-        rx.replications if settings is None else settings.min_replications,
-        settings,
-        metrics,
-        rx,
-        ensemble_fn,
-    )
-
-
-def run_adaptive_rounds(
-    fn: Callable[[Any], Any],
-    task_for: Callable[[int, int], Any],
-    n_points: int,
-    settings: AdaptiveSettings,
-    metrics: Callable[[Any], float | Sequence[float]] = float,
-    ensemble_fn: Callable[[tuple[Any, ...]], list[Any]] | None = None,
-    exec_cfg: ExecutionConfig | ResolvedExecution | None = None,
-) -> list[AdaptivePointRun]:
-    """Drive ``fn`` over ``(point, replication)`` tasks until CIs close.
-
-    The explicit-settings form of :func:`run_replications`, for callers
-    that need a custom ``batch_size`` or ``confidence``.
+      per replication.
 
     Parameters
     ----------
@@ -223,60 +127,96 @@ def run_adaptive_rounds(
         ``(point_index, replication_index) -> item`` — called in the
         parent, so it may close over local state; the returned items
         must be picklable for a multi-process executor.  It must be a
-        pure function of its indices: the controller relies on task
-        ``(i, r)`` being identical whenever it is requested, which is
-        what makes the executed replications a prefix of the fixed run.
+        pure function of its indices: task ``(i, r)`` is identical
+        whenever it is requested, which is what makes an adaptive run's
+        replications a prefix of the fixed run.  Size the seed plans it
+        reads from at ``rx.seed_plan_size``.
     n_points:
         Number of independent design points.
-    settings:
-        The stopping rule (:class:`AdaptiveSettings`).
+    rx:
+        The resolved execution: replication policy, engine, executor
+        (``workers``/``backend``) and ``store``.  With a store, each
+        round's new replications are keyed by ``task_key(fn,
+        task_for(i, r))`` — always the *interpreted* task shape, so
+        every engine, backend and replication policy shares one cache.
+        Cached values are served without submitting work, and computed
+        values are written back, so raising ``max_replications`` on a
+        warmed store schedules only the delta replications.
+    ensemble_fn:
+        The batch form of ``fn``: each round's missing tasks are packed
+        into at most ``min(points, slots, tasks // LOCKSTEP_MIN_ROWS)``
+        tuples — at most one per executor slot (the backend's
+        ``parallelism``), points strided across them, each point's
+        tasks contiguous and in replication order — and
+        ``ensemble_fn(tasks)`` runs one tuple as one lockstep ensemble.
+        It must return ``[fn(t) for t in tasks]``, bit for bit.  Tasks
+        packed together must share their run-wide settings (horizon,
+        workload, warmup; see :func:`shared_field`).
     metrics:
         Maps one evaluation result to the float (or several floats)
-        whose interval must tighten; a point converges only when
-        *every* metric meets ``ci_target``.  Applied in the parent.
-    ensemble_fn:
-        The ``engine="vectorized"`` batch form of ``fn``: when given,
-        each round's missing tasks are packed into at most ``min(points,
-        slots, tasks // LOCKSTEP_MIN_ROWS)`` tuples — at most one per
-        executor slot (``workers``, or the backend's ``parallelism``),
-        points strided across them, each point's tasks contiguous and
-        in replication order, and no tuple below
-        :data:`LOCKSTEP_MIN_ROWS` tasks — and ``ensemble_fn(tasks)``
-        runs one tuple as one lockstep ensemble.  A round too small
-        for one tuple runs ``fn`` once per task.
-        It must return ``[fn(t) for t in tasks]``, bit for bit, so the
-        stopping rule, seed-plan prefix contract and returned values
-        are unchanged.  Tasks packed together must share their
-        run-wide settings (horizon, workload, warmup; see
-        :func:`shared_field`).
-    exec_cfg:
-        An :class:`~repro.runtime.config.ExecutionConfig` (or resolved
-        :class:`~repro.runtime.config.ResolvedExecution`) supplying the
-        executor (``workers``/``backend``) and ``store``; default
-        serial and store-less.  With a store, each round's new
-        replications are keyed by ``task_key(fn, task_for(i, r))`` —
-        always the *interpreted* task shape, so both engines share
-        entries.  Cached values are served without submitting work,
-        whichever the engine, and computed values are written back, so
-        raising ``max_replications`` on a warmed store schedules only
-        the delta replications.  Its replication and engine fields are
-        not read: ``settings`` and ``ensemble_fn`` decide those.
+        whose interval must tighten; applied in the parent.
 
     Returns
     -------
     list[AdaptivePointRun]
         One entry per point, in point order.
     """
-    return _run_rounds(
-        fn,
-        task_for,
-        n_points,
-        settings.min_replications,
-        settings,
-        metrics,
-        as_resolved(exec_cfg),
-        ensemble_fn,
-    )
+    if n_points < 0:
+        raise ValueError(f"n_points must be >= 0, got {n_points}")
+    if rx.engine != "vectorized":
+        ensemble_fn = None
+    adaptive = rx.ci_target is not None
+    floor = max(2, rx.replications) if adaptive else rx.replications
+    cap = rx.max_replications if adaptive else floor
+    pool = rx.executor()
+    store: ResultStore | None = rx.store
+    runs = [AdaptivePointRun(values=[]) for _ in range(n_points)]
+    open_points = list(range(n_points))
+    while open_points:
+        # One slot per new replication: (hit, cached value or store key).
+        slots: list[tuple[int, list[tuple[bool, Any]]]] = []
+        misses: list[list[Any]] = []  # per point with any, in order
+        for i in open_points:
+            done = len(runs[i].values)
+            point_slots: list[tuple[bool, Any]] = []
+            point_misses: list[Any] = []
+            for r in range(done, min(done + floor, cap)):
+                task = task_for(i, r)
+                key = None
+                if store is not None:
+                    key = task_key(fn, task)
+                    hit, value = store.get(key)
+                    if hit:
+                        point_slots.append((True, value))
+                        continue
+                point_slots.append((False, key))
+                point_misses.append(task)
+            slots.append((i, point_slots))
+            if point_misses:
+                misses.append(point_misses)
+        computed = iter(_run_misses(pool, fn, ensemble_fn, misses))
+        for i, point_slots in slots:
+            for hit, value in point_slots:
+                if not hit:
+                    key, value = value, next(computed)
+                    if store is not None:
+                        store.put(key, value)
+                runs[i].values.append(value)
+        if not adaptive:
+            break
+        still_open: list[int] = []
+        for i in open_points:
+            run = runs[i]
+            samples = [_metric_values(metrics, v) for v in run.values]
+            run.converged = all(
+                replication_interval([s[m] for s in samples]).relative_half_width()
+                <= rx.ci_target
+                for m in range(len(samples[0]))
+            )
+            if not run.converged and run.replications < cap:
+                still_open.append(i)
+        open_points = still_open
+    return runs
 
 
 def _pack_count(sizes: list[int], slots: int) -> int:
@@ -341,78 +281,3 @@ def shared_field(items: Sequence[Any], index: int | str, name: str) -> Any:
                 f"{value!r} != {item[index]!r}"
             )
     return value
-
-
-def _run_rounds(
-    fn: Callable[[Any], Any],
-    task_for: Callable[[int, int], Any],
-    n_points: int,
-    first_round: int,
-    settings: AdaptiveSettings | None,
-    metrics: Callable[[Any], float | Sequence[float]],
-    rx: ResolvedExecution,
-    ensemble_fn: Callable[[tuple[Any, ...]], list[Any]] | None,
-) -> list[AdaptivePointRun]:
-    """The round loop behind both entry points.
-
-    ``settings=None`` is a fixed-count run: one round of
-    ``first_round`` replications per point, then every point closes.
-    """
-    if n_points < 0:
-        raise ValueError(f"n_points must be >= 0, got {n_points}")
-    pool = rx.executor()
-    store: ResultStore | None = rx.store
-    if settings is None:
-        cap = round_size = first_round
-    else:
-        cap, round_size = settings.max_replications, settings.round_size
-    runs = [AdaptivePointRun(values=[]) for _ in range(n_points)]
-    open_points = list(range(n_points))
-    while open_points:
-        # One slot per new replication: (hit, cached value or store key).
-        slots: list[tuple[int, list[tuple[bool, Any]]]] = []
-        misses: list[list[Any]] = []  # per point with any, in order
-        for i in open_points:
-            done = len(runs[i].values)
-            n_new = min(first_round if done == 0 else round_size, cap - done)
-            point_slots: list[tuple[bool, Any]] = []
-            point_misses: list[Any] = []
-            for r in range(done, done + n_new):
-                task = task_for(i, r)
-                key = None
-                if store is not None:
-                    key = task_key(fn, task)
-                    hit, value = store.get(key)
-                    if hit:
-                        point_slots.append((True, value))
-                        continue
-                point_slots.append((False, key))
-                point_misses.append(task)
-            slots.append((i, point_slots))
-            if point_misses:
-                misses.append(point_misses)
-        computed = iter(_run_misses(pool, fn, ensemble_fn, misses))
-        for i, point_slots in slots:
-            for hit, value in point_slots:
-                if not hit:
-                    key, value = value, next(computed)
-                    if store is not None:
-                        store.put(key, value)
-                runs[i].values.append(value)
-        if settings is None:
-            break
-        still_open: list[int] = []
-        for i in open_points:
-            run = runs[i]
-            samples = [_metric_values(metrics, v) for v in run.values]
-            run.converged = all(
-                replication_interval(
-                    [s[m] for s in samples], settings.confidence
-                ).relative_half_width()
-                <= settings.ci_target
-                for m in range(len(samples[0]))
-            )
-            if not run.converged and run.replications < settings.max_replications:
-                still_open.append(i)
-        open_points = still_open
-    return runs

@@ -8,11 +8,11 @@ interchangeable:
 
 * :class:`SerialBackend` — in-process, in-order evaluation.
   Bit-identical to the plain for-loops the drivers used before the
-  runtime existed (it is the ``workers=1`` path of
-  :class:`~repro.runtime.ParallelExecutor`).
-* :class:`ProcessPoolBackend` — the historical
+  runtime existed (the default backend for ``workers=1``).
+* :class:`ProcessPoolBackend` — the
   :class:`concurrent.futures.ProcessPoolExecutor` fan-out across local
-  cores.
+  cores (the default for ``workers > 1``); a one-item map runs
+  in-process.
 * :class:`~repro.runtime.remote.SocketBackend` — chunks dispatched to
   remote worker processes over a length-prefixed TCP protocol
   (``python -m repro.cli worker --serve PORT`` on each host).
@@ -204,6 +204,18 @@ class ProcessPoolBackend(Backend):
     def parallelism(self) -> int:
         return self.workers
 
+    def map(
+        self,
+        fn: Callable[[T], R],
+        items: Sequence[T],
+        chunk_size: int | None = None,
+    ) -> list[R]:
+        items = list(items)
+        if len(items) <= 1:
+            # One task gains nothing from a pool: run it in-process.
+            return SerialBackend().map(fn, items)
+        return super().map(fn, items, chunk_size)
+
     def _mp_ctx(self):
         import multiprocessing
 
@@ -256,7 +268,7 @@ class ProcessPoolBackend(Backend):
 
 
 def make_backend(
-    spec: str,
+    spec: str | None,
     *,
     workers: int = 1,
     mp_context: str | None = None,
@@ -269,10 +281,13 @@ def make_backend(
     pools ``workers`` local processes; ``"socket"`` dispatches to the
     remote workers listed in ``addresses`` (``"host:port"`` strings —
     one ``python -m repro.cli worker --serve PORT`` process each).
-    ``keep_alive`` asks for a backend meant to outlive one run
-    (currently: a persistent process pool); backends without long-lived
-    state ignore it.
+    ``None`` is the default: ``"processes"`` when ``workers > 1``, else
+    ``"local"``.  ``keep_alive`` asks for a backend meant to outlive one
+    run (currently: a persistent process pool); backends without
+    long-lived state ignore it.
     """
+    if spec is None:
+        spec = "processes" if workers > 1 else "local"
     if spec == "local":
         return SerialBackend()
     if spec == "processes":

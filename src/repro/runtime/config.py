@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Mapping
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 from .backend import BACKEND_NAMES, Backend, make_backend
@@ -63,6 +63,16 @@ def _check_choice(name: str, value: Any, choices: tuple[str, ...]) -> None:
         raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
+def _flag(default: Any, help: str, metavar: str | None = None) -> Any:
+    """A field that is also a command-line flag of the run subcommands.
+
+    ``repro.cli`` generates the flag from the field: ``max_replications``
+    is ``--max-replications`` (``store_dir`` is ``--store``) with this
+    default, help and metavar, and the field's check is the flag's.
+    """
+    return field(default=default, metadata={"help": help, "metavar": metavar})
+
+
 @dataclass(frozen=True)
 class ExecutionConfig:
     """*How* to execute a run: workers, backend, engine, store, adaptive.
@@ -72,35 +82,68 @@ class ExecutionConfig:
     engine gives the interpreted engine's results.  Instances are
     frozen (safe to share and to use as defaults) and
     JSON-serialisable via :meth:`to_dict` / :meth:`from_dict`.
+    ``__post_init__`` is the only check of an execution setting, for
+    every spelling: flag, override, scenario file or serving request.
     """
 
-    #: Process-pool size for grid points / replications / network nodes.
-    workers: int = 1
-    #: Independent replications per stochastic point (the adaptive
-    #: floor when ``ci_target`` is set).
-    replications: int = 1
-    #: Backend spec (one of :data:`~repro.runtime.backend.BACKEND_NAMES`)
-    #: or ``None`` for the historical default: processes when
-    #: ``workers > 1``, else in-process.
-    backend: str | None = None
-    #: ``host:port`` worker addresses for ``backend="socket"``.
-    connect: tuple[str, ...] = ()
-    #: Simulation engine, one of :data:`ENGINE_NAMES`: ``"vectorized"``
-    #: runs batches of at least
-    #: :data:`~repro.runtime.adaptive.LOCKSTEP_MIN_ROWS` tasks in
-    #: lockstep and smaller ones interpreted; ``"interpreted"`` is the
-    #: reference per-event loop.
-    engine: str = "vectorized"
-    #: Result-store directory (``None`` disables memoization).
-    store_dir: str | None = None
+    workers: int = _flag(
+        1,
+        "process-pool size for grid points / replications / network "
+        "nodes (default 1)",
+    )
+    #: The adaptive floor when ``ci_target`` is set.
+    replications: int = _flag(
+        1,
+        "independent replications per stochastic point (default 1); "
+        "with --ci-target this is the minimum per point",
+    )
+    #: ``None`` is resolved once, by :meth:`resolve`: ``"processes"``
+    #: when ``workers > 1``, else ``"local"``.
+    backend: str | None = _flag(
+        None,
+        "execution backend: 'local' (in-process), 'processes' (local "
+        "pool of --workers), 'socket' (remote workers from --connect); "
+        "default: processes when --workers > 1, else local",
+        "{" + ",".join(BACKEND_NAMES) + "}",
+    )
+    connect: tuple[str, ...] = _flag(
+        (),
+        "worker address for --backend socket (repeat for several hosts; "
+        "start each with 'python -m repro.cli worker --serve PORT')",
+        "HOST:PORT",
+    )
+    #: Batches of fewer than
+    #: :data:`~repro.runtime.adaptive.LOCKSTEP_MIN_ROWS` tasks run
+    #: interpreted under ``"vectorized"``.
+    engine: str = _flag(
+        "vectorized",
+        "simulation engine: 'vectorized' (each batch of replications or "
+        "network nodes as rows of one NumPy lockstep ensemble per "
+        "worker; batches too small for lockstep run interpreted) or "
+        "'interpreted' (per-event Python loop, the reference); "
+        "bit-identical results (default vectorized)",
+        "{" + ",".join(ENGINE_NAMES) + "}",
+    )
+    store_dir: str | None = _flag(
+        None,
+        "content-addressed result store directory: cached replications "
+        "are served without re-simulating and new ones are written back "
+        "(default: $REPRO_STORE if set, else off)",
+        "DIR",
+    )
     #: Per-node seed derivation for network node sets (see
-    #: :func:`~repro.runtime.seeding.node_seeds`).
+    #: :func:`~repro.runtime.seeding.node_seeds`); no flag.
     seed_mode: str = "legacy"
-    #: Adaptive replication: target relative CI half-width (``None``
-    #: keeps the fixed ``replications`` count).
-    ci_target: float | None = None
-    #: Per-point replication cap under ``ci_target``.
-    max_replications: int = 64
+    ci_target: float | None = _flag(
+        None,
+        "adaptive replication control: replicate each point until its "
+        "95% interval's relative half-width is <= REL (e.g. 0.05), then "
+        "stop that point",
+        "REL",
+    )
+    max_replications: int = _flag(
+        64, "per-point replication cap under --ci-target (default 64)"
+    )
 
     def __post_init__(self) -> None:
         if isinstance(self.connect, (list, str)):
@@ -131,8 +174,19 @@ class ExecutionConfig:
         if self.backend == "socket" and not self.connect:
             raise ValueError(
                 "backend='socket' requires at least one connect "
-                "'host:port' address"
+                "'host:port' address (start workers with "
+                "'python -m repro.cli worker --serve PORT')"
             )
+        if self.connect:
+            from .remote import parse_address
+
+            for address in self.connect:
+                try:
+                    parse_address(address)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"connect entry {address!r}: {exc}"
+                    ) from None
         if self.store_dir is not None and not isinstance(
             self.store_dir, (str, os.PathLike)
         ):
@@ -150,10 +204,11 @@ class ExecutionConfig:
                 raise ValueError(
                     f"ci_target must be > 0 and finite, got {self.ci_target}"
                 )
-            if self.replications > self.max_replications:
+            floor = max(2, self.replications)
+            if floor > self.max_replications:
                 raise ValueError(
-                    f"replications {self.replications} is the per-point "
-                    f"floor under ci_target and must be <= "
+                    f"the per-point floor under ci_target, max(2, "
+                    f"replications) = {floor}, must be <= "
                     f"max_replications {self.max_replications}"
                 )
 
@@ -193,20 +248,20 @@ class ExecutionConfig:
     def resolve(self, *, keep_alive: bool = False) -> "ResolvedExecution":
         """Build the live backend/store once; return the driver view.
 
+        The backend is always built: ``backend=None`` resolves to
+        ``"processes"`` when ``workers > 1``, else ``"local"``.
         ``keep_alive=True`` builds backends meant to outlive a single
         run (a persistent process pool) — what a long-lived owner like
         :class:`repro.serving.SweepService` wants, resolving once and
         reusing the same backend and store across every request.  Call
         ``backend.close()`` when done.  Reuse never changes results.
         """
-        backend: Backend | None = None
-        if self.backend is not None:
-            backend = make_backend(
-                self.backend,
-                workers=self.workers,
-                addresses=list(self.connect) or None,
-                keep_alive=keep_alive,
-            )
+        backend = make_backend(
+            self.backend,
+            workers=self.workers,
+            addresses=list(self.connect) or None,
+            keep_alive=keep_alive,
+        )
         store = ResultStore(self.store_dir) if self.store_dir else None
         return ResolvedExecution(
             workers=self.workers,
@@ -225,10 +280,11 @@ class ResolvedExecution:
     """An :class:`ExecutionConfig` with its live objects constructed.
 
     This is what drivers consume: the scalar knobs plus an instantiated
-    :class:`~repro.runtime.backend.Backend` and
-    :class:`~repro.runtime.store.ResultStore` (both optional).  Resolve
-    once per run so store hit/miss counters accumulate across every
-    driver call of that run.
+    :class:`~repro.runtime.backend.Backend` and optional
+    :class:`~repro.runtime.store.ResultStore`.  Resolve once per run so
+    store hit/miss counters accumulate across every driver call of that
+    run.  Built directly, ``backend=None`` gets the default backend of
+    ``workers`` from :meth:`executor`.
     """
 
     workers: int = 1
@@ -241,9 +297,16 @@ class ResolvedExecution:
     store: ResultStore | None = None
 
     def __post_init__(self) -> None:
-        # Built directly (tests, embedders) as well as by resolve(); the
-        # engine picks the task shape run_replications submits.
-        _check_choice("engine", self.engine, ENGINE_NAMES)
+        # Built directly (tests, embedders) as well as by resolve(): the
+        # scalar knobs get ExecutionConfig's check, the only one.
+        ExecutionConfig(
+            workers=self.workers,
+            replications=self.replications,
+            engine=self.engine,
+            seed_mode=self.seed_mode,
+            ci_target=self.ci_target,
+            max_replications=self.max_replications,
+        )
 
     def executor(self) -> ParallelExecutor:
         """A :class:`ParallelExecutor` over this config's placement."""

@@ -19,8 +19,8 @@ experiment drivers share.  Its contract:
 *Where* the chunks run is delegated to a pluggable
 :class:`~repro.runtime.backend.Backend`: in-process
 (:class:`~repro.runtime.backend.SerialBackend`), a local process pool
-(:class:`~repro.runtime.backend.ProcessPoolBackend`, the historical
-default for ``workers > 1``), or remote hosts over TCP
+(:class:`~repro.runtime.backend.ProcessPoolBackend`, the default for
+``workers > 1``), or remote hosts over TCP
 (:class:`~repro.runtime.remote.SocketBackend`).  Backends never change
 results — only wall time.
 
@@ -31,7 +31,6 @@ the old serial sweeps.
 
 from __future__ import annotations
 
-import math
 import traceback
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, Any, TypeVar
@@ -94,24 +93,25 @@ class ParallelExecutor:
     Parameters
     ----------
     workers:
-        Number of local worker processes.  ``1`` (default) runs
-        serially in-process.  Ignored when an explicit ``backend`` is
-        given (the backend carries its own parallelism).
+        Number of local worker processes for the default backend.
+        Ignored when an explicit ``backend`` is given (the backend
+        carries its own parallelism).
     chunk_size:
         Items per submitted batch.  Defaults to
         ``ceil(len(items) / (4 * slots))`` — small enough to balance
         uneven task costs, large enough to amortise submission
-        overhead.
+        overhead (see :meth:`~repro.runtime.backend.Backend.resolve_chunk_size`).
     mp_context:
         Start-method name (``"fork"``, ``"spawn"``, ``"forkserver"``)
-        or ``None`` for the platform default.  Results never depend on
-        the choice.
+        or ``None`` for the platform default, for the default backend.
+        Results never depend on the choice.
     backend:
         Explicit :class:`~repro.runtime.backend.Backend` instance to
         submit chunks through — e.g. a
         :class:`~repro.runtime.remote.SocketBackend` over remote
-        worker processes.  ``None`` (default) selects the historical
-        behaviour: serial for ``workers=1``, a local process pool
+        worker processes.  ``None`` (default) builds the same default
+        as :meth:`~repro.runtime.config.ExecutionConfig.resolve`: a
+        serial backend for ``workers=1``, a local process pool
         otherwise.  Backends never change results.
 
     Example
@@ -133,40 +133,23 @@ class ParallelExecutor:
         mp_context: str | None = None,
         backend: "Backend | None" = None,
     ) -> None:
+        from .backend import make_backend
+
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.workers = int(workers)
         self.chunk_size = chunk_size
-        self.mp_context = mp_context
+        if backend is None:
+            backend = make_backend(None, workers=self.workers, mp_context=mp_context)
         self.backend = backend
 
     @property
     def slots(self) -> int:
-        """Concurrent execution slots: the backend's, else ``workers``.
-
-        A backend without a ``parallelism`` attribute counts as one
-        slot.
-        """
-        if self.backend is not None:
-            return getattr(self.backend, "parallelism", 1)
-        return self.workers
-
-    def _resolve_chunk_size(self, n_items: int) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
-        return max(1, math.ceil(n_items / (4 * self.workers)))
+        """Concurrent execution slots: the backend's ``parallelism``."""
+        return self.backend.parallelism
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         """Evaluate ``fn`` over ``items``, returning results in order."""
-        from .backend import ProcessPoolBackend, SerialBackend
-
-        items = list(items)
-        if self.backend is not None:
-            return self.backend.map(fn, items, chunk_size=self.chunk_size)
-        if self.workers == 1 or len(items) <= 1:
-            return SerialBackend().map(fn, items)
-        pool = ProcessPoolBackend(self.workers, self.mp_context)
-        size = self._resolve_chunk_size(len(items))
-        return pool.map(fn, items, chunk_size=size)
+        return self.backend.map(fn, items, chunk_size=self.chunk_size)

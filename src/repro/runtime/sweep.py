@@ -111,7 +111,6 @@ def map_sweep(
     thresholds: Sequence[float],
     *,
     seed: int | None = None,
-    confidence: float = 0.95,
     ensemble_evaluate: Callable[[float, tuple[int, ...]], list[T]] | None = None,
     exec_cfg: ExecutionConfig | ResolvedExecution | None = None,
 ) -> list[SweepPoint]:
@@ -127,9 +126,6 @@ def map_sweep(
     seed:
         Root of the seed spawn tree.  ``None`` draws fresh OS entropy
         (still collision-free, not reproducible across calls).
-    confidence:
-        Confidence level of the adaptive stopping intervals; ignored
-        unless ``exec_cfg.ci_target`` is set.
     ensemble_evaluate:
         ``(threshold, seeds) -> [value, ...]`` in seed order, equal to
         ``[evaluate(threshold, s) for s in seeds]``; used only by
@@ -196,7 +192,6 @@ def map_sweep(
             if ensemble_evaluate is None
             else partial(_evaluate_ensemble_task, ensemble_evaluate)
         ),
-        confidence=confidence,
     )
     out: list[SweepPoint] = []
     for i, (t, run) in enumerate(zip(grid, runs)):

@@ -383,6 +383,25 @@ def _validate_params(
     return out
 
 
+def _validate_execution(execution: Any) -> ExecutionConfig:
+    """An :class:`ExecutionConfig` from a mapping of its fields.
+
+    Its construction is the one check of every execution setting; a
+    rejection reads ``execution: <what is wrong>`` from every spelling.
+    """
+    if isinstance(execution, ExecutionConfig):
+        return execution
+    if not isinstance(execution, Mapping):
+        raise ScenarioError(
+            "execution must be a mapping of ExecutionConfig fields, "
+            f"got {execution!r}"
+        )
+    try:
+        return ExecutionConfig.from_dict(execution)
+    except (ValueError, TypeError) as exc:
+        raise ScenarioError(f"execution: {exc}") from None
+
+
 def _validate_outputs(outputs: Any) -> dict[str, Any]:
     if outputs is None:
         outputs = {}
@@ -478,20 +497,9 @@ class ScenarioSpec:
             "params",
             _validate_params(self.model, self.params, self.version),
         )
-        if isinstance(self.execution, Mapping):
-            try:
-                object.__setattr__(
-                    self,
-                    "execution",
-                    ExecutionConfig.from_dict(self.execution),
-                )
-            except (ValueError, TypeError) as exc:
-                raise ScenarioError(f"execution: {exc}") from None
-        elif not isinstance(self.execution, ExecutionConfig):
-            raise ScenarioError(
-                "execution must be a mapping of ExecutionConfig fields, "
-                f"got {self.execution!r}"
-            )
+        object.__setattr__(
+            self, "execution", _validate_execution(self.execution)
+        )
         object.__setattr__(self, "outputs", _validate_outputs(self.outputs))
         object.__setattr__(self, "smoke", _validate_smoke(self.smoke))
 
@@ -548,15 +556,6 @@ class ScenarioSpec:
                 "params": self.params,
             }
         )
-
-    def validate(self) -> "ScenarioSpec":
-        """Explicit no-op hook: construction already validated.
-
-        Exists so call sites can spell their intent
-        (``load_scenario(p).validate()``) and as the seam where future
-        schema versions would run migrations.
-        """
-        return self
 
     def with_overrides(
         self, overrides: Mapping[str, Any] | list[str]
@@ -666,12 +665,7 @@ def load_scenario(
     overrides: Mapping[str, Any] | list[str] = (),
     smoke: bool = False,
 ) -> ScenarioSpec:
-    """Load and validate a scenario file.
-
-    With ``smoke=True`` the spec's own ``smoke`` block of dotted-path
-    overrides is applied first (the CI-scale shape of the scenario);
-    explicit ``overrides`` are applied after, so they win.
-    """
+    """Load and validate a scenario file (see :func:`_spec_from`)."""
     p = Path(path)
     try:
         text = p.read_text()
@@ -682,6 +676,20 @@ def load_scenario(
         raise ScenarioError(
             f"a scenario spec must be a mapping, got {data!r} in {path}"
         )
+    return _spec_from(data, overrides, smoke)
+
+
+def _spec_from(
+    data: Mapping[str, Any],
+    overrides: Mapping[str, Any] | list[str] = (),
+    smoke: bool = False,
+) -> ScenarioSpec:
+    """Validate a raw spec mapping after its smoke block and overrides.
+
+    With ``smoke=True`` the spec's own ``smoke`` block of dotted-path
+    overrides is applied first (the CI-scale shape of the scenario);
+    explicit ``overrides`` are applied after, so they win.
+    """
     data = dict(data)
     if smoke:
         data = apply_overrides(data, _validate_smoke(data.get("smoke")))

@@ -54,7 +54,7 @@ from typing import Any
 from ..runtime.config import ExecutionConfig, ResolvedExecution
 from ..runtime.store import request_key
 from ..scenarios import ScenarioError, ScenarioSpec, scenario_report
-from ..scenarios.spec import _validate_smoke, apply_overrides
+from ..scenarios.spec import _spec_from
 
 __all__ = [
     "JOB_STATES",
@@ -124,12 +124,7 @@ def parse_request(body: Any) -> ScenarioSpec:
             f"or a mapping, got {overrides!r}"
         )
     try:
-        data = dict(scenario)
-        if smoke:
-            data = apply_overrides(data, _validate_smoke(data.get("smoke")))
-        if overrides:
-            data = apply_overrides(data, overrides)
-        return ScenarioSpec.from_dict(data)
+        return _spec_from(scenario, overrides, smoke)
     except ScenarioError as exc:
         raise ServiceError(str(exc)) from exc
 
@@ -311,8 +306,9 @@ class SweepService:
         The server-side :class:`ExecutionConfig`.  Its ``store_dir``,
         ``backend``/``connect`` and ``workers`` decide *where* request
         tasks run and which cache serves them; it is resolved once
-        (``keep_alive=True``, so a ``processes`` backend keeps its pool
-        warm) and shared by every job.  Scalar knobs that shape output
+        (``keep_alive=True``, so a process pool — explicit, or the
+        default for ``workers > 1`` — stays warm) and shared by every
+        job.  Scalar knobs that shape output
         (replications, ``ci_target``, engine, ...) come from each
         *request's* own ``execution`` block instead — exactly what the
         equivalent ``scenario run`` would use.
@@ -570,9 +566,7 @@ class SweepService:
                 job.cancel_requested = True
             self._cond.notify_all()
         self._worker.join(timeout)
-        backend = self._rx.backend
-        if backend is not None:
-            backend.close()
+        self._rx.backend.close()
         store = self._rx.store
         if store is not None:
             store.flush_counters()

@@ -162,6 +162,8 @@ class TestAdaptiveReplication:
         # The replication loop runs in-process: a network run's error
         # (here its backend's) surfaces as raised, under either policy.
         class FailingBackend:
+            parallelism = 1
+
             def map(self, fn, items, chunk_size=None):
                 raise KeyError("backend down")
 

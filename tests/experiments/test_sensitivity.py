@@ -144,6 +144,8 @@ class TestAdaptiveReplication:
 class RecordingBackend:
     """An in-process backend that records every item it evaluates."""
 
+    parallelism = 1
+
     def __init__(self):
         self.items = []
 

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from repro.runtime import (
-    AdaptiveSettings,
     ReplicatedValue,
+    SerialBackend,
     map_sweep,
-    run_adaptive_rounds,
+    run_replications,
 )
 from repro.runtime.config import ExecutionConfig, ResolvedExecution
 
@@ -28,32 +28,55 @@ def _identity(task):
     return task
 
 
+class RoundRecorder(SerialBackend):
+    """A serial backend that records the size of every round's map."""
+
+    def __init__(self):
+        self.rounds = []
+
+    def map(self, fn, items, chunk_size=None):
+        items = list(items)
+        self.rounds.append(len(items))
+        return super().map(fn, items, chunk_size)
+
+
 class TestAdaptiveSettings:
+    """The stopping rule is read from ``rx``; its checks are the config's."""
+
     def test_round_size_defaults_to_min_replications(self):
-        s = AdaptiveSettings(ci_target=0.1, min_replications=3)
-        assert s.round_size == 3
-        assert AdaptiveSettings(ci_target=0.1, batch_size=5).round_size == 5
+        # The first round is the floor: the fixed count, or at least 2
+        # under ci_target (one replication has an infinite half-width).
+        for policy, first_round in (
+            ({"replications": 3}, 3),
+            ({"ci_target": 0.1}, 2),
+            ({"ci_target": 0.1, "replications": 3}, 3),
+        ):
+            pool = RoundRecorder()
+            run_replications(
+                _identity,
+                lambda i, r: 2.5,
+                1,
+                ResolvedExecution(backend=pool, **policy),
+            )
+            assert pool.rounds == [first_round]
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            AdaptiveSettings(ci_target=0.0)
+            ResolvedExecution(ci_target=0.0)
         with pytest.raises(ValueError):
-            AdaptiveSettings(ci_target=0.1, min_replications=1)
+            ResolvedExecution(ci_target=0.1, replications=8, max_replications=4)
         with pytest.raises(ValueError):
-            AdaptiveSettings(ci_target=0.1, min_replications=8, max_replications=4)
-        with pytest.raises(ValueError):
-            AdaptiveSettings(ci_target=0.1, batch_size=0)
-        with pytest.raises(ValueError):
-            AdaptiveSettings(ci_target=0.1, confidence=1.0)
+            # The floor of 2 cannot fit below a cap of 1.
+            ResolvedExecution(ci_target=0.1, max_replications=1)
 
 
 class TestRunAdaptiveRounds:
     def test_constant_metric_stops_at_min_replications(self):
-        runs = run_adaptive_rounds(
+        runs = run_replications(
             _identity,
             lambda i, r: 2.5,
             3,
-            AdaptiveSettings(ci_target=0.05, min_replications=2),
+            ResolvedExecution(ci_target=0.05, replications=2),
         )
         assert [run.replications for run in runs] == [2, 2, 2]
         assert all(run.converged for run in runs)
@@ -62,69 +85,70 @@ class TestRunAdaptiveRounds:
         # Regression tied to relative_half_width(): a 0 ± 0 interval is
         # perfectly precise and must satisfy the stopping rule, not
         # spin to max_replications on an inf relative width.
-        [run] = run_adaptive_rounds(
+        [run] = run_replications(
             _identity,
             lambda i, r: 0.0,
             1,
-            AdaptiveSettings(ci_target=0.05, max_replications=8),
+            ResolvedExecution(ci_target=0.05, max_replications=8),
         )
         assert run.converged
         assert run.replications == 2
 
     def test_never_converging_point_hits_max(self):
-        [run] = run_adaptive_rounds(
+        [run] = run_replications(
             _identity,
             lambda i, r: float(r),  # linear drift: CI never tightens
             1,
-            AdaptiveSettings(ci_target=1e-9, min_replications=2, max_replications=7),
+            ResolvedExecution(ci_target=1e-9, replications=2, max_replications=7),
         )
         assert not run.converged
         assert run.replications == 7
 
-    def test_round_growth_uses_batch_size(self):
+    def test_each_round_adds_the_floor(self):
         calls: list[int] = []
 
         def task_for(i, r):
             calls.append(r)
             return float(r)
 
-        run_adaptive_rounds(
+        pool = RoundRecorder()
+        run_replications(
             _identity,
             task_for,
             1,
-            AdaptiveSettings(
-                ci_target=1e-9, min_replications=2, max_replications=9, batch_size=3
+            ResolvedExecution(
+                backend=pool, ci_target=1e-9, replications=3, max_replications=10
             ),
         )
-        # Rounds: 2, then +3, +3, then +1 capped at max.
-        assert calls == list(range(9))
+        # Rounds: 3, then +3, +3, then +1 capped at max.
+        assert calls == list(range(10))
+        assert pool.rounds == [3, 3, 3, 1]
 
     def test_multi_metric_requires_all_to_converge(self):
         # Metric 0 is constant (instantly tight); metric 1 drifts.
-        [run] = run_adaptive_rounds(
+        [run] = run_replications(
             _identity,
             lambda i, r: (1.0, float(r)),
             1,
-            AdaptiveSettings(ci_target=0.05, max_replications=6),
+            ResolvedExecution(ci_target=0.05, max_replications=6),
             metrics=lambda v: v,
         )
         assert not run.converged
         assert run.replications == 6
 
     def test_workers_do_not_change_decisions(self):
-        settings = AdaptiveSettings(ci_target=0.5, max_replications=8)
-        serial = run_adaptive_rounds(
+        policy = dict(ci_target=0.5, max_replications=8)
+        serial = run_replications(
             seeded_eval_task,
             lambda i, r: (0.5 * (i + 1), 1000 * i + r),
             3,
-            settings,
+            ResolvedExecution(**policy),
         )
-        parallel = run_adaptive_rounds(
+        parallel = run_replications(
             seeded_eval_task,
             lambda i, r: (0.5 * (i + 1), 1000 * i + r),
             3,
-            settings,
-            exec_cfg=ResolvedExecution(workers=2),
+            ResolvedExecution(workers=2, **policy),
         )
         assert [run.values for run in serial] == [run.values for run in parallel]
         assert [run.converged for run in serial] == [

@@ -129,7 +129,7 @@ class TestChunkPolicy:
             for n in (1, 7, 23, 160):
                 assert ProcessPoolBackend(workers).resolve_chunk_size(
                     n
-                ) == ParallelExecutor(workers=workers)._resolve_chunk_size(n)
+                ) == ParallelExecutor(workers=workers).backend.resolve_chunk_size(n)
 
     def test_map_chunks_cover_items_in_order(self):
         backend = RecordingBackend()
@@ -143,23 +143,22 @@ class TestChunkPolicy:
 
 
 class TestExecutorResolveChunkSize:
-    """Direct coverage of the executor's historical chunk policy."""
+    """The executor's chunk policy is its default backend's."""
 
     def test_explicit_chunk_size_wins(self):
-        assert ParallelExecutor(workers=4, chunk_size=3)._resolve_chunk_size(
-            100
-        ) == 3
+        pool = ParallelExecutor(workers=4, chunk_size=3)
+        assert pool.backend.resolve_chunk_size(100, pool.chunk_size) == 3
 
     def test_default_is_ceil_over_four_times_workers(self):
         for workers in (1, 2, 3, 8):
             pool = ParallelExecutor(workers=workers)
             for n_items in (1, 5, 23, 97, 160):
-                assert pool._resolve_chunk_size(n_items) == max(
+                assert pool.backend.resolve_chunk_size(n_items) == max(
                     1, math.ceil(n_items / (4 * workers))
                 )
 
     def test_zero_items_still_positive(self):
-        assert ParallelExecutor(workers=2)._resolve_chunk_size(0) == 1
+        assert ParallelExecutor(workers=2).backend.resolve_chunk_size(0) == 1
 
 
 class TestTaskErrorReduce:
@@ -225,6 +224,12 @@ class TestMakeBackend:
         backend = make_backend("processes", workers=5)
         assert isinstance(backend, ProcessPoolBackend)
         assert backend.parallelism == 5
+
+    def test_default_is_a_pool_only_for_several_workers(self):
+        assert isinstance(make_backend(None), SerialBackend)
+        backend = make_backend(None, workers=3)
+        assert isinstance(backend, ProcessPoolBackend)
+        assert backend.parallelism == 3
 
     def test_socket_requires_addresses(self):
         with pytest.raises(ValueError, match="worker address"):

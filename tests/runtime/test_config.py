@@ -54,6 +54,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="socket"):
             ExecutionConfig(backend="socket")
 
+    def test_malformed_connect_address_rejected(self):
+        # The address format is part of the one check, not the CLI's.
+        with pytest.raises(ValueError, match="connect entry 'nonsense'"):
+            ExecutionConfig(backend="socket", connect=("nonsense",))
+        with pytest.raises(ValueError, match="port must be in 1..65535"):
+            ExecutionConfig(backend="socket", connect=("host:99999",))
+
     def test_list_connect_coerced_to_tuple(self):
         cfg = ExecutionConfig(backend="socket", connect=["h:1", "h:2"])
         assert cfg.connect == ("h:1", "h:2")
@@ -78,6 +85,9 @@ class TestValidation:
     def test_replication_floor_above_cap_rejected_under_ci_target(self):
         with pytest.raises(ValueError, match="max_replications"):
             ExecutionConfig(ci_target=0.1, replications=65)
+        # The adaptive floor is at least 2, whatever replications says.
+        with pytest.raises(ValueError, match="max_replications"):
+            ExecutionConfig(ci_target=0.1, max_replications=1)
         # Without adaptive control the same counts are fine.
         ExecutionConfig(replications=65)
 
@@ -122,7 +132,7 @@ class TestResolve:
     def test_default_resolves_to_no_backend_no_store(self):
         rx = ExecutionConfig().resolve()
         assert isinstance(rx, ResolvedExecution)
-        assert rx.backend is None
+        assert isinstance(rx.backend, SerialBackend)
         assert rx.store is None
 
     def test_backend_and_store_constructed(self, tmp_path):

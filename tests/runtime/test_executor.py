@@ -83,9 +83,9 @@ class TestParallel:
 class TestChunkHelpers:
     def test_default_chunk_size_balances_load(self):
         pool = ParallelExecutor(workers=4)
-        assert pool._resolve_chunk_size(16) == 1
-        assert pool._resolve_chunk_size(160) == 10
-        assert ParallelExecutor(workers=1)._resolve_chunk_size(0) == 1
+        assert pool.backend.resolve_chunk_size(16) == 1
+        assert pool.backend.resolve_chunk_size(160) == 10
+        assert ParallelExecutor(workers=1).backend.resolve_chunk_size(0) == 1
 
     def test_run_chunk_offsets_index(self):
         with pytest.raises(TaskError) as exc_info:

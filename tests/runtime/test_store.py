@@ -32,12 +32,7 @@ from hypothesis import strategies as st
 
 from repro.models.network import simulate_node_segments_task
 from repro.models.wsn_node import NodeParameters, simulate_node_task
-from repro.runtime.adaptive import (
-    LOCKSTEP_MIN_ROWS,
-    AdaptiveSettings,
-    run_adaptive_rounds,
-    run_replications,
-)
+from repro.runtime.adaptive import LOCKSTEP_MIN_ROWS, run_replications
 from repro.runtime.config import ResolvedExecution
 from repro.runtime.store import (
     ENTRY_MAGIC,
@@ -80,6 +75,8 @@ def bad_ensemble(tasks):
 
 class CountingPool:
     """A serial backend that records every map call and item through it."""
+
+    parallelism = 1
 
     def __init__(self):
         self.calls = []
@@ -912,15 +909,16 @@ class TestReplicationPolicy:
 
 
 class TestAdaptiveStore:
-    SETTINGS = dict(ci_target=1e-9, min_replications=2)  # never converges
+    SETTINGS = dict(ci_target=1e-9, replications=2)  # never converges
 
     def _run(self, store, max_replications, **kwargs):
-        return run_adaptive_rounds(
+        return run_replications(
             noisy,
             lambda i, r: ((0.1, 0.5)[i], 100 + 17 * i + r),
             2,
-            AdaptiveSettings(max_replications=max_replications, **self.SETTINGS),
-            exec_cfg=ResolvedExecution(store=store),
+            ResolvedExecution(
+                store=store, max_replications=max_replications, **self.SETTINGS
+            ),
             **kwargs,
         )
 

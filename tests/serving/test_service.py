@@ -273,6 +273,37 @@ class TestProcessesBackend:
             assert warm.result["store"]["misses"] == 0
 
 
+    def test_default_backend_pool_outlives_requests(self, monkeypatch):
+        # `serve --workers N` without --backend: the pool is built once
+        # and kept alive across requests, not rebuilt per map call.
+        import concurrent.futures
+
+        built = []
+
+        class CountingPoolExecutor(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", CountingPoolExecutor
+        )
+        with SweepService(ExecutionConfig(workers=2)) as service:
+            for seed in (1, 2):  # two distinct cold requests
+                job = service.run(
+                    {
+                        "scenario": SCENARIO,
+                        "overrides": [
+                            f"params.seed={seed}",
+                            "execution.workers=2",
+                        ],
+                    },
+                    timeout=600,
+                )
+                assert job.state == "done", job.error
+        assert len(built) == 1
+
+
 # ----------------------------------------------------------------------
 # Job control: coalescing, cancellation, shutdown
 # ----------------------------------------------------------------------

@@ -159,19 +159,19 @@ class TestCLI:
         assert "adaptive replications (ci-target 0.5" in out
         assert "best threshold for the network" in out
 
-    def test_bad_ci_target_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["node-sweep", "--ci-target", "0"])
+    def test_bad_ci_target_rejected(self, capsys):
+        assert main(["node-sweep", "--ci-target", "0"]) == 2
+        assert "error: execution: ci_target" in capsys.readouterr().err
         # NaN never meets the stopping rule: every point would run to
         # --max-replications instead of failing.
-        with pytest.raises(SystemExit):
-            main(["node-sweep", "--ci-target", "nan"])
+        assert main(["node-sweep", "--ci-target", "nan"]) == 2
+        assert "error: execution: ci_target" in capsys.readouterr().err
 
     def test_replications_floor_above_cap_rejected(self, capsys):
         # --replications acts as the per-point floor under --ci-target,
-        # so it must fit below the cap — a clean argparse error, not a
-        # traceback from the adaptive controller.
-        with pytest.raises(SystemExit):
+        # so it must fit below the cap — a clean error, not a traceback
+        # from the adaptive controller.
+        assert (
             main(
                 [
                     "node-sweep",
@@ -183,6 +183,8 @@ class TestCLI:
                     "64",
                 ]
             )
+            == 2
+        )
         assert "per-point floor" in capsys.readouterr().err
 
     def test_network_single_run(self, capsys):
@@ -263,26 +265,45 @@ class TestCLI:
             (["network", "--duty-spread", "1.5"], "duty_spread", "1.5"),
             (["network", "--burst-on", "0"], "burst_on", "0"),
             (["fig", "3"], "number", "3"),
+            # Execution settings: ``value`` lists the overrides.
+            (["validate", "--workers", "0"], "execution", ("workers=0",)),
+            (["validate", "--engine", "bogus"], "execution", ("engine=bogus",)),
+            (["validate", "--ci-target", "nan"], "execution", ("ci_target=nan",)),
+            (
+                ["validate", "--ci-target", "0.5", "--replications", "100"],
+                "execution",
+                ("ci_target=0.5", "replications=100"),
+            ),
+            (
+                ["validate", "--backend", "socket", "--connect", "nonsense"],
+                "execution",
+                ("backend=socket", 'connect=["nonsense"]'),
+            ),
         ],
-        ids=lambda x: " ".join(x) if isinstance(x, list) else None,
+        ids=lambda x: " ".join(x) if isinstance(x, (list, tuple)) else None,
     )
     def test_bad_flag_fails_like_its_override(
         self, capsys, tmp_path, argv, key, value
     ):
-        """A flag and ``--override params.KEY=VALUE`` share one check."""
+        """A flag and its ``--override`` share one check and one line."""
         assert main(argv) == 2
         flag = capsys.readouterr()
         assert flag.out == ""
-        assert flag.err.startswith(f"error: params.{key} ")
+        if key == "execution":
+            assert flag.err.startswith("error: execution: ")
+            overrides = [f"execution.{v}" for v in value]
+        else:
+            assert flag.err.startswith(f"error: params.{key} ")
+            overrides = [f"params.{key}={value}"]
         model = argv[0]
         params = {"number": int(argv[1])} if model == "fig" else {}
         path = tmp_path / "spec.json"
         path.write_text(
             json.dumps({"name": model, "model": model, "params": params})
         )
-        argv_override = [
-            "scenario", "run", str(path), "--override", f"params.{key}={value}"
-        ]
+        argv_override = ["scenario", "run", str(path)]
+        for override in overrides:
+            argv_override += ["--override", override]
         assert main(argv_override) == 2
         override = capsys.readouterr()
         assert override.out == ""
@@ -351,18 +372,22 @@ class TestBackendSelection:
         assert "optimum Power_Down_Threshold" in capsys.readouterr().out
 
     def test_socket_without_connect_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["network", "--backend", "socket"])
-        assert "--connect" in capsys.readouterr().err
+        assert main(["network", "--backend", "socket"]) == 2
+        assert (
+            "backend='socket' requires at least one connect"
+            in capsys.readouterr().err
+        )
 
     def test_connect_without_socket_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["network", "--connect", "localhost:9000"])
-        assert "--backend socket" in capsys.readouterr().err
+        assert main(["network", "--connect", "localhost:9000"]) == 2
+        assert (
+            "connect only applies with backend='socket'"
+            in capsys.readouterr().err
+        )
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["node-sweep", "--backend", "quantum"])
+    def test_unknown_backend_rejected(self, capsys):
+        assert main(["node-sweep", "--backend", "quantum"]) == 2
+        assert "error: execution: backend" in capsys.readouterr().err
 
     def test_socket_backend_end_to_end(self, capsys):
         """worker --serve + --backend socket vs --backend local: same bits."""
@@ -456,6 +481,22 @@ class TestScenarioSubcommand:
         out = capsys.readouterr().out
         assert "OK" in out
         assert "cli-test" in out
+
+    def test_validate_rejects_a_malformed_worker_address(self, capsys, tmp_path):
+        # `scenario validate` rejects what `scenario run` would: the
+        # address format is ExecutionConfig's check.
+        path = self._write(tmp_path, self._valid())
+        argv = [
+            "scenario", "validate", path,
+            "--override", "execution.backend=socket",
+            "--override", 'execution.connect=["host:99999"]',
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: execution: connect entry ")
+        assert "port must be in 1..65535, got 99999" in captured.err
+        assert len(captured.err.splitlines()) == 1
 
     def test_show_prints_normalised_spec(self, capsys, tmp_path):
         import json
