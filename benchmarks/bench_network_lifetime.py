@@ -13,27 +13,25 @@ import pytest
 
 from conftest import once, paper_claim, scaled, write_result
 from repro.energy import IMOTE2_3xAAA, format_table
-from repro.models import LineTopology, NodeParameters, SensorNetworkModel
+from repro.experiments import NetworkScenarioConfig, run_network_lifetime_sweep
+from repro.models import LineTopology
 
 THRESHOLDS = (1e-9, 0.00178, 0.01, 0.1, 1.0, 100.0)
 
 
 @pytest.mark.benchmark(group="network")
 def test_network_lifetime_sweep(benchmark):
-    network = SensorNetworkModel(
-        LineTopology(5),
-        NodeParameters(power_down_threshold=0.01),
-        IMOTE2_3xAAA,
+    config = NetworkScenarioConfig(
+        topology=LineTopology(5),
+        horizon=scaled(300.0, 20.0),
+        base_rate=0.5,
+        seed=2010,
+        thresholds=THRESHOLDS,
+        battery=IMOTE2_3xAAA,
     )
 
     results = once(
-        benchmark,
-        lambda: network.sweep_thresholds(
-            THRESHOLDS,
-            horizon=scaled(300.0, 20.0),
-            seed=2010,
-            base_rate=0.5,
-        ),
+        benchmark, lambda: run_network_lifetime_sweep(config).results
     )
 
     rows = [

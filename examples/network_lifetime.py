@@ -16,6 +16,7 @@ Run:  python examples/network_lifetime.py
 """
 
 from repro.energy import IMOTE2_3xAAA, format_table
+from repro.experiments import NetworkScenarioConfig, run_network_lifetime_sweep
 from repro.models import (
     GridTopology,
     LineTopology,
@@ -54,10 +55,16 @@ def main() -> None:
     )
 
     # --- threshold sweep on the network metric --------------------------
-    thresholds = (1e-9, 0.00178, 0.01, 0.1, 1.0, 100.0)
-    sweeps = network.sweep_thresholds(
-        thresholds, horizon=HORIZON, seed=1, base_rate=BASE_RATE
-    )
+    sweeps = run_network_lifetime_sweep(
+        NetworkScenarioConfig(
+            topology=network.topology,
+            horizon=HORIZON,
+            base_rate=BASE_RATE,
+            seed=1,
+            thresholds=(1e-9, 0.00178, 0.01, 0.1, 1.0, 100.0),
+            battery=network.battery,
+        )
+    ).results
     rows = [
         [r.power_down_threshold, r.total_energy_j, r.network_lifetime_days]
         for r in sweeps

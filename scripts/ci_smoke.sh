@@ -182,6 +182,13 @@ smoke_engine() {
         --burst-off-fraction 0.2 --horizon 5 --base-rate 0.2 --seed 3
     # ... and every point of a grid threshold sweep.
     engine_diff network --topology grid --grid 3x3 --horizon 5 --sweep
+    # Adaptive network replications: each round packs the nodes of
+    # every open threshold point into one ensemble, serially and on a
+    # two-worker pool.
+    engine_diff network --topology line --nodes 3 --horizon 5 --sweep \
+        --ci-target 0.5 --max-replications 2
+    engine_diff network --topology line --nodes 3 --horizon 5 --sweep \
+        --ci-target 0.5 --max-replications 2 --workers 2
     # One replication is below the lockstep floor and runs interpreted.
     engine_diff validate --replications 1
 }

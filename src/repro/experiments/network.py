@@ -15,8 +15,10 @@ Two entry points:
   over a threshold grid (default :data:`~repro.experiments.sweep.NETWORK_THRESHOLDS`),
   answering "which ``Power_Down_Threshold`` maximises *network* lifetime?".
 
-Both take an ``exec_cfg`` whose ``workers`` (process-pool size) and
-backend never change the numbers.
+Each is one :func:`~repro.runtime.adaptive.run_replications` dispatch
+over node tasks, whatever its thresholds and replications.  Both take
+an ``exec_cfg`` whose ``workers`` (process-pool size) and backend never
+change the numbers.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from ..models.network import (
     NetworkTopology,
     SensorNetworkModel,
     StarTopology,
+    run_networks,
 )
 from ..models.wsn_node import NodeParameters
 from .sweep import NETWORK_THRESHOLDS
@@ -226,33 +229,13 @@ def _network_runs(
     thresholds: tuple[float, ...],
     rx: ResolvedExecution,
 ) -> list[AdaptivePointRun]:
-    """Replicate whole network runs, one point per threshold.
+    """One network per threshold, replicated as ``rx`` asks.
 
-    Each replication is a full network simulation.  The replication
-    loop runs in-process and store-less, so ``workers`` keeps
-    parallelising *inside* each network run and the
-    store memoizes at *node* granularity inside each
-    :meth:`~repro.models.network.SensorNetworkModel.simulate` call (the
-    loop's own ``(point, rep)`` tasks are index placeholders with no
-    content to key on).
-
-    Without ``ci_target`` every point is one run at ``cfg.seed``.  With
-    it, points replicate on total network energy (network lifetime
-    quantises to the hotspot node's battery and is reported with its
-    own CI instead) from a floor of 2 replications; the seed plan
-    (``replication_seeds``) is prefix-stable, so replication 0 is
-    bit-identical to the single run and an adaptive run is a prefix of
-    the fixed ``max_replications`` run.
+    A single :func:`~repro.models.network.run_networks` dispatch: the
+    node tasks of every threshold point and replication share its
+    rounds, so the store memoizes per node and the vectorized engine
+    packs nodes across points.
     """
-    from ..runtime.adaptive import run_replications
-    from ..runtime.config import ResolvedExecution
-    from ..runtime.executor import TaskError
-    from ..runtime.seeding import replication_seeds
-
-    outer = ResolvedExecution(
-        ci_target=rx.ci_target,
-        max_replications=rx.max_replications,
-    )
     models = [
         SensorNetworkModel(
             cfg.topology,
@@ -264,39 +247,9 @@ def _network_runs(
         )
         for t in thresholds
     ]
-    rep_seeds = replication_seeds(cfg.seed, outer.seed_plan_size)
-
-    raised: list[Exception] = []
-
-    def _simulate(task: tuple[int, int]) -> NetworkResult:
-        point, rep = task
-        try:
-            return models[point].simulate(
-                cfg.horizon,
-                seed=rep_seeds[rep],
-                base_rate=cfg.base_rate,
-                exec_cfg=rx,
-            )
-        except Exception as exc:
-            raised.append(exc)
-            raise
-
-    try:
-        return run_replications(
-            _simulate,
-            lambda i, r: (i, r),
-            len(thresholds),
-            outer,
-            metrics=lambda result: result.total_energy_j,
-        )
-    except TaskError:
-        if not raised:
-            raise
-        # The loop is in-process: surface what the network run raised
-        # (a worker's TaskError, a job cancellation, ...) as raised,
-        # not wrapped in the loop's own TaskError.
-        original = raised[0]
-        raise original from original.__cause__
+    return run_networks(
+        models, cfg.horizon, cfg.base_rate, cfg.seed, rx, ci_target=rx.ci_target
+    )
 
 
 def run_network_scenario(
@@ -346,13 +299,14 @@ def run_network_lifetime_sweep(
 ) -> NetworkSweepResult:
     """Sweep ``config.thresholds`` on the network-lifetime metric.
 
-    ``exec_cfg`` is as in :func:`run_network_scenario`.  The threshold
-    points run in order, each a complete network simulation.  With
+    ``exec_cfg`` is as in :func:`run_network_scenario`.  The node tasks
+    of every threshold point run in one dispatch, so the vectorized
+    engine packs nodes of different points into one ensemble.  With
     ``ci_target`` set, every threshold point replicates adaptively on
-    its total-energy interval and stops independently; ``results`` still holds the replication-0 series
-    (bit-identical to the single-run sweep), with per-point counts,
-    ``converged`` flags and :meth:`NetworkSweepResult.energy_ci`
-    uncertainty on top.
+    its total-energy interval and stops independently; ``results``
+    still holds the replication-0 series (bit-identical to the
+    single-run sweep), with per-point counts, ``converged`` flags and
+    :meth:`NetworkSweepResult.energy_ci` uncertainty on top.
     """
     from ..runtime.config import as_resolved
 

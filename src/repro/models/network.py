@@ -25,17 +25,19 @@ given that the hotspot node sees a different workload than the leaves?
 
 Because nodes are independent, each node is one task of
 :func:`repro.runtime.run_replications`, which chunks the node set over
-the executor's workers like any other task set.  Per-node seeds are
+the executor's workers like any other task set; :func:`run_networks`
+makes a network replication one group of such tasks, so a threshold
+sweep's networks share one call.  Per-node seeds are
 keyed by node index, so every ``workers`` / backend combination is
 bit-identical to the serial run.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from ..energy.battery import LinearBattery, NodeLifetimeEstimator, PeukertBattery
 from .wsn_node import (
@@ -48,6 +50,8 @@ from .wsn_node import (
 )
 
 if TYPE_CHECKING:
+    from ..runtime.adaptive import AdaptivePointRun
+    from ..runtime.config import ResolvedExecution
     from ..topology.dynamics import ChurnModel, ChurnReport, NodeSegment
     from ..topology.traffic import MMPPTraffic
 
@@ -59,6 +63,7 @@ __all__ = [
     "NodeSummary",
     "NetworkResult",
     "SensorNetworkModel",
+    "run_networks",
     "simulate_node_segments_task",
     "simulate_node_segments_ensemble_task",
 ]
@@ -561,79 +566,61 @@ class SensorNetworkModel:
             events_completed=sum(r.events_completed for r in results),
         )
 
-    def simulate(
-        self,
-        horizon: float,
-        seed: int = 0,
-        base_rate: float = 1.0,
-        *,
-        exec_cfg=None,
-    ) -> NetworkResult:
-        """Simulate every node at its effective rate.
+    def _task_fns(self) -> tuple[Callable[[Any], Any], Callable[[Any], Any]]:
+        """The node task evaluator and its ensemble form."""
+        if self.dynamics is not None:
+            return simulate_node_segments_task, simulate_node_segments_ensemble_task
+        return simulate_node_task, simulate_node_ensemble_task
 
-        ``exec_cfg`` — an :class:`~repro.runtime.config.ExecutionConfig`
-        (or resolved :class:`~repro.runtime.config.ResolvedExecution`)
-        — places the work; only its ``workers`` / ``backend`` /
-        ``store`` / ``seed_mode`` fields apply.  Nodes are independent,
-        so each node is one task of
-        :func:`~repro.runtime.adaptive.run_replications`, whose
-        executor chunks the node set over the workers.
+    def _node_run(
+        self, horizon: float, seed: int, base_rate: float
+    ) -> tuple[list[Any], Callable[[list[Any]], NetworkResult]]:
+        """One network run's node tasks and the fold of their values.
 
-        Per-node seeds are fixed *before* distribution and keyed by
-        node index (``seed + node_index`` in the default ``"legacy"``
-        mode, :meth:`~numpy.random.SeedSequence.spawn` children with
-        ``seed_mode="spawn"``; see
-        :func:`~repro.runtime.seeding.node_seeds`), so results are
-        identical for any ``workers`` and backend.
-
-        A ``store`` memoizes *per-node* results keyed by ``(node params
-        incl. effective rate, workload, horizon, node seed)`` — node
-        granularity means any topology, worker count or threshold sweep
-        reuses every node simulation it shares with an earlier run.
+        Returns ``(tasks, fold)``: one :meth:`_task_fns` task per node,
+        and ``fold(values)``, which turns the tasks' values (in node
+        order) into the run's :class:`NetworkResult`.  Everything that
+        makes a task — per-node seeds and, under churn, the whole
+        schedule (failures, rewired trees, per-epoch rates and
+        per-segment seeds) — is fixed here, in the parent, so each
+        task is a pure function of its own contents.
         """
-        from ..runtime.adaptive import run_replications
-        from ..runtime.config import as_resolved
         from ..runtime.seeding import node_seeds
 
-        rx = as_resolved(exec_cfg)
         if horizon <= 0:
             raise ValueError("horizon must be > 0")
         rates = self.topology.effective_rates(base_rate)
         estimator = NodeLifetimeEstimator(self.battery)
-        seeds = node_seeds(seed, len(rates), mode=rx.seed_mode)
+        seeds = node_seeds(seed, len(rates))
+        schedule = None
         if self.dynamics is not None:
-            # Churn: the whole schedule — failures, rewired trees,
-            # per-epoch rates, per-segment seeds — is fixed here in
-            # the parent, so the worker tasks below stay a pure
-            # function of their own contents.
             schedule = self.dynamics.schedule(
                 self.topology, base_rate, horizon, seed
             )
-            task_fn = simulate_node_segments_task
-            ensemble_fn = simulate_node_segments_ensemble_task
             tasks = [
                 (
                     self.params,
                     self.workload,
                     self.traffic,
-                    schedule.node_segments(i, seeds[i]),
+                    schedule.node_segments(i, node_seed),
                 )
-                for i in range(len(rates))
+                for i, node_seed in enumerate(seeds)
             ]
         else:
-            schedule = None
-            task_fn = simulate_node_task
-            ensemble_fn = simulate_node_ensemble_task
-            tasks = [
-                (
+            # Nodes share few distinct rates: build (and validate) each
+            # rate's parameters and workload once.
+            by_rate = {
+                rate: (
                     replace(self.params, arrival_rate=rate),
                     self.traffic.workload(rate)
                     if self.traffic is not None
                     else self.workload,
-                    horizon,
-                    seeds[i],
                 )
-                for i, rate in enumerate(rates)
+                for rate in dict.fromkeys(rates)
+            }
+            tasks = [
+                (*by_rate[rate], horizon, node_seed)
+                for rate, node_seed in zip(rates, seeds)
             ]
 
         def summarise(i: int, result) -> NodeSummary:
@@ -643,53 +630,96 @@ class SensorNetworkModel:
                 i, tasks[i][3], result, estimator, schedule.failure_time(i)
             )
 
-        # One replication per node, whatever replication policy the
-        # caller's run uses; the caller's engine decides the task shape.
-        node_rx = replace(rx, replications=1, ci_target=None)
-        runs = run_replications(
-            task_fn,
-            lambda i, _r: tasks[i],
-            len(tasks),
-            node_rx,
-            ensemble_fn=ensemble_fn,
-        )
-        out = NetworkResult(
-            topology=self.topology.describe(),
-            power_down_threshold=self.params.power_down_threshold,
-            horizon_s=horizon,
-            nodes=[summarise(i, run.values[0]) for i, run in enumerate(runs)],
-        )
-        if schedule is not None:
-            out.dynamics = schedule.report()
-        return out
+        def fold(values: list[Any]) -> NetworkResult:
+            return NetworkResult(
+                topology=self.topology.describe(),
+                power_down_threshold=self.params.power_down_threshold,
+                horizon_s=horizon,
+                nodes=[summarise(i, value) for i, value in enumerate(values)],
+                dynamics=schedule.report() if schedule is not None else None,
+            )
 
-    def sweep_thresholds(
+        return tasks, fold
+
+    def simulate(
         self,
-        thresholds: list[float] | tuple[float, ...],
         horizon: float,
         seed: int = 0,
         base_rate: float = 1.0,
         *,
         exec_cfg=None,
-    ) -> list[NetworkResult]:
-        """Network result per threshold (network-lifetime optimisation).
+    ) -> NetworkResult:
+        """Simulate every node at its effective rate, once.
 
-        ``exec_cfg`` places the work as in :meth:`simulate`: it
-        parallelises across the nodes of each network run;
-        the threshold points themselves are processed in order so each
-        :class:`NetworkResult` is complete before the next starts.
+        The one-network, one-replication case of :func:`run_networks`.
+        ``exec_cfg`` — an :class:`~repro.runtime.config.ExecutionConfig`
+        (or resolved :class:`~repro.runtime.config.ResolvedExecution`)
+        — places the work; its replication policy does not apply.
+        Nodes are independent, so each node is one task, and the
+        executor chunks the node set over the workers.
+
+        Per-node seeds are fixed *before* distribution and keyed by
+        node index (``seed + node_index``, see
+        :func:`~repro.runtime.seeding.node_seeds`), so results are
+        identical for any ``workers`` and backend.
+
+        A ``store`` memoizes *per-node* results keyed by ``(node params
+        incl. effective rate, workload, horizon, node seed)`` — node
+        granularity means any topology, worker count or threshold sweep
+        reuses every node simulation it shares with an earlier run.
         """
         from ..runtime.config import as_resolved
 
-        rx = as_resolved(exec_cfg)
-        return [
-            SensorNetworkModel(
-                self.topology,
-                replace(self.params, power_down_threshold=t),
-                self.battery,
-                self.workload,
-                dynamics=self.dynamics,
-                traffic=self.traffic,
-            ).simulate(horizon, seed=seed, base_rate=base_rate, exec_cfg=rx)
-            for t in thresholds
-        ]
+        [run] = run_networks([self], horizon, base_rate, seed, as_resolved(exec_cfg))
+        return run.values[0]
+
+
+def run_networks(
+    models: Sequence[SensorNetworkModel],
+    horizon: float,
+    base_rate: float,
+    seed: int,
+    rx: ResolvedExecution,
+    *,
+    ci_target: float | None = None,
+) -> list[AdaptivePointRun]:
+    """Replicate each network of ``models`` in one dispatch.
+
+    One :func:`~repro.runtime.adaptive.run_replications` call, with
+    one point per model: a replication is the model's node tasks
+    (:meth:`SensorNetworkModel._node_run`), each keyed in ``rx.store``,
+    dispatched and packed on its own, so the nodes of every network
+    and replication of a round share its ensembles.  Its values fold
+    into the replication's :class:`NetworkResult`.
+
+    ``rx`` places the work; ``rx.replications`` and ``rx.ci_target``
+    do not apply.  Without ``ci_target`` each model runs once, at
+    ``seed``.  With it, each replicates on total network energy
+    (network lifetime quantises to the hotspot node's battery) from a
+    floor of 2 to ``rx.max_replications``, replication ``r`` at
+    ``replication_seeds(seed, ...)[r]``: replication 0 is the single
+    run, and an adaptive run is a prefix of the fixed
+    ``max_replications`` run.  The models must all run with churn or
+    all without.
+    """
+    from ..runtime.adaptive import run_replications
+    from ..runtime.seeding import replication_seeds
+
+    [(fn, ensemble_fn)] = {model._task_fns() for model in models}
+    rx = replace(rx, replications=1, ci_target=ci_target)
+    seeds = replication_seeds(seed, rx.seed_plan_size)
+    folds: dict[tuple[int, int], Callable[[list[Any]], NetworkResult]] = {}
+
+    def tasks_for(i: int, r: int) -> list[Any]:
+        tasks, folds[i, r] = models[i]._node_run(horizon, seeds[r], base_rate)
+        return tasks
+
+    return run_replications(
+        fn,
+        tasks_for,
+        len(models),
+        rx,
+        ensemble_fn=ensemble_fn,
+        metrics=lambda result: result.total_energy_j,
+        fold=lambda i, r, values: folds.pop((i, r))(values),
+    )

@@ -24,7 +24,7 @@ time:
   which keys a node set's seeds by node index;
 * :mod:`repro.runtime.config` — the one way to pass execution
   settings: :class:`ExecutionConfig` bundles workers / backend spec /
-  engine / store dir / seed mode / replication policy into one
+  engine / store dir / replication policy into one
   frozen, serialisable value whose :meth:`~ExecutionConfig.resolve`
   builds the live backend/store; every driver takes it (or the
   resolved view) as ``exec_cfg=`` and nothing else;

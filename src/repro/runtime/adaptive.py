@@ -96,6 +96,7 @@ def run_replications(
     *,
     ensemble_fn: Callable[[tuple[Any, ...]], list[Any]] | None = None,
     metrics: Callable[[Any], float | Sequence[float]] = float,
+    fold: Callable[[int, int, list[Any]], Any] | None = None,
 ) -> list[AdaptivePointRun]:
     """Replicate ``n_points`` design points the way ``rx`` asks.
 
@@ -116,7 +117,7 @@ def run_replications(
       tuple per executor slot and none below
       :data:`LOCKSTEP_MIN_ROWS` tasks; a smaller round, a run without
       ``ensemble_fn`` and the interpreted engine make one ``fn`` call
-      per replication.
+      per task.
 
     Parameters
     ----------
@@ -144,17 +145,25 @@ def run_replications(
         warmed store schedules only the delta replications.
     ensemble_fn:
         The batch form of ``fn``: each round's missing tasks are packed
-        into at most ``min(points, slots, tasks // LOCKSTEP_MIN_ROWS)``
+        into at most ``min(units, slots, tasks // LOCKSTEP_MIN_ROWS)``
         tuples — at most one per executor slot (the backend's
-        ``parallelism``), points strided across them, each point's
-        tasks contiguous and in replication order — and
-        ``ensemble_fn(tasks)`` runs one tuple as one lockstep ensemble.
-        It must return ``[fn(t) for t in tasks]``, bit for bit.  Tasks
-        packed together must share their run-wide settings (horizon,
-        workload, warmup; see :func:`shared_field`).
+        ``parallelism``), units strided across them, where a unit is a
+        point's new replications in order (one task, with ``fold``) —
+        and ``ensemble_fn(tasks)`` runs one tuple as one lockstep
+        ensemble.  It must return ``[fn(t) for t in tasks]``, bit for
+        bit.  Tasks packed together must share their run-wide settings
+        (horizon, workload, warmup; see :func:`shared_field`).
     metrics:
-        Maps one evaluation result to the float (or several floats)
+        Maps one replication's value to the float (or several floats)
         whose interval must tighten; applied in the parent.
+    fold:
+        Makes one replication a group of tasks, such as a network's
+        nodes.  ``task_for(i, r)`` then returns the replication's
+        tasks; each is keyed, looked up and dispatched on its own, and
+        is a packing unit of its own, so the tasks of one replication
+        spread over every slot.  ``fold(i, r, values)`` turns their
+        values, in task order, into the replication's value: what
+        ``metrics`` reads and the run returns.
 
     Returns
     -------
@@ -173,35 +182,44 @@ def run_replications(
     runs = [AdaptivePointRun(values=[]) for _ in range(n_points)]
     open_points = list(range(n_points))
     while open_points:
-        # One slot per new replication: (hit, cached value or store key).
-        slots: list[tuple[int, list[tuple[bool, Any]]]] = []
-        misses: list[list[Any]] = []  # per point with any, in order
+        # Per new replication: its point, its index and one (hit,
+        # cached value or store key) per task.
+        reps: list[tuple[int, int, list[tuple[bool, Any]]]] = []
+        units: list[list[Any]] = []  # the missing tasks, as packing units
         for i in open_points:
             done = len(runs[i].values)
-            point_slots: list[tuple[bool, Any]] = []
             point_misses: list[Any] = []
             for r in range(done, min(done + floor, cap)):
-                task = task_for(i, r)
-                key = None
-                if store is not None:
-                    key = task_key(fn, task)
-                    hit, value = store.get(key)
-                    if hit:
-                        point_slots.append((True, value))
-                        continue
-                point_slots.append((False, key))
-                point_misses.append(task)
-            slots.append((i, point_slots))
+                tasks = task_for(i, r) if fold is not None else (task_for(i, r),)
+                slots: list[tuple[bool, Any]] = []
+                for task in tasks:
+                    key = None
+                    if store is not None:
+                        key = task_key(fn, task)
+                        hit, value = store.get(key)
+                        if hit:
+                            slots.append((True, value))
+                            continue
+                    slots.append((False, key))
+                    if fold is None:
+                        point_misses.append(task)
+                    else:
+                        units.append([task])
+                reps.append((i, r, slots))
             if point_misses:
-                misses.append(point_misses)
-        computed = iter(_run_misses(pool, fn, ensemble_fn, misses))
-        for i, point_slots in slots:
-            for hit, value in point_slots:
+                units.append(point_misses)
+        computed = iter(_run_misses(pool, fn, ensemble_fn, units))
+        for i, r, slots in reps:
+            values = []
+            for hit, value in slots:
                 if not hit:
                     key, value = value, next(computed)
                     if store is not None:
                         store.put(key, value)
-                runs[i].values.append(value)
+                values.append(value)
+            runs[i].values.append(
+                values[0] if fold is None else fold(i, r, values)
+            )
         if not adaptive:
             break
         still_open: list[int] = []
@@ -220,9 +238,9 @@ def run_replications(
 
 
 def _pack_count(sizes: list[int], slots: int) -> int:
-    """How many ensembles a round of points with ``sizes`` misses gets.
+    """How many ensembles a round of units with ``sizes`` tasks gets.
 
-    At most one per point and per slot, and each strided pack holds at
+    At most one per unit and per slot, and each strided pack holds at
     least :data:`LOCKSTEP_MIN_ROWS` tasks; 0 means run ``fn`` per task.
     """
     n = min(len(sizes), slots, sum(sizes) // LOCKSTEP_MIN_ROWS)
@@ -235,23 +253,25 @@ def _run_misses(
     pool: ParallelExecutor,
     fn: Callable[[Any], Any],
     ensemble_fn: Callable[[tuple[Any, ...]], list[Any]] | None,
-    misses: list[list[Any]],
+    units: list[list[Any]],
 ) -> list[Any]:
-    """The values of ``misses``, in order.
+    """The values of the tasks of ``units``, in order.
 
-    One ``ensemble_fn`` call per pack when the round is big enough for
-    one (see :func:`_pack_count`), else one ``fn`` call per task.
-    Points are packed strided — point ``j`` goes to pack ``j % n`` —
-    so each pack gets a share of the cheap and the costly points
-    instead of one contiguous run of either.
+    A unit is the tasks that stay together in one pack: a point's
+    missing replications, or one task of a grouped replication.  One
+    ``ensemble_fn`` call per pack when the round is big enough for one
+    (see :func:`_pack_count`), else one ``fn`` call per task.  Units
+    are packed strided — unit ``j`` goes to pack ``j % n`` — so each
+    pack gets a share of the cheap and the costly units instead of one
+    contiguous run of either.
     """
     n = 0
     if ensemble_fn is not None:
-        n = _pack_count([len(point) for point in misses], pool.slots)
+        n = _pack_count([len(unit) for unit in units], pool.slots)
     if n == 0:
-        flat = [task for point in misses for task in point]
+        flat = [task for unit in units for task in unit]
         return pool.map(fn, flat) if flat else []
-    packed = [tuple(task for point in misses[t::n] for task in point) for t in range(n)]
+    packed = [tuple(task for unit in units[t::n] for task in unit) for t in range(n)]
     outs = pool.map(ensemble_fn, packed)
     for tasks, out in zip(packed, outs):
         if len(out) != len(tasks):
@@ -262,8 +282,8 @@ def _run_misses(
     values = [iter(out) for out in outs]
     return [
         value
-        for j, point in enumerate(misses)
-        for value in islice(values[j % n], len(point))
+        for j, unit in enumerate(units)
+        for value in islice(values[j % n], len(unit))
     ]
 
 

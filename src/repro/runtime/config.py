@@ -37,7 +37,6 @@ from typing import Any
 
 from .backend import BACKEND_NAMES, Backend, make_backend
 from .executor import ParallelExecutor
-from .seeding import SEED_MODES
 from .store import ResultStore
 
 __all__ = [
@@ -131,9 +130,6 @@ class ExecutionConfig:
         "(default: $REPRO_STORE if set, else off)",
         "DIR",
     )
-    #: Per-node seed derivation for network node sets (see
-    #: :func:`~repro.runtime.seeding.node_seeds`); no flag.
-    seed_mode: str = "legacy"
     ci_target: float | None = _flag(
         None,
         "adaptive replication control: replicate each point until its "
@@ -160,7 +156,6 @@ class ExecutionConfig:
         _check_choice("engine", self.engine, ENGINE_NAMES)
         if self.backend is not None:
             _check_choice("backend", self.backend, BACKEND_NAMES)
-        _check_choice("seed_mode", self.seed_mode, SEED_MODES)
         if not all(isinstance(a, str) for a in self.connect):
             raise ValueError(
                 f"connect entries must be 'host:port' strings, "
@@ -250,11 +245,12 @@ class ExecutionConfig:
 
         The backend is always built: ``backend=None`` resolves to
         ``"processes"`` when ``workers > 1``, else ``"local"``.
-        ``keep_alive=True`` builds backends meant to outlive a single
-        run (a persistent process pool) — what a long-lived owner like
-        :class:`repro.serving.SweepService` wants, resolving once and
-        reusing the same backend and store across every request.  Call
-        ``backend.close()`` when done.  Reuse never changes results.
+        ``keep_alive=True`` builds backends meant to serve many
+        dispatches (a persistent process pool): what
+        :func:`repro.scenarios.run_scenario` wants for the rounds and
+        points of one run, and :class:`repro.serving.SweepService` for
+        every request.  Call ``backend.close()`` when done.  Reuse
+        never changes results.
         """
         backend = make_backend(
             self.backend,
@@ -267,7 +263,6 @@ class ExecutionConfig:
             workers=self.workers,
             replications=self.replications,
             engine=self.engine,
-            seed_mode=self.seed_mode,
             ci_target=self.ci_target,
             max_replications=self.max_replications,
             backend=backend,
@@ -290,7 +285,6 @@ class ResolvedExecution:
     workers: int = 1
     replications: int = 1
     engine: str = "vectorized"
-    seed_mode: str = "legacy"
     ci_target: float | None = None
     max_replications: int = 64
     backend: Backend | None = None
@@ -303,7 +297,6 @@ class ResolvedExecution:
             workers=self.workers,
             replications=self.replications,
             engine=self.engine,
-            seed_mode=self.seed_mode,
             ci_target=self.ci_target,
             max_replications=self.max_replications,
         )

@@ -24,11 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Supported per-item seed derivation modes (see :func:`node_seeds`).
-SEED_MODES = ("legacy", "spawn")
-
 __all__ = [
-    "SEED_MODES",
     "node_seeds",
     "sequence_to_seed",
     "spawn_sequences",
@@ -98,35 +94,18 @@ def replication_seeds(base_seed: int | None, replications: int) -> list[int | No
     return [base_seed, *spawn_seeds(base_seed, replications - 1)]
 
 
-def node_seeds(seed: int | None, n_items: int, mode: str = "legacy") -> list[int]:
-    """Per-item seeds keyed by item index.
+def node_seeds(seed: int, n_items: int) -> list[int]:
+    """Per-item seeds keyed by item index: ``seed + i``.
 
     The seed of item ``i`` depends only on ``(seed, i)``, so any worker
-    count, chunking or backend hands every item the same seed.
-
-    Modes
-    -----
-    ``"legacy"``
-        ``seed + i`` — the network model's historical scheme, distinct
-        within a run.  Requires an integer ``seed``.
-    ``"spawn"``
-        :meth:`numpy.random.SeedSequence.spawn` children of ``seed``,
-        flattened to 128-bit integers — collision-free within a run
-        *and* across different root seeds (two ``"legacy"`` runs with
-        roots 0 and 50 share seeds 50..n-1; two ``"spawn"`` runs never
-        overlap).  Accepts ``seed=None`` for fresh OS entropy.
+    count, chunking or backend hands every item the same seed.  This
+    is the network model's historical scheme, distinct within a run.
 
     >>> node_seeds(10, 3)
     [10, 11, 12]
-    >>> node_seeds(10, 3, mode="spawn") == spawn_seeds(10, 3)
-    True
     """
     if n_items < 0:
         raise ValueError(f"n_items must be >= 0, got {n_items}")
-    if mode not in SEED_MODES:
-        raise ValueError(f"mode must be one of {SEED_MODES}, got {mode!r}")
-    if mode == "spawn":
-        return spawn_seeds(seed, n_items)
     if seed is None:
-        raise ValueError("legacy seed mode requires an integer seed")
+        raise ValueError("node seeds need an integer seed")
     return [seed + i for i in range(n_items)]

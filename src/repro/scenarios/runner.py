@@ -63,11 +63,18 @@ def run_scenario(
 ) -> int:
     """Run one scenario and write its report to stdout; returns 0.
 
-    The spec's ``execution`` is resolved here (backend and store built
-    once) unless ``rx`` supplies an already-live
-    :class:`~repro.runtime.config.ResolvedExecution`.
+    The spec's ``execution`` is resolved here unless ``rx`` supplies an
+    already-live :class:`~repro.runtime.config.ResolvedExecution`.  A
+    run that resolves its own owns one backend for all its dispatches
+    (one process pool, however many rounds and points) and closes it
+    on the way out, on error too.
     """
-    if rx is None:
-        rx = spec.execution.resolve()
-    sys.stdout.write(scenario_report(spec, rx))
+    own = rx is None
+    if own:
+        rx = spec.execution.resolve(keep_alive=True)
+    try:
+        sys.stdout.write(scenario_report(spec, rx))
+    finally:
+        if own:
+            rx.backend.close()
     return 0

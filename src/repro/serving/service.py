@@ -499,7 +499,6 @@ class SweepService:
             workers=ex.workers,
             replications=ex.replications,
             engine=ex.engine,
-            seed_mode=ex.seed_mode,
             ci_target=ex.ci_target,
             max_replications=ex.max_replications,
             backend=self._rx.backend,

@@ -2,6 +2,8 @@
 
 import pytest
 
+import repro.models.network as network_module
+import repro.runtime.adaptive as adaptive
 from repro.experiments import (
     NETWORK_THRESHOLDS,
     NetworkScenarioConfig,
@@ -12,6 +14,7 @@ from repro.experiments import (
 )
 from repro.models import GridTopology, LineTopology, StarTopology
 from repro.runtime.config import ExecutionConfig, ResolvedExecution
+from repro.runtime.store import ResultStore
 
 
 class TestMakeTopology:
@@ -159,8 +162,8 @@ class TestAdaptiveReplication:
         "policy", [{}, {"ci_target": 0.5, "max_replications": 3}]
     )
     def test_failing_run_raises_its_own_error(self, policy):
-        # The replication loop runs in-process: a network run's error
-        # (here its backend's) surfaces as raised, under either policy.
+        # A network run's error (here its backend's) surfaces as
+        # raised, under either policy.
         class FailingBackend:
             parallelism = 1
 
@@ -170,3 +173,69 @@ class TestAdaptiveReplication:
         rx = ResolvedExecution(backend=FailingBackend(), **policy)
         with pytest.raises(KeyError, match="backend down"):
             run_network_scenario(self.CFG, exec_cfg=rx)
+
+
+class TestOneDispatch:
+    """Every network run is one ``run_replications`` call over node tasks."""
+
+    CFG = NetworkScenarioConfig(
+        topology=LineTopology(3),
+        horizon=5.0,
+        thresholds=(1e-9, 0.01, 1.0),
+        seed=5,
+    )
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        run = adaptive.run_replications
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(adaptive, "run_replications", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "policy",
+        [{}, {"ci_target": 0.05, "max_replications": 8}],
+        ids=["fixed", "adaptive"],
+    )
+    @pytest.mark.parametrize(
+        "run", [run_network_scenario, run_network_lifetime_sweep]
+    )
+    def test_one_call_per_run(self, calls, run, policy):
+        run(self.CFG, exec_cfg=ExecutionConfig(**policy))
+        assert len(calls) == 1
+
+    def test_sweep_nodes_share_one_ensemble(self, monkeypatch):
+        # 6 thresholds x 5 nodes: 30 node tasks, one lockstep ensemble.
+        calls = []
+        ensemble = network_module.simulate_node_ensemble_task
+
+        def counting(tasks):
+            calls.append(len(tasks))
+            return ensemble(tasks)
+
+        monkeypatch.setattr(
+            network_module, "simulate_node_ensemble_task", counting
+        )
+        cfg = NetworkScenarioConfig(topology=LineTopology(5), horizon=5.0)
+        sweep = run_network_lifetime_sweep(cfg)
+        assert calls == [30]
+        assert sweep == run_network_lifetime_sweep(
+            cfg, exec_cfg=ExecutionConfig(engine="interpreted")
+        )
+
+    def test_scenario_store_serves_the_sweep(self, tmp_path):
+        store = ResultStore(tmp_path)
+        rx = ResolvedExecution(store=store)
+        singles = [
+            run_network_scenario(self.CFG, threshold=t, exec_cfg=rx)
+            for t in self.CFG.thresholds
+        ]
+        store.hits = store.misses = 0
+        sweep = run_network_lifetime_sweep(self.CFG, exec_cfg=rx)
+        assert (store.hits, store.misses) == (9, 0)
+        assert sweep.results == singles

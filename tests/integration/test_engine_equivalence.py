@@ -79,7 +79,7 @@ from repro.models.wsn_node import (
     simulate_node_task,
 )
 from repro.runtime.config import ExecutionConfig
-from repro.runtime.seeding import SEED_MODES, replication_seeds
+from repro.runtime.seeding import replication_seeds
 from repro.runtime.sweep import _evaluate_ensemble_task, _evaluate_task
 from repro.topology.dynamics import ChurnModel, NodeSegment
 from repro.topology.traffic import MMPPTraffic
@@ -235,12 +235,11 @@ class TestNetworkEngineEquivalence:
         topology=st.sampled_from(sorted(_NETWORK_TOPOLOGIES)),
         traffic=st.sampled_from(sorted(_NETWORK_TRAFFIC)),
         churn=st.booleans(),
-        seed_mode=st.sampled_from(SEED_MODES),
         workers=st.sampled_from([1, 2]),
         seed=st.integers(0, 2**16),
     )
     def test_pickled_results_are_equal(
-        self, topology, traffic, churn, seed_mode, workers, seed
+        self, topology, traffic, churn, workers, seed
     ):
         workload, mmpp = _NETWORK_TRAFFIC[traffic]
         cfg = NetworkScenarioConfig(
@@ -258,9 +257,7 @@ class TestNetworkEngineEquivalence:
             pickle.dumps(
                 run_network_scenario(
                     cfg,
-                    exec_cfg=ExecutionConfig(
-                        engine=engine, workers=workers, seed_mode=seed_mode
-                    ),
+                    exec_cfg=ExecutionConfig(engine=engine, workers=workers),
                 ),
                 5,
             )

@@ -6,6 +6,7 @@ import pytest
 
 import repro.models.network as network_module
 from repro.energy import LinearBattery
+from repro.experiments import NetworkScenarioConfig, run_network_lifetime_sweep
 from repro.models import (
     GridTopology,
     LineTopology,
@@ -133,9 +134,18 @@ class TestNetworkSimulation:
         assert r.hotspot.node_id == 1
 
     def test_threshold_sweep(self):
-        results = self.network().sweep_thresholds(
-            (1e-9, 0.01, 100.0), horizon=60.0, seed=3, base_rate=0.5
-        )
+        net = self.network()
+        results = run_network_lifetime_sweep(
+            NetworkScenarioConfig(
+                topology=net.topology,
+                horizon=60.0,
+                base_rate=0.5,
+                seed=3,
+                thresholds=(1e-9, 0.01, 100.0),
+                params=net.params,
+                battery=net.battery,
+            )
+        ).results
         assert len(results) == 3
         lifetimes = [r.network_lifetime_days for r in results]
         # interior threshold beats both extremes (the Fig. 14 U-shape
@@ -240,28 +250,17 @@ class TestShardedSimulation:
             )
             assert parallel == serial
 
-    def test_spawn_seed_mode_shard_invariant(self):
-        net = self.network(LineTopology(4))
-        runs = [
-            net.simulate(
-                horizon=10.0, seed=3, base_rate=0.5,
-                exec_cfg=ExecutionConfig(workers=workers, seed_mode="spawn"),
-            )
-            for workers in (1, 2)
-        ]
-        assert runs[0] == runs[1]
-
     def test_sweep_thresholds_sharded(self):
-        net = self.network(LineTopology(3))
-        serial = net.sweep_thresholds(
-            (1e-9, 0.01), horizon=10.0, seed=4, base_rate=0.5
-        )
-        parallel = net.sweep_thresholds(
-            (1e-9, 0.01),
+        cfg = NetworkScenarioConfig(
+            topology=LineTopology(3),
             horizon=10.0,
-            seed=4,
             base_rate=0.5,
-            exec_cfg=ExecutionConfig(workers=2),
+            seed=4,
+            thresholds=(1e-9, 0.01),
+        )
+        serial = run_network_lifetime_sweep(cfg)
+        parallel = run_network_lifetime_sweep(
+            cfg, exec_cfg=ExecutionConfig(workers=2)
         )
         assert parallel == serial
 
@@ -341,6 +340,31 @@ class TestNodeDispatch:
         )
         assert (store.hits, store.misses) == (9, 0)
         assert warm == cold
+
+    def test_each_distinct_rate_builds_its_parameters_once(
+        self, tmp_path, monkeypatch
+    ):
+        built = []
+
+        def counting_replace(obj, **changes):
+            if isinstance(obj, NodeParameters):
+                built.append(changes["arrival_rate"])
+            return replace(obj, **changes)
+
+        monkeypatch.setattr(network_module, "replace", counting_replace)
+        topology = GridTopology(10, 10)
+        store = ResultStore(tmp_path)
+        SensorNetworkModel(topology, self.PARAMS).simulate(
+            horizon=1.0, seed=1, base_rate=0.5,
+            exec_cfg=ResolvedExecution(store=store),
+        )
+        rates = topology.effective_rates(0.5)
+        assert sorted(built) == sorted(set(rates))
+        assert len(built) == 19
+        # The shared parameter sets key exactly as per-node ones would.
+        for i, rate in enumerate(rates):
+            task = (replace(self.PARAMS, arrival_rate=rate), "open", 1.0, 1 + i)
+            assert store.contains(task_key(simulate_node_task, task))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_node_raises_task_error_with_its_task(

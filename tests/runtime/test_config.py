@@ -34,7 +34,6 @@ class TestValidation:
         [
             ("engine", "turbo"),
             ("backend", "quantum"),
-            ("seed_mode", "fixed"),
         ],
     )
     def test_choice_fields_name_the_field(self, field, bad):
@@ -105,7 +104,6 @@ class TestSerialisation:
             connect=("a:1", "b:2"),
             engine="vectorized",
             store_dir="/tmp/s",
-            seed_mode="spawn",
             ci_target=0.05,
         )
         assert ExecutionConfig.from_dict(cfg.to_dict()) == cfg

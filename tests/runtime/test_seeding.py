@@ -67,29 +67,36 @@ class TestNodeSeeds:
 
     def test_legacy_requires_integer_seed(self):
         with pytest.raises(ValueError):
-            node_seeds(None, 3, mode="legacy")
+            node_seeds(None, 3)
 
     def test_spawn_mode_reproducible_and_entropy_ok(self):
-        a = node_seeds(7, 16, mode="spawn")
-        b = node_seeds(7, 16, mode="spawn")
+        # Spawned seeds (the replication plans) need no integer root.
+        a = spawn_seeds(7, 16)
+        b = spawn_seeds(7, 16)
         assert a == b
-        assert len(node_seeds(None, 4, mode="spawn")) == 4
+        assert len(spawn_seeds(None, 4)) == 4
 
-    @pytest.mark.parametrize("mode", ["legacy", "spawn"])
-    def test_collision_free(self, mode):
-        seeds = node_seeds(42, 50, mode=mode)
+    #: The two per-item derivations: node sets and replication plans.
+    DERIVATIONS = pytest.mark.parametrize(
+        "derive", [node_seeds, spawn_seeds], ids=["legacy", "spawn"]
+    )
+
+    @DERIVATIONS
+    def test_collision_free(self, derive):
+        seeds = derive(42, 50)
         assert len(set(seeds)) == len(seeds)
 
-    @pytest.mark.parametrize("mode", ["legacy", "spawn"])
-    def test_seed_depends_only_on_node_index(self, mode):
-        # Node i's seed never depends on how many nodes follow it, so
-        # no split of the node set can change it.
-        seeds = node_seeds(9, 12, mode=mode)
+    @DERIVATIONS
+    def test_seed_depends_only_on_node_index(self, derive):
+        # Item i's seed never depends on how many items follow it, so
+        # no split of the set (and no adaptive prefix) can change it.
+        seeds = derive(9, 12)
         for n in (1, 3, 12):
-            assert node_seeds(9, n, mode=mode) == seeds[:n]
+            assert derive(9, n) == seeds[:n]
 
     def test_invalid_mode(self):
-        with pytest.raises(ValueError):
-            node_seeds(1, 3, mode="bogus")
+        # Node seeds have one derivation; there is no mode to pick.
+        with pytest.raises(TypeError):
+            node_seeds(1, 3, mode="spawn")
         with pytest.raises(ValueError):
             node_seeds(1, -1)

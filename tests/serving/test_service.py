@@ -26,6 +26,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+import repro.models.network as network_module
 import repro.serving.service as service_mod
 from repro.runtime import ExecutionConfig, StoreWarning, request_key
 from repro.runtime.backend import SerialBackend
@@ -308,6 +309,24 @@ class TestProcessesBackend:
 # Job control: coalescing, cancellation, shutdown
 # ----------------------------------------------------------------------
 
+#: Events of :func:`gated_node_task`: set on the first node task, and
+#: waited on by every node task.
+NODE_GATE = {"started": threading.Event(), "release": threading.Event()}
+
+
+def gated_node_task(task):
+    """``simulate_node_task`` once :data:`NODE_GATE` is released.
+
+    Module-level, so its tasks have store keys.
+    """
+    from repro.models.wsn_node import simulate_node_task
+
+    NODE_GATE["started"].set()
+    if not NODE_GATE["release"].wait(30):
+        raise RuntimeError("gate never released")
+    return simulate_node_task(task)
+
+
 
 @pytest.fixture
 def gated(tmp_path, monkeypatch):
@@ -407,6 +426,29 @@ class TestJobControl:
         service.cancel(job.id)
         assert job.wait(10)
         assert job.state == "cancelled"
+        assert "cancelled" in job.error
+
+    def test_cancel_running_network_sweep(self, tmp_path, monkeypatch):
+        # A network sweep is one dispatch: a cancel lands at the next
+        # store checkpoint of its round, and the job ends cancelled.
+        monkeypatch.setattr(network_module, "simulate_node_task", gated_node_task)
+        sweep = {
+            "version": 2,
+            "name": "network-sweep",
+            "model": "network",
+            "params": {"nodes": 3, "horizon": 2.0, "sweep": True},
+            "execution": {"engine": "interpreted"},
+        }
+        NODE_GATE["started"].clear()
+        NODE_GATE["release"].clear()
+        with make_service(tmp_path) as service:
+            job, _ = service.submit({"scenario": sweep})
+            assert NODE_GATE["started"].wait(30), (job.state, job.error)
+            assert job.state == "running"
+            service.cancel(job.id)
+            NODE_GATE["release"].set()
+            assert job.wait(30)
+        assert job.state == "cancelled", job.error
         assert "cancelled" in job.error
 
     def test_close_cancels_queued_and_running(self, spinning):

@@ -644,3 +644,58 @@ class TestWorkerSubcommand:
 
 def lambda_free_square(x):
     return x * x
+
+
+class TestOnePoolPerRun:
+    """A CLI run owns one backend: one process pool for every round."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """``(built, shut down)`` process pools, in order."""
+        from concurrent.futures import ProcessPoolExecutor
+
+        built, closed = [], []
+        init, shutdown = ProcessPoolExecutor.__init__, ProcessPoolExecutor.shutdown
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        def counting_shutdown(self, *args, **kwargs):
+            closed.append(self)
+            shutdown(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting_init)
+        monkeypatch.setattr(ProcessPoolExecutor, "shutdown", counting_shutdown)
+        return built, closed
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["node-sweep", "--horizon", "2", "--ci-target", "0.02",
+             "--max-replications", "16"],
+            ["network", "--topology", "grid", "--grid", "4x4", "--horizon",
+             "2", "--sweep"],
+        ],
+        ids=["adaptive-node-sweep", "grid-network-sweep"],
+    )
+    def test_one_pool_per_run(self, pools, capsys, argv):
+        built, closed = pools
+        assert main([*argv, "--workers", "2"]) == 0
+        assert len(built) == 1
+        assert closed == built  # the run closed its pool on the way out
+
+    def test_pool_closed_on_error(self, pools, monkeypatch):
+        import repro.cli as cli
+
+        built, closed = pools
+
+        def fail(**kwargs):
+            kwargs["rx"].executor().map(abs, [-1, -2])
+            raise RuntimeError("run failed")
+
+        monkeypatch.setattr(cli, "run_node_sweep", fail)
+        with pytest.raises(RuntimeError, match="run failed"):
+            main(["node-sweep", "--workers", "2"])
+        assert len(built) == 1
+        assert closed == built

@@ -95,15 +95,6 @@ class TestChurnBitIdentity:
         )
         assert remote == serial
 
-    def test_spawn_seed_mode_shard_invariant(self):
-        runs = [
-            dynamic_network().simulate(
-                **RUN, exec_cfg=ExecutionConfig(workers=workers, seed_mode="spawn")
-            )
-            for workers in (1, 2)
-        ]
-        assert runs[0] == runs[1]
-
     def test_geometric_topology_shards_identically(self):
         net = dynamic_network(RandomGeometricTopology(30, seed=5))
         reference = net.simulate(horizon=5.0, seed=3, base_rate=0.2)
