@@ -136,7 +136,7 @@ def test_network_grid_scaling(benchmark):
             "  NetworkResult       : identical to serial (asserted)",
         ]
     )
-    _record_or_refuse("shard_scaling", text)
+    _record_or_refuse("network_grid_scaling", text)
 
 
 if __name__ == "__main__":

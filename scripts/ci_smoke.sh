@@ -176,10 +176,16 @@ smoke_engine() {
     engine_diff table 4 --horizon 20 --replications 2 --ci-target 0.05 \
         --max-replications 4
     # Network nodes join the ensemble: a churning, bursty cluster tree
-    # (one ensemble per churn epoch, quiet-state trickle on) ...
+    # (every alive segment a row of one ensemble, quiet-state trickle
+    # on) ...
     engine_diff network --topology cluster-tree --fanout 3 --depth 2 \
         --failure-rate 0.05 --duty-spread 0.3 --traffic bursty \
         --burst-off-fraction 0.2 --horizon 5 --base-rate 0.2 --seed 3
+    # ... a run long enough that nodes die, so its rows have segments
+    # of many lengths, each retiring at its own horizon ...
+    engine_diff network --topology cluster-tree --fanout 3 --depth 3 \
+        --failure-rate 0.02 --duty-spread 0.3 --traffic bursty \
+        --horizon 30 --seed 3
     # ... and every point of a grid threshold sweep.
     engine_diff network --topology grid --grid 3x3 --horizon 5 --sweep
     # Adaptive network replications: each round packs the nodes of

@@ -11,7 +11,7 @@ timed event:
 
 1. ``argmin`` over the ``[R, S]`` slot-time matrix picks each
    replication's next firing; replications whose next event lies beyond
-   the horizon (or that deadlocked — all slots idle) retire.
+   their own horizon (or that deadlocked — all slots idle) retire.
 2. Time-weighted statistics integrate the *resting* counts over each
    replication's elapsed interval (dt == 0 never contributes, matching
    the interpreted accumulator's ``if hi > lo`` guard bit for bit).
@@ -559,7 +559,8 @@ class _Ensemble:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    def run(self, horizon: float) -> None:
+    def run(self, horizon: np.ndarray) -> None:
+        """Step every row until it passes ``horizon[row]`` or deadlocks."""
         cn = self.cn
         sched, clock, warmup = self.sched, self.clock, self.warmup
         active = self._all
@@ -577,7 +578,7 @@ class _Ensemble:
             sub = sched[active]
             k = np.argmin(sub, axis=1)
             next_t = sub[np.arange(active.size), k]
-            alive = next_t <= horizon
+            alive = next_t <= horizon[active]
             if not alive.all():
                 retired = active[~alive]
                 dead = retired[np.isinf(next_t[~alive])]
@@ -640,11 +641,11 @@ class _Ensemble:
     # ------------------------------------------------------------------
     # Result hydration
     # ------------------------------------------------------------------
-    def finalize(self, horizon: float) -> None:
+    def finalize(self, horizon: np.ndarray) -> None:
         """Close every row's statistics at its end time."""
         # Deadlocked replications stop early, exactly like the
         # interpreted run(): their statistics close at the deadlock
-        # time, not the horizon.
+        # time, not their horizon.
         self.end = end = np.where(self.deadlocked, self.clock, horizon)
         lo = np.maximum(self.clock, self.warmup)
         dt = np.maximum(end - lo, 0.0)
@@ -754,7 +755,7 @@ class EnsembleResults(Sequence[SimulationResult]):
 
     @property
     def end_time(self) -> np.ndarray:
-        """Each row's end time (its deadlock time, else the horizon)."""
+        """Each row's end time (its deadlock time, else its horizon)."""
         if self._ensemble is None:
             return np.zeros(0)
         return self._column(self._ensemble.end).copy()
@@ -785,7 +786,7 @@ class EnsembleResults(Sequence[SimulationResult]):
 
 def run_ensemble(
     net: PetriNet,
-    horizon: float,
+    horizon: float | Sequence[float],
     seeds: Sequence[int] | None = None,
     *,
     rngs: Sequence[np.random.Generator] | None = None,
@@ -804,7 +805,9 @@ def run_ensemble(
         The net every row runs, compiled once; it must lie in the
         compilable subset.
     horizon:
-        Simulated time per replication.
+        Simulated time of every row, or one value per row: rows of
+        different horizons share the ensemble, and each retires at its
+        own.
     seeds / rngs:
         One seed (or ready generator) per replication.
     row_timing:
@@ -855,9 +858,16 @@ def run_ensemble(
     [5, 2]
     >>> [row.stats.firing_count("go") for row in rows]
     [5, 2]
+
+    The same rows, each with a horizon of its own:
+
+    >>> run_ensemble(net, [4.0, 10.0], [0, 1]).firing_count("go").tolist()
+    [2, 5]
     """
-    if not 0 < horizon < math.inf:
-        raise ValueError(f"horizon must be > 0 and finite, got {horizon}")
+    horizons = np.asarray(horizon, dtype=float)
+    bad = horizons[~((horizons > 0) & (horizons < math.inf))]
+    if bad.size:
+        raise ValueError(f"horizon must be > 0 and finite, got {bad[0]}")
     if (seeds is None) == (rngs is None):
         raise ValueError("give exactly one of seeds or rngs")
     if on_deadlock not in ("stop", "raise"):
@@ -881,8 +891,13 @@ def run_ensemble(
                 f"row_timing[{name!r}] has {len(dists)} distributions "
                 f"for {len(gen_list)} rows"
             )
+    if horizons.ndim and horizons.shape != (len(gen_list),):
+        raise ValueError(
+            f"horizon has {horizons.size} values for {len(gen_list)} rows"
+        )
     if not gen_list:
         return EnsembleResults(None)
+    horizons = np.broadcast_to(horizons, (len(gen_list),))
     ensemble = _Ensemble(
         compile_net(net),
         gen_list,
@@ -893,6 +908,6 @@ def run_ensemble(
         on_deadlock,
         max_immediate_firings,
     )
-    ensemble.run(float(horizon))
-    ensemble.finalize(float(horizon))
+    ensemble.run(horizons)
+    ensemble.finalize(horizons)
     return EnsembleResults(ensemble)

@@ -93,8 +93,8 @@ def _node_energy_ensemble_task(
 
     The ``engine="vectorized"`` batch form, through
     :func:`~repro.models.wsn_node.simulate_node_ensemble_task`: the
-    tasks must share ``workload`` and ``horizon``, and different rates
-    become per-row exponential arrival distributions.
+    tasks must share ``workload``, and different rates become per-row
+    exponential arrival distributions.
     """
     nodes = simulate_node_ensemble_task(tuple(map(_node_task, tasks)))
     return [r.total_energy_j for r in nodes]

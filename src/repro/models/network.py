@@ -42,10 +42,8 @@ from typing import TYPE_CHECKING, Any
 from ..energy.battery import LinearBattery, NodeLifetimeEstimator, PeukertBattery
 from .wsn_node import (
     NodeParameters,
-    WSNNodeModel,
     WSNNodeResult,
     simulate_node_ensemble_task,
-    simulate_node_ensembles,
     simulate_node_task,
 )
 
@@ -54,6 +52,7 @@ if TYPE_CHECKING:
     from ..runtime.config import ResolvedExecution
     from ..topology.dynamics import ChurnModel, ChurnReport, NodeSegment
     from ..topology.traffic import MMPPTraffic
+    from .workload import WorkloadGenerator
 
 __all__ = [
     "NetworkTopology",
@@ -344,24 +343,29 @@ class NetworkResult:
         return max(lifetimes) / lo if lo > 0 else float("inf")
 
 
-def _segment_model(
-    params: NodeParameters,
-    workload: str,
-    traffic: "MMPPTraffic | None",
-    seg: "NodeSegment",
-) -> WSNNodeModel:
-    """The node model of one alive segment, at its epoch's rate."""
-    return WSNNodeModel(
-        replace(params, arrival_rate=seg.rate),
-        traffic.workload(seg.rate) if traffic is not None else workload,
-    )
+#: A churned node's task: ``(params, workload, traffic, segments)``.
+_SegmentsTask = tuple[
+    NodeParameters, str, "MMPPTraffic | None", tuple["NodeSegment", ...]
+]
 
 
-def simulate_node_segments_task(
-    task: tuple[
-        NodeParameters, str, "MMPPTraffic | None", tuple["NodeSegment", ...]
-    ],
-) -> list[WSNNodeResult]:
+def _node_tasks(
+    task: _SegmentsTask,
+) -> list[tuple[NodeParameters, str | WorkloadGenerator, float, int]]:
+    """One :func:`simulate_node_task` tuple per alive segment of ``task``."""
+    params, workload, traffic, segments = task
+    return [
+        (
+            replace(params, arrival_rate=seg.rate),
+            traffic.workload(seg.rate) if traffic is not None else workload,
+            seg.duration_s,
+            seg.seed,
+        )
+        for seg in segments
+    ]
+
+
+def simulate_node_segments_task(task: _SegmentsTask) -> list[WSNNodeResult]:
     """Worker task: one churn-scheduled node, all its alive segments.
 
     ``task = (params, workload, traffic, segments)`` — the picklable
@@ -373,47 +377,22 @@ def simulate_node_segments_task(
     one task preserves the node-granular dispatch and result-store
     keying of the static path.
     """
-    params, workload, traffic, segments = task
-    return [
-        _segment_model(params, workload, traffic, seg).simulate(
-            seg.duration_s, seed=seg.seed
-        )
-        for seg in segments
-    ]
+    return [simulate_node_task(t) for t in _node_tasks(task)]
 
 
 def simulate_node_segments_ensemble_task(
-    tasks: tuple[
-        tuple[NodeParameters, str, "MMPPTraffic | None", tuple["NodeSegment", ...]],
-        ...,
-    ],
+    tasks: tuple[_SegmentsTask, ...],
 ) -> list[list[WSNNodeResult]]:
-    """:func:`simulate_node_segments_task` over many nodes, as ensembles.
+    """:func:`simulate_node_segments_task` over many nodes, as one ensemble.
 
     The ``engine="vectorized"`` batch form: returns
     ``[simulate_node_segments_task(t) for t in tasks]``, bit for bit.
-    Every segment of every task is one row, and the rows of each
-    distinct ``duration_s`` run as one
-    :func:`~repro.models.wsn_node.simulate_node_ensembles` call.  All
-    alive segments of one churn epoch share its duration, so an epoch
-    is one ensemble and no row needs a horizon of its own.
+    Every segment of every task is one row of a single
+    :func:`~repro.models.wsn_node.simulate_node_ensemble_task` call,
+    each row at its segment's own duration.
     """
-    rows = [
-        (seg.duration_s, _segment_model(params, workload, traffic, seg), seg.seed)
-        for params, workload, traffic, segments in tasks
-        for seg in segments
-    ]
-    by_duration: dict[float, list[int]] = {}
-    for j, (duration, _, _) in enumerate(rows):
-        by_duration.setdefault(duration, []).append(j)
-    results: list[WSNNodeResult | None] = [None] * len(rows)
-    for duration, js in by_duration.items():
-        groups = simulate_node_ensembles(
-            [rows[j][1] for j in js], [[rows[j][2]] for j in js], duration
-        )
-        for j, [result] in zip(js, groups):
-            results[j] = result
-    flat = iter(results)
+    rows = tuple(t for task in tasks for t in _node_tasks(task))
+    flat = iter(simulate_node_ensemble_task(rows))
     return [list(islice(flat, len(task[3]))) for task in tasks]
 
 

@@ -95,16 +95,13 @@ def simulate_node_ensemble_task(
     tasks, see :func:`simulate_node_ensembles`).  Consecutive tasks
     with the same ``params`` and ``workload`` become one model's rows,
     so network nodes whose bursty workloads differ in their rates
-    share the ensemble.  The tasks must share ``horizon``.
+    share the ensemble.  Each task keeps its own ``horizon``.
     """
-    from ..runtime.adaptive import shared_field
-
-    horizon = shared_field(tasks, 2, "horizon")
     runs = [list(run) for _, run in groupby(tasks, itemgetter(0, 1))]
     groups = simulate_node_ensembles(
         [WSNNodeModel(params, workload) for (params, workload, *_), *_ in runs],
         [[seed for *_, seed in run] for run in runs],
-        horizon,
+        [horizon for _, _, horizon, _ in tasks],
     )
     return [result for group in groups for result in group]
 
@@ -112,13 +109,14 @@ def simulate_node_ensemble_task(
 def simulate_node_ensembles(
     models: "Sequence[WSNNodeModel]",
     seeds: "Sequence[Sequence[int | None]]",
-    horizon: float,
+    horizon: "float | Sequence[float]",
     warmup: float = 0.0,
 ) -> "list[list[WSNNodeResult]]":
     """Every model's replications as rows of one lockstep ensemble.
 
-    ``models[k]`` runs at each seed of ``seeds[k]``.  The net is built
-    once, from ``models[0]``; the models may differ only in
+    ``models[k]`` runs at each seed of ``seeds[k]``.  ``horizon`` is
+    one value for every row or one per row, in seed order.  The net is
+    built once, from ``models[0]``; the models may differ only in
     ``power_down_threshold``, in the rates of their workload (an open,
     closed or MMPP workload's emit transitions become per-row timing,
     see :func:`_row_timing`) and in their power tables.  Anything else
@@ -126,7 +124,7 @@ def simulate_node_ensembles(
     Consecutive models with equal power tables account their rows at
     once from the ensemble's columns, so the result is bit-identical to
     ``[[m.simulate(horizon, seed=s, warmup=warmup) for s in group] for
-    m, group in zip(models, seeds)]``.
+    m, group in zip(models, seeds)]``, each row at its own horizon.
     """
     from ..core.fast import VectorPredicate, run_ensemble
     from ..runtime.adaptive import shared_field

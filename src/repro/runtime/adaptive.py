@@ -151,8 +151,9 @@ def run_replications(
         point's new replications in order (one task, with ``fold``) —
         and ``ensemble_fn(tasks)`` runs one tuple as one lockstep
         ensemble.  It must return ``[fn(t) for t in tasks]``, bit for
-        bit.  Tasks packed together must share their run-wide settings
-        (horizon, workload, warmup; see :func:`shared_field`).
+        bit.  Tasks packed together must share what shapes the net and
+        what their ``ensemble_fn`` cannot vary per row (workload,
+        warmup; see :func:`shared_field`); a horizon may differ per row.
     metrics:
         Maps one replication's value to the float (or several floats)
         whose interval must tighten; applied in the parent.
@@ -291,7 +292,8 @@ def shared_field(items: Sequence[Any], index: int | str, name: str) -> Any:
     """Field ``index`` of every ensemble item, which must agree.
 
     The items of one lockstep ensemble must share the run-wide
-    settings (horizon, workload, warmup) and what shapes the net.
+    settings (workload, warmup) and what shapes the net; their
+    horizons may differ.
     """
     value = items[0][index]
     for item in items[1:]:

@@ -18,6 +18,9 @@ from repro.core import (
     tokens_gt,
 )
 
+#: What every engine says of a horizon that is not > 0 and finite.
+_BAD_HORIZON = "horizon must be > 0 and finite"
+
 
 def chain_net(delay=1.0):
     """A -> B -> C with two deterministic transitions."""
@@ -83,11 +86,26 @@ class TestBasicTokenGame:
             with pytest.raises(ValueError, match="horizon"):
                 Simulation(chain_net(), seed=0).run(horizon)
 
-    @pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
-    def test_vectorized_kernel_rejects_non_finite_horizon(self, horizon):
+    @pytest.mark.parametrize(
+        "horizon, message",
+        [
+            pytest.param(float("nan"), _BAD_HORIZON, id="nan"),
+            pytest.param(float("inf"), _BAD_HORIZON, id="inf"),
+            # One horizon per row: every row's must be valid ...
+            pytest.param([5.0, 0.0], _BAD_HORIZON, id="row-zero"),
+            pytest.param([-1.0, 5.0], _BAD_HORIZON, id="row-negative"),
+            pytest.param([5.0, float("nan")], _BAD_HORIZON, id="row-nan"),
+            pytest.param([float("inf"), 5.0], _BAD_HORIZON, id="row-inf"),
+            # ... and there must be exactly one per row.
+            pytest.param([5.0], "horizon has 1 values for 2 rows", id="short"),
+            pytest.param([5.0] * 3, "horizon has 3 values for 2 rows", id="long"),
+            pytest.param([[5.0, 5.0]], "horizon has 2 values", id="2-d"),
+        ],
+    )
+    def test_vectorized_kernel_rejects_non_finite_horizon(self, horizon, message):
         from repro.core.fast import run_ensemble
 
-        with pytest.raises(ValueError, match="horizon"):
+        with pytest.raises(ValueError, match=message):
             run_ensemble(chain_net(), horizon, [0, 1])
 
     def test_max_firings_stops_early(self):

@@ -161,17 +161,21 @@ class TestFuzzerNetEquivalence:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
-    @given(random_closed_net())
-    def test_vectorized_matches_interpreted(self, net_and_seed):
+    @given(
+        random_closed_net(),
+        st.lists(st.floats(20.5, 300.0), min_size=2, max_size=2),
+    )
+    def test_vectorized_matches_interpreted(self, net_and_seed, horizons):
         net, seed = net_and_seed
         # The fuzzer nets are plain exponential SPNs — squarely inside
         # the compilable subset, so the declared mode is bit-identity
         # (tolerance 0), strictly stronger than the statistical
-        # tolerance the contract would allow.
+        # tolerance the contract would allow.  Each row runs to a
+        # horizon of its own, past the warm-up.
         seeds = [seed, seed + 1]
-        ensemble = run_ensemble(net, 300.0, seeds, warmup=20.0)
-        for s, vec in zip(seeds, ensemble):
-            ref = simulate(net, horizon=300.0, seed=s, warmup=20.0)
+        ensemble = run_ensemble(net, horizons, seeds, warmup=20.0)
+        for s, h, vec in zip(seeds, horizons, ensemble):
+            ref = simulate(net, horizon=h, seed=s, warmup=20.0)
             assert vec.firings == ref.firings
             assert vec.final_marking_counts == ref.final_marking_counts
             assert vec.end_time == ref.end_time
@@ -651,11 +655,34 @@ class TestPerRowEnsembles:
         with pytest.raises(ValueError):
             simulate_cpu_ensembles(models, [[1], [1]], 5.0)
 
-    def test_packed_items_must_share_the_horizon(self):
+    def test_packed_items_keep_their_own_horizon(self):
         p = NodeParameters()
         tasks = ((p, "closed", 5.0, 1), (p, "closed", 6.0, 2))
-        with pytest.raises(ValueError, match="differ in horizon"):
-            simulate_node_ensemble_task(tasks)
+        assert pickle.dumps(simulate_node_ensemble_task(tasks), 5) == pickle.dumps(
+            [simulate_node_task(t) for t in tasks], 5
+        )
+
+    def test_segments_of_three_durations_make_one_ensemble(self, monkeypatch):
+        import repro.core.fast as fast
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return run_ensemble(*args, **kwargs)
+
+        monkeypatch.setattr(fast, "run_ensemble", counted)
+        # Two churned nodes whose alive segments last 2, 3 and 1.5 s:
+        # every segment is one row of a single ensemble.
+        segments = (
+            (NodeSegment(0.0, 2.0, 1.0, 1), NodeSegment(2.0, 3.0, 0.5, 2)),
+            (NodeSegment(0.0, 2.0, 2.0, 3), NodeSegment(2.0, 1.5, 1.0, 4)),
+        )
+        tasks = tuple((NodeParameters(), "open", None, segs) for segs in segments)
+        results = simulate_node_segments_ensemble_task(tasks)
+        assert len(calls) == 1
+        assert list(calls[0]) == [2.0, 3.0, 2.0, 1.5]
+        assert results == [simulate_node_segments_task(t) for t in tasks]
 
     @staticmethod
     def _pair():
