@@ -83,7 +83,8 @@ def test_throughput_wide_net(benchmark):
 #: Scoreboard shape: the paper's 15-minute node horizon, with an
 #: ensemble size typical of an adaptive-replication sweep point.  The
 #: lockstep engine amortises its per-round overhead across the
-#: ensemble, so throughput grows with R (~2.8x at R=32, ~9x at R=128).
+#: ensemble, so throughput grows with R (measured ratios:
+#: docs/architecture.md, "When each wins").
 SCOREBOARD_HORIZON_S = scaled(900.0, 20.0)
 SCOREBOARD_REPLICATIONS = scaled(128, 4)
 SCOREBOARD_SEED = 2010

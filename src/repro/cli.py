@@ -690,13 +690,10 @@ def _text(*blocks: str) -> str:
 
 def _node_sweep_report(sweep, workload: str, title: str) -> str:
     """The Figs. 14/15 breakdown table, optimum summary and intervals."""
-    t_opt, e_opt = sweep.optimum()
+    best = sweep.summary()
     return _text(
         format_breakdown_sweep(sweep.thresholds, sweep.breakdowns, title=title),
-        format_optimum_summary(
-            workload, t_opt, e_opt,
-            sweep.savings_vs_immediate(), sweep.savings_vs_never(),
-        ),
+        format_optimum_summary(workload, *best),
     ) + _replication_ci(sweep)
 
 

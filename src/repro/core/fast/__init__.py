@@ -4,7 +4,8 @@ The interpreted engine (:mod:`repro.core.simulator`) advances one
 replication at a time with a per-event Python loop.  This package runs
 an *ensemble* of replications in lockstep as the rows of NumPy arrays:
 one round pops the next event of every row (an ``argmin`` over the
-slot-time matrix), fires the popped transitions grouped per transition,
+slot-time matrix), fires every row's popped transition with one flat
+add of its static deltas (plus FIFO ops where token order matters),
 resolves immediates by vectorized priority masks, and accumulates
 time-weighted statistics as array ops.  The net is compiled once for
 all rows; a per-row timing table (``row_timing``) gives chosen timed

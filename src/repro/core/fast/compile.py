@@ -2,16 +2,25 @@
 vectorized ensemble engine.
 
 Compilation turns the net's object graph into flat, replication-
-vectorizable structures:
+vectorizable structures over one combined per-row **state** vector of
+``n_state`` int64 columns: the token total of every place, then one
+count column per colour of every colour-observable place, then the
+free capacity of every bounded place, then a sentinel column that
+always holds 0.
 
 * a **colour universe** (every colour a token can ever carry, found by a
   static fixpoint over initial markings and output-arc colour rules),
-* per-transition **enabling closures** mapping ``(counts3, totals)``
-  arrays to an enabling-degree vector over replications,
-* per-transition **firing plans**: a static ``[P, C]`` count delta for
-  everything whose colours are known at compile time, plus explicit
-  FIFO-queue ops (pops / matched pops / pushes / colour forwards) for
-  the places where token *order* is observable,
+* one **degree table** per transition class (timed, immediate): padded
+  ``(column, offset, multiplicity)`` enabling terms, so one gather of
+  the state plus ``K - 1`` element-wise minima give every transition's
+  enabling degree for every row at once, and a gate closure per guarded
+  or inhibited transition,
+* one **delta table**: per transition, the padded ``(column, delta)``
+  list of the state entries a firing changes statically (padding adds 0
+  to the sentinel), so a round's firings apply as one flat add,
+* per-transition **firing plans**: explicit FIFO-queue ops (pops /
+  matched pops / pushes / colour forwards) for the places where token
+  *order* is observable,
 * the **slot layout** of timed transitions: one column per server slot,
   ordered by (timed definition order, slot) so a first-occurrence
   ``argmin`` reproduces the event calendar's deterministic tie policy.
@@ -36,7 +45,8 @@ it, or its tokens can flow (via the default-forwarding rule) into such
 a place.  Everywhere else — e.g. the WSN model's stage pipeline, where
 ``_forwarded_color`` drags job-class colours through places nothing
 ever inspects — colours collapse to ``None``: token counts, enabling,
-firing order and statistics are all provably unaffected.
+firing order and statistics are all provably unaffected, and the place
+needs no colour columns in the state.
 """
 
 from __future__ import annotations
@@ -63,29 +73,36 @@ from ..guards import (
 from ..net import PetriNet
 from ..transitions import INFINITE_SERVERS, MemoryPolicy, Transition
 
-__all__ = ["CompiledNet", "CompiledTransition", "FiringPlan", "compile_net"]
+__all__ = [
+    "CompiledNet",
+    "CompiledTransition",
+    "DegreeTable",
+    "FiringPlan",
+    "compile_net",
+]
 
 _COMPARE_OPS = frozenset(
     {operator.eq, operator.ne, operator.gt, operator.ge, operator.lt, operator.le}
 )
 
-# Degree closures return int64 vectors; guards bool vectors.
-DegreeFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# Gate closures map a gathered state block to a bool vector over rows.
+GateFn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class FiringPlan:
     """Everything one firing of a transition does, in executable form.
 
-    ``delta3`` / ``delta_tot`` carry every statically-coloured count
-    change as one array add.  Queue ops execute in arc order: all pops
-    (inputs) before all pushes (outputs), matching the interpreted
-    engine's withdraw-then-deposit sequence.
+    ``delta3`` / ``delta_tot`` carry every statically known count change
+    (totals change statically even where a FIFO decides the colour);
+    :func:`compile_net` lowers them into the net's delta table.  Queue
+    ops execute in arc order: all pops (inputs) before all pushes
+    (outputs), matching the interpreted engine's withdraw-then-deposit
+    sequence.
     """
 
-    delta3: np.ndarray  # [P, C] static count changes
-    delta_tot: np.ndarray  # [P]
-    has_static: bool
+    delta3: np.ndarray  # [P, C] static colour-count changes
+    delta_tot: np.ndarray  # [P] total-count changes
     # Unfiltered FIFO pops, arc order: (pop_ref, place_idx, multiplicity).
     pops: tuple[tuple[int, int, int], ...]
     # Oldest-matching pops (filtered consumption from a FIFO place):
@@ -97,10 +114,19 @@ class FiringPlan:
     # ("fwd", place, pop_ref).
     pushes: tuple[tuple[Any, ...], ...]
 
+    @property
+    def has_queue_ops(self) -> bool:
+        return bool(self.pops or self.pop_colors or self.forwards or self.pushes)
+
 
 @dataclass(frozen=True)
 class CompiledTransition:
-    """One transition, compiled: enabling closure plus firing plan."""
+    """One transition, compiled: its scheduling data plus firing plan.
+
+    Its enabling degree is a column of its class's :class:`DegreeTable`
+    (``cn.timed_degrees`` / ``cn.immediate_degrees``), in the order of
+    ``cn.timed`` / ``cn.immediates``.
+    """
 
     name: str
     index: int  # position in net.transitions (statistics key order)
@@ -110,13 +136,33 @@ class CompiledTransition:
     servers: int
     col0: int  # first slot column (timed only)
     distribution: FiringDistribution
-    degree: DegreeFn = field(repr=False)
     plan: FiringPlan = field(repr=False)
-    # Places whose counts feed this transition's enabling degree
-    # (inputs, inhibitors, guard reads, capacity-checked outputs).
-    dep_places: frozenset[int] = frozenset()
-    # Places whose counts change when this transition fires.
-    touch_places: frozenset[int] = frozenset()
+
+
+@dataclass(frozen=True)
+class DegreeTable:
+    """Enabling degrees of one transition class over the state, batched.
+
+    Transition ``j`` of the class has the degree ``min_k (state[cols[k
+    * n + j]] + offsets[k][j]) // mults[k][j]``, times each gate of
+    ``j``.  A term is an input arc (its place's total or colour column),
+    or the free capacity of a bounded output place (offset: the tokens
+    the firing itself removes there; the marking never exceeds a
+    capacity, so no term is negative).
+    A transition with no terms reads the sentinel with offset 1.  Rows
+    of fewer than ``K`` terms repeat their first one; minima do not
+    change.  ``offsets[k]`` / ``mults[k]`` are ``None`` where the whole
+    slice adds 0 / divides by 1.  ``cols`` ends with the total columns
+    of the places the gates read; a gate is ``(j, fn)`` where ``fn``
+    maps the gathered ``[rows, len(cols)]`` block to the rows whose
+    guard holds and whose inhibitors are below their multiplicity.
+    """
+
+    n: int
+    cols: np.ndarray
+    offsets: tuple[np.ndarray | None, ...]
+    mults: tuple[np.ndarray | None, ...]
+    gates: tuple[tuple[int, GateFn], ...] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -137,6 +183,16 @@ class CompiledNet:
     immediates: tuple[CompiledTransition, ...]  # priority-desc, stable
     n_slots: int
     slot_timed: np.ndarray  # [n_slots] -> index into ``timed``
+    # State layout: totals at [0, n_places), then these.
+    n_state: int
+    color_base: dict[int, int]  # observable place -> its colour-0 column
+    headroom: dict[int, int]  # bounded place -> its free-capacity column
+    timed_degrees: DegreeTable | None
+    immediate_degrees: DegreeTable | None
+    # Indexed by net transition index: a firing adds delta_vals[t] at
+    # state columns delta_cols[t] (padding: sentinel, 0).
+    delta_cols: np.ndarray  # [n_transitions, D]
+    delta_vals: np.ndarray  # [n_transitions, D]
 
     @property
     def n_places(self) -> int:
@@ -153,7 +209,8 @@ class CompiledNet:
 def _compile_guard(
     guard: Guard, place_index: dict[str, int], where: str
 ) -> Callable[[np.ndarray], np.ndarray] | None:
-    """Lower a guard to a ``totals -> bool[R]`` closure (None = TRUE)."""
+    """Lower a guard to a ``totals -> bool[R]`` closure (None = TRUE);
+    ``place_index`` maps each place it reads to its totals column."""
     if isinstance(guard, TrueGuard):
         return None
     if isinstance(guard, FalseGuard):
@@ -337,124 +394,101 @@ def _possible_colors(
 # ----------------------------------------------------------------------
 # Transition compilation
 # ----------------------------------------------------------------------
-def _compile_degree(
+def _terms(
     t: Transition,
     place_index: dict[str, int],
     color_index: dict[Any, int],
     possible: dict[str, frozenset[Any]],
-    capacities: dict[int, int],
-) -> DegreeFn:
-    """Lower :meth:`Simulation.enabling_degree` to vector form."""
-    where = t.name
-    inhibitors = tuple(
-        (place_index[a.place], a.multiplicity) for a in t.inhibitors
-    )
-    guard_fn = _compile_guard(t.guard, place_index, where)
-    inputs: list[tuple[str, int, Any, int]] = []
+    color_base: dict[int, int],
+    headroom: dict[int, int],
+    sentinel: int,
+) -> list[tuple[int, int, int]]:
+    """``(column, offset, multiplicity)`` enabling terms of ``t``.
+
+    The vector form of :meth:`Simulation.enabling_degree` without its
+    guard and inhibitors: one term per input arc, one per capacity-
+    checked output, and a constant 1 when there are neither.
+    """
+    terms: list[tuple[int, int, int]] = []
     for arc in t.inputs:
         p = place_index[arc.place]
-        accepted = _filter_colors(arc, where)
+        accepted = _filter_colors(arc, t.name)
         if accepted is None:
-            inputs.append(("any", p, None, arc.multiplicity))
-        else:
-            codes = sorted(
-                color_index[c] for c in accepted & possible[arc.place]
-            )
-            if len(codes) == 1:
-                inputs.append(("color", p, codes[0], arc.multiplicity))
-            else:
-                inputs.append(("colors", p, tuple(codes), arc.multiplicity))
-    caps: list[tuple[int, int, int, int]] = []
-    reset_places = {r.place for r in t.resets}
-    for arc in t.outputs:
-        p = place_index[arc.place]
-        if arc.place in reset_places or p not in capacities:
+            terms.append((p, 0, arc.multiplicity))
             continue
-        removed = sum(
-            a.multiplicity for a in t.inputs if a.place == arc.place
-        )
-        caps.append((p, capacities[p], arc.multiplicity, removed))
-    inputs_t = tuple(inputs)
-    caps_t = tuple(caps)
-
-    # Hot-path specialisation: the overwhelmingly common transition is
-    # "one unfiltered multiplicity-1 input, no inhibitors, no guard, no
-    # capacity check" — its degree is just the token count.
-    if (
-        not inhibitors
-        and guard_fn is None
-        and not caps_t
-        and len(inputs_t) == 1
-        and inputs_t[0][0] == "any"
-        and inputs_t[0][3] == 1
-    ):
-        p_only = inputs_t[0][1]
-        return lambda counts3, totals: totals[:, p_only]
-
-    def degree(counts3: np.ndarray, totals: np.ndarray) -> np.ndarray:
-        ok: np.ndarray | None = None
-        for p, m in inhibitors:
-            cond = totals[:, p] < m
-            ok = cond if ok is None else (ok & cond)
-        if guard_fn is not None:
-            g = guard_fn(totals)
-            ok = g if ok is None else (ok & g)
-        deg: np.ndarray | None = None
-        for kind, p, code, m in inputs_t:
-            if kind == "any":
-                avail = totals[:, p]
-            elif kind == "color":
-                avail = counts3[:, p, code]
-            else:
-                avail = counts3[:, p, list(code)].sum(axis=1)
-            d = avail // m if m != 1 else avail
-            deg = d if deg is None else np.minimum(deg, d)
-        for p, cap, m, removed in caps_t:
-            head = (cap - totals[:, p] + removed) // m
-            deg = head if deg is None else np.minimum(deg, head)
-        if deg is None:
-            deg = np.ones(totals.shape[0], dtype=np.int64)
-        elif caps_t:
-            # Only a capacity term can drive the degree negative.
-            deg = np.maximum(deg, 0)
-        if ok is not None:
-            deg = np.where(ok, deg, 0)
-        return deg
-
-    return degree
-
-
-def _dep_places(
-    t: Transition,
-    place_index: dict[str, int],
-    capacities: dict[int, int],
-) -> frozenset[int]:
-    """Places whose counts can change this transition's degree."""
-    deps: set[int] = set()
-    for arc in t.inputs:
-        deps.add(place_index[arc.place])
-    for arc in t.inhibitors:
-        deps.add(place_index[arc.place])
-    guard_deps = t.guard.dependencies()
-    if guard_deps is None:  # pragma: no cover - FunctionGuard is rejected
-        deps.update(place_index.values())
-    else:
-        deps.update(place_index[name] for name in guard_deps)
+        # At most one colour: _compile_plan refuses wider filters.
+        pool = accepted & possible[arc.place]
+        if pool:
+            code = color_index[next(iter(pool))]
+            terms.append((color_base[p] + code, 0, arc.multiplicity))
+        else:  # no token can ever match: never enabled
+            terms.append((sentinel, 0, 1))
     reset_places = {r.place for r in t.resets}
     for arc in t.outputs:
         p = place_index[arc.place]
-        if arc.place not in reset_places and p in capacities:
-            deps.add(p)
-    return frozenset(deps)
+        if arc.place in reset_places or p not in headroom:
+            continue
+        removed = sum(a.multiplicity for a in t.inputs if a.place == arc.place)
+        terms.append((headroom[p], removed, arc.multiplicity))
+    return terms or [(sentinel, 1, 1)]
 
 
-def _touch_places(plan: FiringPlan) -> frozenset[int]:
-    """Places whose counts change when a firing executes ``plan``."""
-    touched: set[int] = set(np.flatnonzero(plan.delta3.any(axis=1)))
-    touched.update(np.flatnonzero(plan.delta_tot))
-    touched.update(p for _, p, _ in plan.pops)
-    touched.update(p for p, _ in plan.forwards)
-    return frozenset(int(p) for p in touched)
+def _compile_gate(
+    t: Transition, gate_index: dict[str, int]
+) -> GateFn | None:
+    """Guard and inhibitors of ``t`` as one ``block -> bool[R]`` closure
+    (None = always open); ``gate_index`` maps place names to the block
+    columns that hold their totals."""
+    guard_fn = _compile_guard(t.guard, gate_index, t.name)
+    inhibitors = tuple(
+        (gate_index[a.place], a.multiplicity) for a in t.inhibitors
+    )
+    if not inhibitors:
+        return guard_fn
+
+    def gate(block: np.ndarray) -> np.ndarray:
+        ok = None if guard_fn is None else guard_fn(block)
+        for c, m in inhibitors:
+            cond = block[:, c] < m
+            ok = cond if ok is None else ok & cond
+        return ok
+
+    return gate
+
+
+def _degree_table(
+    transitions: list[Transition],
+    terms: list[list[tuple[int, int, int]]],
+    place_index: dict[str, int],
+) -> DegreeTable | None:
+    """Pad one class's terms into a :class:`DegreeTable`."""
+    if not transitions:
+        return None
+    n = len(transitions)
+    k_max = max(len(ts) for ts in terms)
+    padded = [ts + [ts[0]] * (k_max - len(ts)) for ts in terms]
+    table = np.array(padded, dtype=np.int64).transpose(1, 2, 0)  # [K, 3, n]
+    cols, offsets, mults = table[:, 0], table[:, 1], table[:, 2]
+    gate_places: list[str] = []
+    for t in transitions:
+        reads = [a.place for a in t.inhibitors]
+        reads += sorted(t.guard.dependencies() or ())
+        gate_places += [name for name in reads if name not in gate_places]
+    gate_index = {name: k_max * n + i for i, name in enumerate(gate_places)}
+    gates = []
+    for j, t in enumerate(transitions):
+        fn = _compile_gate(t, gate_index)
+        if fn is not None:
+            gates.append((j, fn))
+    return DegreeTable(
+        n=n,
+        cols=np.concatenate(
+            [cols.ravel(), [place_index[name] for name in gate_places]]
+        ).astype(np.int64),
+        offsets=tuple(o if o.any() else None for o in offsets),
+        mults=tuple(m if (m != 1).any() else None for m in mults),
+        gates=tuple(gates),
+    )
 
 
 def _compile_plan(
@@ -499,6 +533,7 @@ def _compile_plan(
                 )
             ref = len(pops)
             pops.append((ref, p, arc.multiplicity))
+            delta_tot[p] -= arc.multiplicity
             arc_sources.append((arc, "pop", ref))
             continue
         if len(pool) > 1:
@@ -617,13 +652,9 @@ def _compile_plan(
                 "FIFO-popped non-None consumed tokens)",
                 where,
             )
-    # delta_tot also carries the (statically known) total change of
-    # forwarded deposits and FIFO-matched pops, so check both.
-    has_static = bool(delta3.any() or delta_tot.any())
     return FiringPlan(
         delta3=delta3,
         delta_tot=delta_tot,
-        has_static=has_static,
         pops=tuple(pops),
         pop_colors=tuple(pop_colors),
         forwards=tuple(forwards),
@@ -668,10 +699,19 @@ def compile_net(net: PetriNet) -> CompiledNet:
             ):
                 queued.add(place_index[arc.place])
 
+    # State layout: [totals | colour counts | free capacity | sentinel].
+    n_places, n_colors = len(place_names), len(ordered)
+    color_base = {
+        p: n_places + n_colors * i
+        for i, p in enumerate(sorted(place_index[name] for name in observable))
+    }
+    width = n_places + n_colors * len(color_base)
+    headroom = {p: width + i for i, p in enumerate(sorted(capacities))}
+    sentinel = width + len(headroom)
+
     def compiled(
         index: int, t: Transition, servers: int, col0: int
     ) -> CompiledTransition:
-        degree = _compile_degree(t, place_index, color_index, possible, capacities)
         plan = _compile_plan(
             t,
             place_index,
@@ -679,8 +719,8 @@ def compile_net(net: PetriNet) -> CompiledNet:
             possible,
             observable,
             frozenset(queued),
-            len(place_names),
-            len(ordered),
+            n_places,
+            n_colors,
         )
         return CompiledTransition(
             name=t.name,
@@ -691,10 +731,7 @@ def compile_net(net: PetriNet) -> CompiledNet:
             servers=servers,
             col0=col0,
             distribution=t.distribution,
-            degree=degree,
             plan=plan,
-            dep_places=_dep_places(t, place_index, capacities),
-            touch_places=_touch_places(plan),
         )
 
     timed: list[CompiledTransition] = []
@@ -725,6 +762,36 @@ def compile_net(net: PetriNet) -> CompiledNet:
     )
     immediates = [compiled(index, t, 1, -1) for index, t in ordered_imm]
 
+    def table(group: list[CompiledTransition]) -> DegreeTable | None:
+        transitions = [net.transitions[ct.index] for ct in group]
+        terms = [
+            _terms(
+                t, place_index, color_index, possible, color_base, headroom,
+                sentinel,
+            )
+            for t in transitions
+        ]
+        return _degree_table(transitions, terms, place_index)
+
+    # The delta table, by net transition index: every static change of a
+    # firing, totals, colour counts and free capacity alike.
+    entries: list[list[tuple[int, int]]] = [[] for _ in net.transitions]
+    for ct in timed + immediates:
+        plan, out = ct.plan, entries[ct.index]
+        for p in np.flatnonzero(plan.delta_tot):
+            d = int(plan.delta_tot[p])
+            out.append((int(p), d))
+            if p in headroom:
+                out.append((headroom[p], -d))
+        for p, c in zip(*np.nonzero(plan.delta3)):
+            if p in color_base:
+                out.append((color_base[p] + int(c), int(plan.delta3[p, c])))
+    width_d = max([len(e) for e in entries] + [1])
+    delta = np.array(
+        [e + [(sentinel, 0)] * (width_d - len(e)) for e in entries],
+        dtype=np.int64,
+    ).reshape(len(entries), width_d, 2)
+
     return CompiledNet(
         net=net,
         place_names=place_names,
@@ -740,4 +807,11 @@ def compile_net(net: PetriNet) -> CompiledNet:
         immediates=tuple(immediates),
         n_slots=col,
         slot_timed=np.asarray(slot_timed, dtype=np.int64),
+        n_state=sentinel + 1,
+        color_base=color_base,
+        headroom=headroom,
+        timed_degrees=table(timed),
+        immediate_degrees=table(immediates),
+        delta_cols=delta[:, :, 0].copy(),
+        delta_vals=delta[:, :, 1].copy(),
     )

@@ -1,10 +1,11 @@
 """The lockstep ensemble engine: many replications as the rows of NumPy
 arrays.
 
-All rows run one compiled net (places, transitions, firing plans,
-enabling closures).  A per-row timing table may give chosen timed
-transitions a different distribution in each row, so the rows of a
-whole parameter sweep run together.
+All rows run one compiled net (see :mod:`repro.core.fast.compile`) and
+keep their marking as the rows of one ``[R, n_state]`` int64 state
+array.  A per-row timing table may give chosen timed transitions a
+different distribution in each row, so the rows of a whole parameter
+sweep run together.
 
 One *round* advances every still-active replication by exactly one
 timed event:
@@ -15,16 +16,27 @@ timed event:
 2. Time-weighted statistics integrate the *resting* counts over each
    replication's elapsed interval (dt == 0 never contributes, matching
    the interpreted accumulator's ``if hi > lo`` guard bit for bit).
-3. Popped transitions fire grouped per transition (one static-delta
-   array add per group, plus explicit FIFO ops for order-observable
-   places), guarded by the same defensive scheduled-but-stale degree
-   check as :meth:`Simulation.step`.
-4. The immediate phase loops: enabling masks per immediate, best
-   priority per replication, and — only for replications with a genuine
-   tie — the interpreted engine's exact weighted ``rng.choice`` call.
-5. Timed schedules refresh in net definition order, drawing per-
-   replication delays from each row's own distribution with its own
-   generator, in the interpreted engine's draw order.
+3. Each popped slot's transition fires unless the degrees cached by the
+   last refresh say it was disabled (the same defensive
+   scheduled-but-stale check as :meth:`Simulation.step`).  A firing
+   step applies every row's static deltas as one flat add through the
+   net's delta table (each row fires at most once per step), then the
+   FIFO ops of the transitions that have any, per transition.
+4. The immediate phase loops: one degree-table evaluation gives every
+   immediate's enabling for every remaining row, the first enabled one
+   in priority order wins, and only rows with a genuine equal-priority
+   tie make the interpreted engine's exact weighted ``rng.choice``
+   call.  Every immediate is evaluated every round: one whose places
+   no firing touched is still disabled, so the result is the same as
+   evaluating only the touched ones.
+5. The timed refresh evaluates every timed transition's degree at once
+   and stops and starts all single-server slots as one ``[R, T]``
+   block: deterministic delays come from a per-row delay matrix, and
+   stochastic single-server and all multi-server transitions then draw
+   per row with each row's own generator, in net definition order —
+   the interpreted engine's draw order.  An unchanged, unpopped
+   transition already has as many live slots as it wants, so it
+   starts and stops nothing.
 
 Every replication owns a private ``default_rng(seed)``; cross-
 replication interleaving never touches the streams, which is what makes
@@ -54,7 +66,13 @@ from ..statistics import (
     PredicateStatistic,
     StatisticsCollector,
 )
-from .compile import CompiledNet, CompiledTransition, compile_net
+from .compile import (
+    CompiledNet,
+    CompiledTransition,
+    DegreeTable,
+    FiringPlan,
+    compile_net,
+)
 
 __all__ = [
     "EnsembleCounts",
@@ -69,18 +87,22 @@ class EnsembleCounts:
 
     Handed to :class:`VectorPredicate` functions; arithmetic over the
     returned arrays vectorizes naturally (``m.count("A") + m.count("B")
-    > 0`` yields a boolean vector).
+    > 0`` yields a boolean vector).  Only the places a predicate reads
+    are gathered, for the selected ``rows``.
     """
 
-    __slots__ = ("_totals", "_index")
+    __slots__ = ("_totals", "_index", "_rows")
 
-    def __init__(self, totals: np.ndarray, index: dict[str, int]) -> None:
+    def __init__(
+        self, totals: np.ndarray, index: dict[str, int], rows: np.ndarray
+    ) -> None:
         self._totals = totals
         self._index = index
+        self._rows = rows
 
     def count(self, place: str) -> np.ndarray:
-        """Token counts of ``place`` across the (selected) replications."""
-        return self._totals[:, self._index[place]]
+        """Token counts of ``place`` across the selected replications."""
+        return self._totals[self._rows, self._index[place]]
 
 
 class VectorPredicate:
@@ -183,13 +205,13 @@ class _ColorQueue:
 def _initial_state(
     cn: CompiledNet, initial_marking: Mapping[str, Any] | None
 ) -> tuple[np.ndarray, dict[int, list[int]]]:
-    """``[P, C]`` initial counts and FIFO contents of a compiled net.
+    """The ``[n_state]`` initial state and FIFO contents of a compiled net.
 
     Read through the engine's own Marking so overrides, capacities and
     colour order behave exactly as in the interpreted engine.
     """
     marking = cn.net.initial_marking(initial_marking)
-    base3 = np.zeros((cn.n_places, cn.n_colors), dtype=np.int64)
+    state = np.zeros(cn.n_state, dtype=np.int64)
     init_queues: dict[int, list[int]] = {}
     for name, p in cn.place_index.items():
         colors = marking.bag(name).colors()
@@ -207,10 +229,14 @@ def _initial_state(
                     "colour pool of this place",
                     name,
                 )
-            base3[p, cn.color_index[c]] += 1
+            if p in cn.color_base:
+                state[cn.color_base[p] + cn.color_index[c]] += 1
+        state[p] = len(colors)
         if p in cn.queued_places:
             init_queues[p] = [cn.color_index[c] for c in colors]
-    return base3, init_queues
+    for p, col in cn.headroom.items():
+        state[col] = cn.capacities[p] - state[p]
+    return state, init_queues
 
 
 class _Ensemble:
@@ -233,29 +259,63 @@ class _Ensemble:
         self.on_deadlock = on_deadlock
         self.max_immediate_firings = int(max_immediate_firings)
         reps = len(rngs)
-        base3, init_queues = _initial_state(cn, initial_marking)
+        n_places = cn.n_places
+        state0, init_queues = _initial_state(cn, initial_marking)
+        self.state = np.repeat(state0[None, :], reps, axis=0)
+        self.flat = self.state.reshape(-1)  # a view: row r, column c at r * n_state + c
+        self.totals = self.state[:, :n_places]  # a view
+        self.queues = {
+            p: _ColorQueue(reps, init_queues.get(p, []))
+            for p in cn.queued_places
+        }
+        # Plans of the transitions with FIFO ops, by net index.
+        self.plans = {
+            ct.index: ct.plan
+            for ct in cn.timed + cn.immediates
+            if ct.plan.has_queue_ops
+        }
+        self.has_queue = np.zeros(len(cn.transition_names), dtype=bool)
+        self.has_queue[list(self.plans)] = True
         # Per-row timing of every timed transition: a delay vector when
         # every row is deterministic (no draw), else one distribution
-        # per row, sampled with that row's own generator.
+        # per row, sampled with that row's own generator.  The single-
+        # server slots take their deterministic delays from one [R, T]
+        # matrix (NaN where a draw decides); transitions that draw or
+        # have several servers refresh per row, in definition order.
         self.timing: list[np.ndarray | list[Any]] = []
-        for ct in cn.timed:
+        single = [u for u, ct in enumerate(cn.timed) if ct.servers == 1]
+        self.single_pos = np.array(single, dtype=np.int64)
+        self.single_cols = np.array(
+            [cn.timed[u].col0 for u in single], dtype=np.int64
+        )
+        self.all_single = len(single) == cn.n_slots
+        self.delay = np.full((reps, len(single)), np.nan)
+        self.per_row: list[tuple[int, int]] = []  # (timed position, block column)
+        for u, ct in enumerate(cn.timed):
             dists = row_timing.get(ct.name, [ct.distribution] * reps)
             if all(d.is_deterministic for d in dists):
                 self.timing.append(np.array([d.delay for d in dists]))
             else:
                 self.timing.append(list(dists))
-        self.counts3 = np.repeat(base3[None, :, :], reps, axis=0)
-        self.totals = self.counts3.sum(axis=2)
-        # Every step reads the counts of a subset of rows: gathered into
-        # these, not into a fresh copy per read (see _gather).
-        self._counts3_rows = np.empty_like(self.counts3)
-        self._totals_rows = np.empty_like(self.totals)
-        self.queues = {
-            p: _ColorQueue(reps, init_queues.get(p, []))
-            for p in cn.queued_places
-        }
+            j = single.index(u) if ct.servers == 1 else -1
+            if j < 0 or isinstance(self.timing[u], list):
+                self.per_row.append((u, j))
+            else:
+                self.delay[:, j] = self.timing[u]
+        self.timed_index = np.array(
+            [ct.index for ct in cn.timed], dtype=np.int64
+        )
+        self.imm_index = np.array(
+            [ct.index for ct in cn.immediates], dtype=np.int64
+        )
+        prios = [ct.priority for ct in cn.immediates]
+        self.imm_priority = np.array(prios, dtype=np.int64)
+        self.imm_ties = len(set(prios)) < len(prios)  # a tie is possible
         self.clock = np.zeros(reps)
         self.sched = np.full((reps, cn.n_slots), np.inf)
+        # Whether each timed transition was enabled at the row's last
+        # refresh: its degree cannot change before the next pop.
+        self.enabled = np.zeros((reps, len(cn.timed)), dtype=bool)
         self.firings = np.zeros(reps, dtype=np.int64)
         self.firing_counts = np.zeros(
             (reps, len(cn.transition_names)), dtype=np.int64
@@ -269,10 +329,14 @@ class _Ensemble:
         # Statistics arrays (see TimeWeightedAccumulator): one shared
         # observed-time vector — every accumulator of a replication sees
         # the same update times.
-        self.integral = np.zeros((reps, cn.n_places))
-        self.nonzero_time = np.zeros((reps, cn.n_places))
+        self.integral = np.zeros((reps, n_places))
+        self.nonzero_time = np.zeros((reps, n_places))
         self.observed = np.zeros(reps)
-        self.max_counts = self.totals.copy()
+        # Running maxima of the totals, in the state's layout so a
+        # firing's delta columns index them too (the other columns are
+        # never read).  max >= totals always holds, so only a total the
+        # firing changed can raise its maximum.
+        self.max_counts = self.state.copy()
         self.preds: list[tuple[str, Any, bool]] = []
         self.pred_value: dict[str, np.ndarray] = {}
         self.pred_integral: dict[str, np.ndarray] = {}
@@ -287,20 +351,15 @@ class _Ensemble:
         self._eval_predicates(self._all)
         for name in self.pred_value:
             self.pred_max[name] = self.pred_value[name].copy()
-
-    def _gather(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``counts3[idx]`` and ``totals[idx]``, valid until the next call.
-
-        Written into buffers the ensemble keeps for its whole run, so
-        the per-step reads allocate nothing: per-step copies of up to a
-        megabyte each made glibc trim and fault in the same heap pages
-        again and again.
-        """
-        n = idx.size
-        return (
-            np.take(self.counts3, idx, axis=0, out=self._counts3_rows[:n], mode="clip"),
-            np.take(self.totals, idx, axis=0, out=self._totals_rows[:n], mode="clip"),
-        )
+        # Time 0, as Simulation._initialize: immediates settle, then the
+        # enabled timed transitions are scheduled.
+        self._immediate_phase(self._all)
+        if cn.n_slots:
+            self._refresh_timed(self._all)
+        # Buffers of the per-step integration (see _integrate).
+        self._totals_rows = np.empty((reps, n_places), dtype=np.int64)
+        self._part_rows = np.empty((reps, n_places))
+        self._acc_rows = np.empty((reps, n_places))
 
     # ------------------------------------------------------------------
     # Predicates
@@ -310,9 +369,7 @@ class _Ensemble:
             return
         for name, spec, vector in self.preds:
             if vector:
-                counts = EnsembleCounts(
-                    self.totals[idx], self.cn.place_index
-                )
+                counts = EnsembleCounts(self.totals, self.cn.place_index, idx)
                 vals = np.asarray(spec.fn(counts), dtype=bool).astype(float)
             else:
                 view = _ScalarCounts(self.totals, self.cn.place_index)
@@ -328,36 +385,72 @@ class _Ensemble:
             )
 
     # ------------------------------------------------------------------
+    # Enabling
+    # ------------------------------------------------------------------
+    def _degrees(self, table: DegreeTable, idx: np.ndarray) -> np.ndarray:
+        """``[len(idx), table.n]`` enabling degrees of one class."""
+        n = table.n
+        block = self.flat[idx[:, None] * self.cn.n_state + table.cols]
+        deg = None
+        for k, (off, mult) in enumerate(zip(table.offsets, table.mults)):
+            term = block[:, k * n : (k + 1) * n]
+            if off is not None:
+                term = term + off
+            if mult is not None:
+                term = term // mult
+            deg = term if deg is None else np.minimum(deg, term)
+        for j, gate in table.gates:
+            deg[:, j] *= gate(block)
+        return deg
+
+    # ------------------------------------------------------------------
     # Firing
     # ------------------------------------------------------------------
-    def _fire(self, ct: CompiledTransition, idx: np.ndarray) -> None:
-        """Apply one firing of ``ct`` for every replication in ``idx``.
+    def _fire(self, rows: np.ndarray, tids: np.ndarray) -> None:
+        """Fire transition ``tids[a]`` (a net index) in row ``rows[a]``.
 
-        Pure marking mutation; callers batch the per-firing statistics
-        via :meth:`_post_fire` once per lockstep iteration (each
-        replication fires at most once per iteration, so batching
-        observes exactly the same post-firing states the interpreted
-        engine samples).
+        Each row fires once, so one flat add applies every row's static
+        deltas (distinct rows, distinct columns; only the padding
+        repeats the sentinel, adding 0).  Then the per-firing
+        statistics, which see exactly the post-firing states the
+        interpreted engine samples.
         """
-        counts3, totals = self.counts3, self.totals
-        plan = ct.plan
+        cn, flat = self.cn, self.flat
+        at = (rows * cn.n_state)[:, None] + cn.delta_cols[tids]
+        after = flat[at] + cn.delta_vals[tids]
+        flat[at] = after
+        maxima = self.max_counts.reshape(-1)
+        maxima[at] = np.maximum(maxima[at], after)
+        queued = self.has_queue[tids]
+        if queued.any():
+            q_rows, q_tids = rows[queued], tids[queued]
+            for t in np.flatnonzero(np.bincount(q_tids)):
+                self._queue_ops(self.plans[t], q_rows[q_tids == t])
+        self.firings[rows] += 1
+        counts = self.firing_counts
+        at = rows * counts.shape[1] + tids
+        if self.warmup > 0.0:
+            at = at[self.clock[rows] >= self.warmup]
+        counts.reshape(-1)[at] += 1
+        self._eval_predicates(rows)
+
+    def _queue_ops(self, plan: FiringPlan, idx: np.ndarray) -> None:
+        """The FIFO ops of one firing of ``plan`` in every row of ``idx``."""
+        flat, width = self.flat, self.cn.n_state
+        color_base = self.cn.color_base
         popped: dict[int, np.ndarray] = {}
         for ref, p, mult in plan.pops:
             q = self.queues[p]
             for _ in range(mult):
                 codes = q.pop(idx)
-                counts3[idx, p, codes] -= 1
-                totals[idx, p] -= 1
+                flat[idx * width + color_base[p] + codes] -= 1
             popped[ref] = codes
         for p, code, mult in plan.pop_colors:
             q = self.queues[p]
             for _ in range(mult):
                 q.pop_matching(idx, code)
-        if plan.has_static:
-            counts3[idx] += plan.delta3
-            totals[idx] += plan.delta_tot
         for p, ref in plan.forwards:
-            counts3[idx, p, popped[ref]] += 1
+            flat[idx * width + color_base[p] + popped[ref]] += 1
         for op in plan.pushes:
             if op[0] == "static":
                 _, p, code, mult = op
@@ -367,153 +460,94 @@ class _Ensemble:
                 _, p, ref = op
                 self.queues[p].push(idx, popped[ref])
 
-    def _post_fire(self, rows: np.ndarray, cols: np.ndarray) -> None:
-        """Per-firing statistics for one iteration's firings.
-
-        ``rows`` are the replications that fired (each exactly once this
-        iteration); ``cols`` the fired transition's index per row.
-        """
-        self.firings[rows] += 1
-        if self.warmup > 0.0:
-            counted = self.clock[rows] >= self.warmup
-            self.firing_counts[rows[counted], cols[counted]] += 1
-        else:
-            self.firing_counts[rows, cols] += 1
-        self.max_counts[rows] = np.maximum(
-            self.max_counts[rows], self.totals[rows]
-        )
-        self._eval_predicates(rows)
-
     # ------------------------------------------------------------------
     # Immediate phase
     # ------------------------------------------------------------------
-    def _immediate_phase(
-        self, idx: np.ndarray, touched: set[int] | None = None
-    ) -> None:
+    def _immediate_phase(self, idx: np.ndarray) -> None:
         """Fire enabled immediates until none remain, in lockstep.
 
-        ``touched`` — the places whose counts changed since the last
-        completed immediate phase — lets us skip immediates that were
-        provably left disabled: an immediate whose dependency places
-        are all untouched cannot have become enabled.  ``None`` means
-        "unknown, evaluate everything" (the initial phase).  The set is
-        updated in place as immediates fire.
+        Each pass fires one immediate in every row that has one enabled,
+        so a row still in the loop after ``i`` passes has fired ``i``.
         """
         cn = self.cn
-        if not cn.immediates:
+        table = cn.immediate_degrees
+        if table is None:
             return
-        fired = np.zeros(self.clock.shape[0], dtype=np.int64)
         rem = idx
+        passes = 0
         while rem.size:
-            if touched is None:
-                cand_ids = list(range(len(cn.immediates)))
-            else:
-                cand_ids = [
-                    i
-                    for i, ct in enumerate(cn.immediates)
-                    if not touched.isdisjoint(ct.dep_places)
-                ]
-            if not cand_ids:
-                return
-            counts3, totals = self._gather(rem)
-            enab = np.zeros((len(cand_ids), rem.size), dtype=bool)
-            prios = np.empty(len(cand_ids))
-            for row, i in enumerate(cand_ids):
-                ct = cn.immediates[i]
-                enab[row] = ct.degree(counts3, totals) > 0
-                prios[row] = ct.priority
-            any_enabled = enab.any(axis=0)
-            rem = rem[any_enabled]
-            if not rem.size:
-                return
-            enab = enab[:, any_enabled]
-            masked = np.where(enab, prios[:, None], -np.inf)
-            best = masked.max(axis=0)
-            cand = enab & (masked == best)
-            n_cand = cand.sum(axis=0)
-            chosen = np.argmax(cand, axis=0)
-            for a in np.flatnonzero(n_cand > 1):
-                # Replicates Simulation._fire_immediates exactly: the
-                # candidate list is the priority-sorted immediates
-                # restricted to the tie, weights normalised the same
-                # way, drawn from this replication's own stream.
-                r = rem[a]
-                c_list = np.flatnonzero(cand[:, a])
-                weights = np.array(
-                    [cn.immediates[cand_ids[i]].weight for i in c_list]
-                )
-                j = int(
-                    self.rngs[r].choice(
-                        len(c_list), p=weights / weights.sum()
+            enab = self._degrees(table, rem) > 0
+            any_enabled = enab.any(axis=1)
+            if not any_enabled.all():
+                rem = rem[any_enabled]
+                if not rem.size:
+                    return
+                enab = enab[any_enabled]
+            # Immediates are sorted by priority, descending: the first
+            # enabled one has the best priority of its row.
+            chosen = np.argmax(enab, axis=1)
+            if self.imm_ties:
+                prio = self.imm_priority
+                cand = enab & (prio == prio[chosen][:, None])
+                for a in np.flatnonzero(cand.sum(axis=1) > 1):
+                    # Replicates Simulation._fire_immediates exactly: the
+                    # candidate list is the priority-sorted immediates
+                    # restricted to the tie, weights normalised the same
+                    # way, drawn from this replication's own stream.
+                    c_list = np.flatnonzero(cand[a])
+                    weights = np.array(
+                        [cn.immediates[i].weight for i in c_list]
                     )
-                )
-                chosen[a] = c_list[j]
-            imm_index = np.empty(len(cand_ids), dtype=np.int64)
-            for u in np.unique(chosen):
-                ct = cn.immediates[cand_ids[u]]
-                imm_index[u] = ct.index
-                self._fire(ct, rem[chosen == u])
-                if touched is not None:
-                    touched.update(ct.touch_places)
-            self._post_fire(rem, imm_index[chosen])
-            fired[rem] += 1
-            over = rem[fired[rem] > self.max_immediate_firings]
-            if over.size:
+                    j = int(
+                        self.rngs[rem[a]].choice(
+                            len(c_list), p=weights / weights.sum()
+                        )
+                    )
+                    chosen[a] = c_list[j]
+            self._fire(rem, self.imm_index[chosen])
+            passes += 1
+            if passes > self.max_immediate_firings:
                 raise ImmediateLoopError(
-                    float(self.clock[over[0]]), self.max_immediate_firings
+                    float(self.clock[rem[0]]), self.max_immediate_firings
                 )
 
     # ------------------------------------------------------------------
     # Timed refresh
     # ------------------------------------------------------------------
-    def _refresh_timed(
-        self,
-        idx: np.ndarray,
-        touched: set[int] | None = None,
-        popped: set[int] | None = None,
-    ) -> None:
-        """Re-align every timed schedule with the current enabling.
-
-        A transition can be skipped when no replication changed any of
-        its dependency places this round (its degree — and therefore
-        its want/have balance — is unchanged for every row) *and* none
-        of its slots was consumed by the argmin pop (``popped`` holds
-        indices into ``cn.timed`` whose event fired or staled this
-        round; their slot went idle and may need a restart draw even
-        with an unchanged degree, e.g. a self-loop source transition).
-        Skipping never skips an RNG draw the interpreted engine would
-        make: an unchanged degree with untouched slots starts nothing.
-        """
-        counts3, totals = self._gather(idx)
+    def _refresh_timed(self, idx: np.ndarray) -> None:
+        """Re-align every timed schedule of rows ``idx`` with the current
+        enabling, starting and stopping every single-server slot at once."""
+        cn = self.cn
+        deg = self._degrees(cn.timed_degrees, idx)
+        enabled = deg > 0
+        self.enabled[idx] = enabled
         sched, clock, rngs = self.sched, self.clock, self.rngs
-        for u, ct in enumerate(self.cn.timed):
-            if (
-                touched is not None
-                and touched.isdisjoint(ct.dep_places)
-                and (popped is None or u not in popped)
-            ):
-                continue
-            deg = ct.degree(counts3, totals)
-            if ct.servers == 1:
-                col = ct.col0
-                cur = sched[idx, col]
-                live = np.isfinite(cur)
-                want = deg > 0
-                stop = live & ~want
-                if stop.any():
-                    sched[idx[stop], col] = np.inf
-                start = want & ~live
-                if not start.any():
-                    continue
-                started = idx[start]
-                timing = self.timing[u]
-                if isinstance(timing, np.ndarray):
-                    sched[started, col] = clock[started] + timing[started]
-                else:
-                    for r in started:
-                        sched[r, col] = clock[r] + timing[r].sample(rngs[r])
+        if self.all_single:
+            cur, want = sched[idx], enabled
+        else:
+            cur = sched[np.ix_(idx, self.single_cols)]
+            want = enabled[:, self.single_pos]
+        live = cur < np.inf
+        stop = live & ~want
+        start = want & ~live
+        starts = start.any()
+        if starts or stop.any():
+            new = np.where(stop, np.inf, cur)
+            if starts:
+                now = clock[idx][:, None] + self.delay[idx]
+                new = np.where(start, now, new)
+            if self.all_single:
+                sched[idx] = new
             else:
-                self._refresh_multi_server(ct, self.timing[u], idx, deg)
+                sched[np.ix_(idx, self.single_cols)] = new
+        for u, j in self.per_row:
+            ct, timing = cn.timed[u], self.timing[u]
+            if j < 0:
+                self._refresh_multi_server(ct, timing, idx, deg[:, u])
+                continue
+            col = ct.col0
+            for r in idx[start[:, j]]:
+                sched[r, col] = clock[r] + timing[r].sample(rngs[r])
 
     def _refresh_multi_server(
         self,
@@ -563,9 +597,6 @@ class _Ensemble:
         """Step every row until it passes ``horizon[row]`` or deadlocks."""
         cn = self.cn
         sched, clock, warmup = self.sched, self.clock, self.warmup
-        active = self._all
-        self._immediate_phase(active)
-        self._refresh_timed(active)
         if cn.n_slots == 0:
             # No timed transitions: once the initial immediates settle
             # the calendar is empty — every replication deadlocks at 0.
@@ -574,6 +605,7 @@ class _Ensemble:
             if self.on_deadlock == "raise":
                 raise DeadlockError(0.0)
             return
+        active = self._all
         while active.size:
             sub = sched[active]
             k = np.argmin(sub, axis=1)
@@ -597,56 +629,53 @@ class _Ensemble:
             lo = np.maximum(clock[active], warmup)
             dt = np.maximum(next_t - lo, 0.0)
             self.observed[active] += dt
-            self.integral[active] += self.totals[active] * dt[:, None]
-            self.nonzero_time[active] += (
-                self.totals[active] > 0
-            ) * dt[:, None]
+            totals = np.take(
+                self.totals, active, axis=0, out=self._totals_rows[: active.size]
+            )
+            self._integrate(self.integral, totals, dt, active)
+            self._integrate(self.nonzero_time, totals > 0, dt, active)
             for name in self.pred_integral:
                 self.pred_integral[name][active] += (
                     self.pred_value[name][active] * dt
                 )
             clock[active] = next_t
             sched[active, k] = np.inf
-            timed_of = cn.slot_timed[k]
-            touched: set[int] = set()
-            popped: set[int] = set()
-            fired_rows: list[np.ndarray] = []
-            fired_cols: list[np.ndarray] = []
-            for u in np.unique(timed_of):
-                group = active[timed_of == u]
-                ct = cn.timed[u]
-                popped.add(int(u))
-                deg = ct.degree(*self._gather(group))
-                enabled = deg > 0
-                if not enabled.all():
-                    # Scheduled-but-stale (see Simulation.step): the
-                    # clock advance stands, statistics already sampled,
-                    # the firing is skipped.
-                    self.stale_pops += int((~enabled).sum())
-                live = group[enabled]
-                if live.size:
-                    self._fire(ct, live)
-                    touched.update(ct.touch_places)
-                    fired_rows.append(live)
-                    fired_cols.append(
-                        np.full(live.size, ct.index, dtype=np.int64)
-                    )
-            if fired_rows:
-                self._post_fire(
-                    np.concatenate(fired_rows), np.concatenate(fired_cols)
-                )
-            self._immediate_phase(active, touched)
-            self._refresh_timed(active, touched, popped)
+            u = cn.slot_timed[k]
+            live = self.enabled[active, u]
+            if live.all():
+                self._fire(active, self.timed_index[u])
+            else:
+                # Scheduled-but-stale (see Simulation.step): the clock
+                # advance stands, statistics already sampled, the
+                # firing is skipped.
+                self.stale_pops += int((~live).sum())
+                if live.any():
+                    self._fire(active[live], self.timed_index[u[live]])
+            self._immediate_phase(active)
+            self._refresh_timed(active)
+
+    def _integrate(
+        self, acc: np.ndarray, weight: np.ndarray, dt: np.ndarray, idx: np.ndarray
+    ) -> None:
+        """``acc[idx] += weight * dt[:, None]``, through buffers kept for
+        the whole run: fresh ``[rows, places]`` temporaries every step
+        made glibc trim and fault in the same heap pages again and
+        again."""
+        n = idx.size
+        part = np.multiply(weight, dt[:, None], out=self._part_rows[:n])
+        part += np.take(acc, idx, axis=0, out=self._acc_rows[:n])
+        acc[idx] = part
 
     # ------------------------------------------------------------------
     # Result hydration
     # ------------------------------------------------------------------
     def finalize(self, horizon: np.ndarray) -> None:
-        """Close every row's statistics at its end time."""
-        # Deadlocked replications stop early, exactly like the
-        # interpreted run(): their statistics close at the deadlock
-        # time, not their horizon.
-        self.end = end = np.where(self.deadlocked, self.clock, horizon)
+        """Close every row's statistics at its horizon.
+
+        A deadlocked row's marking is frozen, so, as in the interpreted
+        run(), its statistics keep accumulating up to the horizon.
+        """
+        self.end = end = horizon.copy()
         lo = np.maximum(self.clock, self.warmup)
         dt = np.maximum(end - lo, 0.0)
         self.observed += dt
@@ -755,7 +784,7 @@ class EnsembleResults(Sequence[SimulationResult]):
 
     @property
     def end_time(self) -> np.ndarray:
-        """Each row's end time (its deadlock time, else its horizon)."""
+        """Each row's end time: its horizon, deadlocked or not."""
         if self._ensemble is None:
             return np.zeros(0)
         return self._column(self._ensemble.end).copy()

@@ -10,6 +10,7 @@ never-power-down).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .sweep import FIG14_15_THRESHOLDS
 __all__ = [
     "NodeSweepConfig",
     "NodeSweepResult",
+    "SweepSummary",
     "run_node_energy_sweep",
 ]
 
@@ -50,6 +52,15 @@ class NodeSweepConfig:
             )
         if self.horizon <= 0:
             raise ValueError("horizon must be > 0")
+
+
+class SweepSummary(NamedTuple):
+    """The headline numbers of a Figs. 14/15 sweep."""
+
+    threshold: float  # of the minimum-energy point
+    energy_j: float  # at that point
+    savings_vs_immediate: float
+    savings_vs_never: float
 
 
 @dataclass
@@ -110,11 +121,29 @@ class NodeSweepResult:
             for reps in self.replicates
         ]
 
+    def summary(self) -> SweepSummary:
+        """The optimum and both savings, from one read of the point means."""
+        energies = self.total_energy_j
+        points = range(len(energies))
+        best = min(points, key=energies.__getitem__)
+        low = min(points, key=self.thresholds.__getitem__)
+        high = max(points, key=self.thresholds.__getitem__)
+        opt = energies[best]
+
+        def saving(base: float) -> float:
+            return (base - opt) / base if base > 0 else 0.0
+
+        return SweepSummary(
+            threshold=self.thresholds[best],
+            energy_j=opt,
+            savings_vs_immediate=saving(energies[low]),
+            savings_vs_never=saving(energies[high]),
+        )
+
     def optimum(self) -> tuple[float, float]:
         """(threshold, energy) of the minimum-energy grid point."""
-        energies = self.total_energy_j
-        i = min(range(len(energies)), key=energies.__getitem__)
-        return self.thresholds[i], energies[i]
+        best = self.summary()
+        return best.threshold, best.energy_j
 
     def immediate_powerdown_energy(self) -> float:
         """Energy at the smallest threshold (power down immediately)."""
@@ -128,15 +157,11 @@ class NodeSweepResult:
 
     def savings_vs_immediate(self) -> float:
         """Fractional saving of the optimum vs immediate power-down."""
-        base = self.immediate_powerdown_energy()
-        _, opt = self.optimum()
-        return (base - opt) / base if base > 0 else 0.0
+        return self.summary().savings_vs_immediate
 
     def savings_vs_never(self) -> float:
         """Fractional saving of the optimum vs never powering down."""
-        base = self.never_powerdown_energy()
-        _, opt = self.optimum()
-        return (base - opt) / base if base > 0 else 0.0
+        return self.summary().savings_vs_never
 
     def series(self, category: str) -> list[float]:
         """One stacked component series across the sweep."""

@@ -26,23 +26,33 @@ import pickle
 import struct
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
     INFINITE_SERVERS,
+    TRUE,
     Deterministic,
     Exponential,
     MemoryPolicy,
     PetriNet,
     Simulation,
     Uniform,
+    color_eq,
     simulate,
+    tokens_eq,
+    tokens_ge,
+    tokens_gt,
+    tokens_le,
+    tokens_lt,
+    tokens_ne,
 )
 from repro.core.errors import UnsupportedNetError
 from repro.core.fast import VectorPredicate, compile_net, run_ensemble
-from repro.core.guards import FunctionGuard, tokens_gt
+from repro.core.fast.engine import _Ensemble
+from repro.core.guards import FunctionGuard
 from repro.core.marking import Token
 from repro.energy.power import PowerStateTable, cpu_power_table
 from repro.experiments.figures import (
@@ -83,6 +93,7 @@ from repro.runtime.seeding import replication_seeds
 from repro.runtime.sweep import _evaluate_ensemble_task, _evaluate_task
 from repro.topology.dynamics import ChurnModel, NodeSegment
 from repro.topology.traffic import MMPPTraffic
+from tests.core import test_simulator
 from tests.integration.test_random_nets import random_closed_net
 
 #: The shipped equivalence mode of every paper model, per the ISSUE 6
@@ -153,8 +164,187 @@ class TestShippedModelEquivalence:
         assert vec.breakdown == ref.breakdown
 
 
+_COMPARE = (tokens_eq, tokens_ne, tokens_gt, tokens_ge, tokens_lt, tokens_le)
+
+
+@st.composite
+def _guards(draw, places, depth=0):
+    """A token-count guard, possibly under ``And`` / ``Or`` / ``Not``."""
+    kind = draw(st.sampled_from(("count", "and", "or", "not")[: 4 if depth < 2 else 1]))
+    if kind == "count":
+        op = draw(st.sampled_from(_COMPARE))
+        return op(draw(st.sampled_from(places)), draw(st.integers(0, 2)))
+    if kind == "not":
+        return ~draw(_guards(places, depth + 1))
+    left = draw(_guards(places, depth + 1))
+    right = draw(_guards(places, depth + 1))
+    return left & right if kind == "and" else left | right
+
+
+@st.composite
+def random_engine_net(draw):
+    """A random net that uses every feature the compiled tables lower.
+
+    Tokens circulate on a ring of timed transitions (deterministic or
+    exponential, arc multiplicities 1-2, optional inhibitor arcs and
+    guards).  Side loops hang off the ring:
+
+    * ``feed`` fills ``Buf``, which equal-priority immediates of random
+      weights empty (a weighted tie), next to a guarded immediate that
+      takes two tokens at a random priority;
+    * ``fill`` / ``spin`` / ``empty`` work a bounded place, ``spin`` as
+      a self-loop that frees the capacity it takes;
+    * ``paint1`` / ``paint2`` put coloured tokens in a FIFO place that
+      colour-filtered transitions drain and ``mix`` forwards, by FIFO
+      order, into a place drained by colour;
+    * a multi-server transition is defined between two stochastic
+      single-server ones on the same input, so a row that enables all
+      three draws their delays in definition order.
+
+    Every transition conserves tokens and no immediate feeds another,
+    so runs neither grow without bound nor loop in zero time.
+    """
+    n = draw(st.integers(3, 5))
+    ring = [f"R{i}" for i in range(n)]
+    net = PetriNet("engine-fuzz")
+    for i, name in enumerate(ring):
+        net.add_place(name, initial_tokens=draw(st.integers(2, 5) if i == 0 else st.integers(0, 1)))
+    net.add_place("Buf")
+    net.add_place("WorkA")
+    net.add_place("WorkB")
+    net.add_place("Cap", capacity=draw(st.integers(1, 3)))
+    colours = draw(st.lists(st.sampled_from([1, 2]), max_size=3))
+    net.add_place("Col", initial_tokens=[Token(c) for c in colours])
+    net.add_place("Mixed")
+    places = list(net.place_names)
+    delay = st.one_of(
+        st.sampled_from([0.5, 1.0, 1.5]).map(Deterministic),
+        st.floats(0.3, 3.0).map(Exponential),
+    )
+    guard = st.one_of(st.just(TRUE), _guards(places))
+    stop = st.lists(
+        st.tuples(st.sampled_from(places), st.integers(1, 3)), max_size=1
+    )
+    on_ring = st.sampled_from(ring)
+
+    for i in range(n):
+        m = draw(st.integers(1, 2))
+        net.add_transition(
+            f"ring{i}",
+            draw(delay),
+            inputs=[(ring[i], m)],
+            outputs=[(ring[(i + 1) % n], m)],
+            inhibitors=draw(stop),
+            guard=draw(guard),
+        )
+    src, dst = draw(on_ring), draw(on_ring)
+    for name, servers in (("before", 1), ("multi", draw(st.integers(2, 3))), ("after", 1)):
+        net.add_transition(
+            name,
+            Exponential(draw(st.floats(0.3, 3.0))),
+            inputs=[src],
+            outputs=[dst],
+            servers=servers,
+        )
+    net.add_transition("feed", draw(delay), inputs=[draw(on_ring)], outputs=["Buf"])
+    level = draw(st.integers(1, 3))
+    for name in ("pickA", "pickB"):
+        net.add_transition(
+            name,
+            inputs=["Buf"],
+            outputs=[f"Work{name[-1]}"],
+            priority=level,
+            weight=draw(st.floats(0.1, 5.0)),
+        )
+    net.add_transition(
+        "pickPair",
+        inputs=[("Buf", 2)],
+        outputs=[("WorkA", 2)],
+        priority=draw(st.integers(0, 4)),
+        guard=draw(guard),
+    )
+    net.add_transition("doneA", draw(delay), inputs=["WorkA"], outputs=[ring[0]])
+    net.add_transition("doneB", draw(delay), inputs=["WorkB"], outputs=[ring[0]])
+    m = draw(st.integers(1, 2))
+    net.add_transition("fill", draw(delay), inputs=[(draw(on_ring), m)], outputs=[("Cap", m)])
+    net.add_transition("spin", draw(delay), inputs=["Cap"], outputs=["Cap"])
+    net.add_transition("empty", draw(delay), inputs=["Cap"], outputs=[ring[0]])
+    for c in (1, 2):
+        net.add_transition(
+            f"paint{c}", draw(delay), inputs=[draw(on_ring)], outputs=[("Col", 1, c)]
+        )
+    net.add_transition(
+        "drain1", draw(delay), inputs=[("Col", 1, color_eq(1))], outputs=[ring[0]]
+    )
+    if draw(st.booleans()):
+        net.add_transition(
+            "drain2",
+            inputs=[("Col", 1, color_eq(2))],
+            outputs=[ring[1]],
+            priority=draw(st.integers(0, 4)),
+        )
+    net.add_transition("mix", draw(delay), inputs=["Col"], outputs=["Mixed"])
+    for c in (1, 2):
+        net.add_transition(
+            f"unmix{c}",
+            draw(delay),
+            inputs=[("Mixed", 1, color_eq(c))],
+            outputs=[ring[0]],
+        )
+    return net, draw(st.integers(0, 10**6))
+
+
+#: Rich-net examples per run: a tier-1 sample, or the budget of the
+#: loaded profile under ``pytest --hypothesis-profile=ci`` (see
+#: tests/conftest.py).
+RICH_NET_EXAMPLES = (
+    settings.default.max_examples
+    if settings.get_current_profile_name() == "ci"
+    else 25
+)
+
+
+def _assert_rows_match(net, ensemble, seeds, horizons, warmup):
+    """Each ensemble row equals its interpreted run, bit for bit."""
+    for s, h, vec in zip(seeds, horizons, ensemble):
+        ref = simulate(net, horizon=h, seed=s, warmup=warmup)
+        assert vec.firings == ref.firings
+        assert vec.deadlocked == ref.deadlocked
+        assert vec.final_marking_counts == ref.final_marking_counts
+        assert vec.end_time == ref.end_time
+        for place in net.place_names:
+            assert vec.occupancy(place) == ref.occupancy(place), place
+            assert vec.mean_tokens(place) == ref.mean_tokens(place), place
+            assert (
+                vec.stats.place_acc[place].maximum()
+                == ref.stats.place_acc[place].maximum()
+            ), place
+        for t in net.transition_names:
+            assert vec.stats.firing_count(t) == ref.stats.firing_count(t), t
+
+
 class TestFuzzerNetEquivalence:
     """Property test: both engines agree on random topologies."""
+
+    @settings(
+        max_examples=RICH_NET_EXAMPLES,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(
+        random_engine_net(),
+        st.lists(st.floats(4.0, 40.0), min_size=2, max_size=3),
+        st.sampled_from([0.0, 2.0]),
+    )
+    def test_rich_nets_match_interpreted(self, net_and_seed, horizons, warmup):
+        # Weighted ties, multiplicities, inhibitors, capacities, guard
+        # algebra, colour filters, FIFO forwarding and multi-server
+        # draw order: every row, at a horizon of its own, is the
+        # interpreted run bit for bit.
+        net, seed = net_and_seed
+        seeds = [seed + i for i in range(len(horizons))]
+        ensemble = run_ensemble(net, horizons, seeds, warmup=warmup)
+        _assert_rows_match(net, ensemble, seeds, horizons, warmup)
 
     @settings(
         max_examples=12,
@@ -174,16 +364,7 @@ class TestFuzzerNetEquivalence:
         # horizon of its own, past the warm-up.
         seeds = [seed, seed + 1]
         ensemble = run_ensemble(net, horizons, seeds, warmup=20.0)
-        for s, h, vec in zip(seeds, horizons, ensemble):
-            ref = simulate(net, horizon=h, seed=s, warmup=20.0)
-            assert vec.firings == ref.firings
-            assert vec.final_marking_counts == ref.final_marking_counts
-            assert vec.end_time == ref.end_time
-            for place in net.place_names:
-                assert vec.occupancy(place) == ref.occupancy(place), place
-                assert vec.mean_tokens(place) == ref.mean_tokens(place), place
-            for t in net.transition_names:
-                assert vec.stats.firing_count(t) == ref.stats.firing_count(t)
+        _assert_rows_match(net, ensemble, seeds, horizons, 20.0)
 
 
 class TestAdaptiveControllerAgreement:
@@ -407,6 +588,39 @@ class TestVectorPredicates:
         assert vec.stats.predicate_probability(
             "cpu_active"
         ) == ref.stats.predicate_probability("cpu_active")
+
+
+class TestEnsembleStaleSchedule:
+    """The ensemble's scheduled-but-stale branch, as
+    ``tests/core/test_simulator.py::TestStaleSchedule`` pins the
+    interpreted one: a slot scheduled for a disabled transition pops as
+    a non-firing event that still advances the clock."""
+
+    def test_stale_pop_matches_interpreted(self):
+        net = test_simulator.TestStaleSchedule._net()
+        sim = Simulation(net, seed=0)
+        sim._initialize()
+        sim.calendar.schedule("never#0", 2.0)
+        ref = sim.run(10.0)
+
+        cn = compile_net(net)
+        ensemble = _Ensemble(
+            cn, [np.random.default_rng(0)], {}, 0.0, None, None, "stop", 100_000
+        )
+        [never] = [ct for ct in cn.timed if ct.name == "never"]
+        assert ensemble.sched[0, never.col0] == np.inf
+        ensemble.sched[0, never.col0] = 2.0  # disabled, scheduled anyway
+        horizon = np.array([10.0])
+        ensemble.run(horizon)
+        ensemble.finalize(horizon)
+        row = ensemble.hydrate(0)
+
+        assert ensemble.stale_pops == sim.stale_pops == 1
+        assert row.firings == ref.firings == 1  # a stale pop is not a firing
+        assert row.stats.firing_count("never") == 0
+        assert row.final_marking_counts == ref.final_marking_counts
+        for place in net.place_names:
+            assert row.occupancy(place) == ref.occupancy(place), place
 
 
 class TestMultiServerEquivalence:
@@ -914,7 +1128,9 @@ class TestColumnReadouts:
         assert (counted < [r.firings for r in warm]).all()
         assert (warm.firing_count("Start_Receive") < cold.firing_count("Start_Receive")).all()
 
-    def test_rows_that_deadlock_at_time_zero_read_zero(self):
+    def test_rows_that_deadlock_at_time_zero_run_to_their_horizon(self):
+        # A deadlocked marking is frozen: as in the interpreted run(),
+        # its statistics keep accumulating up to the horizon.
         net = PetriNet("stuck")
         net.add_place("A", initial_tokens=1)
         net.add_place("B")
@@ -924,9 +1140,15 @@ class TestColumnReadouts:
         results = run_ensemble(net, 5.0, SEEDS)
         assert all(r.deadlocked for r in results)
         self._assert_columns_match(results, net)
-        assert results.end_time.tolist() == [0.0] * len(SEEDS)
-        assert _bits(results.occupancy("C").tolist()) == _bits([0.0] * len(SEEDS))
+        assert results.end_time.tolist() == [5.0] * len(SEEDS)
+        assert _bits(results.occupancy("C").tolist()) == _bits([1.0] * len(SEEDS))
         assert results.firing_count("go").tolist() == [1] * len(SEEDS)
+        for seed, row in zip(SEEDS, results):
+            ref = simulate(net, horizon=5.0, seed=seed)
+            assert (row.end_time, row.occupancy("C")) == (
+                ref.end_time,
+                ref.occupancy("C"),
+            )
 
     def test_an_empty_ensemble_reads_empty_columns(self):
         model = _wsn_model("closed")

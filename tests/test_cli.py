@@ -699,3 +699,36 @@ class TestOnePoolPerRun:
             main(["node-sweep", "--workers", "2"])
         assert len(built) == 1
         assert closed == built
+
+
+class TestNodeSweepReportReads:
+    """The Figs. 14/15 report reads each replication's energy twice:
+    once for the point means behind the optimum and both savings, once
+    for the interval rows."""
+
+    def test_each_energy_is_read_once_per_pass(self, monkeypatch):
+        from repro.cli import _node_sweep_report
+        from repro.experiments import NodeSweepConfig, run_node_energy_sweep
+        from repro.experiments.tables import format_optimum_summary
+        from repro.models.wsn_node import WSNNodeResult
+        from repro.runtime.config import ExecutionConfig
+
+        sweep = run_node_energy_sweep(
+            NodeSweepConfig(horizon=2.0, thresholds=(1e-9, 0.0018, 1.0)),
+            exec_cfg=ExecutionConfig(replications=2),
+        )
+        t_opt, e_opt = sweep.optimum()
+        expected = format_optimum_summary(
+            "closed", t_opt, e_opt,
+            sweep.savings_vs_immediate(), sweep.savings_vs_never(),
+        )
+        reads = []
+        energy = WSNNodeResult.total_energy_j
+        monkeypatch.setattr(
+            WSNNodeResult,
+            "total_energy_j",
+            property(lambda self: reads.append(self) or energy.fget(self)),
+        )
+        report = _node_sweep_report(sweep, "closed", "Figure 14")
+        assert len(reads) == 2 * 3 * 2
+        assert expected in report
