@@ -15,7 +15,9 @@
 #             runs, a churning bursty network and a network sweep
 #             diffed bit-identical against the interpreted engine
 #   store     content-addressed result store: cold run, warm run diffed
-#             bit-identical, `store stats` asserted to report hits
+#             bit-identical, `store stats` asserted to report hits; a
+#             geometric network cold/warm pair diffed and its warm run
+#             asserted to add no miss
 #   scenario  declarative scenario files: validate + run every gallery
 #             spec at its --smoke scale, `scenario run fig14.yaml` and
 #             `churn_tree.yaml` diffed bit-identical against their
@@ -235,9 +237,27 @@ smoke_store() {
         echo "FAIL: store stats reported no hits after warm runs" >&2
         return 1
     fi
+    # A network's nodes are keyed one task each: a warm network run
+    # must print the cold run's bytes and add no miss.
+    local net=(network --topology geometric --nodes 200 --horizon 2
+        --store "$store_dir")
+    $CLI "${net[@]}" >"$out_cold"
+    local misses_cold misses_warm
+    misses_cold="$($CLI store stats --store "$store_dir" | sed -n 's/^misses *: *//p')"
+    $CLI "${net[@]}" >"$out_warm"
+    misses_warm="$($CLI store stats --store "$store_dir" | sed -n 's/^misses *: *//p')"
+    if ! diff "$out_cold" "$out_warm"; then
+        echo "FAIL: warm network run output differs from cold" >&2
+        return 1
+    fi
+    if [ "$misses_warm" != "$misses_cold" ]; then
+        echo "FAIL: warm network run added $((misses_warm - misses_cold)) misses" >&2
+        return 1
+    fi
+    echo "warm network run is bit-identical to cold and added 0 misses"
     $CLI store verify --store "$store_dir"
     $CLI store gc --store "$store_dir"
-    rm -rf "$store_dir"
+    rm -rf "$store_dir" "$out_cold" "$out_warm"
 }
 
 # Run one CLI invocation that must fail fast: exit 2 within 60 s,

@@ -40,7 +40,7 @@ from typing import Any
 from ..core.statistics import replication_interval
 from .config import ResolvedExecution
 from .executor import ParallelExecutor
-from .store import ResultStore, task_key
+from .store import Fragments, ResultStore, task_key
 
 __all__ = [
     "LOCKSTEP_MIN_ROWS",
@@ -187,6 +187,9 @@ def run_replications(
         # cached value or store key) per task.
         reps: list[tuple[int, int, list[tuple[bool, Any]]]] = []
         units: list[list[Any]] = []  # the missing tasks, as packing units
+        # Canonical text of each task part shared within the round
+        # (parameters, workload, traffic), built once per object.
+        fragments: Fragments = {}
         for i in open_points:
             done = len(runs[i].values)
             point_misses: list[Any] = []
@@ -196,7 +199,7 @@ def run_replications(
                 for task in tasks:
                     key = None
                     if store is not None:
-                        key = task_key(fn, task)
+                        key = task_key(fn, task, fragments)
                         hit, value = store.get(key)
                         if hit:
                             slots.append((True, value))

@@ -54,6 +54,7 @@ import re
 import warnings
 from collections.abc import Callable, Mapping, Set
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Any
 
@@ -83,6 +84,7 @@ STORE_SCHEMA = 1
 ENTRY_MAGIC = b"RPRSTOR1"
 
 _DIGEST_BYTES = 32  # SHA-256
+_READ_CHUNK = 1 << 16  # bytes per os.read of an entry
 _KEY_RE = re.compile(r"^[0-9a-f]{64}$")
 
 
@@ -240,18 +242,63 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(canonicalize(obj), sort_keys=True, separators=(",", ":"))
 
 
-def task_key(fn: Callable[..., Any], item: Any) -> str:
+#: A round's memo of task key fragments: part id -> (part, text).
+Fragments = dict[int, tuple[Any, str]]
+
+
+def _key_head(fn: Callable[..., Any]) -> str:
+    """The text of a task key payload up to its item."""
+    return f'["repro-store",{KEY_SCHEMA},{_json_str(_callable_id(fn))},'
+
+
+def _fragment(part: Any, fragments: Fragments) -> str:
+    """The canonical JSON text of one task part, memoized by identity.
+
+    Exact ``str``/``int``/``float`` parts are encoded directly.  Any
+    other part is looked up by ``id``: the memo keeps the part itself
+    alongside its text, so the id cannot be reused while the memo
+    lives.  Equality would be the wrong memo key — ``1 == 1.0 == True``
+    and ``0.0 == -0.0``, yet each canonicalizes differently.
+    """
+    cls = type(part)
+    if cls is str:
+        return _json_str(part)
+    if cls is int:
+        return int.__repr__(part)
+    if cls is float:
+        return f'["f","{part.hex()}"]'
+    entry = fragments.get(id(part))
+    if entry is None:
+        entry = fragments[id(part)] = (part, canonical_json(part))
+    return entry[1]
+
+
+def task_key(
+    fn: Callable[..., Any],
+    item: Any,
+    fragments: Fragments | None = None,
+) -> str:
     """The store key of one task: SHA-256 of (key schema, fn, item).
 
     ``fn`` is the *interpreted-engine* task evaluator — the vectorized
     engine shares its keys (see the module docstring on equivalence
     classes).  Execution knobs must not appear in ``item``.
+
+    ``fragments`` is an optional memo (start with ``{}``) shared by
+    the keys of tasks that share parts, such as one round of network
+    node tasks built on a few parameter objects.  A tuple or list
+    item's parts are then canonicalized once per distinct object (see
+    :func:`_fragment`) and joined: a JSON list's text is its elements'
+    texts joined by ``,``, so the key is byte for byte the one
+    computed without the memo.  The parts must not be mutated while
+    the memo lives.
     """
-    payload = json.dumps(
-        ["repro-store", KEY_SCHEMA, _callable_id(fn), canonicalize(item)],
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    cls = type(item)
+    if fragments is not None and (cls is tuple or cls is list):
+        body = ",".join([_fragment(part, fragments) for part in item])
+        payload = f'{_key_head(fn)}["l",[{body}]]]'
+    else:
+        payload = f"{_key_head(fn)}{canonical_json(item)}]"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -471,9 +518,18 @@ class ResultStore:
         if self._disabled:
             self.misses += 1
             return False, None
+        # Raw descriptor reads: a file object costs more than the read.
+        # ``os.open`` succeeds on a directory and only ``os.read``
+        # raises, so the whole read sits inside the handler.
         try:
-            with open(path, "rb", buffering=0) as fh:
-                blob = fh.read()
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                chunks = []
+                while chunk := os.read(fd, _READ_CHUNK):
+                    chunks.append(chunk)
+            finally:
+                os.close(fd)
+            blob = b"".join(chunks)
         except FileNotFoundError:
             self.misses += 1
             return False, None

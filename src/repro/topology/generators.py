@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from .routing import (
 __all__ = [
     "LAYOUT_STREAM",
     "LAYOUT_RETRIES",
+    "LAYOUT_MEMO_SIZE",
     "RADIUS_GROWTH",
     "RandomGeometricTopology",
     "ClusterTreeTopology",
@@ -69,6 +70,9 @@ LAYOUT_RETRIES = 3
 
 #: Radius growth factor per step once retries are exhausted.
 RADIUS_GROWTH = 1.3
+
+#: Resolved layouts a process keeps (see :func:`_resolve_layout`).
+LAYOUT_MEMO_SIZE = 8
 
 
 def auto_radius(n_nodes: int) -> float:
@@ -94,6 +98,46 @@ class _GeometricLayout:
     radius: float
     parents: tuple[int, ...]
     attempt: int
+
+
+def _draw_positions(n_nodes: int, seed: int, attempt: int) -> np.ndarray:
+    rng = np.random.default_rng(substream_sequence(seed, LAYOUT_STREAM, attempt))
+    positions = rng.random((n_nodes, 2))
+    positions.setflags(write=False)  # shared by every topology of the memo
+    return positions
+
+
+@lru_cache(maxsize=LAYOUT_MEMO_SIZE, typed=True)
+def _resolve_layout(n_nodes: int, radius: float | None, seed: int) -> _GeometricLayout:
+    """Deterministic retry-or-grow resolution of a deployment.
+
+    A pure function of its arguments, memoized per process: warm
+    requests, the threshold models of a sweep and churn rewiring
+    share one layout instead of redrawing it (two ``n x n`` distance
+    matrices and a BFS per call of
+    :func:`~repro.topology.routing.geometric_parents`).  ``typed``
+    keeps ``radius=1`` and ``radius=1.0`` apart, so a layout's
+    :attr:`radius` is always the one its own arguments give.
+    """
+    sink = np.array([0.5, 0.5])
+    sink.setflags(write=False)
+    base_radius = radius if radius is not None else auto_radius(n_nodes)
+    first: np.ndarray | None = None
+    for attempt in range(LAYOUT_RETRIES):
+        positions = _draw_positions(n_nodes, seed, attempt)
+        if first is None:
+            first = positions
+        parents = geometric_parents(positions, sink, base_radius)
+        if UNREACHABLE not in parents:
+            return _GeometricLayout(positions, sink, base_radius, parents, attempt)
+    # Keep the first deployment, grow the radius until connected.
+    assert first is not None
+    grown = base_radius
+    while True:
+        grown *= RADIUS_GROWTH
+        parents = geometric_parents(first, sink, grown)
+        if UNREACHABLE not in parents:
+            return _GeometricLayout(first, sink, grown, parents, 0)
 
 
 @dataclass(frozen=True)
@@ -127,37 +171,10 @@ class RandomGeometricTopology(NetworkTopology):
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
-    def _draw_positions(self, attempt: int) -> np.ndarray:
-        rng = np.random.default_rng(
-            substream_sequence(self.seed, LAYOUT_STREAM, attempt)
-        )
-        return rng.random((self.n_nodes, 2))
-
     @cached_property
     def _layout(self) -> _GeometricLayout:
-        """Deterministic retry-or-grow resolution of the deployment."""
-        sink = np.array([0.5, 0.5])
-        base_radius = (
-            self.radius if self.radius is not None else auto_radius(self.n_nodes)
-        )
-        first: np.ndarray | None = None
-        for attempt in range(LAYOUT_RETRIES):
-            positions = self._draw_positions(attempt)
-            if first is None:
-                first = positions
-            parents = geometric_parents(positions, sink, base_radius)
-            if UNREACHABLE not in parents:
-                return _GeometricLayout(
-                    positions, sink, base_radius, parents, attempt
-                )
-        # Keep the first deployment, grow the radius until connected.
-        assert first is not None
-        radius = base_radius
-        while True:
-            radius *= RADIUS_GROWTH
-            parents = geometric_parents(first, sink, radius)
-            if UNREACHABLE not in parents:
-                return _GeometricLayout(first, sink, radius, parents, 0)
+        """The deployment, from the per-process :func:`_resolve_layout`."""
+        return _resolve_layout(self.n_nodes, self.radius, self.seed)
 
     @property
     def positions(self) -> np.ndarray:

@@ -18,7 +18,9 @@ Three claims guard the cache against silently-wrong science:
    to a cold one.
 """
 
+import copy
 import dataclasses
+import hashlib
 import json
 import os
 import pickle
@@ -312,6 +314,141 @@ class TestGoldenKeys:
         )
 
 
+def _reference_key(fn, item):
+    """A task key spelled the one way every stored entry was keyed."""
+    payload = json.dumps(
+        [
+            "repro-store",
+            KEY_SCHEMA,
+            f"{fn.__module__}:{fn.__qualname__}",
+            canonicalize(item),
+        ],
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+#: Task parts that are equal (or near) yet canonicalize differently,
+#: so a memo keyed by equality would alias them.
+_TRICKY_PARTS = (
+    0.0,
+    -0.0,
+    1,
+    1.0,
+    True,
+    False,
+    None,
+    2**127 - 1,
+    2**127,
+    "näïve ✓",
+    "open",
+    (0.0,),
+    (-0.0,),
+    [1],
+    [1.0],
+    [True],
+)
+
+task_parts = st.one_of(
+    st.sampled_from(_TRICKY_PARTS),
+    st.integers(2**127 - 3, 2**127 + 3),
+    st.floats(allow_nan=False),
+    st.text(max_size=6),
+    st.builds(NodeParameters, arrival_rate=st.floats(0.01, 5.0)),
+    st.builds(MMPPTraffic, off_fraction=st.floats(0.0, 0.9)),
+    st.lists(
+        st.builds(
+            NodeSegment,
+            st.floats(0.0, 10.0),
+            st.floats(0.1, 10.0),
+            st.floats(0.01, 2.0),
+            st.integers(0, 2**64),
+        ),
+        max_size=3,
+    ).map(tuple),
+)
+
+
+class TestFragmentMemo:
+    """``task_key`` with a round's memo gives the plain keys, byte for byte."""
+
+    @given(
+        st.lists(task_parts, min_size=1, max_size=6),
+        st.lists(
+            st.lists(st.integers(0, 5), min_size=1, max_size=5),
+            min_size=1,
+            max_size=12,
+        ),
+        st.lists(task_parts, max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_memoized_round_matches_the_plain_path(self, pool, picks, fresh):
+        # Tasks share parts by identity (picks index one pool, and
+        # every task carries ``fresh``) and also carry an equal copy of
+        # a pool part of their own; list and tuple tasks both occur.
+        tasks = []
+        for n, pick in enumerate(picks):
+            parts = [pool[j % len(pool)] for j in pick] + fresh
+            parts.append(copy.deepcopy(pool[n % len(pool)]))
+            tasks.append(tuple(parts) if n % 2 else parts)
+        fragments = {}
+        memoized = [task_key(simulate_node_task, t, fragments) for t in tasks]
+        assert memoized == [task_key(simulate_node_task, t) for t in tasks]
+        assert memoized == [_reference_key(simulate_node_task, t) for t in tasks]
+
+    def test_equal_parts_of_distinct_kinds_keep_their_own_keys(self):
+        fragments = {}
+        for task in [(0.0,), (-0.0,), (1,), (1.0,), (True,), ((0.0,),), ((-0.0,),)]:
+            assert task_key(noisy, task, fragments) == _reference_key(noisy, task)
+
+    def test_memo_pins_parts_so_ids_are_not_reused(self):
+        # Each task's list part is dropped right after keying; without
+        # the strong reference the next list could take its id and read
+        # back the wrong text.
+        fragments = {}
+        for x in range(200):
+            task = ([float(x)], "open")
+            assert task_key(noisy, task, fragments) == _reference_key(noisy, task)
+
+    def test_one_fragment_per_distinct_node_parameters(self, tmp_path, monkeypatch):
+        # The 1000 node tasks of the geo1000 deployment share 111
+        # parameter objects (one per effective rate).
+        import repro.runtime.store as store_module
+        from repro.models.network import SensorNetworkModel
+        from repro.topology.generators import RandomGeometricTopology
+
+        model = SensorNetworkModel(
+            RandomGeometricTopology(1000, seed=2010), NodeParameters()
+        )
+        tasks, _fold = model._node_run(2.0, 2010, 0.1)
+        canonicalized = []
+        plain = store_module.canonical_json
+
+        def counting(obj):
+            canonicalized.append(obj)
+            return plain(obj)
+
+        monkeypatch.setattr(store_module, "canonical_json", counting)
+        [run] = run_replications(
+            simulate_node_task,
+            lambda i, r: tasks,
+            1,
+            ResolvedExecution(backend=NullPool(), store=ResultStore(tmp_path)),
+            fold=lambda i, r, values: len(values),
+        )
+        assert run.values == [1000]
+        params = [obj for obj in canonicalized if isinstance(obj, NodeParameters)]
+        assert len(params) == len({id(t[0]) for t in tasks}) == 111
+
+
+class NullPool(CountingPool):
+    """A backend that returns ``None`` for every task, without running it."""
+
+    def map(self, fn, items, chunk_size=None):
+        return [None for _ in items]
+
+
 class TestCanonicalizationRejections:
     def test_lambda_is_rejected(self):
         with pytest.raises(TypeError, match="lambdas"):
@@ -527,6 +664,27 @@ class TestFaultInjection:
         removed, _reclaimed = store.gc()
         assert removed == 1
         assert store.verify() == (1, [])
+
+    def test_directory_at_the_entry_path_is_a_warned_miss(self, tmp_path):
+        # os.open succeeds on a directory; only the read fails.
+        store = ResultStore(tmp_path)
+        key = task_key(noisy, (0.5, 7))
+        os.makedirs(store._entry_file(key))
+        for _ in range(2):
+            with pytest.warns(StoreWarning, match="unreadable"):
+                assert store.get(key) == (False, None)
+        assert (store.corrupt, store.misses, store.hits) == (2, 2, 0)
+
+    def test_value_larger_than_one_read_chunk_round_trips(self, tmp_path):
+        store = ResultStore(tmp_path)
+        value = np.random.default_rng(3).random(300_000 // 8)
+        key = task_key(noisy, (0.5, 9))
+        store.put(key, value)
+        assert os.path.getsize(store._entry_file(key)) > 300_000
+        hit, back = store.get(key)
+        assert hit
+        assert back.dtype == value.dtype
+        assert np.array_equal(back, value)
 
     def test_manifest_schema_skew_disables_the_store(self, tmp_path):
         store, key, _path = _single_entry(tmp_path)

@@ -7,6 +7,8 @@ how unlucky the draw (the retry-or-grow radius policy), and cluster
 trees have exactly the shape their parameters promise.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,10 @@ from repro.topology import (
     depths_from_parents,
     validate_parents,
 )
+from repro.topology import generators
+from repro.topology.generators import LAYOUT_MEMO_SIZE, LAYOUT_RETRIES
+
+GALLERY = Path(__file__).resolve().parents[2] / "scenarios"
 
 seeds = st.integers(0, 2**32 - 1)
 sizes = st.integers(2, 60)
@@ -90,6 +96,88 @@ class TestRandomGeometricProperties:
 
     def test_auto_radius_shrinks_with_density(self):
         assert auto_radius(1000) < auto_radius(100) < auto_radius(10)
+
+
+@pytest.fixture
+def layout_builds(monkeypatch):
+    """Counts ``geometric_parents`` calls made to resolve layouts."""
+    calls = []
+    plain = generators.geometric_parents
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(generators, "geometric_parents", counting)
+    return calls
+
+
+class TestLayoutMemo:
+    """One resolved layout per ``(n_nodes, radius, seed)`` per process."""
+
+    def test_equal_arguments_share_one_layout(self, layout_builds):
+        a = RandomGeometricTopology(40, radius=0.3, seed=11)
+        a.tree_parents()
+        layout_builds.clear()
+        b = RandomGeometricTopology(40, radius=0.3, seed=11)
+        assert b.tree_parents() == a.tree_parents()
+        assert b._layout is a._layout
+        assert layout_builds == []
+        assert not a.positions.flags.writeable
+
+    def test_other_seed_or_radius_does_not_alias(self):
+        base = RandomGeometricTopology(40, radius=0.3, seed=11)
+        other_seed = RandomGeometricTopology(40, radius=0.3, seed=12)
+        other_radius = RandomGeometricTopology(40, radius=0.35, seed=11)
+        assert not np.array_equal(base.positions, other_seed.positions)
+        assert other_radius.effective_radius == 0.35
+        for other in (other_seed, other_radius):
+            assert other._layout is not base._layout
+
+    def test_grown_radius_is_memoized(self, layout_builds):
+        first = RandomGeometricTopology(12, radius=1e-4, seed=5)
+        assert first.effective_radius > 1e-4
+        layout_builds.clear()
+        again = RandomGeometricTopology(12, radius=1e-4, seed=5)
+        assert again.effective_radius == first.effective_radius
+        assert again.tree_parents() == first.tree_parents()
+        assert layout_builds == []
+
+    def test_int_and_float_radius_keep_their_own_radius(self):
+        as_int = RandomGeometricTopology(20, radius=1, seed=3)
+        as_float = RandomGeometricTopology(20, radius=1.0, seed=3)
+        assert type(as_int.effective_radius) is int
+        assert type(as_float.effective_radius) is float
+
+    def test_memo_has_a_fixed_size(self):
+        for seed in range(LAYOUT_MEMO_SIZE + 4):
+            RandomGeometricTopology(10, seed=1000 + seed).tree_parents()
+        info = generators._resolve_layout.cache_info()
+        assert info.maxsize == LAYOUT_MEMO_SIZE
+        assert info.currsize == LAYOUT_MEMO_SIZE
+
+    def test_second_warm_geo1000_request_builds_no_layout(
+        self, tmp_path, capsys, layout_builds
+    ):
+        pytest.importorskip("yaml", reason="gallery scenarios are YAML")
+        from repro.cli import main
+
+        argv = [
+            "scenario",
+            "run",
+            str(GALLERY / "geo1000.yaml"),
+            "--smoke",
+            "--override",
+            f"execution.store_dir={tmp_path}",
+            "--override",
+            "execution.workers=1",
+        ]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        layout_builds.clear()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+        assert layout_builds == []
 
 
 class TestClusterTree:
