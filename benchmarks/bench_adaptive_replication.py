@@ -70,11 +70,12 @@ def test_adaptive_vs_fixed_replication_budget(benchmark):
     # Hard gate 2: the controller only ever saves replications.
     n_points = len(CONFIG.thresholds)
     fixed_total = n_points * MAX_R
-    adaptive_total = sum(adaptive.replication_counts)
+    counts = [run.replications for run in adaptive.runs]
+    adaptive_total = sum(counts)
     assert adaptive_total <= fixed_total
-    paper_claim(min(adaptive.replication_counts) < MAX_R)
+    paper_claim(min(counts) < MAX_R)
 
-    n_converged = sum(adaptive.converged)
+    n_converged = sum(run.converged for run in adaptive.runs)
     text = "\n".join(
         [
             "Adaptive replication control: Figs. 14/15 23-point closed "
@@ -92,7 +93,7 @@ def test_adaptive_vs_fixed_replication_budget(benchmark):
             f"{(1 - adaptive_s / fixed_s) * 100:5.1f}% (host-dependent)",
             f"  converged points      : {n_converged}/{n_points} "
             f"(rest capped at {MAX_R})",
-            f"  replications per point: {adaptive.replication_counts}",
+            f"  replications per point: {counts}",
             "  adaptive replicates   : bit-identical prefix of the fixed "
             "run at every point (asserted)",
         ]

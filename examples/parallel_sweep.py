@@ -54,7 +54,8 @@ def main() -> None:
     )
     t_opt, e_opt = sweep.optimum()
     print(f"  optimum threshold {t_opt:g} s at {e_opt:.3f} J (mean of 8 reps)")
-    for threshold, ci in zip(sweep.thresholds, sweep.energy_ci()):
+    for threshold, run in zip(sweep.thresholds, sweep.runs):
+        ci = run.interval(lambda result: result.total_energy_j)
         print(f"  PDT {threshold:<10g} {ci.mean:8.3f} J ± {ci.half_width:.3f}")
 
 

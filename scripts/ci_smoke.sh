@@ -12,8 +12,9 @@
 #             output asserted bit-identical to --backend local
 #   engine    vectorized lockstep engine: Fig. 14 (serial and over two
 #             workers), Fig. 7, adaptive and one-replication validate
-#             runs, a churning bursty network and a network sweep
-#             diffed bit-identical against the interpreted engine
+#             runs, a churning bursty network, a network sweep and an
+#             adaptive network scenario diffed bit-identical against
+#             the interpreted engine
 #   store     content-addressed result store: cold run, warm run diffed
 #             bit-identical, `store stats` asserted to report hits; a
 #             geometric network cold/warm pair diffed and its warm run
@@ -69,6 +70,9 @@ smoke_adaptive() {
     echo "--- smoke: adaptive replication control ---"
     $CLI node-sweep --horizon 2 --workers 2 --ci-target 0.5 --max-replications 4
     $CLI network --topology line --nodes 3 --horizon 5 --sweep \
+        --ci-target 0.5 --max-replications 2
+    # One adaptive scenario: its energy and lifetime intervals.
+    $CLI network --topology line --nodes 3 --horizon 5 \
         --ci-target 0.5 --max-replications 2
 }
 
@@ -197,6 +201,9 @@ smoke_engine() {
         --ci-target 0.5 --max-replications 2
     engine_diff network --topology line --nodes 3 --horizon 5 --sweep \
         --ci-target 0.5 --max-replications 2 --workers 2
+    # One adaptive scenario, replicated without a sweep.
+    engine_diff network --topology line --nodes 3 --horizon 5 \
+        --ci-target 0.5 --max-replications 2
     # One replication is below the lockstep floor and runs interpreted.
     engine_diff validate --replications 1
 }

@@ -105,6 +105,7 @@ import os
 import sys
 from collections.abc import Sequence
 from dataclasses import fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Any
 
@@ -127,6 +128,7 @@ from .experiments import (
     run_node_energy_sweep,
     run_simple_node_validation,
 )
+from .experiments.validation import percent_difference
 from .models import NodeParameters, WSNNodeModel
 from .runtime.config import ExecutionConfig, ResolvedExecution
 from .scenarios import (
@@ -156,6 +158,7 @@ from .topology import ChurnModel, MMPPTraffic, describe_topology
 _FIG_TO_PUD = {4: 0.001, 5: 0.3, 6: 10.0, 7: 0.001, 8: 0.3, 9: 10.0}
 _TABLE_TO_PUD = {4: 0.001, 5: 0.3, 6: 10.0}
 _TABLE_NUMERALS = {4: "IV", 5: "V", 6: "VI"}
+_TOTAL_ENERGY = attrgetter("total_energy_j")
 
 
 def _positive_int(text: str) -> int:
@@ -769,78 +772,67 @@ def _format_pm(ci) -> str:
     return f"± {ci.half_width:.4f}"
 
 
-def _convergence_tag(replications: int, converged: bool) -> str:
-    """The per-point adaptive outcome, e.g. ``[ 4 reps, converged]``."""
-    status = "converged" if converged else "hit max"
-    return f"[{replications:3d} reps, {status}]"
+def _convergence_tag(run) -> str:
+    """A point's adaptive outcome, e.g. ``[  4 reps, converged]``."""
+    status = "converged" if run.converged else "hit max"
+    return f"[{run.replications:3d} reps, {status}]"
 
 
-def _adaptive_point_cis(sweep, metric_label: str) -> str:
-    """Per-point adaptive outcome lines shared by every sweep command."""
-    return _text(
-        f"\nadaptive replications (ci-target {sweep.ci_target:g}, "
-        f"{metric_label}, 95% t-interval):",
-        *(
-            f"  PDT {threshold:<12g} {ci.mean:10.4f} J "
-            f"{_format_pm(ci)}  {_convergence_tag(n, ok)}"
-            for threshold, ci, n, ok in zip(
-                sweep.thresholds,
-                sweep.energy_ci(),
-                sweep.replication_counts,
-                sweep.converged,
-            )
-        ),
-    )
+def _point_ci(
+    run, metric, fmt: str = "{:10.4f} J", note: str = "", tag: bool = True
+) -> str:
+    """One replicated point: ``mean ± half-width`` of ``metric``.
+
+    ``fmt`` spells the mean and ``note`` follows the half-width; an
+    adaptive run's :func:`_convergence_tag` comes last, unless ``tag``
+    is off.
+    """
+    ci = run.interval(metric)
+    text = f"{fmt.format(ci.mean)} {_format_pm(ci)}{note}"
+    if tag and run.converged is not None:
+        text += f"  {_convergence_tag(run)}"
+    return text
 
 
-def _replication_ci(sweep) -> str:
+def _ci_heading(result, label: str, note: str = "") -> str | None:
+    """The heading of a result's interval block; ``None`` if unreplicated."""
+    if result.ci_target is not None:
+        source = f"adaptive replications (ci-target {result.ci_target:g}, "
+    else:
+        n = max(run.replications for run in result.runs)
+        if n <= 1:
+            return None
+        source = f"across {n} replications ("
+    return f"\n{source}{label}, 95% t-interval{note}):"
+
+
+def _replication_ci(sweep, label: str = "total energy") -> str:
     """Per-point mean ± t-interval rows for a replicated sweep."""
-    if sweep.ci_target is not None:
-        return _adaptive_point_cis(sweep, "total energy")
-    if sweep.replications <= 1:
+    heading = _ci_heading(sweep, label)
+    if heading is None:
         return ""
     return _text(
-        f"\nacross {sweep.replications} replications "
-        "(total energy, 95% t-interval):",
+        heading,
         *(
-            f"  PDT {threshold:<12g} {ci.mean:10.4f} J {_format_pm(ci)}"
-            for threshold, ci in zip(sweep.thresholds, sweep.energy_ci())
+            f"  PDT {threshold:<12g} {_point_ci(run, _TOTAL_ENERGY)}"
+            for threshold, run in zip(sweep.thresholds, sweep.runs)
         ),
     )
 
 
 def _cpu_replication_ci(result) -> str:
     """Per-point energy t-intervals for a replicated CPU sweep."""
-    if result.replications <= 1 or result.energy_ci is None:
+    heading = _ci_heading(result, "energy", "; printed values above are means")
+    if heading is None:
         return ""
-    if result.ci_target is not None:
-        header = (
-            f"\nadaptive replications (ci-target {result.ci_target:g}, "
-            "energy, 95% t-interval; printed values above are means):"
-        )
-    else:
-        header = (
-            f"\nacross {result.replications} replications "
-            "(energy, 95% t-interval; printed values above are means):"
-        )
-    lines = [header]
+    lines = [heading]
     for est in ("simulation", "petri"):
         lines.append(f"  {est}:")
-        for i, (threshold, ci) in enumerate(
-            zip(result.thresholds, result.energy_ci[est])
-        ):
-            tag = (
-                "  "
-                + _convergence_tag(
-                    result.replication_counts[i], result.converged[i]
-                )
-                if result.ci_target is not None
-                else ""
-            )
-            lines.append(
-                f"    PDT {threshold:<8g} {ci.mean:10.4f} J "
-                f"{_format_pm(ci)}{tag}"
-            )
+        lines.extend(
+            f"    PDT {threshold:<8g} "
+            f"{_point_ci(run, lambda out: out[est][1])}"
+            for threshold, run in zip(result.thresholds, result.runs)
+        )
     lines.append("  markov: deterministic (no sampling variance)")
     return _text(*lines)
 
@@ -889,15 +881,12 @@ def run_validate(*, seed: int, rx: ResolvedExecution) -> str:
         ValidationConfig(seed=seed),
         exec_cfg=rx,
     )
-    n = result.replications
-    if n > 1:
-        ci = result.percent_difference_ci()
+    run = result.run
+    if run.replications > 1:
         uncertainty = (
-            f"\npercent difference across {n} replications: "
-            f"{ci.mean:.2f}% {_format_pm(ci)} (95% t-interval)"
+            f"\npercent difference across {run.replications} replications: "
+            + _point_ci(run, percent_difference, "{:.2f}%", " (95% t-interval)")
         )
-        if result.converged is not None:
-            uncertainty += f"  {_convergence_tag(n, result.converged)}"
     else:
         uncertainty = "\npercent difference uncertainty: n/a (1 replication)"
     return _text(
@@ -984,8 +973,7 @@ def run_network(
                 ),
             )
         )
-        if sweep_result.ci_target is not None:
-            report += _adaptive_point_cis(sweep_result, "network energy")
+        report += _replication_ci(sweep_result, "network energy")
         best = sweep_result.best()
         return report + _text(
             f"\nbest threshold for the network: "
@@ -996,18 +984,16 @@ def run_network(
     header = f"network scenario {run_info}"
     if rx.ci_target is None:
         return _text(header, format_network_summary(result))
-    energy_ci = result.energy_ci()
-    lifetime_ci = result.lifetime_ci()
+    lifetime = attrgetter("network_lifetime_days")
     return _text(
         header,
-        format_network_summary(result.result),
-        f"adaptive replication   : "
-        f"{_convergence_tag(result.replications, result.converged)} "
-        f"at ci-target {result.ci_target:g}\n"
-        f"energy across reps     : {energy_ci.mean:.4f} J "
-        f"{_format_pm(energy_ci)}\n"
-        f"lifetime across reps   : {lifetime_ci.mean:.2f} days "
-        f"{_format_pm(lifetime_ci)}",
+        format_network_summary(result.values[0]),
+        f"adaptive replication   : {_convergence_tag(result)} "
+        f"at ci-target {rx.ci_target:g}\n"
+        "energy across reps     : "
+        f"{_point_ci(result, _TOTAL_ENERGY, '{:.4f} J', tag=False)}\n"
+        "lifetime across reps   : "
+        f"{_point_ci(result, lifetime, '{:.2f} days', tag=False)}",
     )
 
 

@@ -55,13 +55,12 @@ import numpy as np
 
 from ..distributions import FiringDistribution
 from ..errors import (
-    DeadlockError,
     ImmediateLoopError,
     SimulationError,
     UnsupportedNetError,
 )
 from ..net import PetriNet
-from ..simulator import SimulationResult
+from ..simulator import MAX_IMMEDIATE_FIRINGS, SimulationResult
 from ..statistics import (
     PredicateStatistic,
     StatisticsCollector,
@@ -250,14 +249,10 @@ class _Ensemble:
         warmup: float,
         initial_marking: Mapping[str, Any] | None,
         predicates: Mapping[str, Any] | None,
-        on_deadlock: str,
-        max_immediate_firings: int,
     ) -> None:
         self.cn = cn
         self.rngs = rngs
         self.warmup = float(warmup)
-        self.on_deadlock = on_deadlock
-        self.max_immediate_firings = int(max_immediate_firings)
         reps = len(rngs)
         n_places = cn.n_places
         state0, init_queues = _initial_state(cn, initial_marking)
@@ -506,9 +501,9 @@ class _Ensemble:
                     chosen[a] = c_list[j]
             self._fire(rem, self.imm_index[chosen])
             passes += 1
-            if passes > self.max_immediate_firings:
+            if passes > MAX_IMMEDIATE_FIRINGS:
                 raise ImmediateLoopError(
-                    float(self.clock[rem[0]]), self.max_immediate_firings
+                    float(self.clock[rem[0]]), MAX_IMMEDIATE_FIRINGS
                 )
 
     # ------------------------------------------------------------------
@@ -602,8 +597,6 @@ class _Ensemble:
             # the calendar is empty — every replication deadlocks at 0.
             self.done[:] = True
             self.deadlocked[:] = True
-            if self.on_deadlock == "raise":
-                raise DeadlockError(0.0)
             return
         active = self._all
         while active.size:
@@ -616,8 +609,6 @@ class _Ensemble:
                 dead = retired[np.isinf(next_t[~alive])]
                 self.done[retired] = True
                 self.deadlocked[dead] = True
-                if dead.size and self.on_deadlock == "raise":
-                    raise DeadlockError(float(clock[dead[0]]))
                 active = active[alive]
                 k = k[alive]
                 next_t = next_t[alive]
@@ -816,15 +807,12 @@ class EnsembleResults(Sequence[SimulationResult]):
 def run_ensemble(
     net: PetriNet,
     horizon: float | Sequence[float],
-    seeds: Sequence[int] | None = None,
+    seeds: Sequence[int],
     *,
-    rngs: Sequence[np.random.Generator] | None = None,
     row_timing: Mapping[str, Sequence[FiringDistribution]] | None = None,
     warmup: float = 0.0,
     initial_marking: Mapping[str, Any] | None = None,
     predicates: Mapping[str, Any] | None = None,
-    on_deadlock: str = "stop",
-    max_immediate_firings: int = 100_000,
 ) -> EnsembleResults:
     """Run one ensemble of replications in vectorized lockstep.
 
@@ -837,8 +825,8 @@ def run_ensemble(
         Simulated time of every row, or one value per row: rows of
         different horizons share the ensemble, and each retires at its
         own.
-    seeds / rngs:
-        One seed (or ready generator) per replication.
+    seeds:
+        One seed per replication.
     row_timing:
         ``transition name -> one distribution per row`` for the timed
         transitions whose timing differs between rows (e.g. the sweep
@@ -848,9 +836,11 @@ def run_ensemble(
         bit-identical to ``Simulation(net_r, seed=seeds[r],
         warmup=warmup).run(horizon)``, where ``net_r`` is ``net`` with
         row ``r``'s distributions.
-    warmup / initial_marking / on_deadlock / max_immediate_firings:
+    warmup / initial_marking:
         As on :class:`~repro.core.simulator.Simulation`, shared by all
-        rows.
+        rows.  A row that deadlocks stops quietly, and an epoch may take
+        at most :data:`~repro.core.simulator.MAX_IMMEDIATE_FIRINGS`
+        immediate firings, as under ``Simulation``'s defaults.
     predicates:
         ``name -> VectorPredicate | callable`` marking predicates, read
         back with ``predicate_probability``.
@@ -863,7 +853,7 @@ def run_ensemble(
         ``end_time``) for accounting every row at once, and rows that
         hydrate the interpreted engine's result type when accessed.
         The run itself is eager (argument errors and
-        :class:`~repro.core.errors.DeadlockError` raise here).
+        :class:`~repro.core.errors.ImmediateLoopError` raise here).
 
     Examples
     --------
@@ -897,17 +887,7 @@ def run_ensemble(
     bad = horizons[~((horizons > 0) & (horizons < math.inf))]
     if bad.size:
         raise ValueError(f"horizon must be > 0 and finite, got {bad[0]}")
-    if (seeds is None) == (rngs is None):
-        raise ValueError("give exactly one of seeds or rngs")
-    if on_deadlock not in ("stop", "raise"):
-        raise ValueError(
-            f"on_deadlock must be 'stop' or 'raise', got {on_deadlock!r}"
-        )
-    gen_list = (
-        [np.random.default_rng(s) for s in seeds]
-        if rngs is None
-        else list(rngs)
-    )
+    gen_list = [np.random.default_rng(s) for s in seeds]
     row_timing = row_timing or {}
     for name, dists in row_timing.items():
         if not (net.has_transition(name) and net.transition(name).is_timed):
@@ -934,8 +914,6 @@ def run_ensemble(
         warmup,
         initial_marking,
         predicates,
-        on_deadlock,
-        max_immediate_firings,
     )
     ensemble.run(horizons)
     ensemble.finalize(horizons)

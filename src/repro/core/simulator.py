@@ -58,6 +58,10 @@ from .transitions import INFINITE_SERVERS, MemoryPolicy, Transition
 
 __all__ = ["Simulation", "SimulationResult", "simulate"]
 
+#: Default vanishing-loop guard: the most immediate firings one epoch
+#: may take; the vectorized engine applies the same bound.
+MAX_IMMEDIATE_FIRINGS = 100_000
+
 
 @dataclass
 class SimulationResult:
@@ -166,7 +170,7 @@ class Simulation:
         rng: np.random.Generator | None = None,
         warmup: float = 0.0,
         initial_marking: Mapping[str, Any] | None = None,
-        max_immediate_firings: int = 100_000,
+        max_immediate_firings: int = MAX_IMMEDIATE_FIRINGS,
         on_deadlock: str = "stop",
     ) -> None:
         if on_deadlock not in ("stop", "raise"):

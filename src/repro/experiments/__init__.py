@@ -23,7 +23,6 @@ from .figures import (
 from .network import (
     NetworkScenarioConfig,
     NetworkSweepResult,
-    ReplicatedNetworkResult,
     format_network_summary,
     make_topology,
     run_network_lifetime_sweep,
@@ -75,7 +74,6 @@ __all__ = [
     "PAPER_NODE_HORIZON_S",
     "NetworkScenarioConfig",
     "NetworkSweepResult",
-    "ReplicatedNetworkResult",
     "make_topology",
     "run_network_scenario",
     "run_network_lifetime_sweep",

@@ -20,16 +20,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.statistics import ConfidenceInterval, replication_interval
 from ..des.cpu import CPUPowerStateSimulator, CPUSimResult, CPUStates
 from ..energy.power import PowerStateTable, cpu_power_table
 from ..models.cpu_markov import CPUMarkovModel
 from ..models.cpu_petri import CPUPetriModel, simulate_cpu_ensembles
 from .deltas import DeltaStats, delta_table
 from .sweep import FIG4_TO_9_THRESHOLDS
+
+if TYPE_CHECKING:
+    from ..runtime.adaptive import AdaptivePointRun
 
 __all__ = [
     "CPUComparisonConfig",
@@ -65,23 +68,19 @@ class CPUComparisonResult:
     """All series for one ``Power_Up_Delay`` scenario.
 
     ``fractions[estimator][state]`` and ``energy_j[estimator]`` are
-    lists aligned with ``thresholds``.
+    lists aligned with ``thresholds``: across-replication means of the
+    stochastic estimators.  ``runs`` holds one
+    :class:`~repro.runtime.adaptive.AdaptivePointRun` per threshold,
+    whose values map each estimator to its ``(fractions, energy)``; the
+    deterministic Markov solve appears in replication 0 only.
     """
 
     power_up_delay: float
     thresholds: tuple[float, ...]
     fractions: dict[str, dict[str, list[float]]]
     energy_j: dict[str, list[float]]
+    runs: list[AdaptivePointRun]
     config: CPUComparisonConfig = field(default_factory=CPUComparisonConfig)
-    replications: int = 1
-    #: Across-replication t-intervals on energy, per estimator, aligned
-    #: with ``thresholds``; ``None`` for single-replication runs.
-    energy_ci: dict[str, list[ConfidenceInterval]] | None = None
-    #: Adaptive-control outcome per threshold point (``None`` for
-    #: fixed-count runs): replications executed and whether the point
-    #: met ``ci_target`` before ``max_replications``.
-    replication_counts: list[int] | None = None
-    converged: list[bool] | None = None
     ci_target: float | None = None
 
     def delta_energy(self) -> dict[str, DeltaStats]:
@@ -218,8 +217,8 @@ def run_cpu_comparison(
     single-replication default reproduces the pre-runtime results bit
     for bit.  Replication 0 keeps the legacy per-point seed ``seed +
     i``; further replications use seeds spawned from it, and the
-    reported fractions/energies become across-replication means with
-    ``energy_ci`` t-intervals.
+    reported fractions/energies become across-replication means, each
+    point's interval coming from its ``runs`` entry.
 
     With ``ci_target`` set, each threshold point replicates adaptively
     until *both* stochastic estimators' energy intervals meet the
@@ -266,52 +265,33 @@ def run_cpu_comparison(
         ensemble_fn=_evaluate_cpu_point_ensemble,
         metrics=lambda out: (out["simulation"][1], out["petri"][1]),
     )
-    per_point = [run.values for run in runs]
-    adaptive = rx.ci_target is not None
-
     fractions: dict[str, dict[str, list[float]]] = {
         est: {state: [] for state in CPUStates.ALL} for est in ESTIMATORS
     }
     energy: dict[str, list[float]] = {est: [] for est in ESTIMATORS}
-    energy_ci: dict[str, list[ConfidenceInterval]] = {est: [] for est in ESTIMATORS}
-    multi_replicated = any(len(reps) > 1 for reps in per_point)
 
-    for reps in per_point:
-        n_reps = len(reps)
+    for run in runs:
         for est in ESTIMATORS:
-            if est == "markov":
-                # Deterministic: replication 0 holds the only solve;
-                # zero sampling variance by construction.
-                markov_fracs, markov_e = reps[0][est]
-                for state in CPUStates.ALL:
-                    fractions[est][state].append(markov_fracs[state])
-                energy[est].append(markov_e)
-                energy_ci[est].append(
-                    ConfidenceInterval(markov_e, 0.0, 0.95, n_reps)
-                )
-                continue
-            rep_energies = [r[est][1] for r in reps]
+            # The deterministic Markov solve lives in replication 0 only.
+            reps = run.values[:1] if est == "markov" else run.values
             for state in CPUStates.ALL:
                 vals = [r[est][0][state] for r in reps]
                 fractions[est][state].append(
-                    vals[0] if n_reps == 1 else float(np.mean(vals))
+                    vals[0] if len(reps) == 1 else float(np.mean(vals))
                 )
+            rep_energies = [r[est][1] for r in reps]
             energy[est].append(
                 rep_energies[0]
-                if n_reps == 1
+                if len(reps) == 1
                 else float(np.mean(rep_energies))
             )
-            energy_ci[est].append(replication_interval(rep_energies))
 
     return CPUComparisonResult(
         power_up_delay=power_up_delay,
         thresholds=tuple(cfg.thresholds),
         fractions=fractions,
         energy_j=energy,
+        runs=runs,
         config=cfg,
-        replications=max((len(r) for r in per_point), default=rx.replications),
-        energy_ci=energy_ci if multi_replicated else None,
-        replication_counts=[len(r) for r in per_point] if adaptive else None,
-        converged=[run.converged for run in runs] if adaptive else None,
         ci_target=rx.ci_target,
     )

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from ..core.statistics import ConfidenceInterval, replication_interval
 from ..energy.battery import IMOTE2_3xAAA, LinearBattery, PeukertBattery
 from ..models.network import (
     GridTopology,
@@ -49,7 +48,6 @@ if TYPE_CHECKING:
 __all__ = [
     "NetworkScenarioConfig",
     "NetworkSweepResult",
-    "ReplicatedNetworkResult",
     "make_topology",
     "run_network_scenario",
     "run_network_lifetime_sweep",
@@ -128,73 +126,25 @@ class NetworkScenarioConfig:
 
 
 @dataclass
-class ReplicatedNetworkResult:
-    """One network scenario replicated to a CI-width target.
-
-    ``result`` is replication 0 (bit-identical to the unreplicated
-    scenario at the same seed); ``replicates`` holds every executed
-    replication in seed-plan order, a reproducible prefix of the fixed
-    ``max_replications`` run.
-    """
-
-    result: NetworkResult
-    replicates: list[NetworkResult]
-    converged: bool
-    ci_target: float
-
-    @property
-    def replications(self) -> int:
-        """Network replications executed."""
-        return len(self.replicates)
-
-    def energy_ci(self, confidence: float = 0.95) -> ConfidenceInterval:
-        """Across-replication t-interval on total network energy."""
-        return replication_interval(
-            [r.total_energy_j for r in self.replicates], confidence
-        )
-
-    def lifetime_ci(self, confidence: float = 0.95) -> ConfidenceInterval:
-        """Across-replication t-interval on network lifetime (days)."""
-        return replication_interval(
-            [r.network_lifetime_days for r in self.replicates], confidence
-        )
-
-
-@dataclass
 class NetworkSweepResult:
     """Per-threshold network results plus the optimisation verdicts.
 
-    ``results`` holds replication 0 per threshold.  Under adaptive
-    replication control (``ci_target``), ``replicates`` keeps every
-    executed replication per point and ``converged`` whether the point
-    met the target before ``max_replications``; both stay ``None`` for
-    single-run sweeps.
+    ``runs`` holds one :class:`~repro.runtime.adaptive.AdaptivePointRun`
+    per threshold: every executed replication's
+    :class:`~repro.models.network.NetworkResult` and, under adaptive
+    replication control (``ci_target``), whether the point met the
+    target before ``max_replications``.  The verdicts read replication 0.
     """
 
     topology: str
     thresholds: tuple[float, ...]
-    results: list[NetworkResult]
-    replicates: list[list[NetworkResult]] | None = None
-    converged: list[bool] | None = None
+    runs: list[AdaptivePointRun]
     ci_target: float | None = None
 
     @property
-    def replication_counts(self) -> list[int]:
-        """Replications executed per threshold point (1s when fixed)."""
-        if self.replicates is None:
-            return [1] * len(self.results)
-        return [len(reps) for reps in self.replicates]
-
-    def energy_ci(self, confidence: float = 0.95) -> list[ConfidenceInterval]:
-        """Across-replication t-interval on total energy per point."""
-        if self.replicates is None:
-            raise ValueError("energy_ci requires an adaptive (replicated) sweep")
-        return [
-            replication_interval(
-                [r.total_energy_j for r in reps], confidence
-            )
-            for reps in self.replicates
-        ]
+    def results(self) -> list[NetworkResult]:
+        """Replication 0 per threshold."""
+        return [run.values[0] for run in self.runs]
 
     @property
     def lifetimes_days(self) -> list[float]:
@@ -257,7 +207,7 @@ def run_network_scenario(
     threshold: float | None = None,
     *,
     exec_cfg=None,
-) -> NetworkResult | ReplicatedNetworkResult:
+) -> NetworkResult | AdaptivePointRun:
     """Simulate one network at one ``Power_Down_Threshold``.
 
     ``threshold`` overrides ``config.params.power_down_threshold`` when
@@ -269,9 +219,9 @@ def run_network_scenario(
 
     With ``ci_target`` set, the whole scenario replicates with spawned
     seeds until the total-energy interval's relative half-width meets
-    the target (or ``max_replications``), returning a
-    :class:`ReplicatedNetworkResult` whose ``result`` (replication 0)
-    is bit-identical to the unreplicated scenario.  The
+    the target (or ``max_replications``), returning the point's
+    :class:`~repro.runtime.adaptive.AdaptivePointRun`, whose
+    replication 0 is bit-identical to the unreplicated scenario.  The
     ``replications`` field is not used here: replication counts are
     adaptive (``ci_target``-driven) for network scenarios.
     """
@@ -282,14 +232,7 @@ def run_network_scenario(
     if threshold is not None:
         cfg = replace(cfg, params=cfg.params.with_threshold(threshold))
     [run] = _network_runs(cfg, (cfg.params.power_down_threshold,), rx)
-    if rx.ci_target is None:
-        return run.values[0]
-    return ReplicatedNetworkResult(
-        result=run.values[0],
-        replicates=run.values,
-        converged=run.converged,
-        ci_target=rx.ci_target,
-    )
+    return run.values[0] if rx.ci_target is None else run
 
 
 def run_network_lifetime_sweep(
@@ -304,22 +247,17 @@ def run_network_lifetime_sweep(
     engine packs nodes of different points into one ensemble.  With
     ``ci_target`` set, every threshold point replicates adaptively on
     its total-energy interval and stops independently; ``results``
-    still holds the replication-0 series (bit-identical to the
-    single-run sweep), with per-point counts, ``converged`` flags and
-    :meth:`NetworkSweepResult.energy_ci` uncertainty on top.
+    still reads the replication-0 series (bit-identical to the
+    single-run sweep), and ``runs`` holds every replication.
     """
     from ..runtime.config import as_resolved
 
     rx = as_resolved(exec_cfg)
     cfg = config if config is not None else NetworkScenarioConfig()
-    runs = _network_runs(cfg, tuple(cfg.thresholds), rx)
-    adaptive = rx.ci_target is not None
     return NetworkSweepResult(
         topology=cfg.topology.describe(),
         thresholds=tuple(cfg.thresholds),
-        results=[run.values[0] for run in runs],
-        replicates=[run.values for run in runs] if adaptive else None,
-        converged=[run.converged for run in runs] if adaptive else None,
+        runs=_network_runs(cfg, tuple(cfg.thresholds), rx),
         ci_target=rx.ci_target,
     )
 

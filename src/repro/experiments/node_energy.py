@@ -9,12 +9,11 @@ never-power-down).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from ..core.statistics import ConfidenceInterval, replication_interval
 from ..energy.breakdown import EnergyBreakdown
 from ..models.wsn_node import (
     NodeParameters,
@@ -23,6 +22,9 @@ from ..models.wsn_node import (
     simulate_node_task,
 )
 from .sweep import FIG14_15_THRESHOLDS
+
+if TYPE_CHECKING:
+    from ..runtime.adaptive import AdaptivePointRun
 
 __all__ = [
     "NodeSweepConfig",
@@ -67,57 +69,34 @@ class SweepSummary(NamedTuple):
 class NodeSweepResult:
     """The full Fig. 14/15 data set for one workload kind.
 
-    ``results`` holds replication 0 (the legacy single-run series);
-    ``replicates`` holds *all* replications per point when the sweep ran
-    with ``replications > 1``, and the energy series then reports the
-    across-replication mean with :meth:`energy_ci` uncertainty.
-
-    Under adaptive replication control (``ci_target``) the per-point
-    replication counts differ — ``replication_counts`` reports them and
-    ``converged`` records which points met the target before
-    ``max_replications``; both stay ``None`` for fixed-count sweeps.
+    ``runs`` holds one :class:`~repro.runtime.adaptive.AdaptivePointRun`
+    per threshold: every replication's :class:`WSNNodeResult`, and under
+    adaptive replication control (``ci_target``) whether the point met
+    the target before ``max_replications``.  The stacked breakdowns are
+    replication 0 (the legacy single-run series); the energy series is
+    the across-replication mean.
     """
 
     workload: str
     thresholds: tuple[float, ...]
-    results: list[WSNNodeResult]
-    replicates: list[list[WSNNodeResult]] = field(default_factory=list)
-    converged: list[bool] | None = None
+    runs: list[AdaptivePointRun]
     ci_target: float | None = None
 
-    def __post_init__(self) -> None:
-        if not self.replicates:
-            self.replicates = [[r] for r in self.results]
-
     @property
-    def replications(self) -> int:
-        """Replications per grid point (the maximum, when adaptive)."""
-        return max((len(reps) for reps in self.replicates), default=1)
-
-    @property
-    def replication_counts(self) -> list[int]:
-        """Replications executed per grid point."""
-        return [len(reps) for reps in self.replicates]
+    def replicates(self) -> list[list[WSNNodeResult]]:
+        """Every replication's node result, per grid point."""
+        return [run.values for run in self.runs]
 
     @property
     def breakdowns(self) -> list[EnergyBreakdown]:
         """Per-point component breakdowns (the stacked series, rep 0)."""
-        return [r.breakdown for r in self.results]
+        return [run.values[0].breakdown for run in self.runs]
 
     @property
     def total_energy_j(self) -> list[float]:
         """Per-point total node energy (across-replication mean)."""
         return [
             float(np.mean([r.total_energy_j for r in reps]))
-            for reps in self.replicates
-        ]
-
-    def energy_ci(self, confidence: float = 0.95) -> list[ConfidenceInterval]:
-        """Across-replication t-interval on total energy per point."""
-        return [
-            replication_interval(
-                [r.total_energy_j for r in reps], confidence
-            )
             for reps in self.replicates
         ]
 
@@ -178,8 +157,8 @@ def run_node_energy_sweep(
     Replication 0 uses the same seed at every point (common random
     numbers), so the energy curve differences across thresholds reflect
     the threshold, not workload noise; further replications run with
-    independent spawned seeds so :meth:`NodeSweepResult.energy_ci` can
-    report the workload noise.  All (point × replication) simulations
+    independent spawned seeds so each point's interval can report the
+    workload noise.  All (point × replication) simulations
     are submitted through
     :func:`~repro.runtime.adaptive.run_replications`, configured by
     ``exec_cfg`` (an :class:`~repro.runtime.config.ExecutionConfig` or
@@ -224,13 +203,9 @@ def run_node_energy_sweep(
         ensemble_fn=simulate_node_ensemble_task,
         metrics=lambda result: result.total_energy_j,
     )
-    replicates = [run.values for run in runs]
-    adaptive = rx.ci_target is not None
     return NodeSweepResult(
         workload=cfg.workload,
         thresholds=tuple(cfg.thresholds),
-        results=[reps[0] for reps in replicates],
-        replicates=replicates,
-        converged=[run.converged for run in runs] if adaptive else None,
+        runs=runs,
         ci_target=rx.ci_target,
     )

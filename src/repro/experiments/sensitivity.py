@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,6 +33,9 @@ from ..models.wsn_node import (
     simulate_node_ensemble_task,
     simulate_node_task,
 )
+
+if TYPE_CHECKING:
+    from ..runtime.adaptive import AdaptivePointRun
 
 __all__ = [
     "RateSensitivityResult",
@@ -45,18 +49,18 @@ __all__ = [
 class RateSensitivityResult:
     """Optimum threshold and savings per event rate.
 
-    Under adaptive replication control (``ci_target``),
-    ``cell_replications[i][j]`` / ``cell_converged[i][j]`` report the
-    controller outcome for the ``(rates[i], thresholds[j])`` cell; both
-    stay ``None`` for single-run sweeps.
+    ``runs`` holds one :class:`~repro.runtime.adaptive.AdaptivePointRun`
+    per ``(rate, threshold)`` cell, rate-major (``n_t`` thresholds per
+    rate): ``runs[i * n_t + j]`` is the ``(rates[i], thresholds[j])``
+    cell's energies and, under adaptive replication control
+    (``ci_target``), its outcome.
     """
 
     rates: tuple[float, ...]
     optima: list[float]
     optimum_energies_j: list[float]
     savings_vs_never: list[float]
-    cell_replications: list[list[int]] | None = None
-    cell_converged: list[list[bool]] | None = None
+    runs: list[AdaptivePointRun]
     ci_target: float | None = None
 
     def rows(self) -> list[tuple[float, float, float, float]]:
@@ -64,12 +68,6 @@ class RateSensitivityResult:
         return list(
             zip(self.rates, self.optima, self.optimum_energies_j, self.savings_vs_never)
         )
-
-    def all_converged(self) -> bool:
-        """True when every adaptive cell met the target (False if fixed)."""
-        if self.cell_converged is None:
-            return False
-        return all(ok for row in self.cell_converged for ok in row)
 
 
 def _node_task(
@@ -149,17 +147,6 @@ def node_optimum_vs_rate(
         ensemble_fn=_node_energy_ensemble_task,
     )
     flat = [float(np.mean(run.values)) for run in runs]
-    cell_replications: list[list[int]] | None = None
-    cell_converged: list[list[bool]] | None = None
-    if rx.ci_target is not None:
-        cell_replications = [
-            [runs[i * n_t + j].replications for j in range(n_t)]
-            for i in range(len(rates))
-        ]
-        cell_converged = [
-            [runs[i * n_t + j].converged for j in range(n_t)]
-            for i in range(len(rates))
-        ]
 
     optima: list[float] = []
     energies: list[float] = []
@@ -176,8 +163,7 @@ def node_optimum_vs_rate(
         optima=optima,
         optimum_energies_j=energies,
         savings_vs_never=savings,
-        cell_replications=cell_replications,
-        cell_converged=cell_converged,
+        runs=runs,
         ci_target=rx.ci_target,
     )
 

@@ -21,15 +21,23 @@ our duration alongside the paper's.  See EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
-from ..core.statistics import ConfidenceInterval, replication_interval
 from ..des.imote2 import IMote2HardwareSimulator, IMote2RunResult
 from ..models.simple_node import SimpleNodeModel, SimpleNodeResult
 
-__all__ = ["ValidationConfig", "ValidationResult", "run_simple_node_validation"]
+if TYPE_CHECKING:
+    from ..runtime.adaptive import AdaptivePointRun
+
+__all__ = [
+    "ValidationConfig",
+    "ValidationResult",
+    "percent_difference",
+    "run_simple_node_validation",
+]
 
 #: Paper values for side-by-side reporting (Table X).
 PAPER_TABLE_X = {
@@ -55,34 +63,29 @@ class ValidationConfig:
 class ValidationResult:
     """Our regenerated Table X.
 
-    ``hardware`` / ``petri`` / ``petri_energy_j`` are replication 0
-    (seeded with the configured seed, matching the single-run
-    protocol); ``replicate_percent_differences`` collects the headline
-    metric across all replications when the experiment ran with
-    ``replications > 1``.
+    ``run`` holds every replication's ``(hardware, petri, petri energy)``
+    triple; the table reports replication 0 (seeded with the configured
+    seed, matching the single-run protocol), and the headline metric's
+    interval comes from ``run.interval(percent_difference)``.
     """
 
-    hardware: IMote2RunResult
-    petri: SimpleNodeResult
-    petri_energy_j: float
-    replicate_percent_differences: list[float] = field(default_factory=list)
-    #: Adaptive-control outcome (``None`` for fixed-count runs):
-    #: whether the percent-difference interval met ``ci_target`` before
-    #: ``max_replications``.
-    converged: bool | None = None
+    run: AdaptivePointRun
     ci_target: float | None = None
 
     @property
-    def replications(self) -> int:
-        """Replications backing the percent-difference estimate."""
-        return max(1, len(self.replicate_percent_differences))
+    def hardware(self) -> IMote2RunResult:
+        """Replication 0's hardware run."""
+        return self.run.values[0][0]
 
-    def percent_difference_ci(
-        self, confidence: float = 0.95
-    ) -> ConfidenceInterval:
-        """Across-replication t-interval on the percent difference."""
-        values = self.replicate_percent_differences or [self.percent_difference]
-        return replication_interval(values, confidence)
+    @property
+    def petri(self) -> SimpleNodeResult:
+        """Replication 0's Petri-net run."""
+        return self.run.values[0][1]
+
+    @property
+    def petri_energy_j(self) -> float:
+        """Replication 0's Petri-net energy over the measured window."""
+        return self.run.values[0][2]
 
     @property
     def hardware_energy_j(self) -> float:
@@ -92,10 +95,7 @@ class ValidationResult:
     @property
     def percent_difference(self) -> float:
         """|actual − predicted| / actual × 100 — the Table X headline."""
-        actual = self.hardware_energy_j
-        if actual == 0:
-            return 0.0
-        return abs(actual - self.petri_energy_j) / actual * 100.0
+        return percent_difference(self.run.values[0])
 
     def table_rows(self) -> list[tuple[str, float, float]]:
         """(label, ours, paper) rows for side-by-side reporting."""
@@ -148,7 +148,10 @@ def _run_validation_rep(
     return hardware, petri, petri.energy_over(hardware.duration_s)
 
 
-def _percent_difference(rep: tuple[IMote2RunResult, SimpleNodeResult, float]) -> float:
+def percent_difference(
+    rep: tuple[IMote2RunResult, SimpleNodeResult, float],
+) -> float:
+    """The Table X headline of one replication's validation triple."""
     hardware, _petri, petri_energy = rep
     actual = hardware.energy_j
     return abs(actual - petri_energy) / actual * 100.0 if actual else 0.0
@@ -222,16 +225,6 @@ def run_simple_node_validation(
         1,
         rx,
         ensemble_fn=_run_validation_ensemble,
-        metrics=_percent_difference,
+        metrics=percent_difference,
     )
-    reps = run.values
-    differences = [_percent_difference(rep) for rep in reps]
-    hardware, petri, petri_energy_j = reps[0]
-    return ValidationResult(
-        hardware=hardware,
-        petri=petri,
-        petri_energy_j=petri_energy_j,
-        replicate_percent_differences=differences,
-        converged=run.converged,
-        ci_target=rx.ci_target,
-    )
+    return ValidationResult(run=run, ci_target=rx.ci_target)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Any
 
-from ..core.statistics import replication_interval
+from ..core.statistics import ConfidenceInterval, replication_interval
 from .config import ResolvedExecution
 from .executor import ParallelExecutor
 from .store import Fragments, ResultStore, task_key
@@ -67,7 +67,9 @@ class AdaptivePointRun:
     ``values`` holds the raw evaluation results in replication order —
     by the seed-plan contract, a bit-identical prefix of the fixed
     ``max_replications`` run.  ``converged`` is ``None`` for a
-    fixed-count run, which has no stopping rule.
+    fixed-count run, which has no stopping rule.  It is the one record
+    of a replicated point: drivers keep it and derive counts, flags and
+    intervals from it.
     """
 
     values: list[Any]
@@ -77,6 +79,16 @@ class AdaptivePointRun:
     def replications(self) -> int:
         """Replications actually executed for this point."""
         return len(self.values)
+
+    def interval(
+        self,
+        metric: Callable[[Any], float] = float,
+        confidence: float = 0.95,
+    ) -> ConfidenceInterval:
+        """Across-replication t-interval on ``metric`` of each value."""
+        return replication_interval(
+            [metric(v) for v in self.values], confidence
+        )
 
 
 def _metric_values(

@@ -51,6 +51,7 @@ import json
 import os
 import pickle
 import re
+import shutil
 import warnings
 from collections.abc import Callable, Mapping, Set
 from dataclasses import dataclass
@@ -554,14 +555,17 @@ class ResultStore:
         A pure read-path probe: no counters move and the payload is not
         validated, so a corrupt entry still answers ``True`` here and
         only degrades to a miss (with a warning) when :meth:`get`
-        actually reads it.  The serving layer uses this to report cache
-        coverage without perturbing hit/miss accounting.
+        actually reads it.
         """
         path = self._entry_file(key)
         return not self._disabled and os.path.isfile(path)
 
     def _quarantine(self, path: str, reason: str) -> None:
-        """Warn about a bad entry, drop it, count it as corrupt+miss."""
+        """Warn about a bad entry, drop it, count it as corrupt+miss.
+
+        Whatever sits at the entry path goes, a directory too, so the
+        recomputed value's :meth:`put` can take its place.
+        """
         warnings.warn(
             f"result store entry {os.path.basename(path)[:12]}… is invalid "
             f"({reason}); recomputing this task",
@@ -570,6 +574,9 @@ class ResultStore:
         )
         self.corrupt += 1
         self.misses += 1
+        if os.path.isdir(path) and not os.path.islink(path):
+            shutil.rmtree(path, ignore_errors=True)
+            return
         try:
             os.unlink(path)
         except OSError:

@@ -29,9 +29,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import partial
-from itertools import groupby
-from operator import itemgetter
 from typing import Any, TypeVar
 
 import numpy as np
@@ -83,35 +80,11 @@ def _evaluate_task(
     return evaluate(threshold, seed)
 
 
-def _evaluate_ensemble_task(
-    ensemble_evaluate: Callable[[float, tuple[int, ...]], list[Any]],
-    tasks: tuple[tuple[Callable[[float, int], Any], float, int], ...],
-) -> list[Any]:
-    """:func:`_evaluate_task` over many tasks: one user call per point.
-
-    Consecutive tasks of one threshold go to ``ensemble_evaluate`` as
-    one seed tuple; a user ``ensemble_evaluate`` sees one threshold at
-    a time, so the points are evaluated in turn rather than merged.
-    """
-    out: list[Any] = []
-    for threshold, run in groupby(tasks, itemgetter(1)):
-        seeds = tuple(seed for *_, seed in run)
-        values = ensemble_evaluate(threshold, seeds)
-        if len(values) != len(seeds):
-            raise ValueError(
-                f"ensemble_evaluate returned {len(values)} values for "
-                f"{len(seeds)} seeds at threshold {threshold!r}"
-            )
-        out.extend(values)
-    return out
-
-
 def map_sweep(
     evaluate: Callable[[float, int], T],
     thresholds: Sequence[float],
     *,
     seed: int | None = None,
-    ensemble_evaluate: Callable[[float, tuple[int, ...]], list[T]] | None = None,
     exec_cfg: ExecutionConfig | ResolvedExecution | None = None,
 ) -> list[SweepPoint]:
     """Evaluate ``evaluate(threshold, seed)`` over a grid, in parallel.
@@ -126,13 +99,6 @@ def map_sweep(
     seed:
         Root of the seed spawn tree.  ``None`` draws fresh OS entropy
         (still collision-free, not reproducible across calls).
-    ensemble_evaluate:
-        ``(threshold, seeds) -> [value, ...]`` in seed order, equal to
-        ``[evaluate(threshold, s) for s in seeds]``; used only by
-        ``engine="vectorized"``.  Each call gets one
-        point's missing seeds of a round, which need not be
-        consecutive in the seed plan when a store holds some of them.
-        Must be module-level (picklable) when ``workers > 1``.
     exec_cfg:
         An :class:`~repro.runtime.config.ExecutionConfig` (or resolved
         :class:`~repro.runtime.config.ResolvedExecution`); default
@@ -154,21 +120,11 @@ def map_sweep(
           two-level spawn tree, sized at ``max_replications`` per
           point, so an adaptive run is a bit-identical prefix of the
           fixed ``replications=max_replications`` run at the same seed.
-        * ``engine="vectorized"`` (the default) calls
-          ``ensemble_evaluate`` once per sweep point with the point's
-          missing seeds, the points packed into at most one task per
-          executor slot; a round below
-          :data:`~repro.runtime.adaptive.LOCKSTEP_MIN_ROWS` tasks, or
-          no ``ensemble_evaluate``, calls ``evaluate`` per
-          replication.  The seed plan is
-          identical either way, so for a bit-identical
-          ``ensemble_evaluate`` (e.g. one built on
-          :func:`repro.core.fast.run_ensemble`) the returned points
-          match the interpreted engine exactly.
+        * ``engine`` does not apply: ``evaluate`` is an opaque
+          callable, so it runs once per replication.
         * ``store`` memoizes per-replication values, keyed by the
-          *interpreted* per-replication task ``(evaluate, threshold,
-          seed)`` regardless of engine, so both engines and every
-          backend share one cache.
+          per-replication task ``(evaluate, threshold, seed)``, so every
+          backend shares one cache.
 
     Returns
     -------
@@ -187,11 +143,6 @@ def map_sweep(
         lambda i, r: (evaluate, grid[i], seeds[i][r]),
         len(grid),
         rx,
-        ensemble_fn=(
-            None
-            if ensemble_evaluate is None
-            else partial(_evaluate_ensemble_task, ensemble_evaluate)
-        ),
     )
     out: list[SweepPoint] = []
     for i, (t, run) in enumerate(zip(grid, runs)):

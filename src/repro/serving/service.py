@@ -29,10 +29,10 @@ the offending key — the HTTP layer maps them to 400.
 
 Placement is **server policy**: the request's ``execution`` block
 still controls everything that shapes the output (replications,
-``ci_target``, engine, seed mode — the spelling ``scenario run`` would
-use), but the *live* backend and store are the service's own, so a
-request can never point the server at a different store directory or
-worker fleet.
+``ci_target``, engine — the spelling ``scenario run`` would use), but
+the *live* backend and store are the service's own, so a request can
+never point the server at a different store directory or worker
+fleet.
 
 Jobs run on a single worker thread, FIFO.  That serialisation is
 deliberate: the result store counters are snapshotted per job, and one
@@ -262,9 +262,6 @@ class _JobStore:
         self._store.put(key, value)
         self.puts += 1
         self._progress()
-
-    def contains(self, key: str) -> bool:
-        return self._store.contains(key)
 
     def flush_counters(self) -> None:
         self._store.flush_counters()

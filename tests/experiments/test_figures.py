@@ -97,23 +97,29 @@ class TestAdaptiveReplication:
         )
         assert adaptive.energy_j == fixed.energy_j
         assert adaptive.fractions == fixed.fractions
-        assert adaptive.converged == [False, False]
-        assert adaptive.replication_counts == [3, 3]
+        assert [run.converged for run in adaptive.runs] == [False, False]
+        assert [run.replications for run in adaptive.runs] == [3, 3]
 
     def test_adaptive_reports_energy_ci_and_flags(self):
         adaptive = run_cpu_comparison(
             0.3, self.CFG, exec_cfg=ExecutionConfig(ci_target=0.5, max_replications=4)
         )
-        assert adaptive.energy_ci is not None
-        assert all(n >= 2 for n in adaptive.replication_counts)
+        assert len(adaptive.runs) == 2
+        assert all(run.replications >= 2 for run in adaptive.runs)
+        assert all(run.converged is not None for run in adaptive.runs)
         for est in ("simulation", "petri"):
-            assert len(adaptive.energy_ci[est]) == 2
-        # The analytic Markov model never replicates: zero variance.
-        assert all(ci.half_width == 0.0 for ci in adaptive.energy_ci["markov"])
+            for run, mean in zip(adaptive.runs, adaptive.energy_j[est]):
+                ci = run.interval(lambda out, est=est: out[est][1])
+                assert ci.batches == run.replications
+                assert ci.mean == pytest.approx(mean)
+        # The analytic Markov model is solved once, on replication 0.
+        for run in adaptive.runs:
+            assert "markov" in run.values[0]
+            assert all("markov" not in out for out in run.values[1:])
 
     def test_fixed_run_reports_no_convergence_fields(self):
         fixed = run_cpu_comparison(
             0.3, self.CFG, exec_cfg=ExecutionConfig(replications=2)
         )
-        assert fixed.converged is None
-        assert fixed.replication_counts is None
+        assert [run.converged for run in fixed.runs] == [None, None]
+        assert fixed.ci_target is None

@@ -122,12 +122,14 @@ class TestAdaptiveReplication:
         replicated = run_network_scenario(
             self.CFG, exec_cfg=ExecutionConfig(ci_target=0.5, max_replications=4)
         )
-        assert replicated.result.total_energy_j == single.total_energy_j
-        assert [n.energy_j for n in replicated.result.nodes] == [
+        first = replicated.values[0]
+        assert first.total_energy_j == single.total_energy_j
+        assert [n.energy_j for n in first.nodes] == [
             n.energy_j for n in single.nodes
         ]
         assert 2 <= replicated.replications <= 4
-        assert replicated.energy_ci().batches == replicated.replications
+        energy = replicated.interval(lambda r: r.total_energy_j)
+        assert energy.batches == replicated.replications
 
     def test_sweep_adaptive_sharding_invariant(self):
         plain = run_network_lifetime_sweep(
@@ -138,25 +140,27 @@ class TestAdaptiveReplication:
             exec_cfg=ExecutionConfig(ci_target=0.5, max_replications=3, workers=2),
         )
         assert [
-            [r.total_energy_j for r in reps] for reps in plain.replicates
-        ] == [[r.total_energy_j for r in reps] for reps in parallel.replicates]
-        assert plain.converged == parallel.converged
-        assert plain.replication_counts == parallel.replication_counts
+            [r.total_energy_j for r in run.values] for run in plain.runs
+        ] == [[r.total_energy_j for r in run.values] for run in parallel.runs]
+        assert [run.converged for run in plain.runs] == [
+            run.converged for run in parallel.runs
+        ]
 
     def test_sweep_cap_reports_unconverged_points(self):
         sweep = run_network_lifetime_sweep(
             self.CFG, exec_cfg=ExecutionConfig(ci_target=1e-12, max_replications=2)
         )
-        assert sweep.converged == [False, False]
-        assert sweep.replication_counts == [2, 2]
-        assert all(ci.batches == 2 for ci in sweep.energy_ci())
+        assert [run.converged for run in sweep.runs] == [False, False]
+        assert [run.replications for run in sweep.runs] == [2, 2]
+        assert all(
+            run.interval(lambda r: r.total_energy_j).batches == 2
+            for run in sweep.runs
+        )
 
     def test_fixed_sweep_has_no_replicates(self):
         sweep = run_network_lifetime_sweep(self.CFG)
-        assert sweep.replicates is None
-        assert sweep.replication_counts == [1, 1]
-        with pytest.raises(ValueError):
-            sweep.energy_ci()
+        assert [run.replications for run in sweep.runs] == [1, 1]
+        assert [run.converged for run in sweep.runs] == [None, None]
 
     @pytest.mark.parametrize(
         "policy", [{}, {"ci_target": 0.5, "max_replications": 3}]

@@ -18,7 +18,7 @@ class TestDriver:
     def test_result_shape(self):
         r = run_node_energy_sweep(short_config())
         assert r.thresholds == SHORT_GRID
-        assert len(r.results) == len(SHORT_GRID)
+        assert len(r.runs) == len(SHORT_GRID)
         assert len(r.breakdowns) == len(SHORT_GRID)
         assert len(r.total_energy_j) == len(SHORT_GRID)
 
@@ -86,22 +86,22 @@ class TestAdaptiveReplication:
                 r.total_energy_j for r in fixed_reps[:k]
             ]
         assert adaptive.ci_target == 0.3
-        assert len(adaptive.converged) == 2
-        assert all(2 <= n <= 6 for n in adaptive.replication_counts)
+        assert all(run.converged is not None for run in adaptive.runs)
+        assert all(2 <= run.replications <= 6 for run in adaptive.runs)
 
     def test_replication0_series_unchanged(self):
         single = run_node_energy_sweep(self.CFG)
         adaptive = run_node_energy_sweep(
             self.CFG, exec_cfg=ExecutionConfig(ci_target=0.3, max_replications=4)
         )
-        assert [r.total_energy_j for r in adaptive.results] == [
-            r.total_energy_j for r in single.results
+        assert [reps[0].total_energy_j for reps in adaptive.replicates] == [
+            reps[0].total_energy_j for reps in single.replicates
         ]
 
     def test_fixed_sweep_reports_no_convergence_fields(self):
         fixed = run_node_energy_sweep(
             self.CFG, exec_cfg=ExecutionConfig(replications=2)
         )
-        assert fixed.converged is None
+        assert [run.converged for run in fixed.runs] == [None, None]
         assert fixed.ci_target is None
-        assert fixed.replication_counts == [2, 2]
+        assert [run.replications for run in fixed.runs] == [2, 2]

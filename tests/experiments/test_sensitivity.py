@@ -103,17 +103,15 @@ class TestAdaptiveReplication:
             exec_cfg=ExecutionConfig(ci_target=0.5, max_replications=4),
             **self.KW,
         )
-        assert len(r.cell_replications) == 1
-        assert len(r.cell_replications[0]) == 2
-        assert all(2 <= n <= 4 for n in r.cell_replications[0])
-        assert all(ok in (True, False) for ok in r.cell_converged[0])
+        assert len(r.runs) == 2
+        assert all(2 <= run.replications <= 4 for run in r.runs)
+        assert all(run.converged in (True, False) for run in r.runs)
         assert r.ci_target == 0.5
 
     def test_fixed_sweep_reports_no_convergence_fields(self):
         r = node_optimum_vs_rate([1.0], **self.KW)
-        assert r.cell_replications is None
-        assert r.cell_converged is None
-        assert not r.all_converged()
+        assert [run.replications for run in r.runs] == [1, 1]
+        assert [run.converged for run in r.runs] == [None, None]
 
     def test_fixed_replications_run_per_cell(self):
         pool = RecordingBackend()
@@ -137,8 +135,8 @@ class TestAdaptiveReplication:
             ),
             **self.KW,
         )
-        assert r.cell_replications == [[3, 3]]
-        assert r.all_converged()
+        assert [run.replications for run in r.runs] == [3, 3]
+        assert all(run.converged for run in r.runs)
 
 
 class RecordingBackend:

@@ -7,6 +7,7 @@ from repro.experiments import (
     ValidationConfig,
     run_simple_node_validation,
 )
+from repro.experiments.validation import percent_difference
 from repro.experiments.tables import (
     format_delta_table,
     format_optimum_summary,
@@ -91,23 +92,22 @@ class TestAdaptiveReplication:
         adaptive = run_simple_node_validation(
             self.CFG, exec_cfg=ExecutionConfig(ci_target=5.0, max_replications=8)
         )
-        k = adaptive.replications
-        assert (
-            adaptive.replicate_percent_differences
-            == fixed.replicate_percent_differences[:k]
-        )
-        assert adaptive.converged is True
+        k = adaptive.run.replications
+        assert [percent_difference(rep) for rep in adaptive.run.values] == [
+            percent_difference(rep) for rep in fixed.run.values[:k]
+        ]
+        assert adaptive.run.converged is True
 
     def test_cap_hit_reports_unconverged(self):
         adaptive = run_simple_node_validation(
             self.CFG, exec_cfg=ExecutionConfig(ci_target=1e-12, max_replications=3)
         )
-        assert adaptive.converged is False
-        assert adaptive.replications == 3
+        assert adaptive.run.converged is False
+        assert adaptive.run.replications == 3
 
     def test_fixed_run_reports_no_convergence_fields(self):
         fixed = run_simple_node_validation(
             self.CFG, exec_cfg=ExecutionConfig(replications=2)
         )
-        assert fixed.converged is None
+        assert fixed.run.converged is None
         assert fixed.ci_target is None

@@ -24,7 +24,6 @@ enforcement:
 
 import pickle
 import struct
-from functools import partial
 
 import numpy as np
 import pytest
@@ -90,7 +89,6 @@ from repro.models.wsn_node import (
 )
 from repro.runtime.config import ExecutionConfig
 from repro.runtime.seeding import replication_seeds
-from repro.runtime.sweep import _evaluate_ensemble_task, _evaluate_task
 from repro.topology.dynamics import ChurnModel, NodeSegment
 from repro.topology.traffic import MMPPTraffic
 from tests.core import test_simulator
@@ -383,8 +381,9 @@ class TestAdaptiveControllerAgreement:
         vec = node_optimum_vs_rate(
             exec_cfg=adaptive.with_overrides(engine="vectorized"), **kwargs
         )
-        assert vec.cell_converged == interp.cell_converged
-        assert vec.cell_replications == interp.cell_replications
+        assert [(run.replications, run.converged) for run in vec.runs] == [
+            (run.replications, run.converged) for run in interp.runs
+        ]
         assert vec.optima == interp.optima
         assert vec.optimum_energies_j == interp.optimum_energies_j
         assert vec.savings_vs_never == interp.savings_vs_never
@@ -604,9 +603,7 @@ class TestEnsembleStaleSchedule:
         ref = sim.run(10.0)
 
         cn = compile_net(net)
-        ensemble = _Ensemble(
-            cn, [np.random.default_rng(0)], {}, 0.0, None, None, "stop", 100_000
-        )
+        ensemble = _Ensemble(cn, [np.random.default_rng(0)], {}, 0.0, None, None)
         [never] = [ct for ct in cn.timed if ct.name == "never"]
         assert ensemble.sched[0, never.col0] == np.inf
         ensemble.sched[0, never.col0] = 2.0  # disabled, scheduled anyway
@@ -964,19 +961,6 @@ def _bits(values: list[float]) -> bytes:
     return struct.pack(f"{len(values)}d", *values)
 
 
-def _sweep_energy(threshold, seed):
-    """A ``map_sweep`` evaluate: one node run's total energy."""
-    params = NodeParameters(power_down_threshold=threshold)
-    return WSNNodeModel(params, "closed").simulate(5.0, seed=seed).total_energy_j
-
-
-def _sweep_energy_ensemble(threshold, seeds):
-    """The ``ensemble_evaluate`` twin of :func:`_sweep_energy`."""
-    params = NodeParameters(power_down_threshold=threshold)
-    model = WSNNodeModel(params, "closed")
-    return [r.total_energy_j for r in model.simulate_ensemble(5.0, seeds)]
-
-
 #: Replications 0, 2 and 3 of a four-replication seed plan: a batch
 #: that skips one, as a store hole leaves it.
 _REPS = (0, 2, 3)
@@ -1051,11 +1035,6 @@ BATCHED_DRIVERS = {
             (NodeSegment(0.0, 3.0, (0.5, 2.0)[i], seed),)
             + ((NodeSegment(3.0, 2.0, 1.0, seed + 1),) if r else ()),
         ),
-    ),
-    "map-sweep": (
-        _evaluate_task,
-        partial(_evaluate_ensemble_task, _sweep_energy_ensemble),
-        lambda i, r, seed: (_sweep_energy, (0.00178, 1.0)[i], seed),
     ),
 }
 

@@ -28,7 +28,11 @@ import pytest
 
 from repro.experiments.figures import CPUComparisonConfig, run_cpu_comparison
 from repro.experiments.node_energy import NodeSweepConfig, run_node_energy_sweep
-from repro.experiments.validation import ValidationConfig, run_simple_node_validation
+from repro.experiments.validation import (
+    ValidationConfig,
+    percent_difference,
+    run_simple_node_validation,
+)
 from repro.runtime.remote import SocketBackend, serve_worker
 from repro.runtime.store import ResultStore, StoreWarning
 from repro.runtime.config import ResolvedExecution
@@ -127,7 +131,7 @@ def _fingerprint_validation(result):
     """Replication 0's (hardware, petri, energy) entry + all headlines."""
     return [
         pickle.dumps((result.hardware, result.petri, result.petri_energy_j), 5),
-        pickle.dumps(tuple(result.replicate_percent_differences), 5),
+        pickle.dumps(tuple(map(percent_difference, result.run.values)), 5),
     ]
 
 

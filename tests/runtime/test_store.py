@@ -666,14 +666,28 @@ class TestFaultInjection:
         assert store.verify() == (1, [])
 
     def test_directory_at_the_entry_path_is_a_warned_miss(self, tmp_path):
-        # os.open succeeds on a directory; only the read fails.
+        # os.open succeeds on a directory; only the read fails.  The
+        # quarantine removes the directory, so the next read is a plain
+        # miss.
         store = ResultStore(tmp_path)
         key = task_key(noisy, (0.5, 7))
         os.makedirs(store._entry_file(key))
-        for _ in range(2):
-            with pytest.warns(StoreWarning, match="unreadable"):
-                assert store.get(key) == (False, None)
-        assert (store.corrupt, store.misses, store.hits) == (2, 2, 0)
+        with pytest.warns(StoreWarning, match="unreadable"):
+            assert store.get(key) == (False, None)
+        assert not os.path.exists(store._entry_file(key))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", StoreWarning)
+            assert store.get(key) == (False, None)
+        assert (store.corrupt, store.misses, store.hits) == (1, 2, 0)
+
+    def test_put_heals_a_directory_at_the_entry_path(self, tmp_path):
+        store = ResultStore(tmp_path)
+        key = task_key(noisy, (0.5, 7))
+        os.makedirs(os.path.join(store._entry_file(key), "nested"))
+        with pytest.warns(StoreWarning):
+            assert store.get(key) == (False, None)
+        store.put(key, 1.0)
+        assert store.get(key) == (True, 1.0)
 
     def test_value_larger_than_one_read_chunk_round_trips(self, tmp_path):
         store = ResultStore(tmp_path)
