@@ -170,6 +170,9 @@ smoke_engine() {
     # Two workers: the sweep points are packed into two ensemble tasks
     # that run on the process pool.
     engine_diff fig 14 --horizon 2 --replications 3 --workers 2
+    # One 184-row ensemble whose rows retire over many steps, so retired
+    # rows are swapped out of the active prefix again and again.
+    engine_diff fig 14 --horizon 5 --replications 8
     # The open workload: each row's arrival rate is per-row timing on
     # the emit transition.
     engine_diff fig 15 --horizon 2 --replications 2

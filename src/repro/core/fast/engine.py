@@ -10,9 +10,17 @@ sweep run together.
 One *round* advances every still-active replication by exactly one
 timed event:
 
-1. ``argmin`` over the ``[R, S]`` slot-time matrix picks each
+1. The active rows sit at positions ``[0, n)`` of every per-row array,
+   so a round works on ``[:n]`` views, not index-array gathers.
+   ``argmin`` over the ``[n, S]`` slot-time view picks each
    replication's next firing; replications whose next event lies beyond
-   their own horizon (or that deadlocked — all slots idle) retire.
+   their own horizon (or that deadlocked — all slots idle) retire.  The
+   live rows past the new prefix then swap places with the retired rows
+   inside it, in every per-row array, so a retirement costs one gather
+   and one scatter of those few rows per array.  ``perm`` maps each
+   position to its seed-order row: generators and per-row distributions
+   are read through it and never move.  The end of the run restores
+   seed order once.
 2. Time-weighted statistics integrate the *resting* counts over each
    replication's elapsed interval (dt == 0 never contributes, matching
    the interpreted accumulator's ``if hi > lo`` guard bit for bit).
@@ -81,6 +89,11 @@ __all__ = [
 ]
 
 
+#: The rows a step works on: the active prefix ``slice(0, n)`` (array
+#: views) or an array of positions inside it (gathers).
+_Rows = slice | np.ndarray
+
+
 class EnsembleCounts:
     """Marking facade over the ensemble: ``count(place) -> int64[R]``.
 
@@ -92,9 +105,7 @@ class EnsembleCounts:
 
     __slots__ = ("_totals", "_index", "_rows")
 
-    def __init__(
-        self, totals: np.ndarray, index: dict[str, int], rows: np.ndarray
-    ) -> None:
+    def __init__(self, totals: np.ndarray, index: dict[str, int], rows: _Rows) -> None:
         self._totals = totals
         self._index = index
         self._rows = rows
@@ -239,7 +250,12 @@ def _initial_state(
 
 
 class _Ensemble:
-    """Mutable run state of one lockstep ensemble."""
+    """Mutable run state of one lockstep ensemble.
+
+    Every per-row array is indexed by *position*.  While :meth:`run`
+    steps, the active rows hold positions ``[0, n)`` and ``perm[pos]``
+    is the seed-order row at ``pos``; outside it, positions are rows.
+    """
 
     def __init__(
         self,
@@ -273,10 +289,11 @@ class _Ensemble:
         self.has_queue[list(self.plans)] = True
         # Per-row timing of every timed transition: a delay vector when
         # every row is deterministic (no draw), else one distribution
-        # per row, sampled with that row's own generator.  The single-
-        # server slots take their deterministic delays from one [R, T]
-        # matrix (NaN where a draw decides); transitions that draw or
-        # have several servers refresh per row, in definition order.
+        # per row, sampled with that row's own generator; both are read
+        # through ``perm``.  The single-server slots take their
+        # deterministic delays from one [R, T] matrix (NaN where a draw
+        # decides); transitions that draw or have several servers
+        # refresh per row, in definition order.
         self.timing: list[np.ndarray | list[Any]] = []
         single = [u for u, ct in enumerate(cn.timed) if ct.servers == 1]
         self.single_pos = np.array(single, dtype=np.int64)
@@ -319,8 +336,8 @@ class _Ensemble:
             name: j for j, name in enumerate(cn.transition_names)
         }
         self.stale_pops = 0
-        self.done = np.zeros(reps, dtype=bool)
         self.deadlocked = np.zeros(reps, dtype=bool)
+        self.horizon = np.zeros(reps)  # set by run()
         # Statistics arrays (see TimeWeightedAccumulator): one shared
         # observed-time vector — every accumulator of a replication sees
         # the same update times.
@@ -342,50 +359,53 @@ class _Ensemble:
             self.pred_value[name] = np.zeros(reps)
             self.pred_integral[name] = np.zeros(reps)
             self.pred_max[name] = np.zeros(reps)
-        self._all = np.arange(reps)
-        self._eval_predicates(self._all)
+        self.perm = np.arange(reps)
+        self._pos = np.arange(reps)  # positions, sliced for index arithmetic
+        self._eval_predicates(slice(0, reps))
         for name in self.pred_value:
             self.pred_max[name] = self.pred_value[name].copy()
         # Time 0, as Simulation._initialize: immediates settle, then the
         # enabled timed transitions are scheduled.
-        self._immediate_phase(self._all)
+        self._immediate_phase(reps)
         if cn.n_slots:
-            self._refresh_timed(self._all)
-        # Buffers of the per-step integration (see _integrate).
-        self._totals_rows = np.empty((reps, n_places), dtype=np.int64)
-        self._part_rows = np.empty((reps, n_places))
-        self._acc_rows = np.empty((reps, n_places))
+            self._refresh_timed(reps)
+
+    def _positions(self, rows: _Rows) -> np.ndarray:
+        """``rows`` as an array of positions."""
+        return self._pos[rows] if isinstance(rows, slice) else rows
 
     # ------------------------------------------------------------------
     # Predicates
     # ------------------------------------------------------------------
-    def _eval_predicates(self, idx: np.ndarray) -> None:
+    def _eval_predicates(self, rows: _Rows) -> None:
         if not self.preds:
             return
         for name, spec, vector in self.preds:
             if vector:
-                counts = EnsembleCounts(self.totals, self.cn.place_index, idx)
+                counts = EnsembleCounts(self.totals, self.cn.place_index, rows)
                 vals = np.asarray(spec.fn(counts), dtype=bool).astype(float)
             else:
                 view = _ScalarCounts(self.totals, self.cn.place_index)
-                vals = np.empty(idx.size)
-                for a, r in enumerate(idx):
+                pos = self._positions(rows)
+                vals = np.empty(pos.size)
+                for a, r in enumerate(pos):
                     view._row = r
                     vals[a] = 1.0 if spec(view) else 0.0
-            self.pred_value[name][idx] = vals
+            self.pred_value[name][rows] = vals
             # NB: arr[idx] is a fancy-indexing copy — assign back, never
             # np.maximum(..., out=arr[idx]).
-            self.pred_max[name][idx] = np.maximum(
-                self.pred_max[name][idx], vals
-            )
+            self.pred_max[name][rows] = np.maximum(self.pred_max[name][rows], vals)
 
     # ------------------------------------------------------------------
     # Enabling
     # ------------------------------------------------------------------
-    def _degrees(self, table: DegreeTable, idx: np.ndarray) -> np.ndarray:
-        """``[len(idx), table.n]`` enabling degrees of one class."""
+    def _degrees(self, table: DegreeTable, rows: _Rows) -> np.ndarray:
+        """``[rows, table.n]`` enabling degrees of one class."""
         n = table.n
-        block = self.flat[idx[:, None] * self.cn.n_state + table.cols]
+        if isinstance(rows, slice):
+            block = self.state[rows][:, table.cols]
+        else:
+            block = self.flat[rows[:, None] * self.cn.n_state + table.cols]
         deg = None
         for k, (off, mult) in enumerate(zip(table.offsets, table.mults)):
             term = block[:, k * n : (k + 1) * n]
@@ -401,8 +421,9 @@ class _Ensemble:
     # ------------------------------------------------------------------
     # Firing
     # ------------------------------------------------------------------
-    def _fire(self, rows: np.ndarray, tids: np.ndarray) -> None:
-        """Fire transition ``tids[a]`` (a net index) in row ``rows[a]``.
+    def _fire(self, rows: _Rows, tids: np.ndarray) -> None:
+        """Fire transition ``tids[a]`` (a net index) in the ``a``-th row
+        of ``rows``.
 
         Each row fires once, so one flat add applies every row's static
         deltas (distinct rows, distinct columns; only the padding
@@ -411,26 +432,28 @@ class _Ensemble:
         interpreted engine samples.
         """
         cn, flat = self.cn, self.flat
-        at = (rows * cn.n_state)[:, None] + cn.delta_cols[tids]
+        pos = self._positions(rows)
+        at = (pos * cn.n_state)[:, None] + cn.delta_cols[tids]
         after = flat[at] + cn.delta_vals[tids]
         flat[at] = after
         maxima = self.max_counts.reshape(-1)
         maxima[at] = np.maximum(maxima[at], after)
         queued = self.has_queue[tids]
         if queued.any():
-            q_rows, q_tids = rows[queued], tids[queued]
+            q_rows, q_tids = pos[queued], tids[queued]
             for t in np.flatnonzero(np.bincount(q_tids)):
                 self._queue_ops(self.plans[t], q_rows[q_tids == t])
         self.firings[rows] += 1
         counts = self.firing_counts
-        at = rows * counts.shape[1] + tids
+        at = pos * counts.shape[1] + tids
         if self.warmup > 0.0:
             at = at[self.clock[rows] >= self.warmup]
         counts.reshape(-1)[at] += 1
         self._eval_predicates(rows)
 
     def _queue_ops(self, plan: FiringPlan, idx: np.ndarray) -> None:
-        """The FIFO ops of one firing of ``plan`` in every row of ``idx``."""
+        """The FIFO ops of one firing of ``plan`` at every position of
+        ``idx``."""
         flat, width = self.flat, self.cn.n_state
         color_base = self.cn.color_base
         popped: dict[int, np.ndarray] = {}
@@ -458,8 +481,9 @@ class _Ensemble:
     # ------------------------------------------------------------------
     # Immediate phase
     # ------------------------------------------------------------------
-    def _immediate_phase(self, idx: np.ndarray) -> None:
-        """Fire enabled immediates until none remain, in lockstep.
+    def _immediate_phase(self, n: int) -> None:
+        """Fire enabled immediates in the first ``n`` rows until none
+        remain, in lockstep.
 
         Each pass fires one immediate in every row that has one enabled,
         so a row still in the loop after ``i`` passes has fired ``i``.
@@ -468,14 +492,14 @@ class _Ensemble:
         table = cn.immediate_degrees
         if table is None:
             return
-        rem = idx
+        rows: _Rows = slice(0, n)
         passes = 0
-        while rem.size:
-            enab = self._degrees(table, rem) > 0
+        while True:
+            enab = self._degrees(table, rows) > 0
             any_enabled = enab.any(axis=1)
             if not any_enabled.all():
-                rem = rem[any_enabled]
-                if not rem.size:
+                rows = self._positions(rows)[any_enabled]
+                if not rows.size:
                     return
                 enab = enab[any_enabled]
             # Immediates are sorted by priority, descending: the first
@@ -484,6 +508,7 @@ class _Ensemble:
             if self.imm_ties:
                 prio = self.imm_priority
                 cand = enab & (prio == prio[chosen][:, None])
+                pos = self._positions(rows)
                 for a in np.flatnonzero(cand.sum(axis=1) > 1):
                     # Replicates Simulation._fire_immediates exactly: the
                     # candidate list is the priority-sorted immediates
@@ -494,76 +519,78 @@ class _Ensemble:
                         [cn.immediates[i].weight for i in c_list]
                     )
                     j = int(
-                        self.rngs[rem[a]].choice(
+                        self.rngs[self.perm[pos[a]]].choice(
                             len(c_list), p=weights / weights.sum()
                         )
                     )
                     chosen[a] = c_list[j]
-            self._fire(rem, self.imm_index[chosen])
+            self._fire(rows, self.imm_index[chosen])
             passes += 1
             if passes > MAX_IMMEDIATE_FIRINGS:
+                # Name the looping row a seed-order run meets first.
+                pos = self._positions(rows)
+                first = pos[np.argmin(self.perm[pos])]
                 raise ImmediateLoopError(
-                    float(self.clock[rem[0]]), MAX_IMMEDIATE_FIRINGS
+                    float(self.clock[first]), MAX_IMMEDIATE_FIRINGS
                 )
 
     # ------------------------------------------------------------------
     # Timed refresh
     # ------------------------------------------------------------------
-    def _refresh_timed(self, idx: np.ndarray) -> None:
-        """Re-align every timed schedule of rows ``idx`` with the current
-        enabling, starting and stopping every single-server slot at once."""
+    def _refresh_timed(self, n: int) -> None:
+        """Re-align every timed schedule of the first ``n`` rows with the
+        current enabling, starting and stopping every single-server slot
+        at once."""
         cn = self.cn
-        deg = self._degrees(cn.timed_degrees, idx)
-        enabled = deg > 0
-        self.enabled[idx] = enabled
-        sched, clock, rngs = self.sched, self.clock, self.rngs
+        deg = self._degrees(cn.timed_degrees, slice(0, n))
+        enabled = np.greater(deg, 0, out=self.enabled[:n])
+        sched, clock = self.sched[:n], self.clock[:n]
         if self.all_single:
-            cur, want = sched[idx], enabled
+            cur, want = sched, enabled
         else:
-            cur = sched[np.ix_(idx, self.single_cols)]
+            cur = sched[:, self.single_cols]
             want = enabled[:, self.single_pos]
         live = cur < np.inf
         stop = live & ~want
         start = want & ~live
         starts = start.any()
         if starts or stop.any():
-            new = np.where(stop, np.inf, cur)
+            np.copyto(cur, np.inf, where=stop)
             if starts:
-                now = clock[idx][:, None] + self.delay[idx]
-                new = np.where(start, now, new)
-            if self.all_single:
-                sched[idx] = new
-            else:
-                sched[np.ix_(idx, self.single_cols)] = new
+                np.copyto(cur, clock[:, None] + self.delay[:n], where=start)
+            if not self.all_single:
+                sched[:, self.single_cols] = cur
+        perm, rngs = self.perm, self.rngs
         for u, j in self.per_row:
             ct, timing = cn.timed[u], self.timing[u]
             if j < 0:
-                self._refresh_multi_server(ct, timing, idx, deg[:, u])
+                self._refresh_multi_server(ct, timing, deg[:, u])
                 continue
             col = ct.col0
-            for r in idx[start[:, j]]:
-                sched[r, col] = clock[r] + timing[r].sample(rngs[r])
+            for r in np.flatnonzero(start[:, j]):
+                row = perm[r]
+                sched[r, col] = clock[r] + timing[row].sample(rngs[row])
 
     def _refresh_multi_server(
         self,
         ct: CompiledTransition,
         timing: np.ndarray | list[Any],
-        idx: np.ndarray,
         deg: np.ndarray,
     ) -> None:
-        """Finite k > 1 servers: per-replication slot bookkeeping.
+        """Finite k > 1 servers: per-replication slot bookkeeping for the
+        first ``len(deg)`` rows.
 
         Mirrors Simulation._refresh_timed: start fills the lowest idle
         slots in ascending order (one delay draw per started slot);
         cancellation drops the latest-scheduled slots first, stable on
         equal times.  Cold path — the shipped models are single-server.
         """
-        sched, clock, rngs = self.sched, self.clock, self.rngs
+        sched, clock, perm, rngs = self.sched, self.clock, self.perm, self.rngs
         vector = isinstance(timing, np.ndarray)
         k = ct.servers
         c0 = ct.col0
-        for a, r in enumerate(idx):
-            want = min(int(deg[a]), k)
+        for r in range(deg.size):
+            want = min(int(deg[r]), k)
             live = [
                 s for s in range(k) if np.isfinite(sched[r, c0 + s])
             ]
@@ -572,9 +599,10 @@ class _Ensemble:
                 taken = set(live)
                 need = want - have
                 slot = 0
+                row = perm[r]
                 while need > 0:
                     if slot not in taken:
-                        delay = timing[r] if vector else timing[r].sample(rngs[r])
+                        delay = timing[row] if vector else timing[row].sample(rngs[row])
                         sched[r, c0 + slot] = clock[r] + delay
                         need -= 1
                     slot += 1
@@ -595,67 +623,95 @@ class _Ensemble:
         if cn.n_slots == 0:
             # No timed transitions: once the initial immediates settle
             # the calendar is empty — every replication deadlocks at 0.
-            self.done[:] = True
             self.deadlocked[:] = True
             return
-        active = self._all
-        while active.size:
-            sub = sched[active]
+        self.horizon[:] = horizon
+        n = len(self.rngs)
+        while n:
+            sub = sched[:n]
             k = np.argmin(sub, axis=1)
-            next_t = sub[np.arange(active.size), k]
-            alive = next_t <= horizon[active]
+            next_t = sub[self._pos[:n], k]
+            alive = next_t <= self.horizon[:n]
             if not alive.all():
-                retired = active[~alive]
-                dead = retired[np.isinf(next_t[~alive])]
-                self.done[retired] = True
-                self.deadlocked[dead] = True
-                active = active[alive]
-                k = k[alive]
-                next_t = next_t[alive]
-                if not active.size:
+                gone = np.flatnonzero(~alive)
+                self.deadlocked[gone[np.isinf(next_t[gone])]] = True
+                n -= gone.size
+                if not n:
                     break
+                holes = gone[gone < n]
+                if holes.size:
+                    moved = n + np.flatnonzero(alive[n:])
+                    self._swap(holes, moved)
+                    k[holes] = k[moved]
+                    next_t[holes] = next_t[moved]
+                k, next_t = k[:n], next_t[:n]
+            rows = slice(0, n)
             # Integrate the resting state over each replication's
             # elapsed interval (same addition sequence per replication
             # as the interpreted accumulators).
-            lo = np.maximum(clock[active], warmup)
+            lo = np.maximum(clock[rows], warmup)
             dt = np.maximum(next_t - lo, 0.0)
-            self.observed[active] += dt
-            totals = np.take(
-                self.totals, active, axis=0, out=self._totals_rows[: active.size]
-            )
-            self._integrate(self.integral, totals, dt, active)
-            self._integrate(self.nonzero_time, totals > 0, dt, active)
-            for name in self.pred_integral:
-                self.pred_integral[name][active] += (
-                    self.pred_value[name][active] * dt
-                )
-            clock[active] = next_t
-            sched[active, k] = np.inf
+            self.observed[rows] += dt
+            totals = self.totals[rows]
+            self.integral[rows] += totals * dt[:, None]
+            self.nonzero_time[rows] += (totals > 0) * dt[:, None]
+            for name, integral in self.pred_integral.items():
+                integral[rows] += self.pred_value[name][rows] * dt
+            clock[rows] = next_t
+            pos = self._pos[rows]
+            sched[pos, k] = np.inf
             u = cn.slot_timed[k]
-            live = self.enabled[active, u]
+            live = self.enabled[pos, u]
             if live.all():
-                self._fire(active, self.timed_index[u])
+                self._fire(rows, self.timed_index[u])
             else:
                 # Scheduled-but-stale (see Simulation.step): the clock
                 # advance stands, statistics already sampled, the
                 # firing is skipped.
                 self.stale_pops += int((~live).sum())
                 if live.any():
-                    self._fire(active[live], self.timed_index[u[live]])
-            self._immediate_phase(active)
-            self._refresh_timed(active)
+                    self._fire(pos[live], self.timed_index[u[live]])
+            self._immediate_phase(n)
+            self._refresh_timed(n)
+        self._restore_seed_order()
 
-    def _integrate(
-        self, acc: np.ndarray, weight: np.ndarray, dt: np.ndarray, idx: np.ndarray
-    ) -> None:
-        """``acc[idx] += weight * dt[:, None]``, through buffers kept for
-        the whole run: fresh ``[rows, places]`` temporaries every step
-        made glibc trim and fault in the same heap pages again and
-        again."""
-        n = idx.size
-        part = np.multiply(weight, dt[:, None], out=self._part_rows[:n])
-        part += np.take(acc, idx, axis=0, out=self._acc_rows[:n])
-        acc[idx] = part
+    def _row_arrays(self) -> list[np.ndarray]:
+        """Every array indexed by position."""
+        arrays = [
+            self.state,
+            self.max_counts,
+            self.sched,
+            self.clock,
+            self.enabled,
+            self.delay,
+            self.horizon,
+            self.observed,
+            self.integral,
+            self.nonzero_time,
+            self.firings,
+            self.firing_counts,
+            self.deadlocked,
+            self.perm,
+        ]
+        for values in (self.pred_value, self.pred_integral, self.pred_max):
+            arrays += values.values()
+        for q in self.queues.values():
+            arrays += (q.buf, q.head, q.size)
+        return arrays
+
+    def _swap(self, holes: np.ndarray, moved: np.ndarray) -> None:
+        """Exchange the rows at positions ``holes[i]`` and ``moved[i]``."""
+        to = np.concatenate((holes, moved))
+        src = np.concatenate((moved, holes))
+        for values in self._row_arrays():
+            values[to] = values[src]
+
+    def _restore_seed_order(self) -> None:
+        """Put every row back at the position of its seed."""
+        at = np.empty_like(self.perm)
+        at[self.perm] = self._pos
+        for values in self._row_arrays():
+            values[:] = values[at]
 
     # ------------------------------------------------------------------
     # Result hydration

@@ -48,8 +48,8 @@ from repro.core import (
     tokens_lt,
     tokens_ne,
 )
-from repro.core.errors import UnsupportedNetError
-from repro.core.fast import VectorPredicate, compile_net, run_ensemble
+from repro.core.errors import ImmediateLoopError, UnsupportedNetError
+from repro.core.fast import VectorPredicate, compile_net, engine, run_ensemble
 from repro.core.fast.engine import _Ensemble
 from repro.core.guards import FunctionGuard
 from repro.core.marking import Token
@@ -331,14 +331,17 @@ class TestFuzzerNetEquivalence:
     )
     @given(
         random_engine_net(),
-        st.lists(st.floats(4.0, 40.0), min_size=2, max_size=3),
+        st.lists(st.floats(4.0, 40.0), min_size=2, max_size=6),
         st.sampled_from([0.0, 2.0]),
     )
     def test_rich_nets_match_interpreted(self, net_and_seed, horizons, warmup):
         # Weighted ties, multiplicities, inhibitors, capacities, guard
         # algebra, colour filters, FIFO forwarding and multi-server
         # draw order: every row, at a horizon of its own, is the
-        # interpreted run bit for bit.
+        # interpreted run bit for bit.  Up to six rows retire at their
+        # own horizons, so retired rows leave holes mid-prefix and live
+        # rows swap into them with their FIFO queues, server slots,
+        # predicate values and per-row draws.
         net, seed = net_and_seed
         seeds = [seed + i for i in range(len(horizons))]
         ensemble = run_ensemble(net, horizons, seeds, warmup=warmup)
@@ -618,6 +621,50 @@ class TestEnsembleStaleSchedule:
         assert row.final_marking_counts == ref.final_marking_counts
         for place in net.place_names:
             assert row.occupancy(place) == ref.occupancy(place), place
+
+
+class TestEnsembleImmediateLoop:
+    """The lockstep vanishing-loop guard reports the time at which a
+    seed-order run of every row meets the loop first, wherever the
+    looping rows sit in the ensemble."""
+
+    @staticmethod
+    def _net(arm_delay):
+        # ``arm`` starts an endless ab/ba loop; ``tick`` keeps an unarmed
+        # row stepping.
+        net = PetriNet("loop-after-arm")
+        net.add_place("Armed", initial_tokens=1)
+        net.add_place("Src", initial_tokens=1)
+        net.add_place("L1")
+        net.add_place("L2")
+        net.add_transition(
+            "arm", Deterministic(arm_delay), inputs=["Armed"], outputs=["L1"]
+        )
+        net.add_transition(
+            "tick", Deterministic(10.0), inputs=["Src"], outputs=["Src"]
+        )
+        net.add_transition("ab", inputs=["L1"], outputs=["L2"])
+        net.add_transition("ba", inputs=["L2"], outputs=["L1"])
+        return net
+
+    def test_loop_time_is_the_first_looping_seed_row(self, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_IMMEDIATE_FIRINGS", 10)
+        # Row 0 retires in the first round (horizon 1.5), so row 3 moves
+        # into its place, ahead of row 1.  Rows 1 and 3 enter the loop in
+        # that same round, at t=2 and t=3; seed order meets row 1 first.
+        delays = [100.0, 2.0, 100.0, 3.0]
+        seeds = [5, 6, 7, 8]
+        with pytest.raises(ImmediateLoopError) as lockstep:
+            run_ensemble(
+                self._net(100.0),
+                [1.5, 50.0, 50.0, 50.0],
+                seeds,
+                row_timing={"arm": [Deterministic(d) for d in delays]},
+            )
+        sim = Simulation(self._net(2.0), seed=seeds[1], max_immediate_firings=10)
+        with pytest.raises(ImmediateLoopError) as interpreted:
+            sim.run(50.0)
+        assert lockstep.value.epoch == interpreted.value.epoch == 2.0
 
 
 class TestMultiServerEquivalence:
