@@ -11,7 +11,8 @@
 #   socket    multi-host backend: 2 localhost workers, network sweep,
 #             output asserted bit-identical to --backend local
 #   engine    vectorized lockstep engine: Fig. 14 (serial and over two
-#             workers), Fig. 7, adaptive and one-replication validate
+#             workers), Fig. 15 (up to a 184-row ensemble whose seeds
+#             repeat), Fig. 7, adaptive and one-replication validate
 #             runs, a churning bursty network, a network sweep and an
 #             adaptive network scenario diffed bit-identical against
 #             the interpreted engine
@@ -176,6 +177,9 @@ smoke_engine() {
     # The open workload: each row's arrival rate is per-row timing on
     # the emit transition.
     engine_diff fig 15 --horizon 2 --replications 2
+    # ... as a 184-row ensemble: every row draws on each arrival, and
+    # each replication's seed repeats at every threshold.
+    engine_diff fig 15 --horizon 5 --replications 8
     # The CPU model's Petri-net estimator, ensembled across thresholds.
     engine_diff fig 7 --horizon 20 --replications 2
     # Adaptive control must agree too (converged flags ride the output).

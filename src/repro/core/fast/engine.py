@@ -27,29 +27,35 @@ timed event:
 3. Each popped slot's transition fires unless the degrees cached by the
    last refresh say it was disabled (the same defensive
    scheduled-but-stale check as :meth:`Simulation.step`).  A firing
-   step applies every row's static deltas as one flat add through the
-   net's delta table (each row fires at most once per step), then the
+   step applies every row's static deltas at once (each row fires at
+   most once per step): a whole prefix adds one dense delta row per
+   row, a subset one flat add through the net's delta table.  Then the
    FIFO ops of the transitions that have any, per transition.
 4. The immediate phase loops: one degree-table evaluation gives every
    immediate's enabling for every remaining row, the first enabled one
    in priority order wins, and only rows with a genuine equal-priority
    tie make the interpreted engine's exact weighted ``rng.choice``
-   call.  Every immediate is evaluated every round: one whose places
-   no firing touched is still disabled, so the result is the same as
-   evaluating only the touched ones.
+   call (a pass looks for ties only when some row has two immediates
+   enabled or more).  Every immediate is evaluated every round: one
+   whose places no firing touched is still disabled, so the result is
+   the same as evaluating only the touched ones.
 5. The timed refresh evaluates every timed transition's degree at once
    and stops and starts all single-server slots as one ``[R, T]``
    block: deterministic delays come from a per-row delay matrix, and
    stochastic single-server and all multi-server transitions then draw
    per row with each row's own generator, in net definition order —
-   the interpreted engine's draw order.  An unchanged, unpopped
-   transition already has as many live slots as it wants, so it
-   starts and stops nothing.
+   the interpreted engine's draw order.  A single-server transition
+   draws for all its starting rows in one list, written back with one
+   add.  An unchanged, unpopped transition already has as many live
+   slots as it wants, so it starts and stops nothing.
 
-Every replication owns a private ``default_rng(seed)``; cross-
-replication interleaving never touches the streams, which is what makes
-the engine bit-identical to ``Simulation(net, seed).run(horizon)`` per row
-for compilable nets (see the package docstring for the contract).
+Every replication owns a private generator in the state of
+``default_rng(seed)`` (rows that repeat an ``int`` seed, as a sweep's
+points do, share its ``SeedSequence`` but never a generator);
+cross-replication interleaving never touches the streams, which is what
+makes the engine bit-identical to ``Simulation(net, seed).run(horizon)``
+per row for compilable nets (see the package docstring for the
+contract).
 """
 
 from __future__ import annotations
@@ -146,7 +152,13 @@ class _ScalarCounts:
 
 
 class _ColorQueue:
-    """Per-place FIFO colour ring buffer over all replications."""
+    """Per-place FIFO colour ring buffer over all replications.
+
+    Row ``r`` holds ``size[r]`` colour codes from slot ``head[r]`` on,
+    wrapping at ``cap``.  A push or pop reads the sizes and heads of
+    its rows once; a push that would overfill any row first doubles
+    ``cap`` for all rows, unrolling every ring to start at slot 0.
+    """
 
     __slots__ = ("buf", "head", "size", "cap")
 
@@ -170,21 +182,24 @@ class _ColorQueue:
         self.cap = new_cap
 
     def push(self, idx: np.ndarray, codes: np.ndarray | int) -> None:
-        if (self.size[idx] >= self.cap).any():
-            self._grow()
-        pos = (self.head[idx] + self.size[idx]) % self.cap
+        size = self.size[idx]
+        if (size >= self.cap).any():
+            self._grow()  # moves every head to 0, so read heads after it
+        pos = (self.head[idx] + size) % self.cap
         self.buf[idx, pos] = codes
-        self.size[idx] += 1
+        self.size[idx] = size + 1
 
     def pop(self, idx: np.ndarray) -> np.ndarray:
-        if (self.size[idx] <= 0).any():
+        size = self.size[idx]
+        if (size <= 0).any():
             raise SimulationError(
                 "vectorized engine popped from an empty FIFO place "
                 "(engine invariant violated)"
             )
-        codes = self.buf[idx, self.head[idx]]
-        self.head[idx] = (self.head[idx] + 1) % self.cap
-        self.size[idx] -= 1
+        head = self.head[idx]
+        codes = self.buf[idx, head]
+        self.head[idx] = (head + 1) % self.cap
+        self.size[idx] = size - 1
         return codes
 
     def pop_matching(self, idx: np.ndarray, code: int) -> None:
@@ -287,6 +302,11 @@ class _Ensemble:
         }
         self.has_queue = np.zeros(len(cn.transition_names), dtype=bool)
         self.has_queue[list(self.plans)] = True
+        # The delta table as one dense [n_transitions, n_state] row per
+        # transition (the padding adds 0 to the sentinel).
+        self.delta_rows = np.zeros((len(cn.transition_names), cn.n_state), np.int64)
+        for t, (cols, vals) in enumerate(zip(cn.delta_cols, cn.delta_vals)):
+            np.add.at(self.delta_rows[t], cols, vals)
         # Per-row timing of every timed transition: a delay vector when
         # every row is deterministic (no draw), else one distribution
         # per row, sampled with that row's own generator; both are read
@@ -305,7 +325,10 @@ class _Ensemble:
         self.per_row: list[tuple[int, int]] = []  # (timed position, block column)
         for u, ct in enumerate(cn.timed):
             dists = row_timing.get(ct.name, [ct.distribution] * reps)
-            if all(d.is_deterministic for d in dists):
+            # Rows share distribution objects (a sweep point's rows hold
+            # one), so each distinct object is checked once.
+            distinct = dict(zip(map(id, dists), dists)).values()
+            if all(d.is_deterministic for d in distinct):
                 self.timing.append(np.array([d.delay for d in dists]))
             else:
                 self.timing.append(list(dists))
@@ -347,7 +370,8 @@ class _Ensemble:
         # Running maxima of the totals, in the state's layout so a
         # firing's delta columns index them too (the other columns are
         # never read).  max >= totals always holds, so only a total the
-        # firing changed can raise its maximum.
+        # firing changed can raise its maximum, and raising a whole
+        # block leaves the unchanged ones as they were.
         self.max_counts = self.state.copy()
         self.preds: list[tuple[str, Any, bool]] = []
         self.pred_value: dict[str, np.ndarray] = {}
@@ -425,19 +449,28 @@ class _Ensemble:
         """Fire transition ``tids[a]`` (a net index) in the ``a``-th row
         of ``rows``.
 
-        Each row fires once, so one flat add applies every row's static
-        deltas (distinct rows, distinct columns; only the padding
-        repeats the sentinel, adding 0).  Then the per-firing
-        statistics, which see exactly the post-firing states the
-        interpreted engine samples.
+        Each row fires once.  A whole prefix adds each row's dense delta
+        row to its state block and raises the maxima of the block.  A
+        subset of rows makes one flat add of just the changed entries
+        (distinct rows, distinct columns; only the padding repeats the
+        sentinel, adding 0), and raises their maxima.  Then the
+        per-firing statistics, which see exactly the post-firing states
+        the interpreted engine samples.
         """
-        cn, flat = self.cn, self.flat
+        cn = self.cn
         pos = self._positions(rows)
-        at = (pos * cn.n_state)[:, None] + cn.delta_cols[tids]
-        after = flat[at] + cn.delta_vals[tids]
-        flat[at] = after
-        maxima = self.max_counts.reshape(-1)
-        maxima[at] = np.maximum(maxima[at], after)
+        if isinstance(rows, slice):
+            state = self.state[rows]
+            state += np.take(self.delta_rows, tids, axis=0)
+            maxima = self.max_counts[rows]
+            np.maximum(maxima, state, out=maxima)
+        else:
+            flat = self.flat
+            at = (pos * cn.n_state)[:, None] + np.take(cn.delta_cols, tids, axis=0)
+            after = flat[at] + np.take(cn.delta_vals, tids, axis=0)
+            flat[at] = after
+            maxima = self.max_counts.reshape(-1)
+            maxima[at] = np.maximum(maxima[at], after)
         queued = self.has_queue[tids]
         if queued.any():
             q_rows, q_tids = pos[queued], tids[queued]
@@ -454,21 +487,21 @@ class _Ensemble:
     def _queue_ops(self, plan: FiringPlan, idx: np.ndarray) -> None:
         """The FIFO ops of one firing of ``plan`` at every position of
         ``idx``."""
-        flat, width = self.flat, self.cn.n_state
-        color_base = self.cn.color_base
+        flat, color_base = self.flat, self.cn.color_base
+        at = idx * self.cn.n_state  # each row's first flat index
         popped: dict[int, np.ndarray] = {}
         for ref, p, mult in plan.pops:
             q = self.queues[p]
             for _ in range(mult):
                 codes = q.pop(idx)
-                flat[idx * width + color_base[p] + codes] -= 1
+                flat[at + (color_base[p] + codes)] -= 1
             popped[ref] = codes
         for p, code, mult in plan.pop_colors:
             q = self.queues[p]
             for _ in range(mult):
                 q.pop_matching(idx, code)
         for p, ref in plan.forwards:
-            flat[idx * width + color_base[p] + popped[ref]] += 1
+            flat[at + (color_base[p] + popped[ref])] += 1
         for op in plan.pushes:
             if op[0] == "static":
                 _, p, code, mult = op
@@ -505,7 +538,9 @@ class _Ensemble:
             # Immediates are sorted by priority, descending: the first
             # enabled one has the best priority of its row.
             chosen = np.argmax(enab, axis=1)
-            if self.imm_ties:
+            # Each row has one immediate enabled or more, so only more
+            # enabled immediates than rows can hold a tie.
+            if self.imm_ties and np.count_nonzero(enab) > len(chosen):
                 prio = self.imm_priority
                 cand = enab & (prio == prio[chosen][:, None])
                 pos = self._positions(rows)
@@ -566,10 +601,13 @@ class _Ensemble:
             if j < 0:
                 self._refresh_multi_server(ct, timing, deg[:, u])
                 continue
-            col = ct.col0
-            for r in np.flatnonzero(start[:, j]):
-                row = perm[r]
-                sched[r, col] = clock[r] + timing[row].sample(rngs[row])
+            idx = np.flatnonzero(start[:, j])
+            if idx.size:
+                # One draw per starting row from its own generator, in
+                # position order (each row's stream sees the same draws
+                # as in the interpreted run), then one add and write.
+                draws = [timing[row].sample(rngs[row]) for row in perm[idx].tolist()]
+                sched[idx, ct.col0] = clock[idx] + np.array(draws)
 
     def _refresh_multi_server(
         self,
@@ -647,16 +685,13 @@ class _Ensemble:
                 k, next_t = k[:n], next_t[:n]
             rows = slice(0, n)
             # Integrate the resting state over each replication's
-            # elapsed interval (same addition sequence per replication
-            # as the interpreted accumulators).
-            lo = np.maximum(clock[rows], warmup)
-            dt = np.maximum(next_t - lo, 0.0)
-            self.observed[rows] += dt
-            totals = self.totals[rows]
-            self.integral[rows] += totals * dt[:, None]
-            self.nonzero_time[rows] += (totals > 0) * dt[:, None]
-            for name, integral in self.pred_integral.items():
-                integral[rows] += self.pred_value[name][rows] * dt
+            # elapsed interval.  Without a warm-up, 0 <= clock <= next_t
+            # makes next_t - clock the clamped interval bit for bit.
+            if warmup > 0.0:
+                dt = np.maximum(next_t - np.maximum(clock[rows], warmup), 0.0)
+            else:
+                dt = next_t - clock[rows]
+            self._integrate(n, dt)
             clock[rows] = next_t
             pos = self._pos[rows]
             sched[pos, k] = np.inf
@@ -674,6 +709,23 @@ class _Ensemble:
             self._immediate_phase(n)
             self._refresh_timed(n)
         self._restore_seed_order()
+
+    def _integrate(self, n: int, dt: np.ndarray) -> None:
+        """Add the first ``n`` rows' resting state over ``dt[row]``
+        (the same addition sequence per replication as the interpreted
+        accumulators).
+
+        A place's nonzero-time step is ``dt`` if it holds a token, else
+        0: exactly ``min(tokens * dt, dt)``, since ``tokens * dt >= dt``
+        for ``tokens >= 1`` and ``dt >= 0``, so it reuses the product.
+        """
+        self.observed[:n] += dt
+        col = dt[:, None]
+        part = self.totals[:n] * col
+        self.integral[:n] += part
+        self.nonzero_time[:n] += np.minimum(part, col, out=part)
+        for name, integral in self.pred_integral.items():
+            integral[:n] += self.pred_value[name][:n] * dt
 
     def _row_arrays(self) -> list[np.ndarray]:
         """Every array indexed by position."""
@@ -724,12 +776,7 @@ class _Ensemble:
         """
         self.end = end = horizon.copy()
         lo = np.maximum(self.clock, self.warmup)
-        dt = np.maximum(end - lo, 0.0)
-        self.observed += dt
-        self.integral += self.totals * dt[:, None]
-        self.nonzero_time += (self.totals > 0) * dt[:, None]
-        for name in self.pred_integral:
-            self.pred_integral[name] += self.pred_value[name] * dt
+        self._integrate(len(end), np.maximum(end - lo, 0.0))
 
     def hydrate(self, r: int) -> SimulationResult:
         """Row ``r`` as the interpreted engine's result type."""
@@ -860,6 +907,28 @@ class EnsembleResults(Sequence[SimulationResult]):
         return self._column(e.firing_counts)[:, j].copy()
 
 
+def _row_generators(seeds: Sequence[Any]) -> list[np.random.Generator]:
+    """A private ``default_rng(seed)`` per row, in seed order.
+
+    A sweep repeats each replication's seed at every point, so the
+    ``SeedSequence`` of an exact ``int`` seed is made once and shared:
+    it only fixes each row's initial state, and every row still gets a
+    bit generator and a generator of its own.  ``None`` (fresh entropy
+    per row) and any other seed go through ``default_rng``.
+    """
+    sequences: dict[int, np.random.SeedSequence] = {}
+    out = []
+    for seed in seeds:
+        if type(seed) is int:
+            seq = sequences.get(seed)
+            if seq is None:
+                seq = sequences[seed] = np.random.SeedSequence(seed)
+            out.append(np.random.Generator(np.random.PCG64(seq)))
+        else:
+            out.append(np.random.default_rng(seed))
+    return out
+
+
 def run_ensemble(
     net: PetriNet,
     horizon: float | Sequence[float],
@@ -882,7 +951,11 @@ def run_ensemble(
         different horizons share the ensemble, and each retires at its
         own.
     seeds:
-        One seed per replication.
+        One seed per replication.  Row ``r`` draws from a generator of
+        its own in the state of ``default_rng(seeds[r])``; rows that
+        repeat an exact ``int`` seed build it from one shared
+        ``SeedSequence``, and a ``None`` seed takes fresh entropy per
+        row.
     row_timing:
         ``transition name -> one distribution per row`` for the timed
         transitions whose timing differs between rows (e.g. the sweep
@@ -943,7 +1016,7 @@ def run_ensemble(
     bad = horizons[~((horizons > 0) & (horizons < math.inf))]
     if bad.size:
         raise ValueError(f"horizon must be > 0 and finite, got {bad[0]}")
-    gen_list = [np.random.default_rng(s) for s in seeds]
+    gen_list = _row_generators(seeds)
     row_timing = row_timing or {}
     for name, dists in row_timing.items():
         if not (net.has_transition(name) and net.transition(name).is_timed):

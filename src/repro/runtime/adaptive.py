@@ -53,10 +53,15 @@ __all__ = [
 #: ``fn`` once per task.  A lockstep step costs a fixed set of NumPy
 #: calls whatever the row count, so a narrow ensemble loses to the
 #: interpreted loop.  Measured on a 2-core host (Python 3.11, NumPy
-#: 2.4), rows of one model: the closed node net broke even at about 3
-#: rows, the open node net between 6 and 8 and the validation net at 4;
-#: one validation row ran at 0.2x, and at 8 rows lockstep ran 1.3x
-#: (open node), 2.1x (validation) and 2.9x (closed node) as fast.
+#: 2.4; CPU time, best of 9, two alternating processes), rows of one
+#: model against as many interpreted runs (node nets at a 60 s horizon,
+#: the validation net at its Petri horizon): the closed and open node
+#: nets broke even at about 2 rows and the validation net between 2 and
+#: 3; one row ran at 0.6-0.8x (node) and 0.4x (validation), and at 8
+#: rows lockstep ran 2.7-3.3x (open node), 2.8-3.6x (validation) and
+#: 4.2-4.4x (closed node) as fast.  The floor stays above break-even:
+#: at 8, serve-mixed's cold ``grid100`` request (9 tasks, 2 workers)
+#: runs as one pack rather than two.
 LOCKSTEP_MIN_ROWS = 8
 
 

@@ -711,6 +711,208 @@ class TestMultiServerEquivalence:
                 assert vec.stats.firing_count(t) == ref.stats.firing_count(t)
 
 
+def _assert_each_row_matches(nets, ensemble, seeds, horizon):
+    """Row ``r`` equals the interpreted run of ``nets[r]`` at ``seeds[r]``."""
+    assert len(ensemble) == len(nets)
+    for net, seed, row in zip(nets, seeds, ensemble):
+        _assert_rows_match(net, [row], [seed], [horizon], 0.0)
+
+
+class TestRowGenerators:
+    """Every row draws from a generator of its own, whatever its seed."""
+
+    @staticmethod
+    def _net(rate):
+        net = PetriNet("draws")
+        net.add_place("Idle", initial_tokens=2)
+        net.add_place("Busy")
+        net.add_transition(
+            "start", Exponential(rate), inputs=["Idle"], outputs=["Busy"]
+        )
+        net.add_transition(
+            "finish", Uniform(0.1, 0.9), inputs=["Busy"], outputs=["Idle"]
+        )
+        return net
+
+    def test_rows_that_share_a_seed_match_their_own_runs(self):
+        # A sweep's seeds: every replication seed at every point.  Then
+        # the same seed spelled as a NumPy integer, a 128-bit seed, and
+        # the first seed once more.  Rows of one seed draw at different
+        # rates, so a generator shared between them would shift the
+        # streams of the later rows.
+        rates = (0.5, 2.0, 8.0)
+        seeds = [11, 12] * len(rates) + [np.int64(11), 2**127 + 11, 11]
+        row_rates = [r for r in rates for _ in (11, 12)] + [2.0, 2.0, 0.5]
+        horizon = 30.0
+        ensemble = run_ensemble(
+            self._net(1.0),
+            horizon,
+            seeds,
+            row_timing={"start": [Exponential(r) for r in row_rates]},
+        )
+        _assert_each_row_matches(
+            [self._net(r) for r in row_rates], ensemble, seeds, horizon
+        )
+
+    def test_rows_without_a_seed_draw_fresh_streams(self):
+        ensemble = run_ensemble(self._net(2.0), 30.0, [None, None])
+        busy = ensemble.occupancy("Busy").tolist()
+        assert busy[0] != busy[1]
+
+    def test_each_row_gets_the_state_of_its_seed(self):
+        seeds = [5, None, 5, np.int64(5), 2**100, None, 2**100]
+        rngs = engine._row_generators(seeds)
+        assert len({id(g) for g in rngs}) == len(seeds)
+        assert len({id(g.bit_generator) for g in rngs}) == len(seeds)
+        for seed, g in zip(seeds, rngs):
+            if seed is not None:
+                state = np.random.default_rng(seed).bit_generator.state
+                assert g.bit_generator.state == state
+        assert rngs[1].bit_generator.state != rngs[5].bit_generator.state
+
+
+class TestFifoRingGrowth:
+    """A FIFO place whose ring buffer grows after its head has moved."""
+
+    @staticmethod
+    def _net(paint_delay, paint_rate):
+        # ``Col`` starts with two tokens (a ring of 4 slots).  ``mix``
+        # pops its head every second, and the paint loops push faster
+        # or slower than that, so each row's ring fills to a level of
+        # its own and grows after its head has advanced.
+        net = PetriNet("fifo-growth")
+        net.add_place("Src", initial_tokens=1)
+        net.add_place("Col", initial_tokens=[Token(1), Token(2)])
+        net.add_place("Mixed")
+        net.add_place("Out")
+        net.add_transition(
+            "paint1",
+            Deterministic(paint_delay),
+            inputs=["Src"],
+            outputs=["Src", ("Col", 1, 1)],
+        )
+        net.add_transition(
+            "paint2",
+            Exponential(paint_rate),
+            inputs=["Src"],
+            outputs=["Src", ("Col", 1, 2)],
+        )
+        net.add_transition(
+            "mix", Deterministic(1.0), inputs=["Col"], outputs=["Mixed"]
+        )
+        net.add_transition(
+            "unmix1",
+            Exponential(2.0),
+            inputs=[("Mixed", 1, color_eq(1))],
+            outputs=["Out"],
+        )
+        net.add_transition(
+            "unmix2",
+            Deterministic(0.5),
+            inputs=[("Mixed", 1, color_eq(2))],
+            outputs=["Out"],
+        )
+        return net
+
+    def test_rows_at_different_fill_levels_match_interpreted(self, monkeypatch):
+        grown = []
+        grow = engine._ColorQueue._grow
+
+        def record(queue):
+            grown.append((queue.cap, queue.head.copy(), queue.size.copy()))
+            grow(queue)
+
+        monkeypatch.setattr(engine._ColorQueue, "_grow", record)
+        delays = [0.3, 0.45, 0.7, 2.0, 0.3]
+        rates = [0.5, 2.5, 1.0, 0.2, 4.0]
+        seeds = [3, 4, 3, 5, 6]
+        horizon = 12.0
+        net = self._net(1.0, 1.0)
+        cn = compile_net(net)
+        assert cn.place_index["Col"] in cn.queued_places
+        ensemble = run_ensemble(
+            net,
+            horizon,
+            seeds,
+            row_timing={
+                "paint1": [Deterministic(d) for d in delays],
+                "paint2": [Exponential(r) for r in rates],
+            },
+        )
+        # The ring grew while a full row's head sat past slot 0, so its
+        # tokens wrapped around the end of the buffer.
+        assert any(
+            ((size == cap) & (head > 0)).any() for cap, head, size in grown
+        )
+        assert len({row.final_marking_counts["Col"] for row in ensemble}) > 2
+        _assert_each_row_matches(
+            [self._net(d, r) for d, r in zip(delays, rates)],
+            ensemble,
+            seeds,
+            horizon,
+        )
+
+
+class TestImmediatePriorityMixes:
+    """One immediate pass in which one row holds a weighted tie and
+    another holds two enabled immediates of different priorities."""
+
+    @staticmethod
+    def _net(tie_delay, prio_delay):
+        net = PetriNet("priority-mix")
+        net.add_place("SrcT", initial_tokens=1)
+        net.add_place("SrcP", initial_tokens=1)
+        net.add_place("Buf")
+        net.add_place("P")
+        for name in ("A", "B", "High", "Low"):
+            net.add_place(name)
+        net.add_transition(
+            "toTie",
+            Deterministic(tie_delay),
+            inputs=["SrcT"],
+            outputs=["SrcT", "Buf"],
+        )
+        net.add_transition(
+            "toPrio",
+            Deterministic(prio_delay),
+            inputs=["SrcP"],
+            outputs=["SrcP", "P"],
+        )
+        # pickA and pickB tie at priority 1; high beats low on P.
+        net.add_transition("pickA", inputs=["Buf"], outputs=["A"], weight=1.0)
+        net.add_transition("pickB", inputs=["Buf"], outputs=["B"], weight=3.0)
+        net.add_transition("high", inputs=["P"], outputs=["High"], priority=2)
+        net.add_transition("low", inputs=["P"], outputs=["Low"], priority=1)
+        for name in ("A", "B", "High", "Low"):
+            net.add_transition(
+                f"drop{name}", Exponential(1.5), inputs=[name]
+            )
+        return net
+
+    def test_tie_and_priority_rows_match_interpreted(self):
+        # Row 0 first fires toTie and row 1 toPrio, both at t=1, so the
+        # first immediate pass after it holds a tie in row 0 and a
+        # priority choice in row 1; the seeds repeat for rows 2 and 3.
+        timing = [(1.0, 5.0), (5.0, 1.0), (1.0, 5.0), (0.7, 0.7)]
+        seeds = [21, 21, 22, 22]
+        horizon = 20.0
+        ensemble = run_ensemble(
+            self._net(2.0, 2.0),
+            horizon,
+            seeds,
+            row_timing={
+                "toTie": [Deterministic(t) for t, _ in timing],
+                "toPrio": [Deterministic(p) for _, p in timing],
+            },
+        )
+        _assert_each_row_matches(
+            [self._net(t, p) for t, p in timing], ensemble, seeds, horizon
+        )
+        tie, prio = ensemble[0].stats, ensemble[1].stats
+        assert tie.firing_count("pickA") > 0 and tie.firing_count("pickB") > 0
+        assert prio.firing_count("high") > 0 and prio.firing_count("low") == 0
+
+
 class TestPerRowEnsembles:
     """One net, per-row timing: the rows of a whole sweep, one ensemble."""
 
