@@ -459,6 +459,9 @@ class _Ensemble:
         """
         cn = self.cn
         pos = self._positions(rows)
+        # The dense add is cheaper on a whole prefix (contiguous blocks,
+        # no index arithmetic), the flat add on a subset (it gathers and
+        # scatters only the changed entries).
         if isinstance(rows, slice):
             state = self.state[rows]
             state += np.take(self.delta_rows, tids, axis=0)
@@ -466,8 +469,8 @@ class _Ensemble:
             np.maximum(maxima, state, out=maxima)
         else:
             flat = self.flat
-            at = (pos * cn.n_state)[:, None] + np.take(cn.delta_cols, tids, axis=0)
-            after = flat[at] + np.take(cn.delta_vals, tids, axis=0)
+            at = (pos * cn.n_state)[:, None] + cn.delta_cols[tids]
+            after = flat[at] + cn.delta_vals[tids]
             flat[at] = after
             maxima = self.max_counts.reshape(-1)
             maxima[at] = np.maximum(maxima[at], after)
@@ -487,21 +490,21 @@ class _Ensemble:
     def _queue_ops(self, plan: FiringPlan, idx: np.ndarray) -> None:
         """The FIFO ops of one firing of ``plan`` at every position of
         ``idx``."""
-        flat, color_base = self.flat, self.cn.color_base
-        at = idx * self.cn.n_state  # each row's first flat index
+        flat, width = self.flat, self.cn.n_state
+        color_base = self.cn.color_base
         popped: dict[int, np.ndarray] = {}
         for ref, p, mult in plan.pops:
             q = self.queues[p]
             for _ in range(mult):
                 codes = q.pop(idx)
-                flat[at + (color_base[p] + codes)] -= 1
+                flat[idx * width + color_base[p] + codes] -= 1
             popped[ref] = codes
         for p, code, mult in plan.pop_colors:
             q = self.queues[p]
             for _ in range(mult):
                 q.pop_matching(idx, code)
         for p, ref in plan.forwards:
-            flat[at + (color_base[p] + popped[ref])] += 1
+            flat[idx * width + color_base[p] + popped[ref]] += 1
         for op in plan.pushes:
             if op[0] == "static":
                 _, p, code, mult = op
