@@ -19,7 +19,8 @@
 #   store     content-addressed result store: cold run, warm run diffed
 #             bit-identical, `store stats` asserted to report hits; a
 #             geometric network cold/warm pair diffed and its warm run
-#             asserted to add no miss
+#             asserted to be one hit and no miss, then its fold entry
+#             deleted and a third run from the node entries diffed
 #   scenario  declarative scenario files: validate + run every gallery
 #             spec at its --smoke scale, `scenario run fig14.yaml` and
 #             `churn_tree.yaml` diffed bit-identical against their
@@ -215,6 +216,11 @@ smoke_engine() {
     engine_diff validate --replications 1
 }
 
+# One counter of `store stats`, e.g. `store_stat "$store_dir" hits`.
+store_stat() {
+    $CLI store stats --store "$1" | sed -n "s/^$2 *: *//p"
+}
+
 smoke_store() {
     echo "--- smoke: result store (cold vs warm runs) ---"
     local store_dir out_cold out_warm
@@ -244,31 +250,59 @@ smoke_store() {
     # (counters are flushed to the manifest on CLI exit).
     $CLI store stats --store "$store_dir"
     local hits
-    hits="$($CLI store stats --store "$store_dir" | sed -n 's/^hits *: *//p')"
+    hits="$(store_stat "$store_dir" hits)"
     if [ "${hits:-0}" -gt 0 ]; then
         echo "store stats reports $hits hits across processes"
     else
         echo "FAIL: store stats reported no hits after warm runs" >&2
         return 1
     fi
-    # A network's nodes are keyed one task each: a warm network run
-    # must print the cold run's bytes and add no miss.
+    # A network replication's folded result is one entry: a warm
+    # network run (one replication) must print the cold run's bytes
+    # with exactly one hit and no miss.
     local net=(network --topology geometric --nodes 200 --horizon 2
         --store "$store_dir")
     $CLI "${net[@]}" >"$out_cold"
-    local misses_cold misses_warm
-    misses_cold="$($CLI store stats --store "$store_dir" | sed -n 's/^misses *: *//p')"
+    local hits_cold misses_cold hits_warm misses_warm
+    hits_cold="$(store_stat "$store_dir" hits)"
+    misses_cold="$(store_stat "$store_dir" misses)"
     $CLI "${net[@]}" >"$out_warm"
-    misses_warm="$($CLI store stats --store "$store_dir" | sed -n 's/^misses *: *//p')"
+    hits_warm="$(store_stat "$store_dir" hits)"
+    misses_warm="$(store_stat "$store_dir" misses)"
     if ! diff "$out_cold" "$out_warm"; then
         echo "FAIL: warm network run output differs from cold" >&2
         return 1
     fi
-    if [ "$misses_warm" != "$misses_cold" ]; then
-        echo "FAIL: warm network run added $((misses_warm - misses_cold)) misses" >&2
+    if [ "$((hits_warm - hits_cold))" != 1 ] || \
+        [ "$misses_warm" != "$misses_cold" ]; then
+        echo "FAIL: warm network run added $((hits_warm - hits_cold))" \
+            "hits and $((misses_warm - misses_cold)) misses (want 1 and 0)" >&2
         return 1
     fi
-    echo "warm network run is bit-identical to cold and added 0 misses"
+    echo "warm network run is bit-identical to cold: 1 hit, 0 misses"
+    # Without its fold entry the run falls back to the node entries:
+    # the same bytes, and the fold entry is the one miss.
+    local dropped
+    dropped="$(python -c "import sys
+from repro.runtime.store import ResultStore
+from tests.models.test_network import drop_fold_entries
+print(drop_fold_entries(ResultStore(sys.argv[1])))" "$store_dir")"
+    if [ "$dropped" != 1 ]; then
+        echo "FAIL: expected 1 fold entry in the store, found $dropped" >&2
+        return 1
+    fi
+    $CLI "${net[@]}" >"$out_warm"
+    if ! diff "$out_cold" "$out_warm"; then
+        echo "FAIL: network run from node entries differs from cold" >&2
+        return 1
+    fi
+    if [ "$(store_stat "$store_dir" misses)" != "$((misses_warm + 1))" ]; then
+        echo "FAIL: network run from node entries missed more than" \
+            "its fold entry" >&2
+        return 1
+    fi
+    echo "node entries alone serve the network run bit-identically"
+    # verify and gc keep a store of node and fold entries whole.
     $CLI store verify --store "$store_dir"
     $CLI store gc --store "$store_dir"
     rm -rf "$store_dir" "$out_cold" "$out_warm"

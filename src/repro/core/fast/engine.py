@@ -51,7 +51,7 @@ timed event:
 
 Every replication owns a private generator in the state of
 ``default_rng(seed)`` (rows that repeat an ``int`` seed, as a sweep's
-points do, share its ``SeedSequence`` but never a generator);
+points do, share its initial state words but never a generator);
 cross-replication interleaving never touches the streams, which is what
 makes the engine bit-identical to ``Simulation(net, seed).run(horizon)``
 per row for compilable nets (see the package docstring for the
@@ -910,23 +910,45 @@ class EnsembleResults(Sequence[SimulationResult]):
         return self._column(e.firing_counts)[:, j].copy()
 
 
+class _SeedState(np.random.bit_generator.ISeedSequence):
+    """The ``SeedSequence`` of one seed, its state words computed once.
+
+    A bit generator reads only :meth:`generate_state` of the sequence
+    it is built from, so every generator built from this object starts
+    in the state ``default_rng(seed)`` would, without re-running the
+    sequence's hash per generator.  Each call returns a copy: a bit
+    generator may keep the words it is given.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._seq = np.random.SeedSequence(seed)
+        self._words: dict[tuple[int, str], np.ndarray] = {}
+
+    def generate_state(self, n_words: int, dtype: Any = np.uint32) -> np.ndarray:
+        key = (n_words, np.dtype(dtype).str)
+        words = self._words.get(key)
+        if words is None:
+            words = self._words[key] = self._seq.generate_state(n_words, dtype)
+        return words.copy()
+
+
 def _row_generators(seeds: Sequence[Any]) -> list[np.random.Generator]:
     """A private ``default_rng(seed)`` per row, in seed order.
 
     A sweep repeats each replication's seed at every point, so the
-    ``SeedSequence`` of an exact ``int`` seed is made once and shared:
-    it only fixes each row's initial state, and every row still gets a
-    bit generator and a generator of its own.  ``None`` (fresh entropy
-    per row) and any other seed go through ``default_rng``.
+    initial state of an exact ``int`` seed is computed once (see
+    :class:`_SeedState`) and shared: every row still gets a bit
+    generator and a generator of its own.  ``None`` (fresh entropy per
+    row) and any other seed go through ``default_rng``.
     """
-    sequences: dict[int, np.random.SeedSequence] = {}
+    states: dict[int, _SeedState] = {}
     out = []
     for seed in seeds:
         if type(seed) is int:
-            seq = sequences.get(seed)
-            if seq is None:
-                seq = sequences[seed] = np.random.SeedSequence(seed)
-            out.append(np.random.Generator(np.random.PCG64(seq)))
+            state = states.get(seed)
+            if state is None:
+                state = states[seed] = _SeedState(seed)
+            out.append(np.random.Generator(np.random.PCG64(state)))
         else:
             out.append(np.random.default_rng(seed))
     return out
@@ -957,8 +979,8 @@ def run_ensemble(
         One seed per replication.  Row ``r`` draws from a generator of
         its own in the state of ``default_rng(seeds[r])``; rows that
         repeat an exact ``int`` seed build it from one shared
-        ``SeedSequence``, and a ``None`` seed takes fresh entropy per
-        row.
+        ``SeedSequence`` state, and a ``None`` seed takes fresh entropy
+        per row.
     row_timing:
         ``transition name -> one distribution per row`` for the timed
         transitions whose timing differs between rows (e.g. the sweep

@@ -183,8 +183,8 @@ def _network_runs(
 
     A single :func:`~repro.models.network.run_networks` dispatch: the
     node tasks of every threshold point and replication share its
-    rounds, so the store memoizes per node and the vectorized engine
-    packs nodes across points.
+    rounds, so the vectorized engine packs nodes across points, and the
+    store keeps each replication's folded result and each node's.
     """
     models = [
         SensorNetworkModel(

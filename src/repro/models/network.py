@@ -62,6 +62,8 @@ __all__ = [
     "NodeSummary",
     "NetworkResult",
     "SensorNetworkModel",
+    "FOLD_REVISION",
+    "replication_key",
     "run_networks",
     "simulate_node_segments_task",
     "simulate_node_segments_ensemble_task",
@@ -69,6 +71,15 @@ __all__ = [
 
 #: Seconds per day, for converting failure times to lifetime units.
 _DAY_S = 86400.0
+
+#: Revision of the value one network replication folds to, part of its
+#: store key (:func:`replication_key`).  Bump it whenever the same model,
+#: horizon, base rate and seed would give a different
+#: :class:`NetworkResult`: a change to how :meth:`SensorNetworkModel._node_run`
+#: derives node tasks (rates, seeds, churn schedule), to the fold
+#: (``_summarise``, ``_summarise_segments``, the lifetime estimator) or
+#: to the fields of :class:`NetworkResult` and :class:`NodeSummary`.
+FOLD_REVISION = 1
 
 
 class NetworkTopology:
@@ -642,15 +653,43 @@ class SensorNetworkModel:
         :func:`~repro.runtime.seeding.node_seeds`), so results are
         identical for any ``workers`` and backend.
 
-        A ``store`` memoizes *per-node* results keyed by ``(node params
-        incl. effective rate, workload, horizon, node seed)`` — node
-        granularity means any topology, worker count or threshold sweep
-        reuses every node simulation it shares with an earlier run.
+        A ``store`` memoizes the run twice.  The folded
+        :class:`NetworkResult` is one entry under
+        :func:`replication_key` (the whole model, horizon, base rate,
+        seed, node evaluator and :data:`FOLD_REVISION`), so a warm run
+        is one read.  Each node's result is an entry keyed by ``(node
+        params incl. effective rate, workload, horizon, node seed)``:
+        a run whose fold entry is missing or corrupt is served from
+        those, computes only the nodes that miss and writes its fold
+        entry, and a run that shares node simulations with an earlier
+        one (another topology or threshold sweep) reuses them.
         """
         from ..runtime.config import as_resolved
 
         [run] = run_networks([self], horizon, base_rate, seed, as_resolved(exec_cfg))
         return run.values[0]
+
+
+def replication_key(
+    model: SensorNetworkModel, horizon: float, base_rate: float, seed: int
+) -> str:
+    """The store key of one network replication's :class:`NetworkResult`.
+
+    A :func:`~repro.runtime.store.task_key` over :data:`FOLD_REVISION`,
+    the node evaluator, the whole ``model`` (topology, parameters,
+    battery, workload, dynamics and traffic), ``horizon``,
+    ``base_rate`` and the replication ``seed``: everything the
+    replication's node tasks and their fold are derived from.  The
+    evaluator identity is :func:`run_networks`, so the key never
+    aliases a node task's key, and it carries the node evaluator and
+    ``KEY_SCHEMA`` that every node key carries.
+    """
+    from ..runtime.store import task_key
+
+    fn, _ = model._task_fns()
+    return task_key(
+        run_networks, (FOLD_REVISION, fn, model, horizon, base_rate, seed)
+    )
 
 
 def run_networks(
@@ -669,7 +708,9 @@ def run_networks(
     (:meth:`SensorNetworkModel._node_run`), each keyed in ``rx.store``,
     dispatched and packed on its own, so the nodes of every network
     and replication of a round share its ensembles.  Its values fold
-    into the replication's :class:`NetworkResult`.
+    into the replication's :class:`NetworkResult`, which ``rx.store``
+    keeps under :func:`replication_key`: a warm replication is that
+    one read, and only a miss expands into node tasks.
 
     ``rx`` places the work; ``rx.replications`` and ``rx.ci_target``
     do not apply.  Without ``ci_target`` each model runs once, at
@@ -701,4 +742,5 @@ def run_networks(
         ensemble_fn=ensemble_fn,
         metrics=lambda result: result.total_energy_j,
         fold=lambda i, r, values: folds.pop((i, r))(values),
+        fold_key=lambda i, r: replication_key(models[i], horizon, base_rate, seeds[r]),
     )

@@ -114,6 +114,7 @@ def run_replications(
     ensemble_fn: Callable[[tuple[Any, ...]], list[Any]] | None = None,
     metrics: Callable[[Any], float | Sequence[float]] = float,
     fold: Callable[[int, int, list[Any]], Any] | None = None,
+    fold_key: Callable[[int, int], str] | None = None,
 ) -> list[AdaptivePointRun]:
     """Replicate ``n_points`` design points the way ``rx`` asks.
 
@@ -182,6 +183,14 @@ def run_replications(
         spread over every slot.  ``fold(i, r, values)`` turns their
         values, in task order, into the replication's value: what
         ``metrics`` reads and the run returns.
+    fold_key:
+        ``(point_index, replication_index) -> store key`` of a grouped
+        replication's folded value.  With a store, each new replication
+        is looked up under it before ``task_for`` expands it: a hit is
+        the replication's value, with no task keyed, read or run and no
+        ``fold`` call; a miss runs as above and writes the folded value
+        back.  The key must change whenever a task key of the
+        replication would.
 
     Returns
     -------
@@ -199,10 +208,12 @@ def run_replications(
     store: ResultStore | None = rx.store
     runs = [AdaptivePointRun(values=[]) for _ in range(n_points)]
     open_points = list(range(n_points))
+    keyed_folds = fold is not None and fold_key is not None and store is not None
     while open_points:
-        # Per new replication: its point, its index and one (hit,
-        # cached value or store key) per task.
-        reps: list[tuple[int, int, list[tuple[bool, Any]]]] = []
+        # Per new replication: its point, its index, one (hit, cached
+        # value or store key) per task and its fold entry's key; a
+        # fold entry hit is (i, r, None, value).
+        reps: list[tuple[int, int, list[tuple[bool, Any]] | None, Any]] = []
         units: list[list[Any]] = []  # the missing tasks, as packing units
         # Canonical text of each task part shared within the round
         # (parameters, workload, traffic), built once per object.
@@ -211,6 +222,13 @@ def run_replications(
             done = len(runs[i].values)
             point_misses: list[Any] = []
             for r in range(done, min(done + floor, cap)):
+                rep_key = None
+                if keyed_folds:
+                    rep_key = fold_key(i, r)
+                    hit, value = store.get(rep_key)
+                    if hit:
+                        reps.append((i, r, None, value))
+                        continue
                 tasks = task_for(i, r) if fold is not None else (task_for(i, r),)
                 slots: list[tuple[bool, Any]] = []
                 for task in tasks:
@@ -226,11 +244,14 @@ def run_replications(
                         point_misses.append(task)
                     else:
                         units.append([task])
-                reps.append((i, r, slots))
+                reps.append((i, r, slots, rep_key))
             if point_misses:
                 units.append(point_misses)
         computed = iter(_run_misses(pool, fn, ensemble_fn, units))
-        for i, r, slots in reps:
+        for i, r, slots, rep in reps:
+            if slots is None:  # a fold entry hit: ``rep`` is its value
+                runs[i].values.append(rep)
+                continue
             values = []
             for hit, value in slots:
                 if not hit:
@@ -238,9 +259,10 @@ def run_replications(
                     if store is not None:
                         store.put(key, value)
                 values.append(value)
-            runs[i].values.append(
-                values[0] if fold is None else fold(i, r, values)
-            )
+            value = values[0] if fold is None else fold(i, r, values)
+            if rep is not None:
+                store.put(rep, value)
+            runs[i].values.append(value)
         if not adaptive:
             break
         still_open: list[int] = []

@@ -15,6 +15,7 @@ from repro.experiments import (
 from repro.models import GridTopology, LineTopology, StarTopology
 from repro.runtime.config import ExecutionConfig, ResolvedExecution
 from repro.runtime.store import ResultStore
+from tests.models.test_network import drop_fold_entries
 
 
 class TestMakeTopology:
@@ -241,5 +242,12 @@ class TestOneDispatch:
         ]
         store.hits = store.misses = 0
         sweep = run_network_lifetime_sweep(self.CFG, exec_cfg=rx)
-        assert (store.hits, store.misses) == (9, 0)
+        assert (store.hits, store.misses) == (3, 0)  # one fold entry a point
+        assert sweep.results == singles
+        # Without the fold entries every node entry serves the sweep;
+        # the three misses are the dropped fold entries.
+        assert drop_fold_entries(store) == 3
+        store.hits = store.misses = 0
+        sweep = run_network_lifetime_sweep(self.CFG, exec_cfg=rx)
+        assert (store.hits, store.misses) == (9, 3)
         assert sweep.results == singles

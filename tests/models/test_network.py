@@ -1,6 +1,9 @@
 """Tests for the multi-node network layer."""
 
+import pickle
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -15,12 +18,28 @@ from repro.models import (
     SensorNetworkModel,
     StarTopology,
 )
+from repro.models.network import replication_key, run_networks
 from repro.models.wsn_node import simulate_node_task
 from repro.runtime import TaskError
 from repro.runtime.config import ExecutionConfig, ResolvedExecution
-from repro.runtime.store import ResultStore, task_key
+from repro.runtime.store import ENTRY_MAGIC, ResultStore, StoreWarning, task_key
 from repro.topology.dynamics import ChurnModel
 from repro.topology.traffic import MMPPTraffic
+
+
+def drop_fold_entries(store):
+    """Delete every folded :class:`NetworkResult` entry of ``store``.
+
+    What is left are the node entries: the store as a run that wrote
+    no fold entries would have left it.  Returns how many were dropped.
+    """
+    header = len(ENTRY_MAGIC) + 32  # magic + SHA-256 of the payload
+    dropped = 0
+    for path in store._entry_files():
+        if isinstance(pickle.loads(path.read_bytes()[header:]), NetworkResult):
+            path.unlink()
+            dropped += 1
+    return dropped
 
 
 def fail_on_seed_102(task):
@@ -309,8 +328,11 @@ class TestNodeDispatch:
         warm = self.network().simulate(
             **self.RUN, exec_cfg=ResolvedExecution(store=store)
         )
+        # The store holds node entries only: its fold entry misses,
+        # three nodes hit and the two others are computed and written.
         assert store.hits == 3
-        assert store.puts == 2
+        assert (store.misses, store.puts) == (2 + 1, 2 + 1)
+        assert store.contains(replication_key(self.network(), **self.RUN))
         assert warm == self.network().simulate(**self.RUN)
 
     @pytest.mark.parametrize(
@@ -334,11 +356,16 @@ class TestNodeDispatch:
         cold = net.simulate(
             **self.RUN, exec_cfg=ResolvedExecution(store=store, engine="interpreted")
         )
+        vectorized = ResolvedExecution(store=store, engine="vectorized")
         store.hits = store.misses = 0
-        warm = net.simulate(
-            **self.RUN, exec_cfg=ResolvedExecution(store=store, engine="vectorized")
-        )
-        assert (store.hits, store.misses) == (9, 0)
+        assert net.simulate(**self.RUN, exec_cfg=vectorized) == cold
+        assert (store.hits, store.misses) == (1, 0)  # the fold entry
+        # Without the fold entry every node entry serves the lockstep
+        # run; the one miss is the dropped fold entry.
+        assert drop_fold_entries(store) == 1
+        store.hits = store.misses = 0
+        warm = net.simulate(**self.RUN, exec_cfg=vectorized)
+        assert (store.hits, store.misses) == (9, 1)
         assert warm == cold
 
     def test_each_distinct_rate_builds_its_parameters_once(
@@ -377,3 +404,118 @@ class TestNodeDispatch:
             )
         assert excinfo.value.item == self.node_task(2)
         assert excinfo.value.index == 2
+
+
+class TestFoldEntries:
+    """A network replication's folded result is one store entry."""
+
+    PARAMS = NodeParameters(power_down_threshold=0.01)
+    RUN = dict(horizon=5.0, seed=100, base_rate=0.5)
+
+    def network(self, **kwargs):
+        return SensorNetworkModel(GridTopology(3, 2), self.PARAMS, **kwargs)
+
+    def test_fold_key_is_none_of_the_node_keys(self, tmp_path):
+        store = ResultStore(tmp_path)
+        net = self.network()
+        net.simulate(**self.RUN, exec_cfg=ResolvedExecution(store=store))
+        tasks, _fold = net._node_run(
+            self.RUN["horizon"], self.RUN["seed"], self.RUN["base_rate"]
+        )
+        node_keys = {task_key(simulate_node_task, task) for task in tasks}
+        fold = replication_key(net, **self.RUN)
+        assert fold not in node_keys
+        assert {p.name for p in store._entry_files()} == node_keys | {fold}
+
+    def test_battery_change_misses_the_fold_entry_and_reuses_nodes(self, tmp_path):
+        # The battery reaches only the fold, so node keys never see it;
+        # the fold key must, or a warm run would serve stale lifetimes.
+        store = ResultStore(tmp_path)
+        rx = ResolvedExecution(store=store)
+        self.network().simulate(**self.RUN, exec_cfg=rx)
+        small = LinearBattery(capacity_mah=100.0, voltage_v=3.0)
+        store.hits = store.misses = 0
+        warm = self.network(battery=small).simulate(**self.RUN, exec_cfg=rx)
+        assert (store.hits, store.misses) == (6, 1)
+        assert warm == self.network(battery=small).simulate(**self.RUN)
+        assert warm != self.network().simulate(**self.RUN)
+
+    def test_corrupt_fold_entry_falls_back_to_node_entries_and_heals(
+        self, tmp_path
+    ):
+        store = ResultStore(tmp_path)
+        rx = ResolvedExecution(store=store)
+        cold = self.network().simulate(**self.RUN, exec_cfg=rx)
+        entry = Path(store._entry_file(replication_key(self.network(), **self.RUN)))
+        entry.write_bytes(entry.read_bytes()[:-5])
+        store.hits = store.misses = store.puts = 0
+        with pytest.warns(StoreWarning, match="recomputing"):
+            warm = self.network().simulate(**self.RUN, exec_cfg=rx)
+        assert pickle.dumps(warm) == pickle.dumps(cold)
+        assert (store.hits, store.corrupt, store.puts) == (6, 1, 1)
+        store.hits = store.misses = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", StoreWarning)
+            assert self.network().simulate(**self.RUN, exec_cfg=rx) == cold
+        assert (store.hits, store.misses) == (1, 0)
+
+    def test_node_only_store_serves_identical_bytes_then_gains_fold_entries(
+        self, tmp_path
+    ):
+        # A store filled before fold entries existed holds node entries
+        # only: it serves every node, and gains one fold entry for each
+        # replication.
+        store = ResultStore(tmp_path)
+        rx = ResolvedExecution(store=store, max_replications=3)
+        every = dict(ci_target=1e-12)  # never converges: all 3 replications
+        [cold] = run_networks([self.network()], 5.0, 0.5, 100, rx, **every)
+        assert drop_fold_entries(store) == 3
+        entries = len(store._entry_files())
+        store.hits = store.misses = store.puts = 0
+        [warm] = run_networks([self.network()], 5.0, 0.5, 100, rx, **every)
+        assert pickle.dumps(warm.values) == pickle.dumps(cold.values)
+        assert (store.hits, store.misses, store.puts) == (3 * 6, 3, 3)
+        assert len(store._entry_files()) == entries + 3
+
+    @pytest.mark.parametrize("stored", [False, True], ids=["no-store", "store"])
+    def test_adaptive_run_is_a_prefix_of_the_fixed_run(self, tmp_path, stored):
+        store = ResultStore(tmp_path) if stored else None
+        rx = ResolvedExecution(store=store, max_replications=6)
+        net = self.network()
+        [adaptive] = run_networks([net], 5.0, 0.5, 100, rx, ci_target=0.25)
+        [fixed] = run_networks([net], 5.0, 0.5, 100, rx, ci_target=1e-12)
+        assert fixed.replications == 6
+        assert 2 <= adaptive.replications < 6
+        assert fixed.values[: adaptive.replications] == adaptive.values
+        if stored:
+            # The fixed run read the adaptive run's fold entries, and a
+            # warm adaptive run reads its own back.
+            store.hits = store.misses = 0
+            [again] = run_networks([net], 5.0, 0.5, 100, rx, ci_target=0.25)
+            assert again.values == adaptive.values
+            assert (store.hits, store.misses) == (adaptive.replications, 0)
+        assert fixed.values == run_networks(
+            [net], 5.0, 0.5, 100, ResolvedExecution(max_replications=6),
+            ci_target=1e-12,
+        )[0].values
+
+    def test_warm_geo1000_smoke_is_one_store_read(self, tmp_path, monkeypatch):
+        from repro.scenarios.runner import scenario_report
+        from repro.scenarios.spec import load_scenario
+
+        gallery = Path(__file__).resolve().parents[2] / "scenarios"
+        spec = load_scenario(
+            gallery / "geo1000.yaml", ["execution.workers=1"], smoke=True
+        )
+        rx = spec.execution.with_overrides(store_dir=str(tmp_path)).resolve()
+        cold = scenario_report(spec, rx)
+        reads = []
+        get = ResultStore.get
+
+        def counting_get(store, key):
+            reads.append(key)
+            return get(store, key)
+
+        monkeypatch.setattr(ResultStore, "get", counting_get)
+        assert scenario_report(spec, rx) == cold
+        assert len(reads) == 1

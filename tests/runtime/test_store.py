@@ -32,7 +32,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.models.network import simulate_node_segments_task
+import repro.models.network as network_module
+from repro.energy.battery import LinearBattery
+from repro.models.network import (
+    SensorNetworkModel,
+    replication_key,
+    simulate_node_segments_task,
+)
 from repro.models.wsn_node import NodeParameters, simulate_node_task
 from repro.runtime.adaptive import LOCKSTEP_MIN_ROWS, run_replications
 from repro.runtime.config import ResolvedExecution
@@ -47,7 +53,8 @@ from repro.runtime.store import (
     request_key,
     task_key,
 )
-from repro.topology.dynamics import NodeSegment
+from repro.topology.dynamics import ChurnModel, NodeSegment
+from repro.topology.generators import RandomGeometricTopology
 from repro.topology.traffic import MMPPTraffic
 
 # ----------------------------------------------------------------------
@@ -596,6 +603,72 @@ class TestRequestKey:
         digest = request_key({"scenario": {}})
         assert len(digest) == 64
         assert set(digest) <= set("0123456789abcdef")
+
+
+# ----------------------------------------------------------------------
+# Network fold keys: every input of a replication is semantic
+# ----------------------------------------------------------------------
+
+FOLD_RUN = dict(horizon=2.0, base_rate=0.1, seed=2010)
+
+
+def fold_model(**changes):
+    """A small geometric network; ``changes`` replace its fields."""
+    fields = dict(
+        topology=RandomGeometricTopology(20, seed=3),
+        params=NodeParameters(power_down_threshold=0.01),
+    )
+    return SensorNetworkModel(**{**fields, **changes})
+
+
+FOLD_MODEL_CHANGES = {
+    "battery": dict(battery=LinearBattery(900.0, 4.5, 0.85)),
+    "topology_seed": dict(topology=RandomGeometricTopology(20, seed=4)),
+    "traffic": dict(traffic=MMPPTraffic(2.0, 3.0)),
+    "dynamics": dict(dynamics=ChurnModel(failure_rate=0.05)),
+    "parameter": dict(params=NodeParameters(power_down_threshold=0.02)),
+    "workload": dict(workload="closed"),
+}
+
+
+class TestNetworkFoldKeys:
+    """A fold entry goes stale whenever a node entry it stands for would."""
+
+    @staticmethod
+    def base():
+        return replication_key(fold_model(), **FOLD_RUN)
+
+    @pytest.mark.parametrize("name", sorted(FOLD_MODEL_CHANGES))
+    def test_each_model_field_is_semantic(self, name):
+        changed = fold_model(**FOLD_MODEL_CHANGES[name])
+        assert replication_key(changed, **FOLD_RUN) != self.base()
+
+    @pytest.mark.parametrize(
+        "name, value", [("horizon", 2.5), ("base_rate", 0.2), ("seed", 2011)]
+    )
+    def test_each_run_input_is_semantic(self, name, value):
+        run = {**FOLD_RUN, name: value}
+        assert replication_key(fold_model(), **run) != self.base()
+
+    def test_fold_revision_is_semantic(self, monkeypatch):
+        base = self.base()
+        monkeypatch.setattr(
+            network_module, "FOLD_REVISION", network_module.FOLD_REVISION + 1
+        )
+        assert self.base() != base
+
+    def test_node_evaluator_is_semantic(self, monkeypatch):
+        base = self.base()
+        monkeypatch.setattr(network_module, "simulate_node_task", square)
+        assert self.base() != base
+
+    def test_an_equal_model_keys_alike(self):
+        # A separately built equal model, and one whose layout has been
+        # resolved by a run, share the key.
+        used = fold_model()
+        used.simulate(**FOLD_RUN)
+        assert replication_key(used, **FOLD_RUN) == self.base()
+        assert replication_key(fold_model(), **FOLD_RUN) == self.base()
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,7 @@ from repro.topology import (
     RandomGeometricTopology,
 )
 from repro.runtime.config import ResolvedExecution
+from tests.models.test_network import drop_fold_entries
 
 CHURN = ChurnModel(failure_rate=0.05, duty_spread=0.3)
 BURSTY = MMPPTraffic(burst_on_s=2.0, burst_off_s=6.0)
@@ -111,14 +112,18 @@ class TestChurnBitIdentity:
             **RUN, exec_cfg=ResolvedExecution(store=store)
         )
         assert cold == serial
-        puts = store.puts
-        assert puts > 0
-        warm = dynamic_network().simulate(
-            **RUN, exec_cfg=ResolvedExecution(workers=2, store=store)
-        )
+        nodes = len(cold.nodes)
+        assert (store.misses, store.puts) == (nodes + 1, nodes + 1)
+        two_workers = ResolvedExecution(workers=2, store=store)
+        store.hits = store.misses = 0
+        assert dynamic_network().simulate(**RUN, exec_cfg=two_workers) == serial
+        assert (store.hits, store.misses) == (1, 0), "one fold entry read"
+        assert drop_fold_entries(store) == 1
+        store.hits = store.misses = store.puts = 0
+        warm = dynamic_network().simulate(**RUN, exec_cfg=two_workers)
         assert warm == serial
-        assert store.misses == puts, "warm run must not recompute"
-        assert store.hits == puts, "every node entry must be served back"
+        assert store.hits == nodes, "every node entry must be served back"
+        assert (store.misses, store.puts) == (1, 1), "only the fold entry is new"
 
     def test_failed_nodes_lifetime_clipped(self, serial):
         sched = CHURN.schedule(ClusterTreeTopology(2, 2), 0.5, 10.0, seed=7)
