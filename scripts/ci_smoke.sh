@@ -449,7 +449,7 @@ serve_stat() {
 
 smoke_serve() {
     echo "--- smoke: sweep-serving query service ---"
-    local store_dir log port server out_ref out_cold out_warm
+    local store_dir log port server server_pid out_ref out_cold out_warm
     store_dir="$(mktemp -d)"
     log="$(mktemp)"
     out_ref="$(mktemp)"
@@ -460,7 +460,8 @@ smoke_serve() {
     # The server gets a fresh store: it computes the cold query
     # itself, so the warm pass genuinely proves store-only serving.
     $CLI serve --store "$store_dir" --progress-interval 0 >"$log" 2>&1 &
-    WORKER_PIDS+=("$!")
+    server_pid="$!"
+    WORKER_PIDS+=("$server_pid")
     port="$(worker_port "$log")"
     server="http://127.0.0.1:$port"
     echo "serve on port $port"
@@ -493,6 +494,26 @@ smoke_serve() {
         echo "FAIL: warm pass was not store-only" \
             "(hits $hits_cold -> $hits_warm," \
             "misses $misses_cold -> $misses_warm)" >&2
+        return 1
+    fi
+    # The server writes its store counters to the manifest once, when it
+    # shuts down: stop it as Ctrl-C would, then read them back.
+    kill -INT "$server_pid"
+    if ! wait "$server_pid"; then
+        echo "FAIL: serve did not exit cleanly on SIGINT; log:" >&2
+        cat "$log" >&2
+        return 1
+    fi
+    WORKER_PIDS=()
+    local hits_stored
+    hits_stored="$($CLI store stats --store "$store_dir" |
+        sed -n 's/^hits *: //p')"
+    if [ "$hits_stored" -ge "$hits_warm" ]; then
+        echo "store counters persisted at shutdown" \
+            "($hits_stored hits >= $hits_warm served)"
+    else
+        echo "FAIL: store stats reports $hits_stored hits," \
+            "the server served $hits_warm" >&2
         return 1
     fi
     cleanup_workers

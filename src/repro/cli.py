@@ -102,6 +102,7 @@ import argparse
 import json
 import math
 import os
+import signal
 import sys
 from collections.abc import Sequence
 from dataclasses import fields
@@ -561,11 +562,20 @@ def _cmd_serve(
     # parsed by scripts/ci_smoke.sh (worker_port): keep the trailing
     # "host:port" shape.
     print(f"repro serve listening on {host}:{port}", flush=True)
+    # SIGINT and SIGTERM both stop the server cleanly, SIGINT also when
+    # a shell started it in the background with SIGINT ignored: the
+    # store counters reach the manifest only in service.close().
+    previous = {
+        sig: signal.signal(sig, signal.default_int_handler)
+        for sig in (signal.SIGINT, signal.SIGTERM)
+    }
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
         server.server_close()
         service.close()
     stats = service.stats()
@@ -605,7 +615,8 @@ def _cmd_query(
         snapshot = query_server(
             args.server, request, mode=args.mode, timeout=args.timeout
         )
-    except (ScenarioError, ServerError, TimeoutError, OSError) as exc:
+    except (ValueError, ServerError, TimeoutError, OSError) as exc:
+        # ValueError: a ScenarioError, or a --server that is no URL.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     result = snapshot.get("result") or {}

@@ -254,10 +254,13 @@ def run_network_lifetime_sweep(
 
     rx = as_resolved(exec_cfg)
     cfg = config if config is not None else NetworkScenarioConfig()
+    runs = _network_runs(cfg, tuple(cfg.thresholds), rx)
     return NetworkSweepResult(
-        topology=cfg.topology.describe(),
+        # The folded results carry the description: a warm sweep need
+        # not resolve a generated layout just to print its header.
+        topology=runs[0].values[0].topology,
         thresholds=tuple(cfg.thresholds),
-        runs=_network_runs(cfg, tuple(cfg.thresholds), rx),
+        runs=runs,
         ci_target=rx.ci_target,
     )
 

@@ -38,8 +38,8 @@ _RUN_FUNCTIONS = {
 def scenario_report(spec: ScenarioSpec, rx: "ResolvedExecution") -> str:
     """Run one scenario on ``rx``; returns its report text.
 
-    Store counters are flushed on the way out, whether the run
-    succeeded or not, so ``store stats`` sees every hit and miss.
+    The store's counters stay in ``rx.store``: its owner flushes them
+    once (:func:`run_scenario` on exit, a server at shutdown).
     """
     # Imported here, not at module top: the CLI imports this package,
     # and the run functions live there.
@@ -51,11 +51,7 @@ def scenario_report(spec: ScenarioSpec, rx: "ResolvedExecution") -> str:
     schema = _params_schema(spec.model, SPEC_VERSION)
     params = {key: param.default for key, param in schema.items()}
     params.update(spec.params)
-    try:
-        return run(**params, rx=rx)
-    finally:
-        if rx.store is not None:
-            rx.store.flush_counters()
+    return run(**params, rx=rx)
 
 
 def run_scenario(
@@ -66,8 +62,9 @@ def run_scenario(
     The spec's ``execution`` is resolved here unless ``rx`` supplies an
     already-live :class:`~repro.runtime.config.ResolvedExecution`.  A
     run that resolves its own owns one backend for all its dispatches
-    (one process pool, however many rounds and points) and closes it
-    on the way out, on error too.
+    (one process pool, however many rounds and points) and its store:
+    on the way out, on error too, it closes the backend and flushes the
+    store's counters, so ``store stats`` sees every hit and miss.
     """
     own = rx is None
     if own:
@@ -77,4 +74,6 @@ def run_scenario(
     finally:
         if own:
             rx.backend.close()
+            if rx.store is not None:
+                rx.store.flush_counters()
     return 0

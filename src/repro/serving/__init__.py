@@ -21,8 +21,8 @@ This package turns those guarantees into a long-running service:
 * :mod:`repro.serving.server` — a stdlib-only threaded JSON/HTTP front
   end (``repro.cli serve``): sync ``/run``, pollable ``/jobs``,
   NDJSON streaming, and ``/stats`` counters.
-* :mod:`repro.serving.client` — the urllib client behind
-  ``repro.cli query`` (sync / poll / stream modes).
+* :mod:`repro.serving.client` — the keep-alive ``http.client``
+  client behind ``repro.cli query`` (sync / poll / stream modes).
 
 See ``docs/serving.md`` for the endpoint reference and a runnable
 quickstart.

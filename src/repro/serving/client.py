@@ -1,4 +1,4 @@
-"""A tiny urllib client for the sweep-serving HTTP API.
+"""A small ``http.client`` client for the sweep-serving HTTP API.
 
 This is what ``repro.cli query`` is built on, and what CI uses to talk
 to a server without curl.  It speaks all three request modes:
@@ -12,20 +12,39 @@ to a server without curl.  It speaks all three request modes:
 All three return the same final job snapshot, and ``on_event`` (when
 given) sees every event exactly once in ``seq`` order in the poll and
 stream modes.
+
+Every mode goes through one path: each thread keeps one persistent
+``HTTPConnection`` per server ``host:port`` and sends its requests on
+it, so a closed-loop client pays for connection set-up once.  A
+stream response closes its connection, and the next request opens a
+fresh one.  When a reused connection fails before any response byte
+arrives (the server restarted, or closed the idle connection), the
+request is sent once more on a fresh connection.  Every other failure
+surfaces as it happens; an error status raises :class:`ServerError`
+carrying the server's message.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
 from collections.abc import Callable
-from typing import Any
-from urllib.error import HTTPError
-from urllib.request import Request, urlopen
+from typing import Any, TypeVar
+from urllib.parse import urlsplit
 
 __all__ = ["ServerError", "fetch_json", "fetch_stats", "query_server"]
 
 QUERY_MODES = ("sync", "poll", "stream")
+
+T = TypeVar("T")
+
+#: How a reused connection that the server has closed fails before the
+#: response starts: the one case a request is sent again.
+_STALE = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+
+_local = threading.local()
 
 
 class ServerError(RuntimeError):
@@ -36,26 +55,80 @@ class ServerError(RuntimeError):
         self.status = status
 
 
+def _connection(netloc: str, timeout: float) -> http.client.HTTPConnection:
+    """This thread's connection to ``netloc``, made on first use."""
+    pool = _local.__dict__.setdefault("connections", {})
+    conn = pool.get(netloc)
+    if conn is None:
+        conn = pool[netloc] = http.client.HTTPConnection(netloc)
+    conn.timeout = timeout
+    if conn.sock is not None:
+        conn.sock.settimeout(timeout)
+    return conn
+
+
+def _response(
+    conn: http.client.HTTPConnection, method: str, target: str,
+    data: bytes | None, headers: dict[str, str],
+) -> http.client.HTTPResponse:
+    """Send one request; once more on a fresh connection if a reused
+    one turns out closed."""
+    reused = conn.sock is not None
+    try:
+        conn.request(method, target, data, headers)
+        return conn.getresponse()
+    except _STALE:
+        if not reused:
+            raise
+    conn.close()
+    conn.request(method, target, data, headers)
+    return conn.getresponse()
+
+
+def _exchange(
+    server: str, path: str, body: Any | None, timeout: float,
+    read: Callable[[http.client.HTTPResponse], T],
+) -> T:
+    """One request to ``server``: GET, or POST of ``body`` as JSON.
+
+    ``read`` consumes a success response.  An error status raises
+    :class:`ServerError` (its body read, the connection kept); any
+    other failure closes the connection and propagates.
+    """
+    url = urlsplit(server)
+    if url.scheme != "http" or not url.netloc:
+        raise ValueError(
+            f"server must be an http://HOST:PORT URL, got {server!r}"
+        )
+    target = url.path.rstrip("/") + path
+    if body is None:
+        method, data, headers = "GET", None, {}
+    else:
+        method = "POST"
+        data = json.dumps(body).encode("utf-8")
+        headers = {"Content-Type": "application/json"}
+    conn = _connection(url.netloc, timeout)
+    try:
+        resp = _response(conn, method, target, data, headers)
+        if 200 <= resp.status < 300:
+            return read(resp)
+        detail = resp.read().decode("utf-8", "replace")
+    except BaseException:
+        conn.close()
+        raise
+    try:
+        detail = json.loads(detail)["error"]
+    except (ValueError, KeyError, TypeError):
+        pass
+    raise ServerError(resp.status, detail)
+
+
 def _request(
     server: str, path: str, body: Any | None = None, timeout: float = 60.0
 ) -> Any:
-    url = server.rstrip("/") + path
-    data = None
-    headers = {}
-    if body is not None:
-        data = json.dumps(body).encode("utf-8")
-        headers["Content-Type"] = "application/json"
-    try:
-        with urlopen(Request(url, data=data, headers=headers),
-                     timeout=timeout) as resp:
-            return json.loads(resp.read())
-    except HTTPError as exc:
-        detail = exc.read().decode("utf-8", "replace")
-        try:
-            detail = json.loads(detail)["error"]
-        except (ValueError, KeyError, TypeError):
-            pass
-        raise ServerError(exc.code, detail) from exc
+    return _exchange(
+        server, path, body, timeout, lambda resp: json.loads(resp.read())
+    )
 
 
 def fetch_json(server: str, path: str, timeout: float = 60.0) -> Any:
@@ -121,22 +194,14 @@ def _stream(
     server: str, request: Any, timeout: float,
     on_event: Callable[[dict[str, Any]], None] | None,
 ) -> dict[str, Any]:
-    url = server.rstrip("/") + "/run?stream=1"
-    data = json.dumps(request).encode("utf-8")
-    req = Request(url, data=data, headers={"Content-Type": "application/json"})
-    try:
-        with urlopen(req, timeout=timeout) as resp:
+    def read(resp: http.client.HTTPResponse) -> dict[str, Any]:
+        with resp:
             for line in resp:
                 event = json.loads(line)
                 if event.get("event") == "end":
                     return event["job"]
                 if on_event is not None:
                     on_event(event)
-    except HTTPError as exc:
-        detail = exc.read().decode("utf-8", "replace")
-        try:
-            detail = json.loads(detail)["error"]
-        except (ValueError, KeyError, TypeError):
-            pass
-        raise ServerError(exc.code, detail) from exc
-    raise ServerError(502, "stream ended without a final job snapshot")
+        raise ServerError(502, "stream ended without a final job snapshot")
+
+    return _exchange(server, "/run?stream=1", request, timeout, read)

@@ -24,18 +24,25 @@ paths, 405 for wrong methods, 413 for oversized bodies.  A client that
 disconnects mid-stream only ends its own response — the job keeps
 running and stays pollable.
 
-Streaming responses are newline-delimited JSON over ``HTTP/1.0`` with
-``Connection: close`` (body framed by connection end — no chunked
-encoding to parse), one event object per line, terminated by an
-``{"event": "end", "job": {...}}`` line carrying the final snapshot.
+Connections are ``HTTP/1.1`` and persistent: a JSON response carries
+``Content-Length``, so one client connection (one server thread)
+serves many requests.  A response sent before the request body was
+read (413, a bad ``Content-Length``, a wrong method or path) closes
+the connection, so the unread body is never parsed as a request.
+Streaming responses are newline-delimited JSON with ``Connection:
+close`` (body framed by connection end — no chunked encoding to
+parse), one event object per line, terminated by an ``{"event":
+"end", "job": {...}}`` line carrying the final snapshot.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
+from typing import Any, BinaryIO
 from urllib.parse import parse_qs, urlsplit
 
 from .service import SweepService
@@ -47,13 +54,73 @@ MAX_BODY_BYTES = 1 << 20
 
 
 class SweepHTTPServer(ThreadingHTTPServer):
-    """A threading HTTP server bound to one :class:`SweepService`."""
+    """A threading HTTP server bound to one :class:`SweepService`.
+
+    One thread serves one connection, and each request on it is one
+    :meth:`finish_request` call with its own handler.  The wait for a
+    request's first byte happens between those calls, so an idle
+    keep-alive connection adds nothing to any request's time.
+
+    :meth:`server_close` also ends every open connection: a thread
+    waiting for its next request sees end of input and exits, and a
+    busy one finishes its response first.  A request that still
+    arrives on such a connection is dropped unanswered, which a client
+    sees as the connection closing.
+    """
 
     daemon_threads = True
 
     def __init__(self, address: tuple[str, int], service: SweepService) -> None:
         super().__init__(address, _Handler)
         self.service = service
+        self._lock = threading.Lock()
+        # Each open connection's buffered reader: it outlives the
+        # per-request handlers, so bytes read ahead are never lost.
+        self._readers: dict[socket.socket, BinaryIO] = {}
+        self._closed = False
+
+    def process_request_thread(self, request: Any, client_address: Any) -> None:
+        # A response is one send unless it outgrows the write buffer or
+        # streams; without TCP_NODELAY a later send of the same response
+        # can wait for the client's delayed ACK (~40 ms).
+        request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, True)
+        reader = request.makefile("rb")
+        with self._lock:
+            self._readers[request] = reader
+            if self._closed:
+                _end_input(request)
+        try:
+            while reader.peek(1) and self.finish_request(request, client_address):
+                pass
+        except ConnectionError:
+            pass  # the client reset the connection
+        except Exception:  # noqa: BLE001 - socketserver's own policy
+            self.handle_error(request, client_address)
+        finally:
+            with self._lock:
+                del self._readers[request]
+            reader.close()
+            self.shutdown_request(request)
+
+    def finish_request(self, request: Any, client_address: Any) -> bool:
+        """Answer one request; False once the connection must close."""
+        handler = self.RequestHandlerClass(request, client_address, self)
+        return not handler.close_connection
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._lock:
+            self._closed = True
+            for connection in self._readers:
+                _end_input(connection)
+
+
+def _end_input(connection: socket.socket) -> None:
+    """Make the next read on ``connection`` see end of input."""
+    try:
+        connection.shutdown(socket.SHUT_RD)
+    except OSError:
+        pass  # already gone
 
 
 class _HandledError(Exception):
@@ -65,10 +132,24 @@ class _HandledError(Exception):
 
 
 class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.0"  # connection-close framing for streams
+    """Answers one request (see :class:`SweepHTTPServer`)."""
+
+    protocol_version = "HTTP/1.1"
     server: SweepHTTPServer
 
     # -- plumbing ------------------------------------------------------
+
+    def setup(self) -> None:
+        self.connection = self.request
+        self.rfile = self.server._readers[self.request]
+        self.wfile = self.request.makefile("wb")
+
+    def handle(self) -> None:
+        self.close_connection = True
+        self.handle_one_request()
+
+    def finish(self) -> None:
+        self.wfile.close()  # sends what is buffered; the reader stays
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass  # requests are accounted in /stats, not stderr
@@ -77,21 +158,38 @@ class _Handler(BaseHTTPRequestHandler):
     def service(self) -> SweepService:
         return self.server.service
 
+    def parse_request(self) -> bool:
+        if self.server._closed:
+            self.close_connection = True
+            return False
+        return super().parse_request()
+
     def _send_json(self, payload: Any, status: int = 200) -> None:
         body = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self._unread_body:
+            # The body's bytes are still on the connection: reading the
+            # next request from there would parse them as one.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _read_json(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length", "0")
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _HandledError(400, f"bad Content-Length {declared!r}")
         if length > MAX_BODY_BYTES:
             raise _HandledError(
                 413, f"request body exceeds {MAX_BODY_BYTES} bytes"
             )
         raw = self.rfile.read(length) if length else b""
+        self._unread_body = False
         if not raw:
             raise _HandledError(400, "request body must be a JSON object")
         try:
@@ -100,9 +198,13 @@ class _Handler(BaseHTTPRequestHandler):
             raise _HandledError(400, f"request body is not valid JSON: {exc}")
 
     def _stream_job(self, job: Any) -> None:
-        """NDJSON: every event as it happens, then the final snapshot."""
+        """NDJSON: every event as it happens, then the final snapshot.
+
+        The body is framed by connection end, so the connection closes.
+        """
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
+        self.send_header("Connection", "close")
         self.end_headers()
         seq = 0
         try:
@@ -132,8 +234,12 @@ class _Handler(BaseHTTPRequestHandler):
         url = urlsplit(self.path)
         parts = [p for p in url.path.split("/") if p]
         query = parse_qs(url.query)
-        import time
-
+        # Until _read_json consumes it, any body counts as unread; a
+        # malformed Content-Length or a chunked body counts too.
+        self._unread_body = (
+            "Transfer-Encoding" in self.headers
+            or self.headers.get("Content-Length", "0").strip() != "0"
+        )
         t0 = time.perf_counter()
         endpoint = f"{method} /{parts[0] if parts else ''}"
         error = False

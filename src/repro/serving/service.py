@@ -36,8 +36,10 @@ fleet.
 
 Jobs run on a single worker thread, FIFO.  That serialisation is
 deliberate: the result store counters are snapshotted per job, and one
-job at a time keeps them exact.  A job's output is the report text
-:func:`~repro.scenarios.scenario_report` returns.  Job states are
+job at a time keeps them exact.  The shared store's session counters
+reach its ``manifest.json`` once, when :meth:`SweepService.close`
+flushes them; ``/stats`` is the live view meanwhile.  A job's output
+is the report text :func:`~repro.scenarios.scenario_report` returns.  Job states are
 ``queued → running → done | failed | cancelled``; identical in-flight
 requests (same :func:`~repro.runtime.store.request_key`) coalesce onto
 one job.
@@ -215,7 +217,7 @@ class _JobStore:
     Delegates reads/writes to the long-lived store while (a) counting
     this job's own hit/miss/put traffic — the numbers behind the
     "warm request submits zero tasks" assertion, independent of the
-    shared store's flushed session counters — (b) emitting throttled
+    shared store's session counters — (b) emitting throttled
     per-task progress events, and (c) acting as the cooperative
     cancellation checkpoint (every task consults the store, so every
     task boundary observes a cancel request).
@@ -262,9 +264,6 @@ class _JobStore:
         self._store.put(key, value)
         self.puts += 1
         self._progress()
-
-    def flush_counters(self) -> None:
-        self._store.flush_counters()
 
 
 class _Latency:
@@ -545,7 +544,9 @@ class SweepService:
     # -- shutdown ------------------------------------------------------
 
     def close(self, timeout: float = 30.0) -> None:
-        """Stop the worker, cancel queued jobs, release backend/store."""
+        """Stop the worker, cancel queued jobs, release the backend and
+        flush the store's counters into its manifest (the one write of
+        them a service makes)."""
         with self._cond:
             if self._closed:
                 return

@@ -251,3 +251,32 @@ class TestOneDispatch:
         sweep = run_network_lifetime_sweep(self.CFG, exec_cfg=rx)
         assert (store.hits, store.misses) == (9, 3)
         assert sweep.results == singles
+
+
+class TestSweepHeader:
+    def test_warm_geometric_sweep_resolves_no_layout(self, tmp_path):
+        """The report header comes from the folded results: a warm sweep
+        never builds the deployment it only describes."""
+        from pathlib import Path
+
+        from repro.scenarios import load_scenario, scenario_report
+        from repro.topology.generators import _resolve_layout
+
+        gallery = Path(__file__).resolve().parents[2] / "scenarios"
+        spec = load_scenario(
+            gallery / "geo1000.yaml",
+            [
+                "params.nodes=40",
+                "params.horizon=2.0",
+                "execution.workers=1",
+                f"execution.store_dir={tmp_path}",
+            ],
+        )
+        rx = spec.execution.resolve()
+        _resolve_layout.cache_clear()
+        cold = scenario_report(spec, rx)
+        assert _resolve_layout.cache_info().currsize == 1
+        assert "Network lifetime sweep: random geometric" in cold
+        _resolve_layout.cache_clear()
+        assert scenario_report(spec, rx) == cold
+        assert _resolve_layout.cache_info().currsize == 0

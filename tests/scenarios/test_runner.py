@@ -234,6 +234,52 @@ class TestStoreSharing:
         assert warm.entries == cold.entries  # nothing new simulated
         assert warm.hits >= cold.entries  # every entry served the rerun
 
+    def test_cli_run_flushes_the_counters_once_on_exit(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """``scenario_report`` leaves the counters in the store; the CLI
+        run that owns the store writes them to the manifest on exit."""
+        from repro.runtime.store import ResultStore
+        from repro.scenarios import load_scenario, scenario_report
+
+        writes = []
+        write = ResultStore._write_manifest
+
+        def counting_write(store, manifest):
+            writes.append(manifest)
+            write(store, manifest)
+
+        monkeypatch.setattr(ResultStore, "_write_manifest", counting_write)
+        store_dir = tmp_path / "store"
+        argv = [
+            "scenario",
+            "run",
+            str(GALLERY / "fig14.yaml"),
+            "--smoke",
+            "--override",
+            f"execution.store_dir={store_dir}",
+        ]
+        cold_out = run_cli(capsys, argv)
+        cold = ResultStore(store_dir).stats()
+        assert cold.entries > 0
+        assert (cold.hits, cold.misses, cold.puts) == (0, cold.entries, cold.entries)
+        assert len(writes) == 2  # the fresh manifest, then the flush
+        assert run_cli(capsys, argv) == cold_out
+        warm = ResultStore(store_dir).stats()
+        assert (warm.hits, warm.misses) == (cold.entries, cold.entries)
+        assert len(writes) == 3
+
+        spec = load_scenario(GALLERY / "fig14.yaml", smoke=True)
+        rx = spec.execution.with_overrides(store_dir=str(store_dir)).resolve()
+        manifest = rx.store.manifest_path.read_bytes()
+        try:
+            assert scenario_report(spec, rx) == cold_out
+        finally:
+            rx.backend.close()
+        assert rx.store.hits == cold.entries  # counted, not yet written
+        assert rx.store.manifest_path.read_bytes() == manifest
+        assert len(writes) == 3
+
     def test_canonical_dict_shared_across_spellings(self):
         """Two spellings of one run canonicalise (and hash) identically."""
         from repro.scenarios import load_scenario

@@ -8,14 +8,21 @@ with exit code 2, mirroring ``scenario run``'s error contract.
 
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.runtime import ExecutionConfig
 from repro.scenarios import ScenarioSpec, run_scenario
-from repro.serving import SweepService, serve_http
+from repro.serving import SweepService, query_server, serve_http
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 SCENARIO = {
     "version": 1,
@@ -149,3 +156,50 @@ class TestServeArgs:
             )
         assert exc.value.code == 2
         assert "--no-store" in capsys.readouterr().err
+
+
+class TestServeShutdown:
+    @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGINT])
+    def test_signal_closes_cleanly_and_persists_the_counters(
+        self, tmp_path, capsys, sig
+    ):
+        store_dir = str(tmp_path / "store")
+        env = os.environ.copy()
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve",
+                "--store", store_dir, "--port", "0",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+            cwd=REPO_ROOT,
+        )
+        try:
+            line = process.stdout.readline()
+            assert "listening on" in line, line
+            base = "http://" + line.strip().rsplit(" ", 1)[1]
+            request = {"scenario": SCENARIO}
+            query_server(base, request, timeout=120)
+            warm = query_server(base, request, timeout=120)["result"]["store"]
+            assert warm["misses"] == 0
+            assert warm["hits"] > 0
+            # The counters are live in /stats, not yet in the manifest.
+            assert main(["store", "stats", "--store", store_dir]) == 0
+            assert "hits    : 0\n" in capsys.readouterr().out
+            # The client still holds its idle keep-alive connection.
+            process.send_signal(sig)
+            out, _ = process.communicate(timeout=60)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0, out
+        assert "repro serve done: " in out
+        assert main(["store", "stats", "--store", store_dir]) == 0
+        assert f"hits    : {warm['hits']}\n" in capsys.readouterr().out

@@ -6,13 +6,19 @@ response body carries the byte-identical output, schema violations map
 to 400 with the offending key in the message, unknown jobs to 404,
 wrong methods to 405, malformed JSON to 400 — and that a client
 hanging up mid-stream ends only its own response (the job keeps
-running and stays pollable).
+running and stays pollable).  Connections are HTTP/1.1 keep-alive:
+one connection carries many JSON requests, error answers included,
+while a response sent before the request body was read and both
+NDJSON streams close theirs; the client reuses one connection and
+reconnects once when a server restart closed it.
 """
 
 import http.client
 import io
 import json
+import socket
 import threading
+import time
 from contextlib import redirect_stdout
 
 import pytest
@@ -28,6 +34,7 @@ from repro.serving import (
     query_server,
     serve_http,
 )
+from repro.serving import client as client_mod
 
 SCENARIO = {
     "version": 1,
@@ -319,3 +326,195 @@ def _wait_done(base, job_id, timeout=10.0):
             return snap
         time.sleep(0.05)
     raise AssertionError(f"job {job_id} did not finish in {timeout}s")
+
+
+def _raw_exchange(base, request):
+    """Send raw ``request`` bytes; everything received until the server
+    closes the connection (a socket timeout if it never does)."""
+    host, port = base.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+# A complete request hidden in a body the server must not read: were it
+# parsed as the next request, a second response would follow.
+SMUGGLED = b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n"
+
+
+class TestKeepAlive:
+    def test_one_connection_carries_many_requests(self, live):
+        base, _ = live
+        conn = _conn(base)
+        schema_error = json.dumps({"scenario": SCENARIO, "bogus": 1}).encode()
+        requests = [
+            ("GET", "/health", None),
+            ("POST", "/run", b"{not json"),
+            ("GET", "/nope", None),
+            ("POST", "/run", schema_error),
+            ("GET", "/stats", None),
+        ]
+        statuses, socks = [], set()
+        for method, path, body in requests:
+            conn.request(method, path, body=body)
+            resp = conn.getresponse()
+            resp.read()
+            assert not resp.will_close
+            statuses.append(resp.status)
+            socks.add(conn.sock)
+        conn.close()
+        assert statuses == [200, 400, 404, 400, 200]
+        assert len(socks) == 1
+
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            (b"POST /run HTTP/1.1\r\nContent-Length: 10485760", b"413"),
+            (b"POST /run HTTP/1.1\r\nContent-Length: many", b"400"),
+            (b"POST /run HTTP/1.1\r\nContent-Length: -1", b"400"),
+            (b"POST /health HTTP/1.1\r\nContent-Length: LEN", b"405"),
+            (b"POST /nope HTTP/1.1\r\nContent-Length: LEN", b"404"),
+        ],
+        ids=["413", "bad-length", "negative-length", "405", "404"],
+    )
+    def test_answer_before_the_body_closes_the_connection(
+        self, live, head, status
+    ):
+        base, _ = live
+        head = head.replace(b"LEN", str(len(SMUGGLED)).encode())
+        reply = _raw_exchange(
+            base, head + b"\r\nHost: test\r\n\r\n" + SMUGGLED
+        )
+        assert reply.startswith(b"HTTP/1.1 " + status)
+        assert b"\r\nConnection: close\r\n" in reply
+        assert reply.count(b"HTTP/1.1 ") == 1
+
+    def test_stream_endpoints_close_the_connection(self, live):
+        base, _ = live
+        body = json.dumps({"scenario": SCENARIO}).encode()
+        conn = _conn(base)
+        conn.request("POST", "/run?stream=1", body=body)
+        resp = conn.getresponse()
+        assert resp.getheader("Connection") == "close"
+        assert resp.getheader("Content-Length") is None
+        lines = resp.read().splitlines()  # returns at the server's EOF
+        end = json.loads(lines[-1])
+        assert end["event"] == "end"
+        assert end["job"]["state"] == "done"
+        reply = _raw_exchange(
+            base,
+            f"GET /jobs/{end['job']['id']}/stream HTTP/1.1\r\n"
+            "Host: test\r\n\r\n".encode(),
+        )
+        head, _, stream = reply.partition(b"\r\n\r\n")
+        assert b"\r\nConnection: close" in head
+        assert json.loads(stream.splitlines()[-1]) == end
+        conn.close()
+
+    def test_fifty_requests_on_one_connection_do_not_stall(self, live):
+        # Nagle's algorithm against the client's delayed ACK would hold
+        # every response for ~40 ms: 2 s for these 50.
+        base, _ = live
+        conn = _conn(base)
+        t0 = time.perf_counter()
+        for _ in range(50):
+            conn.request("GET", "/health")
+            conn.getresponse().read()
+        raw_s = time.perf_counter() - t0
+        conn.close()
+        t0 = time.perf_counter()
+        for _ in range(50):
+            fetch_json(base, "/health")
+        client_s = time.perf_counter() - t0
+        assert raw_s < 1.0
+        assert client_s < 1.0
+
+    def test_server_close_ends_idle_keepalive_handlers(self):
+        service = SweepService(ExecutionConfig(), progress_interval=0.0)
+        before = set(threading.enumerate())
+        server, thread = serve_http(service)
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        conn.request("GET", "/health")
+        conn.getresponse().read()
+        conn.request("GET", "/health")
+        conn.getresponse().read()
+        server.shutdown()
+        server.server_close()
+        service.close()
+        thread.join(10)
+        for handler in set(threading.enumerate()) - before:
+            handler.join(10)
+            assert not handler.is_alive(), handler.name
+        assert conn.sock.recv(1) == b""  # the server hung up
+        conn.close()
+
+
+class TestClientConnection:
+    def test_query_server_reuses_one_connection_and_reconnects(
+        self, tmp_path, reference
+    ):
+        _, ref_out = reference
+        service = SweepService(
+            ExecutionConfig(store_dir=tmp_path / "store"),
+            progress_interval=0.0,
+        )
+        server, _thread = serve_http(service)
+        host, port = server.server_address[:2]
+        base = f"http://{host}:{port}"
+        request = {"scenario": SCENARIO}
+        try:
+            assert query_server(base, request)["result"]["output"] == ref_out
+            conn = client_mod._local.connections[f"{host}:{port}"]
+            sock = conn.sock
+            assert sock is not None
+            assert fetch_json(base, "/health") == {"status": "ok"}
+            warm = query_server(base, request)
+            assert conn.sock is sock
+            # A restart on the same port closes the kept connection; the
+            # next call notices and sends its request once more.
+            server.shutdown()
+            server.server_close()
+            server, _thread = serve_http(service, host=host, port=port)
+            again = query_server(base, request)
+            assert conn.sock is not sock
+            assert again["result"]["output"] == ref_out
+            assert again["result"]["store"] == warm["result"]["store"]
+            assert again["result"]["store"]["misses"] == 0
+            server.shutdown()
+            server.server_close()
+            server = None
+            # No server at all: the one retry fails and the error shows.
+            with pytest.raises(ConnectionRefusedError):
+                fetch_json(base, "/health")
+        finally:
+            if server is not None:
+                server.shutdown()
+                server.server_close()
+            service.close()
+
+    def test_error_status_keeps_the_connection(self, live):
+        base, _ = live
+        fetch_json(base, "/health")
+        netloc = base.removeprefix("http://")
+        sock = client_mod._local.connections[netloc].sock
+        with pytest.raises(ServerError, match="no such path") as err:
+            fetch_json(base, "/nope")
+        assert err.value.status == 404
+        assert fetch_json(base, "/health") == {"status": "ok"}
+        assert client_mod._local.connections[netloc].sock is sock
+
+    def test_stream_mode_then_sync_on_a_fresh_connection(self, live, reference):
+        base, _ = live
+        _, ref_out = reference
+        request = {"scenario": SCENARIO}
+        streamed = query_server(base, request, mode="stream")
+        synced = query_server(base, request, mode="sync")
+        assert streamed["result"]["output"] == synced["result"]["output"] == ref_out
+
+    def test_server_url_must_be_http(self):
+        with pytest.raises(ValueError, match="http://HOST:PORT"):
+            fetch_json("localhost:8123", "/health")

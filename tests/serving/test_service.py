@@ -20,6 +20,7 @@ result store:
 
 import dataclasses
 import io
+import json
 import threading
 import time
 from contextlib import redirect_stdout
@@ -30,6 +31,7 @@ import repro.models.network as network_module
 import repro.serving.service as service_mod
 from repro.runtime import ExecutionConfig, StoreWarning, request_key
 from repro.runtime.backend import SerialBackend
+from repro.runtime.store import ResultStore
 from repro.scenarios import ScenarioSpec, run_scenario
 from repro.serving import ServiceError, SweepService, parse_request
 
@@ -509,3 +511,40 @@ class TestStats:
             assert store["enabled"]
             assert store["hits"] == store["puts"] == store["misses"] > 0
             assert store["hit_rate"] == pytest.approx(0.5)
+
+
+class TestStoreCounters:
+    def test_jobs_leave_the_manifest_and_close_writes_it_once(
+        self, tmp_path, monkeypatch
+    ):
+        writes = []
+        write = ResultStore._write_manifest
+
+        def counting_write(store, manifest):
+            writes.append(manifest)
+            write(store, manifest)
+
+        monkeypatch.setattr(ResultStore, "_write_manifest", counting_write)
+        with make_service(tmp_path) as service:
+            manifest = service._rx.store.manifest_path
+
+            def state():
+                st = manifest.stat()
+                return manifest.read_bytes(), st.st_mtime_ns, st.st_ino
+
+            before = state()
+            writes.clear()
+            jobs = [
+                service.run({"scenario": SCENARIO}, timeout=300)
+                for _ in range(2)
+            ]
+            assert [job.state for job in jobs] == ["done", "done"]
+            assert state() == before
+            assert writes == []
+            live = service.stats()["store"]
+        assert len(writes) == 1
+        counters = json.loads(manifest.read_text())["counters"]
+        for name in ("hits", "misses", "puts"):
+            summed = sum(job.result["store"][name] for job in jobs)
+            assert counters[name] == summed == live[name]
+        assert counters["hits"] == counters["misses"] > 0

@@ -121,3 +121,12 @@ def test_lazy_paths_load_and_give_current_values():
     # The calls above are what pull the SciPy submodules in.
     assert {"scipy.stats", "scipy.linalg"} <= set(report["heavy"])
     assert not any(m.startswith("networkx") for m in report["heavy"])
+
+
+def test_serving_client_needs_no_urllib_request():
+    # Every client mode goes through one keep-alive http.client path.
+    report = run_fresh(
+        "import repro.serving\n"
+        "result = 'urllib.request' in sys.modules\n"
+    )
+    assert report["result"] is False
