@@ -159,7 +159,9 @@ class TestServeArgs:
 
 
 class TestServeShutdown:
-    @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGINT])
+    @pytest.mark.parametrize(
+        "sig", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"]
+    )
     def test_signal_closes_cleanly_and_persists_the_counters(
         self, tmp_path, capsys, sig
     ):
