@@ -9,7 +9,7 @@ Subpackages
     Structural and numerical net analysis (reachability, invariants,
     CTMC conversion).
 ``repro.markov``
-    Markov substrate: CTMC/DTMC solvers, birth–death chains, and the
+    Markov substrate: CTMC solvers, birth–death chains, and the
     paper's supplementary-variable CPU model (Eqs. 1–6).
 ``repro.des``
     Discrete-event-simulation substrate: the ground-truth CPU simulator

@@ -47,7 +47,6 @@ from .distributions import (
     Weibull,
 )
 from .convergence import PrecisionResult, simulate_to_precision
-from .export import net_to_dict, net_to_dot, net_to_json
 from .errors import (
     AnalysisError,
     ArcError,
@@ -82,7 +81,6 @@ from .guards import (
 )
 from .marking import Marking, MarkingView
 from .net import PetriNet
-from .observers import FiringTrace, StateDwellRecorder, TokenFlowCounter
 from .places import Place
 from .simulator import Simulation, SimulationResult, simulate
 from .statistics import (
@@ -154,14 +152,6 @@ __all__ = [
     "TransitionCounter",
     "BatchMeans",
     "ConfidenceInterval",
-    # observers
-    "FiringTrace",
-    "StateDwellRecorder",
-    "TokenFlowCounter",
-    # export
-    "net_to_dict",
-    "net_to_json",
-    "net_to_dot",
     # validation
     "validate_net",
     "ValidationReport",

@@ -10,6 +10,11 @@ the horizon, doubling until the batch-means interval is tight enough.
 Replications are sequential with increasing horizons (not averaged
 across runs): batch means over one long run converge faster per event
 than many short runs because each short run re-pays the warm-up.
+
+No CLI or scenario run calls this module.  It is library API for the
+paper's Section V workflow (measure, fit, model, predict) and its
+closing remark on simulation time against accuracy, shown end to end
+by ``examples/measure_fit_model_predict.py``.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Well-formedness validation beyond construction-time checks.
 
 :func:`validate_net` runs a battery of structural lints and returns a
-:class:`ValidationReport`.  Models in :mod:`repro.models` call it in
-their builders so malformed parameterisations fail fast with a readable
+:class:`ValidationReport`.  The builders in :mod:`repro.models` do not
+call it; the tests check that every net they ship is clean.  Call it on
+a hand-built net so that a malformed one fails fast with a readable
 message instead of deadlocking silently mid-simulation.
 """
 

@@ -44,8 +44,6 @@ from .sweep import (
     FIG4_TO_9_THRESHOLDS,
     FIG14_15_THRESHOLDS,
     NETWORK_THRESHOLDS,
-    SweepPoint,
-    linear_thresholds,
 )
 from .tables import (
     format_delta_table,
@@ -89,8 +87,6 @@ __all__ = [
     "cpu_breakeven_delay",
     "FIG4_TO_9_THRESHOLDS",
     "FIG14_15_THRESHOLDS",
-    "SweepPoint",
-    "linear_thresholds",
     "format_delta_table",
     "format_validation_table",
     "format_steady_state_table",

@@ -1,27 +1,19 @@
-"""Parameter sweeps and grids.
+"""The threshold grids of the paper's sweeps.
 
-The two threshold grids the paper uses:
-
-* Figs. 4–9 sweep ``Power_Down_Threshold`` linearly over [0.001, 1] s;
+* Figs. 4–9 sweep ``Power_Down_Threshold`` over [0.001, 1] s;
 * Figs. 14–15 use a hand-picked 23-point grid that clusters around the
-  interesting crossovers (1 ns … 100 s, dense near 0.00177 s) — we
+  interesting crossovers (1 ns … 10 s, dense near 0.00177 s) — we
   reproduce that grid verbatim so the regenerated series has the same
-  x-axis as the figures.
+  x-axis as the figures;
+* network-lifetime sweeps use a coarse grid over the same regimes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Any
-
-import numpy as np
 
 __all__ = [
     "FIG4_TO_9_THRESHOLDS",
     "FIG14_15_THRESHOLDS",
     "NETWORK_THRESHOLDS",
-    "SweepPoint",
-    "linear_thresholds",
 ]
 
 #: Figs. 4–9 x-axis: 0.001 then 0.1..1.0 in 0.1 steps (11 points).
@@ -78,19 +70,3 @@ NETWORK_THRESHOLDS: tuple[float, ...] = (
     1.0,
     100.0,
 )
-
-def linear_thresholds(
-    low: float = 0.001, high: float = 1.0, n: int = 11
-) -> tuple[float, ...]:
-    """Evenly spaced thresholds including both endpoints."""
-    if low <= 0 or high <= low or n < 2:
-        raise ValueError("need 0 < low < high and n >= 2")
-    return tuple(float(x) for x in np.linspace(low, high, n))
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One evaluated sweep point."""
-
-    threshold: float
-    value: Any

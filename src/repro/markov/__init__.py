@@ -1,8 +1,8 @@
 """``repro.markov`` — the Markov-model substrate.
 
-* :class:`~repro.markov.ctmc.CTMC` / :class:`~repro.markov.dtmc.DTMC`
-  — general finite-chain solvers (steady state, transients via
-  uniformization, absorption analysis);
+* :class:`~repro.markov.ctmc.CTMC` — the general finite-chain solver
+  (steady state, transients via uniformization, first passage times,
+  reward measures);
 * :class:`~repro.markov.birthdeath.BirthDeathChain` — product-form
   birth–death chains (the paper's Fig. 2 skeleton);
 * :mod:`repro.markov.queueing` — M/M/1, M/G/1, Erlang-B/C oracles for
@@ -13,7 +13,6 @@
 
 from .birthdeath import BirthDeathChain, mm1_steady_state
 from .ctmc import CTMC
-from .dtmc import DTMC
 from .fitting import (
     fit_best,
     fit_deterministic,
@@ -33,7 +32,6 @@ from .supplementary import MarkovCPUSteadyState, SupplementaryVariableCPUModel
 
 __all__ = [
     "CTMC",
-    "DTMC",
     "BirthDeathChain",
     "mm1_steady_state",
     "MM1Metrics",

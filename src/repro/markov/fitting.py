@@ -15,6 +15,10 @@ Estimators:
 * :func:`fit_best` — model selection across the above by
   log-likelihood with a small complexity penalty (AIC); near-constant
   samples short-circuit to Deterministic.
+
+No CLI or scenario run calls this module.  It is library API for the
+paper's Section V workflow (measure, fit, model, predict), shown end
+to end by ``examples/measure_fit_model_predict.py``.
 """
 
 from __future__ import annotations

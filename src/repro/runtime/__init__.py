@@ -37,10 +37,6 @@ time:
   stops each one independently once its interval's relative half-width
   crosses the target, consuming a prefix of the fixed-count seed plan
   so converged runs stay bit-reproducible;
-* :func:`map_sweep` — the public grid × replications API on top of it,
-  returning :class:`~repro.experiments.sweep.SweepPoint` rows whose
-  values carry across-replication confidence intervals when
-  ``replications > 1``;
 * :mod:`repro.runtime.store` — content-addressed result memoization:
   :class:`ResultStore` keeps per-replication results on disk under a
   canonical SHA-256 :func:`task_key` of the task spec (parameters,
@@ -88,7 +84,6 @@ from .store import (
     request_key,
     task_key,
 )
-from .sweep import ReplicatedValue, map_sweep
 
 __all__ = [
     "ExecutionConfig",
@@ -102,8 +97,6 @@ __all__ = [
     "ProcessPoolBackend",
     "BACKEND_NAMES",
     "make_backend",
-    "map_sweep",
-    "ReplicatedValue",
     "AdaptivePointRun",
     "run_replications",
     "node_seeds",

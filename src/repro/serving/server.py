@@ -28,7 +28,11 @@ Connections are ``HTTP/1.1`` and persistent: a JSON response carries
 ``Content-Length``, so one client connection (one server thread)
 serves many requests.  A response sent before the request body was
 read (413, a bad ``Content-Length``, a wrong method or path) closes
-the connection, so the unread body is never parsed as a request.
+the connection, so the unread body is never parsed as a request.  The
+server first ends its side of the connection and discards what the
+client is still sending, up to :data:`LINGER_BYTES` and
+:data:`LINGER_SECONDS`, so a client busy sending a large body gets the
+answer instead of a reset.
 Streaming responses are newline-delimited JSON with ``Connection:
 close`` (body framed by connection end — no chunked encoding to
 parse), one event object per line, terminated by an ``{"event":
@@ -51,6 +55,11 @@ __all__ = ["MAX_BODY_BYTES", "SweepHTTPServer", "make_server", "serve_http"]
 
 #: Reject request bodies larger than this (a scenario spec is tiny).
 MAX_BODY_BYTES = 1 << 20
+
+#: After an answer sent before the body was read, discard at most this
+#: many bytes of the body, for at most this many seconds, then close.
+LINGER_BYTES = 16 << 20
+LINGER_SECONDS = 2.0
 
 
 class SweepHTTPServer(ThreadingHTTPServer):
@@ -136,6 +145,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server: SweepHTTPServer
+    _unread_body = False  # until _dispatch sees the request's headers
 
     # -- plumbing ------------------------------------------------------
 
@@ -150,6 +160,30 @@ class _Handler(BaseHTTPRequestHandler):
 
     def finish(self) -> None:
         self.wfile.close()  # sends what is buffered; the reader stays
+        if self._unread_body:
+            self._discard_body()
+
+    def _discard_body(self) -> None:
+        """End output, then read and drop the body the client sends.
+
+        Closing a socket with unread input resets the connection, and
+        a reset can reach the client before it reads the answer.
+        """
+        deadline = time.monotonic() + LINGER_SECONDS
+        budget = LINGER_BYTES
+        try:
+            self.connection.shutdown(socket.SHUT_WR)
+            while budget > 0:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    break
+                self.connection.settimeout(left)
+                chunk = self.rfile.read1(min(budget, 1 << 16))
+                if not chunk:
+                    break
+                budget -= len(chunk)
+        except OSError:
+            pass  # timed out, or the client is gone
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass  # requests are accounted in /stats, not stderr

@@ -113,15 +113,6 @@ class TestResetConstruction:
         with pytest.raises(ArcError):
             net.add_transition("t", Deterministic(1.0), inputs=["a"], resets=[42])
 
-    def test_export_includes_resets(self):
-        from repro.core import net_to_dict, net_to_dot
-
-        net = crash_net()
-        d = net_to_dict(net)
-        crash = next(t for t in d["transitions"] if t["name"] == "crash")
-        assert crash["resets"] == ["q"]
-        assert "arrowhead=diamond" in net_to_dot(net)
-
     def test_reachability_honours_resets(self):
         from repro.analysis import build_reachability_graph
 

@@ -4,6 +4,12 @@ import pytest
 
 from repro.core import Deterministic, PetriNet, tokens_gt
 from repro.core.validation import validate_net
+from repro.models import (
+    CPUPetriModel,
+    NodeParameters,
+    SimpleNodeModel,
+    WSNNodeModel,
+)
 
 
 class TestValidation:
@@ -82,3 +88,17 @@ class TestValidation:
         net.add_place("A", initial_tokens=1)
         net.add_transition("t", Deterministic(1.0), inputs=["A"])
         assert "clean" in str(validate_net(net))
+
+
+SHIPPED_NETS = {
+    "fig10-simple-node": lambda: SimpleNodeModel().build(),
+    "wsn-node-closed": lambda: WSNNodeModel(NodeParameters(), "closed").build(),
+    "wsn-node-open": lambda: WSNNodeModel(NodeParameters(), "open").build(),
+    "fig3-cpu": lambda: CPUPetriModel(1.0, 10.0, 0.1, 0.3).build(),
+}
+
+
+@pytest.mark.parametrize("build", SHIPPED_NETS.values(), ids=SHIPPED_NETS.keys())
+def test_shipped_nets_have_no_errors(build):
+    report = validate_net(build())
+    assert report.errors == [], str(report)

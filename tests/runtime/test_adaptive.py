@@ -8,12 +8,7 @@ same seed, for every ``workers`` setting.
 import numpy as np
 import pytest
 
-from repro.runtime import (
-    ReplicatedValue,
-    SerialBackend,
-    map_sweep,
-    run_replications,
-)
+from repro.runtime import SerialBackend, run_replications
 from repro.runtime.config import ExecutionConfig, ResolvedExecution
 
 
@@ -162,81 +157,60 @@ def seeded_eval_task(task):
     return seeded_noise(threshold, seed)
 
 
-class TestMapSweepAdaptive:
-    GRID = [0.01, 0.2, 2.0]
+def sweep(grid, **policy):
+    """Run ``seeded_noise`` over ``grid`` with one seed per (point, r)."""
+    return run_replications(
+        seeded_eval_task,
+        lambda i, r: (grid[i], 1000 * i + r),
+        len(grid),
+        ResolvedExecution(**policy),
+    )
 
+
+class TestAdaptiveSweep:
     def test_adaptive_is_prefix_of_fixed_run(self):
-        fixed = map_sweep(
-            seeded_noise, self.GRID, seed=11, exec_cfg=ExecutionConfig(replications=16)
-        )
-        adaptive = map_sweep(
-            seeded_noise,
-            self.GRID,
-            seed=11,
-            exec_cfg=ExecutionConfig(ci_target=0.2, max_replications=16),
-        )
+        grid = [0.01, 0.2, 2.0]
+        fixed = sweep(grid, replications=16)
+        adaptive = sweep(grid, ci_target=0.2, max_replications=16)
+        assert min(a.replications for a in adaptive) < 16
         for f, a in zip(fixed, adaptive):
-            k = a.value.replications
-            assert a.value.values == f.value.values[:k]
-            assert a.value.seeds == f.value.seeds[:k]
-
-    def test_adaptive_independent_of_workers(self):
-        adaptive = ExecutionConfig(ci_target=0.2, max_replications=16)
-        serial = map_sweep(seeded_noise, self.GRID, seed=11, exec_cfg=adaptive)
-        parallel = map_sweep(
-            seeded_noise,
-            self.GRID,
-            seed=11,
-            exec_cfg=adaptive.with_overrides(workers=3),
-        )
-        assert serial == parallel  # frozen dataclasses: bit-identical
+            assert a.values == f.values[: a.replications]
 
     def test_noisier_points_replicate_more(self):
-        points = map_sweep(
-            seeded_noise,
-            [0.01, 2.0],
-            seed=11,
-            exec_cfg=ExecutionConfig(ci_target=0.2, max_replications=32),
-        )
-        quiet, noisy = points
-        assert quiet.value.converged
-        assert quiet.value.replications < noisy.value.replications
-
-    def test_max_replications_cap(self):
-        [point] = map_sweep(
-            seeded_noise,
-            [5.0],
-            seed=11,
-            exec_cfg=ExecutionConfig(ci_target=1e-9, max_replications=5),
-        )
-        assert point.value.replications == 5
-        assert point.value.converged is False
+        quiet, noisy = sweep([0.01, 2.0], ci_target=0.2, max_replications=32)
+        assert quiet.converged
+        assert quiet.replications < noisy.replications
 
     def test_replications_acts_as_min_floor(self):
-        [point] = map_sweep(
-            seeded_noise,
-            [0.001],
-            seed=11,
-            exec_cfg=ExecutionConfig(
-                replications=6, ci_target=0.5, max_replications=16
-            ),
-        )
-        assert point.value.replications >= 6
+        [run] = sweep([0.001], replications=6, ci_target=0.5, max_replications=16)
+        assert run.replications >= 6
+        assert run.converged is True
+        [fixed] = sweep([0.5], replications=3)
+        assert fixed.replications == 3
+        assert fixed.converged is None
 
-    def test_always_returns_replicated_values_with_flag(self):
-        points = map_sweep(
-            seeded_noise,
-            self.GRID,
-            seed=11,
-            exec_cfg=ExecutionConfig(ci_target=0.5, max_replications=8),
-        )
-        for p in points:
-            assert isinstance(p.value, ReplicatedValue)
-            assert p.value.converged in (True, False)
-            assert len(p.value.seeds) == p.value.replications
 
-    def test_fixed_sweeps_leave_converged_unset(self):
-        [point] = map_sweep(
-            seeded_noise, [0.5], seed=11, exec_cfg=ExecutionConfig(replications=3)
-        )
-        assert point.value.converged is None
+class TestExperimentDrivers:
+    """End-to-end: the rewired drivers are worker-count invariant."""
+
+    @pytest.mark.slow
+    def test_node_sweep_workers_invariant(self):
+        from repro.experiments import NodeSweepConfig, run_node_energy_sweep
+
+        cfg = NodeSweepConfig(horizon=5.0, thresholds=(0.001, 0.00178, 0.1))
+        serial = run_node_energy_sweep(cfg, exec_cfg=ExecutionConfig(workers=1))
+        parallel = run_node_energy_sweep(cfg, exec_cfg=ExecutionConfig(workers=4))
+        assert serial.total_energy_j == parallel.total_energy_j
+        assert serial.optimum() == parallel.optimum()
+
+    @pytest.mark.slow
+    def test_network_lifetime_workers_invariant(self):
+        from repro.models.network import LineTopology, SensorNetworkModel
+
+        model = SensorNetworkModel(LineTopology(3))
+        serial = model.simulate(5.0, seed=9, exec_cfg=ExecutionConfig(workers=1))
+        parallel = model.simulate(5.0, seed=9, exec_cfg=ExecutionConfig(workers=2))
+        assert [n.energy_j for n in serial.nodes] == [
+            n.energy_j for n in parallel.nodes
+        ]
+        assert serial.network_lifetime_days == parallel.network_lifetime_days

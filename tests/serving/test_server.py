@@ -210,6 +210,25 @@ class TestErrorMapping:
         conn.close()
         assert resp.status == 413
 
+    @pytest.mark.parametrize(
+        "size",
+        [(1 << 20) + 10, 2 << 20, 8 << 20],
+        ids=["1MiB+10B", "2MiB", "8MiB"],
+    )
+    def test_client_sending_an_oversized_body_reads_the_413(self, live, size):
+        # The server answers before reading the body; the client is
+        # still sending it and must get the answer, not a reset.
+        base, _ = live
+        body = b" " * size
+        for _ in range(20):
+            conn = _conn(base)
+            conn.request("POST", "/run", body=body)
+            resp = conn.getresponse()
+            payload = json.loads(resp.read())
+            conn.close()
+            assert resp.status == 413
+            assert payload == {"error": "request body exceeds 1048576 bytes"}
+
     def test_unknown_job_is_404(self, live):
         base, _ = live
         with pytest.raises(ServerError) as err:

@@ -130,3 +130,14 @@ def test_serving_client_needs_no_urllib_request():
         "result = 'urllib.request' in sys.modules\n"
     )
     assert report["result"] is False
+
+
+def test_runtime_imports_no_experiment_driver():
+    # The runtime sits below the experiment drivers: importing it must
+    # not pull any of them in.
+    report = run_fresh(
+        "import repro.runtime\n"
+        "result = sorted(m for m in sys.modules\n"
+        "                if m.split('.')[:2] == ['repro', 'experiments'])\n"
+    )
+    assert report["result"] == []
