@@ -167,24 +167,44 @@ def sweep(grid, **policy):
     )
 
 
-class TestAdaptiveSweep:
+class TestMapSweepAdaptive:
+    """Adaptive replication over a grid of points via ``run_replications``."""
+
+    GRID = [0.01, 0.2, 2.0]
+
     def test_adaptive_is_prefix_of_fixed_run(self):
-        grid = [0.01, 0.2, 2.0]
-        fixed = sweep(grid, replications=16)
-        adaptive = sweep(grid, ci_target=0.2, max_replications=16)
+        fixed = sweep(self.GRID, replications=16)
+        adaptive = sweep(self.GRID, ci_target=0.2, max_replications=16)
         assert min(a.replications for a in adaptive) < 16
         for f, a in zip(fixed, adaptive):
             assert a.values == f.values[: a.replications]
+
+    def test_adaptive_independent_of_workers(self):
+        policy = dict(ci_target=0.2, max_replications=16)
+        serial = sweep(self.GRID, **policy)
+        parallel = sweep(self.GRID, workers=3, **policy)
+        assert [run.values for run in serial] == [run.values for run in parallel]
+        assert [run.converged for run in serial] == [
+            run.converged for run in parallel
+        ]
 
     def test_noisier_points_replicate_more(self):
         quiet, noisy = sweep([0.01, 2.0], ci_target=0.2, max_replications=32)
         assert quiet.converged
         assert quiet.replications < noisy.replications
 
+    def test_max_replications_cap(self):
+        [run] = sweep([5.0], ci_target=1e-9, max_replications=5)
+        assert run.replications == 5
+        assert len(run.values) == 5
+        assert run.converged is False
+
     def test_replications_acts_as_min_floor(self):
         [run] = sweep([0.001], replications=6, ci_target=0.5, max_replications=16)
         assert run.replications >= 6
         assert run.converged is True
+
+    def test_fixed_sweeps_leave_converged_unset(self):
         [fixed] = sweep([0.5], replications=3)
         assert fixed.replications == 3
         assert fixed.converged is None
