@@ -18,9 +18,10 @@
 #             the interpreted engine
 #   store     content-addressed result store: cold run, warm run diffed
 #             bit-identical, `store stats` asserted to report hits; a
-#             geometric network cold/warm pair diffed and its warm run
-#             asserted to be one hit and no miss, then its fold entry
-#             deleted and a third run from the node entries diffed
+#             geometric network cold/warm pair diffed, its cold run
+#             asserted to write one entry and its warm run to be one
+#             hit and no miss, then its fold entry deleted and a third
+#             run diffed and asserted to be one miss and one put
 #   scenario  declarative scenario files: validate + run every gallery
 #             spec at its --smoke scale, `scenario run fig14.yaml` and
 #             `churn_tree.yaml` diffed bit-identical against their
@@ -257,12 +258,27 @@ smoke_store() {
         echo "FAIL: store stats reported no hits after warm runs" >&2
         return 1
     fi
-    # A network replication's folded result is one entry: a warm
-    # network run (one replication) must print the cold run's bytes
-    # with exactly one hit and no miss.
+    # A network replication's folded result is its one entry: a cold
+    # network run (one replication) must add one entry and one put,
+    # and a warm run must print the cold run's bytes with exactly one
+    # hit and no miss.
     local net=(network --topology geometric --nodes 200 --horizon 2
         --store "$store_dir")
+    local entries_before puts_before
+    entries_before="$(store_stat "$store_dir" entries)"
+    puts_before="$(store_stat "$store_dir" puts)"
     $CLI "${net[@]}" >"$out_cold"
+    local entries_cold puts_cold
+    entries_cold="$(store_stat "$store_dir" entries)"
+    puts_cold="$(store_stat "$store_dir" puts)"
+    if [ "$((entries_cold - entries_before))" != 1 ] || \
+        [ "$((puts_cold - puts_before))" != 1 ]; then
+        echo "FAIL: cold network run added" \
+            "$((entries_cold - entries_before)) entries and" \
+            "$((puts_cold - puts_before)) puts (want 1 and 1)" >&2
+        return 1
+    fi
+    echo "cold network run wrote one entry"
     local hits_cold misses_cold hits_warm misses_warm
     hits_cold="$(store_stat "$store_dir" hits)"
     misses_cold="$(store_stat "$store_dir" misses)"
@@ -280,8 +296,8 @@ smoke_store() {
         return 1
     fi
     echo "warm network run is bit-identical to cold: 1 hit, 0 misses"
-    # Without its fold entry the run falls back to the node entries:
-    # the same bytes, and the fold entry is the one miss.
+    # Without its fold entry the run recomputes every node: the same
+    # bytes, one miss and one put (the fold entry, written back).
     local dropped
     dropped="$(python -c "import sys
 from repro.runtime.store import ResultStore
@@ -293,16 +309,17 @@ print(drop_fold_entries(ResultStore(sys.argv[1])))" "$store_dir")"
     fi
     $CLI "${net[@]}" >"$out_warm"
     if ! diff "$out_cold" "$out_warm"; then
-        echo "FAIL: network run from node entries differs from cold" >&2
+        echo "FAIL: recomputed network run differs from cold" >&2
         return 1
     fi
-    if [ "$(store_stat "$store_dir" misses)" != "$((misses_warm + 1))" ]; then
-        echo "FAIL: network run from node entries missed more than" \
-            "its fold entry" >&2
+    if [ "$(store_stat "$store_dir" misses)" != "$((misses_warm + 1))" ] || \
+        [ "$(store_stat "$store_dir" puts)" != "$((puts_cold + 1))" ]; then
+        echo "FAIL: network run without its fold entry made more than" \
+            "one miss and one put" >&2
         return 1
     fi
-    echo "node entries alone serve the network run bit-identically"
-    # verify and gc keep a store of node and fold entries whole.
+    echo "network run without its fold entry recomputes bit-identically"
+    # verify and gc keep a store of node-sweep and fold entries whole.
     $CLI store verify --store "$store_dir"
     $CLI store gc --store "$store_dir"
     rm -rf "$store_dir" "$out_cold" "$out_warm"

@@ -184,7 +184,7 @@ def _network_runs(
     A single :func:`~repro.models.network.run_networks` dispatch: the
     node tasks of every threshold point and replication share its
     rounds, so the vectorized engine packs nodes across points, and the
-    store keeps each replication's folded result and each node's.
+    store keeps each replication's folded result as one entry.
     """
     models = [
         SensorNetworkModel(

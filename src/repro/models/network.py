@@ -653,16 +653,12 @@ class SensorNetworkModel:
         :func:`~repro.runtime.seeding.node_seeds`), so results are
         identical for any ``workers`` and backend.
 
-        A ``store`` memoizes the run twice.  The folded
-        :class:`NetworkResult` is one entry under
-        :func:`replication_key` (the whole model, horizon, base rate,
-        seed, node evaluator and :data:`FOLD_REVISION`), so a warm run
-        is one read.  Each node's result is an entry keyed by ``(node
-        params incl. effective rate, workload, horizon, node seed)``:
-        a run whose fold entry is missing or corrupt is served from
-        those, computes only the nodes that miss and writes its fold
-        entry, and a run that shares node simulations with an earlier
-        one (another topology or threshold sweep) reuses them.
+        A ``store`` keeps the run as one entry: the folded
+        :class:`NetworkResult`, under :func:`replication_key` (the
+        whole model, horizon, base rate, seed, node evaluator and
+        :data:`FOLD_REVISION`).  A warm run is one read; a run whose
+        entry is missing or corrupt simulates every node and writes
+        the entry.  Nodes are never stored on their own.
         """
         from ..runtime.config import as_resolved
 
@@ -681,8 +677,7 @@ def replication_key(
     ``base_rate`` and the replication ``seed``: everything the
     replication's node tasks and their fold are derived from.  The
     evaluator identity is :func:`run_networks`, so the key never
-    aliases a node task's key, and it carries the node evaluator and
-    ``KEY_SCHEMA`` that every node key carries.
+    aliases the key of a node sweep's task.
     """
     from ..runtime.store import task_key
 
@@ -704,13 +699,13 @@ def run_networks(
     """Replicate each network of ``models`` in one dispatch.
 
     One :func:`~repro.runtime.adaptive.run_replications` call, with
-    one point per model: a replication is the model's node tasks
-    (:meth:`SensorNetworkModel._node_run`), each keyed in ``rx.store``,
+    one point per model.  A replication is one ``rx.store`` entry, its
+    :class:`NetworkResult` under :func:`replication_key`: a warm
+    replication is that one read.  Only a miss expands into the
+    model's node tasks (:meth:`SensorNetworkModel._node_run`), each
     dispatched and packed on its own, so the nodes of every network
-    and replication of a round share its ensembles.  Its values fold
-    into the replication's :class:`NetworkResult`, which ``rx.store``
-    keeps under :func:`replication_key`: a warm replication is that
-    one read, and only a miss expands into node tasks.
+    and replication of a round share its ensembles, and their values
+    fold into the entry's value.  No node task is keyed or stored.
 
     ``rx`` places the work; ``rx.replications`` and ``rx.ci_target``
     do not apply.  Without ``ci_target`` each model runs once, at

@@ -40,7 +40,7 @@ from typing import Any
 from ..core.statistics import ConfidenceInterval, replication_interval
 from .config import ResolvedExecution
 from .executor import ParallelExecutor
-from .store import Fragments, ResultStore, task_key
+from .store import ResultStore, task_key
 
 __all__ = [
     "LOCKSTEP_MIN_ROWS",
@@ -155,12 +155,14 @@ def run_replications(
     rx:
         The resolved execution: replication policy, engine, executor
         (``workers``/``backend``) and ``store``.  With a store, each
-        round's new replications are keyed by ``task_key(fn,
-        task_for(i, r))`` — always the *interpreted* task shape, so
-        every engine, backend and replication policy shares one cache.
-        Cached values are served without submitting work, and computed
-        values are written back, so raising ``max_replications`` on a
-        warmed store schedules only the delta replications.
+        new replication is one entry: one lookup before the round's
+        dispatch and, on a miss, one write after it.  Its key is
+        ``task_key(fn, task_for(i, r))`` — always the *interpreted*
+        task shape, so every engine, backend and replication policy
+        shares one cache — or ``fold_key(i, r)`` with ``fold``.
+        Cached values are served without submitting work, so raising
+        ``max_replications`` on a warmed store schedules only the
+        delta replications.
     ensemble_fn:
         The batch form of ``fn``: each round's missing tasks are packed
         into at most ``min(units, slots, tasks // LOCKSTEP_MIN_ROWS)``
@@ -178,19 +180,20 @@ def run_replications(
     fold:
         Makes one replication a group of tasks, such as a network's
         nodes.  ``task_for(i, r)`` then returns the replication's
-        tasks; each is keyed, looked up and dispatched on its own, and
-        is a packing unit of its own, so the tasks of one replication
-        spread over every slot.  ``fold(i, r, values)`` turns their
-        values, in task order, into the replication's value: what
-        ``metrics`` reads and the run returns.
+        tasks; each is dispatched as a packing unit of its own, so the
+        tasks of one replication spread over every slot, but none is
+        keyed, read or written on its own.  ``fold(i, r, values)``
+        turns their values, in task order, into the replication's
+        value: what ``metrics`` reads, the store keeps and the run
+        returns.  Given with ``fold_key`` or not at all
+        (:class:`TypeError`).
     fold_key:
         ``(point_index, replication_index) -> store key`` of a grouped
         replication's folded value.  With a store, each new replication
         is looked up under it before ``task_for`` expands it: a hit is
-        the replication's value, with no task keyed, read or run and no
-        ``fold`` call; a miss runs as above and writes the folded value
-        back.  The key must change whenever a task key of the
-        replication would.
+        the replication's value, with no task run and no ``fold``
+        call.  The key must change whenever anything the tasks or
+        their fold are derived from does.
 
     Returns
     -------
@@ -199,6 +202,8 @@ def run_replications(
     """
     if n_points < 0:
         raise ValueError(f"n_points must be >= 0, got {n_points}")
+    if (fold is None) != (fold_key is None):
+        raise TypeError("run_replications takes fold and fold_key together")
     if rx.engine != "vectorized":
         ensemble_fn = None
     adaptive = rx.ci_target is not None
@@ -208,60 +213,40 @@ def run_replications(
     store: ResultStore | None = rx.store
     runs = [AdaptivePointRun(values=[]) for _ in range(n_points)]
     open_points = list(range(n_points))
-    keyed_folds = fold is not None and fold_key is not None and store is not None
     while open_points:
-        # Per new replication: its point, its index, one (hit, cached
-        # value or store key) per task and its fold entry's key; a
-        # fold entry hit is (i, r, None, value).
-        reps: list[tuple[int, int, list[tuple[bool, Any]] | None, Any]] = []
+        # Per new replication: its point, its index, whether the store
+        # served it, and its value (a hit) or its store key and task
+        # count (a miss).
+        reps: list[tuple[int, int, bool, Any, int]] = []
         units: list[list[Any]] = []  # the missing tasks, as packing units
-        # Canonical text of each task part shared within the round
-        # (parameters, workload, traffic), built once per object.
-        fragments: Fragments = {}
         for i in open_points:
             done = len(runs[i].values)
             point_misses: list[Any] = []
             for r in range(done, min(done + floor, cap)):
-                rep_key = None
-                if keyed_folds:
-                    rep_key = fold_key(i, r)
-                    hit, value = store.get(rep_key)
+                task = task_for(i, r) if fold is None else None
+                key = None
+                if store is not None:
+                    key = task_key(fn, task) if fold is None else fold_key(i, r)
+                    hit, value = store.get(key)
                     if hit:
-                        reps.append((i, r, None, value))
+                        reps.append((i, r, True, value, 0))
                         continue
-                tasks = task_for(i, r) if fold is not None else (task_for(i, r),)
-                slots: list[tuple[bool, Any]] = []
-                for task in tasks:
-                    key = None
-                    if store is not None:
-                        key = task_key(fn, task, fragments)
-                        hit, value = store.get(key)
-                        if hit:
-                            slots.append((True, value))
-                            continue
-                    slots.append((False, key))
-                    if fold is None:
-                        point_misses.append(task)
-                    else:
-                        units.append([task])
-                reps.append((i, r, slots, rep_key))
+                if fold is None:
+                    point_misses.append(task)
+                    reps.append((i, r, False, key, 1))
+                else:
+                    tasks = task_for(i, r)
+                    units.extend([t] for t in tasks)
+                    reps.append((i, r, False, key, len(tasks)))
             if point_misses:
                 units.append(point_misses)
         computed = iter(_run_misses(pool, fn, ensemble_fn, units))
-        for i, r, slots, rep in reps:
-            if slots is None:  # a fold entry hit: ``rep`` is its value
-                runs[i].values.append(rep)
-                continue
-            values = []
-            for hit, value in slots:
-                if not hit:
-                    key, value = value, next(computed)
-                    if store is not None:
-                        store.put(key, value)
-                values.append(value)
-            value = values[0] if fold is None else fold(i, r, values)
-            if rep is not None:
-                store.put(rep, value)
+        for i, r, hit, value, n_tasks in reps:
+            if not hit:
+                key, values = value, list(islice(computed, n_tasks))
+                value = values[0] if fold is None else fold(i, r, values)
+                if key is not None:
+                    store.put(key, value)
             runs[i].values.append(value)
         if not adaptive:
             break

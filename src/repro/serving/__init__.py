@@ -14,8 +14,8 @@ This package turns those guarantees into a long-running service:
   to the equivalent CLI run, a fully-warm request touches only the
   store (zero backend tasks), and a cold request computes exactly its
   misses.  Jobs carry ``queued → running → done/failed/cancelled``
-  lifecycles, per-task progress events, idempotent submission (dup
-  in-flight requests coalesce by
+  lifecycles, per-replication progress events, idempotent submission
+  (dup in-flight requests coalesce by
   :func:`~repro.runtime.store.request_key`) and cooperative
   cancellation.
 * :mod:`repro.serving.server` — a stdlib-only threaded JSON/HTTP front

@@ -11,8 +11,8 @@ same content-addressed store — which is what makes the serving invariant
 hold *by construction*:
 
     **A served response is byte-identical to the equivalent
-    ``scenario run``**, and a warm request (every task already in the
-    store) submits **zero** tasks to the backend.
+    ``scenario run``**, and a warm request (every replication already
+    in the store) submits **zero** tasks to the backend.
 
 Request shape (plain JSON)::
 
@@ -218,9 +218,11 @@ class _JobStore:
     this job's own hit/miss/put traffic — the numbers behind the
     "warm request submits zero tasks" assertion, independent of the
     shared store's session counters — (b) emitting throttled
-    per-task progress events, and (c) acting as the cooperative
-    cancellation checkpoint (every task consults the store, so every
-    task boundary observes a cancel request).
+    per-replication progress events, and (c) acting as the cooperative
+    cancellation checkpoint.  Each replication is one store entry, and
+    a round reads all of its entries before its one dispatch and writes
+    them after it: a cancel is seen at the next read or write, never
+    inside the dispatch.
     """
 
     def __init__(self, store: Any, job: Job, interval: float) -> None:
@@ -309,8 +311,8 @@ class SweepService:
         *request's* own ``execution`` block instead — exactly what the
         equivalent ``scenario run`` would use.
     progress_interval:
-        Minimum seconds between per-task progress events (0 emits one
-        per store access — what the tests use).
+        Minimum seconds between per-replication progress events (0
+        emits one per store access — what the tests use).
 
     Use as a context manager (or call :meth:`close`) so the worker
     thread, persistent backend and store counters shut down cleanly.
@@ -410,10 +412,11 @@ class SweepService:
         """Cancel a job: queued jobs immediately, running cooperatively.
 
         A queued job goes straight to ``cancelled``; a running job has
-        its flag set and aborts at the next store checkpoint (between
-        tasks — a cancelled run never leaves a partial task, and
-        everything it already computed stays in the store).  Terminal
-        jobs are returned unchanged.
+        its flag set and aborts at the next store checkpoint: a store
+        read before a round's dispatch or a write after it.  A cancel
+        during a dispatch lets the dispatch finish, then drops every
+        value of that round not yet written; earlier rounds' values
+        stay in the store.  Terminal jobs are returned unchanged.
         """
         with self._cond:
             job = self._jobs.get(job_id)

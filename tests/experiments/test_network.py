@@ -244,12 +244,12 @@ class TestOneDispatch:
         sweep = run_network_lifetime_sweep(self.CFG, exec_cfg=rx)
         assert (store.hits, store.misses) == (3, 0)  # one fold entry a point
         assert sweep.results == singles
-        # Without the fold entries every node entry serves the sweep;
-        # the three misses are the dropped fold entries.
+        # Without the fold entries the sweep recomputes every point to
+        # the same results and writes each point's entry back.
         assert drop_fold_entries(store) == 3
-        store.hits = store.misses = 0
+        store.hits = store.misses = store.puts = 0
         sweep = run_network_lifetime_sweep(self.CFG, exec_cfg=rx)
-        assert (store.hits, store.misses) == (9, 3)
+        assert (store.hits, store.misses, store.puts) == (0, 3, 3)
         assert sweep.results == singles
 
 

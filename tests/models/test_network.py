@@ -22,6 +22,7 @@ from repro.models.network import replication_key, run_networks
 from repro.models.wsn_node import simulate_node_task
 from repro.runtime import TaskError
 from repro.runtime.config import ExecutionConfig, ResolvedExecution
+from repro.runtime.seeding import replication_seeds
 from repro.runtime.store import ENTRY_MAGIC, ResultStore, StoreWarning, task_key
 from repro.topology.dynamics import ChurnModel
 from repro.topology.traffic import MMPPTraffic
@@ -30,8 +31,8 @@ from repro.topology.traffic import MMPPTraffic
 def drop_fold_entries(store):
     """Delete every folded :class:`NetworkResult` entry of ``store``.
 
-    What is left are the node entries: the store as a run that wrote
-    no fold entries would have left it.  Returns how many were dropped.
+    A network run then finds none of its replications stored and
+    recomputes them.  Returns how many entries were dropped.
     """
     header = len(ENTRY_MAGIC) + 32  # magic + SHA-256 of the payload
     dropped = 0
@@ -319,22 +320,6 @@ class TestNodeDispatch:
             self.RUN["seed"] + i,
         )
 
-    def test_partially_warm_store_computes_only_the_missing_nodes(self, tmp_path):
-        store = ResultStore(tmp_path)
-        for i in (0, 2, 4):
-            task = self.node_task(i)
-            store.put(task_key(simulate_node_task, task), simulate_node_task(task))
-        store.puts = 0
-        warm = self.network().simulate(
-            **self.RUN, exec_cfg=ResolvedExecution(store=store)
-        )
-        # The store holds node entries only: its fold entry misses,
-        # three nodes hit and the two others are computed and written.
-        assert store.hits == 3
-        assert (store.misses, store.puts) == (2 + 1, 2 + 1)
-        assert store.contains(replication_key(self.network(), **self.RUN))
-        assert warm == self.network().simulate(**self.RUN)
-
     @pytest.mark.parametrize(
         "dynamics, traffic",
         [
@@ -347,7 +332,7 @@ class TestNodeDispatch:
     def test_interpreted_store_serves_a_vectorized_run(
         self, tmp_path, dynamics, traffic
     ):
-        # Node keys do not depend on the engine: a store filled by the
+        # Fold keys do not depend on the engine: a store filled by the
         # interpreted engine serves a lockstep run without one miss.
         net = SensorNetworkModel(
             GridTopology(3, 3), self.PARAMS, dynamics=dynamics, traffic=traffic
@@ -360,17 +345,15 @@ class TestNodeDispatch:
         store.hits = store.misses = 0
         assert net.simulate(**self.RUN, exec_cfg=vectorized) == cold
         assert (store.hits, store.misses) == (1, 0)  # the fold entry
-        # Without the fold entry every node entry serves the lockstep
-        # run; the one miss is the dropped fold entry.
+        # Without the fold entry the lockstep run recomputes every node
+        # to the interpreted bytes and writes the entry back.
         assert drop_fold_entries(store) == 1
-        store.hits = store.misses = 0
+        store.hits = store.misses = store.puts = 0
         warm = net.simulate(**self.RUN, exec_cfg=vectorized)
-        assert (store.hits, store.misses) == (9, 1)
-        assert warm == cold
+        assert (store.hits, store.misses, store.puts) == (0, 1, 1)
+        assert pickle.dumps(warm) == pickle.dumps(cold)
 
-    def test_each_distinct_rate_builds_its_parameters_once(
-        self, tmp_path, monkeypatch
-    ):
+    def test_each_distinct_rate_builds_its_parameters_once(self, monkeypatch):
         built = []
 
         def counting_replace(obj, **changes):
@@ -380,18 +363,17 @@ class TestNodeDispatch:
 
         monkeypatch.setattr(network_module, "replace", counting_replace)
         topology = GridTopology(10, 10)
-        store = ResultStore(tmp_path)
-        SensorNetworkModel(topology, self.PARAMS).simulate(
-            horizon=1.0, seed=1, base_rate=0.5,
-            exec_cfg=ResolvedExecution(store=store),
+        tasks, _fold = SensorNetworkModel(topology, self.PARAMS)._node_run(
+            1.0, 1, 0.5
         )
         rates = topology.effective_rates(0.5)
         assert sorted(built) == sorted(set(rates))
         assert len(built) == 19
-        # The shared parameter sets key exactly as per-node ones would.
-        for i, rate in enumerate(rates):
-            task = (replace(self.PARAMS, arrival_rate=rate), "open", 1.0, 1 + i)
-            assert store.contains(task_key(simulate_node_task, task))
+        # The shared parameter sets make the tasks per-node ones would.
+        assert tasks == [
+            (replace(self.PARAMS, arrival_rate=rate), "open", 1.0, 1 + i)
+            for i, rate in enumerate(rates)
+        ]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_node_raises_task_error_with_its_task(
@@ -416,33 +398,38 @@ class TestFoldEntries:
         return SensorNetworkModel(GridTopology(3, 2), self.PARAMS, **kwargs)
 
     def test_fold_key_is_none_of_the_node_keys(self, tmp_path):
+        # A cold run of R replications makes R misses and R puts, and
+        # writes R fold entries and no node entry.
         store = ResultStore(tmp_path)
+        rx = ResolvedExecution(store=store, max_replications=3)
         net = self.network()
-        net.simulate(**self.RUN, exec_cfg=ResolvedExecution(store=store))
-        tasks, _fold = net._node_run(
-            self.RUN["horizon"], self.RUN["seed"], self.RUN["base_rate"]
-        )
-        node_keys = {task_key(simulate_node_task, task) for task in tasks}
-        fold = replication_key(net, **self.RUN)
-        assert fold not in node_keys
-        assert {p.name for p in store._entry_files()} == node_keys | {fold}
+        [run] = run_networks([net], **self.RUN, rx=rx, ci_target=1e-12)
+        assert run.replications == 3
+        assert (store.hits, store.misses, store.puts) == (0, 3, 3)
+        seeds = replication_seeds(self.RUN["seed"], 3)
+        folds = {replication_key(net, 5.0, 0.5, seed) for seed in seeds}
+        assert {p.name for p in store._entry_files()} == folds
+        node_keys = {
+            task_key(simulate_node_task, task)
+            for seed in seeds
+            for task in net._node_run(5.0, seed, 0.5)[0]
+        }
+        assert not folds & node_keys
 
-    def test_battery_change_misses_the_fold_entry_and_reuses_nodes(self, tmp_path):
-        # The battery reaches only the fold, so node keys never see it;
+    def test_battery_change_misses_the_fold_entry_and_recomputes(self, tmp_path):
+        # The battery reaches only the fold, so no node task sees it;
         # the fold key must, or a warm run would serve stale lifetimes.
         store = ResultStore(tmp_path)
         rx = ResolvedExecution(store=store)
         self.network().simulate(**self.RUN, exec_cfg=rx)
         small = LinearBattery(capacity_mah=100.0, voltage_v=3.0)
-        store.hits = store.misses = 0
+        store.hits = store.misses = store.puts = 0
         warm = self.network(battery=small).simulate(**self.RUN, exec_cfg=rx)
-        assert (store.hits, store.misses) == (6, 1)
+        assert (store.hits, store.misses, store.puts) == (0, 1, 1)
         assert warm == self.network(battery=small).simulate(**self.RUN)
         assert warm != self.network().simulate(**self.RUN)
 
-    def test_corrupt_fold_entry_falls_back_to_node_entries_and_heals(
-        self, tmp_path
-    ):
+    def test_corrupt_fold_entry_recomputes_every_node_and_heals(self, tmp_path):
         store = ResultStore(tmp_path)
         rx = ResolvedExecution(store=store)
         cold = self.network().simulate(**self.RUN, exec_cfg=rx)
@@ -452,7 +439,7 @@ class TestFoldEntries:
         with pytest.warns(StoreWarning, match="recomputing"):
             warm = self.network().simulate(**self.RUN, exec_cfg=rx)
         assert pickle.dumps(warm) == pickle.dumps(cold)
-        assert (store.hits, store.corrupt, store.puts) == (6, 1, 1)
+        assert (store.hits, store.corrupt, store.puts) == (0, 1, 1)
         store.hits = store.misses = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error", StoreWarning)
@@ -463,19 +450,26 @@ class TestFoldEntries:
         self, tmp_path
     ):
         # A store filled before fold entries existed holds node entries
-        # only: it serves every node, and gains one fold entry for each
-        # replication.
-        store = ResultStore(tmp_path)
-        rx = ResolvedExecution(store=store, max_replications=3)
+        # only.  They are never read: each replication misses its fold
+        # entry once, recomputes to the same bytes and writes it.
+        rx = ResolvedExecution(max_replications=3)
         every = dict(ci_target=1e-12)  # never converges: all 3 replications
         [cold] = run_networks([self.network()], 5.0, 0.5, 100, rx, **every)
-        assert drop_fold_entries(store) == 3
+        store = ResultStore(tmp_path)
+        for seed in replication_seeds(100, 3):
+            for task in self.network()._node_run(5.0, seed, 0.5)[0]:
+                store.put(task_key(simulate_node_task, task), simulate_node_task(task))
         entries = len(store._entry_files())
         store.hits = store.misses = store.puts = 0
+        rx = replace(rx, store=store)
         [warm] = run_networks([self.network()], 5.0, 0.5, 100, rx, **every)
         assert pickle.dumps(warm.values) == pickle.dumps(cold.values)
-        assert (store.hits, store.misses, store.puts) == (3 * 6, 3, 3)
+        assert (store.hits, store.misses, store.puts) == (0, 3, 3)
         assert len(store._entry_files()) == entries + 3
+        store.hits = store.misses = 0
+        [again] = run_networks([self.network()], 5.0, 0.5, 100, rx, **every)
+        assert pickle.dumps(again.values) == pickle.dumps(cold.values)
+        assert (store.hits, store.misses) == (3, 0)
 
     @pytest.mark.parametrize("stored", [False, True], ids=["no-store", "store"])
     def test_adaptive_run_is_a_prefix_of_the_fixed_run(self, tmp_path, stored):

@@ -18,9 +18,7 @@ Three claims guard the cache against silently-wrong science:
    to a cold one.
 """
 
-import copy
 import dataclasses
-import hashlib
 import json
 import os
 import pickle
@@ -35,6 +33,7 @@ from hypothesis import strategies as st
 import repro.models.network as network_module
 from repro.energy.battery import LinearBattery
 from repro.models.network import (
+    GridTopology,
     SensorNetworkModel,
     replication_key,
     simulate_node_segments_task,
@@ -54,7 +53,7 @@ from repro.runtime.store import (
     task_key,
 )
 from repro.topology.dynamics import ChurnModel, NodeSegment
-from repro.topology.generators import RandomGeometricTopology
+from repro.topology.generators import ClusterTreeTopology, RandomGeometricTopology
 from repro.topology.traffic import MMPPTraffic
 
 # ----------------------------------------------------------------------
@@ -320,140 +319,27 @@ class TestGoldenKeys:
             "98b1529ecd2b542b22cb27d99900ac90c77c579fb12aa290e5b9c61e0ae148ff"
         )
 
+    # A network replication's one store entry is its fold entry; these
+    # pins guard every warm network entry.
 
-def _reference_key(fn, item):
-    """A task key spelled the one way every stored entry was keyed."""
-    payload = json.dumps(
-        [
-            "repro-store",
-            KEY_SCHEMA,
-            f"{fn.__module__}:{fn.__qualname__}",
-            canonicalize(item),
-        ],
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-#: Task parts that are equal (or near) yet canonicalize differently,
-#: so a memo keyed by equality would alias them.
-_TRICKY_PARTS = (
-    0.0,
-    -0.0,
-    1,
-    1.0,
-    True,
-    False,
-    None,
-    2**127 - 1,
-    2**127,
-    "näïve ✓",
-    "open",
-    (0.0,),
-    (-0.0,),
-    [1],
-    [1.0],
-    [True],
-)
-
-task_parts = st.one_of(
-    st.sampled_from(_TRICKY_PARTS),
-    st.integers(2**127 - 3, 2**127 + 3),
-    st.floats(allow_nan=False),
-    st.text(max_size=6),
-    st.builds(NodeParameters, arrival_rate=st.floats(0.01, 5.0)),
-    st.builds(MMPPTraffic, off_fraction=st.floats(0.0, 0.9)),
-    st.lists(
-        st.builds(
-            NodeSegment,
-            st.floats(0.0, 10.0),
-            st.floats(0.1, 10.0),
-            st.floats(0.01, 2.0),
-            st.integers(0, 2**64),
-        ),
-        max_size=3,
-    ).map(tuple),
-)
-
-
-class TestFragmentMemo:
-    """``task_key`` with a round's memo gives the plain keys, byte for byte."""
-
-    @given(
-        st.lists(task_parts, min_size=1, max_size=6),
-        st.lists(
-            st.lists(st.integers(0, 5), min_size=1, max_size=5),
-            min_size=1,
-            max_size=12,
-        ),
-        st.lists(task_parts, max_size=3),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_memoized_round_matches_the_plain_path(self, pool, picks, fresh):
-        # Tasks share parts by identity (picks index one pool, and
-        # every task carries ``fresh``) and also carry an equal copy of
-        # a pool part of their own; list and tuple tasks both occur.
-        tasks = []
-        for n, pick in enumerate(picks):
-            parts = [pool[j % len(pool)] for j in pick] + fresh
-            parts.append(copy.deepcopy(pool[n % len(pool)]))
-            tasks.append(tuple(parts) if n % 2 else parts)
-        fragments = {}
-        memoized = [task_key(simulate_node_task, t, fragments) for t in tasks]
-        assert memoized == [task_key(simulate_node_task, t) for t in tasks]
-        assert memoized == [_reference_key(simulate_node_task, t) for t in tasks]
-
-    def test_equal_parts_of_distinct_kinds_keep_their_own_keys(self):
-        fragments = {}
-        for task in [(0.0,), (-0.0,), (1,), (1.0,), (True,), ((0.0,),), ((-0.0,),)]:
-            assert task_key(noisy, task, fragments) == _reference_key(noisy, task)
-
-    def test_memo_pins_parts_so_ids_are_not_reused(self):
-        # Each task's list part is dropped right after keying; without
-        # the strong reference the next list could take its id and read
-        # back the wrong text.
-        fragments = {}
-        for x in range(200):
-            task = ([float(x)], "open")
-            assert task_key(noisy, task, fragments) == _reference_key(noisy, task)
-
-    def test_one_fragment_per_distinct_node_parameters(self, tmp_path, monkeypatch):
-        # The 1000 node tasks of the geo1000 deployment share 111
-        # parameter objects (one per effective rate).
-        import repro.runtime.store as store_module
-        from repro.models.network import SensorNetworkModel
-        from repro.topology.generators import RandomGeometricTopology
-
+    def test_static_network_fold_key(self):
         model = SensorNetworkModel(
-            RandomGeometricTopology(1000, seed=2010), NodeParameters()
+            GridTopology(3, 3), NodeParameters(power_down_threshold=0.01)
         )
-        tasks, _fold = model._node_run(2.0, 2010, 0.1)
-        canonicalized = []
-        plain = store_module.canonical_json
-
-        def counting(obj):
-            canonicalized.append(obj)
-            return plain(obj)
-
-        monkeypatch.setattr(store_module, "canonical_json", counting)
-        [run] = run_replications(
-            simulate_node_task,
-            lambda i, r: tasks,
-            1,
-            ResolvedExecution(backend=NullPool(), store=ResultStore(tmp_path)),
-            fold=lambda i, r, values: len(values),
+        assert replication_key(model, horizon=2.0, base_rate=0.5, seed=2017) == (
+            "cefc0eeba320c10c5bda454c4fa903d05073cfb3f63d53416795563964a5c35f"
         )
-        assert run.values == [1000]
-        params = [obj for obj in canonicalized if isinstance(obj, NodeParameters)]
-        assert len(params) == len({id(t[0]) for t in tasks}) == 111
 
-
-class NullPool(CountingPool):
-    """A backend that returns ``None`` for every task, without running it."""
-
-    def map(self, fn, items, chunk_size=None):
-        return [None for _ in items]
+    def test_churn_bursty_network_fold_key(self):
+        model = SensorNetworkModel(
+            ClusterTreeTopology(2, 2),
+            NodeParameters(power_down_threshold=0.05),
+            dynamics=ChurnModel(failure_rate=0.05, duty_spread=0.3),
+            traffic=MMPPTraffic(2.0, 3.0, 0.2),
+        )
+        assert replication_key(model, horizon=2.0, base_rate=0.5, seed=2017) == (
+            "6ac677824048924a4d58b7218ecf9567d52dc0d1685c29bdbfc17c5686adbd45"
+        )
 
 
 class TestCanonicalizationRejections:
@@ -1208,4 +1094,56 @@ class TestAdaptiveStore:
         assert store.puts == 2 * 4
         assert [r.values for r in long] == [
             r.values for r in self._run(None, 8)
+        ]
+
+
+def total(i, r, values):
+    """Fold a grouped replication's task values into their sum."""
+    return sum(values)
+
+
+class TestGroupedReplications:
+    """A grouped replication is one store entry; its tasks have none."""
+
+    @staticmethod
+    def tasks(i, r):
+        return [(POINTS[i], 10 * r + k) for k in range(3)]
+
+    @staticmethod
+    def fold_key(i, r):
+        return task_key(total, (POINTS[i], r))
+
+    def _run(self, pool, store):
+        return run_replications(
+            noisy,
+            self.tasks,
+            len(POINTS),
+            ResolvedExecution(backend=pool, store=store, replications=2),
+            fold=total,
+            fold_key=self.fold_key,
+        )
+
+    @pytest.mark.parametrize("only", ["fold", "fold_key"])
+    def test_fold_and_fold_key_go_together(self, only):
+        pair = {"fold": total, "fold_key": self.fold_key}
+        with pytest.raises(TypeError, match="fold and fold_key"):
+            run_replications(
+                noisy, self.tasks, 1, ResolvedExecution(), **{only: pair[only]}
+            )
+
+    def test_a_replication_is_one_get_and_one_put(self, tmp_path):
+        store = ResultStore(tmp_path)
+        pool = CountingPool()
+        cold = self._run(pool, store)
+        assert (store.hits, store.misses, store.puts) == (0, 4, 4)
+        assert len(pool.submitted) == 4 * 3
+        assert {p.name for p in store._entry_files()} == {
+            self.fold_key(i, r) for i in range(2) for r in range(2)
+        }
+        store.hits = store.misses = store.puts = 0
+        warm = self._run(CountingPool(), store)
+        assert (store.hits, store.misses, store.puts) == (4, 0, 0)
+        assert [r.values for r in warm] == [r.values for r in cold]
+        assert [r.values for r in self._run(CountingPool(), None)] == [
+            r.values for r in cold
         ]

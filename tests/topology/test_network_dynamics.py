@@ -112,8 +112,7 @@ class TestChurnBitIdentity:
             **RUN, exec_cfg=ResolvedExecution(store=store)
         )
         assert cold == serial
-        nodes = len(cold.nodes)
-        assert (store.misses, store.puts) == (nodes + 1, nodes + 1)
+        assert (store.misses, store.puts) == (1, 1), "one fold entry written"
         two_workers = ResolvedExecution(workers=2, store=store)
         store.hits = store.misses = 0
         assert dynamic_network().simulate(**RUN, exec_cfg=two_workers) == serial
@@ -122,8 +121,9 @@ class TestChurnBitIdentity:
         store.hits = store.misses = store.puts = 0
         warm = dynamic_network().simulate(**RUN, exec_cfg=two_workers)
         assert warm == serial
-        assert store.hits == nodes, "every node entry must be served back"
-        assert (store.misses, store.puts) == (1, 1), "only the fold entry is new"
+        assert (store.hits, store.misses, store.puts) == (0, 1, 1), (
+            "without its fold entry the run recomputes and writes it back"
+        )
 
     def test_failed_nodes_lifetime_clipped(self, serial):
         sched = CHURN.schedule(ClusterTreeTopology(2, 2), 0.5, 10.0, seed=7)
